@@ -629,10 +629,15 @@ let e16 () =
   table_row
     (List.map col [ "instance"; "OPT"; "flow nodes"; "flow (s)"; "ilp nodes"; "lp solves"; "ilp (s)" ]);
   let run name inst =
+    let obs = Obs.create () in
     let t0 = Unix.gettimeofday () in
-    let flow_opt = Active.Exact.optimum inst in
+    let flow_opt =
+      match Active.Exact.solve ~obs inst with
+      | Budget.Complete r -> Option.map Active.Solution.cost r
+      | Budget.Exhausted _ -> assert false (* unlimited fuel never exhausts *)
+    in
     let t_flow = Unix.gettimeofday () -. t0 in
-    let flow_stats = !Active.Exact.last_stats in
+    let flow_nodes = Option.value (List.assoc_opt "active.exact.nodes" (Obs.counters obs)) ~default:0 in
     let t0 = Unix.gettimeofday () in
     let ilp = Active.Ilp.exact inst in
     let t_ilp = Unix.gettimeofday () -. t0 in
@@ -641,7 +646,7 @@ let e16 () =
         assert (o1 = Active.Solution.cost sol);
         table_row
           (List.map col
-             [ name; string_of_int o1; string_of_int flow_stats.Active.Exact.nodes;
+             [ name; string_of_int o1; string_of_int flow_nodes;
                Printf.sprintf "%.3f" t_flow; string_of_int st.Active.Ilp.nodes;
                string_of_int st.Active.Ilp.lp_solves; Printf.sprintf "%.3f" t_ilp ])
     | None, None -> table_row (List.map col [ name; "infeas"; "-"; "-"; "-"; "-"; "-" ])
@@ -1065,7 +1070,7 @@ let e21 () =
     List.map
       (fun s ->
         ( Printf.sprintf "lp1/s%d" s,
-          fun () -> fst (Active.Ilp.build_lp1 (Gen.slotted ~params ~seed:s ())) ))
+          fun () -> fst (Active.Lp_model.build_lp1 (Gen.slotted ~params ~seed:s ())) ))
       lp1_seeds
     @ List.map
         (fun s ->
@@ -1115,7 +1120,7 @@ let e21 () =
     (if !quick then 8 else 16);
   let rounds = if !quick then 8 else 16 in
   let inst = Gen.slotted ~params ~seed:3 () in
-  let m, y_vars = Active.Ilp.build_lp1 inst in
+  let m, y_vars = Active.Lp_model.build_lp1 inst in
   let ny = List.length y_vars in
   let work_d = ref 0 and work_r = ref 0 and work_w = ref 0 in
   let piv_d = ref 0 and piv_r = ref 0 and piv_w = ref 0 in
@@ -1287,7 +1292,7 @@ let e23 () =
     List.map
       (fun s ->
         ( Printf.sprintf "lp1/s%d" s,
-          fun () -> fst (Active.Ilp.build_lp1 (Gen.slotted ~params ~seed:s ())) ))
+          fun () -> fst (Active.Lp_model.build_lp1 (Gen.slotted ~params ~seed:s ())) ))
       lp1_seeds
     @ List.map
         (fun s ->
@@ -1441,7 +1446,7 @@ let e24 () =
     List.map
       (fun s ->
         ( Printf.sprintf "lp1/s%d" s,
-          (fun () -> fst (Active.Ilp.build_lp1 (Gen.slotted ~params ~seed:s ()))),
+          (fun () -> fst (Active.Lp_model.build_lp1 (Gen.slotted ~params ~seed:s ()))),
           None ))
       lp1_seeds
     @ List.map
@@ -1455,7 +1460,7 @@ let e24 () =
         (fun b ->
           ( Printf.sprintf "wide/b%d" b,
             (fun () ->
-              fst (Active.Ilp.build_lp1 (Gad.sparse_wide ~g:wide_g ~blocks:b ~width:wide_width))),
+              fst (Active.Lp_model.build_lp1 (Gad.sparse_wide ~g:wide_g ~blocks:b ~width:wide_width))),
             Some (Gad.sparse_wide_lp_opt ~g:wide_g ~blocks:b) ))
         wide_blocks
   in
@@ -1469,7 +1474,7 @@ let e24 () =
       let rd = Lp.solve ~engine:Lp.Dense m in
       let rr = Lp.solve ~engine:Lp.Revised m in
       let obs = Obs.create () in
-      let rs = Lp.solve ~obs ~engine:Lp.Sparse m in
+      let rs = Lp.solve ~obs ~engine:Lp.Revised m in
       match (rd, rr, rs) with
       | Lp.Optimal sd, Lp.Optimal sr, Lp.Optimal ss ->
           let obj = Lp.objective_value ss in
@@ -1486,7 +1491,7 @@ let e24 () =
           (* warm re-solve from the sparse engine's own optimal basis:
              the factorization rebuilds, the simplex confirms in 0 pivots *)
           let warm_work =
-            match Lp.solve ~engine:Lp.Sparse ?warm:(Lp.basis ss) m with
+            match Lp.solve ~engine:Lp.Revised ?warm:(Lp.basis ss) m with
             | Lp.Optimal sw ->
                 if not (Q.equal (Lp.objective_value sw) obj) then
                   complain "%s: sparse warm objective drifted" name;
@@ -1536,7 +1541,7 @@ let e24 () =
   let rounds = if !quick then 8 else 16 in
   pr "\nFloat warm probes (one LP1 model, %d bound-rewrite rounds):\n\n" rounds;
   let inst = Gen.slotted ~params ~seed:3 () in
-  let m, y_vars = Active.Ilp.build_lp1 inst in
+  let m, y_vars = Active.Lp_model.build_lp1 inst in
   let ny = List.length y_vars in
   let work_c = ref 0 and work_w = ref 0 in
   let piv_c = ref 0 and piv_w = ref 0 in
@@ -1719,21 +1724,21 @@ let e26 () =
     List.map
       (fun s ->
         ( Printf.sprintf "lp1/s%d" s,
-          (fun () -> fst (Active.Ilp.build_lp1 (Gen.slotted ~params ~seed:s ()))),
+          (fun () -> fst (Active.Lp_model.build_lp1 (Gen.slotted ~params ~seed:s ()))),
           None ))
       lp1_seeds
     @ List.map
         (fun b ->
           ( Printf.sprintf "wide/b%d" b,
             (fun () ->
-              fst (Active.Ilp.build_lp1 (Gad.sparse_wide ~g:wide_g ~blocks:b ~width:wide_width))),
+              fst (Active.Lp_model.build_lp1 (Gad.sparse_wide ~g:wide_g ~blocks:b ~width:wide_width))),
             Some (Gad.sparse_wide_lp_opt ~g:wide_g ~blocks:b) ))
         wide_blocks
     @ List.map
         (fun j ->
           ( Printf.sprintf "tall/j%d" j,
             (fun () ->
-              fst (Active.Ilp.build_lp1 (Gad.lp1_tall ~g:tall_g ~jobs:j ~length:tall_length))),
+              fst (Active.Lp_model.build_lp1 (Gad.lp1_tall ~g:tall_g ~jobs:j ~length:tall_length))),
             Some (Gad.lp1_tall_lp_opt ~g:tall_g ~jobs:j ~length:tall_length) ))
         tall_jobs
   in
@@ -1750,7 +1755,7 @@ let e26 () =
         List.map
           (fun (pname, pricing) ->
             let obs = Obs.create () in
-            match Lp.solve ~obs ~engine:Lp.Sparse ~pricing m with
+            match Lp.solve ~obs ~engine:Lp.Revised ~pricing m with
             | Lp.Optimal s ->
                 let counter n =
                   match List.assoc_opt n (Obs.counters obs) with Some v -> v | None -> 0

@@ -104,7 +104,7 @@ let resolve kind name =
               name (CI.kind_name kind)
               (String.concat "|" (Core.Registry.names kind))))
 
-(* --lp-engine resolves against Lp's engine registry with the same
+(* --lp-engine resolves against Lp's engine names with the same
    unknown-name UX as --algorithm: exit 2 listing the valid names. *)
 let resolve_lp_engine name =
   match Lp.engine_of_name name with
@@ -889,7 +889,7 @@ let serve_cmd =
 (* -------------------------------------------------------- list-solvers -- *)
 
 (* One line per registered solver, deterministically ordered by
-   (kind, name), then one per registered LP engine (--lp-engine values;
+   (kind, name), then one per LP engine name (--lp-engine values;
    every engine returns exact results, so QUALITY is exact throughout);
    CI diffs this against test/list_solvers.golden. *)
 let list_solvers () =

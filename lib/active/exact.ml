@@ -27,11 +27,6 @@ let src = Logs.Src.create "abt.exact" ~doc:"active-time branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* statistics of the last branch_and_bound call (search effort) *)
-type bb_stats = { nodes : int; flow_checks : int }
-
-let last_stats = ref { nodes = 0; flow_checks = 0 }
-
 let popcount = Bitset.popcount_word
 
 (* Exhaustive search over all subsets of relevant slots. Only sensible for
@@ -121,10 +116,9 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : 
           end
         end
       in
-      (* Also records stats on the exhausted path, so [last_stats] and the
-         obs counters always reflect the work actually done. *)
+      (* Also records the counters on the exhausted path, so they always
+         reflect the work actually done. *)
       let finish () =
-        last_stats := { nodes = !nodes; flow_checks = !flow_checks };
         Obs.add obs "active.exact.nodes" !nodes;
         Obs.add obs "active.exact.flow_checks" !flow_checks;
         Solution.of_open_slots inst ~open_slots:(to_slots !best_set)

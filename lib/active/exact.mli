@@ -41,8 +41,3 @@ val solve :
 
 (** Optimal active time ([None] iff infeasible). *)
 val optimum : Workload.Slotted.t -> int option
-
-(** Search effort of the most recent [branch_and_bound] call. *)
-type bb_stats = { nodes : int; flow_checks : int }
-
-val last_stats : bb_stats ref

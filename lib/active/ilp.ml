@@ -21,35 +21,6 @@ let src = Logs.Src.create "abt.ilp" ~doc:"LP-based branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Build LP1 once: y vars with relaxed [0,1] bounds (branching fixings
-   are applied afterwards via [Lp.set_bounds], so one model serves every
-   node of the search tree and the solve can be warm-started). *)
-let build_lp1 (inst : S.t) =
-  let slots = S.relevant_slots inst in
-  let m = Lp.create () in
-  let y_vars = List.map (fun s -> (s, Lp.add_var ~upper:Q.one m (Printf.sprintf "y_%d" s))) slots in
-  let y_var s = List.assoc s y_vars in
-  let x_vars =
-    Array.to_list inst.S.jobs
-    |> List.concat_map (fun (j : S.job) ->
-           List.map (fun s -> ((s, j.S.id), Lp.add_var m (Printf.sprintf "x_%d_%d" s j.S.id))) (S.window_slots j))
-  in
-  List.iter
-    (fun ((s, _), xv) -> Lp.add_constraint m [ (Q.one, xv); (Q.minus_one, y_var s) ] Lp.Le Q.zero)
-    x_vars;
-  List.iter
-    (fun s ->
-      let terms = List.filter_map (fun ((s', _), xv) -> if s' = s then Some (Q.one, xv) else None) x_vars in
-      if terms <> [] then Lp.add_constraint m ((Q.of_int (-inst.S.g), y_var s) :: terms) Lp.Le Q.zero)
-    slots;
-  Array.iter
-    (fun (j : S.job) ->
-      let terms = List.filter_map (fun ((_, id), xv) -> if id = j.S.id then Some (Q.one, xv) else None) x_vars in
-      Lp.add_constraint m terms Lp.Ge (Q.of_int j.S.length))
-    inst.S.jobs;
-  Lp.set_objective m Lp.Minimize (List.map (fun (_, yv) -> (Q.one, yv)) y_vars);
-  (m, y_vars)
-
 let apply_fixings m y_vars ~fixing =
   List.iter
     (fun (s, yv) ->
@@ -61,12 +32,11 @@ let apply_fixings m y_vars ~fixing =
 
 (* Solve LP1 with per-slot fixings: [fixing slot = Some true/false] pins
    y to 1/0. Returns the objective and the y values, or None when
-   infeasible. [rule] selects the simplex pricing rule (ablation),
-   [engine] the simplex implementation. *)
-let solve_lp ?(rule = Lp.Dantzig_with_fallback) ?(engine = Lp.default_engine) ?pricing ?budget ?obs (inst : S.t) ~fixing =
-  let m, y_vars = build_lp1 inst in
+   infeasible. [rule] selects the simplex pricing rule (ablation). *)
+let solve_lp ?(rule = Lp.Dantzig_with_fallback) ?obs (inst : S.t) ~fixing =
+  let m, y_vars = Lp_model.build_lp1 inst in
   apply_fixings m y_vars ~fixing;
-  match Lp.solve ~rule ~engine ?pricing ?budget ?obs m with
+  match Lp.solve ~rule ?obs m with
   | Lp.Infeasible -> None
   | Lp.Unbounded -> assert false
   | Lp.Optimal sol -> Some (Lp.objective_value sol, List.map (fun (s, yv) -> (s, Lp.value sol yv)) y_vars)
@@ -84,7 +54,7 @@ let solve ?(engine = Lp.default_engine) ?pricing ?budget ?(obs = Obs.null) (inst
          bounds and re-solves warm from its parent's optimal basis, so
          the simplex re-enters phase 2 (or a short dual repair) instead
          of re-running phase 1 from the start. *)
-      let lp1, y_vars = build_lp1 inst in
+      let lp1, y_vars = Lp_model.build_lp1 inst in
       (* fixings as an assoc list slot -> bool *)
       let rec branch fixed warm =
         Budget.tick budget;

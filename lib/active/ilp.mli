@@ -7,20 +7,11 @@
 
 type stats = { nodes : int; lp_solves : int }
 
-(** The LP1 model with every [y] free in [0,1], plus the y variables by
-    slot. One model serves repeated probes: rewrite bounds with
-    {!Lp.set_bounds} and re-solve, warm or cold ([solve]'s search tree
-    and bench experiment E21's warm-start probes both do). *)
-val build_lp1 : Workload.Slotted.t -> Lp.model * (int * Lp.var) list
-
 (** LP1 with per-slot fixings ([Some true/false] pins y to 1/0); returns
     the objective and y values, or [None] when infeasible. Exposed for
-    the pricing-rule ablation; [engine] selects the simplex engine. *)
+    the pivot-rule ablation. *)
 val solve_lp :
   ?rule:Lp.pivot_rule ->
-  ?engine:Lp.engine ->
-  ?pricing:Lp.pricing ->
-  ?budget:Budget.t ->
   ?obs:Obs.t ->
   Workload.Slotted.t ->
   fixing:(int -> bool option) ->

@@ -84,7 +84,10 @@ let right_shift (inst : S.t) t =
     boundaries;
   List.map (fun s -> (s, try Hashtbl.find shifted s with Not_found -> Q.zero)) slots
 
-let solve ?(engine = Lp.default_engine) ?pricing ?budget ?obs (inst : S.t) =
+(* LP1 as an Lp model with every y free in [0,1], plus the y and x
+   variables. Variable and row order fix the simplex pivot sequence, so
+   the pinned pivot counts depend on them. *)
+let lp1 (inst : S.t) =
   let slots = S.relevant_slots inst in
   let m = Lp.create () in
   let y_vars = List.map (fun s -> (s, Lp.add_var ~upper:Q.one m (Printf.sprintf "y_%d" s))) slots in
@@ -116,6 +119,14 @@ let solve ?(engine = Lp.default_engine) ?pricing ?budget ?obs (inst : S.t) =
       Lp.add_constraint m terms Lp.Ge (Q.of_int j.S.length))
     inst.S.jobs;
   Lp.set_objective m Lp.Minimize (List.map (fun (_, yv) -> (Q.one, yv)) y_vars);
+  (m, y_vars, x_vars)
+
+let build_lp1 inst =
+  let m, y_vars, _ = lp1 inst in
+  (m, y_vars)
+
+let solve ?(engine = Lp.default_engine) ?pricing ?budget ?obs (inst : S.t) =
+  let m, y_vars, x_vars = lp1 inst in
   match Lp.solve ~engine ?pricing ?budget ?obs m with
   | Lp.Infeasible -> None
   | Lp.Unbounded -> assert false (* objective is bounded below by 0 *)

@@ -21,6 +21,14 @@ type t = {
 (** [y_at t slot] is the slot's y value (0 when absent). *)
 val y_at : t -> int -> Rational.t
 
+(** The LP1 model with every [y] free in [0,1], plus the y variables by
+    slot. One model serves repeated probes: rewrite bounds with
+    {!Lp.set_bounds} and re-solve, warm or cold ({!Ilp.solve}'s search
+    tree, [Sim.Rolling]'s pinned lower bound and bench experiment E21's
+    warm-start probes all do). [solve] solves the same model, so its
+    variable and row order, and hence the pivot sequence, match. *)
+val build_lp1 : Workload.Slotted.t -> Lp.model * (int * Lp.var) list
+
 (** [None] iff the instance is infeasible. With [budget], each simplex
     pivot costs one tick and exhaustion raises {!Budget.Out_of_fuel}.
     [?obs], [?engine] (default {!Lp.default_engine}) and [?pricing] are

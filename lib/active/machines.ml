@@ -75,7 +75,7 @@ let minimal (inst : S.t) ~machines =
   end
 
 (* LP lower bound: the natural relaxation with y_t in [0, m]. *)
-let lp_lower_bound ?(engine = Lp.default_engine) (inst : S.t) ~machines =
+let lp_lower_bound (inst : S.t) ~machines =
   let slots = S.relevant_slots inst in
   let m = Lp.create () in
   let y_vars =
@@ -103,7 +103,7 @@ let lp_lower_bound ?(engine = Lp.default_engine) (inst : S.t) ~machines =
       Lp.add_constraint m terms Lp.Ge (Q.of_int j.S.length))
     inst.S.jobs;
   Lp.set_objective m Lp.Minimize (List.map (fun (_, yv) -> (Q.one, yv)) y_vars);
-  match Lp.solve ~engine m with
+  match Lp.solve m with
   | Lp.Optimal sol -> Some (Lp.objective_value sol)
   | Lp.Infeasible -> None
   | Lp.Unbounded -> assert false

@@ -19,8 +19,7 @@ val feasible : Workload.Slotted.t -> machines:int -> openings:openings -> bool
 val minimal : Workload.Slotted.t -> machines:int -> openings option
 
 (** The LP relaxation with [y_t] in [\[0, m\]]; [None] iff infeasible. *)
-val lp_lower_bound :
-  ?engine:Lp.engine -> Workload.Slotted.t -> machines:int -> Rational.t option
+val lp_lower_bound : Workload.Slotted.t -> machines:int -> Rational.t option
 
 (** Exact (cost, openings) by branch-and-bound over per-slot counts;
     [None] iff infeasible. *)

@@ -39,8 +39,7 @@ let order_of_params params =
   | Some o -> raise (Sv.Unsupported ("unknown order " ^ o ^ " (l2r|r2l)"))
 
 (* LP-backed solvers take an [engine] param selecting the simplex engine
-   from Lp's registry (the fuzz differential runs every LP tier under
-   every registered engine). *)
+   by its Lp name (the fuzz differential runs LP1 under every engine). *)
 let engine_of_params params =
   match Option.bind params (List.assoc_opt "engine") with
   | None -> Lp.default_engine

@@ -151,10 +151,10 @@ let lp_model jobs =
     Lp.set_objective m Lp.Minimize (List.map (fun (_, yv) -> (Q.one, yv)) y_vars);
     m
 
-let lp_optimum ?(engine = Lp.default_engine) jobs =
+let lp_optimum jobs =
   if jobs = [] then Q.zero
   else
-    match Lp.solve ~engine (lp_model jobs) with
+    match Lp.solve (lp_model jobs) with
     | Lp.Optimal sol -> Lp.objective_value sol
     | Lp.Infeasible | Lp.Unbounded -> assert false (* window >= length per job *)
 

@@ -28,9 +28,8 @@ val check : Workload.Bjob.t list -> solution -> string option
 
 (** Independent exactness oracle: the unbounded preemptive optimum as an
     LP over the event grid (open [y_c <= |c|] inside each cell, serve
-    [x_{j,c} <= y_c]). The tests check [unbounded] matches it.
-    [engine] selects the simplex engine (default {!Lp.default_engine}). *)
-val lp_optimum : ?engine:Lp.engine -> Workload.Bjob.t list -> Rational.t
+    [x_{j,c} <= y_c]). The tests check [unbounded] matches it. *)
+val lp_optimum : Workload.Bjob.t list -> Rational.t
 
 (** The event-grid LP behind {!lp_optimum}, as a bare model (objective
     [min sum y_c]); exposed so the engine bench (experiment E21) can

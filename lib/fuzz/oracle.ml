@@ -131,8 +131,7 @@ let check_oracle_differential (inst : S.t) =
 
 (* The two probe modes must take the same branching decisions: identical
    outcome shape, cost and search-effort counters. Counters come from
-   per-call recorders, never [Exact.last_stats] (the harness fans checks
-   out across domains). *)
+   per-call recorders (the harness fans checks out across domains). *)
 let check_probe_modes ~fuel (inst : S.t) =
   guard "probe-mode-differential" @@ fun () ->
   let run oracle =
@@ -173,16 +172,16 @@ let check_probe_modes ~fuel (inst : S.t) =
         else None);
     ]
 
-(* LP-engine differential: every (engine x pricing) combination
-   registered with Lp — the bounded-variable revised simplex, the dense
-   reference tableau, the certified float engine, each under Dantzig,
-   devex and candidate-list partial pricing — must give every LP the
-   same status and objective (for the float engine this exercises
-   certification and its exact fallback; for the pricing policies it
-   pins that candidate-queue refills and devex reference resets never
-   change the answer). Checked on the instance's LP1 relaxation (shared
-   by every LP-backed solver); a fuel exhaustion under any combination
-   skips that comparison rather than reporting it. *)
+(* LP-engine differential: every (engine x pricing) combination — the
+   bounded-variable revised simplex, the dense reference tableau, the
+   certified float engine, each under Dantzig, devex and candidate-list
+   partial pricing — must give every LP the same status and objective
+   (for the float engine this exercises certification and its exact
+   fallback; for the pricing policies it pins that candidate-queue
+   refills and devex reference resets never change the answer). Checked
+   on the instance's LP1 relaxation (shared by every LP-backed solver);
+   a fuel exhaustion under any combination skips that comparison rather
+   than reporting it. *)
 let check_lp_engines ~fuel (inst : S.t) =
   guard "lp-engine-differential" @@ fun () ->
   let run engine pricing =
@@ -190,28 +189,24 @@ let check_lp_engines ~fuel (inst : S.t) =
     with Budget.Out_of_fuel -> `Fuel
   in
   let baseline_name = Lp.engine_name Lp.default_engine in
+  (* distinct engines: the name "sparse" resolves to revised *)
+  let engines = List.sort_uniq compare (List.filter_map Lp.engine_of_name (Lp.engine_names ())) in
   let combos =
-    List.concat_map
-      (fun e -> List.map (fun p -> (e, p)) (Lp.pricing_names ()))
-      (Lp.engine_names ())
+    List.concat_map (fun e -> List.map (fun p -> (e, p)) (Lp.pricing_names ())) engines
   in
   match run Lp.default_engine Lp.default_pricing with
   | `Fuel -> None
   | `Done baseline ->
       List.fold_left
-        (fun acc (ename, pname) ->
+        (fun acc (engine, pname) ->
           if
             acc <> None
-            || (String.equal ename baseline_name
+            || (engine = Lp.default_engine
                && String.equal pname (Lp.pricing_name Lp.default_pricing))
           then acc
           else
-            let name = ename ^ "/" ^ pname in
-            match
-              run
-                (Option.get (Lp.engine_of_name ename))
-                (Option.get (Lp.pricing_of_name pname))
-            with
+            let name = Lp.engine_name engine ^ "/" ^ pname in
+            match run engine (Option.get (Lp.pricing_of_name pname)) with
             | `Fuel -> None
             | `Done other -> (
                 match (baseline, other) with

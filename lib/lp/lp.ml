@@ -31,12 +31,8 @@ module Basis = struct
   }
 end
 
-(* The engine selector is an open type: each registered engine owns one
-   or more constructors (config-carrying engines own a configured
-   variant too). [Revised] and [Dense] are the 1.6 spellings of the old
-   closed variant, kept as registered aliases for one release. *)
-type engine = ..
-type engine += Revised | Dense
+(* The three simplex engines, dispatched by one match in [solve]. *)
+type engine = Revised | Dense | Float_certified
 
 (* How the returned objective was established: [Exact] — every pivot ran
    in rational arithmetic; [Certified] — a float simplex found the basis
@@ -269,7 +265,8 @@ let run_simplex ~rule ~phase1 ~budget ~obs ~pivots tab =
   done;
   Option.get !outcome
 
-let solve_dense ~rule ~budget ~obs ~pivots m =
+let solve_dense ~rule ~budget ~obs m =
+  let pivots = ref 0 in
   (* Shift variables by their lower bounds: work with z = x - l >= 0. *)
   let lower = m.lower and upper = m.upper in
   let rows0 = Array.to_list (Array.sub m.rows 0 m.nrows) in
@@ -402,9 +399,8 @@ let row_residual values r =
   List.fold_left (fun acc (c, v) -> Q.sub acc (Q.mul c values.(v))) r.rhs r.terms
 
 (* ====================================================================== *)
-(* Sparse basis algebra: the exact "revised" and "sparse" engines and    *)
-(* the float engine's pivoting all run on the shared sparse LU + eta     *)
-(* driver                                                                *)
+(* Sparse basis algebra: the exact revised engine and the float engine's *)
+(* pivoting both run on the shared sparse LU + eta driver                *)
 (* (Sparse_simplex over the Slu kernels), instantiated at Rational and   *)
 (* at float. The constraint matrix is held once as sparse columns; each  *)
 (* (re)factorization is a sparse LU with a fill-minimizing static        *)
@@ -415,11 +411,14 @@ let row_residual values r =
 module RS = Sparse_simplex.Make (Scalar.Rat)
 module FS = Sparse_simplex.Make (Scalar.Flt)
 
-(* Pricing policy of the sparse driver, shared by the exact sparse /
-   revised engines and the float engine's pivot phase. The fixed
-   three-name registry mirrors the engine table's selector strings:
-   CLI --lp-pricing, the registry "pricing" param and serve's
-   lp_pricing field all resolve through [pricing_of_name]. *)
+(* Refactorize after this many eta updates (the factorization also
+   refactorizes early when the eta file's nonzeros outgrow the LU). *)
+let eta_cap = 64
+
+(* Pricing policy of the sparse driver, shared by the exact revised
+   engine and the float engine's pivot phase. A fixed three-name table,
+   like the engine names: CLI --lp-pricing, the registry "pricing" param
+   and serve's lp_pricing field all resolve through [pricing_of_name]. *)
 type pricing = Sparse_simplex.pricing = Dantzig | Partial | Devex
 
 let default_pricing = Dantzig
@@ -437,15 +436,6 @@ let pricing_inventory () =
   [ ("dantzig", "full reduced-cost scan, largest |d| (default; pivot-identical to 1.9)");
     ("devex", "approximate steepest edge: d^2/w reference weights, cheap row updates");
     ("partial", "candidate-list partial pricing: bounded queue, rotating refill sweeps") ]
-
-type sparse_config = {
-  sparse_eta_cap : int;  (* refactorize after this many eta updates *)
-  sparse_pricing : pricing;
-}
-
-let default_sparse_config = { sparse_eta_cap = 64; sparse_pricing = Dantzig }
-
-type engine += Sparse | Sparse_with of sparse_config
 
 let vstat_of_status = function
   | Basis.Lower -> Sparse_simplex.Vlo
@@ -567,15 +557,15 @@ let sparse_counters =
     c_price = true;
   }
 
-let sparse_scfg ~cfg ~rule =
+let sparse_scfg ~pricing ~rule =
   {
     Sparse_simplex.dtol = Q.zero;
     ptol = Q.zero;
     ztol = Q.zero;
-    eta_cap = cfg.sparse_eta_cap;
+    eta_cap;
     step_cap = None;
     bland_always = (rule = Pure_bland);
-    pricing = cfg.sparse_pricing;
+    pricing;
     counters = sparse_counters;
   }
 
@@ -621,11 +611,11 @@ let extract_sparse ~m ~slack_of_row ~pivots ~ops outcome =
           sol_certification = Exact;
         }
 
-let solve_sparse_cold ~cfg ~rule ~budget ~obs ~pivots m =
+let solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m =
   let spec, slack_of_row = sparse_spec ~with_art:true m in
   let pb = RS.of_spec spec in
   let ops = ref 0 in
-  let outcome = RS.solve_cold (sparse_scfg ~cfg ~rule) pb ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_cold (sparse_scfg ~pricing ~rule) pb ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
@@ -648,15 +638,25 @@ let sparse_warm_stat m ~slack_of_row ~ncols (w : Basis.t) =
   done;
   stat
 
-let solve_sparse_warm ~cfg ~rule ~budget ~obs ~pivots m (w : Basis.t) =
+let solve_sparse_warm ~pricing ~rule ~budget ~obs ~pivots m (w : Basis.t) =
   if w.Basis.b_nvars <> m.nvars || w.Basis.b_nrows <> m.nrows then raise RS.Warm_failed;
   let spec, slack_of_row = sparse_spec ~with_art:false m in
   let pb = RS.of_spec spec in
   let stat = sparse_warm_stat m ~slack_of_row ~ncols:spec.Sparse_simplex.sp_ncols w in
   let ops = ref 0 in
-  let outcome = RS.solve_warm (sparse_scfg ~cfg ~rule) pb ~stat ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_warm (sparse_scfg ~pricing ~rule) pb ~stat ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
+
+(* The revised engine: warm from [warm] when given, cold when there is
+   none or the snapshot cannot be reused. *)
+let solve_revised ~pricing ~rule ~warm ~budget ~obs m =
+  let pivots = ref 0 in
+  match warm with
+  | None -> solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m
+  | Some w -> (
+      try solve_sparse_warm ~pricing ~rule ~budget ~obs ~pivots m w
+      with RS.Warm_failed -> solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m)
 
 (* ====================================================================== *)
 (* Float engine: double-precision bounded-variable simplex that finds a  *)
@@ -670,18 +670,15 @@ let solve_sparse_warm ~cfg ~rule ~budget ~obs ~pivots m (w : Basis.t) =
 (* on floating point. *)
 (* ====================================================================== *)
 
-type float_config = {
-  float_eps : float;  (* reduced-cost / degeneracy tolerance *)
-  float_pivot_cap : int option;  (* give up after this many pivots+flips; None: 64*(m+n)+1024 *)
-  float_pricing : pricing;
-}
-
-let default_float_config = { float_eps = 1e-9; float_pivot_cap = None; float_pricing = Dantzig }
-
-type engine += Float_certified | Float_with of float_config
+(* reduced-cost / degeneracy tolerance of the float phase *)
+let float_eps = 1e-9
 
 (* pivot elements smaller than this are numerically untrustworthy *)
 let fpivot_tol = 1e-7
+
+(* the float phase gives up after this many pivots and bound flips on an
+   m-row, n-column model *)
+let float_pivot_cap ~m ~n = (64 * (m + n)) + 1024
 
 (* the float phase aborts (pivot cap, unusable tableau) and requests the
    exact fallback without attempting certification *)
@@ -705,16 +702,15 @@ let float_counters =
     c_price = false;
   }
 
-let float_scfg ~cfg ~rule ~m ~n =
+let float_scfg ~pricing ~rule ~m ~n =
   {
-    Sparse_simplex.dtol = cfg.float_eps;
+    Sparse_simplex.dtol = float_eps;
     ptol = fpivot_tol;
     ztol = fpivot_tol;
-    eta_cap = default_sparse_config.sparse_eta_cap;
-    step_cap =
-      Some (match cfg.float_pivot_cap with Some c -> c | None -> (64 * (m + n)) + 1024);
+    eta_cap;
+    step_cap = Some (float_pivot_cap ~m ~n);
     bland_always = (rule = Pure_bland);
-    pricing = cfg.float_pricing;
+    pricing;
     counters = float_counters;
   }
 
@@ -723,7 +719,7 @@ let float_scfg ~cfg ~rule ~m ~n =
    snapshot (sparse refactorization, then dual repair or phase 2); any
    warm-start trouble retries cold — only the final claim matters, since
    certification decides what it is worth. *)
-let solve_float ~cfg ~rule ~warm ~budget ~obs ~fpivots ~fops m =
+let solve_float ~pricing ~rule ~warm ~budget ~obs ~fpivots ~fops m =
   let claim_of_outcome slack_of_row = function
     | FS.Infeas -> F_infeas
     | FS.Unbd -> F_unbd
@@ -739,7 +735,7 @@ let solve_float ~cfg ~rule ~warm ~budget ~obs ~fpivots ~fops m =
   let cold () =
     let spec, slack_of_row = sparse_spec ~with_art:true m in
     let pb = FS.of_spec spec in
-    let scfg = float_scfg ~cfg ~rule ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
+    let scfg = float_scfg ~pricing ~rule ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
     match FS.solve_cold scfg pb ~budget ~obs ~pivots:fpivots ~ops:fops with
     | outcome -> claim_of_outcome slack_of_row outcome
     | exception FS.Gave_up -> raise Float_gave_up
@@ -753,7 +749,7 @@ let solve_float ~cfg ~rule ~warm ~budget ~obs ~fpivots ~fops m =
         let pb = FS.of_spec spec in
         let n = spec.Sparse_simplex.sp_ncols in
         let stat = sparse_warm_stat m ~slack_of_row ~ncols:n w in
-        let scfg = float_scfg ~cfg ~rule ~m:m.nrows ~n in
+        let scfg = float_scfg ~pricing ~rule ~m:m.nrows ~n in
         match FS.solve_warm scfg pb ~stat ~budget ~obs ~pivots:fpivots ~ops:fops with
         | FS.Opt _ as o -> claim_of_outcome slack_of_row o
         (* infeasible/unbounded claims out of a warm start are not worth
@@ -895,18 +891,17 @@ let certify ~ops m ~vstat ~sstat =
   in
   (finish_objective m z, x, basis)
 
-let solve_float_certified ~cfg ~rule ~warm ~budget ~obs m =
+let solve_float_certified ~pricing ~rule ~warm ~budget ~obs m =
   let fallback () =
     Obs.incr obs "lp.fallbacks";
     let pivots = ref 0 in
-    let scfg = { default_sparse_config with sparse_pricing = cfg.float_pricing } in
-    match solve_sparse_cold ~cfg:scfg ~rule ~budget ~obs ~pivots m with
+    match solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m with
     | Optimal s -> Optimal { s with sol_certification = Fallback }
     | r -> r
   in
   let fpivots = ref 0 in
   let fops = ref 0 in
-  match solve_float ~cfg ~rule ~warm ~budget ~obs ~fpivots ~fops m with
+  match solve_float ~pricing ~rule ~warm ~budget ~obs ~fpivots ~fops m with
   | exception Float_gave_up -> fallback ()
   | F_infeas | F_unbd -> fallback () (* claims we do not certify: re-solve exactly *)
   | F_opt (vstat, sstat) -> (
@@ -933,131 +928,24 @@ let solve_float_certified ~cfg ~rule ~warm ~budget ~obs m =
           fallback ())
 
 (* ====================================================================== *)
-(* Engine interface and registration table (mirrors Core.Registry).      *)
+(* Engine names: a fixed table like the pricing one. "sparse" is the     *)
+(* 1.8 name of the sparse LU driver the revised engine runs on, so it    *)
+(* resolves to [Revised].                                                *)
 (* ====================================================================== *)
 
-module type ENGINE = sig
-  val name : string
-  val description : string
-  val selector : engine
+let engines =
+  [ ("dense", Dense, "two-phase dense tableau, exact rational pivots (reference)");
+    ("float", Float_certified, "double-precision simplex + exact basis certification, falls back to revised");
+    ("revised", Revised, "bounded-variable revised simplex, exact rational pivots (default)");
+    ("sparse", Revised, "sparse LU revised simplex with eta updates, exact rational pivots") ]
 
-  val handles : engine -> bool
-  (** recognizes every selector value this engine owns, including
-      config-carrying constructors *)
-
-  val solve :
-    engine:engine ->
-    rule:pivot_rule ->
-    pricing:pricing ->
-    warm:Basis.t option ->
-    budget:Budget.t ->
-    obs:Obs.t ->
-    model ->
-    result
-  (** [pricing] is the caller's default; a config-carrying selector
-      ([Sparse_with]/[Float_with]) overrides it with its own field. *)
-end
-
-let engine_table : (string * (module ENGINE)) list ref = ref []
-
-let register_engine (module E : ENGINE) =
-  if List.mem_assoc E.name !engine_table then
-    invalid_arg ("Lp.register_engine: duplicate engine " ^ E.name);
-  engine_table := !engine_table @ [ (E.name, (module E : ENGINE)) ]
-
-let engine_names () = List.sort String.compare (List.map fst !engine_table)
-
-let engine_inventory () =
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (List.map (fun (n, (module E : ENGINE)) -> (n, E.description)) !engine_table)
+let engine_names () = List.map (fun (name, _, _) -> name) engines
+let engine_inventory () = List.map (fun (name, _, description) -> (name, description)) engines
 
 let engine_of_name name =
-  match List.assoc_opt name !engine_table with
-  | Some (module E : ENGINE) -> Some E.selector
-  | None -> None
+  List.find_map (fun (n, e, _) -> if String.equal n name then Some e else None) engines
 
-let resolve_engine e =
-  List.find_opt (fun (_, (module E : ENGINE)) -> E.handles e) !engine_table
-
-let engine_name e =
-  match resolve_engine e with
-  | Some (name, _) -> name
-  | None -> invalid_arg "Lp.engine_name: engine not registered"
-
-module Revised_engine : ENGINE = struct
-  let name = "revised"
-  let description = "bounded-variable revised simplex, exact rational pivots (default)"
-  let selector = Revised
-  let handles = function Revised -> true | _ -> false
-
-  (* Same sparse LU driver as the "sparse" engine (the pivot sequences
-     were already identical; the private dense tableau this engine
-     carried until 1.8 is gone). The name stays registered so CLI flags,
-     protocol requests and goldens keep resolving. *)
-  let solve ~engine:_ ~rule ~pricing ~warm ~budget ~obs m =
-    let cfg = { default_sparse_config with sparse_pricing = pricing } in
-    let pivots = ref 0 in
-    match warm with
-    | None -> solve_sparse_cold ~cfg ~rule ~budget ~obs ~pivots m
-    | Some w -> (
-        try solve_sparse_warm ~cfg ~rule ~budget ~obs ~pivots m w
-        with RS.Warm_failed -> solve_sparse_cold ~cfg ~rule ~budget ~obs ~pivots m)
-end
-
-module Dense_engine : ENGINE = struct
-  let name = "dense"
-  let description = "two-phase dense tableau, exact rational pivots (reference)"
-  let selector = Dense
-  let handles = function Dense -> true | _ -> false
-
-  (* The dense tableau prices every column by construction; the pricing
-     selector is accepted for interface uniformity and ignored. *)
-  let solve ~engine:_ ~rule ~pricing:_ ~warm:_ ~budget ~obs m =
-    let pivots = ref 0 in
-    solve_dense ~rule ~budget ~obs ~pivots m
-end
-
-module Float_engine : ENGINE = struct
-  let name = "float"
-  let description = "double-precision simplex + exact basis certification, falls back to revised"
-  let selector = Float_certified
-  let handles = function Float_certified | Float_with _ -> true | _ -> false
-
-  let solve ~engine ~rule ~pricing ~warm ~budget ~obs m =
-    let cfg =
-      match engine with
-      | Float_with c -> c
-      | _ -> { default_float_config with float_pricing = pricing }
-    in
-    solve_float_certified ~cfg ~rule ~warm ~budget ~obs m
-end
-
-module Sparse_engine : ENGINE = struct
-  let name = "sparse"
-  let description = "sparse LU revised simplex with eta updates, exact rational pivots"
-  let selector = Sparse
-  let handles = function Sparse | Sparse_with _ -> true | _ -> false
-
-  let solve ~engine ~rule ~pricing ~warm ~budget ~obs m =
-    let cfg =
-      match engine with
-      | Sparse_with c -> c
-      | _ -> { default_sparse_config with sparse_pricing = pricing }
-    in
-    let pivots = ref 0 in
-    match warm with
-    | None -> solve_sparse_cold ~cfg ~rule ~budget ~obs ~pivots m
-    | Some w -> (
-        try solve_sparse_warm ~cfg ~rule ~budget ~obs ~pivots m w
-        with RS.Warm_failed -> solve_sparse_cold ~cfg ~rule ~budget ~obs ~pivots m)
-end
-
-let () =
-  register_engine (module Revised_engine);
-  register_engine (module Dense_engine);
-  register_engine (module Float_engine);
-  register_engine (module Sparse_engine)
+let engine_name = function Revised -> "revised" | Dense -> "dense" | Float_certified -> "float"
 
 let default_engine = Revised
 
@@ -1160,10 +1048,8 @@ let basis_cache : Basis_cache.t option Atomic.t = Atomic.make None
 let install_basis_cache c = Atomic.set basis_cache c
 let installed_basis_cache () = Atomic.get basis_cache
 
-let solve ?(rule = Dantzig_with_fallback) ?engine ?pricing ?warm ?budget
-    ?(obs = Obs.null) m =
-  let engine = Option.value engine ~default:default_engine in
-  let pricing = Option.value pricing ~default:default_pricing in
+let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?(pricing = default_pricing)
+    ?warm ?budget ?(obs = Obs.null) m =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.incr obs "lp.solves";
   let cache = Atomic.get basis_cache in
@@ -1173,14 +1059,16 @@ let solve ?(rule = Dantzig_with_fallback) ?engine ?pricing ?warm ?budget
   let warm =
     match (cache, key) with Some c, Some k -> Basis_cache.find c k | _ -> warm
   in
-  match resolve_engine engine with
-  | None -> invalid_arg "Lp.solve: engine not registered (see Lp.engine_names)"
-  | Some (_, (module E : ENGINE)) ->
-      let r = E.solve ~engine ~rule ~pricing ~warm ~budget ~obs m in
-      (match (cache, key, r) with
-      | Some c, Some k, Optimal { sol_basis = Some b; _ } -> Basis_cache.store c k b
-      | _ -> ());
-      r
+  let r =
+    match engine with
+    | Revised -> solve_revised ~pricing ~rule ~warm ~budget ~obs m
+    | Dense -> solve_dense ~rule ~budget ~obs m
+    | Float_certified -> solve_float_certified ~pricing ~rule ~warm ~budget ~obs m
+  in
+  (match (cache, key, r) with
+  | Some c, Some k, Optimal { sol_basis = Some b; _ } -> Basis_cache.store c k b
+  | _ -> ());
+  r
 
 let objective_value s = s.objective
 let value s v = s.var_values.(v)

@@ -1,41 +1,36 @@
 (** Linear programming with exact rational results.
 
     A small modelling layer (named variables with bounds, linear
-    constraints, a linear objective) over a registry of pluggable simplex
-    engines. Exactness matters here: the paper's LP-rounding algorithm
+    constraints, a linear objective) over three simplex engines.
+    Exactness matters here: the paper's LP-rounding algorithm
     (Theorem 2) branches on exact thresholds of the optimal solution
     ([y_t = 1], [y_t >= 1/2], [y_t > 0]), which are ill-defined under
-    floating point — so every registered engine must return exact
-    rational objectives and vertices, whatever arithmetic it pivots in.
+    floating point — so every engine returns exact rational objectives
+    and vertices, whatever arithmetic it pivots in.
 
-    Four engines ship registered ({!engine_names}):
-    - ["revised"] ({!Revised}, the default) — a bounded-variable primal
-      simplex with exact rational pivots: variable upper bounds are
-      handled implicitly by nonbasic-at-lower/nonbasic-at-upper statuses
-      and bound flips, so the basis has one row per constraint and
-      artificial variables exist only for rows whose slack cannot start
-      basic. Since 1.9 it runs on the same sparse LU driver as
-      ["sparse"] (the private dense-algebra tableau it carried through
-      1.8 is gone); the name stays registered for CLI flags, protocol
-      requests and goldens.
-    - ["dense"] ({!Dense}) — the original two-phase tableau simplex with
+    The engines ({!engine}; names in {!engine_names}):
+    - {!Revised} (["revised"], the default; ["sparse"] is an alias) — a
+      bounded-variable primal simplex with exact rational pivots over
+      sparse basis algebra. Variable upper bounds are handled implicitly
+      by nonbasic-at-lower/nonbasic-at-upper statuses and bound flips,
+      so the basis has one row per constraint and artificial variables
+      exist only for rows whose slack cannot start basic. The constraint
+      matrix is stored as sparse columns, the basis is refactorized as a
+      sparse LU with a fill-minimizing ordering, each pivot appends a
+      product-form eta (refactorizing after 64 etas, or earlier when the
+      eta file outgrows the factors), and pricing is one BTRAN plus
+      sparse dot products per iteration — O(nnz) work per pivot instead
+      of the dense O(rows x columns) elimination.
+    - {!Dense} (["dense"]) — the original two-phase tableau simplex with
       every upper bound expanded into an explicit row, kept as the
       reference implementation.
-    - ["sparse"] ({!Sparse}) — the bounded-variable simplex over sparse
-      basis algebra: the constraint matrix is stored as sparse columns,
-      the basis is refactorized as a sparse LU with a fill-minimizing
-      ordering, each pivot appends a product-form eta (refactorizing
-      when the eta file outgrows the factors), and pricing is one BTRAN
-      plus sparse dot products per iteration — O(nnz) work per pivot
-      instead of the dense O(rows x columns) elimination. Exact
-      rational arithmetic throughout. ["revised"] is an alias for this
-      driver, so the two are pivot-identical by construction.
-    - ["float"] ({!Float_certified}) — the sparse driver running in
-      double precision to find a candidate optimal basis fast, then one
-      exact rational LU of that basis proves it (primal feasibility,
-      dual feasibility, objective); on any certification failure it
-      falls back to the exact revised engine, so its results never
-      depend on floating point.
+    - {!Float_certified} (["float"]) — the same sparse driver running in
+      double precision (reduced-cost tolerance [1e-9], giving up after
+      [64 * (rows + columns) + 1024] pivots and bound flips) to find a
+      candidate optimal basis fast; one exact rational LU of that basis
+      then proves it (primal feasibility, dual feasibility, objective).
+      On any certification failure it falls back to {!Revised}, so its
+      results never depend on floating point.
 
     All engines return the same status and objective value on every
     model (see [prop_engines_agree] and the fuzz differential); the
@@ -98,7 +93,7 @@ type result = Optimal of solution | Infeasible | Unbounded
 type pivot_rule = Dantzig_with_fallback | Pure_bland
 
 (** Pricing policy for the engines on the sparse basis algebra
-    (["revised"], ["sparse"], ["float"]); the dense reference engine
+    ({!Revised} and {!Float_certified}); the dense reference engine
     ignores it. Orthogonal to {!pivot_rule}: the policy chooses {e how
     candidate columns are scanned and scored} while the objective
     improves, and every policy defers to Bland's first-index rule during
@@ -142,57 +137,9 @@ val pricing_names : unit -> string list
     [--list-solvers]-style inventory. *)
 val pricing_inventory : unit -> (string * string) list
 
-(** Engine selector. The type is open so registered engines
-    ({!register_engine}) can own their selector constructors, including
-    config-carrying ones ({!Float_with}); resolve a CLI/protocol name to
-    a selector with {!engine_of_name}. *)
-type engine = ..
-
-(** The 1.6 engine spellings, kept as registered selectors: [Revised]
-    (the default) is the exact bounded-variable simplex, [Dense] the
-    reference two-phase tableau solver.
-
-    @deprecated
-      since 1.7.0 these are ordinary registered engines, not the whole
-      universe — match on engine names via {!engine_name} instead of on
-      these constructors, which will move into their engine modules in a
-      future release. *)
-type engine += Revised | Dense
-
-(** Tuning knobs for the float-certified engine. *)
-type float_config = {
-  float_eps : float;  (** reduced-cost / degeneracy tolerance *)
-  float_pivot_cap : int option;
-      (** give up (and fall back to exact) after this many pivots and
-          bound flips; [None] means [64 * (rows + columns) + 1024] *)
-  float_pricing : pricing;  (** pricing policy for the float phase *)
-}
-
-(** [{ float_eps = 1e-9; float_pivot_cap = None; float_pricing = Dantzig }] *)
-val default_float_config : float_config
-
-(** Selectors for the ["float"] engine: double-precision simplex whose
-    final basis is certified exactly, with fallback to the exact revised
-    engine on certification failure. [Float_certified] uses
-    {!default_float_config}; [Float_with] overrides it. *)
-type engine += Float_certified | Float_with of float_config
-
-(** Tuning knobs for the sparse engine. *)
-type sparse_config = {
-  sparse_eta_cap : int;
-      (** refactorize after this many product-form eta updates (the
-          factorization also refactorizes early when the eta file's
-          nonzeros outgrow the LU factors) *)
-  sparse_pricing : pricing;  (** pricing policy (see {!pricing}) *)
-}
-
-(** [{ sparse_eta_cap = 64; sparse_pricing = Dantzig }] *)
-val default_sparse_config : sparse_config
-
-(** Selectors for the ["sparse"] engine: exact rational simplex over
-    sparse LU basis algebra with incremental eta updates. [Sparse] uses
-    {!default_sparse_config}; [Sparse_with] overrides it. *)
-type engine += Sparse | Sparse_with of sparse_config
+(** Simplex engine; see the module header. Resolve a CLI or protocol
+    name with {!engine_of_name}. *)
+type engine = Revised | Dense | Float_certified
 
 (** How the returned objective was established. [Exact]: every pivot ran
     in rational arithmetic. [Certified]: a float simplex chose the final
@@ -217,60 +164,25 @@ module Basis : sig
   }
 end
 
-(** {1 Engine registry}
+(** {1 Engine names}
 
-    Mirrors [Core.Registry]: engines are first-class modules registered
-    under a unique name; {!solve} dispatches on the selector value via
-    each engine's [handles] predicate. *)
+    A fixed table, like the pricing names: ["dense"], ["float"],
+    ["revised"] and ["sparse"]. ["sparse"] is the 1.8 name of the sparse
+    LU driver that {!Revised} runs on, and resolves to {!Revised}. *)
 
-(** What an engine implements. [solve] receives the selector value the
-    caller passed (so config-carrying selectors like {!Float_with} can
-    read their payload) and must return exact rational results. *)
-module type ENGINE = sig
-  val name : string
-
-  val description : string
-  (** one line, shown in [atbt --list-solvers] *)
-
-  val selector : engine
-  (** canonical selector, returned by {!engine_of_name} *)
-
-  val handles : engine -> bool
-  (** recognizes every selector constructor this engine owns *)
-
-  val solve :
-    engine:engine ->
-    rule:pivot_rule ->
-    pricing:pricing ->
-    warm:Basis.t option ->
-    budget:Budget.t ->
-    obs:Obs.t ->
-    model ->
-    result
-  (** [pricing] is the caller's policy default; a config-carrying
-      selector ([Sparse_with]/[Float_with]) overrides it with its own
-      field, and engines without a pricing seam (dense) ignore it. *)
-end
-
-(** Registers an engine. Raises [Invalid_argument] on a duplicate name.
-    ["revised"], ["dense"], ["float"] and ["sparse"] are registered at
-    load. *)
-val register_engine : (module ENGINE) -> unit
-
-(** Registered engine names, sorted. *)
+(** Engine names, sorted. *)
 val engine_names : unit -> string list
 
-(** [(name, description)] pairs for every registered engine, sorted by
-    name — the [--list-solvers]-style inventory. *)
+(** [(name, description)] pairs, sorted by name — the
+    [--list-solvers]-style inventory. *)
 val engine_inventory : unit -> (string * string) list
 
-(** Canonical selector for a registered engine name, [None] when
-    unknown. This is how the CLI [--lp-engine] flag, the registry
-    [engine] param and the serve-protocol [lp_engine] field resolve. *)
+(** Engine for a name, [None] when unknown. This is how the CLI
+    [--lp-engine] flag, the registry [engine] param and the
+    serve-protocol [lp_engine] field resolve. *)
 val engine_of_name : string -> engine option
 
-(** Name of the engine that handles a selector value. Raises
-    [Invalid_argument] when no registered engine does. *)
+(** Canonical name of an engine: ["revised"], ["dense"] or ["float"]. *)
 val engine_name : engine -> string
 
 (** {!Revised} — the engine {!solve} uses when [?engine] is omitted. *)
@@ -280,20 +192,18 @@ val default_engine : engine
     or changing the objective or bounds.
 
     [engine] selects the simplex implementation (default
-    {!default_engine}); raises [Invalid_argument] when no registered
-    engine handles the selector.
+    {!default_engine}).
 
     [pricing] selects the pricing policy (default {!default_pricing});
-    a config-carrying engine selector ([Sparse_with]/[Float_with]) wins
-    over this argument, and the dense engine ignores it.
+    the dense engine ignores it.
 
-    [warm] (every engine except ["dense"], which ignores it) restores a
+    [warm] (every engine except {!Dense}, which ignores it) restores a
     basis snapshot from a previous solution of this model: the basis is
     refactorized and the solve re-enters phase 2 directly when it is
     still primal feasible, or repairs feasibility with a
     bounded-variable dual simplex when only the bounds changed (which
     leaves the reduced costs, hence dual feasibility, intact). The
-    ["float"] engine restores the snapshot in double precision and
+    float engine restores the snapshot in double precision and
     certifies whatever basis the warm re-solve ends on, exactly as for a
     cold float solve. When the snapshot cannot be reused — dimensions
     changed, the basis went singular, dual infeasible, or the repair
@@ -312,21 +222,21 @@ val default_engine : engine
     exception (see [Active.Cascade]).
 
     With [obs], records [lp.solves], [lp.pivots], [lp.phase1_pivots],
-    [lp.degenerate_pivots], [lp.bound_flips] (revised/sparse only),
+    [lp.degenerate_pivots], [lp.bound_flips] (revised only),
     [lp.warm_starts] (warm snapshot successfully reused) and
     [lp.exact_cells] (rational cell operations actually performed by the
     exact engines and by certification — the engine-comparable work
     measure) counters plus [lp.phase1] / [lp.phase2] spans. Engines on
-    the sparse basis algebra (revised, sparse, float) additionally record
+    the sparse basis algebra (revised, float) additionally record
     [lp.refactorizations] (sparse LU basis factorizations),
     [lp.eta_updates] (product-form eta pivots applied in place of a
     refactorization) and [lp.fill_nonzeros] (total LU nonzeros produced,
-    fill included). The exact sparse-algebra engines also record the
-    pricing-work counters [lp.priced_columns] (columns whose reduced
-    cost was computed or maintained — the measure the partial-pricing
-    gate in experiment E26 compares), [lp.candidate_refills] (partial
-    pricing refill sweeps) and [lp.devex_resets] (devex reference
-    framework resets). The float engine additionally records
+    fill included). The revised engine also records the pricing-work
+    counters [lp.priced_columns] (columns whose reduced cost was
+    computed or maintained — the measure the partial-pricing gate in
+    experiment E26 compares), [lp.candidate_refills] (partial pricing
+    refill sweeps) and [lp.devex_resets] (devex reference framework
+    resets). The float engine additionally records
     [lp.float_pivots] (double-precision pivots), [lp.certify_ops]
     (rational multiplications/divisions spent in certification),
     [lp.certify_ok], [lp.certify_fail] and [lp.fallbacks] (exact
@@ -358,7 +268,7 @@ val pivots : solution -> int
 
 (** Scalar cell operations the solve actually performed: tableau cells
     updated by eliminations for the dense engine, LU / triangular-solve
-    / eta / pricing multiplications for the revised and sparse engines,
+    / eta / pricing multiplications for the revised engine,
     and float cells plus exact certification operations for the float
     engine. This is the bench's engine-comparable measure of simplex
     work (experiments E21/E23/E24); before 1.8.0 it reported the static
@@ -414,7 +324,7 @@ end
 (** [install_basis_cache (Some c)] makes every subsequent {!solve} call
     without an explicit [?warm] consult (and refresh) [c];
     [install_basis_cache None] uninstalls. The cache is process-global
-    (atomic swap), matching the registry's global engine table. *)
+    (atomic swap). *)
 val install_basis_cache : Basis_cache.t option -> unit
 
 (** Currently installed cache, if any. *)

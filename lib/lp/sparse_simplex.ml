@@ -1,10 +1,10 @@
 (* Bounded-variable primal/dual simplex over the sparse LU basis algebra
    (Slu), generic in the scalar (Scalar.S). Instantiated twice by Lp: at
-   Rational with zero tolerances it is the exact "sparse" engine; at
+   Rational with zero tolerances it is the exact revised engine; at
    float with epsilon tolerances it is the float engine's pivoting hot
    path (whose proposed basis Lp certifies exactly afterwards).
 
-   Unlike the dense revised engine there is no maintained tableau, only
+   Unlike a dense tableau simplex there is no maintained tableau, only
    a maintained reduced-cost row: it is priced once per phase by one
    BTRAN (y = B^-T c_B) plus one sparse dot product per column, then
    updated after each pivot from the post-pivot tableau row
@@ -13,22 +13,21 @@
    column is one FTRAN (w = B^-1 a_q). Basis changes are product-form
    eta updates with periodic refactorization (Slu.should_refactor).
 
-   The pivot rules mirror the revised engine: Dantzig pricing switching
-   to Bland's rule after [degen_threshold] consecutive degenerate
-   pivots, ratio-test ties to the smallest basic column index, bound
-   flips preferred on equal step length.
+   Pivot rules: Dantzig pricing switching to Bland's rule after
+   [degen_threshold] consecutive degenerate pivots, ratio-test ties to
+   the smallest basic column index, bound flips preferred on equal step
+   length.
 
    Pricing is a policy seam (the [pricing] config field). [Dantzig] is
-   the default above and stays pivot-identical to the revised engine.
-   [Partial] is candidate-list partial pricing: a bounded queue of
-   profitable columns priced fresh against the current duals each
-   iteration (one BTRAN), refilled by a rotating sweep only when it
-   runs dry — the maintained reduced-cost row and its per-pivot
-   full-width update are skipped entirely. [Devex] keeps the
-   maintained row but selects by approximate steepest edge
-   d_j^2 / w_j, with reference weights updated from the same
-   post-pivot row the maintenance loop already computes and a
-   framework reset when a weight outgrows the cap. *)
+   the default above. [Partial] is candidate-list partial pricing: a
+   bounded queue of profitable columns priced fresh against the current
+   duals each iteration (one BTRAN), refilled by a rotating sweep only
+   when it runs dry — the maintained reduced-cost row and its per-pivot
+   full-width update are skipped entirely. [Devex] keeps the maintained
+   row but selects by approximate steepest edge d_j^2 / w_j, with
+   reference weights updated from the same post-pivot row the
+   maintenance loop already computes and a framework reset when a
+   weight outgrows the cap. *)
 
 type pricing = Dantzig | Partial | Devex
 

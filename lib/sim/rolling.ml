@@ -329,7 +329,7 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
                 Array.to_list jstates
                 |> List.filter_map (fun js -> if js.missed then None else Some js.job)
               in
-              let model, yvars = Active.Ilp.build_lp1 (S.make ~g kept) in
+              let model, yvars = Active.Lp_model.build_lp1 (S.make ~g kept) in
               { l_inst = inst; l_missed = missed_count; model; yvars; pinned_upto = 0; basis = None })
         in
         List.iter

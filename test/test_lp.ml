@@ -447,52 +447,16 @@ let prop_warm_matches_cold =
           | Lp.Unbounded, Lp.Unbounded -> true
           | _ -> false))
 
-(* The sparse engine runs the same pivot rules over the same column
-   layout as the revised engine (the row sign flips of the revised cold
-   start cancel inside B^-1 A), so the two must agree bit-for-bit: same
-   status, same objective, same Exact provenance — and the very same
-   pivot count, because the pivot sequences coincide. *)
-let prop_sparse_matches_revised =
-  QCheck.Test.make ~name:"sparse = revised (objective, provenance, pivots)" ~count:600 any_arb
-    (fun l ->
-      let m, _ = build_any l in
-      match (Lp.solve ~engine:Lp.Revised m, Lp.solve ~engine:Lp.Sparse m) with
-      | Lp.Optimal a, Lp.Optimal b ->
-          Q.equal (Lp.objective_value a) (Lp.objective_value b)
-          && Lp.certification a = Lp.Exact
-          && Lp.certification b = Lp.Exact
-          && Lp.pivots a = Lp.pivots b
-      | Lp.Infeasible, Lp.Infeasible -> true
-      | Lp.Unbounded, Lp.Unbounded -> true
-      | _ -> false)
-
-(* Eta updates are pure representation: refactorizing after every pivot
-   (eta cap 1) must walk the same pivot sequence to the same answer as
-   the default eta file. *)
-let prop_eta_refactor_equiv =
-  QCheck.Test.make ~name:"eta cap 1 = eta cap 64 (same pivots, same answer)" ~count:300 any_arb
-    (fun l ->
-      let m, _ = build_any l in
-      let every = Lp.solve ~engine:(Lp.Sparse_with { Lp.default_sparse_config with sparse_eta_cap = 1 }) m in
-      let batched = Lp.solve ~engine:Lp.Sparse m in
-      match (every, batched) with
-      | Lp.Optimal a, Lp.Optimal b ->
-          Q.equal (Lp.objective_value a) (Lp.objective_value b)
-          && Lp.pivots a = Lp.pivots b
-      | Lp.Infeasible, Lp.Infeasible -> true
-      | Lp.Unbounded, Lp.Unbounded -> true
-      | _ -> false)
-
 (* Pricing policy is pure column selection: Dantzig, candidate-list
    partial and devex must agree on status and objective (the vertex and
-   pivot sequence may differ), over both the exact sparse driver and the
+   pivot sequence may differ), over both the exact revised engine and the
    float-certified path — whose results are exact either way, via
    certification or the exact fallback. *)
 let prop_pricing_policies_agree =
   QCheck.Test.make ~name:"pricing policies agree (status + objective, exact + float)"
     ~count:400 any_arb (fun l ->
       let m, vars = build_any l in
-      let baseline = Lp.solve ~engine:Lp.Sparse m in
+      let baseline = Lp.solve ~engine:Lp.Revised m in
       List.for_all
         (fun engine ->
           List.for_all
@@ -507,7 +471,7 @@ let prop_pricing_policies_agree =
               | Lp.Unbounded, Lp.Unbounded -> true
               | _ -> false)
             (Lp.pricing_names ()))
-        [ Lp.Sparse; Lp.Float_certified ])
+        [ Lp.Revised; Lp.Float_certified ])
 
 let test_warm_start_counters () =
   (* tightening a bound of an optimal basis: the warm re-solve reuses it
@@ -545,34 +509,19 @@ let test_engine_introspection () =
 
 let test_engine_registry () =
   Alcotest.(check (list string))
-    "registered engines" [ "dense"; "float"; "revised"; "sparse" ] (Lp.engine_names ());
-  Alcotest.(check string) "sparse selector resolves" "sparse" (Lp.engine_name Lp.Sparse);
-  Alcotest.(check string)
-    "configured sparse selector resolves" "sparse"
-    (Lp.engine_name (Lp.Sparse_with Lp.default_sparse_config));
+    "engine names" [ "dense"; "float"; "revised"; "sparse" ] (Lp.engine_names ());
+  Alcotest.(check bool) "sparse resolves to revised" true (Lp.engine_of_name "sparse" = Some Lp.Revised);
   Alcotest.(check bool) "unknown name" true (Lp.engine_of_name "bogus" = None);
   Alcotest.(check string) "default is revised" "revised" (Lp.engine_name Lp.default_engine);
-  Alcotest.(check string) "float selector resolves" "float" (Lp.engine_name Lp.Float_certified);
-  Alcotest.(check string)
-    "configured float selector resolves" "float"
-    (Lp.engine_name (Lp.Float_with Lp.default_float_config));
+  List.iter
+    (fun engine ->
+      Alcotest.(check bool)
+        "canonical name round-trips" true
+        (Lp.engine_of_name (Lp.engine_name engine) = Some engine))
+    [ Lp.Revised; Lp.Dense; Lp.Float_certified ];
   Alcotest.(check (list string))
     "inventory names match" (Lp.engine_names ())
-    (List.map fst (Lp.engine_inventory ()));
-  Alcotest.(check bool)
-    "duplicate registration rejected" true
-    (match
-       Lp.register_engine
-         (module struct
-           let name = "revised"
-           let description = "dup"
-           let selector = Lp.Revised
-           let handles _ = false
-           let solve ~engine:_ ~rule:_ ~pricing:_ ~warm:_ ~budget:_ ~obs:_ _ = Lp.Infeasible
-         end)
-     with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+    (List.map fst (Lp.engine_inventory ()))
 
 let cert_to_string = function
   | Lp.Exact -> "Exact"
@@ -668,13 +617,21 @@ let test_float_uses_warm () =
     "warm snapshot was reused" true
     (List.assoc_opt "lp.warm_starts" (Obs.counters obs) = Some 1)
 
-(* Golden work profile of the sparse engine on a small mixed-sense
-   model: pivot count bit-identical to revised, and the LU bookkeeping
-   counters (refactorizations, eta updates, fill) pinned. A diff means
-   the pivot rules or the refactorization policy changed, which must be
-   a conscious decision, not an accident. *)
+(* Golden work profile of the revised engine's sparse LU driver: the
+   pivot count and the LU bookkeeping counters (refactorizations, eta
+   updates, fill) pinned on a small mixed-sense model, where every pivot
+   stays within one eta file, and on LP1 of a tall single-window gadget,
+   whose solve crosses the 64-eta refactorization cap. A diff means the
+   pivot rules or the refactorization policy changed, which must be a
+   conscious decision, not an accident. *)
 let test_sparse_golden_counters () =
-  let build () =
+  let counters build =
+    let obs = Obs.create () in
+    let s = get_solution (Lp.solve ~engine:Lp.Revised ~obs (build ())) in
+    check_cert "revised is exact" "Exact" s;
+    (s, fun name -> try List.assoc name (Obs.counters obs) with Not_found -> 0)
+  in
+  let small () =
     let m = Lp.create () in
     let x = Lp.add_var ~upper:(qi 4) m "x" and y = Lp.add_var ~upper:(qi 6) m "y" in
     let z = Lp.add_var m "z" in
@@ -684,29 +641,22 @@ let test_sparse_golden_counters () =
     Lp.set_objective m Lp.Maximize [ (qi 2, x); (qi 3, y); (qi 1, z) ];
     m
   in
-  let obs = Obs.create () in
-  let s = get_solution (Lp.solve ~engine:Lp.Sparse ~obs (build ())) in
-  let r = get_solution (Lp.solve ~engine:Lp.Revised (build ())) in
+  let s, counter = counters small in
+  let d = get_solution (Lp.solve ~engine:Lp.Dense (small ())) in
   Alcotest.(check string)
-    "objective matches revised" (Q.to_string (Lp.objective_value r))
+    "objective matches dense" (Q.to_string (Lp.objective_value d))
     (Q.to_string (Lp.objective_value s));
-  check_cert "sparse is exact" "Exact" s;
-  Alcotest.(check int) "pivot-for-pivot with revised" (Lp.pivots r) (Lp.pivots s);
-  let counter name = try List.assoc name (Obs.counters obs) with Not_found -> 0 in
   Alcotest.(check int) "pivots" 3 (counter "lp.pivots");
   Alcotest.(check int) "refactorizations" 1 (counter "lp.refactorizations");
   Alcotest.(check int) "eta updates" 3 (counter "lp.eta_updates");
   Alcotest.(check bool) "fill recorded" true (counter "lp.fill_nonzeros" > 0);
   Alcotest.(check bool) "exact cells recorded" true (counter "lp.exact_cells" > 0);
-  (* eta cap 1: every pivot refactorizes, so the eta file stays empty *)
-  let obs1 = Obs.create () in
-  let s1 =
-    get_solution
-      (Lp.solve ~engine:(Lp.Sparse_with { Lp.default_sparse_config with sparse_eta_cap = 1 }) ~obs:obs1 (build ()))
-  in
-  Alcotest.(check int) "same pivots under eta cap 1" (Lp.pivots s) (Lp.pivots s1);
-  let counter1 name = try List.assoc name (Obs.counters obs1) with Not_found -> 0 in
-  Alcotest.(check int) "refactorization per pivot" 4 (counter1 "lp.refactorizations")
+  let tall () = fst (Active.Lp_model.build_lp1 (Workload.Gadgets.lp1_tall ~g:3 ~jobs:9 ~length:2)) in
+  let s, counter = counters tall in
+  Alcotest.(check string) "tall objective (lp1_tall_lp_opt)" "6" (Q.to_string (Lp.objective_value s));
+  Alcotest.(check int) "tall pivots" 65 (Lp.pivots s);
+  Alcotest.(check int) "tall refactorizations" 3 (counter "lp.refactorizations");
+  Alcotest.(check int) "tall eta updates" 66 (counter "lp.eta_updates")
 
 let cache_model k =
   (* same shape for every k — only the rhs moves — so all instances share
@@ -806,8 +756,7 @@ let test_basis_cache_eviction () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
-      prop_engines_agree; prop_warm_matches_cold; prop_sparse_matches_revised;
-      prop_eta_refactor_equiv; prop_pricing_policies_agree ]
+      prop_engines_agree; prop_warm_matches_cold; prop_pricing_policies_agree ]
 
 let () =
   Alcotest.run "lp"
