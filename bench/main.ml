@@ -1697,130 +1697,12 @@ let e25 () =
     exit 1
   end
 
-(* ---------------------------------------------------------------- e26 -- *)
-
-let e26 () =
-  header "E26: simplex pricing policies - dantzig vs partial vs devex";
-  pr "The e21 LP1 family, the block-diagonal sparse_wide gadget and the\n";
-  pr "tall single-window lp1_tall gadget, each solved by the sparse\n";
-  pr "engine under all three pricing policies. Priced = lp.priced_columns,\n";
-  pr "the reduced costs actually inspected while choosing entering\n";
-  pr "columns (dantzig maintains the whole nonbasic row every pivot;\n";
-  pr "partial reprices only a bounded candidate list from fresh duals;\n";
-  pr "devex pays dantzig's scan but weights it to pivot less on tall\n";
-  pr "models). Objectives are golden across policies - pricing changes\n";
-  pr "the route, never the optimum. Gates: partial prices >= 2x fewer\n";
-  pr "columns than dantzig on sparse_wide, and devex takes no more\n";
-  pr "pivots than dantzig on every lp1_tall row.\n\n";
-  let drift = ref [] in
-  let complain fmt = Printf.ksprintf (fun s -> drift := s :: !drift) fmt in
-  let lp1_seeds = if !quick then [ 3 ] else [ 3; 8; 9 ] in
-  let wide_blocks = if !quick then [ 2 ] else [ 2; 4; 8 ] in
-  let tall_jobs = if !quick then [ 12 ] else [ 9; 12; 18 ] in
-  let wide_g = 16 and wide_width = 24 in
-  let tall_g = 3 and tall_length = 2 in
-  let params : Gen.slotted_params = { n = 10; horizon = 16; max_length = 4; slack = 4; g = 2 } in
-  let families =
-    List.map
-      (fun s ->
-        ( Printf.sprintf "lp1/s%d" s,
-          (fun () -> fst (Active.Lp_model.build_lp1 (Gen.slotted ~params ~seed:s ()))),
-          None ))
-      lp1_seeds
-    @ List.map
-        (fun b ->
-          ( Printf.sprintf "wide/b%d" b,
-            (fun () ->
-              fst (Active.Lp_model.build_lp1 (Gad.sparse_wide ~g:wide_g ~blocks:b ~width:wide_width))),
-            Some (Gad.sparse_wide_lp_opt ~g:wide_g ~blocks:b) ))
-        wide_blocks
-    @ List.map
-        (fun j ->
-          ( Printf.sprintf "tall/j%d" j,
-            (fun () ->
-              fst (Active.Lp_model.build_lp1 (Gad.lp1_tall ~g:tall_g ~jobs:j ~length:tall_length))),
-            Some (Gad.lp1_tall_lp_opt ~g:tall_g ~jobs:j ~length:tall_length) ))
-        tall_jobs
-  in
-  let policies = [ ("dantzig", Lp.Dantzig); ("partial", Lp.Partial); ("devex", Lp.Devex) ] in
-  let wide_dz = ref 0 and wide_pp = ref 0 in
-  table_row
-    (List.map col
-       [ "model"; "objective"; "dz piv"; "dz priced"; "pp piv"; "pp priced"; "dx piv";
-         "dx priced"; "dz/pp" ]);
-  List.iter
-    (fun (name, build, golden) ->
-      let m = build () in
-      let runs =
-        List.map
-          (fun (pname, pricing) ->
-            let obs = Obs.create () in
-            match Lp.solve ~obs ~engine:Lp.Revised ~pricing m with
-            | Lp.Optimal s ->
-                let counter n =
-                  match List.assoc_opt n (Obs.counters obs) with Some v -> v | None -> 0
-                in
-                ( pname, Lp.objective_value s, Lp.pivots s, counter "lp.priced_columns",
-                  counter "lp.candidate_refills", counter "lp.devex_resets" )
-            | _ ->
-                complain "%s/%s: expected Optimal" name pname;
-                (pname, Q.zero, 0, 0, 0, 0))
-          policies
-      in
-      let get p = List.find (fun (pname, _, _, _, _, _) -> pname = p) runs in
-      let _, obj_dz, piv_dz, pr_dz, _, _ = get "dantzig" in
-      let _, obj_pp, piv_pp, pr_pp, refills, _ = get "partial" in
-      let _, obj_dx, piv_dx, pr_dx, _, resets = get "devex" in
-      if not (Q.equal obj_dz obj_pp && Q.equal obj_dz obj_dx) then
-        complain "%s: pricing policies disagree on the objective" name;
-      (match golden with
-      | Some want when not (Q.equal obj_dz want) ->
-          complain "%s: objective %s, closed form wants %s" name (Q.to_string obj_dz)
-            (Q.to_string want)
-      | _ -> ());
-      if String.length name >= 4 && String.sub name 0 4 = "wide" then begin
-        wide_dz := !wide_dz + pr_dz;
-        wide_pp := !wide_pp + pr_pp
-      end;
-      if String.length name >= 4 && String.sub name 0 4 = "tall" && piv_dx > piv_dz then
-        complain "%s: devex pivots %d exceed dantzig %d (gate: <=)" name piv_dx piv_dz;
-      let ratio = float_of_int pr_dz /. float_of_int (max 1 pr_pp) in
-      table_row
-        (List.map col
-           [ name; Q.to_string obj_dz; string_of_int piv_dz; string_of_int pr_dz;
-             string_of_int piv_pp; string_of_int pr_pp; string_of_int piv_dx;
-             string_of_int pr_dx; Printf.sprintf "%.1fx" ratio ]);
-      let key k v = Obs.add !bench_obs (Printf.sprintf "e26.%s.%s" name k) v in
-      key "dantzig_pivots" piv_dz;
-      key "dantzig_priced" pr_dz;
-      key "partial_pivots" piv_pp;
-      key "partial_priced" pr_pp;
-      key "partial_refills" refills;
-      key "devex_pivots" piv_dx;
-      key "devex_priced" pr_dx;
-      key "devex_resets" resets)
-    families;
-  let wide_ratio = float_of_int !wide_dz /. float_of_int (max 1 !wide_pp) in
-  pr "\nsparse_wide priced columns: dantzig %d, partial %d (%.1fx less)\n" !wide_dz !wide_pp
-    wide_ratio;
-  Obs.add !bench_obs "e26.wide.dantzig_priced_total" !wide_dz;
-  Obs.add !bench_obs "e26.wide.partial_priced_total" !wide_pp;
-  Obs.add !bench_obs "e26.wide.ratio_x100" (int_of_float (wide_ratio *. 100.0));
-  if wide_ratio < 2.0 then
-    complain "sparse_wide: partial prices only %.2fx fewer columns than dantzig (gate: >= 2x)"
-      wide_ratio;
-  if !drift <> [] then begin
-    pr "\nE26 FAILED:\n";
-    List.iter (pr "  %s\n") (List.rev !drift);
-    exit 1
-  end
-
 (* -------------------------------------------------------------- main -- *)
 
 let experiments =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8);
     ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21); ("e22", e22); ("e23", e23); ("e24", e24); ("e25", e25); ("e26", e26); ("abl", abl); ("par", par); ("scaling", scaling); ("timing", timing) ]
+    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21); ("e22", e22); ("e23", e23); ("e24", e24); ("e25", e25); ("abl", abl); ("par", par); ("scaling", scaling); ("timing", timing) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -115,16 +115,6 @@ let resolve_lp_engine name =
            (Printf.sprintf "unknown LP engine %s (valid: %s; see atbt --list-solvers)" name
               (String.concat "|" (Lp.engine_names ()))))
 
-(* --lp-pricing resolves against Lp's pricing inventory the same way. *)
-let resolve_lp_pricing name =
-  match Lp.pricing_of_name name with
-  | Some pricing -> Ok pricing
-  | None ->
-      Error
-        (Unknown_solver
-           (Printf.sprintf "unknown LP pricing %s (valid: %s; see atbt --list-solvers)" name
-              (String.concat "|" (Lp.pricing_names ()))))
-
 (* Run a registered solver, mapping its structured exceptions onto the
    CLI failure space. *)
 let run_solver (s : CS.t) ?budget ?obs ?params inst =
@@ -323,7 +313,7 @@ let active_solution_of = function
 
 (* Common active prelude: validate flags, load, resolve the solver, run.
    [--cascade] is sugar for the registered composite solver. *)
-let active_run ?obs path algorithm order lp_engine lp_pricing budget cascade =
+let active_run ?obs path algorithm order lp_engine budget cascade =
   let* () = check_budget budget in
   let* instance = load path in
   let* inst =
@@ -333,21 +323,20 @@ let active_run ?obs path algorithm order lp_engine lp_pricing budget cascade =
   in
   let* () = check_order order in
   let* _ = resolve_lp_engine lp_engine in
-  let* _ = resolve_lp_pricing lp_pricing in
   let algorithm = if cascade then "cascade" else algorithm in
   let* solver = resolve CI.Active_slotted algorithm in
   let* result =
     run_solver solver
       ?budget:(limited_budget budget)
       ?obs
-      ~params:[ ("order", order); ("engine", lp_engine); ("pricing", lp_pricing) ]
+      ~params:[ ("order", order); ("engine", lp_engine) ]
       (CI.Slotted inst)
   in
   Ok (inst, solver, result)
 
-let active_text path algorithm order lp_engine lp_pricing budget cascade render svg =
+let active_text path algorithm order lp_engine budget cascade render svg =
   finish
-    (let* inst, solver, r = active_run path algorithm order lp_engine lp_pricing budget cascade in
+    (let* inst, solver, r = active_run path algorithm order lp_engine budget cascade in
      print_provenance r.CR.provenance;
      (match r.CR.note with Some n -> print_endline n | None -> ());
      match r.CR.status with
@@ -373,7 +362,7 @@ let active_text path algorithm order lp_engine lp_pricing budget cascade render 
 (* JSON twin of [active_text]: same control flow, machine-readable
    output, solvers run with a live recorder. [--render] is a no-op here
    (ASCII art would corrupt the document); [--svg FILE] still writes. *)
-let active_json path algorithm order lp_engine lp_pricing budget cascade svg =
+let active_json path algorithm order lp_engine budget cascade svg =
   let obs = Obs.create () in
   let instance_json = ref J.Null in
   let note = ref None in
@@ -398,7 +387,6 @@ let active_json path algorithm order lp_engine lp_pricing budget cascade svg =
     instance_json := slotted_instance_json inst;
     let* () = check_order order in
     let* _ = resolve_lp_engine lp_engine in
-    let* _ = resolve_lp_pricing lp_pricing in
     let bounds = J.Obj [ ("mass", J.Int (S.mass_lower_bound inst)) ] in
     let algorithm = if cascade then "cascade" else algorithm in
     let* solver = resolve CI.Active_slotted algorithm in
@@ -406,7 +394,7 @@ let active_json path algorithm order lp_engine lp_pricing budget cascade svg =
       run_solver solver
         ?budget:(limited_budget budget)
         ~obs
-        ~params:[ ("order", order); ("engine", lp_engine); ("pricing", lp_pricing) ]
+        ~params:[ ("order", order); ("engine", lp_engine) ]
         (CI.Slotted inst)
     in
     note := r.CR.note;
@@ -430,12 +418,12 @@ let active_json path algorithm order lp_engine lp_pricing budget cascade svg =
     ~message:(fun () -> !note)
     obs result
 
-let active_solve path algorithm order lp_engine lp_pricing budget cascade render svg format verbose =
+let active_solve path algorithm order lp_engine budget cascade render svg format verbose =
   setup_logs verbose;
   match parse_format format with
   | Error e -> finish (Error e)
-  | Ok `Text -> active_text path algorithm order lp_engine lp_pricing budget cascade render svg
-  | Ok `Json -> active_json path algorithm order lp_engine lp_pricing budget cascade svg
+  | Ok `Text -> active_text path algorithm order lp_engine budget cascade render svg
+  | Ok `Json -> active_json path algorithm order lp_engine budget cascade svg
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc:"fuel budget in solver ticks (search nodes / simplex pivots)")
@@ -449,9 +437,6 @@ let format_arg =
 let lp_engine_arg =
   Arg.(value & opt string "revised" & info [ "lp-engine" ] ~docv:"ENGINE" ~doc:"simplex engine for LP-backed solvers: revised (default), dense, sparse (LU + eta updates), or float (certified; see --list-solvers)")
 
-let lp_pricing_arg =
-  Arg.(value & opt string "dantzig" & info [ "lp-pricing" ] ~docv:"PRICING" ~doc:"simplex pricing policy for LP-backed solvers: dantzig (full scan, default), partial (candidate list), or devex (reference weights; see --list-solvers)")
-
 let active_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
   let algorithm =
@@ -463,7 +448,7 @@ let active_cmd =
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"trace algorithm decisions") in
   Cmd.v
     (Cmd.info "active" ~doc:"Minimize active time of a slotted instance")
-    Term.(const active_solve $ path $ algorithm $ order $ lp_engine_arg $ lp_pricing_arg $ budget_arg $ cascade_arg $ render $ svg $ format_arg $ verbose)
+    Term.(const active_solve $ path $ algorithm $ order $ lp_engine_arg $ budget_arg $ cascade_arg $ render $ svg $ format_arg $ verbose)
 
 (* ---------------------------------------------------------------- busy -- *)
 
@@ -648,16 +633,15 @@ let busy_cmd =
 
 (* -------------------------------------------------------------- bounds -- *)
 
-let bounds path g lp_engine lp_pricing =
+let bounds path g lp_engine =
   finish
     (let* engine = resolve_lp_engine lp_engine in
-     let* pricing = resolve_lp_pricing lp_pricing in
      let* instance = load path in
      match instance with
      | Io.Slotted_instance inst ->
          Printf.printf "slotted instance: n=%d T=%d g=%d\n" (S.num_jobs inst) (S.horizon inst) inst.S.g;
          Printf.printf "mass lower bound ceil(P/g): %d\n" (S.mass_lower_bound inst);
-         (match Active.Lp_model.solve ~engine ~pricing inst with
+         (match Active.Lp_model.solve ~engine inst with
          | Some lp -> Printf.printf "LP lower bound: %s\n" (Q.to_string lp.Active.Lp_model.cost)
          | None -> print_endline "LP: infeasible");
          Ok ()
@@ -680,7 +664,7 @@ let bounds_cmd =
   let g = Arg.(value & opt int 2 & info [ "g" ] ~docv:"G" ~doc:"machine capacity") in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Print lower bounds for an instance")
-    Term.(const bounds $ path $ g $ lp_engine_arg $ lp_pricing_arg)
+    Term.(const bounds $ path $ g $ lp_engine_arg)
 
 (* ----------------------------------------------------------------- sim -- *)
 
@@ -693,8 +677,7 @@ let load_timed path =
   | Io.Parse_error (line, msg) -> Error (Usage (Printf.sprintf "%s:%d: %s" path line msg))
   | Sys_error msg -> Error (Usage msg)
 
-let sim_config algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold =
-  let* lp_pricing = resolve_lp_pricing lp_pricing in
+let sim_config algorithm epoch_len lookahead epoch_budget deadline_ms cold =
   let* () = if epoch_len >= 1 then Ok () else Error (Usage "--epoch-len must be at least 1") in
   let* () =
     match lookahead with
@@ -722,14 +705,13 @@ let sim_config algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms
       Sim.Rolling.epoch_len;
       lookahead;
       algorithm;
-      lp_pricing;
       epoch_budget = (match epoch_budget with Some _ -> epoch_budget | None -> Some 500_000);
       epoch_deadline;
       warm = not cold;
     }
 
-let sim_run ?obs path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold =
-  let* config = sim_config algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold in
+let sim_run ?obs path g algorithm epoch_len lookahead epoch_budget deadline_ms cold =
+  let* config = sim_config algorithm epoch_len lookahead epoch_budget deadline_ms cold in
   let* () = if g >= 1 then Ok () else Error (Usage "--g must be at least 1") in
   let* instance, arrivals = load_timed path in
   let* inst =
@@ -749,18 +731,18 @@ let write_epochs_svg svg r =
       Ok (Some file)
   | None -> Ok None
 
-let sim_text path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg =
+let sim_text path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg =
   finish
-    (let* _, r = sim_run path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold in
+    (let* _, r = sim_run path g algorithm epoch_len lookahead epoch_budget deadline_ms cold in
      Format.printf "%a" Sim.Rolling.pp r;
      let* written = write_epochs_svg svg r in
      Option.iter (Printf.printf "wrote %s\n") written;
      Ok ())
 
-let sim_json path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg =
+let sim_json path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg =
   let obs = Obs.create () in
   let result =
-    let* inst, r = sim_run ~obs path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold in
+    let* inst, r = sim_run ~obs path g algorithm epoch_len lookahead epoch_budget deadline_ms cold in
     let* _ = write_epochs_svg svg r in
     Ok (inst, r)
   in
@@ -791,11 +773,11 @@ let sim_json path g algorithm lp_pricing epoch_len lookahead epoch_budget deadli
         ~message:(fun () -> None)
         obs (Error f)
 
-let sim_solve path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg format =
+let sim_solve path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg format =
   match parse_format format with
   | Error e -> finish (Error e)
-  | Ok `Text -> sim_text path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg
-  | Ok `Json -> sim_json path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg
+  | Ok `Text -> sim_text path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg
+  | Ok `Json -> sim_json path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg
 
 let sim_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -821,7 +803,7 @@ let sim_cmd =
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"write a per-epoch SVG strip") in
   Cmd.v
     (Cmd.info "sim" ~doc:"Replay a trace through rolling-horizon re-optimization")
-    Term.(const sim_solve $ path $ g $ algorithm $ lp_pricing_arg $ epoch_len $ lookahead $ epoch_budget $ deadline_ms $ cold $ svg $ format_arg)
+    Term.(const sim_solve $ path $ g $ algorithm $ epoch_len $ lookahead $ epoch_budget $ deadline_ms $ cold $ svg $ format_arg)
 
 (* --------------------------------------------------------------- serve -- *)
 
@@ -903,11 +885,7 @@ let list_solvers () =
   List.iter
     (fun (name, description) ->
       Printf.printf "%-16s %-20s %-11s %-24s %s\n" "lp-engine" name "exact" "-" description)
-    (Lp.engine_inventory ());
-  List.iter
-    (fun (name, description) ->
-      Printf.printf "%-16s %-20s %-11s %-24s %s\n" "lp-pricing" name "exact" "-" description)
-    (Lp.pricing_inventory ())
+    (Lp.engine_inventory ())
 
 (* ---------------------------------------------------------------- main -- *)
 

@@ -41,7 +41,7 @@ let solve_lp ?(rule = Lp.Dantzig_with_fallback) ?obs (inst : S.t) ~fixing =
   | Lp.Unbounded -> assert false
   | Lp.Optimal sol -> Some (Lp.objective_value sol, List.map (fun (s, yv) -> (s, Lp.value sol yv)) y_vars)
 
-let solve ?(engine = Lp.default_engine) ?pricing ?budget ?(obs = Obs.null) (inst : S.t) =
+let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.span obs "active.ilp" @@ fun () ->
   match Minimal.solve ~obs inst Minimal.Right_to_left with
@@ -62,7 +62,7 @@ let solve ?(engine = Lp.default_engine) ?pricing ?budget ?(obs = Obs.null) (inst
         let fixing s = List.assoc_opt s fixed in
         incr lp_solves;
         apply_fixings lp1 y_vars ~fixing;
-        match Lp.solve ~engine ?pricing ?warm ~budget ~obs lp1 with
+        match Lp.solve ~engine ?warm ~budget ~obs lp1 with
         | Lp.Unbounded -> assert false
         | Lp.Infeasible -> ()
         | Lp.Optimal sol ->

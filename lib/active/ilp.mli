@@ -35,7 +35,6 @@ val solve_lp :
     reused their parent's basis). *)
 val solve :
   ?engine:Lp.engine ->
-  ?pricing:Lp.pricing ->
   ?budget:Budget.t ->
   ?obs:Obs.t ->
   Workload.Slotted.t ->

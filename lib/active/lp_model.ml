@@ -125,9 +125,9 @@ let build_lp1 inst =
   let m, y_vars, _ = lp1 inst in
   (m, y_vars)
 
-let solve ?(engine = Lp.default_engine) ?pricing ?budget ?obs (inst : S.t) =
+let solve ?(engine = Lp.default_engine) ?budget ?obs (inst : S.t) =
   let m, y_vars, x_vars = lp1 inst in
-  match Lp.solve ~engine ?pricing ?budget ?obs m with
+  match Lp.solve ~engine ?budget ?obs m with
   | Lp.Infeasible -> None
   | Lp.Unbounded -> assert false (* objective is bounded below by 0 *)
   | Lp.Optimal sol ->

@@ -31,11 +31,10 @@ val build_lp1 : Workload.Slotted.t -> Lp.model * (int * Lp.var) list
 
 (** [None] iff the instance is infeasible. With [budget], each simplex
     pivot costs one tick and exhaustion raises {!Budget.Out_of_fuel}.
-    [?obs], [?engine] (default {!Lp.default_engine}) and [?pricing] are
-    forwarded to {!Lp.solve}. *)
+    [?obs] and [?engine] (default {!Lp.default_engine}) are forwarded to
+    {!Lp.solve}. *)
 val solve :
   ?engine:Lp.engine ->
-  ?pricing:Lp.pricing ->
   ?budget:Budget.t ->
   ?obs:Obs.t ->
   Workload.Slotted.t ->

@@ -51,19 +51,6 @@ let engine_of_params params =
             (Sv.Unsupported
                ("unknown engine " ^ e ^ " (" ^ String.concat "|" (Lp.engine_names ()) ^ ")")))
 
-(* ... and a [pricing] param selecting the simplex pricing policy, the
-   same way. *)
-let pricing_of_params params =
-  match Option.bind params (List.assoc_opt "pricing") with
-  | None -> Lp.default_pricing
-  | Some p -> (
-      match Lp.pricing_of_name p with
-      | Some pricing -> pricing
-      | None ->
-          raise
-            (Sv.Unsupported
-               ("unknown pricing " ^ p ^ " (" ^ String.concat "|" (Lp.pricing_names ()) ^ ")")))
-
 let spent_of = function Some b -> Budget.spent b | None -> 0
 
 (* --cascade historically took a raw tick limit, not a Budget.t; a
@@ -88,8 +75,7 @@ let solvers =
         try
           of_solution
             (Option.map fst
-               (Rounding.solve ~engine:(engine_of_params params)
-                  ~pricing:(pricing_of_params params) ?budget ?obs inst))
+               (Rounding.solve ~engine:(engine_of_params params) ?budget ?obs inst))
         with Budget.Out_of_fuel -> R.exhausted ~spent:(spent_of budget) ())
       ();
     Sv.make ~name:"exact" ~kind:I.Active_slotted ~quality:Sv.Exact ~supports_budget:true
@@ -104,8 +90,7 @@ let solvers =
       ~solve:(fun ?budget ?obs ?params inst ->
         of_outcome
           (Budget.map (Option.map fst)
-             (Ilp.solve ~engine:(engine_of_params params) ~pricing:(pricing_of_params params)
-                ?budget ?obs (slotted "ilp" inst))))
+             (Ilp.solve ~engine:(engine_of_params params) ?budget ?obs (slotted "ilp" inst))))
       ();
     Sv.make ~name:"unit" ~kind:I.Active_slotted ~quality:Sv.Exact ~rank:2
       ~restriction:"unit-length jobs"
@@ -125,10 +110,7 @@ let solvers =
       ~exhausted_hint:"budget exhausted inside the LP" ~paper:"§3 LP1" ~impl:"Active.Lp_model"
       ~solve:(fun ?budget ?obs ?params inst ->
         let inst = slotted "lp-bound" inst in
-        match
-          Lp_model.solve ~engine:(engine_of_params params)
-            ~pricing:(pricing_of_params params) ?budget ?obs inst
-        with
+        match Lp_model.solve ~engine:(engine_of_params params) ?budget ?obs inst with
         | Some lp -> R.solved (R.Value lp.Lp_model.cost)
         | None -> R.infeasible ()
         | exception Budget.Out_of_fuel -> R.exhausted ~spent:(spent_of budget) ())

@@ -55,9 +55,9 @@ let rec force_feasible inst ~only_jobs ~opened ~closed_pool =
         let opened', _ = force_feasible inst ~only_jobs ~opened:(s :: opened) ~closed_pool:rest in
         (opened', true)
 
-let solve ?engine ?pricing ?budget ?(obs = Obs.null) (inst : S.t) =
+let solve ?engine ?budget ?(obs = Obs.null) (inst : S.t) =
   Obs.span obs "active.rounding" @@ fun () ->
-  match Lp_model.solve ?engine ?pricing ?budget ~obs inst with
+  match Lp_model.solve ?engine ?budget ~obs inst with
   | None -> None
   | Some lp ->
       let slots = S.relevant_slots inst in

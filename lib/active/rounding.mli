@@ -34,7 +34,6 @@ exception Infeasible_instance
     counters. *)
 val solve :
   ?engine:Lp.engine ->
-  ?pricing:Lp.pricing ->
   ?budget:Budget.t ->
   ?obs:Obs.t ->
   Workload.Slotted.t ->

@@ -172,41 +172,31 @@ let check_probe_modes ~fuel (inst : S.t) =
         else None);
     ]
 
-(* LP-engine differential: every (engine x pricing) combination — the
-   bounded-variable revised simplex, the dense reference tableau, the
-   certified float engine, each under Dantzig, devex and candidate-list
-   partial pricing — must give every LP the same status and objective
-   (for the float engine this exercises certification and its exact
-   fallback; for the pricing policies it pins that candidate-queue
-   refills and devex reference resets never change the answer). Checked
-   on the instance's LP1 relaxation (shared by every LP-backed solver);
-   a fuel exhaustion under any combination skips that comparison rather
-   than reporting it. *)
+(* LP-engine differential: every distinct engine — the bounded-variable
+   revised simplex, the dense reference tableau, the certified float
+   engine — must give every LP the same status and objective (for the
+   float engine this exercises certification and its exact fallback).
+   Checked on the instance's LP1 relaxation (shared by every LP-backed
+   solver); a fuel exhaustion under any engine skips that comparison
+   rather than reporting it. *)
 let check_lp_engines ~fuel (inst : S.t) =
   guard "lp-engine-differential" @@ fun () ->
-  let run engine pricing =
-    try `Done (Active.Lp_model.solve ~engine ~pricing ~budget:(Budget.limited fuel) inst)
+  let run engine =
+    try `Done (Active.Lp_model.solve ~engine ~budget:(Budget.limited fuel) inst)
     with Budget.Out_of_fuel -> `Fuel
   in
   let baseline_name = Lp.engine_name Lp.default_engine in
   (* distinct engines: the name "sparse" resolves to revised *)
   let engines = List.sort_uniq compare (List.filter_map Lp.engine_of_name (Lp.engine_names ())) in
-  let combos =
-    List.concat_map (fun e -> List.map (fun p -> (e, p)) (Lp.pricing_names ())) engines
-  in
-  match run Lp.default_engine Lp.default_pricing with
+  match run Lp.default_engine with
   | `Fuel -> None
   | `Done baseline ->
       List.fold_left
-        (fun acc (engine, pname) ->
-          if
-            acc <> None
-            || (engine = Lp.default_engine
-               && String.equal pname (Lp.pricing_name Lp.default_pricing))
-          then acc
+        (fun acc engine ->
+          if acc <> None || engine = Lp.default_engine then acc
           else
-            let name = Lp.engine_name engine ^ "/" ^ pname in
-            match run engine (Option.get (Lp.pricing_of_name pname)) with
+            let name = Lp.engine_name engine in
+            match run engine with
             | `Fuel -> None
             | `Done other -> (
                 match (baseline, other) with
@@ -225,7 +215,7 @@ let check_lp_engines ~fuel (inst : S.t) =
                 | None, Some _ ->
                     fail "lp-engine-differential" "%s says feasible, %s says infeasible" name
                       baseline_name))
-        None combos
+        None engines
 
 let check_slotted ~fuel (inst : S.t) =
   guard "slotted-oracle" @@ fun () ->

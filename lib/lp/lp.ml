@@ -415,28 +415,6 @@ module FS = Sparse_simplex.Make (Scalar.Flt)
    refactorizes early when the eta file's nonzeros outgrow the LU). *)
 let eta_cap = 64
 
-(* Pricing policy of the sparse driver, shared by the exact revised
-   engine and the float engine's pivot phase. A fixed three-name table,
-   like the engine names: CLI --lp-pricing, the registry "pricing" param
-   and serve's lp_pricing field all resolve through [pricing_of_name]. *)
-type pricing = Sparse_simplex.pricing = Dantzig | Partial | Devex
-
-let default_pricing = Dantzig
-let pricing_name = function Dantzig -> "dantzig" | Partial -> "partial" | Devex -> "devex"
-
-let pricing_of_name = function
-  | "dantzig" -> Some Dantzig
-  | "partial" -> Some Partial
-  | "devex" -> Some Devex
-  | _ -> None
-
-let pricing_names () = [ "dantzig"; "devex"; "partial" ]
-
-let pricing_inventory () =
-  [ ("dantzig", "full reduced-cost scan, largest |d| (default; pivot-identical to 1.9)");
-    ("devex", "approximate steepest edge: d^2/w reference weights, cheap row updates");
-    ("partial", "candidate-list partial pricing: bounded queue, rotating refill sweeps") ]
-
 let vstat_of_status = function
   | Basis.Lower -> Sparse_simplex.Vlo
   | Basis.Upper -> Sparse_simplex.Vhi
@@ -557,7 +535,7 @@ let sparse_counters =
     c_price = true;
   }
 
-let sparse_scfg ~pricing ~rule =
+let sparse_scfg ~rule =
   {
     Sparse_simplex.dtol = Q.zero;
     ptol = Q.zero;
@@ -565,7 +543,6 @@ let sparse_scfg ~pricing ~rule =
     eta_cap;
     step_cap = None;
     bland_always = (rule = Pure_bland);
-    pricing;
     counters = sparse_counters;
   }
 
@@ -611,11 +588,11 @@ let extract_sparse ~m ~slack_of_row ~pivots ~ops outcome =
           sol_certification = Exact;
         }
 
-let solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m =
+let solve_sparse_cold ~rule ~budget ~obs ~pivots m =
   let spec, slack_of_row = sparse_spec ~with_art:true m in
   let pb = RS.of_spec spec in
   let ops = ref 0 in
-  let outcome = RS.solve_cold (sparse_scfg ~pricing ~rule) pb ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_cold (sparse_scfg ~rule) pb ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
@@ -638,25 +615,25 @@ let sparse_warm_stat m ~slack_of_row ~ncols (w : Basis.t) =
   done;
   stat
 
-let solve_sparse_warm ~pricing ~rule ~budget ~obs ~pivots m (w : Basis.t) =
+let solve_sparse_warm ~rule ~budget ~obs ~pivots m (w : Basis.t) =
   if w.Basis.b_nvars <> m.nvars || w.Basis.b_nrows <> m.nrows then raise RS.Warm_failed;
   let spec, slack_of_row = sparse_spec ~with_art:false m in
   let pb = RS.of_spec spec in
   let stat = sparse_warm_stat m ~slack_of_row ~ncols:spec.Sparse_simplex.sp_ncols w in
   let ops = ref 0 in
-  let outcome = RS.solve_warm (sparse_scfg ~pricing ~rule) pb ~stat ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_warm (sparse_scfg ~rule) pb ~stat ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
 (* The revised engine: warm from [warm] when given, cold when there is
    none or the snapshot cannot be reused. *)
-let solve_revised ~pricing ~rule ~warm ~budget ~obs m =
+let solve_revised ~rule ~warm ~budget ~obs m =
   let pivots = ref 0 in
   match warm with
-  | None -> solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m
+  | None -> solve_sparse_cold ~rule ~budget ~obs ~pivots m
   | Some w -> (
-      try solve_sparse_warm ~pricing ~rule ~budget ~obs ~pivots m w
-      with RS.Warm_failed -> solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m)
+      try solve_sparse_warm ~rule ~budget ~obs ~pivots m w
+      with RS.Warm_failed -> solve_sparse_cold ~rule ~budget ~obs ~pivots m)
 
 (* ====================================================================== *)
 (* Float engine: double-precision bounded-variable simplex that finds a  *)
@@ -702,7 +679,7 @@ let float_counters =
     c_price = false;
   }
 
-let float_scfg ~pricing ~rule ~m ~n =
+let float_scfg ~rule ~m ~n =
   {
     Sparse_simplex.dtol = float_eps;
     ptol = fpivot_tol;
@@ -710,7 +687,6 @@ let float_scfg ~pricing ~rule ~m ~n =
     eta_cap;
     step_cap = Some (float_pivot_cap ~m ~n);
     bland_always = (rule = Pure_bland);
-    pricing;
     counters = float_counters;
   }
 
@@ -719,7 +695,7 @@ let float_scfg ~pricing ~rule ~m ~n =
    snapshot (sparse refactorization, then dual repair or phase 2); any
    warm-start trouble retries cold — only the final claim matters, since
    certification decides what it is worth. *)
-let solve_float ~pricing ~rule ~warm ~budget ~obs ~fpivots ~fops m =
+let solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m =
   let claim_of_outcome slack_of_row = function
     | FS.Infeas -> F_infeas
     | FS.Unbd -> F_unbd
@@ -735,7 +711,7 @@ let solve_float ~pricing ~rule ~warm ~budget ~obs ~fpivots ~fops m =
   let cold () =
     let spec, slack_of_row = sparse_spec ~with_art:true m in
     let pb = FS.of_spec spec in
-    let scfg = float_scfg ~pricing ~rule ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
+    let scfg = float_scfg ~rule ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
     match FS.solve_cold scfg pb ~budget ~obs ~pivots:fpivots ~ops:fops with
     | outcome -> claim_of_outcome slack_of_row outcome
     | exception FS.Gave_up -> raise Float_gave_up
@@ -749,7 +725,7 @@ let solve_float ~pricing ~rule ~warm ~budget ~obs ~fpivots ~fops m =
         let pb = FS.of_spec spec in
         let n = spec.Sparse_simplex.sp_ncols in
         let stat = sparse_warm_stat m ~slack_of_row ~ncols:n w in
-        let scfg = float_scfg ~pricing ~rule ~m:m.nrows ~n in
+        let scfg = float_scfg ~rule ~m:m.nrows ~n in
         match FS.solve_warm scfg pb ~stat ~budget ~obs ~pivots:fpivots ~ops:fops with
         | FS.Opt _ as o -> claim_of_outcome slack_of_row o
         (* infeasible/unbounded claims out of a warm start are not worth
@@ -891,17 +867,17 @@ let certify ~ops m ~vstat ~sstat =
   in
   (finish_objective m z, x, basis)
 
-let solve_float_certified ~pricing ~rule ~warm ~budget ~obs m =
+let solve_float_certified ~rule ~warm ~budget ~obs m =
   let fallback () =
     Obs.incr obs "lp.fallbacks";
     let pivots = ref 0 in
-    match solve_sparse_cold ~pricing ~rule ~budget ~obs ~pivots m with
+    match solve_sparse_cold ~rule ~budget ~obs ~pivots m with
     | Optimal s -> Optimal { s with sol_certification = Fallback }
     | r -> r
   in
   let fpivots = ref 0 in
   let fops = ref 0 in
-  match solve_float ~pricing ~rule ~warm ~budget ~obs ~fpivots ~fops m with
+  match solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m with
   | exception Float_gave_up -> fallback ()
   | F_infeas | F_unbd -> fallback () (* claims we do not certify: re-solve exactly *)
   | F_opt (vstat, sstat) -> (
@@ -928,9 +904,8 @@ let solve_float_certified ~pricing ~rule ~warm ~budget ~obs m =
           fallback ())
 
 (* ====================================================================== *)
-(* Engine names: a fixed table like the pricing one. "sparse" is the     *)
-(* 1.8 name of the sparse LU driver the revised engine runs on, so it    *)
-(* resolves to [Revised].                                                *)
+(* Engine names: a fixed table. "sparse" is the 1.8 name of the sparse   *)
+(* LU driver the revised engine runs on, so it resolves to [Revised].    *)
 (* ====================================================================== *)
 
 let engines =
@@ -1048,8 +1023,8 @@ let basis_cache : Basis_cache.t option Atomic.t = Atomic.make None
 let install_basis_cache c = Atomic.set basis_cache c
 let installed_basis_cache () = Atomic.get basis_cache
 
-let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?(pricing = default_pricing)
-    ?warm ?budget ?(obs = Obs.null) m =
+let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?warm ?budget
+    ?(obs = Obs.null) m =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.incr obs "lp.solves";
   let cache = Atomic.get basis_cache in
@@ -1061,9 +1036,9 @@ let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?(pricing =
   in
   let r =
     match engine with
-    | Revised -> solve_revised ~pricing ~rule ~warm ~budget ~obs m
+    | Revised -> solve_revised ~rule ~warm ~budget ~obs m
     | Dense -> solve_dense ~rule ~budget ~obs m
-    | Float_certified -> solve_float_certified ~pricing ~rule ~warm ~budget ~obs m
+    | Float_certified -> solve_float_certified ~rule ~warm ~budget ~obs m
   in
   (match (cache, key, r) with
   | Some c, Some k, Optimal { sol_basis = Some b; _ } -> Basis_cache.store c k b

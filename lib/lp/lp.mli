@@ -36,9 +36,10 @@
     model (see [prop_engines_agree] and the fuzz differential); the
     optimal vertex may differ when the optimum is not unique.
 
-    Anti-cycling: every engine uses Dantzig pricing while the objective
-    strictly improves and falls back to Bland's rule after a bounded
-    number of degenerate pivots, which guarantees termination.
+    Pricing and anti-cycling: every engine prices by Dantzig's rule
+    while the objective strictly improves and falls back to Bland's rule
+    after a bounded number of degenerate pivots, which guarantees
+    termination.
 
     Scale: intended for the LP1/LP2 programs of the active-time model at
     laptop instance sizes (hundreds of variables/constraints), not for
@@ -92,51 +93,6 @@ type result = Optimal of solution | Infeasible | Unbounded
     pivots — see the ablation experiment). Both terminate. *)
 type pivot_rule = Dantzig_with_fallback | Pure_bland
 
-(** Pricing policy for the engines on the sparse basis algebra
-    ({!Revised} and {!Float_certified}); the dense reference engine
-    ignores it. Orthogonal to {!pivot_rule}: the policy chooses {e how
-    candidate columns are scanned and scored} while the objective
-    improves, and every policy defers to Bland's first-index rule during
-    an anti-cycling episode.
-
-    - [Dantzig] (the default) maintains the full reduced-cost row and
-      scans every nonbasic column each pivot for the most attractive
-      reduced cost — pivot-for-pivot identical to releases before
-      1.10.0.
-    - [Partial] — candidate-list partial pricing: a bounded queue of
-      profitable columns is re-priced against fresh duals each
-      iteration; when it runs dry, a rotating sweep over the columns
-      refills it. Each pivot prices O(queue + refill) columns instead of
-      all of them; optimality is still certified by a sweep that wraps
-      the whole column range without finding an eligible candidate.
-    - [Devex] — reference-weight approximate steepest edge: columns are
-      scored by [d_j^2 / w_j] where the weights [w_j] are updated from
-      the pivot row at unit cost per column and the reference framework
-      resets when a weight overflows its cap. Usually fewer (never
-      guaranteed fewer) pivots than Dantzig on tall models.
-
-    All policies terminate and return identical objectives; the chosen
-    vertex and the pivot sequence may differ. *)
-type pricing = Sparse_simplex.pricing = Dantzig | Partial | Devex
-
-(** {!Dantzig} — what {!solve} uses when [?pricing] is omitted. *)
-val default_pricing : pricing
-
-(** Canonical names: ["dantzig"], ["partial"], ["devex"]. *)
-val pricing_name : pricing -> string
-
-(** Inverse of {!pricing_name}; [None] on an unknown name. This is how
-    the CLI [--lp-pricing] flag, the registry [pricing] param and the
-    serve-protocol [lp_pricing] field resolve. *)
-val pricing_of_name : string -> pricing option
-
-(** Valid pricing names, sorted. *)
-val pricing_names : unit -> string list
-
-(** [(name, description)] pairs, sorted by name — the
-    [--list-solvers]-style inventory. *)
-val pricing_inventory : unit -> (string * string) list
-
 (** Simplex engine; see the module header. Resolve a CLI or protocol
     name with {!engine_of_name}. *)
 type engine = Revised | Dense | Float_certified
@@ -166,9 +122,9 @@ end
 
 (** {1 Engine names}
 
-    A fixed table, like the pricing names: ["dense"], ["float"],
-    ["revised"] and ["sparse"]. ["sparse"] is the 1.8 name of the sparse
-    LU driver that {!Revised} runs on, and resolves to {!Revised}. *)
+    A fixed table: ["dense"], ["float"], ["revised"] and ["sparse"].
+    ["sparse"] is the 1.8 name of the sparse LU driver that {!Revised}
+    runs on, and resolves to {!Revised}. *)
 
 (** Engine names, sorted. *)
 val engine_names : unit -> string list
@@ -193,9 +149,6 @@ val default_engine : engine
 
     [engine] selects the simplex implementation (default
     {!default_engine}).
-
-    [pricing] selects the pricing policy (default {!default_pricing});
-    the dense engine ignores it.
 
     [warm] (every engine except {!Dense}, which ignores it) restores a
     basis snapshot from a previous solution of this model: the basis is
@@ -231,12 +184,10 @@ val default_engine : engine
     [lp.refactorizations] (sparse LU basis factorizations),
     [lp.eta_updates] (product-form eta pivots applied in place of a
     refactorization) and [lp.fill_nonzeros] (total LU nonzeros produced,
-    fill included). The revised engine also records the pricing-work
-    counters [lp.priced_columns] (columns whose reduced cost was
-    computed or maintained — the measure the partial-pricing gate in
-    experiment E26 compares), [lp.candidate_refills] (partial pricing
-    refill sweeps) and [lp.devex_resets] (devex reference framework
-    resets). The float engine additionally records
+    fill included). The revised engine also records
+    [lp.priced_columns] (columns whose reduced cost was computed or
+    maintained while choosing entering columns). The float engine
+    additionally records
     [lp.float_pivots] (double-precision pivots), [lp.certify_ops]
     (rational multiplications/divisions spent in certification),
     [lp.certify_ok], [lp.certify_fail] and [lp.fallbacks] (exact
@@ -245,7 +196,6 @@ val default_engine : engine
 val solve :
   ?rule:pivot_rule ->
   ?engine:engine ->
-  ?pricing:pricing ->
   ?warm:Basis.t ->
   ?budget:Budget.t ->
   ?obs:Obs.t ->

@@ -16,20 +16,9 @@
    Pivot rules: Dantzig pricing switching to Bland's rule after
    [degen_threshold] consecutive degenerate pivots, ratio-test ties to
    the smallest basic column index, bound flips preferred on equal step
-   length.
-
-   Pricing is a policy seam (the [pricing] config field). [Dantzig] is
-   the default above. [Partial] is candidate-list partial pricing: a
-   bounded queue of profitable columns priced fresh against the current
-   duals each iteration (one BTRAN), refilled by a rotating sweep only
-   when it runs dry — the maintained reduced-cost row and its per-pivot
-   full-width update are skipped entirely. [Devex] keeps the maintained
-   row but selects by approximate steepest edge d_j^2 / w_j, with
-   reference weights updated from the same post-pivot row the
-   maintenance loop already computes and a framework reset when a
-   weight outgrows the cap. *)
-
-type pricing = Dantzig | Partial | Devex
+   length. Dantzig is the only pricing rule: candidate-list partial
+   pricing and devex reference weights never beat it in wall time
+   (EXPERIMENTS E26). *)
 
 type vstat = Vlo | Vhi | Vbas
 
@@ -55,8 +44,7 @@ type spec = {
 (* Which obs counters an instantiation reports. The exact engine uses
    the lp.pivots family; the float engine counts lp.float_pivots only
    (its pivots are disposable — certification decides what they are
-   worth). [c_price] gates the pricing-work family (lp.priced_columns,
-   lp.candidate_refills, lp.devex_resets) the same way. *)
+   worth). [c_price] gates lp.priced_columns the same way. *)
 type counters = {
   c_pivots : string;
   c_phase1 : bool;
@@ -73,7 +61,6 @@ type 'a config = {
   eta_cap : int; (* refactorize after this many eta updates *)
   step_cap : int option; (* pivots+flips before giving up (float cap) *)
   bland_always : bool;
-  pricing : pricing;
   counters : counters;
 }
 
@@ -140,33 +127,14 @@ module Make (S : Scalar.S) = struct
     cost : S.t array; (* current phase costs *)
     d : S.t array; (* maintained reduced costs (zero on basics) *)
     priced : int ref; (* columns whose reduced cost was (re)computed *)
-    refills : int ref; (* candidate-queue refill sweeps (Partial) *)
-    resets : int ref; (* reference-framework resets (Devex) *)
-    dw : S.t array; (* devex reference weights (>= 1 on nonbasics) *)
-    cand : int array; (* partial-pricing candidate queue *)
-    mutable cand_n : int;
-    mutable cursor : int; (* rotating refill position *)
     mutable fact : F.fact;
     mutable z : S.t;
     mutable steps : int;
   }
 
-  (* bounded queue: big enough to amortize refill sweeps, small enough
-     that re-pricing it each iteration stays far below a full scan *)
-  let candidate_capacity n = Stdlib.max 8 (Stdlib.min 64 (n / 8))
-
-  (* devex weights past this trigger a reference-framework reset *)
-  let devex_weight_cap = S.of_q (Rational.of_int 1_000_000)
-
   let flush_pricing st =
-    if st.cfg.counters.c_price then begin
-      if !(st.priced) > 0 then Obs.add st.obs "lp.priced_columns" !(st.priced);
-      if !(st.refills) > 0 then Obs.add st.obs "lp.candidate_refills" !(st.refills);
-      if !(st.resets) > 0 then Obs.add st.obs "lp.devex_resets" !(st.resets);
-      st.priced := 0;
-      st.refills := 0;
-      st.resets := 0
-    end
+    if st.cfg.counters.c_price && !(st.priced) > 0 then
+      Obs.add st.obs "lp.priced_columns" !(st.priced)
 
   let factor_basis ~ops ~obs pb basis =
     let fact = F.factor ~ops ~nrows:pb.pm ~cols:pb.pcols ~basis in
@@ -226,13 +194,6 @@ module Make (S : Scalar.S) = struct
       end
     done
 
-  (* profitable in the feasible direction of j's current bound status *)
-  let eligible_d st j d =
-    match st.stat.(j) with
-    | Vlo -> S.compare d (S.neg st.cfg.dtol) < 0
-    | Vhi -> S.compare d st.cfg.dtol > 0
-    | Vbas -> false
-
   (* entering column: nonbasic, enterable, profitable in its feasible
      direction; Dantzig largest |d| (first on ties) or Bland first *)
   let price st ~bland =
@@ -263,107 +224,6 @@ module Make (S : Scalar.S) = struct
      with Exit -> ());
     Option.map (fun (j, d, _) -> (j, d)) !best
 
-  (* devex: maximize d_j^2 / w_j over the maintained reduced costs,
-     compared by cross-multiplication (weights are >= 1 > 0); first
-     column wins ties, matching the Dantzig tie convention *)
-  let price_devex st =
-    let best = ref None in
-    for j = 0 to st.pb.pn - 1 do
-      if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-        let d = st.d.(j) in
-        if eligible_d st j d then begin
-          let num = S.mul d d in
-          match !best with
-          | Some (_, _, bnum, bw) when S.compare (S.mul num bw) (S.mul bnum st.dw.(j)) <= 0 ->
-              ()
-          | _ -> best := Some (j, d, num, st.dw.(j))
-        end
-      end
-    done;
-    Option.map (fun (j, d, _, _) -> (j, d)) !best
-
-  (* Candidate-list partial pricing: one BTRAN per iteration prices the
-     bounded queue fresh; entries gone basic or no longer profitable
-     drop out. Only when the queue runs dry does a rotating sweep from
-     [cursor] refill it — and a full wrap that finds nothing profitable
-     is the optimality proof, the same certificate a full Dantzig scan
-     gives. Under Bland mode the queue is bypassed entirely: a full
-     fresh sweep taking the first eligible index preserves the
-     anti-cycling guarantee. *)
-  let price_partial st ~bland =
-    let n = st.pb.pn in
-    let y = dual st in
-    let reprice j =
-      incr st.priced;
-      let d = S.sub st.cost.(j) (dot_col st y j) in
-      st.d.(j) <- d;
-      d
-    in
-    if bland then begin
-      let r = ref None in
-      (try
-         for j = 0 to n - 1 do
-           if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-             let d = reprice j in
-             if eligible_d st j d then begin
-               r := Some (j, d);
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      !r
-    end
-    else begin
-      let keep = ref 0 in
-      let best = ref None in
-      let consider j d =
-        let score = S.abs d in
-        match !best with
-        | Some (_, _, s) when S.compare s score >= 0 -> ()
-        | _ -> best := Some (j, d, score)
-      in
-      for i = 0 to st.cand_n - 1 do
-        let j = st.cand.(i) in
-        if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-          let d = reprice j in
-          if eligible_d st j d then begin
-            st.cand.(!keep) <- j;
-            incr keep;
-            consider j d
-          end
-        end
-      done;
-      st.cand_n <- !keep;
-      (* every surviving entry is profitable, so an empty [best] means
-         an empty queue: sweep at most one full wrap for new blood *)
-      if !best = None then begin
-        incr st.refills;
-        let cap = Array.length st.cand in
-        let scanned = ref 0 in
-        while st.cand_n < cap && !scanned < n do
-          let j = st.cursor in
-          st.cursor <- (st.cursor + 1) mod n;
-          incr scanned;
-          if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-            let d = reprice j in
-            if eligible_d st j d then begin
-              st.cand.(st.cand_n) <- j;
-              st.cand_n <- st.cand_n + 1;
-              consider j d
-            end
-          end
-        done
-      end;
-      Option.map (fun (j, d, _) -> (j, d)) !best
-    end
-
-  let select_entering st ~bland =
-    match st.cfg.pricing with
-    | Dantzig -> price st ~bland
-    | Devex -> if bland then price st ~bland:true else price_devex st
-    | Partial -> price_partial st ~bland
-
   (* append the eta for the basis change at [pos]; refactorize when the
      eta pivot is unusable or the eta file has grown past the policy *)
   let post_pivot st ~pos ~w =
@@ -383,19 +243,11 @@ module Make (S : Scalar.S) = struct
   type r_outcome = O_opt | O_unbd
 
   let run_primal st ~phase1 =
-    (* per-phase pricing state: fresh candidate queue, fresh reference
-       framework (a phase boundary changes every reduced cost anyway) *)
-    (match st.cfg.pricing with
-    | Dantzig -> ()
-    | Partial ->
-        st.cand_n <- 0;
-        st.cursor <- 0
-    | Devex -> Array.fill st.dw 0 (Array.length st.dw) S.one);
     let bland = ref st.cfg.bland_always in
     let stalled = ref 0 in
     let outcome = ref None in
     while !outcome = None do
-      match select_entering st ~bland:!bland with
+      match price st ~bland:!bland with
       | None -> outcome := Some O_opt
       | Some (q, d) ->
           let sigma = match st.stat.(q) with Vlo -> 1 | _ -> -1 in
@@ -464,45 +316,21 @@ module Make (S : Scalar.S) = struct
               st.stat.(q) <- Vbas;
               st.basis.(r) <- q;
               post_pivot st ~pos:r ~w;
-              (match st.cfg.pricing with
-              | Partial ->
-                  (* no maintained row: the next iteration prices its
-                     candidates fresh against the new duals *)
-                  st.d.(q) <- S.zero
-              | (Dantzig | Devex) as pricing ->
-                  (* maintain the reduced-cost row from the post-pivot
-                     tableau row r: alpha_rj = rho . A_j,
-                     d_j -= d_q alpha_rj (covers the leaving column:
-                     its old d was zero). Devex rides the same row:
-                     w_j := max(w_j, alpha_rj^2 w_q), with the leaving
-                     column re-seeded at the weight floor first. *)
-                  let devex = pricing = Devex in
-                  let wq = if devex then st.dw.(q) else S.one in
-                  if devex then st.dw.(k) <- S.one;
-                  let grown = ref false in
-                  let rho = btran_unit st r in
-                  for j = 0 to st.pb.pn - 1 do
-                    if st.stat.(j) <> Vbas then begin
-                      incr st.priced;
-                      let a = dot_col st rho j in
-                      if not (S.is_zero a) then begin
-                        incr st.ops;
-                        st.d.(j) <- S.submul st.d.(j) d a;
-                        if devex then begin
-                          let cand = S.mul (S.mul a a) wq in
-                          if S.compare cand st.dw.(j) > 0 then begin
-                            st.dw.(j) <- cand;
-                            if S.compare cand devex_weight_cap > 0 then grown := true
-                          end
-                        end
-                      end
-                    end
-                  done;
-                  st.d.(q) <- S.zero;
-                  if devex && !grown then begin
-                    Array.fill st.dw 0 (Array.length st.dw) S.one;
-                    incr st.resets
-                  end);
+              (* maintain the reduced-cost row from the post-pivot
+                 tableau row r: alpha_rj = rho . A_j, d_j -= d_q alpha_rj
+                 (covers the leaving column: its old d was zero) *)
+              let rho = btran_unit st r in
+              for j = 0 to st.pb.pn - 1 do
+                if st.stat.(j) <> Vbas then begin
+                  incr st.priced;
+                  let a = dot_col st rho j in
+                  if not (S.is_zero a) then begin
+                    incr st.ops;
+                    st.d.(j) <- S.submul st.d.(j) d a
+                  end
+                end
+              done;
+              st.d.(q) <- S.zero;
               incr st.pivots;
               Obs.incr st.obs st.cfg.counters.c_pivots;
               if phase1 && st.cfg.counters.c_phase1 then
@@ -622,18 +450,10 @@ module Make (S : Scalar.S) = struct
     done;
     !feasible
 
-  let fresh_pricing_state n =
-    ( ref 0,
-      ref 0,
-      ref 0,
-      Array.make n S.one,
-      Array.make (candidate_capacity n) 0 )
-
   let solve_cold (cfg : S.t config) (pb : problem) ~budget ~obs ~pivots ~ops =
     let m = pb.pm and n = pb.pn in
     let basis = Array.copy pb.pbasis0 in
     let fact = factor_basis ~ops ~obs pb basis in
-    let priced, refills, resets, dw, cand = fresh_pricing_state n in
     let st =
       {
         pb;
@@ -649,13 +469,7 @@ module Make (S : Scalar.S) = struct
         enterable = Array.init n (fun j -> not pb.pfixed.(j));
         cost = Array.make n S.zero;
         d = Array.make n S.zero;
-        priced;
-        refills;
-        resets;
-        dw;
-        cand;
-        cand_n = 0;
-        cursor = 0;
+        priced = ref 0;
         fact;
         z = S.zero;
         steps = 0;
@@ -668,7 +482,7 @@ module Make (S : Scalar.S) = struct
       for j = pb.part to n - 1 do
         st.cost.(j) <- S.one
       done;
-      if cfg.pricing <> Partial then compute_reduced st;
+      compute_reduced st;
       let z1 = ref S.zero in
       for p = 0 to m - 1 do
         if st.basis.(p) >= pb.part then z1 := S.add !z1 st.xb.(p)
@@ -718,7 +532,7 @@ module Make (S : Scalar.S) = struct
     if !infeasible then Infeas
     else begin
       Array.blit pb.pobj 0 st.cost 0 n;
-      if cfg.pricing <> Partial then compute_reduced st;
+      compute_reduced st;
       recompute_z st;
       match Obs.span obs "lp.phase2" (fun () -> run_primal st ~phase1:false) with
       | O_unbd -> Unbd
@@ -748,7 +562,6 @@ module Make (S : Scalar.S) = struct
     let fact =
       try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed
     in
-    let priced, refills, resets, dw, cand = fresh_pricing_state n in
     let st =
       {
         pb;
@@ -764,13 +577,7 @@ module Make (S : Scalar.S) = struct
         enterable = Array.init n (fun j -> not pb.pfixed.(j));
         cost = Array.copy pb.pobj;
         d = Array.make n S.zero;
-        priced;
-        refills;
-        resets;
-        dw;
-        cand;
-        cand_n = 0;
-        cursor = 0;
+        priced = ref 0;
         fact;
         z = S.zero;
         steps = 0;
@@ -828,7 +635,7 @@ module Make (S : Scalar.S) = struct
     if not proceed then Infeas
     else begin
       if cfg.counters.c_warm then Obs.incr obs "lp.warm_starts";
-      if cfg.pricing <> Partial then compute_reduced st;
+      compute_reduced st;
       match Obs.span obs "lp.phase2" (fun () -> run_primal st ~phase1:false) with
       | O_unbd -> Unbd
       | O_opt -> extract st

@@ -11,7 +11,6 @@
       "budget": 100000,             -- fuel ticks (default: daemon config)
       "deadline_ms": 50,            -- wall-clock deadline from arrival
       "lp_engine": "float",         -- a registered Lp engine name
-      "lp_pricing": "devex",        -- a registered Lp pricing policy
       "params": {"order": "l2r"}}   -- solver params, string values
 
    Response statuses: "ok" (solved), "degraded" (answered after budget
@@ -171,26 +170,12 @@ let decode ~seq doc =
               (Printf.sprintf "unknown lp_engine %S (%s)" e
                  (String.concat "|" (Lp.engine_names ())))
       in
-      let* lp_pricing = opt_field "lp_pricing" field_string doc in
-      let* () =
-        match lp_pricing with
-        | None -> Ok ()
-        | Some p when Lp.pricing_of_name p <> None -> Ok ()
-        | Some p ->
-            Error
-              (Printf.sprintf "unknown lp_pricing %S (%s)" p
-                 (String.concat "|" (Lp.pricing_names ())))
-      in
-      (* lp_engine / lp_pricing are sugar for params.engine /
-         params.pricing; prepending them before the first-wins dedupe
-         makes them take precedence, and they land in the canonical
-         params — hence in the memo-cache key. *)
+      (* lp_engine is sugar for params.engine; prepending it before the
+         first-wins dedupe makes it take precedence, and it lands in the
+         canonical params — hence in the memo-cache key. *)
       let params =
-        let raw =
-          match lp_pricing with Some p -> ("pricing", p) :: raw_params | None -> raw_params
-        in
         canonical_params
-          (match lp_engine with Some e -> ("engine", e) :: raw | None -> raw)
+          (match lp_engine with Some e -> ("engine", e) :: raw_params | None -> raw_params)
       in
       Ok
         {

@@ -51,7 +51,6 @@ type config = {
   epoch_len : int;
   lookahead : int option;
   algorithm : string;
-  lp_pricing : Lp.pricing;
   epoch_budget : int option;
   epoch_deadline : (unit -> unit -> bool) option;
   warm : bool;
@@ -62,7 +61,6 @@ let default_config =
     epoch_len = 4;
     lookahead = None;
     algorithm = "cascade";
-    lp_pricing = Lp.default_pricing;
     epoch_budget = Some 500_000;
     epoch_deadline = None;
     warm = true;
@@ -230,9 +228,8 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
                wjobs)
         in
         match
-          Session.solve_next ~algorithm:cfg.algorithm
-            ~params:[ ("pricing", Lp.pricing_name cfg.lp_pricing) ]
-            ~budget ?deadline ~obs:eobs session (CI.Slotted winst)
+          Session.solve_next ~algorithm:cfg.algorithm ~budget ?deadline ~obs:eobs session
+            (CI.Slotted winst)
         with
         | r ->
             let plan =
@@ -348,7 +345,7 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
               if List.mem_assoc t lst.yvars then acc else acc + 1)
             committed_open 0
         in
-        match Lp.solve ~pricing:cfg.lp_pricing ?warm:lst.basis ~obs:eobs lst.model with
+        match Lp.solve ?warm:lst.basis ~obs:eobs lst.model with
         | Lp.Optimal sol ->
             lst.basis <- Lp.basis sol;
             Some (Q.add (Lp.objective_value sol) (Q.of_int orphans))

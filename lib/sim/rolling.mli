@@ -90,10 +90,6 @@ type config = {
   epoch_len : int;
   lookahead : int option;  (** window extent in slots; [None] = horizon *)
   algorithm : string;  (** registry solver for the window re-solve *)
-  lp_pricing : Lp.pricing;
-      (** simplex pricing policy for every LP inside the loop: threaded
-          to the window re-solve as the registry [pricing] param and to
-          the pinned LP1 bound directly *)
   epoch_budget : int option;  (** fuel per epoch; [None] = unlimited *)
   epoch_deadline : (unit -> unit -> bool) option;
       (** per-epoch deadline probe factory: called at each epoch start,
@@ -104,8 +100,8 @@ type config = {
   warm : bool;  (** share one session across epochs (default) *)
 }
 
-(** [epoch_len = 4], lookahead to the horizon, ["cascade"], Dantzig
-    pricing, fuel 500_000 per epoch, no deadline, warm. *)
+(** [epoch_len = 4], lookahead to the horizon, ["cascade"], fuel
+    500_000 per epoch, no deadline, warm. *)
 val default_config : config
 
 (** Convert an integral busy-time trace to the slotted model ([g] from

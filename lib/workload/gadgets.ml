@@ -117,9 +117,9 @@ let sparse_wide_lp_opt ~g ~blocks = Q.of_ints (blocks * (g + 1)) g
 (* jobs of [length] slots all sharing the single window [0, T] with       *)
 (* T = ceil(jobs * length / g). One window means LP1 is tall and dense:   *)
 (* every job's demand row touches every slot, so each simplex iteration   *)
-(* chooses among many structurally similar columns — exactly where        *)
-(* pricing policy (not sparsity) decides the pivot count. The LP1 optimum *)
-(* is the mass bound jobs * length / g: spread uniformly with             *)
+(* chooses among many structurally similar columns and the pivot count    *)
+(* grows quickly with [jobs]. The LP1 optimum is the mass bound           *)
+(* jobs * length / g: spread uniformly with                               *)
 (* y_t = jobs*length/(g*T) and x_jt = length/T — capacity is met with     *)
 (* equality, x_jt <= y_t needs jobs >= g, and y_t <= 1 by the choice of   *)
 (* T; nothing cheaper exists since sum y >= mass/g always.                *)

@@ -57,9 +57,10 @@ val sparse_wide_lp_opt : g:int -> blocks:int -> Rational.t
     all sharing the single window [[0, T]] with
     [T = ceil(jobs * length / g)]. LP1 over this instance is tall and
     dense — every demand row touches every slot — so each simplex
-    iteration chooses among many structurally similar columns, which is
-    where the pricing policy (not sparsity) decides the pivot count
-    (bench E26). Raises [Invalid_argument] unless [g >= 1],
+    iteration chooses among many structurally similar columns and the
+    pivot count grows quickly with [jobs] ([~g:3 ~jobs:9 ~length:2]
+    already takes 65 pivots, past the sparse driver's 64-eta
+    refactorization cap). Raises [Invalid_argument] unless [g >= 1],
     [jobs >= g], [length >= 1]. *)
 val lp1_tall : g:int -> jobs:int -> length:int -> Slotted.t
 

@@ -171,19 +171,26 @@ let test_lp_integrality_gap () =
   | Some lp -> Alcotest.(check string) "LP = g+1" "4" (Q.to_string lp.Active.Lp_model.cost));
   Alcotest.(check (option int)) "IP = 2g" (Some (2 * g)) (Active.Exact.optimum inst)
 
-let test_lp_sparse_wide () =
-  (* methodology gadget (bench E24): block-diagonal LP1 with the known
-     fractional optimum blocks * (g+1)/g — the witness documented in
-     Gadgets.sparse_wide *)
+let test_lp_closed_form_gadgets () =
+  (* methodology gadgets with a documented closed-form LP1 optimum: the
+     block-diagonal sparse_wide (bench E24), blocks * (g+1)/g, and the
+     tall single-window lp1_tall, jobs * length / g *)
   let g = 3 and blocks = 4 in
-  let inst = Gad.sparse_wide ~g ~blocks ~width:5 in
-  match Active.Lp_model.solve inst with
-  | None -> Alcotest.fail "feasible"
-  | Some lp ->
-      Alcotest.(check string)
-        "LP = blocks*(g+1)/g"
-        (Q.to_string (Gad.sparse_wide_lp_opt ~g ~blocks))
-        (Q.to_string lp.Active.Lp_model.cost)
+  let tall jobs = Gad.lp1_tall ~g ~jobs ~length:2 in
+  let tall_opt jobs = Gad.lp1_tall_lp_opt ~g ~jobs ~length:2 in
+  List.iter
+    (fun (label, inst, want) ->
+      match Active.Lp_model.solve inst with
+      | None -> Alcotest.fail (label ^ ": feasible")
+      | Some lp ->
+          Alcotest.(check string) label (Q.to_string want) (Q.to_string lp.Active.Lp_model.cost))
+    [ ("sparse_wide: LP = blocks*(g+1)/g", Gad.sparse_wide ~g ~blocks ~width:5,
+       Gad.sparse_wide_lp_opt ~g ~blocks);
+      ("lp1_tall jobs 9: LP = jobs*length/g", tall 9, tall_opt 9);
+      ("lp1_tall jobs 12: LP = jobs*length/g", tall 12, tall_opt 12);
+      ("lp1_tall jobs 18: LP = jobs*length/g", tall 18, tall_opt 18) ];
+  Alcotest.(check (list string)) "lp1_tall closed forms" [ "6"; "8"; "12" ]
+    (List.map (fun j -> Q.to_string (tall_opt j)) [ 9; 12; 18 ])
 
 (* -- LP rounding ---------------------------------------------------------- *)
 
@@ -388,7 +395,7 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_lp_infeasible;
           Alcotest.test_case "assignment consistency" `Quick test_lp_assignment_consistency;
           Alcotest.test_case "integrality gap gadget" `Quick test_lp_integrality_gap;
-          Alcotest.test_case "sparse-wide gadget" `Quick test_lp_sparse_wide ] );
+          Alcotest.test_case "sparse-wide gadget" `Quick test_lp_closed_form_gadgets ] );
       ( "rounding",
         [ Alcotest.test_case "simple" `Quick test_rounding_simple;
           Alcotest.test_case "integrality gadget" `Quick test_rounding_integrality_gadget;

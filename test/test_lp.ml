@@ -447,32 +447,6 @@ let prop_warm_matches_cold =
           | Lp.Unbounded, Lp.Unbounded -> true
           | _ -> false))
 
-(* Pricing policy is pure column selection: Dantzig, candidate-list
-   partial and devex must agree on status and objective (the vertex and
-   pivot sequence may differ), over both the exact revised engine and the
-   float-certified path — whose results are exact either way, via
-   certification or the exact fallback. *)
-let prop_pricing_policies_agree =
-  QCheck.Test.make ~name:"pricing policies agree (status + objective, exact + float)"
-    ~count:400 any_arb (fun l ->
-      let m, vars = build_any l in
-      let baseline = Lp.solve ~engine:Lp.Revised m in
-      List.for_all
-        (fun engine ->
-          List.for_all
-            (fun name ->
-              let pricing = Option.get (Lp.pricing_of_name name) in
-              match (baseline, Lp.solve ~engine ~pricing m) with
-              | Lp.Optimal a, Lp.Optimal b ->
-                  Q.equal (Lp.objective_value a) (Lp.objective_value b)
-                  && any_feasible l (Array.map (Lp.value b) vars)
-                  && any_feasible l (Array.map (Lp.value a) vars)
-              | Lp.Infeasible, Lp.Infeasible -> true
-              | Lp.Unbounded, Lp.Unbounded -> true
-              | _ -> false)
-            (Lp.pricing_names ()))
-        [ Lp.Revised; Lp.Float_certified ])
-
 let test_warm_start_counters () =
   (* tightening a bound of an optimal basis: the warm re-solve reuses it
      (lp.warm_starts = 1) and costs at most a short dual repair, never a
@@ -756,7 +730,7 @@ let test_basis_cache_eviction () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
-      prop_engines_agree; prop_warm_matches_cold; prop_pricing_policies_agree ]
+      prop_engines_agree; prop_warm_matches_cold ]
 
 let () =
   Alcotest.run "lp"

@@ -213,9 +213,7 @@ let test_golden_lp_counters () =
       ("lp.phase1_pivots", 39);
       ("lp.pivots", 47);
       (* Dantzig maintains the reduced-cost row over every nonbasic
-         column per pivot, so priced work is ~nonbasic x pivots; the
-         partial-pricing policy exists to shrink exactly this number
-         (bench E26 gates the ratio) *)
+         column per pivot, so priced work is ~nonbasic x pivots *)
       ("lp.priced_columns", 1842);
       ("lp.refactorizations", 10);
       ("lp.solves", 9);
