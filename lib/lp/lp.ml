@@ -694,7 +694,9 @@ let float_scfg ~rule ~m ~n =
    same column layout the exact engines use. [warm] restores a basis
    snapshot (sparse refactorization, then dual repair or phase 2); any
    warm-start trouble retries cold — only the final claim matters, since
-   certification decides what it is worth. *)
+   certification decides what it is worth. A refactorization that finds
+   the basis singular at double precision counts as such trouble: warm,
+   it retries cold; cold, the float phase gives up. *)
 let solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m =
   let claim_of_outcome slack_of_row = function
     | FS.Infeas -> F_infeas
@@ -714,7 +716,7 @@ let solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m =
     let scfg = float_scfg ~rule ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
     match FS.solve_cold scfg pb ~budget ~obs ~pivots:fpivots ~ops:fops with
     | outcome -> claim_of_outcome slack_of_row outcome
-    | exception FS.Gave_up -> raise Float_gave_up
+    | exception (FS.Gave_up | FS.F.Singular) -> raise Float_gave_up
   in
   match warm with
   | None -> cold ()
@@ -731,8 +733,7 @@ let solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m =
         (* infeasible/unbounded claims out of a warm start are not worth
            certifying against: retry from scratch before deciding *)
         | FS.Infeas | FS.Unbd -> cold ()
-        | exception FS.Warm_failed -> cold ()
-        | exception FS.Gave_up -> cold ()
+        | exception (FS.Warm_failed | FS.Gave_up | FS.F.Singular) -> cold ()
       end
 
 (* ------------------------------------------------- exact certification -- *)
@@ -803,7 +804,7 @@ let certify ~ops m ~vstat ~sstat =
               if Q.is_zero xv then acc else Q.sub acc (mul c xv))
           m.rows.(i).rhs m.rows.(i).terms)
   in
-  let xb = RS.F.ftran fact rhs in
+  let xb = (RS.F.ftran fact (RS.F.col_of_array rhs)).RS.F.x in
   Array.iteri
     (fun k col ->
       let x = xb.(k) in
@@ -822,7 +823,7 @@ let certify ~ops m ~vstat ~sstat =
   let cb =
     Array.map (function `Var v -> c.(v) | `Slack _ -> Q.zero) cols
   in
-  let y = RS.F.btran fact cb in
+  let y = RS.F.btran fact (RS.F.col_of_array cb) in
   let u = Array.make nv Q.zero in
   for i = 0 to nr - 1 do
     if not (Q.is_zero y.(i)) then

@@ -18,9 +18,13 @@
       matrix is stored as sparse columns, the basis is refactorized as a
       sparse LU with a fill-minimizing ordering, each pivot appends a
       product-form eta (refactorizing after 64 etas, or earlier when the
-      eta file outgrows the factors), and pricing is one BTRAN plus
-      sparse dot products per iteration — O(nnz) work per pivot instead
-      of the dense O(rows x columns) elimination.
+      eta file outgrows the factors). A pivot's column is one
+      hypersparse FTRAN, and the ratio test, basic-value update and
+      eta append touch only its nonzeros; the reduced costs are updated
+      row-wise from one BTRAN, touching only the columns that the
+      nonzero rows of [B^-T e_r] reach. Beyond that, a pivot makes one
+      pricing pass over the columns and one BTRAN sweep over the LU
+      factors — instead of the dense O(rows x columns) elimination.
     - {!Dense} (["dense"]) — the original two-phase tableau simplex with
       every upper bound expanded into an explicit row, kept as the
       reference implementation.
@@ -185,13 +189,14 @@ val default_engine : engine
     [lp.eta_updates] (product-form eta pivots applied in place of a
     refactorization) and [lp.fill_nonzeros] (total LU nonzeros produced,
     fill included). The revised engine also records
-    [lp.priced_columns] (columns whose reduced cost was computed or
-    maintained while choosing entering columns). The float engine
-    additionally records
-    [lp.float_pivots] (double-precision pivots), [lp.certify_ops]
-    (rational multiplications/divisions spent in certification),
-    [lp.certify_ok], [lp.certify_fail] and [lp.fallbacks] (exact
-    re-solves, whether after a failed certification or a float give-up).
+    [lp.priced_columns]: every nonbasic column once per phase, when the
+    reduced costs are computed in full, plus after each pivot the
+    nonbasic columns that the row-wise reduced-cost update reaches. The
+    float engine additionally records [lp.float_pivots]
+    (double-precision pivots), [lp.certify_ops] (rational
+    multiplications/divisions spent in certification), [lp.certify_ok],
+    [lp.certify_fail] and [lp.fallbacks] (exact re-solves, whether after
+    a failed certification or a float give-up).
     Counters recorded so far survive a {!Budget.Out_of_fuel} abort. *)
 val solve :
   ?rule:pivot_rule ->

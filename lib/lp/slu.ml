@@ -16,6 +16,14 @@
    stage space (elimination order k) with maps [prow] (stage -> row) and
    [cpos] (stage -> basis position); callers never see stages.
 
+   There is one solve kernel per direction. [ftran] is hypersparse: it
+   visits only the stages reachable from its right-hand side's rows and
+   returns the result's nonzero positions, so a pivot column costs what
+   it touches rather than O(m). [btran] keeps pull-form loops over every
+   stage. Both work in workspace arrays owned by the factorization, which
+   are all-zero between calls, and write their result into a reused
+   vector of the factorization: neither allocates per call.
+
    Every scalar multiply/divide performed is tallied into the [ops] ref
    supplied at factorization time — this is the "touched cells" measure
    the solution's [sol_cells] and the bench work ratios report. *)
@@ -44,6 +52,10 @@ module Make (S : Scalar.S) = struct
     e_vals : S.t array;
   }
 
+  (* A sparse vector in a dense carrier: [x] is zero outside
+     [nz.(0 .. nnz - 1)], its nonzero positions in ascending order. *)
+  type sparse = { x : S.t array; nz : int array; mutable nnz : int }
+
   type fact = {
     m : int;
     ops : int ref;
@@ -59,6 +71,19 @@ module Make (S : Scalar.S) = struct
     mutable etas : eta array;     (* insertion order; grown by doubling *)
     mutable eta_count : int;
     mutable eta_nnz : int;
+    (* solve workspaces: [fw] and [bx] are all zero, [reached] and
+       [marked] all false between calls; [heap], [order] and [bw] are
+       written before they are read *)
+    fw : S.t array;               (* ftran, row space *)
+    reached : bool array;         (* ftran, stage space *)
+    heap : int array;             (* ftran, stages or positions *)
+    order : int array;            (* ftran, reached stages *)
+    marked : bool array;          (* ftran, position space *)
+    bx : S.t array;               (* btran, position space *)
+    bw : S.t array;               (* btran, stage space *)
+    (* results, valid until the next call of the same kernel *)
+    fout : sparse;                (* ftran, position space *)
+    by : S.t array;               (* btran, row space *)
   }
 
   exception Singular
@@ -224,29 +249,180 @@ module Make (S : Scalar.S) = struct
             etas = [||];
             eta_count = 0;
             eta_nnz = 0;
+            fw = Array.make m S.zero;
+            reached = Array.make m false;
+            heap = Array.make m 0;
+            order = Array.make m 0;
+            marked = Array.make m false;
+            bx = Array.make m S.zero;
+            bw = Array.make m S.zero;
+            fout = { x = Array.make m S.zero; nz = Array.make m 0; nnz = 0 };
+            by = Array.make m S.zero;
           }
         with Singular ->
           clear ();
           raise Singular)
 
-  (* eta transforms on position-space vectors, in place *)
+  (* binary min-heap of ints in [h.(0 .. !n - 1)] *)
+  let heap_push (h : int array) (n : int ref) (v : int) =
+    let i = ref !n in
+    incr n;
+    while !i > 0 && h.((!i - 1) / 2) > v do
+      h.(!i) <- h.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.(!i) <- v
 
-  let apply_eta_fwd ops (e : eta) (x : S.t array) =
-    (* x := E^-1 x:  x_p' = x_p / piv;  x_i' = x_i - w_i x_p' *)
-    let xp = x.(e.e_pos) in
-    if S.is_zero xp then ()
-    else begin
-      incr ops;
-      let xp' = S.div xp e.e_piv in
-      x.(e.e_pos) <- xp';
-      for idx = 0 to Array.length e.e_rows - 1 do
+  let heap_pop (h : int array) (n : int ref) =
+    let top = h.(0) in
+    decr n;
+    let v = h.(!n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= !n then sifting := false
+      else begin
+        let c = if l + 1 < !n && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < v then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- v;
+    top
+
+  (* the nonzero entries of a dense vector, as a sparse column *)
+  let col_of_array a = col_of_list (List.mapi (fun i v -> (i, v)) (Array.to_list a))
+
+  (* [ftran f b]: solve B x = b for a row-space [b] given by its entries
+     (distinct rows). Only the stages reachable from b's rows are
+     visited: L forward in increasing stage order, U backward in
+     decreasing stage order, each drawn from a heap, which performs the
+     operations of a dense sweep in the same order. The result is
+     position-space, in [f]'s result vector, valid until the next
+     [ftran] on [f]. *)
+  let ftran (f : fact) (b : col) =
+    let ops = f.ops and m = f.m in
+    let w = f.fw and reached = f.reached and heap = f.heap and order = f.order in
+    let out = f.fout in
+    let x = out.x and nz = out.nz in
+    for t = 0 to out.nnz - 1 do
+      x.(nz.(t)) <- S.zero
+    done;
+    out.nnz <- 0;
+    let hn = ref 0 in
+    for idx = 0 to Array.length b.rows - 1 do
+      let r = b.rows.(idx) in
+      w.(r) <- b.vals.(idx);
+      let k = f.stage_of_row.(r) in
+      if not reached.(k) then begin
+        reached.(k) <- true;
+        heap_push heap hn k
+      end
+    done;
+    (* L y = b; y_k lives at w.(prow k). L's column k reaches rows of
+       later stages only, so the heap pops stages in increasing order. *)
+    let nreached = ref 0 in
+    while !hn > 0 do
+      let k = heap_pop heap hn in
+      order.(!nreached) <- k;
+      incr nreached;
+      let y = w.(f.prow.(k)) in
+      if not (S.is_zero y) then begin
+        let lr, lv = f.lcols.(k) in
+        for idx = 0 to Array.length lr - 1 do
+          let r = lr.(idx) in
+          incr ops;
+          w.(r) <- S.submul w.(r) y lv.(idx);
+          let k' = f.stage_of_row.(r) in
+          if not reached.(k') then begin
+            reached.(k') <- true;
+            heap_push heap hn k'
+          end
+        done
+      end
+    done;
+    (* U z = y, column-sweep back substitution; heap keys are m-1-k so
+       stages pop in decreasing order (U's column k reaches earlier
+       stages only). z_k lands at position cpos k. *)
+    for t = !nreached - 1 downto 0 do
+      heap_push heap hn (m - 1 - order.(t))
+    done;
+    while !hn > 0 do
+      let k = m - 1 - heap_pop heap hn in
+      let y = w.(f.prow.(k)) in
+      if not (S.is_zero y) then begin
         incr ops;
-        x.(e.e_rows.(idx)) <- S.submul x.(e.e_rows.(idx)) e.e_vals.(idx) xp'
-      done
-    end
+        let zk = S.div y f.udiag.(k) in
+        let p = f.cpos.(k) in
+        x.(p) <- zk;
+        nz.(out.nnz) <- p;
+        out.nnz <- out.nnz + 1;
+        let ur, uv = f.ucols.(k) in
+        for idx = 0 to Array.length ur - 1 do
+          incr ops;
+          let j = ur.(idx) in
+          w.(f.prow.(j)) <- S.submul w.(f.prow.(j)) uv.(idx) zk;
+          if not reached.(j) then begin
+            reached.(j) <- true;
+            order.(!nreached) <- j;
+            incr nreached;
+            heap_push heap hn (m - 1 - j)
+          end
+        done
+      end
+    done;
+    for t = 0 to !nreached - 1 do
+      let k = order.(t) in
+      w.(f.prow.(k)) <- S.zero;
+      reached.(k) <- false
+    done;
+    (* the eta file oldest-first: x := E^-1 x, with
+       x_p' = x_p / piv and x_i' = x_i - w_i x_p' *)
+    let marked = f.marked in
+    if f.eta_count > 0 then
+      for t = 0 to out.nnz - 1 do
+        marked.(nz.(t)) <- true
+      done;
+    for i = 0 to f.eta_count - 1 do
+      let e = f.etas.(i) in
+      let xp = x.(e.e_pos) in
+      if not (S.is_zero xp) then begin
+        incr ops;
+        let xp' = S.div xp e.e_piv in
+        x.(e.e_pos) <- xp';
+        for idx = 0 to Array.length e.e_rows - 1 do
+          let p = e.e_rows.(idx) in
+          incr ops;
+          x.(p) <- S.submul x.(p) e.e_vals.(idx) xp';
+          if not marked.(p) then begin
+            marked.(p) <- true;
+            nz.(out.nnz) <- p;
+            out.nnz <- out.nnz + 1
+          end
+        done
+      end
+    done;
+    (* positions in ascending order (heap sort), dropping cancellations *)
+    for t = 0 to out.nnz - 1 do
+      heap_push heap hn nz.(t)
+    done;
+    out.nnz <- 0;
+    while !hn > 0 do
+      let p = heap_pop heap hn in
+      marked.(p) <- false;
+      if S.is_zero x.(p) then x.(p) <- S.zero
+      else begin
+        nz.(out.nnz) <- p;
+        out.nnz <- out.nnz + 1
+      end
+    done;
+    out
 
+  (* y := E^-T y:  y_p' = (y_p - sum_{i<>p} w_i y_i) / piv *)
   let apply_eta_transposed ops (e : eta) (y : S.t array) =
-    (* y := E^-T y:  y_p' = (y_p - sum_{i<>p} w_i y_i) / piv *)
     let acc = ref y.(e.e_pos) in
     for idx = 0 to Array.length e.e_rows - 1 do
       let yi = y.(e.e_rows.(idx)) in
@@ -263,66 +439,26 @@ module Make (S : Scalar.S) = struct
     end
     else y.(e.e_pos) <- S.zero
 
-  (* [ftran f b]: solve B x = b. [b] is row-space (length m, not
-     consumed); the result is position-space. *)
-  let ftran (f : fact) (b : S.t array) =
-    let ops = f.ops in
-    let w = Array.copy b in
-    (* L y = b, forward in stage order; y_k lives at w.(prow k) *)
-    for k = 0 to f.m - 1 do
-      let y = w.(f.prow.(k)) in
-      if not (S.is_zero y) then begin
-        let lr, lv = f.lcols.(k) in
-        for idx = 0 to Array.length lr - 1 do
-          incr ops;
-          w.(lr.(idx)) <- S.submul w.(lr.(idx)) y lv.(idx)
-        done
-      end
+  (* [btran f c]: solve B^T y = c for a position-space [c] given by its
+     entries (distinct positions). The result is row-space, in [f]'s
+     result vector, valid until the next [btran] on [f]. Pull form: each
+     stage gathers its dot product, in the same order as the transposed
+     factors' columns, so float sums never depend on the support. *)
+  let btran (f : fact) (c : col) =
+    let ops = f.ops and m = f.m in
+    let x = f.bx in
+    for idx = 0 to Array.length c.rows - 1 do
+      x.(c.rows.(idx)) <- c.vals.(idx)
     done;
-    (* U z = y, column-sweep back substitution *)
-    let z = Array.make f.m S.zero in
-    for k = f.m - 1 downto 0 do
-      let y = w.(f.prow.(k)) in
-      if not (S.is_zero y) then begin
-        incr ops;
-        let zk = S.div y f.udiag.(k) in
-        z.(k) <- zk;
-        let ur, uv = f.ucols.(k) in
-        for idx = 0 to Array.length ur - 1 do
-          incr ops;
-          let j = ur.(idx) in
-          w.(f.prow.(j)) <- S.submul w.(f.prow.(j)) uv.(idx) zk
-        done
-      end
-    done;
-    (* stage -> position, then the eta file oldest-first *)
-    let x = Array.make f.m S.zero in
-    for k = 0 to f.m - 1 do
-      x.(f.cpos.(k)) <- z.(k)
-    done;
-    for i = 0 to f.eta_count - 1 do
-      apply_eta_fwd ops f.etas.(i) x
-    done;
-    x
-
-  (* [btran f c]: solve B^T y = c. [c] is position-space (not consumed);
-     the result is row-space. *)
-  let btran (f : fact) (c : S.t array) =
-    let ops = f.ops in
-    let c = Array.copy c in
     (* eta file newest-first: B^-T = B0^-T E1^-T ... Et^-T *)
     for i = f.eta_count - 1 downto 0 do
-      apply_eta_transposed ops f.etas.(i) c
+      apply_eta_transposed ops f.etas.(i) x
     done;
-    (* position -> stage *)
-    let cp = Array.make f.m S.zero in
-    for k = 0 to f.m - 1 do
-      cp.(k) <- c.(f.cpos.(k))
-    done;
-    (* U^T w = c', forward: w_k = (c'_k - sum_{(j,u) in ucol k} u w_j)/d_k *)
-    let w = Array.make f.m S.zero in
-    for k = 0 to f.m - 1 do
-      let acc = ref cp.(k) in
+    (* U^T w = x in stage order:
+       w_k = (x_{cpos k} - sum_{(j,u) in ucol k} u w_j) / d_k *)
+    let w = f.bw in
+    for k = 0 to m - 1 do
+      let acc = ref x.(f.cpos.(k)) in
       let ur, uv = f.ucols.(k) in
       for idx = 0 to Array.length ur - 1 do
         let wj = w.(ur.(idx)) in
@@ -335,10 +471,18 @@ module Make (S : Scalar.S) = struct
         incr ops;
         w.(k) <- S.div !acc f.udiag.(k)
       end
+      else w.(k) <- S.zero
+    done;
+    (* only c's positions and the eta pivots were written *)
+    for idx = 0 to Array.length c.rows - 1 do
+      x.(c.rows.(idx)) <- S.zero
+    done;
+    for i = 0 to f.eta_count - 1 do
+      x.(f.etas.(i).e_pos) <- S.zero
     done;
     (* L^T y = w, backward; y indexed by original row *)
-    let y = Array.make f.m S.zero in
-    for k = f.m - 1 downto 0 do
+    let y = f.by in
+    for k = m - 1 downto 0 do
       let acc = ref w.(k) in
       let lr, lv = f.lcols.(k) in
       for idx = 0 to Array.length lr - 1 do
@@ -353,23 +497,21 @@ module Make (S : Scalar.S) = struct
     y
 
   (* [update f ~pos ~w]: append the eta for replacing the basic column at
-     [pos] by the column whose ftran image is [w] (position-space,
-     dense). Returns false — caller must refactorize — when w.(pos) is
-     not an acceptable eta pivot. *)
-  let update (f : fact) ~pos ~(w : S.t array) =
-    let piv = w.(pos) in
+     [pos] by the column whose ftran image is [w]. Returns false — caller
+     must refactorize — when w.(pos) is not an acceptable eta pivot. *)
+  let update (f : fact) ~pos ~(w : sparse) =
+    let piv = w.x.(pos) in
     if not (S.eta_pivot_ok piv) then false
     else begin
-      let n = ref 0 in
-      for i = 0 to f.m - 1 do
-        if i <> pos && not (S.is_zero w.(i)) then incr n
-      done;
-      let er = Array.make !n 0 and ev = Array.make !n S.zero in
+      (* an acceptable pivot is nonzero, so [pos] is one of w's nonzeros *)
+      let n = w.nnz - 1 in
+      let er = Array.make n 0 and ev = Array.make n S.zero in
       let j = ref 0 in
-      for i = 0 to f.m - 1 do
-        if i <> pos && not (S.is_zero w.(i)) then begin
+      for t = 0 to w.nnz - 1 do
+        let i = w.nz.(t) in
+        if i <> pos then begin
           er.(!j) <- i;
-          ev.(!j) <- w.(i);
+          ev.(!j) <- w.x.(i);
           incr j
         end
       done;
@@ -382,7 +524,7 @@ module Make (S : Scalar.S) = struct
       end;
       f.etas.(f.eta_count) <- e;
       f.eta_count <- f.eta_count + 1;
-      f.eta_nnz <- f.eta_nnz + !n + 1;
+      f.eta_nnz <- f.eta_nnz + n + 1;
       true
     end
 

@@ -8,10 +8,15 @@
    a maintained reduced-cost row: it is priced once per phase by one
    BTRAN (y = B^-T c_B) plus one sparse dot product per column, then
    updated after each pivot from the post-pivot tableau row
-   (rho = B^-T e_r, alpha_rj = rho . A_j, d_j -= d_q alpha_rj) — work
-   proportional to the row's sparse support, not O(m·n). The pivot
-   column is one FTRAN (w = B^-1 a_q). Basis changes are product-form
-   eta updates with periodic refactorization (Slu.should_refactor).
+   (rho = B^-T e_r, alpha_rj = rho . A_j, d_j -= d_q alpha_rj). That
+   update is row-wise: it walks a row-wise copy of the constraint matrix
+   over the rows where rho is nonzero and touches only the nonbasic
+   columns those rows reach. The pivot column is one hypersparse FTRAN
+   (w = B^-1 a_q); the ratio test, the basic-value update and the eta
+   append loop over w's nonzero positions. So a pivot costs the nonzeros
+   it touches plus one pass over the columns in pricing and one pull-form
+   BTRAN, not O(m·n). Basis changes are product-form eta updates with
+   periodic refactorization (Slu.should_refactor).
 
    Pivot rules: Dantzig pricing switching to Bland's rule after
    [degen_threshold] consecutive degenerate pivots, ratio-test ties to
@@ -25,7 +30,10 @@ type vstat = Vlo | Vhi | Vbas
 (* Instance description at the Q level, shared by both scalar
    instantiations (each converts via Scalar.S.of_q). Column layout:
    structurals, then one slack per Le/Ge row in row order, then one
-   artificial per infeasible-start row in row order. *)
+   artificial per infeasible-start row in row order. Each column lists
+   its entries in descending row order: the order in which both the
+   per-column dot product and the row-wise reduced-cost update sum them,
+   so float sums agree between the two. *)
 type spec = {
   sp_nrows : int;
   sp_ncols : int;
@@ -74,6 +82,8 @@ module Make (S : Scalar.S) = struct
     pm : int;
     pn : int;
     pcols : F.col array;
+    prow_cols : int array array; (* row-wise copy: columns of row i, ascending *)
+    prow_vals : S.t array array;
     plo : S.t array;
     phi : S.t option array;
     pobj : S.t array;
@@ -86,13 +96,30 @@ module Make (S : Scalar.S) = struct
   }
 
   let of_spec (sp : spec) : problem =
+    let m = sp.sp_nrows in
+    let pcols =
+      Array.map (fun l -> F.col_of_list (List.map (fun (r, q) -> (r, S.of_q q)) l)) sp.sp_cols
+    in
+    let len = Array.make m 0 in
+    Array.iter (fun c -> Array.iter (fun r -> len.(r) <- len.(r) + 1) c.F.rows) pcols;
+    let prow_cols = Array.map (fun k -> Array.make k 0) len in
+    let prow_vals = Array.map (fun k -> Array.make k S.zero) len in
+    Array.fill len 0 m 0;
+    Array.iteri
+      (fun j c ->
+        Array.iteri
+          (fun idx r ->
+            prow_cols.(r).(len.(r)) <- j;
+            prow_vals.(r).(len.(r)) <- c.F.vals.(idx);
+            len.(r) <- len.(r) + 1)
+          c.F.rows)
+      pcols;
     {
-      pm = sp.sp_nrows;
+      pm = m;
       pn = sp.sp_ncols;
-      pcols =
-        Array.map
-          (fun l -> F.col_of_list (List.map (fun (r, q) -> (r, S.of_q q)) l))
-          sp.sp_cols;
+      pcols;
+      prow_cols;
+      prow_vals;
       plo = Array.map S.of_q sp.sp_lo;
       phi = Array.map (Option.map S.of_q) sp.sp_hi;
       pobj = Array.map S.of_q sp.sp_obj;
@@ -127,6 +154,11 @@ module Make (S : Scalar.S) = struct
     cost : S.t array; (* current phase costs *)
     d : S.t array; (* maintained reduced costs (zero on basics) *)
     priced : int ref; (* columns whose reduced cost was (re)computed *)
+    (* [update_reduced] workspaces: [alpha] all zero and [seen] all false
+       between calls *)
+    alpha : S.t array;
+    seen : bool array;
+    touched : int array;
     mutable fact : F.fact;
     mutable z : S.t;
     mutable steps : int;
@@ -162,25 +194,53 @@ module Make (S : Scalar.S) = struct
     done;
     !acc
 
-  (* w = B^-1 a_j *)
-  let ftran_col st j =
-    let b = Array.make st.pb.pm S.zero in
-    let c = st.pb.pcols.(j) in
-    for idx = 0 to Array.length c.F.rows - 1 do
-      b.(c.F.rows.(idx)) <- c.F.vals.(idx)
-    done;
-    F.ftran st.fact b
+  (* w = B^-1 a_j, sparse; valid until the next ftran *)
+  let ftran_col st j = F.ftran st.fact st.pb.pcols.(j)
 
-  (* y = B^-T c_B *)
+  (* y = B^-T c_B; like [btran_unit], valid until the next btran *)
   let dual st =
-    let cb = Array.init st.pb.pm (fun p -> st.cost.(st.basis.(p))) in
-    F.btran st.fact cb
+    F.btran st.fact (F.col_of_array (Array.init st.pb.pm (fun p -> st.cost.(st.basis.(p)))))
 
   (* rho = B^-T e_r: row r of B^-1 *)
-  let btran_unit st r =
-    let e = Array.make st.pb.pm S.zero in
-    e.(r) <- S.one;
-    F.btran st.fact e
+  let btran_unit st r = F.btran st.fact { F.rows = [| r |]; vals = [| S.one |] }
+
+  (* After a pivot with entering reduced cost [dq]: d_j -= dq alpha_rj
+     for every nonbasic j, where alpha_rj = rho . A_j. Accumulates alpha
+     only over the rows where rho is nonzero, in descending row order
+     (the order [dot_col] sums a column in), and updates only the
+     columns those rows reach: alpha is zero everywhere else. *)
+  let update_reduced st (rho : S.t array) dq =
+    let alpha = st.alpha and seen = st.seen and touched = st.touched in
+    let nt = ref 0 in
+    for i = st.pb.pm - 1 downto 0 do
+      let ri = rho.(i) in
+      if not (S.is_zero ri) then begin
+        let cols = st.pb.prow_cols.(i) and vals = st.pb.prow_vals.(i) in
+        for idx = 0 to Array.length cols - 1 do
+          let j = cols.(idx) in
+          if st.stat.(j) <> Vbas then begin
+            if not seen.(j) then begin
+              seen.(j) <- true;
+              touched.(!nt) <- j;
+              incr nt
+            end;
+            incr st.ops;
+            alpha.(j) <- S.add alpha.(j) (S.mul ri vals.(idx))
+          end
+        done
+      end
+    done;
+    for t = 0 to !nt - 1 do
+      let j = touched.(t) in
+      incr st.priced;
+      let a = alpha.(j) in
+      if not (S.is_zero a) then begin
+        incr st.ops;
+        st.d.(j) <- S.submul st.d.(j) dq a
+      end;
+      alpha.(j) <- S.zero;
+      seen.(j) <- false
+    done
 
   (* price every column once per phase: d_j = c_j - y . A_j; kept
      current across pivots by the post-pivot row update in run_primal *)
@@ -253,9 +313,11 @@ module Make (S : Scalar.S) = struct
           let sigma = match st.stat.(q) with Vlo -> 1 | _ -> -1 in
           let span = Option.map (fun u -> S.sub u st.pb.plo.(q)) st.hi.(q) in
           let w = ftran_col st q in
+          let wx = w.F.x in
           let best = ref None in
-          for p = 0 to st.pb.pm - 1 do
-            let coef = w.(p) in
+          for t = 0 to w.F.nnz - 1 do
+            let p = w.F.nz.(t) in
+            let coef = wx.(p) in
             if S.compare (S.abs coef) st.cfg.ptol > 0 then begin
               let e = if sigma > 0 then coef else S.neg coef in
               let k = st.basis.(p) in
@@ -290,11 +352,10 @@ module Make (S : Scalar.S) = struct
               step_tick st;
               if st.cfg.counters.c_flips then Obs.incr st.obs "lp.bound_flips";
               let signed = if sigma > 0 then s else S.neg s in
-              for p = 0 to st.pb.pm - 1 do
-                if not (S.is_zero w.(p)) then begin
-                  incr st.ops;
-                  st.xb.(p) <- S.submul st.xb.(p) w.(p) signed
-                end
+              for t = 0 to w.F.nnz - 1 do
+                let p = w.F.nz.(t) in
+                incr st.ops;
+                st.xb.(p) <- S.submul st.xb.(p) wx.(p) signed
               done;
               st.z <- S.add st.z (S.mul d signed);
               st.stat.(q) <- (match st.stat.(q) with Vlo -> Vhi | _ -> Vlo)
@@ -304,10 +365,11 @@ module Make (S : Scalar.S) = struct
               let k = st.basis.(r) in
               let signed = if sigma > 0 then tstep else S.neg tstep in
               let vq = S.add (nb_value st q) signed in
-              for p = 0 to st.pb.pm - 1 do
-                if p <> r && not (S.is_zero w.(p)) then begin
+              for t = 0 to w.F.nnz - 1 do
+                let p = w.F.nz.(t) in
+                if p <> r then begin
                   incr st.ops;
-                  st.xb.(p) <- S.submul st.xb.(p) w.(p) signed
+                  st.xb.(p) <- S.submul st.xb.(p) wx.(p) signed
                 end
               done;
               st.z <- S.add st.z (S.mul d signed);
@@ -317,19 +379,9 @@ module Make (S : Scalar.S) = struct
               st.basis.(r) <- q;
               post_pivot st ~pos:r ~w;
               (* maintain the reduced-cost row from the post-pivot
-                 tableau row r: alpha_rj = rho . A_j, d_j -= d_q alpha_rj
-                 (covers the leaving column: its old d was zero) *)
-              let rho = btran_unit st r in
-              for j = 0 to st.pb.pn - 1 do
-                if st.stat.(j) <> Vbas then begin
-                  incr st.priced;
-                  let a = dot_col st rho j in
-                  if not (S.is_zero a) then begin
-                    incr st.ops;
-                    st.d.(j) <- S.submul st.d.(j) d a
-                  end
-                end
-              done;
+                 tableau row r (covers the leaving column: its old d was
+                 zero) *)
+              update_reduced st (btran_unit st r) d;
               st.d.(q) <- S.zero;
               incr st.pivots;
               Obs.incr st.obs st.cfg.counters.c_pivots;
@@ -398,7 +450,8 @@ module Make (S : Scalar.S) = struct
       | None -> continue_ := false (* primal feasible again *)
       | Some (r, below, _) -> (
           if !steps >= cap then raise Warm_failed;
-          let rho = btran_unit st r in
+          (* copied: [dual]'s btran reuses the result vector *)
+          let rho = Array.copy (btran_unit st r) in
           let y = dual st in
           let best = ref None in
           for j = 0 to n - 1 do
@@ -431,12 +484,14 @@ module Make (S : Scalar.S) = struct
               let k = st.basis.(r) in
               let beta = if below then pb.plo.(k) else Option.get st.hi.(k) in
               let w = ftran_col st q in
-              let delta = S.div (S.sub st.xb.(r) beta) w.(r) in
+              let wx = w.F.x in
+              let delta = S.div (S.sub st.xb.(r) beta) wx.(r) in
               let vq = S.add (nb_value st q) delta in
-              for p = 0 to m - 1 do
-                if p <> r && not (S.is_zero w.(p)) then begin
+              for t = 0 to w.F.nnz - 1 do
+                let p = w.F.nz.(t) in
+                if p <> r then begin
                   incr st.ops;
-                  st.xb.(p) <- S.submul st.xb.(p) w.(p) delta
+                  st.xb.(p) <- S.submul st.xb.(p) wx.(p) delta
                 end
               done;
               st.z <- S.add st.z (S.mul dq delta);
@@ -470,6 +525,9 @@ module Make (S : Scalar.S) = struct
         cost = Array.make n S.zero;
         d = Array.make n S.zero;
         priced = ref 0;
+        alpha = Array.make n S.zero;
+        seen = Array.make n false;
+        touched = Array.make n 0;
         fact;
         z = S.zero;
         steps = 0;
@@ -578,6 +636,9 @@ module Make (S : Scalar.S) = struct
         cost = Array.copy pb.pobj;
         d = Array.make n S.zero;
         priced = ref 0;
+        alpha = Array.make n S.zero;
+        seen = Array.make n false;
+        touched = Array.make n 0;
         fact;
         z = S.zero;
         steps = 0;
@@ -598,8 +659,8 @@ module Make (S : Scalar.S) = struct
         end
       end
     done;
-    let xb = F.ftran st.fact rhs in
-    Array.blit xb 0 st.xb 0 m;
+    let xb = F.ftran st.fact (F.col_of_array rhs) in
+    Array.blit xb.F.x 0 st.xb 0 m;
     recompute_z st;
     let primal_feasible =
       let ok = ref true in

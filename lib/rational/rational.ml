@@ -6,7 +6,15 @@
    numerator or denominator does not fit a native int (min_int is
    excluded from [Small] so negation and [abs] never overflow), hence
    structural equality of the representation coincides with numeric
-   equality. *)
+   equality.
+
+   Small-value fast path: when both operands' numerators and
+   denominators are below 2^30 in magnitude, every product of two of
+   them is below 2^60 and every sum of two such products below 2^61, so
+   [compare], [add], [sub], [mul] and [div] compute in native ints
+   directly and normalize once: no division-based overflow check, no
+   [option]. Larger [Small] values take the checked path, which falls
+   back to bignums on overflow. *)
 
 type t = Small of int * int | Big of Bigint.t * Bigint.t
 
@@ -69,6 +77,21 @@ let one = Small (1, 1)
 let two = Small (2, 1)
 let half = Small (1, 2)
 let minus_one = Small (-1, 1)
+
+let fast_bound = 1 lsl 30
+
+(* [fits4 an ad bn bd]: all four below [fast_bound] in magnitude
+   (dens are positive, and [Small] never holds min_int) *)
+let fits4 an ad bn bd = Stdlib.abs an lor ad lor Stdlib.abs bn lor bd < fast_bound
+
+(* Canonical form of n/d for d > 0, both native, n <> min_int. *)
+let norm n d =
+  if n = 0 then zero
+  else if d = 1 then Small (n, 1)
+  else
+    let g = gcd_int (Stdlib.abs n) d in
+    if g = 1 then Small (n, d) else Small (n / g, d / g)
+
 let num = function Small (n, _) -> Bigint.of_int n | Big (n, _) -> n
 let den = function Small (_, d) -> Bigint.of_int d | Big (_, d) -> d
 let sign = function Small (n, _) -> Stdlib.compare n 0 | Big (n, _) -> Bigint.sign n
@@ -112,9 +135,12 @@ let compare_big a b =
 let compare a b =
   match (a, b) with
   | Small (an, ad), Small (bn, bd) -> (
-      match (Bigint.checked_mul an bd, Bigint.checked_mul bn ad) with
-      | Some x, Some y -> Stdlib.compare x y
-      | _ -> compare_big a b)
+      if ad = bd then Int.compare an bn
+      else if fits4 an ad bn bd then Int.compare (an * bd) (bn * ad)
+      else
+        match (Bigint.checked_mul an bd, Bigint.checked_mul bn ad) with
+        | Some x, Some y -> Stdlib.compare x y
+        | _ -> compare_big a b)
   | _ -> compare_big a b
 
 let min a b = if compare a b <= 0 then a else b
@@ -131,8 +157,17 @@ let add_big a b =
     (Bigint.add (Bigint.mul (num a) (den b)) (Bigint.mul (num b) (den a)))
     (Bigint.mul (den a) (den b))
 
+(* an/ad + bn/bd on the fast path ([fits4]) *)
+let add_fast an ad bn bd =
+  if ad = bd then norm (an + bn) ad
+  else if ad = 1 || bd = 1 then
+    (* n/d + k = (n + kd)/d stays in lowest terms *)
+    Small ((an * bd) + (bn * ad), ad * bd)
+  else norm ((an * bd) + (bn * ad)) (ad * bd)
+
 let add a b =
   match (a, b) with
+  | Small (an, ad), Small (bn, bd) when fits4 an ad bn bd -> add_fast an ad bn bd
   | Small (an, ad), Small (bn, bd) -> (
       match (Bigint.checked_mul an bd, Bigint.checked_mul bn ad, Bigint.checked_mul ad bd) with
       | Some x, Some y, Some d -> (
@@ -140,12 +175,16 @@ let add a b =
       | _ -> add_big a b)
   | _ -> add_big a b
 
-let sub a b = add a (neg b)
+let sub a b =
+  match (a, b) with
+  | Small (an, ad), Small (bn, bd) when fits4 an ad bn bd -> add_fast an ad (-bn) bd
+  | _ -> add a (neg b)
 
 let mul_big a b = make_big (Bigint.mul (num a) (num b)) (Bigint.mul (den a) (den b))
 
 let mul a b =
   match (a, b) with
+  | Small (an, ad), Small (bn, bd) when fits4 an ad bn bd -> norm (an * bn) (ad * bd)
   | Small (an, ad), Small (bn, bd) -> (
       (* cross-reduce first: keeps intermediates (and overflow falls) small *)
       let g1 = gcd_int (Stdlib.abs an) bd and g2 = gcd_int (Stdlib.abs bn) ad in
@@ -160,14 +199,29 @@ let inv = function
   | Small (n, d) -> if n < 0 then Small (-d, -n) else Small (d, n)
   | Big (n, d) -> make d n
 
-let div a b = mul a (inv b)
+let div a b =
+  match (a, b) with
+  | Small (an, ad), Small (bn, bd) when fits4 an ad bn bd ->
+      if bn = 0 then raise Division_by_zero
+      else if bn > 0 then norm (an * bd) (ad * bn)
+      else norm (-(an * bd)) (ad * -bn)
+  | _ -> mul a (inv b)
 
-(* a - b*c fused: cross-reduce the product as [mul] does, then combine
-   with [a] through one checked small-int pass; any overflow falls back
-   to the exact two-step form. One canonicalization instead of two on
-   the fast path — this is the sparse LU elimination kernel. *)
+(* a - b*c fused, the sparse LU elimination kernel. A zero factor
+   returns [a]. Integers below 2^30 subtract their product directly;
+   fractions whose six parts are all below 2^20 (so three-way products
+   stay below 2^60) normalize once. Otherwise: cross-reduce the product
+   as [mul] does, then combine with [a] through one checked small-int
+   pass; any overflow falls back to the exact two-step form. *)
 let submul a b c =
   match (a, b, c) with
+  | _, Small (0, _), _ | _, _, Small (0, _) -> a
+  | Small (an, 1), Small (bn, 1), Small (cn, 1)
+    when Stdlib.abs an lor Stdlib.abs bn lor Stdlib.abs cn < fast_bound ->
+      Small (an - (bn * cn), 1)
+  | Small (an, ad), Small (bn, bd), Small (cn, cd)
+    when Stdlib.abs an lor ad lor Stdlib.abs bn lor bd lor Stdlib.abs cn lor cd < 1 lsl 20 ->
+      norm ((an * bd * cd) - (bn * cn * ad)) (ad * bd * cd)
   | Small (an, ad), Small (bn, bd), Small (cn, cd) -> (
       let g1 = gcd_int (Stdlib.abs bn) cd and g2 = gcd_int (Stdlib.abs cn) bd in
       let bn = bn / g1 and cd = cd / g1 in

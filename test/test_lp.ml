@@ -572,6 +572,41 @@ let test_certify_fail_fallback () =
     "control objective exact" (Q.to_string ctrl.ft_opt)
     (Q.to_string (Lp.objective_value s2))
 
+(* An ill-conditioned model on which a mid-solve refactorization at
+   float precision finds the basis singular. The float engine must treat
+   that as a give-up and re-solve exactly, never let the factorization's
+   exception escape [Lp.solve]: every engine reports Infeasible. *)
+let test_float_singular_falls_back () =
+  let ulp k = Q.make Bigint.one (Bigint.pow Bigint.two k) in
+  let one_plus k = Q.add Q.one (ulp k) in
+  let build () =
+    let m = Lp.create () in
+    let x =
+      Array.mapi (fun i u -> Lp.add_var ~upper:(qi u) m (Printf.sprintf "x%d" i)) [| 1; 3; 1; 4; 1; 1 |]
+    in
+    let row terms sense rhs =
+      Lp.add_constraint m (List.map (fun (c, i) -> (c, x.(i))) terms) sense rhs
+    in
+    row [ (qi (-1), 0); (q 1 2, 1); (qi (-1), 2); (q 1 3, 3); (one_plus 29, 4); (qi 1, 5) ] Lp.Eq (qi 6);
+    row [ (ulp 31, 0); (qi 1, 1); (qi (-1), 2); (qi (-1), 3); (one_plus 26, 4); (qi (-1), 5) ] Lp.Le Q.zero;
+    row [ (one_plus 46, 0); (ulp 42, 1); (ulp 29, 2); (qi 1, 3); (ulp 41, 4) ] Lp.Le Q.zero;
+    row [ (ulp 23, 0); (qi (-1), 1); (qi (-1), 2); (qi 1, 3); (one_plus 22, 4); (qi (-1), 5) ] Lp.Eq Q.zero;
+    row [ (q 1 2, 0); (qi 1, 1); (q (-2) 3, 2); (qi (-1), 3); (qi 1, 4); (qi 2, 5) ] Lp.Eq (q 7 2);
+    Lp.set_objective m Lp.Minimize
+      [ (qi (-1), x.(1)); (qi 3, x.(2)); (one_plus 31, x.(3)); (qi 1, x.(4)); (qi (-1), x.(5)) ];
+    m
+  in
+  let infeasible name = function
+    | Lp.Infeasible -> ()
+    | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail (name ^ ": expected Infeasible")
+  in
+  infeasible "revised" (Lp.solve ~engine:Lp.Revised (build ()));
+  infeasible "dense" (Lp.solve ~engine:Lp.Dense (build ()));
+  let obs = Obs.create () in
+  infeasible "float" (Lp.solve ~engine:Lp.Float_certified ~obs (build ()));
+  Alcotest.(check (option int)) "one exact fallback" (Some 1)
+    (List.assoc_opt "lp.fallbacks" (Obs.counters obs))
+
 let test_float_uses_warm () =
   (* since 1.8.0 the float engine restores ?warm in double precision:
      the re-solve repairs feasibility from the snapshot (counted as a
@@ -760,6 +795,7 @@ let () =
           Alcotest.test_case "certification provenance" `Quick test_certification_provenance;
           Alcotest.test_case "certify-fail fallback" `Quick test_certify_fail_fallback;
           Alcotest.test_case "float uses warm" `Quick test_float_uses_warm;
+          Alcotest.test_case "float singular falls back" `Quick test_float_singular_falls_back;
           Alcotest.test_case "sparse golden counters" `Quick test_sparse_golden_counters;
           Alcotest.test_case "shape digest" `Quick test_shape_digest;
           Alcotest.test_case "basis cache" `Quick test_basis_cache;

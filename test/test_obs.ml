@@ -212,9 +212,11 @@ let test_golden_lp_counters () =
       ("lp.fill_nonzeros", 996);
       ("lp.phase1_pivots", 39);
       ("lp.pivots", 47);
-      (* Dantzig maintains the reduced-cost row over every nonbasic
-         column per pivot, so priced work is ~nonbasic x pivots *)
-      ("lp.priced_columns", 1842);
+      (* after each pivot the reduced-cost row is updated row-wise:
+         only the nonbasic columns that the nonzero rows of rho = B^-T
+         e_r reach are counted, plus every nonbasic column once per
+         phase when the row is priced in full *)
+      ("lp.priced_columns", 426);
       ("lp.refactorizations", 10);
       ("lp.solves", 9);
       ("lp.warm_starts", 4) ]

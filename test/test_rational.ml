@@ -159,10 +159,53 @@ let prop_min_max =
   QCheck.Test.make ~name:"min + max = x + y" ~count:1000 (QCheck.pair rat rat) (fun (x, y) ->
       Q.equal (Q.add (Q.min x y) (Q.max x y)) (Q.add x y))
 
+(* Operands straddling the representation's switch points: the native
+   fast paths stop at 2^20 (three-way products) and 2^30, the checked
+   native path at the int range (max_int = 2^62 - 1), and products of
+   two such parts are [Big]. Plain small values keep the fast paths
+   well covered. *)
+let edge_rat_gen =
+  let open QCheck.Gen in
+  let near b = map (fun k -> b + k) (int_range (-2) 2) in
+  let part =
+    oneof
+      [ near (1 lsl 20); near (-(1 lsl 20)); near (1 lsl 30); near (-(1 lsl 30));
+        near (1 lsl 31); near (-(1 lsl 31));
+        map (fun k -> max_int - k) (int_range 0 2); map (fun k -> min_int + k) (int_range 0 2) ]
+  in
+  let small = int_range (-12) 12 in
+  let product = map2 (fun a b -> Bigint.mul (Bigint.of_int a) (Bigint.of_int b)) part part in
+  let num = frequency [ (2, map Bigint.of_int small); (2, map Bigint.of_int part); (1, product) ] in
+  let den = frequency [ (2, map Bigint.of_int (int_range 1 12)); (2, map Bigint.of_int part); (1, product) ] in
+  frequency
+    [ (1, map2 (fun n d -> q n d) small (int_range 1 12));
+      (2, map2 (fun n d -> Q.make n (if Bigint.is_zero d then Bigint.one else Bigint.abs d)) num den) ]
+
+let edge_rat = QCheck.make edge_rat_gen ~print:Q.to_string
+
+(* Every fast and checked path against a bignum-only reference built
+   with [make]; [equal] is structural, so agreement also proves the
+   result canonical. *)
+let prop_matches_bignum_reference =
+  QCheck.Test.make ~name:"ops match the bignum reference at the boundaries" ~count:20_000
+    QCheck.(triple edge_rat edge_rat edge_rat)
+    (fun (a, b, c) ->
+      let open Bigint in
+      let na = Q.num a and da = Q.den a and nb = Q.num b and db = Q.den b in
+      let nc = Q.num c and dc = Q.den c in
+      let bc_n = nb * nc and bc_d = db * dc in
+      Q.equal (Q.add a b) (Q.make ((na * db) + (nb * da)) (da * db))
+      && Q.equal (Q.sub a b) (Q.make ((na * db) - (nb * da)) (da * db))
+      && Q.equal (Q.mul a b) (Q.make (na * nb) (da * db))
+      && (Q.is_zero b || Q.equal (Q.div a b) (Q.make (na * db) (da * nb)))
+      && Q.equal (Q.submul a b c) (Q.make ((na * bc_d) - (bc_n * da)) (da * bc_d))
+      && Int.equal (Q.compare a b) (Bigint.compare (na * db) (nb * da)))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_field_assoc; prop_distributive; prop_inverse; prop_normalized; prop_floor_ceil_bracket;
-      prop_order_compatible; prop_string_roundtrip; prop_floor_shift; prop_abs_sign; prop_min_max ]
+      prop_order_compatible; prop_string_roundtrip; prop_floor_shift; prop_abs_sign; prop_min_max;
+      prop_matches_bignum_reference ]
 
 let () =
   Alcotest.run "rational"
