@@ -1,23 +1,23 @@
 #!/bin/sh
 # One-command reproduction: build, run the full test suite and every
-# experiment, recording outputs next to this script.
+# experiment, recording outputs next to this script. Exits non-zero as
+# soon as the build, a test or the bench fails.
 set -e
 cd "$(dirname "$0")"
+
+# Runs a command with its output copied to a log file, and returns the
+# command's own status. A pipe into tee would return tee's status, and
+# POSIX sh has no pipefail.
+logged() {
+  log=$1
+  shift
+  status=0
+  "$@" > "$log" 2>&1 || status=$?
+  cat "$log"
+  return "$status"
+}
+
 dune build @all
-dune runtest --force --no-buffer 2>&1 | tee test_output.txt
-dune exec bench/main.exe 2>&1 | tee bench_output.txt
-# Consolidate the per-experiment telemetry (each BENCH_<exp>.json is a
-# one-line schema-1 document) into a single BENCH_summary.json so one
-# artifact carries every counter the run produced.
-{
-  printf '{"schema":1,"tool":"bench","kind":"summary","experiments":['
-  first=1
-  for f in BENCH_*.json; do
-    [ "$f" = "BENCH_summary.json" ] && continue
-    [ $first -eq 1 ] || printf ','
-    first=0
-    tr -d '\n' < "$f"
-  done
-  printf ']}\n'
-} > BENCH_summary.json
-echo "done: see test_output.txt, bench_output.txt, BENCH_summary.json, EXPERIMENTS.md"
+logged test_output.txt dune runtest --force --no-buffer
+logged bench_output.txt dune exec bench/main.exe
+echo "done: see test_output.txt, bench_output.txt, EXPERIMENTS.md"

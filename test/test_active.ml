@@ -173,7 +173,7 @@ let test_lp_integrality_gap () =
 
 let test_lp_closed_form_gadgets () =
   (* methodology gadgets with a documented closed-form LP1 optimum: the
-     block-diagonal sparse_wide (bench E24), blocks * (g+1)/g, and the
+     block-diagonal sparse_wide (EXPERIMENTS E24), blocks * (g+1)/g, and the
      tall single-window lp1_tall, jobs * length / g *)
   let g = 3 and blocks = 4 in
   let tall jobs = Gad.lp1_tall ~g ~jobs ~length:2 in

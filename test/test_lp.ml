@@ -762,6 +762,128 @@ let test_basis_cache_eviction () =
       Alcotest.(check bool) "session basis_cache 0 holds no cache" true
         (Core.Session.basis_cache s = None))
 
+(* -- engine races on the repo's LP families ------------------------------- *)
+
+let objective s = Q.to_string (Lp.objective_value s)
+
+let lp1 seed =
+  let params : Workload.Generate.slotted_params =
+    { n = 10; horizon = 16; max_length = 4; slack = 4; g = 2 }
+  in
+  Active.Lp_model.build_lp1 (Workload.Generate.slotted ~params ~seed ())
+
+(* The six models of the engine races: LP1 of three slotted instances
+   and the preemptive busy-time event-grid LP of three interval streams. *)
+let families () =
+  List.map (fun s -> (Printf.sprintf "lp1/s%d" s, fst (lp1 s))) [ 3; 8; 9 ]
+  @ List.map
+      (fun s ->
+        ( Printf.sprintf "busy/s%d" s,
+          Busy.Preemptive.lp_model
+            (Workload.Generate.interval_jobs ~n:20 ~horizon:60 ~max_length:8 ~seed:s ()) ))
+      [ 0; 1; 2 ]
+
+(* Dense, revised, and revised warm from its own optimal basis agree on
+   the objective; returns the dense and revised solutions. *)
+let dense_revised_warm name m =
+  let d = get_solution (Lp.solve ~engine:Lp.Dense m) in
+  let r = get_solution (Lp.solve ~engine:Lp.Revised m) in
+  let w = get_solution (Lp.solve ~engine:Lp.Revised ?warm:(Lp.basis r) m) in
+  Alcotest.(check string) (name ^ ": dense = revised") (objective d) (objective r);
+  Alcotest.(check string) (name ^ ": warm = cold") (objective r) (objective w);
+  (d, r)
+
+let test_families_dense_revised () =
+  List.iter2
+    (fun (name, m) pivots ->
+      let d, r = dense_revised_warm name m in
+      Alcotest.(check (pair int int)) (name ^ ": (dense, revised) pivots") pivots
+        (Lp.pivots d, Lp.pivots r))
+    (families ())
+    [ (130, 64); (118, 55); (119, 53); (117, 62); (116, 58); (123, 64) ]
+
+(* The float engine picks the basis in double precision and certifies it
+   with one exact refactorization, so it does far less rational work
+   (lp.exact_cells) than the exact engine touches (tableau_cells):
+   16,033 vs 2,448 cells over the six models. *)
+let test_families_float_certified () =
+  let exact, float =
+    List.fold_left
+      (fun (exact, float) (name, m) ->
+        let r = get_solution (Lp.solve ~engine:Lp.Revised m) in
+        let obs = Obs.create () in
+        let f = get_solution (Lp.solve ~engine:Lp.Float_certified ~obs m) in
+        Alcotest.(check string) (name ^ ": float = revised") (objective r) (objective f);
+        check_cert (name ^ ": certifies") "Certified" f;
+        (exact + Lp.tableau_cells r, float + List.assoc "lp.exact_cells" (Obs.counters obs)))
+      (0, 0) (families ())
+  in
+  Alcotest.(check bool) (Printf.sprintf "exact work %d >= 5x float work %d" exact float) true
+    (exact >= 5 * float)
+
+(* Sixteen rounds of the ILP search's access pattern on seed-3 LP1:
+   round i toggles y_(i mod ny) between fixed open (lower bound 1, the
+   branch-up rewrite) and free. Opening slots never loses feasibility,
+   so every solve is optimal. Each round solves the rewritten model
+   dense, cold under [engine], and under [engine] warm from the previous
+   round's warm basis; returns the three solutions per round. *)
+let probe_rounds engine =
+  let m, y_vars = lp1 3 in
+  let ys = Array.of_list (List.map snd y_vars) in
+  let fixed_open = Array.make (Array.length ys) false in
+  let warm = ref (Lp.basis (get_solution (Lp.solve ~engine m))) in
+  let rounds = ref [] in
+  for round = 0 to 15 do
+    let i = round mod Array.length ys in
+    fixed_open.(i) <- not fixed_open.(i);
+    Lp.set_bounds m ys.(i) ~lower:(if fixed_open.(i) then Q.one else Q.zero) ~upper:(Some Q.one);
+    let d = get_solution (Lp.solve ~engine:Lp.Dense m) in
+    let c = get_solution (Lp.solve ~engine m) in
+    let w = get_solution (Lp.solve ~engine ?warm:!warm m) in
+    Alcotest.(check string) (Printf.sprintf "round %d: dense = cold" round) (objective d) (objective c);
+    Alcotest.(check string) (Printf.sprintf "round %d: warm = cold" round) (objective c) (objective w);
+    warm := Lp.basis w;
+    rounds := (d, c, w) :: !rounds
+  done;
+  List.rev !rounds
+
+let work pick rounds = List.fold_left (fun acc r -> acc + Lp.tableau_cells (pick r)) 0 rounds
+
+(* warm revised probes touch >= 3x fewer cells than dense ones (368,436
+   vs 9,429) *)
+let test_revised_warm_probes () =
+  let rounds = probe_rounds Lp.Revised in
+  let dense = work (fun (d, _, _) -> d) rounds and warm = work (fun (_, _, w) -> w) rounds in
+  Alcotest.(check bool) (Printf.sprintf "dense work %d >= 3x warm work %d" dense warm) true
+    (dense >= 3 * warm)
+
+(* a float re-solve restores the warm basis, refactorizes, re-enters
+   phase 2 and still certifies, below cold float work (14,683 vs 42,822) *)
+let test_float_warm_probes () =
+  let rounds = probe_rounds Lp.Float_certified in
+  let cold = work (fun (_, c, _) -> c) rounds and warm = work (fun (_, _, w) -> w) rounds in
+  Alcotest.(check bool) (Printf.sprintf "warm work %d < cold work %d" warm cold) true (warm < cold)
+
+(* sparse_wide: LP1 of disjoint windows, where the dense tableau pays
+   for every upper-bounded variable's row (37,211,342 cells over the
+   three sizes vs 1,808,324 for revised). The dense solves at 4 and 8
+   blocks take ~7 s. *)
+let test_sparse_wide () =
+  let dense, revised =
+    List.fold_left
+      (fun (dense, revised) blocks ->
+        let name = Printf.sprintf "wide/b%d" blocks in
+        let m = fst (Active.Lp_model.build_lp1 (Workload.Gadgets.sparse_wide ~g:16 ~blocks ~width:24)) in
+        let d, r = dense_revised_warm name m in
+        Alcotest.(check string) (name ^ ": closed form")
+          (Q.to_string (Workload.Gadgets.sparse_wide_lp_opt ~g:16 ~blocks))
+          (objective r);
+        (dense + Lp.tableau_cells d, revised + Lp.tableau_cells r))
+      (0, 0) [ 2; 4; 8 ]
+  in
+  Alcotest.(check bool) (Printf.sprintf "dense work %d >= 3x revised work %d" dense revised) true
+    (dense >= 3 * revised)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
@@ -800,4 +922,10 @@ let () =
           Alcotest.test_case "shape digest" `Quick test_shape_digest;
           Alcotest.test_case "basis cache" `Quick test_basis_cache;
           Alcotest.test_case "basis cache eviction" `Quick test_basis_cache_eviction ] );
+      ( "families",
+        [ Alcotest.test_case "dense vs revised, pinned pivots" `Quick test_families_dense_revised;
+          Alcotest.test_case "float certifies, 5x less work" `Quick test_families_float_certified;
+          Alcotest.test_case "revised warm probes" `Quick test_revised_warm_probes;
+          Alcotest.test_case "float warm probes" `Quick test_float_warm_probes;
+          Alcotest.test_case "sparse_wide, 3x less work" `Slow test_sparse_wide ] );
       ("properties", props) ]

@@ -137,14 +137,18 @@ let test_replay_busy () =
    observable contract: a change means the branch-and-bound search or
    the flow feasibility oracle explores differently, which must be a
    conscious decision, not an accident. *)
-let golden_bb_hard_run oracle =
-  let inst = Gad.bb_hard ~g:2 ~groups:3 ~width:6 in
+let bb_hard_run ~groups oracle =
+  let inst = Gad.bb_hard ~g:2 ~groups ~width:6 in
   let obs = Obs.create () in
-  (match Active.Exact.solve ~budget:(Budget.limited 1_000_000) ~oracle ~obs inst with
-  | Budget.Complete (Some sol) -> Alcotest.(check int) "cost" 6 (Active.Solution.cost sol)
+  match Active.Exact.solve ~budget:(Budget.limited 1_000_000) ~oracle ~obs inst with
+  | Budget.Complete (Some sol) -> (sol, Obs.counters obs)
   | Budget.Complete None -> Alcotest.fail "bb_hard is feasible"
-  | Budget.Exhausted _ -> Alcotest.fail "1M ticks suffice for groups=3");
-  Obs.counters obs
+  | Budget.Exhausted _ -> Alcotest.failf "1M ticks suffice for groups=%d" groups
+
+let golden_bb_hard_run oracle =
+  let sol, counters = bb_hard_run ~groups:3 oracle in
+  Alcotest.(check int) "cost" 6 (Active.Solution.cost sol);
+  counters
 
 (* The search-level counters (nodes / flow checks / minimal closures) are
    pinned IDENTICAL across probe modes: both compute exact max flows, so
@@ -179,6 +183,28 @@ let test_golden_bb_hard_rebuild () =
       ("flow.bfs_rounds", 9537);
       ("flow.max_flow_calls", 9537) ]
     (golden_bb_hard_run Active.Feasibility.Rebuild)
+
+(* The incremental oracle keeps one warm flow network per solve; the
+   rebuild oracle recomputes every probe's max flow from scratch. Both
+   are exact, so at every bb_hard size the searches are identical: same
+   optimum and open set, same nodes and flow checks, pinned here as
+   (cost, nodes, flow_checks). Groups 4 under Rebuild takes ~1.5 s. *)
+let test_oracles_agree () =
+  List.iter
+    (fun (groups, golden) ->
+      let run oracle =
+        let sol, counters = bb_hard_run ~groups oracle in
+        let counter name = Option.value (List.assoc_opt name counters) ~default:0 in
+        ( (Active.Solution.cost sol, counter "active.exact.nodes", counter "active.exact.flow_checks"),
+          sol.Active.Solution.open_slots )
+      in
+      let inc, inc_open = run Active.Feasibility.Incremental in
+      let reb, reb_open = run Active.Feasibility.Rebuild in
+      let name = Printf.sprintf "groups=%d" groups in
+      Alcotest.(check (triple int int int)) (name ^ " incremental") golden inc;
+      Alcotest.(check (triple int int int)) (name ^ " rebuild") golden reb;
+      Alcotest.(check (list int)) (name ^ " open slots agree") inc_open reb_open)
+    [ (2, (4, 795, 456)); (3, (6, 16773, 9518)); (4, (8, 346217, 195573)) ]
 
 (* Golden LP counters for the warm-started ILP branch-and-bound on the
    Section 3.5 integrality-gap gadget (LP1 is fractional there, so the
@@ -257,5 +283,6 @@ let () =
       ( "golden",
         [ Alcotest.test_case "bb_hard counters" `Slow test_golden_bb_hard;
           Alcotest.test_case "bb_hard counters (rebuild)" `Slow test_golden_bb_hard_rebuild;
+          Alcotest.test_case "bb_hard oracles agree (groups 2-4)" `Slow test_oracles_agree;
           Alcotest.test_case "lp counters (warm-started ilp)" `Quick test_golden_lp_counters ] );
     ]

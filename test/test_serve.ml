@@ -310,6 +310,12 @@ let test_serve_overload_sheds () =
   Alcotest.(check bool) "some sheds" true (count "overloaded" >= 1);
   Alcotest.(check bool) "some answers" true (count "ok" >= 1)
 
+(* a response's fields apart from the id and the cache disposition *)
+let answer line =
+  List.filter
+    (fun (k, _) -> k <> "cache" && k <> "id")
+    (match parse_ok line with J.Obj fields -> fields | _ -> [])
+
 let test_serve_memoization () =
   let obs = Obs.create () in
   let lines = [ request slotted_text; request slotted_text ] in
@@ -323,19 +329,45 @@ let test_serve_memoization () =
       in
       Alcotest.(check string) "cold miss" "miss" (dispo first);
       Alcotest.(check string) "repeat hits" "hit" (dispo second);
-      (* identical answer modulo the id and cache-disposition fields *)
-      let strip line =
-        List.filter
-          (fun (k, _) -> k <> "cache" && k <> "id")
-          (match parse_ok line with J.Obj fields -> fields | _ -> [])
-      in
-      Alcotest.(check bool) "memo replays the answer" true (strip first = strip second);
+      Alcotest.(check bool) "memo replays the answer" true (answer first = answer second);
       let counters = Obs.counters obs in
       Alcotest.(check (option int)) "hit counter" (Some 1)
         (List.assoc_opt "serve.cache_hits" counters);
       Alcotest.(check (option int)) "miss counter" (Some 1)
         (List.assoc_opt "serve.cache_misses" counters)
   | l -> Alcotest.fail (Printf.sprintf "expected 2 responses, got %d" (List.length l))
+
+(* Forty distinct cascade requests, then the same forty twice more,
+   through one worker whose queue holds the whole stream (a shed request
+   is never cached): the repeats replay from the memo, so the solvers
+   see only the forty cold requests. *)
+let test_serve_memo_stream () =
+  let request seed =
+    let params : Workload.Generate.slotted_params =
+      { n = 9; horizon = 14; max_length = 4; slack = 3; g = 2 }
+    in
+    let inst = Workload.Generate.slotted ~params ~seed () in
+    J.to_string
+      (J.Obj
+         [ ("instance", J.String (Io.to_string (Io.Slotted_instance inst)));
+           ("algorithm", J.String "cascade");
+           ("budget", J.Int 200_000) ])
+  in
+  let cold = List.init 40 request in
+  let obs = Obs.create () in
+  let out = Serve.run_lines ~obs ~config:(config ~queue:120 ()) (cold @ cold @ cold) in
+  Alcotest.(check int) "one response per request" 120 (List.length out);
+  let counter name = List.assoc_opt name (Obs.counters obs) in
+  Alcotest.(check (option int)) "cache hits" (Some 80) (counter "serve.cache_hits");
+  Alcotest.(check (option int)) "cache misses" (Some 40) (counter "serve.cache_misses");
+  let first = Array.of_list (List.filteri (fun i _ -> i < 40) out) in
+  List.iteri
+    (fun i line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "request %d replays its first answer" (40 + i))
+        true
+        (answer line = answer first.(i mod 40)))
+    (List.filteri (fun i _ -> i >= 40) out)
 
 let test_serve_basis_cache () =
   (* two LP-backed solves of same-shape models with the memo cache off:
@@ -437,6 +469,7 @@ let () =
           Alcotest.test_case "deadline timeout with provenance" `Quick test_serve_deadline_timeout;
           Alcotest.test_case "overload sheds, answers all" `Quick test_serve_overload_sheds;
           Alcotest.test_case "memoized repeat" `Quick test_serve_memoization;
+          Alcotest.test_case "memoized stream, 40 misses" `Quick test_serve_memo_stream;
           Alcotest.test_case "warm-basis cache" `Quick test_serve_basis_cache ] );
       ( "acceptance",
         [ Alcotest.test_case "500-request injected stream" `Slow test_serve_injected_stream ] ) ]

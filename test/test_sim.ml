@@ -235,6 +235,70 @@ let test_rolling_counters () =
   Alcotest.(check bool) "cold does more LP work" true
     (cold_counter "lp.exact_cells" > counter "lp.exact_cells")
 
+(* data/vm_day.txt inlined as (id, release, deadline, length): a day of
+   batch VM requests (hours), each arriving at its release *)
+let vm_day =
+  [ (0, 0, 10, 4); (1, 1, 6, 2); (2, 2, 12, 5); (3, 4, 9, 3); (4, 6, 18, 6); (5, 8, 14, 3);
+    (6, 9, 13, 2); (7, 12, 22, 4); (8, 14, 20, 3); (9, 15, 24, 5); (10, 18, 23, 2);
+    (11, 20, 24, 2) ]
+
+(* vm_day (epoch_len 2: with epochs of 4 the tightest request arrives
+   just after a boundary and is missed before it is seen) and three
+   generated timed traces, each replayed warm on one session and cold
+   per epoch. Warmth changes the LP work, never the committed schedule;
+   vm_day is pinned at (epochs, energy, misses) = (11, 22, 0), and warm
+   runs do less LP work in total (78,455 vs 161,215 cells). *)
+let test_rolling_warm_equals_cold () =
+  let vm_jobs =
+    List.map
+      (fun (id, r, d, p) -> B.make ~id ~release:(Q.of_int r) ~deadline:(Q.of_int d) ~length:(Q.of_int p))
+      vm_day
+  in
+  let vm_arrivals = List.map (fun (id, r, _, _) -> (id, r)) vm_day in
+  let params : Gen.slotted_params = { n = 12; horizon = 24; max_length = 4; slack = 5; g = 3 } in
+  let traces =
+    ("vm_day", Rolling.of_busy ~g:4 vm_jobs, vm_arrivals, 2, Some (11, 22, 0))
+    :: List.map
+         (fun seed ->
+           let inst, arrivals = Gen.timed_slotted ~params ~seed () in
+           (Printf.sprintf "gen/s%d" seed, inst, arrivals, Rolling.default_config.Rolling.epoch_len, None))
+         [ 3; 8; 9 ]
+  in
+  let warm_total, cold_total =
+    List.fold_left
+      (fun (warm_total, cold_total) (name, inst, arrivals, epoch_len, golden) ->
+        let run warm =
+          let obs = Obs.create () in
+          let r = Rolling.run ~obs ~config:{ Rolling.default_config with warm; epoch_len } ~arrivals inst in
+          (r, Option.value (List.assoc_opt "lp.exact_cells" (Obs.counters obs)) ~default:0)
+        in
+        let w, w_cells = run true and c, c_cells = run false in
+        Alcotest.(check int) (name ^ ": energy") c.Rolling.total_energy w.Rolling.total_energy;
+        Alcotest.(check int) (name ^ ": misses") c.Rolling.total_misses w.Rolling.total_misses;
+        Alcotest.(check (list int)) (name ^ ": open slots") c.Rolling.open_slots w.Rolling.open_slots;
+        Alcotest.(check bool) (name ^ ": schedule") true (w.Rolling.schedule = c.Rolling.schedule);
+        Option.iter
+          (fun want ->
+            Alcotest.(check (triple int int int)) (name ^ ": (epochs, energy, misses)") want
+              (List.length w.Rolling.epochs, w.Rolling.total_energy, w.Rolling.total_misses))
+          golden;
+        (if w.Rolling.total_misses = 0 then
+           match w.Rolling.replay with
+           | Some rep ->
+               Alcotest.(check (list string)) (name ^ ": replay clean") [] rep.Sim.violations;
+               Alcotest.(check string) (name ^ ": replayed energy")
+                 (string_of_int w.Rolling.total_energy)
+                 (Q.to_string rep.Sim.total_energy)
+           | None -> Alcotest.fail (name ^ ": no misses but no replay"));
+        Alcotest.(check bool) (name ^ ": warm hits recorded") true
+          (List.exists (fun (e : Rolling.epoch) -> e.Rolling.warm_hits > 0) w.Rolling.epochs);
+        (warm_total + w_cells, cold_total + c_cells))
+      (0, 0) traces
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm LP work %d < cold %d" warm_total cold_total)
+    true (warm_total < cold_total)
+
 let test_rolling_json_and_pp () =
   let r = Rolling.run ~arrivals:tiny_arrivals tiny_trace in
   (match Sim.Rolling.to_json r with
@@ -436,6 +500,8 @@ let () =
           Alcotest.test_case "deadline degradation" `Quick test_rolling_deadline;
           Alcotest.test_case "of_busy" `Quick test_rolling_of_busy;
           Alcotest.test_case "counters and cold baseline" `Quick test_rolling_counters;
+          Alcotest.test_case "warm = cold on vm_day and timed traces" `Quick
+            test_rolling_warm_equals_cold;
           Alcotest.test_case "json and pp" `Quick test_rolling_json_and_pp;
           Alcotest.test_case "epochs svg" `Quick test_rolling_epochs_svg ] );
       ( "renderer",
