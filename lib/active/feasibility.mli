@@ -19,9 +19,9 @@ val schedule : Workload.Slotted.t -> open_slots:int list -> Workload.Slotted.sch
 
 (** How a search kernel probes feasibility: [Incremental] retargets one
     persistent warm {!Oracle} per solve, [Rebuild] reconstructs the flow
-    network per probe (the pre-oracle baseline, kept selectable so the
-    bench harness can measure the speedup and the fuzz oracle can
-    cross-check observational equivalence). *)
+    network per probe (the pre-oracle baseline, kept selectable so
+    [test_obs]'s "bb_hard oracles agree (groups 2-4)" (EXPERIMENTS E20)
+    and the fuzz oracle can cross-check observational equivalence). *)
 type probe_mode = Incremental | Rebuild
 
 (** Persistent incremental feasibility oracle.

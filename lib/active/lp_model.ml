@@ -125,9 +125,50 @@ let build_lp1 inst =
   let m, y_vars, _ = lp1 inst in
   (m, y_vars)
 
+(* A primal-feasible basis of [lp1 inst], read off an integral max flow of
+   the paper's Fig. 2 network G_feas with every relevant slot open:
+   every y_t nonbasic at 1; x_{t,j} basic where the flow uses arc (t, j)
+   and nonbasic at 0 elsewhere; the slack of row x_{t,j} <= y_t
+   nonbasic where x_{t,j} is basic; every other slack and surplus basic.
+   Each basic x_{t,j} owns its row x_{t,j} <= y_t, so the basis is
+   triangular. [None] when the flow cannot route every job: the
+   instance is infeasible, and phase 1 proves it. *)
+let flow_start (inst : S.t) m ~y_vars =
+  match Feasibility.schedule inst ~open_slots:(S.relevant_slots inst) with
+  | None -> None
+  | Some sched ->
+      (* per x column, in [lp1]'s order (jobs, then window slots): does
+         the flow use it? Both slot lists are increasing. *)
+      let used =
+        List.concat
+          (List.map2
+             (fun (j : S.job) (_, slots) ->
+               let rest = ref slots in
+               List.map
+                 (fun s ->
+                   match !rest with
+                   | t :: tl when t = s ->
+                       rest := tl;
+                       true
+                   | _ -> false)
+                 (S.window_slots j))
+             (Array.to_list inst.S.jobs) sched)
+        |> Array.of_list
+      in
+      let vstat =
+        Array.append
+          (Array.make (List.length y_vars) Lp.Basis.Upper)
+          (Array.map (fun u -> if u then Lp.Basis.Basic else Lp.Basis.Lower) used)
+      in
+      (* the x_{t,j} <= y_t rows come first, one per x column *)
+      let sstat = Array.make (Lp.num_constraints m) Lp.Basis.Basic in
+      Array.iteri (fun k u -> if u then sstat.(k) <- Lp.Basis.Lower) used;
+      Some (Lp.Basis.make ~vstat ~sstat)
+
 let solve ?(engine = Lp.default_engine) ?budget ?obs (inst : S.t) =
   let m, y_vars, x_vars = lp1 inst in
-  match Lp.solve ~engine ?budget ?obs m with
+  let start = flow_start inst m ~y_vars in
+  match Lp.solve ~engine ?start ?budget ?obs m with
   | Lp.Infeasible -> None
   | Lp.Unbounded -> assert false (* objective is bounded below by 0 *)
   | Lp.Optimal sol ->

@@ -10,7 +10,18 @@
 
     Solved exactly over the rationals ({!Lp}); the optimum lower-bounds
     the integral optimum, and the y-vector feeds the rounding of
-    Theorem 2. The integrality gap is 2 (Section 3.5, experiment E3). *)
+    Theorem 2. The integrality gap is 2 (Section 3.5, experiment E3).
+
+    {!solve} skips phase 1. An integral max flow of the paper's Fig. 2
+    network [G_feas] ({!Feasibility.schedule}) with every relevant slot
+    open is a schedule, hence a feasible LP1 point, and it is handed to
+    {!Lp.solve} as a [?start] basis: every [y_t] at 1; [x_{t,j}] basic
+    where the flow uses arc [(t, j)], with the slack of its row
+    [x_{t,j} <= y_t] nonbasic; every other slack and surplus basic. Each
+    basic [x_{t,j}] owns its row, so the basis is triangular. The start
+    never changes the optimal value, but it may change which optimal
+    vertex — hence which y-vector — comes back; Theorem 2's [2 LP1]
+    guarantee holds at any optimal vertex. *)
 
 type t = {
   cost : Rational.t;  (** optimal LP objective *)
@@ -24,13 +35,16 @@ val y_at : t -> int -> Rational.t
 (** The LP1 model with every [y] free in [0,1], plus the y variables by
     slot. One model serves repeated probes: rewrite bounds with
     {!Lp.set_bounds} and re-solve, warm or cold ({!Ilp.solve}'s search
-    tree, [Sim.Rolling]'s pinned lower bound and bench experiment E21's
-    warm-start probes all do). [solve] solves the same model, so its
-    variable and row order, and hence the pivot sequence, match. *)
+    tree, [Sim.Rolling]'s pinned lower bound and [test_lp]'s warm
+    probes, EXPERIMENTS E21, all do); their cold solves run phase 1.
+    [solve] builds the same model, with the same variable and row
+    order, and starts it from the flow basis instead. *)
 val build_lp1 : Workload.Slotted.t -> Lp.model * (int * Lp.var) list
 
-(** [None] iff the instance is infeasible. With [budget], each simplex
-    pivot costs one tick and exhaustion raises {!Budget.Out_of_fuel}.
+(** LP1 from the flow start (see the header); [None] iff the instance is
+    infeasible, which phase 1 proves when the flow finds no schedule.
+    With [budget], each simplex pivot costs one tick and exhaustion
+    raises {!Budget.Out_of_fuel}.
     [?obs] and [?engine] (default {!Lp.default_engine}) are forwarded to
     {!Lp.solve}. *)
 val solve :

@@ -32,9 +32,9 @@ val check : Workload.Bjob.t list -> solution -> string option
 val lp_optimum : Workload.Bjob.t list -> Rational.t
 
 (** The event-grid LP behind {!lp_optimum}, as a bare model (objective
-    [min sum y_c]); exposed so the engine bench (experiment E21) can
-    solve one model under both engines and read the pivot/tableau
-    telemetry. *)
+    [min sum y_c]); exposed so [test_lp]'s engine families (EXPERIMENTS
+    E21/E23/E24) can solve one model under every engine and read the
+    pivot and work counters. *)
 val lp_model : Workload.Bjob.t list -> Lp.model
 
 (** Theorem 7: (total cost, the underlying unbounded solution, per-cell

@@ -29,6 +29,14 @@ module Basis = struct
     vstat : status array; (* structural columns *)
     sstat : status array; (* slack of each row; [Lower] for Eq rows *)
   }
+
+  let make ~vstat ~sstat =
+    {
+      b_nvars = Array.length vstat;
+      b_nrows = Array.length sstat;
+      vstat = Array.copy vstat;
+      sstat = Array.copy sstat;
+    }
 end
 
 (* The three simplex engines, dispatched by one match in [solve]. *)
@@ -535,7 +543,9 @@ let sparse_counters =
     c_price = true;
   }
 
-let sparse_scfg ~rule =
+(* [reuse]: the warm basis is an earlier optimum, so a successful
+   restore counts in [lp.warm_starts]; a caller's [?start] does not. *)
+let sparse_scfg ~rule ~reuse =
   {
     Sparse_simplex.dtol = Q.zero;
     ptol = Q.zero;
@@ -543,7 +553,7 @@ let sparse_scfg ~rule =
     eta_cap;
     step_cap = None;
     bland_always = (rule = Pure_bland);
-    counters = sparse_counters;
+    counters = { sparse_counters with c_warm = reuse };
   }
 
 (* Map a sparse driver outcome back to the solver result; [x] comes from
@@ -592,7 +602,7 @@ let solve_sparse_cold ~rule ~budget ~obs ~pivots m =
   let spec, slack_of_row = sparse_spec ~with_art:true m in
   let pb = RS.of_spec spec in
   let ops = ref 0 in
-  let outcome = RS.solve_cold (sparse_scfg ~rule) pb ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_cold (sparse_scfg ~rule ~reuse:false) pb ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
@@ -615,24 +625,24 @@ let sparse_warm_stat m ~slack_of_row ~ncols (w : Basis.t) =
   done;
   stat
 
-let solve_sparse_warm ~rule ~budget ~obs ~pivots m (w : Basis.t) =
+let solve_sparse_warm ~rule ~reuse ~budget ~obs ~pivots m (w : Basis.t) =
   if w.Basis.b_nvars <> m.nvars || w.Basis.b_nrows <> m.nrows then raise RS.Warm_failed;
   let spec, slack_of_row = sparse_spec ~with_art:false m in
   let pb = RS.of_spec spec in
   let stat = sparse_warm_stat m ~slack_of_row ~ncols:spec.Sparse_simplex.sp_ncols w in
   let ops = ref 0 in
-  let outcome = RS.solve_warm (sparse_scfg ~rule) pb ~stat ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_warm (sparse_scfg ~rule ~reuse) pb ~stat ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
 (* The revised engine: warm from [warm] when given, cold when there is
-   none or the snapshot cannot be reused. *)
-let solve_revised ~rule ~warm ~budget ~obs m =
+   none or the basis cannot be used. *)
+let solve_revised ~rule ~warm ~reuse ~budget ~obs m =
   let pivots = ref 0 in
   match warm with
   | None -> solve_sparse_cold ~rule ~budget ~obs ~pivots m
   | Some w -> (
-      try solve_sparse_warm ~rule ~budget ~obs ~pivots m w
+      try solve_sparse_warm ~rule ~reuse ~budget ~obs ~pivots m w
       with RS.Warm_failed -> solve_sparse_cold ~rule ~budget ~obs ~pivots m)
 
 (* ====================================================================== *)
@@ -679,7 +689,7 @@ let float_counters =
     c_price = false;
   }
 
-let float_scfg ~rule ~m ~n =
+let float_scfg ~rule ~reuse ~m ~n =
   {
     Sparse_simplex.dtol = float_eps;
     ptol = fpivot_tol;
@@ -687,7 +697,7 @@ let float_scfg ~rule ~m ~n =
     eta_cap;
     step_cap = Some (float_pivot_cap ~m ~n);
     bland_always = (rule = Pure_bland);
-    counters = float_counters;
+    counters = { float_counters with c_warm = reuse };
   }
 
 (* Float phase on the sparse driver: runs at double precision over the
@@ -697,7 +707,7 @@ let float_scfg ~rule ~m ~n =
    certification decides what it is worth. A refactorization that finds
    the basis singular at double precision counts as such trouble: warm,
    it retries cold; cold, the float phase gives up. *)
-let solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m =
+let solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m =
   let claim_of_outcome slack_of_row = function
     | FS.Infeas -> F_infeas
     | FS.Unbd -> F_unbd
@@ -713,7 +723,7 @@ let solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m =
   let cold () =
     let spec, slack_of_row = sparse_spec ~with_art:true m in
     let pb = FS.of_spec spec in
-    let scfg = float_scfg ~rule ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
+    let scfg = float_scfg ~rule ~reuse:false ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
     match FS.solve_cold scfg pb ~budget ~obs ~pivots:fpivots ~ops:fops with
     | outcome -> claim_of_outcome slack_of_row outcome
     | exception (FS.Gave_up | FS.F.Singular) -> raise Float_gave_up
@@ -727,7 +737,7 @@ let solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m =
         let pb = FS.of_spec spec in
         let n = spec.Sparse_simplex.sp_ncols in
         let stat = sparse_warm_stat m ~slack_of_row ~ncols:n w in
-        let scfg = float_scfg ~rule ~m:m.nrows ~n in
+        let scfg = float_scfg ~rule ~reuse ~m:m.nrows ~n in
         match FS.solve_warm scfg pb ~stat ~budget ~obs ~pivots:fpivots ~ops:fops with
         | FS.Opt _ as o -> claim_of_outcome slack_of_row o
         (* infeasible/unbounded claims out of a warm start are not worth
@@ -868,7 +878,7 @@ let certify ~ops m ~vstat ~sstat =
   in
   (finish_objective m z, x, basis)
 
-let solve_float_certified ~rule ~warm ~budget ~obs m =
+let solve_float_certified ~rule ~warm ~reuse ~budget ~obs m =
   let fallback () =
     Obs.incr obs "lp.fallbacks";
     let pivots = ref 0 in
@@ -878,7 +888,7 @@ let solve_float_certified ~rule ~warm ~budget ~obs m =
   in
   let fpivots = ref 0 in
   let fops = ref 0 in
-  match solve_float ~rule ~warm ~budget ~obs ~fpivots ~fops m with
+  match solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m with
   | exception Float_gave_up -> fallback ()
   | F_infeas | F_unbd -> fallback () (* claims we do not certify: re-solve exactly *)
   | F_opt (vstat, sstat) -> (
@@ -1024,7 +1034,7 @@ let basis_cache : Basis_cache.t option Atomic.t = Atomic.make None
 let install_basis_cache c = Atomic.set basis_cache c
 let installed_basis_cache () = Atomic.get basis_cache
 
-let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?warm ?budget
+let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?warm ?start ?budget
     ?(obs = Obs.null) m =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.incr obs "lp.solves";
@@ -1035,11 +1045,13 @@ let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?warm ?budg
   let warm =
     match (cache, key) with Some c, Some k -> Basis_cache.find c k | _ -> warm
   in
+  (* an earlier optimum takes precedence; [start] only replaces phase 1 *)
+  let warm, reuse = match warm with Some _ -> (warm, true) | None -> (start, false) in
   let r =
     match engine with
-    | Revised -> solve_revised ~rule ~warm ~budget ~obs m
+    | Revised -> solve_revised ~rule ~warm ~reuse ~budget ~obs m
     | Dense -> solve_dense ~rule ~budget ~obs m
-    | Float_certified -> solve_float_certified ~rule ~warm ~budget ~obs m
+    | Float_certified -> solve_float_certified ~rule ~warm ~reuse ~budget ~obs m
   in
   (match (cache, key, r) with
   | Some c, Some k, Optimal { sol_basis = Some b; _ } -> Basis_cache.store c k b

@@ -40,6 +40,13 @@
     model (see [prop_engines_agree] and the fuzz differential); the
     optimal vertex may differ when the optimum is not unique.
 
+    Starting points: a cold solve runs phase 1 over artificial
+    variables. A re-solve can restore an earlier optimum instead
+    ([?warm], or an installed {!Basis_cache}), and a caller that knows
+    a feasible point of its model can pass a basis built from it
+    ([?start], {!Basis.make}): LP1 starts from the paper's Fig. 2 flow
+    this way. Neither changes the status or the objective.
+
     Pricing and anti-cycling: every engine prices by Dantzig's rule
     while the objective strictly improves and falls back to Bland's rule
     after a bounded number of degenerate pivots, which guarantees
@@ -110,9 +117,10 @@ type engine = Revised | Dense | Float_certified
     revised engine re-solved from scratch. *)
 type certification = Exact | Certified | Fallback
 
-(** A basis snapshot for warm-started re-solves: the nonbasic-at-bound /
-    basic status of every structural variable and row slack at the
-    optimum that produced it. *)
+(** A basis: the nonbasic-at-bound / basic status of every structural
+    variable and row slack. {!basis} snapshots the one an optimum ended
+    on, for {!solve}'s [?warm]; {!Basis.make} builds one from a known
+    feasible point, for [?start]. *)
 module Basis : sig
   type status = Lower | Upper | Basic
 
@@ -122,6 +130,13 @@ module Basis : sig
     vstat : status array;
     sstat : status array;
   }
+
+  (** [make ~vstat ~sstat] takes the status of every structural variable
+      in declaration order and of every row's slack in row order (the
+      slack of a [Ge] row is its surplus; an [Eq] row's entry is
+      ignored). The arrays are copied. Nothing is checked here: {!solve}
+      decides whether the basis is usable. *)
+  val make : vstat:status array -> sstat:status array -> t
 end
 
 (** {1 Engine names}
@@ -171,6 +186,20 @@ val default_engine : engine
     is consulted (and refreshed) automatically, keyed on the model's
     shape digest.
 
+    [start] (every engine except {!Dense}) is a basis the caller built
+    from a feasible point of its own model ({!Basis.make}), used in
+    place of phase 1. It is taken only when the solve would otherwise
+    start cold: no [?warm] was given and an installed cache had no hit
+    (a miss still stores the result). It runs through the [?warm]
+    machinery — refactorize, check primal feasibility, phase 2 — and a
+    start that cannot be used (wrong dimensions, singular, neither
+    primal nor dual feasible) falls back to phase 1 silently. A start
+    never changes the status or the objective, but it may change which
+    optimal vertex is returned when the optimum is not unique. It does
+    not count in [lp.warm_starts]; [lp.phase1_pivots = 0] shows that it
+    was taken. [Active.Lp_model.solve] starts LP1 from the paper's
+    Fig. 2 flow this way.
+
     When [budget] is given, every simplex pivot and bound flip consumes
     one tick of it; on exhaustion the solve aborts by raising
     {!Budget.Out_of_fuel}. A half-pivoted tableau has no meaningful
@@ -202,6 +231,7 @@ val solve :
   ?rule:pivot_rule ->
   ?engine:engine ->
   ?warm:Basis.t ->
+  ?start:Basis.t ->
   ?budget:Budget.t ->
   ?obs:Obs.t ->
   model ->
@@ -225,9 +255,9 @@ val pivots : solution -> int
     updated by eliminations for the dense engine, LU / triangular-solve
     / eta / pricing multiplications for the revised engine,
     and float cells plus exact certification operations for the float
-    engine. This is the bench's engine-comparable measure of simplex
-    work (experiments E21/E23/E24); before 1.8.0 it reported the static
-    tableau area instead. *)
+    engine. This is the engine-comparable measure of simplex work that
+    [test_lp]'s engine families compare (EXPERIMENTS E21/E23/E24);
+    before 1.8.0 it reported the static tableau area instead. *)
 val tableau_cells : solution -> int
 
 (** Basis snapshot for {!solve}'s [?warm] — [None] when the solution was

@@ -26,7 +26,8 @@
 
    Every scalar multiply/divide performed is tallied into the [ops] ref
    supplied at factorization time — this is the "touched cells" measure
-   the solution's [sol_cells] and the bench work ratios report. *)
+   behind the solution's [sol_cells] and the work ratios [test_lp]
+   checks. *)
 
 module Make (S : Scalar.S) = struct
   (* a sparse matrix column: parallel (row index, value) arrays *)

@@ -20,9 +20,9 @@
 (** {1 JSON}
 
     A minimal JSON document model and printer, here so that the CLI
-    ([atbt --format json]), the bench harness ([BENCH_<exp>.json]) and
-    the line-JSON sink share one deterministic serializer without any
-    external dependency. *)
+    ([atbt --format json]), the serve protocol, the [atbt sim] report
+    and the line-JSON sink share one deterministic serializer without
+    any external dependency. *)
 
 module Json : sig
   type t =

@@ -29,9 +29,10 @@
       basis.
 
     With [warm = false] every epoch gets a fresh session (and rebuilds
-    the oracle and the LP model cold) — the baseline the bench's
-    warm-vs-cold work gate compares against; the answers are identical,
-    only the work differs.
+    the oracle and the LP model cold) — the baseline that [test_sim]'s
+    "warm = cold on vm_day and timed traces" compares against
+    (EXPERIMENTS E25); the answers are identical, only the work
+    differs.
 
     When the epoch solve degrades — deadline expired (the cascade's
     provenance records the aborted tiers), budget exhausted without an

@@ -41,7 +41,8 @@ val bb_hard : g:int -> groups:int -> width:int -> Slotted.t
     inside its block and the only containments are the nestings within
     one block — so growing [blocks] or [width] grows the program without
     growing any basis column. Built to make the dense-vs-sparse simplex
-    work asymptotics visible (bench E24). Raises [Invalid_argument]
+    work asymptotics visible (EXPERIMENTS E24; [test_lp]'s
+    "sparse_wide, 3x less work"). Raises [Invalid_argument]
     unless [g >= 1], [blocks >= 1], [width >= 2]. *)
 val sparse_wide : g:int -> blocks:int -> width:int -> Slotted.t
 

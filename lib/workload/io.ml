@@ -49,8 +49,9 @@ let parse_error lineno fmt = Printf.ksprintf (fun msg -> raise (Parse_error (lin
    typo in a large instance file degrades to a warning instead of
    aborting the whole run. Whole-file problems (missing header, missing
    capacity) stay fatal in both modes: there is nothing to continue
-   with. *)
-let parse_line ~kind ~g ~slotted_jobs ~busy_jobs ~arrivals ~lineno line =
+   with. [ids] holds the ids of the jobs accepted so far: solvers key
+   jobs by id, so a repeated id is an error on its line. *)
+let parse_line ~kind ~g ~slotted_jobs ~busy_jobs ~ids ~arrivals ~lineno line =
   match tokens_of_line line with
       | [] -> ()
       | [ "slotted" ] -> kind := Some `Slotted
@@ -71,6 +72,10 @@ let parse_line ~kind ~g ~slotted_jobs ~busy_jobs ~arrivals ~lineno line =
                 | _ -> parse_error lineno "invalid arrival %S (want a nonnegative integer)" t)
             | _ -> (rest, None)
           in
+          let fresh id =
+            if Hashtbl.mem ids id then parse_error lineno "duplicate job id %d" id;
+            Hashtbl.replace ids id ()
+          in
           let record id = match arrival with Some a -> arrivals := (id, a) :: !arrivals | None -> () in
           match (!kind, rest) with
           | None, _ -> parse_error lineno "job before header ('slotted' or 'busy')"
@@ -78,7 +83,9 @@ let parse_line ~kind ~g ~slotted_jobs ~busy_jobs ~arrivals ~lineno line =
               match (int_of_string_opt id, int_of_string_opt r, int_of_string_opt d, int_of_string_opt p) with
               | Some id, Some release, Some deadline, Some length -> (
                   try
-                    slotted_jobs := Slotted.job ~id ~release ~deadline ~length :: !slotted_jobs;
+                    let j = Slotted.job ~id ~release ~deadline ~length in
+                    fresh id;
+                    slotted_jobs := j :: !slotted_jobs;
                     record id
                   with Invalid_argument msg -> parse_error lineno "%s" msg)
               | _ -> parse_error lineno "slotted jobs need four integers")
@@ -87,9 +94,11 @@ let parse_line ~kind ~g ~slotted_jobs ~busy_jobs ~arrivals ~lineno line =
               | None -> parse_error lineno "invalid job id %S" id
               | Some id -> (
                   try
-                    busy_jobs :=
+                    let j =
                       Bjob.make ~id ~release:(Q.of_string r) ~deadline:(Q.of_string d) ~length:(Q.of_string p)
-                      :: !busy_jobs;
+                    in
+                    fresh id;
+                    busy_jobs := j :: !busy_jobs;
                     record id
                   with
                   | Invalid_argument msg | Failure msg -> parse_error lineno "%s" msg
@@ -106,11 +115,12 @@ let parse_lines_gen ~on_error lines =
   let g = ref None in
   let slotted_jobs = ref [] in
   let busy_jobs = ref [] in
+  let ids = Hashtbl.create 64 in
   let arrivals = ref [] in
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
-      try parse_line ~kind ~g ~slotted_jobs ~busy_jobs ~arrivals ~lineno line
+      try parse_line ~kind ~g ~slotted_jobs ~busy_jobs ~ids ~arrivals ~lineno line
       with Parse_error (l, msg) -> on_error l msg)
     lines;
   match !kind with

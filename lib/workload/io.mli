@@ -20,6 +20,9 @@
     arrivals alongside the instance for rolling-horizon replay
     ([atbt sim]).
 
+    Job ids are unique within a file: a repeated id is an error on its
+    line.
+
     ['#'] starts a comment; blank lines are ignored. *)
 
 type instance = Slotted_instance of Slotted.t | Busy_instance of Bjob.t list

@@ -762,6 +762,116 @@ let test_basis_cache_eviction () =
       Alcotest.(check bool) "session basis_cache 0 holds no cache" true
         (Core.Session.basis_cache s = None))
 
+(* -- ?start: a caller-built feasible basis in place of phase 1 ------------ *)
+
+(* min x + y s.t. x + 2y >= 4, 2x + 4y <= 20, 3x + y >= 6, 0 <= x, y <= 5:
+   optimum 14/5 at (8/5, 6/5). Its two Ge rows need artificials, so a cold
+   solve runs phase 1. *)
+let start_model () =
+  let m = Lp.create () in
+  let x = Lp.add_var ~upper:(qi 5) m "x" and y = Lp.add_var ~upper:(qi 5) m "y" in
+  Lp.add_constraint m [ (qi 1, x); (qi 2, y) ] Lp.Ge (qi 4);
+  Lp.add_constraint m [ (qi 2, x); (qi 4, y) ] Lp.Le (qi 20);
+  Lp.add_constraint m [ (qi 3, x); (qi 1, y) ] Lp.Ge (qi 6);
+  Lp.set_objective m Lp.Minimize [ (qi 1, x); (qi 1, y) ];
+  m
+
+(* Solve [m] from [start]; returns the objective and a counter reader. *)
+let solve_from ?engine ?warm ~start m =
+  let obs = Obs.create () in
+  let s = get_solution (Lp.solve ?engine ?warm ~start ~obs m) in
+  let counter name = Option.value (List.assoc_opt name (Obs.counters obs)) ~default:0 in
+  (Q.to_string (Lp.objective_value s), counter)
+
+let test_start_taken () =
+  let open Lp.Basis in
+  (* x at its upper bound 5, y at 0, every slack basic: primal feasible *)
+  let start = make ~vstat:[| Upper; Lower |] ~sstat:[| Basic; Basic; Basic |] in
+  List.iter
+    (fun engine ->
+      let name = Lp.engine_name engine in
+      let obj, counter = solve_from ~engine ~start (start_model ()) in
+      Alcotest.(check string) (name ^ ": objective") "14/5" obj;
+      Alcotest.(check int) (name ^ ": no phase 1") 0 (counter "lp.phase1_pivots");
+      Alcotest.(check int) (name ^ ": not a warm start") 0 (counter "lp.warm_starts"))
+    [ Lp.Revised; Lp.Float_certified ];
+  (* the dense reference ignores it and runs phase 1 *)
+  let obj, counter = solve_from ~engine:Lp.Dense ~start (start_model ()) in
+  Alcotest.(check string) "dense objective" "14/5" obj;
+  Alcotest.(check bool) "dense runs phase 1" true (counter "lp.phase1_pivots" > 0);
+  (* LP1 from the Fig. 2 flow: the tall gadget's 65 cold pivots (pinned
+     in the golden counters above) drop to 23, all of them phase 2 *)
+  let obs = Obs.create () in
+  let tall = Workload.Gadgets.lp1_tall ~g:3 ~jobs:9 ~length:2 in
+  let lp = Option.get (Active.Lp_model.solve ~obs tall) in
+  let counter name = Option.value (List.assoc_opt name (Obs.counters obs)) ~default:0 in
+  Alcotest.(check string) "tall objective" "6" (Q.to_string lp.Active.Lp_model.cost);
+  Alcotest.(check int) "tall: no phase 1" 0 (counter "lp.phase1_pivots");
+  Alcotest.(check int) "tall pivots" 23 (counter "lp.pivots")
+
+let test_start_unusable () =
+  let open Lp.Basis in
+  let cold = Q.to_string (Lp.objective_value (get_solution (Lp.solve (start_model ())))) in
+  Alcotest.(check string) "cold objective" "14/5" cold;
+  let falls_back name start =
+    List.iter
+      (fun engine ->
+        let label = Printf.sprintf "%s (%s)" name (Lp.engine_name engine) in
+        let obj, counter = solve_from ~engine ~start (start_model ()) in
+        Alcotest.(check string) (label ^ ": cold answer") cold obj;
+        Alcotest.(check int) (label ^ ": not a warm start") 0 (counter "lp.warm_starts");
+        if engine = Lp.Revised then
+          Alcotest.(check bool) (label ^ ": phase 1 ran") true (counter "lp.phase1_pivots" > 0))
+      [ Lp.Revised; Lp.Float_certified ]
+  in
+  falls_back "wrong dimensions" (make ~vstat:[| Basic |] ~sstat:[| Basic; Basic |]);
+  falls_back "too few basics" (make ~vstat:[| Lower; Lower |] ~sstat:[| Basic; Basic; Lower |]);
+  (* x, y and the third row's surplus: rows 1 and 2 are proportional *)
+  falls_back "singular" (make ~vstat:[| Basic; Basic |] ~sstat:[| Lower; Lower; Basic |]);
+  (* both at 5 breaks row 2, and a variable at its upper bound with cost
+     1 is not dual feasible either *)
+  falls_back "neither primal nor dual feasible"
+    (make ~vstat:[| Upper; Upper |] ~sstat:[| Basic; Basic; Basic |]);
+  (* the slack basis breaks both Ge rows but is dual feasible: the warm
+     machinery's dual repair reaches the optimum without phase 1 *)
+  let obj, counter =
+    solve_from ~start:(make ~vstat:[| Lower; Lower |] ~sstat:[| Basic; Basic; Basic |]) (start_model ())
+  in
+  Alcotest.(check string) "primal infeasible: cold answer" cold obj;
+  Alcotest.(check int) "primal infeasible: repaired, no phase 1" 0 (counter "lp.phase1_pivots");
+  (* the empty model, with an empty and with a misfit start *)
+  List.iter
+    (fun start ->
+      let obj, _ = solve_from ~start (Lp.create ()) in
+      Alcotest.(check string) "empty model" "0" obj)
+    [ make ~vstat:[||] ~sstat:[||]; make ~vstat:[| Basic |] ~sstat:[||] ]
+
+let test_start_precedence () =
+  let open Lp.Basis in
+  let start = make ~vstat:[| Upper; Lower |] ~sstat:[| Basic; Basic; Basic |] in
+  let optimum = Option.get (Lp.basis (get_solution (Lp.solve (start_model ())))) in
+  (* an explicit ?warm wins: the solve counts a warm start *)
+  let obj, counter = solve_from ~warm:optimum ~start (start_model ()) in
+  Alcotest.(check string) "?warm objective" "14/5" obj;
+  Alcotest.(check int) "?warm taken over ?start" 1 (counter "lp.warm_starts");
+  Alcotest.(check int) "?warm: no pivots" 0 (counter "lp.pivots");
+  (* so does a cache hit; a miss takes the start and still stores *)
+  let cache = Lp.Basis_cache.create ~capacity:4 in
+  Lp.install_basis_cache (Some cache);
+  Fun.protect
+    ~finally:(fun () -> Lp.install_basis_cache None)
+    (fun () ->
+      let obj, counter = solve_from ~start (start_model ()) in
+      Alcotest.(check string) "miss objective" "14/5" obj;
+      Alcotest.(check int) "miss takes the start" 0 (counter "lp.phase1_pivots");
+      Alcotest.(check int) "miss is no warm start" 0 (counter "lp.warm_starts");
+      Alcotest.(check int) "miss stores the optimum" 1 (Lp.Basis_cache.size cache);
+      let obj, counter = solve_from ~start (start_model ()) in
+      Alcotest.(check string) "hit objective" "14/5" obj;
+      Alcotest.(check int) "hit taken over ?start" 1 (Lp.Basis_cache.hits cache);
+      Alcotest.(check int) "hit counts a warm start" 1 (counter "lp.warm_starts");
+      Alcotest.(check int) "hit: no pivots" 0 (counter "lp.pivots"))
+
 (* -- engine races on the repo's LP families ------------------------------- *)
 
 let objective s = Q.to_string (Lp.objective_value s)
@@ -884,10 +994,32 @@ let test_sparse_wide () =
   Alcotest.(check bool) (Printf.sprintf "dense work %d >= 3x revised work %d" dense revised) true
     (dense >= 3 * revised)
 
+(* LP1 of random slotted instances, infeasible ones included: the revised
+   and float engines start from the Fig. 2 flow and agree in status and
+   objective with the dense engine's phase 1; on a feasible instance the
+   revised engine runs no phase-1 pivot. *)
+let prop_lp1_flow_start =
+  QCheck.Test.make ~name:"LP1 flow start: engines agree, no phase 1" ~count:150
+    QCheck.(
+      pair (int_range 0 100_000) (quad (int_range 1 10) (int_range 4 14) (int_range 0 3) (int_range 1 3)))
+    (fun (seed, (n, horizon, slack, g)) ->
+      let params : Workload.Generate.slotted_params = { n; horizon; max_length = 4; slack; g } in
+      let inst = Workload.Generate.slotted ~params ~seed () in
+      let cost ?obs engine =
+        Option.map (fun l -> l.Active.Lp_model.cost) (Active.Lp_model.solve ~engine ?obs inst)
+      in
+      let obs = Obs.create () in
+      let revised = cost ~obs Lp.Revised in
+      let phase1 = Option.value (List.assoc_opt "lp.phase1_pivots" (Obs.counters obs)) ~default:0 in
+      (revised = None || phase1 = 0)
+      && List.for_all
+           (fun engine -> Option.equal Q.equal (cost engine) revised)
+           [ Lp.Float_certified; Lp.Dense ])
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
-      prop_engines_agree; prop_warm_matches_cold ]
+      prop_engines_agree; prop_warm_matches_cold; prop_lp1_flow_start ]
 
 let () =
   Alcotest.run "lp"
@@ -921,7 +1053,10 @@ let () =
           Alcotest.test_case "sparse golden counters" `Quick test_sparse_golden_counters;
           Alcotest.test_case "shape digest" `Quick test_shape_digest;
           Alcotest.test_case "basis cache" `Quick test_basis_cache;
-          Alcotest.test_case "basis cache eviction" `Quick test_basis_cache_eviction ] );
+          Alcotest.test_case "basis cache eviction" `Quick test_basis_cache_eviction;
+          Alcotest.test_case "start taken" `Quick test_start_taken;
+          Alcotest.test_case "unusable start falls back" `Quick test_start_unusable;
+          Alcotest.test_case "warm and cache hit beat start" `Quick test_start_precedence ] );
       ( "families",
         [ Alcotest.test_case "dense vs revised, pinned pivots" `Quick test_families_dense_revised;
           Alcotest.test_case "float certifies, 5x less work" `Quick test_families_float_certified;

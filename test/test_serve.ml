@@ -149,6 +149,21 @@ let test_decode_rejects () =
   bad "{\"instance\": \"busy\\njob 0 0 1/0 1\\n\"}";
   bad (J.to_string (J.Obj [ ("instance", J.String slotted_text); ("g", J.Int 0) ]))
 
+(* A repeated job id is a parse error on its line, so a daemon answers
+   it with a status:"error" response naming the line, not a worker
+   fault. *)
+let test_decode_duplicate_id () =
+  let line = request "slotted\ng 1\njob 0 0 2 2\njob 0 0 2 2\n" in
+  (match Serve.Protocol.decode_line ~seq:0 line with
+  | Error m -> Alcotest.(check string) "decode error" "instance line 4: duplicate job id 0" m
+  | Ok _ -> Alcotest.fail "accepted a repeated job id");
+  match Serve.run_lines ~config:(config ()) [ line ] with
+  | [ out ] ->
+      Alcotest.(check string) "status" "error" (status_of out);
+      Alcotest.(check bool) "message" true
+        (J.member "message" (parse_ok out) = Some (J.String "instance line 4: duplicate job id 0"))
+  | out -> Alcotest.failf "expected one response, got %d" (List.length out)
+
 let test_cache_key_ignores_delivery_fields () =
   let decode extra =
     match Serve.Protocol.decode_line ~seq:0 (request ~extra slotted_text) with
@@ -453,6 +468,7 @@ let () =
         [ Alcotest.test_case "json parser" `Quick test_json_parse;
           Alcotest.test_case "decode defaults" `Quick test_decode_defaults;
           Alcotest.test_case "decode rejects" `Quick test_decode_rejects;
+          Alcotest.test_case "decode rejects duplicate ids" `Quick test_decode_duplicate_id;
           Alcotest.test_case "cache key scope" `Quick test_cache_key_ignores_delivery_fields;
           Alcotest.test_case "cache key params order" `Quick test_cache_key_params_order ] );
       ( "lenient io",

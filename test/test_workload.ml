@@ -262,6 +262,34 @@ let test_io_errors () =
   | Workload.Io.Busy_instance [ _ ] -> ()
   | _ -> Alcotest.fail "comment handling"
 
+(* Solvers key jobs by id, so a repeated id is an error on its line, for
+   both instance kinds; the lenient parse skips that line with a
+   warning and keeps the first job. *)
+let test_io_duplicate_ids () =
+  let expect_dup input line =
+    match Workload.Io.parse_string input with
+    | exception Workload.Io.Parse_error (l, msg) ->
+        Alcotest.(check (pair int string)) "strict error" (line, "duplicate job id 0") (l, msg)
+    | _ -> Alcotest.fail ("accepted a repeated id: " ^ input)
+  in
+  expect_dup "slotted\ng 1\njob 0 0 2 2\njob 0 0 2 2\n" 4;
+  expect_dup "busy\njob 0 0 5 1\njob 1 0 5 1\njob 0 1 3 2\n" 4;
+  (match Workload.Io.parse_string_lenient "slotted\ng 2\njob 0 0 4 2\njob 0 1 3 1\njob 1 0 4 2\n" with
+  | Ok (Workload.Io.Slotted_instance t, warnings) ->
+      Alcotest.(check (list (pair int string))) "warning" [ (4, "duplicate job id 0") ] warnings;
+      Alcotest.(check (list int)) "ids kept" [ 0; 1 ] (Array.to_list (Array.map (fun j -> j.S.id) t.S.jobs));
+      Alcotest.(check int) "first job 0 kept" 2 t.S.jobs.(0).S.length
+  | _ -> Alcotest.fail "lenient parse of a slotted instance");
+  (match Workload.Io.parse_string_lenient "busy\njob 7 0 5 1\njob 7 0 5 2\n" with
+  | Ok (Workload.Io.Busy_instance [ j ], [ (3, "duplicate job id 7") ]) ->
+      Alcotest.(check string) "first job 7 kept" "1" (Q.to_string j.B.length)
+  | _ -> Alcotest.fail "lenient parse of a busy instance");
+  (* a line rejected for another reason does not claim its id *)
+  match Workload.Io.parse_string_lenient "slotted\ng 2\njob 0 0 1 5\njob 0 0 4 2\n" with
+  | Ok (Workload.Io.Slotted_instance t, [ (3, _) ]) ->
+      Alcotest.(check int) "later job 0 accepted" 1 (Array.length t.S.jobs)
+  | _ -> Alcotest.fail "only the invalid window should warn"
+
 let test_io_whitespace () =
   (* fields may be separated by tabs or any whitespace run, not just
      single spaces *)
@@ -310,6 +338,7 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "arrivals" `Quick test_io_arrivals;
           Alcotest.test_case "errors" `Quick test_io_errors;
+          Alcotest.test_case "duplicate ids" `Quick test_io_duplicate_ids;
           Alcotest.test_case "tabs and whitespace" `Quick test_io_whitespace ] );
       ( "generators",
         [ Alcotest.test_case "deterministic" `Quick test_generators_deterministic;
