@@ -435,7 +435,7 @@ let format_arg =
   Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc:"output format: text (human-readable, default) or json (one telemetry document on stdout)")
 
 let lp_engine_arg =
-  Arg.(value & opt string "revised" & info [ "lp-engine" ] ~docv:"ENGINE" ~doc:"simplex engine for LP-backed solvers: revised (default), dense, sparse (LU + eta updates), or float (certified; see --list-solvers)")
+  Arg.(value & opt string "revised" & info [ "lp-engine" ] ~docv:"ENGINE" ~doc:"simplex engine for LP-backed solvers: revised (default), dense, or float (certified; see --list-solvers)")
 
 let active_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -814,15 +814,12 @@ let sim_cmd =
    returns non-zero only for unusable flags (1) or a response stream
    that died under it (1, reported on stderr: the one fault that
    cannot be answered with a response). *)
-let serve domains queue budget cache basis_cache inject timing =
+let serve domains queue budget cache inject timing =
   let config =
     let* () = check_budget budget in
     let* () = if domains >= 1 then Ok () else Error (Usage "--domains must be at least 1") in
     let* () = if queue >= 1 then Ok () else Error (Usage "--queue must be at least 1") in
     let* () = if cache >= 0 then Ok () else Error (Usage "--cache must be nonnegative") in
-    let* () =
-      if basis_cache >= 0 then Ok () else Error (Usage "--basis-cache must be nonnegative")
-    in
     let* inject =
       match
         match inject with Some spec -> Serve.Inject.parse spec | None -> Serve.Inject.of_env ()
@@ -838,7 +835,6 @@ let serve domains queue budget cache basis_cache inject timing =
         queue_capacity = queue;
         default_budget = (match budget with Some _ -> budget | None -> defaults.Serve.default_budget);
         cache_capacity = cache;
-        basis_cache_capacity = basis_cache;
         inject;
         timing;
       }
@@ -857,23 +853,20 @@ let serve_cmd =
   let cache =
     Arg.(value & opt int 1024 & info [ "cache" ] ~docv:"N" ~doc:"memoized answers kept (FIFO); 0 disables the cache")
   in
-  let basis_cache =
-    Arg.(value & opt int 64 & info [ "basis-cache" ] ~docv:"N" ~doc:"LP warm-start bases kept (FIFO), keyed on model shape; 0 disables warm-basis reuse")
-  in
   let inject =
     Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc:"fault injection spec crash=P,delay=MS@P,corrupt=P,seed=N (default: $(b,ATBT_INJECT))")
   in
   let timing = Arg.(value & flag & info [ "timing" ] ~doc:"add elapsed_us to every response") in
   Cmd.v
     (Cmd.info "serve" ~doc:"Serve solve requests from stdin (line-delimited JSON)")
-    Term.(const serve $ domains $ queue $ budget_arg $ cache $ basis_cache $ inject $ timing)
+    Term.(const serve $ domains $ queue $ budget_arg $ cache $ inject $ timing)
 
 (* -------------------------------------------------------- list-solvers -- *)
 
 (* One line per registered solver, deterministically ordered by
    (kind, name), then one per LP engine name (--lp-engine values;
    every engine returns exact results, so QUALITY is exact throughout);
-   CI diffs this against test/list_solvers.golden. *)
+   test/cli.t diffs this against test/list_solvers.golden. *)
 let list_solvers () =
   Printf.printf "%-16s %-20s %-11s %-24s %s\n" "KIND" "NAME" "QUALITY" "FLAGS" "PAPER";
   List.iter

@@ -29,29 +29,18 @@ module Slot = struct
   let key_name k = k.key_name
 end
 
-type t = {
-  name : string;
-  slots : (int, exn) Hashtbl.t;
-  basis : Lp.Basis_cache.t option;
-}
+type t = (int, exn) Hashtbl.t
 
-let create ?(name = "session") ?(basis_cache = 64) () =
-  {
-    name;
-    slots = Hashtbl.create 8;
-    basis = (if basis_cache > 0 then Some (Lp.Basis_cache.create ~capacity:basis_cache) else None);
-  }
+let create () : t = Hashtbl.create 8
 
-let name t = t.name
-
-let find t (k : 'a Slot.key) : 'a option =
-  match Hashtbl.find_opt t.slots k.Slot.id with
+let find (t : t) (k : 'a Slot.key) : 'a option =
+  match Hashtbl.find_opt t k.Slot.id with
   | None -> None
   | Some packed -> k.Slot.project packed
 
-let set t (k : 'a Slot.key) (v : 'a) = Hashtbl.replace t.slots k.Slot.id (k.Slot.inject v)
-let remove t (k : 'a Slot.key) = Hashtbl.remove t.slots k.Slot.id
-let clear t = Hashtbl.reset t.slots
+let set (t : t) (k : 'a Slot.key) (v : 'a) = Hashtbl.replace t k.Slot.id (k.Slot.inject v)
+let remove (t : t) (k : 'a Slot.key) = Hashtbl.remove t k.Slot.id
+let clear (t : t) = Hashtbl.reset t
 
 let reuse ?(obs = Obs.null) t key ~validate ~build =
   match find t key with
@@ -98,35 +87,3 @@ module Memo = struct
 
   let length t = Mutex.protect t.m (fun () -> Hashtbl.length t.tbl)
 end
-
-let basis_cache t = t.basis
-let basis_hits t = match t.basis with Some bc -> Lp.Basis_cache.hits bc | None -> 0
-let basis_misses t = match t.basis with Some bc -> Lp.Basis_cache.misses bc | None -> 0
-
-let with_installed t f =
-  match t.basis with
-  | None -> f ()
-  | Some _ ->
-      let previous = Lp.installed_basis_cache () in
-      Lp.install_basis_cache t.basis;
-      Fun.protect ~finally:(fun () -> Lp.install_basis_cache previous) f
-
-let solve_next ?(algorithm = "cascade") ?params ?budget ?deadline ?(obs = Obs.null) t inst =
-  let solver = Registry.find_exn (Instance.kind inst) algorithm in
-  let budget =
-    match (budget, deadline) with
-    | Some b, _ -> Some b
-    | None, Some _ -> Some (Budget.unlimited ())
-    | None, None -> None
-  in
-  (match (budget, deadline) with
-  | Some b, Some probe -> Budget.set_deadline b probe
-  | _ -> ());
-  Obs.incr obs "session.solves";
-  let h0 = basis_hits t and m0 = basis_misses t in
-  let record () =
-    Obs.add obs "session.warm_hits" (basis_hits t - h0);
-    Obs.add obs "session.warm_misses" (basis_misses t - m0)
-  in
-  Fun.protect ~finally:record (fun () ->
-      with_installed t (fun () -> solver.Solver.solve ?budget ~obs ?params inst))

@@ -1,40 +1,27 @@
 (** Reusable warm solver state across a sequence of related instances.
 
-    Before 1.9 the repo grew three ad-hoc incrementality mechanisms,
-    each privately wired into a single caller: the {!Lp.Basis_cache}
-    warm-start cache (created and installed by the serve daemon), the
-    warm residual feasibility oracle ([Active.Feasibility.Oracle],
-    owned per solve by the search kernels) and serve's private response
-    memo. A session is their shared home. It owns
+    A session is the home of the warm state a caller threads from one
+    solve to the next. It owns
 
-    - an LP {e warm-basis cache} ({!Lp.Basis_cache}, keyed on
-      {!Lp.shape_digest}) that {!with_installed} / {!solve_next} make
-      the process-wide cache for the duration of a solve, so every LP
-      under the session warm-starts from the last optimal basis of a
-      same-shaped model;
-    - a heterogeneous set of typed {e slots} for whatever other warm
-      state the caller threads across solves — a warm feasibility
-      oracle, a pinned LP model, anything — fetched with {!reuse},
-      which records warm hits, misses and validation-failure rebuilds;
+    - a heterogeneous set of typed {e slots} — a warm feasibility
+      oracle, a pinned LP model and its last optimal basis, anything —
+      fetched with {!reuse}, which records warm hits, misses and
+      validation-failure rebuilds;
     - {!Memo}, the bounded FIFO response memo generalized from the
       serve daemon.
 
-    [solve_next] is the composed entry point: registry dispatch, fuel
-    budget plus deadline probe, the session's caches installed, and
-    [session.*] counters recorded into the caller's [?obs].
+    Nothing here is process-wide, and no solver consults a session on
+    its own: the caller takes what it needs out of a slot and passes it
+    in explicitly ([Lp.solve ?warm], [?start]). [Sim.Rolling] is the
+    caller that keeps slots; the serve daemon keeps only a {!Memo}.
 
-    Domain-safety: {!Lp.Basis_cache} and {!Memo} are mutex-protected
-    and may be shared across worker domains (the serve daemon does);
-    slots are single-domain. *)
+    Domain-safety: {!Memo} is mutex-protected and may be shared across
+    worker domains (the serve daemon does); slots are single-domain. *)
 
 type t
 
-(** [create ()] names the session and sizes its LP warm-basis cache
-    ([basis_cache] capacity in retained bases, default 64; [0] runs the
-    session without one). *)
-val create : ?name:string -> ?basis_cache:int -> unit -> t
-
-val name : t -> string
+(** [create ()] is a session with every slot empty. *)
+val create : unit -> t
 
 (** {1 Typed slots}
 
@@ -54,8 +41,7 @@ val find : t -> 'a Slot.key -> 'a option
 val set : t -> 'a Slot.key -> 'a -> unit
 val remove : t -> 'a Slot.key -> unit
 
-(** Drop every slot (the basis cache is kept — it revalidates by
-    shape). *)
+(** Drop every slot. *)
 val clear : t -> unit
 
 (** [reuse t key ~validate ~build] is the instrumented warm-state
@@ -81,43 +67,3 @@ module Memo : sig
   val store : 'v t -> string -> 'v -> unit
   val length : 'v t -> int
 end
-
-(** {1 Warm-basis cache} *)
-
-(** The session's LP warm-basis cache, when it has one. *)
-val basis_cache : t -> Lp.Basis_cache.t option
-
-(** Cache hits/misses so far (0 without a cache) — the counters behind
-    serve's [serve.basis_hits]/[serve.basis_misses]. *)
-val basis_hits : t -> int
-
-val basis_misses : t -> int
-
-(** [with_installed t f] runs [f] with the session's basis cache
-    installed as the process-wide {!Lp.install_basis_cache} target (so
-    [Lp.solve] calls without an explicit [?warm] consult it), restoring
-    the previous installation afterwards, exceptions included. Without
-    a cache it is just [f ()]. *)
-val with_installed : t -> (unit -> 'a) -> 'a
-
-(** {1 Composed solving} *)
-
-(** [solve_next t inst] solves the next instance of the session's
-    sequence: resolves [algorithm] (default ["cascade"]) for the
-    instance's kind in {!Registry} (raising {!Solver.Unsupported} as
-    {!Registry.find_exn} does), composes [deadline] onto [budget] via
-    {!Budget.set_deadline} (an unlimited budget is created to carry the
-    probe if none is given), and runs the solver under
-    {!with_installed}. Records [session.solves] plus the solve's
-    warm-basis delta as [session.warm_hits] / [session.warm_misses]
-    into [obs]. Budget and deadline exceptions propagate exactly as
-    from the underlying solver. *)
-val solve_next :
-  ?algorithm:string ->
-  ?params:(string * string) list ->
-  ?budget:Budget.t ->
-  ?deadline:(unit -> bool) ->
-  ?obs:Obs.t ->
-  t ->
-  Instance.t ->
-  Result.t

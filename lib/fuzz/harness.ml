@@ -44,7 +44,7 @@ let cases_for_seed seed =
   in
   let sparse_wide =
     (* block-diagonal LP1 family: keeps the lp-engine differential honest
-       on the sparse engine's home turf *)
+       on the sparse LU's home turf *)
     let g = 2 + (seed mod 2) in
     {
       name = "slotted-sparse-wide";

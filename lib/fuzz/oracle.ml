@@ -186,8 +186,7 @@ let check_lp_engines ~fuel (inst : S.t) =
     with Budget.Out_of_fuel -> `Fuel
   in
   let baseline_name = Lp.engine_name Lp.default_engine in
-  (* distinct engines: the name "sparse" resolves to revised *)
-  let engines = List.sort_uniq compare (List.filter_map Lp.engine_of_name (Lp.engine_names ())) in
+  let engines = List.filter_map Lp.engine_of_name (Lp.engine_names ()) in
   match run Lp.default_engine with
   | `Fuel -> None
   | `Done baseline ->

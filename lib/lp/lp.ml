@@ -915,15 +915,13 @@ let solve_float_certified ~rule ~warm ~reuse ~budget ~obs m =
           fallback ())
 
 (* ====================================================================== *)
-(* Engine names: a fixed table. "sparse" is the 1.8 name of the sparse   *)
-(* LU driver the revised engine runs on, so it resolves to [Revised].    *)
+(* Engine names: a fixed table, one name per engine.                      *)
 (* ====================================================================== *)
 
 let engines =
   [ ("dense", Dense, "two-phase dense tableau, exact rational pivots (reference)");
     ("float", Float_certified, "double-precision simplex + exact basis certification, falls back to revised");
-    ("revised", Revised, "bounded-variable revised simplex, exact rational pivots (default)");
-    ("sparse", Revised, "sparse LU revised simplex with eta updates, exact rational pivots") ]
+    ("revised", Revised, "bounded-variable revised simplex, exact rational pivots (default)") ]
 
 let engine_names () = List.map (fun (name, _, _) -> name) engines
 let engine_inventory () = List.map (fun (name, _, description) -> (name, description)) engines
@@ -935,128 +933,16 @@ let engine_name = function Revised -> "revised" | Dense -> "dense" | Float_certi
 
 let default_engine = Revised
 
-(* ---------------------------------------------------------------------- *)
-(* Warm-basis cache: optimal [Basis.t] snapshots keyed on the model's     *)
-(* SHAPE (row/column counts, senses, nonzero pattern — not coefficients   *)
-(* or bounds), so structurally identical models re-solve warm across      *)
-(* independent [solve] calls. Correctness is free: a warm start           *)
-(* refactorizes the actual model and every engine falls back cold on any  *)
-(* reuse failure. Opt-in via [install_basis_cache]; consulted only when   *)
-(* the caller did not pass its own [?warm] snapshot.                      *)
-(* ---------------------------------------------------------------------- *)
-
-let shape_digest m =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (string_of_int m.nvars);
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (string_of_int m.nrows);
-  for i = 0 to m.nrows - 1 do
-    let r = m.rows.(i) in
-    Buffer.add_char buf (match r.sense with Le -> 'l' | Ge -> 'g' | Eq -> 'e');
-    List.iter
-      (fun v ->
-        Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int v))
-      (List.sort compare (List.map snd r.terms));
-    Buffer.add_char buf ';'
-  done;
-  Obs.digest (Buffer.contents buf)
-
-module Basis_cache = struct
-  type t = {
-    cap : int;
-    tbl : (string, Basis.t) Hashtbl.t;
-    order : string Queue.t; (* insertion order, for FIFO eviction *)
-    lock : Mutex.t;
-    mutable h : int;
-    mutable m : int;
-  }
-
-  let create ~capacity =
-    {
-      cap = max 0 capacity;
-      tbl = Hashtbl.create 64;
-      order = Queue.create ();
-      lock = Mutex.create ();
-      h = 0;
-      m = 0;
-    }
-
-  let capacity c = c.cap
-
-  let find c key =
-    (* capacity 0 means *disabled*: nothing is ever stored, so lookups
-       are a no-op fast path — no lock, and no hit/miss accounting. *)
-    if c.cap <= 0 then None
-    else begin
-      Mutex.lock c.lock;
-      let r = Hashtbl.find_opt c.tbl key in
-      (match r with Some _ -> c.h <- c.h + 1 | None -> c.m <- c.m + 1);
-      Mutex.unlock c.lock;
-      r
-    end
-
-  let store c key b =
-    if c.cap > 0 then begin
-      Mutex.lock c.lock;
-      if Hashtbl.mem c.tbl key then Hashtbl.replace c.tbl key b
-      else begin
-        Hashtbl.replace c.tbl key b;
-        Queue.push key c.order;
-        if Hashtbl.length c.tbl > c.cap then begin
-          let victim = Queue.pop c.order in
-          Hashtbl.remove c.tbl victim
-        end
-      end;
-      Mutex.unlock c.lock
-    end
-
-  let size c =
-    Mutex.lock c.lock;
-    let v = Hashtbl.length c.tbl in
-    Mutex.unlock c.lock;
-    v
-
-  let hits c =
-    Mutex.lock c.lock;
-    let v = c.h in
-    Mutex.unlock c.lock;
-    v
-
-  let misses c =
-    Mutex.lock c.lock;
-    let v = c.m in
-    Mutex.unlock c.lock;
-    v
-end
-
-let basis_cache : Basis_cache.t option Atomic.t = Atomic.make None
-let install_basis_cache c = Atomic.set basis_cache c
-let installed_basis_cache () = Atomic.get basis_cache
-
 let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?warm ?start ?budget
     ?(obs = Obs.null) m =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.incr obs "lp.solves";
-  let cache = Atomic.get basis_cache in
-  let key =
-    match (cache, warm) with Some _, None -> Some (shape_digest m) | _ -> None
-  in
-  let warm =
-    match (cache, key) with Some c, Some k -> Basis_cache.find c k | _ -> warm
-  in
   (* an earlier optimum takes precedence; [start] only replaces phase 1 *)
   let warm, reuse = match warm with Some _ -> (warm, true) | None -> (start, false) in
-  let r =
-    match engine with
-    | Revised -> solve_revised ~rule ~warm ~reuse ~budget ~obs m
-    | Dense -> solve_dense ~rule ~budget ~obs m
-    | Float_certified -> solve_float_certified ~rule ~warm ~reuse ~budget ~obs m
-  in
-  (match (cache, key, r) with
-  | Some c, Some k, Optimal { sol_basis = Some b; _ } -> Basis_cache.store c k b
-  | _ -> ());
-  r
+  match engine with
+  | Revised -> solve_revised ~rule ~warm ~reuse ~budget ~obs m
+  | Dense -> solve_dense ~rule ~budget ~obs m
+  | Float_certified -> solve_float_certified ~rule ~warm ~reuse ~budget ~obs m
 
 let objective_value s = s.objective
 let value s v = s.var_values.(v)

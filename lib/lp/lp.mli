@@ -9,9 +9,9 @@
     and vertices, whatever arithmetic it pivots in.
 
     The engines ({!engine}; names in {!engine_names}):
-    - {!Revised} (["revised"], the default; ["sparse"] is an alias) — a
-      bounded-variable primal simplex with exact rational pivots over
-      sparse basis algebra. Variable upper bounds are handled implicitly
+    - {!Revised} (["revised"], the default) — a bounded-variable
+      primal simplex with exact rational pivots over sparse basis
+      algebra. Variable upper bounds are handled implicitly
       by nonbasic-at-lower/nonbasic-at-upper statuses and bound flips,
       so the basis has one row per constraint and artificial variables
       exist only for rows whose slack cannot start basic. The constraint
@@ -41,11 +41,14 @@
     optimal vertex may differ when the optimum is not unique.
 
     Starting points: a cold solve runs phase 1 over artificial
-    variables. A re-solve can restore an earlier optimum instead
-    ([?warm], or an installed {!Basis_cache}), and a caller that knows
-    a feasible point of its model can pass a basis built from it
-    ([?start], {!Basis.make}): LP1 starts from the paper's Fig. 2 flow
-    this way. Neither changes the status or the objective.
+    variables. A re-solve can restore an earlier optimum of the same
+    model instead ([?warm]), and a caller that knows a feasible point of
+    its model can pass a basis built from it ([?start], {!Basis.make}):
+    LP1 starts from the paper's Fig. 2 flow this way. Both are passed
+    explicitly on each call, and nothing else carries over from one
+    [solve] to the next, so the same call returns the same vertex
+    whatever ran before it. Neither start changes the status or the
+    objective.
 
     Pricing and anti-cycling: every engine prices by Dantzig's rule
     while the objective strictly improves and falls back to Bland's rule
@@ -141,9 +144,8 @@ end
 
 (** {1 Engine names}
 
-    A fixed table: ["dense"], ["float"], ["revised"] and ["sparse"].
-    ["sparse"] is the 1.8 name of the sparse LU driver that {!Revised}
-    runs on, and resolves to {!Revised}. *)
+    A fixed table, one name per engine: ["dense"], ["float"] and
+    ["revised"]. *)
 
 (** Engine names, sorted. *)
 val engine_names : unit -> string list
@@ -180,24 +182,21 @@ val default_engine : engine
     cold float solve. When the snapshot cannot be reused — dimensions
     changed, the basis went singular, dual infeasible, or the repair
     exceeds its pivot cap — the solve silently falls back to a cold
-    start, so [?warm] never changes results, only work.
-
-    When a {!Basis_cache} is installed and [?warm] is omitted, the cache
-    is consulted (and refreshed) automatically, keyed on the model's
-    shape digest.
+    start, so [?warm] never changes the status or the objective, only
+    work. It may change which optimal vertex is returned when the
+    optimum is not unique, and the rounding of Theorem 2 reads the
+    vertex: that is why warm state is always the caller's own.
 
     [start] (every engine except {!Dense}) is a basis the caller built
     from a feasible point of its own model ({!Basis.make}), used in
-    place of phase 1. It is taken only when the solve would otherwise
-    start cold: no [?warm] was given and an installed cache had no hit
-    (a miss still stores the result). It runs through the [?warm]
-    machinery — refactorize, check primal feasibility, phase 2 — and a
-    start that cannot be used (wrong dimensions, singular, neither
-    primal nor dual feasible) falls back to phase 1 silently. A start
-    never changes the status or the objective, but it may change which
-    optimal vertex is returned when the optimum is not unique. It does
-    not count in [lp.warm_starts]; [lp.phase1_pivots = 0] shows that it
-    was taken. [Active.Lp_model.solve] starts LP1 from the paper's
+    place of phase 1. It is taken only when no [?warm] was given. It
+    runs through the [?warm] machinery — refactorize, check primal
+    feasibility, phase 2 — and a start that cannot be used (wrong
+    dimensions, singular, neither primal nor dual feasible) falls back
+    to phase 1 silently. A start never changes the status or the
+    objective, but it may change which optimal vertex is returned when
+    the optimum is not unique. It does not count in [lp.warm_starts];
+    [lp.phase1_pivots = 0] shows that it was taken. [Active.Lp_model.solve] starts LP1 from the paper's
     Fig. 2 flow this way.
 
     When [budget] is given, every simplex pivot and bound flip consumes
@@ -269,51 +268,6 @@ val basis : solution -> Basis.t option
     its basis certified, [Fallback] when the exact re-solve produced the
     answer. All three carry exact rational results. *)
 val certification : solution -> certification
-
-(** {1 Warm-basis cache}
-
-    Optimal basis snapshots keyed on the model's {e shape} — variable
-    and row counts, row senses, and the sorted nonzero variable pattern
-    of each row, but not coefficients, bounds or objective — so
-    structurally identical models (the common case for per-node ILP
-    re-solves and repeated serve requests) re-solve warm across
-    independent {!solve} calls. Reuse is always safe: a warm start
-    refactorizes the actual model and falls back to a cold solve
-    whenever the snapshot does not fit. *)
-
-(** Stable shape digest of a model (64-bit FNV-1a, hex) — the cache
-    key. *)
-val shape_digest : model -> string
-
-module Basis_cache : sig
-  type t
-
-  (** [create ~capacity] holds at most [capacity] snapshots, evicting
-      the oldest inserted key first. [capacity <= 0] means {e disabled}:
-      stores and lookups are no-op fast paths — nothing is ever held,
-      {!size}/{!hits}/{!misses} stay [0] and [find] takes no lock.
-      Thread-safe. *)
-  val create : capacity:int -> t
-
-  val capacity : t -> int
-
-  (** Number of snapshots currently held. *)
-  val size : t -> int
-
-  (** Lookups that returned a snapshot / came back empty. *)
-  val hits : t -> int
-
-  val misses : t -> int
-end
-
-(** [install_basis_cache (Some c)] makes every subsequent {!solve} call
-    without an explicit [?warm] consult (and refresh) [c];
-    [install_basis_cache None] uninstalls. The cache is process-global
-    (atomic swap). *)
-val install_basis_cache : Basis_cache.t option -> unit
-
-(** Currently installed cache, if any. *)
-val installed_basis_cache : unit -> Basis_cache.t option
 
 (** {1 Debugging} *)
 

@@ -1,6 +1,6 @@
 (* The scalar fields the sparse basis algebra is generic over. The same
    LU / eta-file / simplex-driver code (Slu, Sparse_simplex) runs over
-   exact rationals (the "sparse" engine and the float engine's
+   exact rationals (the revised engine and the float engine's
    certifier) and over doubles (the float engine's pivoting hot path);
    everything numeric-policy-specific — what counts as zero, which
    pivots are trustworthy — lives behind this signature so the drivers

@@ -25,7 +25,6 @@ type config = {
   queue_capacity : int;
   default_budget : int option;
   cache_capacity : int;
-  basis_cache_capacity : int;
   inject : Inject.t;
   timing : bool;
   now : unit -> float;
@@ -38,7 +37,6 @@ let default_config () =
     queue_capacity = 64;
     default_budget = Some 500_000;
     cache_capacity = 1024;
-    basis_cache_capacity = 64;
     inject = Inject.none;
     timing = false;
     now = Unix.gettimeofday;
@@ -334,13 +332,6 @@ let run_stream ?(obs = Obs.null) ?config ~next_line ~emit () =
   let cfg = match config with Some c -> c | None -> default_config () in
   let stats = Stats.create () in
   let cache = Cache.create ~capacity:cfg.cache_capacity in
-  (* The daemon's warm state is one [Core.Session]: its LP warm-basis
-     cache (shared across the worker domains — the Lp-side cache is
-     mutex-protected) lets repeated solves of same-shape models warm
-     start off the last optimal basis instead of running phase 1 cold.
-     [with_installed] restores the previous installation on exit so
-     runs compose. *)
-  let session = Core.Session.create ~name:"serve" ~basis_cache:cfg.basis_cache_capacity () in
   let emitter = Emitter.create emit in
   let queue : job Bqueue.t = Bqueue.create ~capacity:(max 1 cfg.queue_capacity) in
   (* The response channel is the one dependency no structured response
@@ -381,7 +372,6 @@ let run_stream ?(obs = Obs.null) ?config ~next_line ~emit () =
     in
     loop ()
   in
-  Core.Session.with_installed session @@ fun () ->
   let workers = List.init (max 1 cfg.domains) (fun _ -> Domain.spawn worker) in
   let rec read seq =
     if output_dead () then ()
@@ -422,11 +412,6 @@ let run_stream ?(obs = Obs.null) ?config ~next_line ~emit () =
   Bqueue.close queue;
   List.iter Domain.join workers;
   Stats.merge stats obs;
-  (match Core.Session.basis_cache session with
-  | Some _ ->
-      Obs.add obs "serve.basis_hits" (Core.Session.basis_hits session);
-      Obs.add obs "serve.basis_misses" (Core.Session.basis_misses session)
-  | None -> ());
   Atomic.get output_failure
 
 let run ?obs ?config ic oc =

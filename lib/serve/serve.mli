@@ -8,6 +8,12 @@
     process never dies with a request: every fault becomes a structured
     response ([error], [degraded], [timeout], [overloaded]).
 
+    No solver state carries over from one request to the next: a
+    request gets the answer it gets when sent alone, whatever came
+    before it and, with several worker domains, however the requests
+    interleave. The memo below only replays an earlier answer to the
+    same request.
+
     Resilience mechanisms, in the order a request meets them:
 
     - {e corruption / parse errors}: request lines are decoded totally
@@ -46,11 +52,6 @@ type config = {
       (** fuel for requests that do not send ["budget"]; [None] means
           unlimited *)
   cache_capacity : int;  (** memo entries kept (FIFO eviction); 0 disables *)
-  basis_cache_capacity : int;
-      (** LP warm-basis cache entries ({!Lp.Basis_cache}, FIFO eviction,
-          shared across the worker domains): solves of same-shape LP
-          models warm start off the last optimal basis. 0 disables;
-          [serve.basis_hits] / [serve.basis_misses] count the traffic. *)
   inject : Inject.t;  (** fault injection, {!Inject.none} by default *)
   timing : bool;  (** add [elapsed_us] (service time in microseconds, queue
                       wait excluded) to responses (off: deterministic
@@ -61,8 +62,7 @@ type config = {
 }
 
 (** domains = {!Parallel.Pool.default_domains}, queue 64, default budget
-    [Some 500_000], cache 1024, basis cache 64, no injection, no timing,
-    real clock. *)
+    [Some 500_000], cache 1024, no injection, no timing, real clock. *)
 val default_config : unit -> config
 
 (** [run ic oc] serves until EOF on [ic]; returns 0 (individual request
@@ -74,8 +74,8 @@ val default_config : unit -> config
     [run] sets [SIGPIPE] to ignore for the process, so a hung-up client
     surfaces as [Sys_error] instead of a fatal signal. With [?obs],
     [serve.*] counters (requests,
-    responses, per-status counts, cache hits/misses, basis-cache
-    hits/misses, injected faults) merge into the recorder at exit. *)
+    responses, per-status counts, cache hits/misses, injected faults)
+    merge into the recorder at exit. *)
 val run : ?obs:Obs.t -> ?config:config -> in_channel -> out_channel -> int
 
 (** Transport-agnostic core behind {!run} and {!run_lines}: pull request

@@ -1,8 +1,8 @@
 (* Rolling-horizon re-optimization on a Core.Session. See rolling.mli
    for the epoch semantics; the warm state lives in two session slots
-   (the full-instance feasibility oracle and the pinned LP1 model) plus
-   the session's LP warm-basis cache, so the cold baseline is literally
-   the same code run against a fresh session each epoch. *)
+   (the full-instance feasibility oracle and the pinned LP1 model with
+   its last optimal basis), so the cold baseline is literally the same
+   code run against a fresh session each epoch. *)
 
 module Q = Rational
 module S = Workload.Slotted
@@ -175,7 +175,8 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
   let by_id = Hashtbl.create (Array.length jstates) in
   Array.iter (fun js -> Hashtbl.replace by_id js.job.S.id js) jstates;
   let committed_open : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let persistent = Session.create ~name:"rolling" () in
+  let solver = Core.Registry.find_exn CI.Active_slotted cfg.algorithm in
+  let persistent = Session.create () in
   let epochs = ref [] in
   let index = ref 0 in
   let now = ref 0 in
@@ -183,7 +184,7 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
   while unfinished () do
     let now_ = !now in
     let eobs = Obs.create () in
-    let session = if cfg.warm then persistent else Session.create ~name:"rolling-cold" () in
+    let session = if cfg.warm then persistent else Session.create () in
     (* arrivals and SLA misses at epoch start *)
     let arrived js = js.arrival <= now_ in
     let misses = ref 0 in
@@ -214,8 +215,8 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
     let budget =
       match cfg.epoch_budget with Some n -> Budget.limited n | None -> Budget.unlimited ()
     in
-    let deadline = Option.map (fun factory -> factory ()) cfg.epoch_deadline in
-    (* re-solve the window through the session *)
+    Option.iter (fun factory -> Budget.set_deadline budget (factory ())) cfg.epoch_deadline;
+    (* re-solve the window with the registry solver *)
     let plan, provenance, deadline_hit =
       if wjobs = [] then (Some [], None, false)
       else begin
@@ -227,10 +228,8 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
                    ~length:js.remaining)
                wjobs)
         in
-        match
-          Session.solve_next ~algorithm:cfg.algorithm ~budget ?deadline ~obs:eobs session
-            (CI.Slotted winst)
-        with
+        Obs.incr eobs "session.solves";
+        match solver.Core.Solver.solve ~budget ~obs:eobs (CI.Slotted winst) with
         | r ->
             let plan =
               match r.CR.witness with
@@ -350,7 +349,6 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
             lst.basis <- Lp.basis sol;
             Some (Q.add (Lp.objective_value sol) (Q.of_int orphans))
         | Lp.Infeasible | Lp.Unbounded -> None
-        | exception Budget.Deadline_exceeded -> None
       end
     in
     let ticks =

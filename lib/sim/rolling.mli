@@ -111,10 +111,12 @@ val default_config : config
 val of_busy : g:int -> Workload.Bjob.t list -> Workload.Slotted.t
 
 (** Replay the trace. [arrivals] follow the {!Workload.Io} convention
-    (missing ids arrive at 0). Counters recorded into [obs]: the
-    underlying [lp.*]/[flow.*]/[session.*] counters plus
-    [sim.epochs], [sim.energy], [sim.sla_misses], [sim.work],
-    [sim.degraded_epochs]. *)
+    (missing ids arrive at 0). Raises {!Core.Solver.Unsupported} when
+    [config.algorithm] is not a registered active-time solver.
+    Counters recorded into [obs]: the underlying
+    [lp.*]/[flow.*]/[session.*] counters ([session.solves] counts the
+    window re-solves) plus [sim.epochs], [sim.energy],
+    [sim.sla_misses], [sim.work], [sim.degraded_epochs]. *)
 val run :
   ?obs:Obs.t -> ?config:config -> ?arrivals:(int * int) list -> Workload.Slotted.t -> run
 

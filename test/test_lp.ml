@@ -483,8 +483,8 @@ let test_engine_introspection () =
 
 let test_engine_registry () =
   Alcotest.(check (list string))
-    "engine names" [ "dense"; "float"; "revised"; "sparse" ] (Lp.engine_names ());
-  Alcotest.(check bool) "sparse resolves to revised" true (Lp.engine_of_name "sparse" = Some Lp.Revised);
+    "engine names" [ "dense"; "float"; "revised" ] (Lp.engine_names ());
+  Alcotest.(check bool) "no sparse alias" true (Lp.engine_of_name "sparse" = None);
   Alcotest.(check bool) "unknown name" true (Lp.engine_of_name "bogus" = None);
   Alcotest.(check string) "default is revised" "revised" (Lp.engine_name Lp.default_engine);
   List.iter
@@ -667,101 +667,6 @@ let test_sparse_golden_counters () =
   Alcotest.(check int) "tall refactorizations" 3 (counter "lp.refactorizations");
   Alcotest.(check int) "tall eta updates" 66 (counter "lp.eta_updates")
 
-let cache_model k =
-  (* same shape for every k — only the rhs moves — so all instances share
-     one shape digest and one cache slot *)
-  let m = Lp.create () in
-  let x = Lp.add_var ~upper:(qi 9) m "x" and y = Lp.add_var ~upper:(qi 9) m "y" in
-  Lp.add_constraint m [ (qi 1, x); (qi 1, y) ] Lp.Le (qi (6 + k));
-  Lp.add_constraint m [ (qi 2, x); (qi 1, y) ] Lp.Le (qi (8 + k));
-  Lp.set_objective m Lp.Maximize [ (qi 3, x); (qi 2, y) ];
-  m
-
-let test_shape_digest () =
-  (* keyed on shape (dimensions, senses, sparsity pattern), not data *)
-  Alcotest.(check string)
-    "same shape, different data" (Lp.shape_digest (cache_model 0))
-    (Lp.shape_digest (cache_model 5));
-  let other =
-    let m = Lp.create () in
-    let x = Lp.add_var ~upper:(qi 9) m "x" and y = Lp.add_var ~upper:(qi 9) m "y" in
-    Lp.add_constraint m [ (qi 1, x); (qi 1, y) ] Lp.Le (qi 6);
-    Lp.add_constraint m [ (qi 2, x); (qi 1, y) ] Lp.Le (qi 8);
-    Lp.add_constraint m [ (qi 1, x) ] Lp.Ge Q.zero;
-    Lp.set_objective m Lp.Maximize [ (qi 3, x); (qi 2, y) ];
-    m
-  in
-  Alcotest.(check bool)
-    "extra row changes the digest" true
-    (Lp.shape_digest (cache_model 0) <> Lp.shape_digest other)
-
-let test_basis_cache () =
-  let cache = Lp.Basis_cache.create ~capacity:2 in
-  Lp.install_basis_cache (Some cache);
-  Fun.protect
-    ~finally:(fun () -> Lp.install_basis_cache None)
-    (fun () ->
-      Alcotest.(check bool) "installed" true
-        (match Lp.installed_basis_cache () with Some c -> c == cache | None -> false);
-      let obs = Obs.create () in
-      let s0 = get_solution (Lp.solve ~obs (cache_model 0)) in
-      Alcotest.(check int) "first solve misses" 1 (Lp.Basis_cache.misses cache);
-      Alcotest.(check int) "no hit yet" 0 (Lp.Basis_cache.hits cache);
-      Alcotest.(check int) "basis stored" 1 (Lp.Basis_cache.size cache);
-      (* a same-shape model warm starts off the cached basis... *)
-      let s1 = get_solution (Lp.solve ~obs (cache_model 3)) in
-      Alcotest.(check int) "second solve hits" 1 (Lp.Basis_cache.hits cache);
-      let counter name = try List.assoc name (Obs.counters obs) with Not_found -> 0 in
-      Alcotest.(check int) "cache hit warm starts" 1 (counter "lp.warm_starts");
-      (* ...and both answers are the true optima *)
-      Alcotest.(check string) "cold objective" "14" (Q.to_string (Lp.objective_value s0));
-      Alcotest.(check string) "warm objective" "20" (Q.to_string (Lp.objective_value s1));
-      let cold = get_solution (Lp.solve (cache_model 3)) in
-      Alcotest.(check string)
-        "warm agrees with a cache-hit-free solve" (Q.to_string (Lp.objective_value cold))
-        (Q.to_string (Lp.objective_value s1));
-      (* explicit ?warm bypasses the cache entirely *)
-      let hits = Lp.Basis_cache.hits cache and misses = Lp.Basis_cache.misses cache in
-      let warm = Option.get (Lp.basis s1) in
-      let _ = get_solution (Lp.solve ~warm (cache_model 3)) in
-      Alcotest.(check int) "?warm skips lookup (hits)" hits (Lp.Basis_cache.hits cache);
-      Alcotest.(check int) "?warm skips lookup (misses)" misses (Lp.Basis_cache.misses cache))
-
-let test_basis_cache_eviction () =
-  let cache = Lp.Basis_cache.create ~capacity:1 in
-  Lp.install_basis_cache (Some cache);
-  Fun.protect
-    ~finally:(fun () -> Lp.install_basis_cache None)
-    (fun () ->
-      let other_shape () =
-        let m = Lp.create () in
-        let x = Lp.add_var ~upper:(qi 5) m "x" in
-        Lp.add_constraint m [ (qi 1, x) ] Lp.Le (qi 4);
-        Lp.set_objective m Lp.Maximize [ (qi 1, x) ];
-        m
-      in
-      ignore (get_solution (Lp.solve (cache_model 0)));
-      ignore (get_solution (Lp.solve (other_shape ())));
-      Alcotest.(check int) "capacity 1 holds one entry" 1 (Lp.Basis_cache.size cache);
-      (* the first shape was evicted: solving it again misses *)
-      let misses = Lp.Basis_cache.misses cache in
-      ignore (get_solution (Lp.solve (cache_model 1)));
-      Alcotest.(check int) "evicted shape misses" (misses + 1) (Lp.Basis_cache.misses cache);
-      (* capacity 0 means disabled: stores and lookups are no-ops, and
-         unlike the pre-1.10 behaviour lookups are not even counted *)
-      let off = Lp.Basis_cache.create ~capacity:0 in
-      Lp.install_basis_cache (Some off);
-      ignore (get_solution (Lp.solve (cache_model 0)));
-      ignore (get_solution (Lp.solve (cache_model 0)));
-      Alcotest.(check int) "capacity 0 stores nothing" 0 (Lp.Basis_cache.size off);
-      Alcotest.(check int) "capacity 0 never hits" 0 (Lp.Basis_cache.hits off);
-      Alcotest.(check int) "capacity 0 counts no misses" 0 (Lp.Basis_cache.misses off);
-      (* the serve spelling of "disabled": --basis-cache 0 creates no
-         cache at all on the session *)
-      let s = Core.Session.create ~name:"no-cache" ~basis_cache:0 () in
-      Alcotest.(check bool) "session basis_cache 0 holds no cache" true
-        (Core.Session.basis_cache s = None))
-
 (* -- ?start: a caller-built feasible basis in place of phase 1 ------------ *)
 
 (* min x + y s.t. x + 2y >= 4, 2x + 4y <= 20, 3x + y >= 6, 0 <= x, y <= 5:
@@ -854,23 +759,7 @@ let test_start_precedence () =
   let obj, counter = solve_from ~warm:optimum ~start (start_model ()) in
   Alcotest.(check string) "?warm objective" "14/5" obj;
   Alcotest.(check int) "?warm taken over ?start" 1 (counter "lp.warm_starts");
-  Alcotest.(check int) "?warm: no pivots" 0 (counter "lp.pivots");
-  (* so does a cache hit; a miss takes the start and still stores *)
-  let cache = Lp.Basis_cache.create ~capacity:4 in
-  Lp.install_basis_cache (Some cache);
-  Fun.protect
-    ~finally:(fun () -> Lp.install_basis_cache None)
-    (fun () ->
-      let obj, counter = solve_from ~start (start_model ()) in
-      Alcotest.(check string) "miss objective" "14/5" obj;
-      Alcotest.(check int) "miss takes the start" 0 (counter "lp.phase1_pivots");
-      Alcotest.(check int) "miss is no warm start" 0 (counter "lp.warm_starts");
-      Alcotest.(check int) "miss stores the optimum" 1 (Lp.Basis_cache.size cache);
-      let obj, counter = solve_from ~start (start_model ()) in
-      Alcotest.(check string) "hit objective" "14/5" obj;
-      Alcotest.(check int) "hit taken over ?start" 1 (Lp.Basis_cache.hits cache);
-      Alcotest.(check int) "hit counts a warm start" 1 (counter "lp.warm_starts");
-      Alcotest.(check int) "hit: no pivots" 0 (counter "lp.pivots"))
+  Alcotest.(check int) "?warm: no pivots" 0 (counter "lp.pivots")
 
 (* -- engine races on the repo's LP families ------------------------------- *)
 
@@ -1051,12 +940,9 @@ let () =
           Alcotest.test_case "float uses warm" `Quick test_float_uses_warm;
           Alcotest.test_case "float singular falls back" `Quick test_float_singular_falls_back;
           Alcotest.test_case "sparse golden counters" `Quick test_sparse_golden_counters;
-          Alcotest.test_case "shape digest" `Quick test_shape_digest;
-          Alcotest.test_case "basis cache" `Quick test_basis_cache;
-          Alcotest.test_case "basis cache eviction" `Quick test_basis_cache_eviction;
           Alcotest.test_case "start taken" `Quick test_start_taken;
           Alcotest.test_case "unusable start falls back" `Quick test_start_unusable;
-          Alcotest.test_case "warm and cache hit beat start" `Quick test_start_precedence ] );
+          Alcotest.test_case "warm beats start" `Quick test_start_precedence ] );
       ( "families",
         [ Alcotest.test_case "dense vs revised, pinned pivots" `Quick test_families_dense_revised;
           Alcotest.test_case "float certifies, 5x less work" `Quick test_families_float_certified;

@@ -89,7 +89,7 @@ let counter obs n = match List.assoc_opt n (Obs.counters obs) with Some v -> v |
 
 (* typed slots: generative keys, reuse hit/rebuild/miss discipline *)
 let test_session_slots () =
-  let s = Session.create ~name:"t" ~basis_cache:0 () in
+  let s = Session.create () in
   let k : int Session.Slot.key = Session.Slot.key ~name:"fuel" () in
   let k' : string Session.Slot.key = Session.Slot.key ~name:"fuel" () in
   Alcotest.(check (option int)) "empty slot" None (Session.find s k);
@@ -124,42 +124,6 @@ let test_session_memo () =
   let z : int Session.Memo.t = Session.Memo.create ~capacity:0 in
   Session.Memo.store z "a" 1;
   Alcotest.(check (option int)) "0-capacity memo never hits" None (Session.Memo.find z "a")
-
-(* solve_next: registry dispatch, warm-basis reuse across a sequence of
-   same-shaped instances, session.* counters *)
-let test_session_solve_next () =
-  let inst seed =
-    CI.Slotted (Gen.slotted ~params:{ n = 6; horizon = 12; max_length = 3; slack = 3; g = 2 } ~seed ())
-  in
-  let s = Session.create ~name:"t" () in
-  let obs = Obs.create () in
-  let solve seed =
-    match Session.solve_next ~algorithm:"lp-bound" ~obs s (inst seed) with
-    | { CR.status = CR.Solved; _ } -> ()
-    | _ -> Alcotest.fail "lp-bound should solve"
-  in
-  (* same seed = same LP shape: the second solve must hit the session's
-     warm-basis cache *)
-  solve 3;
-  solve 3;
-  Alcotest.(check int) "session.solves" 2 (counter obs "session.solves");
-  Alcotest.(check bool) "warm hit on the re-solve" true (Session.basis_hits s >= 1);
-  Alcotest.(check int) "obs mirrors the cache hits"
-    (Session.basis_hits s) (counter obs "session.warm_hits");
-  Alcotest.(check int) "obs mirrors the cache misses"
-    (Session.basis_misses s) (counter obs "session.warm_misses");
-  (* unknown algorithm propagates the registry's Unsupported *)
-  (match Session.solve_next ~algorithm:"no-such-solver" s (inst 3) with
-  | exception CS.Unsupported _ -> ()
-  | _ -> Alcotest.fail "expected Unsupported");
-  (* a deadline probe that fires immediately propagates as
-     Deadline_exceeded from budgeted solvers *)
-  match
-    Session.solve_next ~algorithm:"exact" ~budget:(Budget.limited 100_000)
-      ~deadline:(fun () -> true) s (inst 3)
-  with
-  | exception Budget.Deadline_exceeded -> ()
-  | _ -> Alcotest.fail "expected Deadline_exceeded"
 
 (* ------------------------------------------------------------ properties -- *)
 
@@ -233,7 +197,6 @@ let () =
           Alcotest.test_case "cascade ladders" `Quick test_cascade_ladders ] );
       ( "session",
         [ Alcotest.test_case "typed slots and reuse" `Quick test_session_slots;
-          Alcotest.test_case "memo" `Quick test_session_memo;
-          Alcotest.test_case "solve_next" `Quick test_session_solve_next ] );
+          Alcotest.test_case "memo" `Quick test_session_memo ] );
       ("properties", props);
     ]

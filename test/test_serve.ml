@@ -15,15 +15,13 @@ let busy_text = "busy\njob 0 0 10 10\njob 1 0 10 10\n"
 let request ?(extra = []) text =
   J.to_string (J.Obj (("instance", J.String text) :: extra))
 
-let config ?(domains = 1) ?(queue = 64) ?(cache = 1024) ?basis_cache ?inject ?now ?sleep () =
+let config ?(domains = 1) ?(queue = 64) ?(cache = 1024) ?inject ?now ?sleep () =
   let d = Serve.default_config () in
   {
     d with
     Serve.domains;
     queue_capacity = queue;
     cache_capacity = cache;
-    basis_cache_capacity =
-      (match basis_cache with Some n -> n | None -> d.Serve.basis_cache_capacity);
     inject = (match inject with Some i -> i | None -> Serve.Inject.none);
     now = (match now with Some f -> f | None -> d.Serve.now);
     sleep = (match sleep with Some f -> f | None -> d.Serve.sleep);
@@ -384,28 +382,6 @@ let test_serve_memo_stream () =
         (answer line = answer first.(i mod 40)))
     (List.filteri (fun i _ -> i >= 40) out)
 
-let test_serve_basis_cache () =
-  (* two LP-backed solves of same-shape models with the memo cache off:
-     the second warm starts off the first's optimal basis via the shared
-     warm-basis cache, surfaced as serve.basis_hits / serve.basis_misses *)
-  let obs = Obs.create () in
-  let lines =
-    [ request ~extra:[ ("algorithm", J.String "lp-bound") ] slotted_text;
-      request ~extra:[ ("algorithm", J.String "lp-bound") ] slotted_text ]
-  in
-  let out = Serve.run_lines ~obs ~config:(config ~cache:0 ()) lines in
-  Alcotest.(check int) "two responses" 2 (List.length out);
-  List.iter (fun l -> Alcotest.(check string) "ok" "ok" (status_of l)) out;
-  let counter name = List.assoc_opt name (Obs.counters obs) in
-  Alcotest.(check (option int)) "basis hit" (Some 1) (counter "serve.basis_hits");
-  Alcotest.(check (option int)) "basis miss" (Some 1) (counter "serve.basis_misses");
-  (* capacity 0 disables warm-basis reuse and its counters entirely *)
-  let obs2 = Obs.create () in
-  let out2 = Serve.run_lines ~obs:obs2 ~config:(config ~cache:0 ~basis_cache:0 ()) lines in
-  Alcotest.(check int) "still two responses" 2 (List.length out2);
-  Alcotest.(check (option int)) "no basis counters" None
-    (List.assoc_opt "serve.basis_hits" (Obs.counters obs2))
-
 (* ----------------------------------------- fault-injection acceptance -- *)
 
 let test_serve_injected_stream () =
@@ -485,7 +461,6 @@ let () =
           Alcotest.test_case "deadline timeout with provenance" `Quick test_serve_deadline_timeout;
           Alcotest.test_case "overload sheds, answers all" `Quick test_serve_overload_sheds;
           Alcotest.test_case "memoized repeat" `Quick test_serve_memoization;
-          Alcotest.test_case "memoized stream, 40 misses" `Quick test_serve_memo_stream;
-          Alcotest.test_case "warm-basis cache" `Quick test_serve_basis_cache ] );
+          Alcotest.test_case "memoized stream, 40 misses" `Quick test_serve_memo_stream ] );
       ( "acceptance",
         [ Alcotest.test_case "500-request injected stream" `Slow test_serve_injected_stream ] ) ]

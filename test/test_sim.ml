@@ -235,6 +235,37 @@ let test_rolling_counters () =
   Alcotest.(check bool) "cold does more LP work" true
     (cold_counter "lp.exact_cells" > counter "lp.exact_cells")
 
+(* each non-empty window is one registry solve (session.solves); an
+   unknown algorithm is rejected by the registry; a deadline probe is
+   armed on the epoch budget for any solver, not just the cascade *)
+let test_rolling_registry_dispatch () =
+  let obs = Obs.create () in
+  let r = Rolling.run ~obs ~arrivals:tiny_arrivals tiny_trace in
+  let counter n = match List.assoc_opt n (Obs.counters obs) with Some v -> v | None -> 0 in
+  Alcotest.(check int) "one solve per non-empty window"
+    (List.length (List.filter (fun e -> e.Rolling.window_jobs > 0) r.Rolling.epochs))
+    (counter "session.solves");
+  (match
+     Rolling.run
+       ~config:{ Rolling.default_config with Rolling.algorithm = "no-such-solver" }
+       ~arrivals:tiny_arrivals tiny_trace
+   with
+  | exception Core.Solver.Unsupported _ -> ()
+  | _ -> Alcotest.fail "expected Unsupported");
+  let config =
+    { Rolling.default_config with
+      Rolling.algorithm = "exact";
+      epoch_deadline = Some (fun () () -> true) }
+  in
+  let r = Rolling.run ~config ~arrivals:tiny_arrivals tiny_trace in
+  Alcotest.(check int) "exact under an expired deadline still completes" 3
+    r.Rolling.completed_jobs;
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "degraded" true e.Rolling.degraded;
+      Alcotest.(check bool) "no cascade provenance" true (e.Rolling.provenance = None))
+    r.Rolling.epochs
+
 (* data/vm_day.txt inlined as (id, release, deadline, length): a day of
    batch VM requests (hours), each arriving at its release *)
 let vm_day =
@@ -500,6 +531,7 @@ let () =
           Alcotest.test_case "deadline degradation" `Quick test_rolling_deadline;
           Alcotest.test_case "of_busy" `Quick test_rolling_of_busy;
           Alcotest.test_case "counters and cold baseline" `Quick test_rolling_counters;
+          Alcotest.test_case "registry dispatch" `Quick test_rolling_registry_dispatch;
           Alcotest.test_case "warm = cold on vm_day and timed traces" `Quick
             test_rolling_warm_equals_cold;
           Alcotest.test_case "json and pp" `Quick test_rolling_json_and_pp;
