@@ -235,13 +235,16 @@ let parse_format = function
   | "json" -> Ok `Json
   | other -> Error (Usage ("unknown format " ^ other ^ " (text|json)"))
 
+(* the one check wherever -g is read; slotted instances carry their own g *)
+let check_g g = if g < 1 then Error (Usage "-g must be at least 1") else Ok ()
+
 (* ------------------------------------------------------------ generate -- *)
 
 let generate kind n g horizon seed output =
   finish
     (let* () = if n < 1 then Error (Usage "-n must be at least 1") else Ok () in
      let* () = if horizon < 1 then Error (Usage "--horizon must be at least 1") else Ok () in
-     let* () = if g < 1 then Error (Usage "-g must be at least 1") else Ok () in
+     let* () = check_g g in
      let* instance =
        match kind with
        | "slotted" ->
@@ -507,6 +510,7 @@ let busy_run ?obs ~g algorithm placement_mode budget cascade jobs =
 let busy_text path g algorithm placement preemptive budget cascade render svg =
   finish
     (let* () = check_budget budget in
+     let* () = check_g g in
      let* instance = load path in
      let* jobs =
        match instance with
@@ -568,6 +572,7 @@ let busy_json path g algorithm placement preemptive budget cascade svg =
   let warnings = ref [] in
   let result =
     let* () = check_budget budget in
+    let* () = check_g g in
     let* instance, warns = load_lenient path in
     warnings := warns;
     let* jobs =
@@ -646,6 +651,7 @@ let bounds path g lp_engine =
          | None -> print_endline "LP: infeasible");
          Ok ()
      | Io.Busy_instance jobs ->
+         let* () = check_g g in
          Printf.printf "busy instance: n=%d\n" (List.length jobs);
          Printf.printf "mass bound l(J)/g: %s\n" (Q.to_string (Busy.Bounds.mass ~g jobs));
          if List.for_all B.is_interval jobs then begin
@@ -712,12 +718,12 @@ let sim_config algorithm epoch_len lookahead epoch_budget deadline_ms cold =
 
 let sim_run ?obs path g algorithm epoch_len lookahead epoch_budget deadline_ms cold =
   let* config = sim_config algorithm epoch_len lookahead epoch_budget deadline_ms cold in
-  let* () = if g >= 1 then Ok () else Error (Usage "--g must be at least 1") in
   let* instance, arrivals = load_timed path in
   let* inst =
     match instance with
     | Io.Slotted_instance inst -> Ok inst
     | Io.Busy_instance jobs -> (
+        let* () = check_g g in
         try Ok (Sim.Rolling.of_busy ~g jobs) with Invalid_argument msg -> Error (Usage msg))
   in
   match Sim.Rolling.run ?obs ~config ~arrivals inst with

@@ -13,13 +13,17 @@
      pruned by the partial union measure against an incumbent. Exponential
      worst case; intended for small n / small windows (tests, gadgets).
 
-   - [greedy]: place jobs in non-increasing length order at the start
-     minimizing the marginal union growth (candidates: window ends and
-     positions snapped against already-placed intervals), then local-search
-     re-placement passes until a fixed point. Near-optimal empirically;
-     the tests measure its gap against [exact] on random instances.
+   - [greedy]: place jobs in non-increasing length order at the smallest
+     start minimizing the marginal union growth (candidates: window ends
+     and positions snapped against already-placed intervals), then up to
+     [passes] local-search passes that re-place every job given all the
+     others; a pass is kept only when it strictly shrinks the span.
+     Near-optimal empirically; the tests measure its gap against [exact]
+     on random instances.
 
-   Both return interval jobs (same ids, pinned starts). *)
+   Both return interval jobs (same ids, pinned starts) and reject repeated
+   ids: the local search tracks jobs by position, and two jobs sharing an
+   id could not be told apart in the answer. *)
 
 module Q = Rational
 module B = Workload.Bjob
@@ -55,37 +59,148 @@ let place_best union (j : B.t) =
     (candidate_starts j union);
   match !best with Some (s, _) -> B.place j s | None -> assert false
 
+(* The greedy's state: [placed.(i)] is input job [i] as currently pinned,
+   and the coverage of the pinned jobs is kept over their endpoints.
+   Invariant: [pts.(0 .. len-1)] are the distinct endpoints of the placed
+   intervals in increasing order, [refs.(k)] counts the endpoints at
+   [pts.(k)], and [cnt.(k)] is the number of placed intervals covering
+   [\[pts.(k), pts.(k+1))] (0 for the last point). The union of the placed
+   jobs is the run of segments with [cnt > 0]. Placing or lifting a job
+   touches its two endpoints and the segments its interval covers; at
+   most [2n] points are live, so the arrays never grow. *)
+type state = {
+  placed : B.t array;
+  pts : Q.t array;
+  refs : int array;
+  cnt : int array;
+  mutable len : int;
+}
+
+let copy s =
+  {
+    placed = Array.copy s.placed;
+    pts = Array.copy s.pts;
+    refs = Array.copy s.refs;
+    cnt = Array.copy s.cnt;
+    len = s.len;
+  }
+
+(* index of the first point >= x, or [len] *)
+let locate s x =
+  let lo = ref 0 and hi = ref s.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Q.compare s.pts.(mid) x < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* add one endpoint at [x]; a new point splits its segment, inheriting
+   the segment's count *)
+let insert s x =
+  let k = locate s x in
+  if k < s.len && Q.equal s.pts.(k) x then s.refs.(k) <- s.refs.(k) + 1
+  else begin
+    let tail = s.len - k in
+    Array.blit s.pts k s.pts (k + 1) tail;
+    Array.blit s.refs k s.refs (k + 1) tail;
+    Array.blit s.cnt k s.cnt (k + 1) tail;
+    s.pts.(k) <- x;
+    s.refs.(k) <- 1;
+    s.cnt.(k) <- (if k = 0 then 0 else s.cnt.(k - 1));
+    s.len <- s.len + 1
+  end;
+  k
+
+(* drop one endpoint at index [k]; a point no interval ends at any more
+   has equal counts on both sides, so it merges away *)
+let release s k =
+  s.refs.(k) <- s.refs.(k) - 1;
+  if s.refs.(k) = 0 then begin
+    let tail = s.len - k - 1 in
+    Array.blit s.pts (k + 1) s.pts k tail;
+    Array.blit s.refs (k + 1) s.refs k tail;
+    Array.blit s.cnt (k + 1) s.cnt k tail;
+    s.len <- s.len - 1
+  end
+
+let cover s (p : B.t) =
+  let a = insert s p.B.release in
+  let b = insert s p.B.deadline in
+  for k = a to b - 1 do
+    s.cnt.(k) <- s.cnt.(k) + 1
+  done
+
+let uncover s (p : B.t) =
+  let a = locate s p.B.release and b = locate s p.B.deadline in
+  for k = a to b - 1 do
+    s.cnt.(k) <- s.cnt.(k) - 1
+  done;
+  release s b;
+  release s a
+
+let measure s =
+  let total = ref Q.zero in
+  for k = 0 to s.len - 2 do
+    if s.cnt.(k) > 0 then total := Q.add !total (Q.sub s.pts.(k + 1) s.pts.(k))
+  done;
+  !total
+
+(* The union of the placed jobs clipped to a job's window [lo, hi].
+   [place_best] on it picks the same start as on the whole union: anchors
+   outside the window are clamped away, the clipped ends add only [lo]
+   and [hi] minus the job's length (both candidates already), and the
+   marginal span of an in-window interval sees only in-window coverage.
+   The walk starts at the segment holding [lo] (or ending at it, which
+   clips to empty and [U.of_list] drops). *)
+let window_union s lo hi =
+  let rec go k acc =
+    if k >= s.len - 1 || Q.compare s.pts.(k) hi >= 0 then U.of_list acc
+    else if s.cnt.(k) = 0 then go (k + 1) acc
+    else go (k + 1) (I.make (Q.max lo s.pts.(k)) (Q.min hi s.pts.(k + 1)) :: acc)
+  in
+  go (max 0 (locate s lo - 1)) []
+
 let greedy ?(passes = 3) jobs =
-  let sorted = List.stable_sort (fun (a : B.t) (b : B.t) -> Q.compare b.B.length a.B.length) jobs in
-  let initial =
-    List.fold_left
-      (fun (placed, union) j ->
-        let p = place_best union j in
-        (p :: placed, U.add union (B.interval_of p)))
-      ([], U.empty) sorted
-    |> fst
+  Bundle.ensure_unique_ids "Placement.greedy" jobs;
+  let jobs = Array.of_list jobs in
+  let n = Array.length jobs in
+  let place s i =
+    let j = jobs.(i) in
+    let p = place_best (window_union s j.B.release j.B.deadline) j in
+    s.placed.(i) <- p;
+    cover s p
   in
-  (* local search: re-place each job given all the others *)
-  let improve placed =
-    List.fold_left
-      (fun placed (j : B.t) ->
-        let others = List.filter (fun (k : B.t) -> k.B.id <> j.B.id) placed in
-        let union = U.of_list (List.map B.interval_of others) in
-        let original = List.find (fun (o : B.t) -> o.B.id = j.B.id) jobs in
-        place_best union original :: others)
-      placed jobs
+  let s =
+    {
+      placed = Array.copy jobs;
+      pts = Array.make (2 * n) Q.zero;
+      refs = Array.make (2 * n) 0;
+      cnt = Array.make (2 * n) 0;
+      len = 0;
+    }
   in
-  let rec loop placed k =
-    if k = 0 then placed
+  let by_length =
+    List.stable_sort (fun a b -> Q.compare jobs.(b).B.length jobs.(a).B.length) (List.init n Fun.id)
+  in
+  List.iter (place s) by_length;
+  (* local search: re-place each job given all the others, on a copy, so
+     that a pass that does not shrink the span leaves [s] as it was *)
+  let rec loop s k =
+    if k = 0 then s
     else begin
-      let placed' = improve placed in
-      if Q.compare (span_of placed') (span_of placed) < 0 then loop placed' (k - 1) else placed
+      let s' = copy s in
+      for i = 0 to n - 1 do
+        uncover s' s'.placed.(i);
+        place s' i
+      done;
+      if Q.compare (measure s') (measure s) < 0 then loop s' (k - 1) else s
     end
   in
-  List.sort (fun (a : B.t) (b : B.t) -> compare a.B.id b.B.id) (loop initial passes)
+  List.sort (fun (a : B.t) (b : B.t) -> compare a.B.id b.B.id) (Array.to_list (loop s passes).placed)
 
 (* Exact minimum-span placement for integer-data instances. *)
 let exact jobs =
+  Bundle.ensure_unique_ids "Placement.exact" jobs;
   List.iter
     (fun j ->
       if not (is_integer_job j) then invalid_arg "Placement.exact: non-integer job data")

@@ -6,11 +6,27 @@
     Substitution (DESIGN.md item 2): [exact] is a branch-and-bound over
     integer start times (complete for integer-data instances by a sliding
     argument), [greedy] a marginal-span insertion with local-search
-    re-placement; the tests measure the greedy's gap against [exact]. *)
+    re-placement; the tests measure the greedy's gap against [exact].
 
-(** Greedy placement: non-increasing length order, each job at the
-    candidate start minimizing the marginal union growth, then up to
-    [passes] re-placement sweeps. Returns interval jobs, sorted by id. *)
+    Both raise [Invalid_argument] on repeated job ids: jobs are told
+    apart in the answer by id. *)
+
+(** Greedy placement: non-increasing length order (input order among
+    equal lengths), each job at the smallest candidate start minimizing
+    the marginal union growth, then up to [passes] (default 3) sweeps
+    that re-place each job, in input order, given all the others; a
+    sweep is kept only when it strictly shrinks the span, and the first
+    one that does not ends the search. Returns interval jobs, sorted by
+    id.
+
+    The placed jobs' coverage is kept as a count per segment between
+    their sorted endpoints, updated in place when a job is lifted or
+    placed, and each job is placed against it clipped to its window
+    [\[release, deadline\]], which selects the same start as the whole
+    union would. Lifting or placing a job costs two binary searches, two
+    array shifts and the segments its interval covers; choosing its
+    start costs the segments in its window and, per candidate start, the
+    union components in its window. No step rebuilds the whole union. *)
 val greedy : ?passes:int -> Workload.Bjob.t list -> Workload.Bjob.t list
 
 (** Exact minimum-span placement. Raises [Invalid_argument] on

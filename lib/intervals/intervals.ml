@@ -140,20 +140,23 @@ module Track = struct
     go items
 
   let max_weight_disjoint ~interval ~weight items =
-    let arr = Array.of_list items in
-    Array.sort (fun a bq -> Q.compare (interval a).Interval.hi (interval bq).Interval.hi) arr;
+    (* each item's interval is computed once: [interval] may allocate or
+       validate, and the sort and the searches below would call it
+       O(n log n) times *)
+    let arr = Array.map (fun x -> (interval x, x)) (Array.of_list items) in
+    Array.sort (fun (a, _) (bq, _) -> Q.compare a.Interval.hi bq.Interval.hi) arr;
     let n = Array.length arr in
     if n = 0 then ([], Q.zero)
     else begin
       (* pred.(i): largest j < i with hi_j <= lo_i, or -1 *)
       let pred = Array.make n (-1) in
       for i = 0 to n - 1 do
-        let lo_i = (interval arr.(i)).Interval.lo in
+        let lo_i = (fst arr.(i)).Interval.lo in
         (* binary search over sorted hi values *)
         let lo = ref 0 and hi = ref (i - 1) and res = ref (-1) in
         while !lo <= !hi do
           let mid = (!lo + !hi) / 2 in
-          if Q.compare (interval arr.(mid)).Interval.hi lo_i <= 0 then begin
+          if Q.compare (fst arr.(mid)).Interval.hi lo_i <= 0 then begin
             res := mid;
             lo := mid + 1
           end
@@ -164,7 +167,7 @@ module Track = struct
       let dp = Array.make (n + 1) Q.zero in
       let take = Array.make n false in
       for i = 1 to n do
-        let w = weight arr.(i - 1) in
+        let w = weight (snd arr.(i - 1)) in
         let with_i = Q.add w dp.(pred.(i - 1) + 1) in
         if Q.compare with_i dp.(i - 1) > 0 then begin
           dp.(i) <- with_i;
@@ -172,7 +175,7 @@ module Track = struct
         end
         else dp.(i) <- dp.(i - 1)
       done;
-      let rec collect i acc = if i < 0 then acc else if take.(i) then collect pred.(i) (arr.(i) :: acc) else collect (i - 1) acc in
+      let rec collect i acc = if i < 0 then acc else if take.(i) then collect pred.(i) (snd arr.(i) :: acc) else collect (i - 1) acc in
       (collect (n - 1) [], dp.(n))
     end
 end

@@ -211,6 +211,18 @@ let test_placement_greedy_not_worse_than_double () =
   Alcotest.(check bool) "greedy >= exact" true (Q.compare greedy exact >= 0);
   Alcotest.(check bool) "greedy <= 2 exact (sanity)" true (Q.compare greedy (Q.mul Q.two exact) <= 0)
 
+let test_placement_duplicate_ids () =
+  (* two jobs share id 1: an answer sorted by id cannot tell them apart *)
+  let jobs =
+    [ B.of_ints ~id:1 ~release:0 ~deadline:10 ~length:2;
+      B.of_ints ~id:1 ~release:5 ~deadline:9 ~length:3;
+      B.of_ints ~id:2 ~release:0 ~deadline:4 ~length:4 ]
+  in
+  Alcotest.check_raises "greedy" (Invalid_argument "Placement.greedy: duplicate job ids") (fun () ->
+      ignore (Busy.Placement.greedy jobs));
+  Alcotest.check_raises "exact" (Invalid_argument "Placement.exact: duplicate job ids") (fun () ->
+      ignore (Busy.Placement.exact jobs))
+
 (* -- pipeline ---------------------------------------------------------------- *)
 
 let test_pipeline_pinned_validation () =
@@ -425,12 +437,104 @@ let prop_pipeline_bound =
           <= 0)
         [ 1; 2; 3 ])
 
+(* Reference greedy placement: the same search, rebuilding the union of
+   the other placed jobs at every step (O(n^2 log n) per pass).
+   [Busy.Placement.greedy] must match it start for start. *)
+module Reference_placement = struct
+  module U = Intervals.Union
+
+  let span_of placed = Intervals.span (List.map B.interval_of placed)
+
+  let candidate_starts (j : B.t) union =
+    let lo = j.B.release and hi = B.latest_start j in
+    let clamp s = if Q.compare s lo < 0 then None else if Q.compare s hi > 0 then None else Some s in
+    let anchors =
+      List.concat_map
+        (fun (c : I.t) -> [ c.I.lo; c.I.hi; Q.sub c.I.lo j.B.length; Q.sub c.I.hi j.B.length ])
+        (U.components union)
+    in
+    List.sort_uniq Q.compare (lo :: hi :: List.filter_map clamp anchors)
+
+  let place_best union (j : B.t) =
+    let best = ref None in
+    List.iter
+      (fun s ->
+        let iv = I.make s (Q.add s j.B.length) in
+        let cost = U.marginal union iv in
+        match !best with
+        | Some (_, c) when Q.compare c cost <= 0 -> ()
+        | _ -> best := Some (s, cost))
+      (candidate_starts j union);
+    match !best with Some (s, _) -> B.place j s | None -> assert false
+
+  let greedy ?(passes = 3) jobs =
+    let sorted = List.stable_sort (fun (a : B.t) (b : B.t) -> Q.compare b.B.length a.B.length) jobs in
+    let initial =
+      List.fold_left
+        (fun (placed, union) j ->
+          let p = place_best union j in
+          (p :: placed, U.add union (B.interval_of p)))
+        ([], U.empty) sorted
+      |> fst
+    in
+    (* local search: re-place each job given all the others *)
+    let improve placed =
+      List.fold_left
+        (fun placed (j : B.t) ->
+          let others = List.filter (fun (k : B.t) -> k.B.id <> j.B.id) placed in
+          let union = U.of_list (List.map B.interval_of others) in
+          let original = List.find (fun (o : B.t) -> o.B.id = j.B.id) jobs in
+          place_best union original :: others)
+        placed jobs
+    in
+    let rec loop placed k =
+      if k = 0 then placed
+      else begin
+        let placed' = improve placed in
+        if Q.compare (span_of placed') (span_of placed) < 0 then loop placed' (k - 1) else placed
+      end
+    in
+    List.sort (fun (a : B.t) (b : B.t) -> compare a.B.id b.B.id) (loop initial passes)
+end
+
+(* Flexible jobs with rational data, ids out of input order, and some
+   zero-slack (interval) jobs among them. *)
+let rational_jobs st =
+  let r bound = Q.of_ints (Random.State.int st bound) (1 + Random.State.int st 6) in
+  let n = 1 + Random.State.int st 40 in
+  List.init n (fun k ->
+      let release = r 60 and length = Q.add (r 20) (q 1 7) in
+      let slack = if Random.State.int st 4 = 0 then Q.zero else r 30 in
+      B.make ~id:(3 * (n - k)) ~release ~deadline:(Q.add release (Q.add length slack)) ~length)
+
+(* serve's two busy families, the generator's flexible jobs, and
+   rational data *)
+let placement_instance seed =
+  let st = Random.State.make [| seed |] in
+  let size lo hi = lo + Random.State.int st (hi - lo + 1) in
+  match seed mod 4 with
+  | 0 -> Gen.diurnal_flexible_jobs ~n:(size 30 120) ~horizon:48 ~max_length:6 ~seed ()
+  | 1 -> Gen.interval_jobs ~n:(size 40 120) ~horizon:60 ~max_length:10 ~seed ()
+  | 2 -> Gen.flexible_jobs ~n:(size 1 40) ~seed ()
+  | _ -> rational_jobs st
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~name:"greedy placement = reference, passes 0-3" ~count:100 seed_arb (fun seed ->
+      let jobs = placement_instance seed in
+      let same (a : B.t) (b : B.t) =
+        a.B.id = b.B.id && Q.equal a.B.release b.B.release && Q.equal a.B.deadline b.B.deadline
+      in
+      List.for_all
+        (fun passes ->
+          List.equal same (Busy.Placement.greedy ~passes jobs) (Reference_placement.greedy ~passes jobs))
+        [ 0; 1; 2; 3 ])
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_packings_valid; prop_two_approx_profile_bound; prop_ratios_vs_exact; prop_exact_below_heuristics;
       prop_parallel_matches_sequential;
       prop_covering_pair; prop_kumar_rudra; prop_witness; prop_placement_windows; prop_preemptive;
-      prop_preemptive_exact_vs_lp; prop_pipeline_bound ]
+      prop_preemptive_exact_vs_lp; prop_pipeline_bound; prop_greedy_matches_reference ]
 
 let () =
   Alcotest.run "busy"
@@ -458,7 +562,8 @@ let () =
       ( "placement",
         [ Alcotest.test_case "exact simple" `Quick test_placement_exact_simple;
           Alcotest.test_case "exact forced split" `Quick test_placement_exact_forced_split;
-          Alcotest.test_case "greedy sanity" `Quick test_placement_greedy_not_worse_than_double ] );
+          Alcotest.test_case "greedy sanity" `Quick test_placement_greedy_not_worse_than_double;
+          Alcotest.test_case "duplicate ids" `Quick test_placement_duplicate_ids ] );
       ( "pipeline",
         [ Alcotest.test_case "pinned validation" `Quick test_pipeline_pinned_validation;
           Alcotest.test_case "greedy tracking pipeline" `Quick test_pipeline_greedy_tracking ] );

@@ -92,6 +92,19 @@ let test_track_empty () =
   check_q "zero" "0" w;
   Alcotest.(check int) "none" 0 (List.length chosen)
 
+(* GreedyTracking's [interval] allocates and validates on every call, so
+   the DP computes each item's interval once, not per comparison and
+   binary-search probe. *)
+let test_track_interval_once () =
+  let items = List.init 12 (fun k -> (iv (k mod 5) ((k mod 5) + 1 + (k mod 3)), q (k + 1) 1)) in
+  let calls = ref 0 in
+  let interval x =
+    incr calls;
+    fst x
+  in
+  ignore (Intervals.Track.max_weight_disjoint ~interval ~weight:snd items);
+  Alcotest.(check int) "one call per item" (List.length items) !calls
+
 (* -- properties ---------------------------------------------------------- *)
 
 let ivs_gen =
@@ -248,5 +261,6 @@ let () =
           Alcotest.test_case "demand profile cost" `Quick test_demand_profile_cost;
           Alcotest.test_case "track known" `Quick test_track_known;
           Alcotest.test_case "track adjacent allowed" `Quick test_track_adjacent_allowed;
-          Alcotest.test_case "track empty" `Quick test_track_empty ] );
+          Alcotest.test_case "track empty" `Quick test_track_empty;
+          Alcotest.test_case "track interval once" `Quick test_track_interval_once ] );
       ("properties", props) ]
