@@ -244,10 +244,10 @@ let generate kind n g horizon seed output =
   finish
     (let* () = if n < 1 then Error (Usage "-n must be at least 1") else Ok () in
      let* () = if horizon < 1 then Error (Usage "--horizon must be at least 1") else Ok () in
-     let* () = check_g g in
      let* instance =
        match kind with
        | "slotted" ->
+           let* () = check_g g in
            let params : Workload.Generate.slotted_params =
              { n; horizon; max_length = 4; slack = 4; g }
            in
@@ -675,8 +675,11 @@ let bounds_cmd =
 (* ----------------------------------------------------------------- sim -- *)
 
 (* Rolling-horizon replay: the trace (slotted directly, busy converted
-   through [Sim.Rolling.of_busy]) is re-solved epoch by epoch on a warm
-   [Core.Session]; see lib/sim/rolling.mli for the loop semantics. *)
+   through [Sim.Rolling.of_busy]) is re-solved epoch by epoch, warm by
+   default; see lib/sim/rolling.mli for the loop semantics. The window
+   solver's name resolves like --algorithm elsewhere: unknown is exit 2,
+   any other refusal (a bound-only solver, a failed precondition) is a
+   usage error. *)
 
 let load_timed path =
   try Ok (Io.parse_file_timed path) with
@@ -728,7 +731,10 @@ let sim_run ?obs path g algorithm epoch_len lookahead epoch_budget deadline_ms c
   in
   match Sim.Rolling.run ?obs ~config ~arrivals inst with
   | r -> Ok (inst, r)
-  | exception CS.Unsupported msg -> Error (Unknown_solver msg)
+  | exception CS.Unsupported msg -> (
+      match Core.Registry.find CI.Active_slotted algorithm with
+      | None -> Error (Unknown_solver msg)
+      | Some _ -> Error (Usage msg))
 
 let write_epochs_svg svg r =
   match svg with
@@ -805,7 +811,7 @@ let sim_cmd =
   let deadline_ms =
     Arg.(value & opt (some int) None & info [ "epoch-deadline-ms" ] ~docv:"MS" ~doc:"wall-clock deadline per epoch solve; 0 degrades every epoch deterministically")
   in
-  let cold = Arg.(value & flag & info [ "cold" ] ~doc:"fresh session every epoch (no warm state; the bench baseline)") in
+  let cold = Arg.(value & flag & info [ "cold" ] ~doc:"rebuild the warm state every epoch (the bench baseline)") in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"write a per-epoch SVG strip") in
   Cmd.v
     (Cmd.info "sim" ~doc:"Replay a trace through rolling-horizon re-optimization")
@@ -880,7 +886,7 @@ let list_solvers () =
       Printf.printf "%-16s %-20s %-11s %-24s %s\n" (CI.kind_name s.CS.kind) s.CS.name
         (CS.quality_to_string s.CS.quality)
         (CS.flags_to_string s) s.CS.paper)
-    (Core.Registry.all ());
+    Core.Registry.all;
   List.iter
     (fun (name, description) ->
       Printf.printf "%-16s %-20s %-11s %-24s %s\n" "lp-engine" name "exact" "-" description)

@@ -1,32 +1,28 @@
-(* Graceful degradation for the active-time model: run the registered
-   solver tiers in capability order, each under a fresh fuel budget, and
-   return the first answer together with a provenance record. The ladder
-   comes from the registry ({!Core.Registry.cascade_ladder}): every
-   active-slotted solver carrying a [cascade_tier] — exact branch and
-   bound, then LP rounding, then the minimal-feasible greedy — under its
-   historical tier label. The last tier is polynomial and ignores its
-   budget, so the cascade always terminates with an answer on feasible
-   instances. *)
+(* Graceful degradation for the active-time model: run the solver tiers
+   in capability order — exact branch and bound, then LP rounding, then
+   the minimal-feasible greedy — each under a fresh fuel budget, and
+   return the first answer together with a provenance record. The tier
+   labels are the historical cascade vocabulary, which the registry
+   repeats as its [cascade_tier] display data. The last tier is
+   polynomial and ignores its budget, so the cascade always terminates
+   with an answer on feasible instances. *)
 
 module S = Workload.Slotted
 
 type provenance = int Budget.Cascade.provenance
 
-(* Adapt a registered solver to a Budget.Cascade tier: a definitive
-   Result answers (or settles infeasibility), exhaustion passes the
-   baton to the next tier. *)
+(* A definitive answer (or settled infeasibility) ends the ladder;
+   exhaustion passes the baton to the next tier. *)
 let tiers ~obs (inst : S.t) =
-  Core.Registry.cascade_ladder Core.Instance.Active_slotted
-  |> List.map (fun (label, (s : Core.Solver.t)) ->
-         ( label,
-           fun b ->
-             match s.Core.Solver.solve ~budget:b ~obs (Core.Instance.Slotted inst) with
-             | { Core.Result.status = Core.Result.Exhausted _; _ } -> raise Budget.Out_of_fuel
-             | { Core.Result.status = Core.Result.Infeasible; _ } -> None
-             | { Core.Result.witness = Some (Core.Result.Opened { open_slots; schedule }); _ }
-               ->
-                 Some { Solution.open_slots; schedule }
-             | _ -> invalid_arg ("Cascade.solve: tier " ^ label ^ " returned no schedule") ))
+  [
+    ( "exact",
+      fun b ->
+        match Exact.solve ~budget:b ~obs inst with
+        | Budget.Complete r -> r
+        | Budget.Exhausted _ -> raise Budget.Out_of_fuel );
+    ("lp-rounding", fun b -> Option.map fst (Rounding.solve ~budget:b ~obs inst));
+    ("minimal", fun _ -> Minimal.solve ~obs inst Minimal.Right_to_left);
+  ]
 
 let solve ?(obs = Obs.null) ?deadline ~limit (inst : S.t) =
   let r = Budget.Cascade.run ~obs ?deadline ~limit (tiers ~obs inst) in

@@ -1,8 +1,8 @@
-(* Graceful degradation for the busy-time model. The ladder comes from
-   the registry ({!Core.Registry.cascade_ladder}): every busy-interval
-   solver carrying a [cascade_tier] — exact set-partition search, then
-   GreedyTracking (3-approximation), then FirstFit (4-approximation) —
-   each under a fresh fuel budget. The greedy tiers are polynomial and
+(* Graceful degradation for the busy-time model: exact set-partition
+   search, then GreedyTracking (3-approximation), then FirstFit
+   (4-approximation), each under a fresh fuel budget. The tier labels are
+   the historical cascade vocabulary, which the registry repeats as its
+   [cascade_tier] display data. The greedy tiers are polynomial and
    ignore their budgets, so the cascade always returns a packing. The
    provenance reports the gap to the best Section-4.1 lower bound (mass
    / span / demand profile), which bounds how far the degraded answer
@@ -14,15 +14,15 @@ module B = Workload.Bjob
 type provenance = Q.t Budget.Cascade.provenance
 
 let tiers ~obs ~g jobs =
-  Core.Registry.cascade_ladder Core.Instance.Busy_interval
-  |> List.map (fun (label, (s : Core.Solver.t)) ->
-         ( label,
-           fun b ->
-             match s.Core.Solver.solve ~budget:b ~obs (Core.Instance.Interval { g; jobs }) with
-             | { Core.Result.status = Core.Result.Exhausted _; _ } -> raise Budget.Out_of_fuel
-             | { Core.Result.status = Core.Result.Infeasible; _ } -> None
-             | { Core.Result.witness = Some (Core.Result.Packing p); _ } -> Some p
-             | _ -> invalid_arg ("Cascade.solve: tier " ^ label ^ " returned no packing") ))
+  [
+    ( "exact",
+      fun b ->
+        match Exact.solve ~budget:b ~obs ~g jobs with
+        | Budget.Complete p -> Some p
+        | Budget.Exhausted _ -> raise Budget.Out_of_fuel );
+    ("greedy-tracking", fun _ -> Some (Greedy_tracking.solve ~obs ~g jobs));
+    ("first-fit", fun _ -> Some (First_fit.solve ~obs ~g jobs));
+  ]
 
 let solve ?(obs = Obs.null) ?deadline ~limit ~g jobs =
   List.iter

@@ -26,16 +26,6 @@
      R \ U must be covered, and covering it from any bundle grows that
      bundle's span by at least the part it covers.
 
-   - Opt-in deterministic parallel root split ([~parallel:true], only
-     without a budget): the first few levels are expanded into a frontier
-     of partial packings, each searched on its own domain via
-     {!Parallel.Pool.map} with a shared atomic incumbent
-     ({!Parallel.Pool.min_cell}) for pruning. The winner is selected
-     after the join (minimum cost, lowest frontier index on ties), so the
-     optimum COST is deterministic; the representative packing and the
-     node counter may vary run to run (pruning depends on publication
-     timing).
-
    Used by the tests and benches to measure true approximation ratios; the
    busy time problem is NP-hard for interval jobs even at g = 2 [14], so
    this is inherently exponential. With a budget the search is metered
@@ -111,15 +101,17 @@ let clip_sig st i r =
 
 let sig_equal = List.equal I.equal
 
-(* In-place DFS. [get_best]/[record] abstract the incumbent so the same
-   kernel runs sequentially (plain ref) and under a shared atomic cell. *)
-let rec dfs st ~budget ~nodes ~get_best ~record idx cost =
+(* In-place DFS; [best]/[best_packing] hold the incumbent. *)
+let rec dfs st ~budget ~nodes ~best ~best_packing idx cost =
   Budget.tick budget;
   incr nodes;
   if idx = st.n then begin
-    if Q.compare cost (get_best ()) < 0 then record cost (current_packing st)
+    if Q.compare cost !best < 0 then begin
+      best := cost;
+      best_packing := current_packing st
+    end
   end
-  else if Q.compare (Q.add cost (uncovered st idx)) (get_best ()) < 0 then begin
+  else if Q.compare (Q.add cost (uncovered st idx)) !best < 0 then begin
     let j = st.jobs.(idx) and iv = st.ivs.(idx) in
     let r = iv.I.lo in
     let seen = ref [] in
@@ -131,12 +123,12 @@ let rec dfs st ~budget ~nodes ~get_best ~record idx cost =
       if sg = [] then dead_exists := true;
       if (not dup) && Bundle.fits ~g:st.g st.members.(i) j then begin
         let cost' = Q.add cost (U.marginal st.unions.(i) iv) in
-        if Q.compare cost' (get_best ()) < 0 then begin
+        if Q.compare cost' !best < 0 then begin
           let saved_m = st.members.(i) and saved_u = st.unions.(i) and saved_c = st.covered in
           st.members.(i) <- j :: saved_m;
           st.unions.(i) <- U.add saved_u iv;
           st.covered <- U.add saved_c iv;
-          dfs st ~budget ~nodes ~get_best ~record (idx + 1) cost';
+          dfs st ~budget ~nodes ~best ~best_packing (idx + 1) cost';
           st.members.(i) <- saved_m;
           st.unions.(i) <- saved_u;
           st.covered <- saved_c
@@ -146,13 +138,13 @@ let rec dfs st ~budget ~nodes ~get_best ~record idx cost =
     (* fresh bundle, unless a dead bundle makes it symmetric *)
     if not !dead_exists then begin
       let cost' = Q.add cost j.B.length in
-      if Q.compare cost' (get_best ()) < 0 then begin
+      if Q.compare cost' !best < 0 then begin
         let i = st.nb and saved_c = st.covered in
         st.members.(i) <- [ j ];
         st.unions.(i) <- U.add U.empty iv;
         st.covered <- U.add saved_c iv;
         st.nb <- st.nb + 1;
-        dfs st ~budget ~nodes ~get_best ~record (idx + 1) cost';
+        dfs st ~budget ~nodes ~best ~best_packing (idx + 1) cost';
         st.nb <- st.nb - 1;
         st.members.(i) <- [];
         st.unions.(i) <- U.empty;
@@ -161,71 +153,8 @@ let rec dfs st ~budget ~nodes ~get_best ~record idx cost =
     end
   end
 
-(* Frontier of partial packings after the first [depth] jobs, expanded
-   with the same branching rules (fits + symmetry) but no pruning; each
-   entry is (bundles, cost). Deterministic: pure left-to-right order. *)
-let expand_frontier ~g sorted depth =
-  let st = make_state ~g sorted in
-  let acc = ref [] in
-  let rec go idx cost =
-    if idx = depth then acc := (current_packing st, cost) :: !acc
-    else begin
-      let j = st.jobs.(idx) and iv = st.ivs.(idx) in
-      let r = iv.I.lo in
-      let seen = ref [] in
-      let dead_exists = ref false in
-      for i = 0 to st.nb - 1 do
-        let sg = clip_sig st i r in
-        let dup = List.exists (sig_equal sg) !seen in
-        seen := sg :: !seen;
-        if sg = [] then dead_exists := true;
-        if (not dup) && Bundle.fits ~g:st.g st.members.(i) j then begin
-          let cost' = Q.add cost (U.marginal st.unions.(i) iv) in
-          let saved_m = st.members.(i) and saved_u = st.unions.(i) and saved_c = st.covered in
-          st.members.(i) <- j :: saved_m;
-          st.unions.(i) <- U.add saved_u iv;
-          st.covered <- U.add saved_c iv;
-          go (idx + 1) cost';
-          st.members.(i) <- saved_m;
-          st.unions.(i) <- saved_u;
-          st.covered <- saved_c
-        end
-      done;
-      if not !dead_exists then begin
-        let i = st.nb and saved_c = st.covered in
-        st.members.(i) <- [ j ];
-        st.unions.(i) <- U.add U.empty iv;
-        st.covered <- U.add saved_c iv;
-        st.nb <- st.nb + 1;
-        go (idx + 1) (Q.add cost j.B.length);
-        st.nb <- st.nb - 1;
-        st.members.(i) <- [];
-        st.unions.(i) <- U.empty;
-        st.covered <- saved_c
-      end
-    end
-  in
-  go 0 Q.zero;
-  List.rev !acc
-
-(* Rebuild an in-place state from a frontier packing. *)
-let state_of_packing ~g sorted (packing : Bundle.packing) =
-  let st = make_state ~g sorted in
-  List.iter
-    (fun bundle ->
-      let i = st.nb in
-      let u = List.fold_left (fun u (b : B.t) -> U.add u (B.interval_of b)) U.empty bundle in
-      st.members.(i) <- bundle;
-      st.unions.(i) <- u;
-      st.covered <- U.union st.covered u;
-      st.nb <- st.nb + 1)
-    packing;
-  st
-
-let solve ?budget ?(parallel = false) ?(obs = Obs.null) ~g jobs =
+let solve ?budget ?(obs = Obs.null) ~g jobs =
   if g < 1 then invalid_arg "Exact.solve: g < 1";
-  if parallel && budget <> None then
-    invalid_arg "Exact.solve: the parallel split is for the unbudgeted path";
   (match budget with
   | None when List.length jobs > 14 ->
       invalid_arg "Exact.solve: too many jobs for exhaustive search"
@@ -242,65 +171,22 @@ let solve ?budget ?(parallel = false) ?(obs = Obs.null) ~g jobs =
     let a = First_fit.solve ~obs ~g jobs and b = Greedy_tracking.solve ~obs ~g jobs in
     if Q.compare (Bundle.total_busy a) (Bundle.total_busy b) <= 0 then a else b
   in
-  let seed_cost = Bundle.total_busy seed in
-  if not parallel then begin
-    let best = ref seed_cost in
-    let best_packing = ref seed in
-    let nodes = ref 0 in
-    let get_best () = !best in
-    let record c p =
-      best := c;
-      best_packing := p
-    in
-    let st = make_state ~g sorted in
-    let finish () = Obs.add obs "busy.exact.nodes" !nodes in
-    try
-      dfs st ~budget ~nodes ~get_best ~record 0 Q.zero;
-      finish ();
-      Budget.Complete !best_packing
-    with Budget.Out_of_fuel ->
-      finish ();
-      Budget.Exhausted { spent = Budget.spent budget; incumbent = !best_packing }
-  end
-  else begin
-    let n = List.length sorted in
-    let frontier = expand_frontier ~g sorted (Stdlib.min n 4) in
-    let cell = Parallel.Pool.min_cell ~compare:Q.compare seed_cost in
-    let results =
-      Parallel.Pool.map
-        (fun (packing0, cost0) ->
-          let st = state_of_packing ~g sorted packing0 in
-          let local = ref None in
-          let nodes = ref 0 in
-          let get_best () = Parallel.Pool.min_get cell in
-          let record c p =
-            local := Some (c, p);
-            ignore (Parallel.Pool.min_improve cell c)
-          in
-          dfs st ~budget:(Budget.unlimited ()) ~nodes ~get_best ~record (Stdlib.min n 4) cost0;
-          (!local, !nodes))
-        frontier
-    in
-    (* deterministic winner: strict improvements only, lowest index wins
-       ties, so the returned COST is always the optimum *)
-    let best = ref seed_cost and best_packing = ref seed and nodes = ref 0 in
-    List.iter
-      (fun (local, nd) ->
-        nodes := !nodes + nd;
-        match local with
-        | Some (c, p) when Q.compare c !best < 0 ->
-            best := c;
-            best_packing := p
-        | _ -> ())
-      results;
-    Obs.add obs "busy.exact.nodes" !nodes;
+  let best = ref (Bundle.total_busy seed) in
+  let best_packing = ref seed in
+  let nodes = ref 0 in
+  let st = make_state ~g sorted in
+  let finish () = Obs.add obs "busy.exact.nodes" !nodes in
+  try
+    dfs st ~budget ~nodes ~best ~best_packing 0 Q.zero;
+    finish ();
     Budget.Complete !best_packing
-  end
+  with Budget.Out_of_fuel ->
+    finish ();
+    Budget.Exhausted { spent = Budget.spent budget; incumbent = !best_packing }
 
-
-let exact ?parallel ~g jobs =
-  match solve ?parallel ~g jobs with
+let exact ~g jobs =
+  match solve ~g jobs with
   | Budget.Complete p -> p
   | Budget.Exhausted _ -> assert false (* unlimited fuel never exhausts *)
 
-let optimum ?parallel ~g jobs = Bundle.total_busy (exact ?parallel ~g jobs)
+let optimum ~g jobs = Bundle.total_busy (exact ~g jobs)

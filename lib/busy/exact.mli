@@ -19,25 +19,17 @@
     exists) and prunes with a suffix lower bound (the uncovered measure
     of the remaining jobs' intervals must still be paid).
 
-    [~parallel:true] (default false; only without a budget, otherwise
-    [Invalid_argument]) splits the search at the root into a frontier of
-    partial packings searched on separate domains with a shared atomic
-    incumbent. The returned optimum cost is deterministic (winner chosen
-    after the join: minimum cost, lowest frontier index on ties); the
-    representative packing and the node counter may vary run to run.
-
     With [?obs], runs inside a [busy.exact] span and records
     [busy.exact.nodes] (on the exhausted path too) plus the seeds'
     [busy.first_fit.*] / [busy.greedy_tracking.*] counters. *)
 val solve :
   ?budget:Budget.t ->
-  ?parallel:bool ->
   ?obs:Obs.t ->
   g:int ->
   Workload.Bjob.t list ->
   Bundle.packing Budget.outcome
 
 (** [solve] with unlimited fuel (so the 14-job cap applies). *)
-val exact : ?parallel:bool -> g:int -> Workload.Bjob.t list -> Bundle.packing
+val exact : g:int -> Workload.Bjob.t list -> Bundle.packing
 
-val optimum : ?parallel:bool -> g:int -> Workload.Bjob.t list -> Rational.t
+val optimum : g:int -> Workload.Bjob.t list -> Rational.t

@@ -1,13 +1,14 @@
-(* Every active-time solver, wrapped behind the Core.Solver seam. The
+(* Every active-time solver, wrapped behind the Solver seam. The
    wrappers only adapt types — Instance.t in, Result.t out — around the
    modules' existing [solve ?budget ?obs] entry points; they add no
    telemetry of their own, so counters and spans through the registry
    are identical to direct calls (the CLI goldens pin this). *)
 
+open Active
 module Q = Rational
-module I = Core.Instance
-module R = Core.Result
-module Sv = Core.Solver
+module I = Instance
+module R = Result
+module Sv = Solver
 
 let slotted name inst =
   match inst with
@@ -127,6 +128,3 @@ let solvers =
         | None -> R.infeasible ~provenance ())
       ();
   ]
-
-let () = List.iter Core.Registry.register solvers
-let force () = ()

@@ -1,13 +1,13 @@
-(* Every busy-time solver behind the Core.Solver seam. As in
-   lib/active/register.ml, the wrappers adapt types only; they add no
+(* Every busy-time solver behind the Solver seam. As in
+   active_solvers.ml, the wrappers adapt types only; they add no
    telemetry, so registry-routed calls are observationally identical to
    direct module calls. *)
 
+open Busy
 module Q = Rational
-module B = Workload.Bjob
-module I = Core.Instance
-module R = Core.Result
-module Sv = Core.Solver
+module I = Instance
+module R = Result
+module Sv = Solver
 
 let interval name inst =
   match inst with
@@ -92,7 +92,7 @@ let interval_solvers =
         packing (Kumar_rudra.solve ~g jobs))
       ();
     Sv.make ~name:"exact" ~kind:I.Busy_interval ~quality:Sv.Exact ~supports_budget:true
-      ~supports_parallel:true ~cascade_tier:(0, "exact") ~rank:0
+      ~cascade_tier:(0, "exact") ~rank:0
       ~exhausted_hint:"exact search ran out of budget" ~paper:"methodology (E16)"
       ~impl:"Busy.Exact"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
@@ -216,5 +216,4 @@ let preemptive_solvers =
       ();
   ]
 
-let () = List.iter Core.Registry.register (interval_solvers @ pipeline_solvers @ preemptive_solvers)
-let force () = ()
+let solvers = interval_solvers @ pipeline_solvers @ preemptive_solvers

@@ -1,28 +1,17 @@
-let solvers : Solver.t list ref = ref []
-
 let kind_order = function
   | Instance.Active_slotted -> 0
   | Instance.Busy_interval -> 1
   | Instance.Busy_flexible -> 2
   | Instance.Busy_preemptive -> 3
 
-let register (s : Solver.t) =
-  if List.exists (fun (r : Solver.t) -> r.Solver.kind = s.Solver.kind && r.Solver.name = s.Solver.name) !solvers
-  then
-    invalid_arg
-      (Printf.sprintf "Registry.register: duplicate solver %s/%s"
-         (Instance.kind_name s.Solver.kind) s.Solver.name);
-  solvers := s :: !solvers
-
 let by_kind_name (a : Solver.t) (b : Solver.t) =
   match compare (kind_order a.Solver.kind) (kind_order b.Solver.kind) with
   | 0 -> compare a.Solver.name b.Solver.name
   | c -> c
 
-let all () = List.sort by_kind_name !solvers
+let all = List.sort by_kind_name (Active_solvers.solvers @ Busy_solvers.solvers)
 
-let of_kind kind =
-  List.filter (fun (s : Solver.t) -> s.Solver.kind = kind) (all ())
+let of_kind kind = List.filter (fun (s : Solver.t) -> s.Solver.kind = kind) all
 
 let find kind name =
   List.find_opt (fun (s : Solver.t) -> s.Solver.name = name) (of_kind kind)
@@ -62,10 +51,3 @@ let approx kind =
          match Rational.compare (ratio b) (ratio a) with
          | 0 -> by_rank_name a b
          | c -> c)
-
-let cascade_ladder kind =
-  of_kind kind
-  |> List.filter_map (fun (s : Solver.t) ->
-         Option.map (fun (i, label) -> (i, label, s)) s.Solver.cascade_tier)
-  |> List.sort (fun (i, _, _) (j, _, _) -> compare i j)
-  |> List.map (fun (_, label, s) -> (label, s))

@@ -1,25 +1,23 @@
-(** The central solver registry. Solver modules self-register at
-    link time (the [Register] modules of [lib/active] / [lib/busy], kept
-    alive by [-linkall]); the CLI, bench, fuzz oracle and cascades
-    resolve solvers from here instead of hand-rolled dispatch.
+(** The solver catalogue: every solver of [lib/active] and [lib/busy],
+    as one immutable list. The tables live beside this module
+    ([active_solvers.ml], [busy_solvers.ml]); the CLI, bench, fuzz
+    oracle, serve and sim resolve solvers from here instead of
+    hand-rolled dispatch. Nothing registers at run time, so the list is
+    the same in every executable and on every domain.
 
     All query results are deterministically ordered — by kind (model
-    order), then name — regardless of registration (link) order, so
-    golden outputs built on the registry are stable. *)
+    order), then name — so golden outputs built on the registry are
+    stable. [test_registry] checks that no (kind, name) pair repeats. *)
 
-(** Raises [Invalid_argument] when a solver with the same (kind, name)
-    is already registered. *)
-val register : Solver.t -> unit
-
-(** Every registered solver, sorted by (kind, name). *)
-val all : unit -> Solver.t list
+(** Every solver, sorted by (kind, name). *)
+val all : Solver.t list
 
 val find : Instance.kind -> string -> Solver.t option
 
 (** Raises {!Solver.Unsupported} with the valid-name list when absent. *)
 val find_exn : Instance.kind -> string -> Solver.t
 
-(** Registered names for a kind, sorted. *)
+(** Solver names for a kind, sorted. *)
 val names : Instance.kind -> string list
 
 (** Solvers of a kind, sorted by name. *)
@@ -32,8 +30,3 @@ val exact : Instance.kind -> Solver.t list
     worst ratio first, then (rank, name) — the order the differential
     oracle and the bench survey tables iterate. *)
 val approx : Instance.kind -> Solver.t list
-
-(** The kind's degradation ladder: every solver carrying a
-    [cascade_tier], sorted by tier position, as (tier label, solver)
-    pairs. *)
-val cascade_ladder : Instance.kind -> (string * Solver.t) list

@@ -16,7 +16,6 @@ type t = {
   online : bool;
   preemptive : bool;
   supports_budget : bool;
-  supports_parallel : bool;
   composite : bool;
   restriction : string option;
   guard : Instance.t -> string option;
@@ -34,7 +33,7 @@ type t = {
 }
 
 let make ~name ~kind ~quality ?(online = false) ?(preemptive = false)
-    ?(supports_budget = false) ?(supports_parallel = false) ?(composite = false) ?restriction
+    ?(supports_budget = false) ?(composite = false) ?restriction
     ?guard ?cascade_tier ?(rank = max_int) ?(exhausted_hint = "search ran out of budget")
     ~paper ~impl ~solve () =
   let guard =
@@ -54,7 +53,6 @@ let make ~name ~kind ~quality ?(online = false) ?(preemptive = false)
     online;
     preemptive;
     supports_budget;
-    supports_parallel;
     composite;
     restriction;
     guard;
@@ -74,7 +72,6 @@ let flags_to_string s =
         (if s.online then Some "online" else None);
         (if s.preemptive then Some "preemptive" else None);
         (if s.supports_budget then Some "budget" else None);
-        (if s.supports_parallel then Some "parallel" else None);
         (if s.composite then Some "composite" else None);
         Option.map (fun (i, _) -> Printf.sprintf "tier:%d" i) s.cascade_tier;
         (if s.restriction <> None then Some "restricted" else None);

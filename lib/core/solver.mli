@@ -1,9 +1,9 @@
-(** A first-class solver: the capability-typed record every algorithm in
-    [lib/active] and [lib/busy] registers with {!Registry}. The [solve]
+(** A first-class solver: the capability-typed record {!Registry} lists
+    for every algorithm in [lib/active] and [lib/busy]. The [solve]
     closure wraps the module's existing [solve ?budget ?obs] entry point
     unchanged — the record adds the metadata (problem kind, quality,
-    capability flags, cascade tier, paper reference) that the CLI, bench,
-    fuzz oracle and cascades previously duplicated by hand. *)
+    capability flags, cascade tier, paper reference) that the CLI, bench
+    and fuzz oracle previously duplicated by hand. *)
 
 (** Raised by [solve] when a precondition fails: wrong instance kind, a
     structural restriction ([unit], [laminar], ...) not met, or a missing
@@ -30,7 +30,6 @@ type t = {
   online : bool;
   preemptive : bool;
   supports_budget : bool;  (** accepts [?budget] and reports exhaustion *)
-  supports_parallel : bool;  (** has an opt-in parallel mode *)
   composite : bool;  (** dispatches to other registered solvers *)
   restriction : string option;
       (** human description of a structural precondition, when any *)
@@ -39,9 +38,12 @@ type t = {
           otherwise. [solve] raises {!Unsupported} in the latter case;
           callers that iterate the registry use [guard] to skip. *)
   cascade_tier : (int * string) option;
-      (** position and tier label in the kind's degradation ladder; the
-          labels are the historical cascade vocabulary (["lp-rounding"],
-          not the CLI name ["rounding"]) pinned by tests and docs *)
+      (** position and tier label in the kind's degradation ladder, as
+          display data: [Active.Cascade] and [Busy.Cascade] call their
+          tiers directly, and [test_registry] checks these entries
+          against the tiers their provenance reports. The labels are the
+          historical cascade vocabulary (["lp-rounding"], not the CLI
+          name ["rounding"]) pinned by tests and docs *)
   rank : int;  (** display/tie-break order among equal-quality solvers *)
   exhausted_hint : string;
       (** message stem when the budget runs out, e.g.
@@ -66,7 +68,6 @@ val make :
   ?online:bool ->
   ?preemptive:bool ->
   ?supports_budget:bool ->
-  ?supports_parallel:bool ->
   ?composite:bool ->
   ?restriction:string ->
   ?guard:(Instance.t -> string option) ->
@@ -85,7 +86,7 @@ val make :
   t
 
 (** Comma-joined capability tokens in a fixed order
-    ([online], [preemptive], [budget], [parallel], [composite],
+    ([online], [preemptive], [budget], [composite],
     [tier:<i>], [restricted]) — the FLAGS column of [--list-solvers];
     ["-"] when none apply. *)
 val flags_to_string : t -> string

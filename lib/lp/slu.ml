@@ -89,23 +89,6 @@ module Make (S : Scalar.S) = struct
 
   exception Singular
 
-  (* Workspaces are sized to the largest factorization seen and reused
-     across calls on the same domain — factor is on the warm path
-     (periodic refactorization and per-node warm restores). Domain-local,
-     not module-global: the functor is instantiated once per scalar, so a
-     shared workspace would be raced by concurrent solves on worker
-     domains (serve, the fuzz pool) and corrupt factorizations. *)
-  let workspace =
-    Domain.DLS.new_key (fun () -> (ref ([||] : S.t array), ref ([||] : bool array)))
-
-  let with_workspace m f =
-    let scratch, scratch_mark = Domain.DLS.get workspace in
-    if Array.length !scratch < m then begin
-      scratch := Array.make m S.zero;
-      scratch_mark := Array.make m false
-    end;
-    f !scratch !scratch_mark
-
   (* [factor ~ops ~nrows ~cols ~basis] factorizes the matrix whose
      position-p column is [cols.(basis.(p))]. Raises Singular. *)
   let factor ~ops ~nrows ~(cols : col array) ~(basis : int array) =
@@ -134,135 +117,134 @@ module Make (S : Scalar.S) = struct
     let ucols = Array.make m ([||], [||]) in
     let udiag = Array.make m S.zero in
     let lu_nnz = ref 0 in
-    with_workspace m (fun work intab ->
-        let touched = Array.make m 0 in
-        let ntouch = ref 0 in
-        let clear () =
-          for t = 0 to !ntouch - 1 do
-            let r = touched.(t) in
-            work.(r) <- S.zero;
-            intab.(r) <- false
-          done;
-          ntouch := 0
-        in
-        try
-          for k = 0 to m - 1 do
-            let p = order.(k) in
-            let c = cols.(basis.(p)) in
-            (* scatter the column into the dense workspace *)
-            for idx = 0 to Array.length c.rows - 1 do
-              let r = c.rows.(idx) in
-              work.(r) <- c.vals.(idx);
-              if not intab.(r) then begin
-                intab.(r) <- true;
-                touched.(!ntouch) <- r;
-                incr ntouch
-              end
-            done;
-            (* left-looking: eliminate against finished stages in order *)
-            for j = 0 to k - 1 do
-              let f = work.(prow.(j)) in
-              if not (S.is_zero f) then begin
-                let lr, lv = lcols.(j) in
-                for idx = 0 to Array.length lr - 1 do
-                  let r = lr.(idx) in
-                  if not intab.(r) then begin
-                    intab.(r) <- true;
-                    touched.(!ntouch) <- r;
-                    incr ntouch
-                  end;
-                  incr ops;
-                  work.(r) <- S.submul work.(r) f lv.(idx)
-                done
-              end
-            done;
-            (* pivot among not-yet-pivoted rows: stability-acceptable,
-               fewest static row nonzeros, smallest index *)
-            let colmax = ref S.zero in
-            for t = 0 to !ntouch - 1 do
-              let r = touched.(t) in
-              if not pivoted.(r) then begin
-                let a = S.abs work.(r) in
-                if S.compare a !colmax > 0 then colmax := a
-              end
-            done;
-            let best = ref (-1) in
-            for t = 0 to !ntouch - 1 do
-              let r = touched.(t) in
-              if
-                (not pivoted.(r))
-                && (not (S.is_zero work.(r)))
-                && S.stable_pivot work.(r) ~colmax:!colmax
-              then
-                if !best < 0 then best := r
-                else
-                  let c = compare rownnz.(r) rownnz.(!best) in
-                  if c < 0 || (c = 0 && r < !best) then best := r
-            done;
-            if !best < 0 then raise Singular;
-            let pr = !best in
-            pivoted.(pr) <- true;
-            stage_of_row.(pr) <- k;
-            prow.(k) <- pr;
-            cpos.(k) <- p;
-            let piv = work.(pr) in
-            udiag.(k) <- piv;
-            (* gather: pivoted rows -> U column, the rest -> L column *)
-            let un = ref 0 and ln = ref 0 in
-            for t = 0 to !ntouch - 1 do
-              let r = touched.(t) in
-              if r <> pr && not (S.is_zero work.(r)) then
-                if pivoted.(r) then incr un else incr ln
-            done;
-            let ur = Array.make !un 0 and uv = Array.make !un S.zero in
-            let lr = Array.make !ln 0 and lv = Array.make !ln S.zero in
-            let ui = ref 0 and li = ref 0 in
-            for t = 0 to !ntouch - 1 do
-              let r = touched.(t) in
-              if r <> pr && not (S.is_zero work.(r)) then
-                if pivoted.(r) then begin
-                  ur.(!ui) <- stage_of_row.(r);
-                  uv.(!ui) <- work.(r);
-                  incr ui
-                end
-                else begin
-                  incr ops;
-                  lr.(!li) <- r;
-                  lv.(!li) <- S.div work.(r) piv;
-                  incr li
-                end
-            done;
-            lcols.(k) <- (lr, lv);
-            ucols.(k) <- (ur, uv);
-            lu_nnz := !lu_nnz + !un + !ln + 1;
-            clear ()
-          done;
-          {
-            m;
-            ops;
-            prow;
-            stage_of_row;
-            cpos;
-            lcols;
-            ucols;
-            udiag;
-            lu_nnz = !lu_nnz;
-            etas = [||];
-            eta_count = 0;
-            eta_nnz = 0;
-            fw = Array.make m S.zero;
-            reached = Array.make m false;
-            heap = Array.make m 0;
-            order = Array.make m 0;
-            marked = Array.make m false;
-            bx = Array.make m S.zero;
-            bw = Array.make m S.zero;
-            fout = { x = Array.make m S.zero; nz = Array.make m 0; nnz = 0 };
-            by = Array.make m S.zero;
-          }
-        with Singular ->
-          clear ();
-          raise Singular)
+    (* elimination scratch: the column being eliminated, scattered over
+       rows, and which rows it touches; both are cleared after each
+       column *)
+    let work = Array.make m S.zero and intab = Array.make m false in
+    let touched = Array.make m 0 in
+    let ntouch = ref 0 in
+    let clear () =
+      for t = 0 to !ntouch - 1 do
+        let r = touched.(t) in
+        work.(r) <- S.zero;
+        intab.(r) <- false
+      done;
+      ntouch := 0
+    in
+    for k = 0 to m - 1 do
+      let p = order.(k) in
+      let c = cols.(basis.(p)) in
+      (* scatter the column into the dense workspace *)
+      for idx = 0 to Array.length c.rows - 1 do
+        let r = c.rows.(idx) in
+        work.(r) <- c.vals.(idx);
+        if not intab.(r) then begin
+          intab.(r) <- true;
+          touched.(!ntouch) <- r;
+          incr ntouch
+        end
+      done;
+      (* left-looking: eliminate against finished stages in order *)
+      for j = 0 to k - 1 do
+        let f = work.(prow.(j)) in
+        if not (S.is_zero f) then begin
+          let lr, lv = lcols.(j) in
+          for idx = 0 to Array.length lr - 1 do
+            let r = lr.(idx) in
+            if not intab.(r) then begin
+              intab.(r) <- true;
+              touched.(!ntouch) <- r;
+              incr ntouch
+            end;
+            incr ops;
+            work.(r) <- S.submul work.(r) f lv.(idx)
+          done
+        end
+      done;
+      (* pivot among not-yet-pivoted rows: stability-acceptable,
+         fewest static row nonzeros, smallest index *)
+      let colmax = ref S.zero in
+      for t = 0 to !ntouch - 1 do
+        let r = touched.(t) in
+        if not pivoted.(r) then begin
+          let a = S.abs work.(r) in
+          if S.compare a !colmax > 0 then colmax := a
+        end
+      done;
+      let best = ref (-1) in
+      for t = 0 to !ntouch - 1 do
+        let r = touched.(t) in
+        if
+          (not pivoted.(r))
+          && (not (S.is_zero work.(r)))
+          && S.stable_pivot work.(r) ~colmax:!colmax
+        then
+          if !best < 0 then best := r
+          else
+            let c = compare rownnz.(r) rownnz.(!best) in
+            if c < 0 || (c = 0 && r < !best) then best := r
+      done;
+      if !best < 0 then raise Singular;
+      let pr = !best in
+      pivoted.(pr) <- true;
+      stage_of_row.(pr) <- k;
+      prow.(k) <- pr;
+      cpos.(k) <- p;
+      let piv = work.(pr) in
+      udiag.(k) <- piv;
+      (* gather: pivoted rows -> U column, the rest -> L column *)
+      let un = ref 0 and ln = ref 0 in
+      for t = 0 to !ntouch - 1 do
+        let r = touched.(t) in
+        if r <> pr && not (S.is_zero work.(r)) then
+          if pivoted.(r) then incr un else incr ln
+      done;
+      let ur = Array.make !un 0 and uv = Array.make !un S.zero in
+      let lr = Array.make !ln 0 and lv = Array.make !ln S.zero in
+      let ui = ref 0 and li = ref 0 in
+      for t = 0 to !ntouch - 1 do
+        let r = touched.(t) in
+        if r <> pr && not (S.is_zero work.(r)) then
+          if pivoted.(r) then begin
+            ur.(!ui) <- stage_of_row.(r);
+            uv.(!ui) <- work.(r);
+            incr ui
+          end
+          else begin
+            incr ops;
+            lr.(!li) <- r;
+            lv.(!li) <- S.div work.(r) piv;
+            incr li
+          end
+      done;
+      lcols.(k) <- (lr, lv);
+      ucols.(k) <- (ur, uv);
+      lu_nnz := !lu_nnz + !un + !ln + 1;
+      clear ()
+    done;
+    {
+      m;
+      ops;
+      prow;
+      stage_of_row;
+      cpos;
+      lcols;
+      ucols;
+      udiag;
+      lu_nnz = !lu_nnz;
+      etas = [||];
+      eta_count = 0;
+      eta_nnz = 0;
+      fw = Array.make m S.zero;
+      reached = Array.make m false;
+      heap = Array.make m 0;
+      order = Array.make m 0;
+      marked = Array.make m false;
+      bx = Array.make m S.zero;
+      bw = Array.make m S.zero;
+      fout = { x = Array.make m S.zero; nz = Array.make m 0; nnz = 0 };
+      by = Array.make m S.zero;
+    }
 
   (* binary min-heap of ints in [h.(0 .. !n - 1)] *)
   let heap_push (h : int array) (n : int ref) (v : int) =

@@ -40,19 +40,3 @@ let init ?domains n f = map ?domains f (List.init n (fun i -> i))
    exposes the captured form directly for callers — the serve daemon's
    workers — that must outlive any single task's failure. *)
 let run_isolated f = try Ok (f ()) with e -> Error e
-
-(* Shared monotonically-decreasing cell: a CAS loop keeps the minimum of
-   everything offered. Backs the shared incumbent of parallel
-   branch-and-bound searches — workers publish improvements and read the
-   current bound to prune; the value only ever tightens, so a stale read
-   merely prunes less, never wrongly. *)
-type 'a min_cell = { compare : 'a -> 'a -> int; cell : 'a Atomic.t }
-
-let min_cell ~compare v = { compare; cell = Atomic.make v }
-let min_get c = Atomic.get c.cell
-
-let rec min_improve c v =
-  let cur = Atomic.get c.cell in
-  if c.compare v cur >= 0 then false
-  else if Atomic.compare_and_set c.cell cur v then true
-  else min_improve c v

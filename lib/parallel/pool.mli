@@ -36,16 +36,3 @@ val default_domains : unit -> int
     [Stack_overflow] are caught like any exception; a segfault is not
     recoverable in-process). *)
 val run_isolated : (unit -> 'a) -> ('a, exn) result
-
-(** Shared monotonically-decreasing cell (atomic CAS minimum), for the
-    shared incumbent of parallel branch-and-bound: workers publish
-    improvements with {!min_improve} and prune against {!min_get}. Reads
-    may be stale, which only weakens pruning — never correctness. *)
-type 'a min_cell
-
-val min_cell : compare:('a -> 'a -> int) -> 'a -> 'a min_cell
-val min_get : 'a min_cell -> 'a
-
-(** [min_improve c v] installs [v] iff it is strictly below the current
-    value (by the cell's [compare]); returns whether it was installed. *)
-val min_improve : 'a min_cell -> 'a -> bool

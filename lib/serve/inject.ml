@@ -23,9 +23,6 @@ type t = {
   m : Mutex.t;
 }
 
-let none =
-  { crash = 0.0; delay_ms = 0; delay = 0.0; corrupt = 0.0; seed = 0; state = ref 0L; m = Mutex.create () }
-
 let is_none t = t.crash = 0.0 && t.delay = 0.0 && t.corrupt = 0.0
 
 let make ?(crash = 0.0) ?(delay_ms = 0) ?(delay = 0.0) ?(corrupt = 0.0) ?(seed = 0) () =
@@ -42,6 +39,8 @@ let make ?(crash = 0.0) ?(delay_ms = 0) ?(delay = 0.0) ?(corrupt = 0.0) ?(seed =
     state = ref (Int64.add (Int64.of_int seed) 0x9e3779b97f4a7c15L);
     m = Mutex.create ();
   }
+
+let none () = make ()
 
 (* splitmix64: tiny, dependency-free, well-mixed — the same generator
    family the fuzz harness uses for reproducible streams *)
@@ -148,5 +147,5 @@ let parse spec =
 
 let of_env () =
   match Sys.getenv_opt "ATBT_INJECT" with
-  | None | Some "" -> Ok none
+  | None | Some "" -> Ok (none ())
   | Some spec -> parse spec

@@ -14,7 +14,9 @@ exception Injected_fault of string
 
 type t
 
-val none : t
+(** A config that injects nothing. Each call builds its own PRNG
+    state, so no two configs share one. *)
+val none : unit -> t
 
 (** [true] iff this config can never fire. *)
 val is_none : t -> bool

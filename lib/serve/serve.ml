@@ -37,7 +37,7 @@ let default_config () =
     queue_capacity = 64;
     default_budget = Some 500_000;
     cache_capacity = 1024;
-    inject = Inject.none;
+    inject = Inject.none ();
     timing = false;
     now = Unix.gettimeofday;
     sleep = Unix.sleepf;
@@ -72,8 +72,7 @@ end
 (* ---------------------------------------------------------- memo cache -- *)
 
 (* Bounded FIFO memo of [Protocol.core] answers keyed on the request
-   digest — [Core.Session.Memo], which this cache used to be before the
-   session layer absorbed it in 1.9. *)
+   digest: [Core.Session.Memo]. Each [run_stream] creates its own. *)
 module Cache = Core.Session.Memo
 
 (* ------------------------------------------------------ ordered output -- *)

@@ -1,15 +1,14 @@
-(* Rolling-horizon re-optimization on a Core.Session. See rolling.mli
-   for the epoch semantics; the warm state lives in two session slots
-   (the full-instance feasibility oracle and the pinned LP1 model with
-   its last optimal basis), so the cold baseline is literally the same
-   code run against a fresh session each epoch. *)
+(* Rolling-horizon re-optimization. See rolling.mli for the epoch
+   semantics; the warm state lives in a record the run owns (the
+   full-instance feasibility oracle and the pinned LP1 model with its
+   last optimal basis), so the cold baseline is literally the same code
+   run against a fresh record each epoch. *)
 
 module Q = Rational
 module S = Workload.Slotted
 module B = Workload.Bjob
 module CI = Core.Instance
 module CR = Core.Result
-module Session = Core.Session
 module Cascade = Budget.Cascade
 module Oracle = Active.Feasibility.Oracle
 
@@ -91,24 +90,21 @@ type jstate = {
   mutable missed : bool;
 }
 
-(* Session slot: the warm feasibility oracle over the full instance.
-   [active] tracks which job ids are wired in, [closed_upto] how far the
+(* The warm feasibility oracle over the full instance. [o_active]
+   tracks which job ids are wired in, [closed_upto] how far the
    passed-unopened slot closures have been applied, so each epoch only
    pushes the delta onto the warm residual graph. *)
 type oracle_state = {
-  o_inst : S.t;
   oracle : Oracle.t;
   o_active : (int, unit) Hashtbl.t;
   mutable closed_upto : int;
 }
 
-(* Session slot: the pinned LP1 lower bound. Rebuilt only when the
-   missed set grows (the model excludes missed jobs); otherwise bounds
-   of newly decided y variables are rewritten in place and the re-solve
-   warm-starts from the previous optimal basis — the bound-only
-   dual-repair path. *)
+(* The pinned LP1 lower bound. Rebuilt only when the missed set grows
+   (the model excludes missed jobs); otherwise bounds of newly decided y
+   variables are rewritten in place and the re-solve warm-starts from
+   the previous optimal basis — the bound-only dual-repair path. *)
 type lp_state = {
-  l_inst : S.t;
   l_missed : int;
   model : Lp.model;
   yvars : (int * Lp.var) list;
@@ -116,8 +112,29 @@ type lp_state = {
   mutable basis : Lp.Basis.t option;
 }
 
-let oracle_key : oracle_state Session.Slot.key = Session.Slot.key ~name:"rolling-oracle" ()
-let lp_key : lp_state Session.Slot.key = Session.Slot.key ~name:"rolling-lp1" ()
+(* The run's warm state, each piece [None] until first built. A warm
+   run keeps one record across epochs; a cold run takes a fresh one each
+   epoch. *)
+type warm = { mutable w_oracle : oracle_state option; mutable w_lp : lp_state option }
+
+let fresh () = { w_oracle = None; w_lp = None }
+
+(* Fetch one piece of warm state: a stored value passing [validate] is
+   reused ([session.warm_hits]), a stale one is rebuilt
+   ([session.rebuilds]), an absent one is built cold
+   ([session.warm_misses]). *)
+let reuse ~obs stored ~validate ~build =
+  match stored with
+  | Some v when validate v ->
+      Obs.incr obs "session.warm_hits";
+      v
+  | Some _ ->
+      Obs.incr obs "session.rebuilds";
+      build ()
+  | None ->
+      Obs.incr obs "session.warm_misses";
+      build ()
+
 let counter obs name = match List.assoc_opt name (Obs.counters obs) with Some v -> v | None -> 0
 
 (* Deterministic earliest-deadline-first commit for degraded epochs:
@@ -176,7 +193,11 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
   Array.iter (fun js -> Hashtbl.replace by_id js.job.S.id js) jstates;
   let committed_open : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let solver = Core.Registry.find_exn CI.Active_slotted cfg.algorithm in
-  let persistent = Session.create () in
+  if solver.Core.Solver.quality = Core.Solver.Bound then
+    raise
+      (Core.Solver.Unsupported
+         (cfg.algorithm ^ " returns a lower bound, not a schedule to commit"));
+  let persistent = fresh () in
   let epochs = ref [] in
   let index = ref 0 in
   let now = ref 0 in
@@ -184,7 +205,7 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
   while unfinished () do
     let now_ = !now in
     let eobs = Obs.create () in
-    let session = if cfg.warm then persistent else Session.create () in
+    let warm = if cfg.warm then persistent else fresh () in
     (* arrivals and SLA misses at epoch start *)
     let arrived js = js.arrival <= now_ in
     let misses = ref 0 in
@@ -281,16 +302,16 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
     (* warm oracle: delta-sync arrivals, misses and passed slot closures
        onto the persistent residual network, then re-augment *)
     let ost =
-      Session.reuse ~obs:eobs session oracle_key
-        ~validate:(fun st -> st.o_inst == inst)
+      reuse ~obs:eobs warm.w_oracle
+        ~validate:(fun _ -> true)
         ~build:(fun () ->
           {
-            o_inst = inst;
             oracle = Oracle.create ~obs:eobs ~open_all:true ~activate_all:false inst;
             o_active = Hashtbl.create 16;
             closed_upto = 0;
           })
     in
+    warm.w_oracle <- Some ost;
     Array.iter
       (fun js ->
         let id = js.job.S.id in
@@ -318,16 +339,17 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
       if deadline_hit then None
       else begin
         let lst =
-          Session.reuse ~obs:eobs session lp_key
-            ~validate:(fun st -> st.l_inst == inst && st.l_missed = missed_count)
+          reuse ~obs:eobs warm.w_lp
+            ~validate:(fun st -> st.l_missed = missed_count)
             ~build:(fun () ->
               let kept =
                 Array.to_list jstates
                 |> List.filter_map (fun js -> if js.missed then None else Some js.job)
               in
               let model, yvars = Active.Lp_model.build_lp1 (S.make ~g kept) in
-              { l_inst = inst; l_missed = missed_count; model; yvars; pinned_upto = 0; basis = None })
+              { l_missed = missed_count; model; yvars; pinned_upto = 0; basis = None })
         in
+        warm.w_lp <- Some lst;
         List.iter
           (fun (slot, y) ->
             if slot > lst.pinned_upto && slot <= decided_upto then

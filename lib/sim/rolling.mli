@@ -12,27 +12,30 @@
       the deadline) are dropped and counted;
     + re-solves the sliding window — the arrived, unfinished jobs with
       clipped releases and remaining lengths, up to [lookahead] slots
-      ahead — with a registry solver through a {!Core.Session}
-      ([epoch_budget] fuel, [epoch_deadline] probe composed on top);
+      ahead — with a registry solver ([epoch_budget] fuel,
+      [epoch_deadline] probe composed on top);
     + commits the plan's first [epoch_len] slots: executed units are
       pinned — jobs already started keep their slots, only future work
       is re-decided next epoch;
     + re-checks global feasibility on a warm
-      {!Active.Feasibility.Oracle} held in a session slot: the full
-      network is built once, then arrivals activate jobs and passed
-      unopened slots close incrementally on the warm residual graph;
-    + re-solves a pinned LP1 held in another session slot for a lower
-      bound on the final active time: committed opens are pinned
-      [y_t = 1] and passed unopened slots [y_t = 0] via
-      {!Lp.set_bounds} (a bound-only rewrite, so the warm re-solve
-      takes the dual-repair path), warm from the previous epoch's
-      basis.
+      {!Active.Feasibility.Oracle}: the full network is built once,
+      then arrivals activate jobs and passed unopened slots close
+      incrementally on the warm residual graph;
+    + re-solves a pinned LP1 for a lower bound on the final active
+      time: committed opens are pinned [y_t = 1] and passed unopened
+      slots [y_t = 0] via {!Lp.set_bounds} (a bound-only rewrite, so
+      the warm re-solve takes the dual-repair path), warm from the
+      previous epoch's basis.
 
-    With [warm = false] every epoch gets a fresh session (and rebuilds
+    The oracle and the pinned LP1 are the run's warm state, kept in a
+    record the run owns: nothing is shared between runs or domains.
+    With [warm = false] every epoch takes a fresh record (and rebuilds
     the oracle and the LP model cold) — the baseline that [test_sim]'s
     "warm = cold on vm_day and timed traces" compares against
     (EXPERIMENTS E25); the answers are identical, only the work
-    differs.
+    differs. Either way the fetches are counted as [session.warm_hits]
+    (reused), [session.rebuilds] (the LP1 after a new miss) and
+    [session.warm_misses] (built cold).
 
     When the epoch solve degrades — deadline expired (the cascade's
     provenance records the aborted tiers), budget exhausted without an
@@ -62,7 +65,9 @@ type epoch = {
           so a miss is under way *)
   ticks : int;  (** fuel spent by the epoch's window solve *)
   lp_work : int;  (** [lp.exact_cells] recorded this epoch *)
-  warm_hits : int;  (** session warm hits this epoch (slots + bases) *)
+  warm_hits : int;
+      (** warm reuses this epoch: the oracle, the LP1 model and its
+          basis *)
   degraded : bool;
   provenance : Core.Result.objective Budget.Cascade.provenance option;
 }
@@ -90,7 +95,9 @@ type run = {
 type config = {
   epoch_len : int;
   lookahead : int option;  (** window extent in slots; [None] = horizon *)
-  algorithm : string;  (** registry solver for the window re-solve *)
+  algorithm : string;
+      (** registry solver for the window re-solve; it must return a
+          schedule, so a bound-only solver is refused *)
   epoch_budget : int option;  (** fuel per epoch; [None] = unlimited *)
   epoch_deadline : (unit -> unit -> bool) option;
       (** per-epoch deadline probe factory: called at each epoch start,
@@ -98,7 +105,7 @@ type config = {
           ({!Budget.set_deadline}). The CLI turns [--epoch-deadline-ms]
           into a wall-clock factory, or an always-expired probe for [0]
           (deterministic degradation) *)
-  warm : bool;  (** share one session across epochs (default) *)
+  warm : bool;  (** keep the warm state across epochs (default) *)
 }
 
 (** [epoch_len = 4], lookahead to the horizon, ["cascade"], fuel
@@ -111,8 +118,10 @@ val default_config : config
 val of_busy : g:int -> Workload.Bjob.t list -> Workload.Slotted.t
 
 (** Replay the trace. [arrivals] follow the {!Workload.Io} convention
-    (missing ids arrive at 0). Raises {!Core.Solver.Unsupported} when
-    [config.algorithm] is not a registered active-time solver.
+    (missing ids arrive at 0). Raises {!Core.Solver.Unsupported},
+    before the first epoch, when [config.algorithm] is not a registered
+    active-time solver or returns only a bound, and from an epoch whose
+    window fails the solver's precondition.
     Counters recorded into [obs]: the underlying
     [lp.*]/[flow.*]/[session.*] counters ([session.solves] counts the
     window re-solves) plus [sim.epochs], [sim.energy],

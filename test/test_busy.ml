@@ -287,11 +287,6 @@ let test_exact_bundling () =
   check_q "three identical, g=2" "4" (Busy.Exact.optimum ~g:2 jobs);
   check_q "g=3: one machine" "2" (Busy.Exact.optimum ~g:3 jobs)
 
-let test_exact_parallel_rejects_budget () =
-  Alcotest.check_raises "parallel + budget"
-    (Invalid_argument "Exact.solve: the parallel split is for the unbudgeted path") (fun () ->
-      ignore (Busy.Exact.solve ~budget:(Budget.limited 10) ~parallel:true ~g:2 [ ij 0 0 2 ]))
-
 (* -- properties ------------------------------------------------------------------ *)
 
 let seed_arb = QCheck.int_range 0 100_000
@@ -336,15 +331,6 @@ let prop_exact_below_heuristics =
       Q.compare opt (Busy.Bundle.total_busy (Busy.First_fit.solve ~g jobs)) <= 0
       && Q.compare opt (Busy.Bundle.total_busy (Busy.Greedy_tracking.solve ~g jobs)) <= 0
       && Q.compare opt (Busy.Bounds.best ~g jobs) >= 0)
-
-(* The root-level split explores the same tree under a shared incumbent;
-   the optimum cost it reports is deterministic and must equal the
-   sequential search's. *)
-let prop_parallel_matches_sequential =
-  QCheck.Test.make ~name:"parallel split = sequential optimum" ~count:15 seed_arb (fun seed ->
-      let jobs = Gen.interval_jobs ~n:7 ~horizon:12 ~max_length:4 ~seed () in
-      let g = 2 in
-      Q.equal (Busy.Exact.optimum ~parallel:true ~g jobs) (Busy.Exact.optimum ~g jobs))
 
 let prop_kumar_rudra =
   QCheck.Test.make ~name:"Kumar-Rudra: valid and <= 2 x demand profile" ~count:60
@@ -532,9 +518,9 @@ let prop_greedy_matches_reference =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_packings_valid; prop_two_approx_profile_bound; prop_ratios_vs_exact; prop_exact_below_heuristics;
-      prop_parallel_matches_sequential;
+      prop_greedy_matches_reference;
       prop_covering_pair; prop_kumar_rudra; prop_witness; prop_placement_windows; prop_preemptive;
-      prop_preemptive_exact_vs_lp; prop_pipeline_bound; prop_greedy_matches_reference ]
+      prop_preemptive_exact_vs_lp; prop_pipeline_bound ]
 
 let () =
   Alcotest.run "busy"
@@ -573,6 +559,5 @@ let () =
           Alcotest.test_case "beats non-preemptive" `Quick test_preemptive_beats_nonpreemptive;
           Alcotest.test_case "bounded" `Quick test_preemptive_bounded ] );
       ("exact",
-        [ Alcotest.test_case "bundling" `Quick test_exact_bundling;
-          Alcotest.test_case "parallel rejects budget" `Quick test_exact_parallel_rejects_budget ]);
+        [ Alcotest.test_case "bundling" `Quick test_exact_bundling ]);
       ("properties", props) ]

@@ -22,7 +22,7 @@ let config ?(domains = 1) ?(queue = 64) ?(cache = 1024) ?inject ?now ?sleep () =
     Serve.domains;
     queue_capacity = queue;
     cache_capacity = cache;
-    inject = (match inject with Some i -> i | None -> Serve.Inject.none);
+    inject = (match inject with Some i -> i | None -> Serve.Inject.none ());
     now = (match now with Some f -> f | None -> d.Serve.now);
     sleep = (match sleep with Some f -> f | None -> d.Serve.sleep);
   }

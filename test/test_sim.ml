@@ -236,8 +236,9 @@ let test_rolling_counters () =
     (cold_counter "lp.exact_cells" > counter "lp.exact_cells")
 
 (* each non-empty window is one registry solve (session.solves); an
-   unknown algorithm is rejected by the registry; a deadline probe is
-   armed on the epoch budget for any solver, not just the cascade *)
+   unknown algorithm is rejected by the registry and a bound-only one
+   before the first epoch; a deadline probe is armed on the epoch
+   budget for any solver, not just the cascade *)
 let test_rolling_registry_dispatch () =
   let obs = Obs.create () in
   let r = Rolling.run ~obs ~arrivals:tiny_arrivals tiny_trace in
@@ -252,6 +253,16 @@ let test_rolling_registry_dispatch () =
    with
   | exception Core.Solver.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Unsupported");
+  let obs = Obs.create () in
+  Alcotest.check_raises "a bound-only solver has no plan to commit"
+    (Core.Solver.Unsupported "lp-bound returns a lower bound, not a schedule to commit")
+    (fun () ->
+      ignore
+        (Rolling.run ~obs
+           ~config:{ Rolling.default_config with Rolling.algorithm = "lp-bound" }
+           ~arrivals:tiny_arrivals tiny_trace));
+  Alcotest.(check (list (pair string int))) "refused before the first epoch" []
+    (Obs.counters obs);
   let config =
     { Rolling.default_config with
       Rolling.algorithm = "exact";
@@ -275,8 +286,8 @@ let vm_day =
 
 (* vm_day (epoch_len 2: with epochs of 4 the tightest request arrives
    just after a boundary and is missed before it is seen) and three
-   generated timed traces, each replayed warm on one session and cold
-   per epoch. Warmth changes the LP work, never the committed schedule;
+   generated timed traces, each replayed warm and cold (fresh warm
+   state every epoch). Warmth changes the LP work, never the committed schedule;
    vm_day is pinned at (epochs, energy, misses) = (11, 22, 0), and warm
    runs do less LP work in total (78,455 vs 161,215 cells). *)
 let test_rolling_warm_equals_cold () =
@@ -458,7 +469,7 @@ let prop_registry_replay_energy =
       let params : Gen.slotted_params = { n = 6; horizon = 12; max_length = 3; slack = 3; g = 2 } in
       let inst = Gen.slotted ~params ~seed () in
       let ci = Core.Instance.Slotted inst in
-      Core.Registry.all ()
+      Core.Registry.all
       |> List.filter (fun (s : Core.Solver.t) ->
              s.Core.Solver.kind = Core.Instance.Active_slotted && s.Core.Solver.guard ci = None)
       |> List.for_all (fun (s : Core.Solver.t) ->
