@@ -790,20 +790,25 @@ let abl () =
       table_row (List.map col [ string_of_int passes; Printf.sprintf "%.4f" (!r /. 10.0) ]))
     [ 0; 1; 3 ];
 
-  pr "\n3. Simplex pricing rule on LP1 (10 random instances, n=12 T=18):\n\n";
-  table_row (List.map col [ "rule"; "mean pivots" ]);
+  pr "\n3. Simplex pricing rule on LP1 (10 random instances, n=12 T=18), mean\n";
+  pr "   pivots of the cut loop over y and of the x-form model solved cold:\n\n";
+  table_row (List.map col [ "rule"; "cut loop"; "x-form" ]);
   let lp_params : Gen.slotted_params = { n = 12; horizon = 18; max_length = 4; slack = 5; g = 3 } in
   List.iter
     (fun (name, rule) ->
-      let pivots = ref 0 in
+      let loop = ref 0 and xform = ref 0 in
       for seed = 0 to 9 do
         let inst = Gen.slotted ~params:lp_params ~seed () in
         let obs = Obs.create () in
         (match Active.Ilp.solve_lp inst ~fixing:(fun _ -> None) ~rule ~obs with
         | Some _ | None -> ());
-        pivots := !pivots + (try List.assoc "lp.pivots" (Obs.counters obs) with Not_found -> 0)
+        loop := !loop + (try List.assoc "lp.pivots" (Obs.counters obs) with Not_found -> 0);
+        match Lp.solve ~rule (fst (Active.Lp_model.build_lp1 inst)) with
+        | Lp.Optimal sol -> xform := !xform + Lp.pivots sol
+        | Lp.Infeasible | Lp.Unbounded -> ()
       done;
-      table_row (List.map col [ name; Printf.sprintf "%.1f" (float_of_int !pivots /. 10.0) ]))
+      let mean total = Printf.sprintf "%.1f" (float_of_int total /. 10.0) in
+      table_row (List.map col [ name; mean !loop; mean !xform ]))
     [ ("dantzig+fb", Lp.Dantzig_with_fallback); ("pure bland", Lp.Pure_bland) ];
 
   pr "\n4. Two-approx pair depth (the analysis requires depth g; depth 1\n";

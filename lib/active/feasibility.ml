@@ -18,17 +18,22 @@ type network = {
   job_edges : (int * Flow.edge) array; (* job id, source->job arc *)
   (* (job array index, slot) -> job->slot arc *)
   assign_edges : ((int * int) * Flow.edge) list;
+  slot_edges : (int * Flow.edge) array; (* slot, slot->sink arc; increasing *)
   source : int;
   sink : int;
-  total : int;
+  total : int; (* sum of the job arcs' capacities *)
 }
 
-let build (t : S.t) ~open_slots =
-  let open_set = Hashtbl.create 32 in
-  List.iter (fun s -> Hashtbl.replace open_set s ()) open_slots;
-  let slots = List.filter (Hashtbl.mem open_set) (S.relevant_slots t) in
+(* G_feas with caller-chosen capacities: source -> job carries
+   [job_cap j]; each relevant slot t that [slot_cap] maps to
+   [Some (arc, out)] gets an arc of capacity [arc] from every job whose
+   window holds t and an arc of capacity [out] to the sink; slots mapped
+   to [None] are left out. The paper's Fig. 2 network is
+   [job_cap j = p_j] with [(1, g)] on the open slots. *)
+let build (t : S.t) ~job_cap ~slot_cap =
+  let slots = List.filter_map (fun s -> Option.map (fun c -> (s, c)) (slot_cap s)) (S.relevant_slots t) in
   let slot_index = Hashtbl.create 32 in
-  List.iteri (fun i s -> Hashtbl.replace slot_index s i) slots;
+  List.iteri (fun i (s, (arc, _)) -> Hashtbl.replace slot_index s (i, arc)) slots;
   let n = S.num_jobs t in
   let m = List.length slots in
   (* nodes: 0 = source, 1..n jobs, n+1..n+m slots, n+m+1 sink *)
@@ -36,7 +41,7 @@ let build (t : S.t) ~open_slots =
   let g = Flow.create (n + m + 2) in
   let job_edges =
     Array.mapi
-      (fun idx (j : S.job) -> (j.S.id, Flow.add_edge g ~src:source ~dst:(idx + 1) ~cap:j.S.length))
+      (fun idx (j : S.job) -> (j.S.id, Flow.add_edge g ~src:source ~dst:(idx + 1) ~cap:(job_cap j)))
       t.S.jobs
   in
   let assign_edges = ref [] in
@@ -45,14 +50,25 @@ let build (t : S.t) ~open_slots =
       List.iter
         (fun s ->
           match Hashtbl.find_opt slot_index s with
-          | Some si ->
-              let e = Flow.add_edge g ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:1 in
+          | Some (si, arc) ->
+              let e = Flow.add_edge g ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:arc in
               assign_edges := ((idx, s), e) :: !assign_edges
           | None -> ())
         (S.window_slots j))
     t.S.jobs;
-  List.iteri (fun si _ -> ignore (Flow.add_edge g ~src:(n + 1 + si) ~dst:sink ~cap:t.S.g)) slots;
-  { graph = g; job_edges; assign_edges = !assign_edges; source; sink; total = S.total_length t }
+  let slot_edges =
+    Array.of_list (List.mapi (fun si (s, (_, out)) -> (s, Flow.add_edge g ~src:(n + 1 + si) ~dst:sink ~cap:out)) slots)
+  in
+  let total = Array.fold_left (fun acc (j : S.job) -> acc + job_cap j) 0 t.S.jobs in
+  { graph = g; job_edges; assign_edges = !assign_edges; slot_edges; source; sink; total }
+
+(* The Fig. 2 network on [open_slots]. *)
+let build_open (t : S.t) ~open_slots =
+  let open_set = Hashtbl.create 32 in
+  List.iter (fun s -> Hashtbl.replace open_set s ()) open_slots;
+  build t
+    ~job_cap:(fun j -> j.S.length)
+    ~slot_cap:(fun s -> if Hashtbl.mem open_set s then Some (1, t.S.g) else None)
 
 (* [feasible t ~open_slots] decides whether all jobs fit in the open slots.
    [only_jobs] restricts the test to a subset of job ids (used by the LP
@@ -66,8 +82,20 @@ let feasible ?only_jobs ?(obs = Obs.null) (t : S.t) ~open_slots =
         List.iter (fun id -> Hashtbl.replace keep id ()) ids;
         { t with S.jobs = Array.of_seq (Seq.filter (fun j -> Hashtbl.mem keep j.S.id) (Array.to_seq t.S.jobs)) }
   in
-  let net = build t' ~open_slots in
+  let net = build_open t' ~open_slots in
   Flow.max_flow ~obs net.graph ~source:net.source ~sink:net.sink = net.total
+
+(* One max flow of [build t ~job_cap ~slot_cap]; the jobs (array
+   indices, increasing) on the source side of a minimum cut. Empty iff
+   the flow saturates every job arc: a saturated source arc leaves the
+   source nothing to reach. *)
+let min_cut_jobs ?(obs = Obs.null) (t : S.t) ~job_cap ~slot_cap =
+  let net = build t ~job_cap ~slot_cap in
+  if Flow.max_flow ~obs net.graph ~source:net.source ~sink:net.sink = net.total then []
+  else begin
+    let side = Flow.min_cut net.graph ~source:net.source in
+    List.filter (fun idx -> side.(idx + 1)) (List.init (S.num_jobs t) Fun.id)
+  end
 
 type probe_mode = Incremental | Rebuild
 
@@ -101,34 +129,18 @@ module Oracle = struct
   }
 
   let create ?(obs = Obs.null) ?(open_all = true) ?(activate_all = true) (inst : S.t) =
-    let slots = Array.of_list (S.relevant_slots inst) in
+    (* every relevant slot and every job wired in; closed slots and
+       inactive jobs get capacity 0 *)
+    let net =
+      build inst
+        ~job_cap:(fun j -> if activate_all then j.S.length else 0)
+        ~slot_cap:(fun _ -> Some (1, if open_all then inst.S.g else 0))
+    in
+    let slots = Array.map fst net.slot_edges in
     let m = Array.length slots in
     let n = S.num_jobs inst in
     let slot_index = Hashtbl.create (2 * m) in
     Array.iteri (fun i s -> Hashtbl.replace slot_index s i) slots;
-    (* nodes: 0 = source, 1..n jobs, n+1..n+m slots, n+m+1 sink *)
-    let source = 0 and sink = n + m + 1 in
-    let g = Flow.create (n + m + 2) in
-    let job_len = Array.map (fun (j : S.job) -> j.S.length) inst.S.jobs in
-    let job_arc =
-      Array.mapi
-        (fun idx (j : S.job) ->
-          Flow.add_edge g ~src:source ~dst:(idx + 1) ~cap:(if activate_all then j.S.length else 0))
-        inst.S.jobs
-    in
-    Array.iteri
-      (fun idx (j : S.job) ->
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt slot_index s with
-            | Some si -> ignore (Flow.add_edge g ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:1)
-            | None -> ())
-          (S.window_slots j))
-      inst.S.jobs;
-    let slot_arc =
-      Array.init m (fun si ->
-          Flow.add_edge g ~src:(n + 1 + si) ~dst:sink ~cap:(if open_all then inst.S.g else 0))
-    in
     let jobs_of_id = Hashtbl.create (2 * n) in
     Array.iteri
       (fun idx (j : S.job) ->
@@ -136,19 +148,19 @@ module Oracle = struct
       inst.S.jobs;
     Obs.incr obs "active.oracle.builds";
     {
-      graph = g;
-      source;
-      sink;
+      graph = net.graph;
+      source = net.source;
+      sink = net.sink;
       g = inst.S.g;
       slot_ids = slots;
-      slot_arc;
+      slot_arc = Array.map snd net.slot_edges;
       slot_open = Array.make m open_all;
       slot_index;
-      job_arc;
+      job_arc = Array.map snd net.job_edges;
       job_active = Array.make n activate_all;
-      job_len;
+      job_len = Array.map (fun (j : S.job) -> j.S.length) inst.S.jobs;
       jobs_of_id;
-      active_total = (if activate_all then S.total_length inst else 0);
+      active_total = net.total;
       flow_value = 0;
     }
 
@@ -213,7 +225,7 @@ end
 (* [schedule t ~open_slots] is an integral schedule on the open slots, or
    [None] when infeasible. *)
 let schedule (t : S.t) ~open_slots =
-  let net = build t ~open_slots in
+  let net = build_open t ~open_slots in
   if Flow.max_flow net.graph ~source:net.source ~sink:net.sink <> net.total then None
   else begin
     let slots_of = Array.make (S.num_jobs t) [] in

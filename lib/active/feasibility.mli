@@ -17,6 +17,24 @@ val feasible :
 (** An integral schedule on the open slots, or [None] when infeasible. *)
 val schedule : Workload.Slotted.t -> open_slots:int list -> Workload.Slotted.schedule option
 
+(** [min_cut_jobs t ~job_cap ~slot_cap] runs one max flow of [G_feas]
+    with caller-chosen capacities: [job_cap j] on the arc source -> j,
+    and for each relevant slot [t] with [slot_cap t = Some (arc, out)],
+    [arc] on every arc j -> t from a job whose window holds [t] and
+    [out] on t -> sink; slots mapped to [None] are left out. It returns
+    the array indices (increasing) of the jobs on the source side of a
+    minimum cut, which is empty iff the flow saturates every job arc.
+    {!feasible} is the case [job_cap j = p_j], [(1, g)] on the open
+    slots; LP1's separation ({!Lp_model}) scales a fractional y to
+    [p_j L], [(y_t L, g y_t L)]. [?obs] is forwarded to
+    {!Flow.max_flow}. *)
+val min_cut_jobs :
+  ?obs:Obs.t ->
+  Workload.Slotted.t ->
+  job_cap:(Workload.Slotted.job -> int) ->
+  slot_cap:(int -> (int * int) option) ->
+  int list
+
 (** How a search kernel probes feasibility: [Incremental] retargets one
     persistent warm {!Oracle} per solve, [Rebuild] reconstructs the flow
     network per probe (the pre-oracle baseline, kept selectable so

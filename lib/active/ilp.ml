@@ -21,25 +21,13 @@ let src = Logs.Src.create "abt.ilp" ~doc:"LP-based branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let apply_fixings m y_vars ~fixing =
-  List.iter
-    (fun (s, yv) ->
-      match fixing s with
-      | Some true -> Lp.set_bounds m yv ~lower:Q.one ~upper:(Some Q.one)
-      | Some false -> Lp.set_bounds m yv ~lower:Q.zero ~upper:(Some Q.zero)
-      | None -> Lp.set_bounds m yv ~lower:Q.zero ~upper:(Some Q.one))
-    y_vars
-
 (* Solve LP1 with per-slot fixings: [fixing slot = Some true/false] pins
    y to 1/0. Returns the objective and the y values, or None when
    infeasible. [rule] selects the simplex pricing rule (ablation). *)
-let solve_lp ?(rule = Lp.Dantzig_with_fallback) ?obs (inst : S.t) ~fixing =
-  let m, y_vars = Lp_model.build_lp1 inst in
-  apply_fixings m y_vars ~fixing;
-  match Lp.solve ~rule ?obs m with
-  | Lp.Infeasible -> None
-  | Lp.Unbounded -> assert false
-  | Lp.Optimal sol -> Some (Lp.objective_value sol, List.map (fun (s, yv) -> (s, Lp.value sol yv)) y_vars)
+let solve_lp ?rule ?obs (inst : S.t) ~fixing =
+  let lp = Lp_model.create inst in
+  Lp_model.fix lp fixing;
+  Option.map (fun (r : Lp_model.t) -> (r.Lp_model.cost, r.Lp_model.y)) (Lp_model.resolve ?rule ?obs lp)
 
 let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -50,25 +38,22 @@ let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
       let best = ref (Solution.cost seed) in
       let best_slots = ref seed.Solution.open_slots in
       let nodes = ref 0 and lp_solves = ref 0 in
-      (* One LP1 model for the whole tree: each node rewrites the y
-         bounds and re-solves warm from its parent's optimal basis, so
-         the simplex re-enters phase 2 (or a short dual repair) instead
-         of re-running phase 1 from the start. *)
-      let lp1, y_vars = Lp_model.build_lp1 inst in
+      (* One LP1 for the whole tree: each node rewrites the y bounds and
+         resumes from its parent's optimal basis (padded for the rows
+         found since), so the simplex re-enters phase 2 or a short dual
+         repair instead of re-running phase 1, and every cut row found
+         anywhere in the tree stays for the rest of it. *)
+      let lp1 = Lp_model.create inst in
       (* fixings as an assoc list slot -> bool *)
-      let rec branch fixed warm =
+      let rec branch fixed from =
         Budget.tick budget;
         incr nodes;
-        let fixing s = List.assoc_opt s fixed in
         incr lp_solves;
-        apply_fixings lp1 y_vars ~fixing;
-        match Lp.solve ~engine ?warm ~budget ~obs lp1 with
-        | Lp.Unbounded -> assert false
-        | Lp.Infeasible -> ()
-        | Lp.Optimal sol ->
-            let value = Lp.objective_value sol in
-            let ys = List.map (fun (s, yv) -> (s, Lp.value sol yv)) y_vars in
-            let warm' = Lp.basis sol in
+        Lp_model.fix lp1 (fun s -> List.assoc_opt s fixed);
+        match Lp_model.resolve ~engine ?from ~budget ~obs lp1 with
+        | None -> ()
+        | Some { Lp_model.cost = value; y = ys } ->
+            let from' = Lp_model.basis lp1 in
             let lb = Q.ceil_int value in
             if lb < !best then begin
               (* most fractional undecided slot *)
@@ -94,8 +79,8 @@ let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
                     List.fold_left (fun (bs, bd) (s, d) -> if Q.compare d bd < 0 then (s, d) else (bs, bd))
                       (List.hd fractional) fractional
                   in
-                  branch ((s, true) :: fixed) warm';
-                  branch ((s, false) :: fixed) warm'
+                  branch ((s, true) :: fixed) from';
+                  branch ((s, false) :: fixed) from'
             end
       in
       let finish () =

@@ -7,9 +7,10 @@
 
 type stats = { nodes : int; lp_solves : int }
 
-(** LP1 with per-slot fixings ([Some true/false] pins y to 1/0); returns
-    the objective and y values, or [None] when infeasible. Exposed for
-    the pivot-rule ablation. *)
+(** LP1 with per-slot fixings ([Some true/false] pins y to 1/0), by a
+    fresh {!Lp_model.lp1}'s cut loop; returns the objective and y
+    values, or [None] when infeasible. [rule] reaches every LP solve of
+    the loop. Exposed for the pivot-rule ablation. *)
 val solve_lp :
   ?rule:Lp.pivot_rule ->
   ?obs:Obs.t ->
@@ -24,15 +25,18 @@ val solve_lp :
     minimal-solution seed); [None] inside the outcome iff the instance is
     infeasible.
 
-    One LP1 model serves the whole search tree: each node rewrites the
-    branching bounds with {!Lp.set_bounds} and re-solves warm from its
-    parent's optimal basis ([engine] defaults to {!Lp.default_engine}; with
-    [Dense] there is no basis to reuse and every node solves cold).
+    One {!Lp_model.lp1} serves the whole search tree: each node rewrites
+    the branching bounds ({!Lp_model.fix}) and runs the cut loop from
+    its parent's optimal basis, padded for the rows found since
+    ([engine] defaults to {!Lp.default_engine}; with [Dense] there is no
+    basis to reuse and every LP solve is cold). Rows found at one node
+    stay valid at every other, so they are kept for the whole tree.
 
     With [?obs], runs inside an [active.ilp] span and records
-    [active.ilp.nodes] / [active.ilp.lp_solves] plus the nested [lp.*]
-    counters of every re-solve ([lp.warm_starts] counts the nodes that
-    reused their parent's basis). *)
+    [active.ilp.nodes] / [active.ilp.lp_solves] plus the nested
+    [active.lp1.*], [lp.*] and [flow.*] counters of every re-solve
+    ([lp.warm_starts] counts the nodes that resumed their parent's
+    basis with no row added since). *)
 val solve :
   ?engine:Lp.engine ->
   ?budget:Budget.t ->

@@ -6,8 +6,9 @@
           sum_t x_{t,j} >= p_j           for every job j
           0 <= y_t <= 1,  x_{t,j} >= 0,  x_{t,j} = 0 outside windows
 
-   Solved exactly over the rationals; the optimal value lower-bounds the
-   integral optimum and its y-vector feeds the rounding of Theorem 2. *)
+   Solved exactly over the rationals, in its projection onto y (see
+   lp_model.mli): the optimal value lower-bounds the integral optimum
+   and its y-vector feeds the rounding of Theorem 2. *)
 
 module S = Workload.Slotted
 module Q = Rational
@@ -15,7 +16,6 @@ module Q = Rational
 type t = {
   cost : Q.t; (* optimal LP objective *)
   y : (int * Q.t) list; (* slot -> y_t, all relevant slots (may be 0) *)
-  x : ((int * int) * Q.t) list; (* (slot, job id) -> assigned mass, > 0 entries *)
 }
 
 let y_at t slot = try List.assoc slot t.y with Not_found -> Q.zero
@@ -84,10 +84,11 @@ let right_shift (inst : S.t) t =
     boundaries;
   List.map (fun s -> (s, try Hashtbl.find shifted s with Not_found -> Q.zero)) slots
 
-(* LP1 as an Lp model with every y free in [0,1], plus the y and x
-   variables. Variable and row order fix the simplex pivot sequence, so
-   the pinned pivot counts depend on them. *)
-let lp1 (inst : S.t) =
+(* LP1 in x-form, with every y free in [0,1]: the reference that the
+   tests and the fuzz oracle compare the cut loop against. Variable and
+   row order fix the simplex pivot sequence, so the pinned pivot counts
+   depend on them. *)
+let build_lp1 (inst : S.t) =
   let slots = S.relevant_slots inst in
   let m = Lp.create () in
   let y_vars = List.map (fun s -> (s, Lp.add_var ~upper:Q.one m (Printf.sprintf "y_%d" s))) slots in
@@ -119,65 +120,150 @@ let lp1 (inst : S.t) =
       Lp.add_constraint m terms Lp.Ge (Q.of_int j.S.length))
     inst.S.jobs;
   Lp.set_objective m Lp.Minimize (List.map (fun (_, yv) -> (Q.one, yv)) y_vars);
-  (m, y_vars, x_vars)
-
-let build_lp1 inst =
-  let m, y_vars, _ = lp1 inst in
   (m, y_vars)
 
-(* A primal-feasible basis of [lp1 inst], read off an integral max flow of
-   the paper's Fig. 2 network G_feas with every relevant slot open:
-   every y_t nonbasic at 1; x_{t,j} basic where the flow uses arc (t, j)
-   and nonbasic at 0 elsewhere; the slack of row x_{t,j} <= y_t
-   nonbasic where x_{t,j} is basic; every other slack and surplus basic.
-   Each basic x_{t,j} owns its row x_{t,j} <= y_t, so the basis is
-   triangular. [None] when the flow cannot route every job: the
-   instance is infeasible, and phase 1 proves it. *)
-let flow_start (inst : S.t) m ~y_vars =
-  match Feasibility.schedule inst ~open_slots:(S.relevant_slots inst) with
-  | None -> None
-  | Some sched ->
-      (* per x column, in [lp1]'s order (jobs, then window slots): does
-         the flow use it? Both slot lists are increasing. *)
-      let used =
-        List.concat
-          (List.map2
-             (fun (j : S.job) (_, slots) ->
-               let rest = ref slots in
-               List.map
-                 (fun s ->
-                   match !rest with
-                   | t :: tl when t = s ->
-                       rest := tl;
-                       true
-                   | _ -> false)
-                 (S.window_slots j))
-             (Array.to_list inst.S.jobs) sched)
-        |> Array.of_list
-      in
-      let vstat =
-        Array.append
-          (Array.make (List.length y_vars) Lp.Basis.Upper)
-          (Array.map (fun u -> if u then Lp.Basis.Basic else Lp.Basis.Lower) used)
-      in
-      (* the x_{t,j} <= y_t rows come first, one per x column *)
-      let sstat = Array.make (Lp.num_constraints m) Lp.Basis.Basic in
-      Array.iteri (fun k u -> if u then sstat.(k) <- Lp.Basis.Lower) used;
-      Some (Lp.Basis.make ~vstat ~sstat)
+(* ------------------------------------------------ LP1 over y, by cuts -- *)
 
-let solve ?(engine = Lp.default_engine) ?budget ?obs (inst : S.t) =
-  let m, y_vars, x_vars = lp1 inst in
-  let start = flow_start inst m ~y_vars in
-  match Lp.solve ~engine ?start ?budget ?obs m with
-  | Lp.Infeasible -> None
-  | Lp.Unbounded -> assert false (* objective is bounded below by 0 *)
-  | Lp.Optimal sol ->
-      let y = List.map (fun (s, yv) -> (s, Lp.value sol yv)) y_vars in
-      let x =
-        List.filter_map
-          (fun (key, xv) ->
-            let v = Lp.value sol xv in
-            if Q.is_zero v then None else Some (key, v))
-          x_vars
+exception Scale_overflow
+
+(* The y-only LP1: one column per relevant slot, one row per job set
+   found so far, and the basis of the last optimum. *)
+type lp1 = {
+  inst : S.t;
+  model : Lp.model;
+  y_vars : (int * Lp.var) list;
+  var_of : (int, Lp.var) Hashtbl.t; (* slot -> y column *)
+  mutable basis : Lp.Basis.t option;
+}
+
+(* The row of job set [js] (array indices) as (coefficient, slot) terms
+   and demand: sum_t min(g, n_t) y_t >= p(js), where n_t counts the
+   windows of [js] that hold t. *)
+let row (inst : S.t) js =
+  let count = Hashtbl.create 32 in
+  List.iter
+    (fun idx ->
+      List.iter
+        (fun s -> Hashtbl.replace count s (1 + Option.value (Hashtbl.find_opt count s) ~default:0))
+        (S.window_slots inst.S.jobs.(idx)))
+    js;
+  let terms = Hashtbl.fold (fun s n acc -> (Q.of_int (min inst.S.g n), s) :: acc) count [] in
+  let demand = List.fold_left (fun acc idx -> acc + inst.S.jobs.(idx).S.length) 0 js in
+  (List.sort (fun (_, a) (_, b) -> compare a b) terms, Q.of_int demand)
+
+let add_row lp (terms, demand) =
+  Lp.add_constraint lp.model (List.map (fun (c, s) -> (c, Hashtbl.find lp.var_of s)) terms) Lp.Ge demand
+
+let create (inst : S.t) =
+  let model = Lp.create () in
+  let y_vars =
+    List.map (fun s -> (s, Lp.add_var ~upper:Q.one model (Printf.sprintf "y_%d" s))) (S.relevant_slots inst)
+  in
+  let var_of = Hashtbl.create 64 in
+  List.iter (fun (s, v) -> Hashtbl.replace var_of s v) y_vars;
+  Lp.set_objective model Lp.Minimize (List.map (fun (_, v) -> (Q.one, v)) y_vars);
+  let lp = { inst; model; y_vars; var_of; basis = None } in
+  Array.iteri (fun idx _ -> add_row lp (row inst [ idx ])) inst.S.jobs;
+  lp
+
+let slots lp = List.map fst lp.y_vars
+let basis lp = lp.basis
+
+let fix lp fixing =
+  List.iter
+    (fun (s, v) ->
+      let lower, upper =
+        match fixing s with Some true -> (Q.one, Q.one) | Some false -> (Q.zero, Q.zero) | None -> (Q.zero, Q.one)
       in
-      Some { cost = Lp.objective_value sol; y; x }
+      Lp.set_bounds lp.model v ~lower ~upper:(Some upper))
+    lp.y_vars
+
+(* Split job set [js] into chains: maximal runs, by release, of windows
+   that each overlap the union of the ones before. Chains share no
+   slot, so the row of [js] is the sum of theirs, and when y violates
+   it, y violates a chain's row too. *)
+let chains (inst : S.t) js =
+  let job idx = inst.S.jobs.(idx) in
+  let by_release = List.stable_sort (fun a b -> compare (job a).S.release (job b).S.release) js in
+  let rec go chain reach acc = function
+    | [] -> List.rev (if chain = [] then acc else List.rev chain :: acc)
+    | idx :: rest ->
+        let j = job idx in
+        if chain <> [] && j.S.release < reach then go (idx :: chain) (max reach j.S.deadline) acc rest
+        else go [ idx ] j.S.deadline (if chain = [] then acc else List.rev chain :: acc) rest
+  in
+  go [] 0 [] by_release
+
+let checked_mul a b = match Bigint.checked_mul a b with Some c -> c | None -> raise Scale_overflow
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* The separation. Scale y by the least common denominator L of its
+   values and run one max flow of G_feas with capacities p_j L, y_t L
+   and g y_t L: y extends to a feasible x iff the flow saturates every
+   job arc. When it does not, the source side of a min cut is a job set
+   whose row y violates; the rows of its violated chains come back. *)
+let separate ?obs lp y =
+  let scale =
+    List.fold_left
+      (fun l (_, v) ->
+        match Bigint.to_int (Q.den v) with
+        | Some d -> checked_mul (l / gcd l d) d
+        | None -> raise Scale_overflow)
+      1 y
+  in
+  (* p(J) L bounds every job capacity and the flow value, g L every slot's *)
+  ignore (checked_mul (max (S.total_length lp.inst) lp.inst.S.g) scale);
+  let scaled = Hashtbl.create 64 and value = Hashtbl.create 64 in
+  List.iter
+    (fun (s, v) ->
+      Hashtbl.replace value s v;
+      if not (Q.is_zero v) then
+        Hashtbl.replace scaled s (Option.get (Q.to_int (Q.mul v (Q.of_int scale)))))
+    y;
+  let g = lp.inst.S.g in
+  Feasibility.min_cut_jobs ?obs lp.inst
+    ~job_cap:(fun j -> j.S.length * scale)
+    ~slot_cap:(fun s -> Option.map (fun c -> (c, g * c)) (Hashtbl.find_opt scaled s))
+  |> chains lp.inst
+  |> List.filter_map (fun chain ->
+         let ((terms, demand) as r) = row lp.inst chain in
+         let lhs = List.fold_left (fun acc (c, s) -> Q.add acc (Q.mul c (Hashtbl.find value s))) Q.zero terms in
+         if Q.compare lhs demand < 0 then Some r else None)
+
+(* [b] with a basic surplus for every row added since it was taken *)
+let pad (b : Lp.Basis.t) rows =
+  Lp.Basis.make ~vstat:b.Lp.Basis.vstat
+    ~sstat:(Array.init rows (fun i -> if i < b.Lp.Basis.b_nrows then b.Lp.Basis.sstat.(i) else Lp.Basis.Basic))
+
+let resolve ?rule ?engine ?from ?budget ?(obs = Obs.null) lp =
+  let rec round from =
+    Obs.incr obs "active.lp1.rounds";
+    let rows = Lp.num_constraints lp.model in
+    let warm, start =
+      match from with
+      | Some (b : Lp.Basis.t) when b.Lp.Basis.b_nrows = rows -> (Some b, None)
+      | Some b -> (None, Some (pad b rows))
+      | None ->
+          ( None,
+            Some
+              (Lp.Basis.make
+                 ~vstat:(Array.make (List.length lp.y_vars) Lp.Basis.Upper)
+                 ~sstat:(Array.make rows Lp.Basis.Basic)) )
+    in
+    match Lp.solve ?rule ?engine ?warm ?start ?budget ~obs lp.model with
+    | Lp.Infeasible -> None
+    | Lp.Unbounded -> assert false (* objective is bounded below by 0 *)
+    | Lp.Optimal sol -> (
+        let basis = Lp.basis sol in
+        if basis <> None then lp.basis <- basis;
+        let y = List.map (fun (s, v) -> (s, Lp.value sol v)) lp.y_vars in
+        match separate ~obs lp y with
+        | [] -> Some { cost = Lp.objective_value sol; y }
+        | cuts ->
+            List.iter (add_row lp) cuts;
+            Obs.add obs "active.lp1.cuts" (List.length cuts);
+            round basis)
+  in
+  round (match from with None -> lp.basis | b -> b)
+
+let solve ?engine ?budget ?obs inst = resolve ?engine ?budget ?obs (create inst)

@@ -1,9 +1,9 @@
 (* Graceful degradation for the busy-time model: exact set-partition
-   search, then GreedyTracking (3-approximation), then FirstFit
-   (4-approximation), each under a fresh fuel budget. The tier labels are
-   the historical cascade vocabulary, which the registry repeats as its
-   [cascade_tier] display data. The greedy tiers are polynomial and
-   ignore their budgets, so the cascade always returns a packing. The
+   search, then GreedyTracking (3-approximation, Thm 5), each under a
+   fresh fuel budget. The tier labels are the historical cascade
+   vocabulary, which the registry repeats as its [cascade_tier] display
+   data. GreedyTracking is polynomial and ignores its budget, so the
+   cascade always returns a packing and needs no tier after it. The
    provenance reports the gap to the best Section-4.1 lower bound (mass
    / span / demand profile), which bounds how far the degraded answer
    can be from optimal. *)
@@ -21,7 +21,6 @@ let tiers ~obs ~g jobs =
         | Budget.Complete p -> Some p
         | Budget.Exhausted _ -> raise Budget.Out_of_fuel );
     ("greedy-tracking", fun _ -> Some (Greedy_tracking.solve ~obs ~g jobs));
-    ("first-fit", fun _ -> Some (First_fit.solve ~obs ~g jobs));
   ]
 
 let solve ?(obs = Obs.null) ?deadline ~limit ~g jobs =

@@ -1,8 +1,8 @@
 (** Graceful-degradation cascade for busy time: exact set-partition
-    branch and bound, then GreedyTracking (3-approximation), then
-    FirstFit (4-approximation). Each tier gets a fresh budget of the
-    same tick limit; the greedy tiers are polynomial and unmetered, so
-    the cascade always returns a packing. Interval jobs only (pin
+    branch and bound, then GreedyTracking (3-approximation, Thm 5).
+    Each tier gets a fresh budget of the same tick limit;
+    GreedyTracking is polynomial and unmetered, so the cascade always
+    returns a packing, within 3 times the optimum. Interval jobs only (pin
     flexible jobs with {!Placement} first); raises [Invalid_argument]
     otherwise. *)
 
@@ -13,10 +13,10 @@
 type provenance = Rational.t Budget.Cascade.provenance
 
 (** [solve ~limit ~g jobs] runs the cascade with [limit] ticks per tier.
-    The packing is always [Some] (FirstFit accepts any interval-job
-    list, including the empty one) unless the [?deadline] probe fired —
-    the provenance then ends in a {!Budget.Cascade.Deadline} attempt and
-    has no winner. [?obs] is threaded through the runner (cascade.*
+    The packing is always [Some] (GreedyTracking accepts any
+    interval-job list, including the empty one) unless the [?deadline]
+    probe fired — the provenance then ends in a
+    {!Budget.Cascade.Deadline} attempt and has no winner. [?obs] is threaded through the runner (cascade.*
     counters and per-tier spans) and every tier's solver; [?deadline] is
     re-armed on each per-tier budget ({!Budget.Cascade.run}). *)
 val solve :

@@ -67,7 +67,7 @@ let pipeline name algorithm ?budget:_ ?obs ?params inst =
 let interval_solvers =
   [
     Sv.make ~name:"first-fit" ~kind:I.Busy_interval ~quality:(Sv.Approx (Q.of_int 4))
-      ~cascade_tier:(2, "first-fit") ~rank:3 ~paper:"§4.3 FirstFit baseline"
+      ~rank:3 ~paper:"§4.3 FirstFit baseline"
       ~impl:"Busy.First_fit"
       ~solve:(fun ?budget:_ ?obs ?params:_ inst ->
         let g, jobs = interval "first-fit" inst in
@@ -162,7 +162,7 @@ let interval_solvers =
         let g, jobs = interval "online-bucketed" inst in
         packing (Online.bucketed_first_fit ~g jobs))
       ();
-    Sv.make ~name:"cascade" ~kind:I.Busy_interval ~quality:(Sv.Approx (Q.of_int 4))
+    Sv.make ~name:"cascade" ~kind:I.Busy_interval ~quality:(Sv.Approx (Q.of_int 3))
       ~supports_budget:true ~composite:true ~paper:"DESIGN §5a" ~impl:"Busy.Cascade"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
         let g, jobs = interval "cascade" inst in

@@ -172,49 +172,52 @@ let check_probe_modes ~fuel (inst : S.t) =
         else None);
     ]
 
-(* LP-engine differential: every distinct engine — the bounded-variable
-   revised simplex, the dense reference tableau, the certified float
-   engine — must give every LP the same status and objective (for the
-   float engine this exercises certification and its exact fallback).
-   Checked on the instance's LP1 relaxation (shared by every LP-backed
-   solver); a fuel exhaustion under any engine skips that comparison
+(* LP-engine differential: LP1's cut loop under every distinct engine —
+   the bounded-variable revised simplex, the dense reference tableau,
+   the certified float engine — and LP1's x-form model solved directly
+   by the default engine, which shares no code with the cut loop's
+   separation, must give the instance the same status and objective
+   (for the float engine this exercises certification and its exact
+   fallback). A fuel exhaustion under any of them skips that comparison
    rather than reporting it. *)
 let check_lp_engines ~fuel (inst : S.t) =
   guard "lp-engine-differential" @@ fun () ->
-  let run engine =
-    try `Done (Active.Lp_model.solve ~engine ~budget:(Budget.limited fuel) inst)
-    with Budget.Out_of_fuel -> `Fuel
+  let fueled f = try `Done (f (Budget.limited fuel)) with Budget.Out_of_fuel -> `Fuel in
+  let cut_loop engine budget =
+    Option.map (fun l -> l.Active.Lp_model.cost) (Active.Lp_model.solve ~engine ~budget inst)
+  in
+  let x_form budget =
+    match Lp.solve ~budget (fst (Active.Lp_model.build_lp1 inst)) with
+    | Lp.Optimal sol -> Some (Lp.objective_value sol)
+    | Lp.Infeasible -> None
+    | Lp.Unbounded -> failwith "x-form LP1 unbounded"
   in
   let baseline_name = Lp.engine_name Lp.default_engine in
-  let engines = List.filter_map Lp.engine_of_name (Lp.engine_names ()) in
-  match run Lp.default_engine with
+  let others =
+    List.filter_map
+      (fun name ->
+        match Lp.engine_of_name name with
+        | Some e when e <> Lp.default_engine -> Some (name, cut_loop e)
+        | _ -> None)
+      (Lp.engine_names ())
+    @ [ ("x-form " ^ baseline_name, x_form) ]
+  in
+  let show = function Some q -> Q.to_string q | None -> "infeasible" in
+  match fueled (cut_loop Lp.default_engine) with
   | `Fuel -> None
   | `Done baseline ->
       List.fold_left
-        (fun acc engine ->
-          if acc <> None || engine = Lp.default_engine then acc
+        (fun acc (name, solve) ->
+          if acc <> None then acc
           else
-            let name = Lp.engine_name engine in
-            match run engine with
+            match fueled solve with
             | `Fuel -> None
-            | `Done other -> (
-                match (baseline, other) with
-                | Some a, Some b ->
-                    if Q.equal a.Active.Lp_model.cost b.Active.Lp_model.cost then None
-                    else
-                      fail "lp-engine-differential" "LP1 objective differs: %s %s, %s %s"
-                        baseline_name
-                        (Q.to_string a.Active.Lp_model.cost)
-                        name
-                        (Q.to_string b.Active.Lp_model.cost)
-                | None, None -> None
-                | Some _, None ->
-                    fail "lp-engine-differential" "%s says feasible, %s says infeasible"
-                      baseline_name name
-                | None, Some _ ->
-                    fail "lp-engine-differential" "%s says feasible, %s says infeasible" name
-                      baseline_name))
-        None engines
+            | `Done other ->
+                if Option.equal Q.equal baseline other then None
+                else
+                  fail "lp-engine-differential" "LP1 differs: %s %s, %s %s" baseline_name
+                    (show baseline) name (show other))
+        None others
 
 let check_slotted ~fuel (inst : S.t) =
   guard "slotted-oracle" @@ fun () ->

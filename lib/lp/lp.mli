@@ -42,9 +42,11 @@
 
     Starting points: a cold solve runs phase 1 over artificial
     variables. A re-solve can restore an earlier optimum of the same
-    model instead ([?warm]), and a caller that knows a feasible point of
-    its model can pass a basis built from it ([?start], {!Basis.make}):
-    LP1 starts from the paper's Fig. 2 flow this way. Both are passed
+    model instead ([?warm]), and a caller that knows a primal or dual
+    feasible basis of its model can pass it ([?start], {!Basis.make}):
+    LP1's cut loop starts from every y at its upper bound this way, and
+    resumes each round from its last optimum padded for the new rows.
+    Both are passed
     explicitly on each call, and nothing else carries over from one
     [solve] to the next, so the same call returns the same vertex
     whatever ran before it. Neither start changes the status or the
@@ -188,16 +190,19 @@ val default_engine : engine
     vertex: that is why warm state is always the caller's own.
 
     [start] (every engine except {!Dense}) is a basis the caller built
-    from a feasible point of its own model ({!Basis.make}), used in
-    place of phase 1. It is taken only when no [?warm] was given. It
-    runs through the [?warm] machinery — refactorize, check primal
-    feasibility, phase 2 — and a start that cannot be used (wrong
-    dimensions, singular, neither primal nor dual feasible) falls back
-    to phase 1 silently. A start never changes the status or the
-    objective, but it may change which optimal vertex is returned when
-    the optimum is not unique. It does not count in [lp.warm_starts];
-    [lp.phase1_pivots = 0] shows that it was taken. [Active.Lp_model.solve] starts LP1 from the paper's
-    Fig. 2 flow this way.
+    for its own model ({!Basis.make}), used in place of phase 1. It is
+    taken only when no [?warm] was given. It runs through the [?warm]
+    machinery — refactorize, then phase 2 when primal feasible, dual
+    repair when only dual feasible — and a start that cannot be used
+    (wrong dimensions, singular, neither primal nor dual feasible)
+    falls back to phase 1 silently. A start never changes the status or
+    the objective, but it may change which optimal vertex is returned
+    when the optimum is not unique. It does not count in
+    [lp.warm_starts]; [lp.phase1_pivots = 0] shows that it was taken.
+    [Active.Lp_model]'s cut loop passes two kinds: every y at its upper
+    bound with every surplus basic (primal feasible), and an earlier
+    optimal basis with a basic surplus for each row appended since
+    (dual feasible, since the new rows' duals are zero).
 
     When [budget] is given, every simplex pivot and bound flip consumes
     one tick of it; on exhaustion the solve aborts by raising

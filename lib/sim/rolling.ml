@@ -101,16 +101,11 @@ type oracle_state = {
 }
 
 (* The pinned LP1 lower bound. Rebuilt only when the missed set grows
-   (the model excludes missed jobs); otherwise bounds of newly decided y
-   variables are rewritten in place and the re-solve warm-starts from
-   the previous optimal basis — the bound-only dual-repair path. *)
-type lp_state = {
-  l_missed : int;
-  model : Lp.model;
-  yvars : (int * Lp.var) list;
-  mutable pinned_upto : int;
-  mutable basis : Lp.Basis.t option;
-}
+   (the model excludes missed jobs); otherwise the decided y variables
+   are pinned in place and the cut loop resumes from the previous
+   optimal basis with every row found so far — the bound-only
+   dual-repair path. *)
+type lp_state = { l_missed : int; lp1 : Active.Lp_model.lp1 }
 
 (* The run's warm state, each piece [None] until first built. A warm
    run keeps one record across epochs; a cold run takes a fresh one each
@@ -346,31 +341,20 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
                 Array.to_list jstates
                 |> List.filter_map (fun js -> if js.missed then None else Some js.job)
               in
-              let model, yvars = Active.Lp_model.build_lp1 (S.make ~g kept) in
-              { l_missed = missed_count; model; yvars; pinned_upto = 0; basis = None })
+              { l_missed = missed_count; lp1 = Active.Lp_model.create (S.make ~g kept) })
         in
         warm.w_lp <- Some lst;
-        List.iter
-          (fun (slot, y) ->
-            if slot > lst.pinned_upto && slot <= decided_upto then
-              if Hashtbl.mem committed_open slot then
-                Lp.set_bounds lst.model y ~lower:Q.one ~upper:(Some Q.one)
-              else Lp.set_bounds lst.model y ~lower:Q.zero ~upper:(Some Q.zero))
-          lst.yvars;
-        lst.pinned_upto <- decided_upto;
+        Active.Lp_model.fix lst.lp1 (fun slot ->
+            if slot <= decided_upto then Some (Hashtbl.mem committed_open slot) else None);
         (* committed opens that serve only missed jobs have no y in the
            filtered model; they are sunk energy the LP cannot see *)
+        let slots = Active.Lp_model.slots lst.lp1 in
         let orphans =
-          Hashtbl.fold
-            (fun t () acc ->
-              if List.mem_assoc t lst.yvars then acc else acc + 1)
-            committed_open 0
+          Hashtbl.fold (fun t () acc -> if List.mem t slots then acc else acc + 1) committed_open 0
         in
-        match Lp.solve ?warm:lst.basis ~obs:eobs lst.model with
-        | Lp.Optimal sol ->
-            lst.basis <- Lp.basis sol;
-            Some (Q.add (Lp.objective_value sol) (Q.of_int orphans))
-        | Lp.Infeasible | Lp.Unbounded -> None
+        Option.map
+          (fun (r : Active.Lp_model.t) -> Q.add r.Active.Lp_model.cost (Q.of_int orphans))
+          (Active.Lp_model.resolve ~obs:eobs lst.lp1)
       end
     in
     let ticks =

@@ -23,9 +23,9 @@
       incrementally on the warm residual graph;
     + re-solves a pinned LP1 for a lower bound on the final active
       time: committed opens are pinned [y_t = 1] and passed unopened
-      slots [y_t = 0] via {!Lp.set_bounds} (a bound-only rewrite, so
-      the warm re-solve takes the dual-repair path), warm from the
-      previous epoch's basis.
+      slots [y_t = 0] ({!Active.Lp_model.fix}, a bound-only rewrite),
+      and the cut loop resumes from the previous epoch's basis with
+      every row found so far, on the dual-repair path.
 
     The oracle and the pinned LP1 are the run's warm state, kept in a
     record the run owns: nothing is shared between runs or domains.

@@ -118,6 +118,14 @@ let test_exact_infeasible () =
 
 (* -- LP ------------------------------------------------------------------- *)
 
+(* LP1's value by the x-form reference model, solved directly: no cut
+   loop, no separation *)
+let x_form_cost inst =
+  match Lp.solve (fst (Active.Lp_model.build_lp1 inst)) with
+  | Lp.Optimal sol -> Some (Q.to_string (Lp.objective_value sol))
+  | Lp.Infeasible -> None
+  | Lp.Unbounded -> Alcotest.fail "LP1 is bounded below by 0"
+
 let test_lp_exact_on_integral () =
   (* instance whose LP optimum is integral: one job, window = length *)
   let inst = small_inst [ job ~id:0 ~release:0 ~deadline:3 ~length:3 ] 2 in
@@ -130,37 +138,38 @@ let test_lp_infeasible () =
   Alcotest.(check bool) "lp infeasible" true (Active.Lp_model.solve inst = None)
 
 let test_lp_assignment_consistency () =
-  (* the LP's x variables must serve each job's full demand, within
-     capacity and the y values *)
+  (* the LP's y must admit a fractional assignment serving each job's
+     full demand within capacity and the y values (LP2), and its value
+     must be the x-form LP1's *)
   let params : Gen.slotted_params = { n = 6; horizon = 10; max_length = 3; slack = 3; g = 2 } in
   let inst = Gen.slotted ~params ~seed:13 () in
   match Active.Lp_model.solve inst with
   | None -> Alcotest.fail "feasible"
   | Some lp ->
-      Array.iter
-        (fun (j : S.job) ->
-          let served =
-            List.fold_left
-              (fun acc ((_, id), v) -> if id = j.S.id then Q.add acc v else acc)
-              Q.zero lp.Active.Lp_model.x
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "job %d served" j.S.id)
-            true
-            (Q.compare served (Q.of_int j.S.length) >= 0))
-        inst.S.jobs;
-      List.iter
-        (fun (slot, y) ->
-          let used =
-            List.fold_left
-              (fun acc ((s, _), v) -> if s = slot then Q.add acc v else acc)
-              Q.zero lp.Active.Lp_model.x
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "slot %d capacity" slot)
-            true
-            (Q.compare used (Q.mul (Q.of_int inst.S.g) y) <= 0))
-        lp.Active.Lp_model.y
+      Alcotest.(check bool) "y admits an assignment" true
+        (Active.Lp_model.feasible_with_y inst lp.Active.Lp_model.y);
+      Alcotest.(check (option string)) "x-form value"
+        (Some (Q.to_string lp.Active.Lp_model.cost))
+        (x_form_cost inst)
+
+(* [Ilp.solve_lp ?rule] reaches the cut loop's LP solves. With every
+   sixth slot closed this LP1 is infeasible, so the all-ones start is
+   not primal feasible and phase 1 runs to prove it; there Dantzig's
+   rule and Bland's pivot differently (on the free LP1 every pricing
+   step is a tie and the two agree). *)
+let test_lp_rule_reaches_loop () =
+  let params : Gen.slotted_params = { n = 12; horizon = 18; max_length = 4; slack = 5; g = 3 } in
+  let inst = Gen.slotted ~params ~seed:0 () in
+  let run rule =
+    let obs = Obs.create () in
+    let r = Active.Ilp.solve_lp inst ~fixing:(fun s -> if s mod 6 = 0 then Some false else None) ~rule ~obs in
+    ( Option.map (fun (c, _) -> Q.to_string c) r,
+      Option.value (List.assoc_opt "lp.pivots" (Obs.counters obs)) ~default:0 )
+  in
+  let dantzig, dp = run Lp.Dantzig_with_fallback and bland, bp = run Lp.Pure_bland in
+  Alcotest.(check (option string)) "same answer (infeasible)" None dantzig;
+  Alcotest.(check (option string)) "bland agrees" dantzig bland;
+  Alcotest.(check (pair int int)) "pivots (dantzig, bland)" (14, 23) (dp, bp)
 
 let test_lp_integrality_gap () =
   (* Section 3.5: LP = g+1, IP = 2g *)
@@ -350,6 +359,26 @@ let prop_lp_below_opt =
           Q.compare lpc (Q.of_int opt) <= 0 && Q.compare (Q.mul Q.two lpc) (Q.of_int opt) >= 0
       | _ -> false)
 
+(* The cut loop against the x-form reference, on random slotted
+   instances, infeasible ones included: the same status and value, a y
+   that extends to an assignment (LP2), and Theorem 2's rounded <= 2 LP1. *)
+let prop_lp1_cut_loop =
+  QCheck.Test.make ~name:"LP1 cut loop = x-form, y feasible, rounded <= 2 LP1" ~count:100
+    QCheck.(
+      pair (int_range 0 100_000) (quad (int_range 1 12) (int_range 4 16) (int_range 0 4) (int_range 1 3)))
+    (fun (seed, (n, horizon, slack, g)) ->
+      let params : Gen.slotted_params = { n; horizon; max_length = 4; slack; g } in
+      let inst = Gen.slotted ~params ~seed () in
+      let lp = Active.Lp_model.solve inst in
+      Option.map (fun l -> Q.to_string l.Active.Lp_model.cost) lp = x_form_cost inst
+      &&
+      match (lp, Active.Rounding.solve inst) with
+      | None, None -> true
+      | Some lp, Some (sol, _) ->
+          Active.Lp_model.feasible_with_y inst lp.Active.Lp_model.y
+          && Q.compare (Q.of_int (Active.Solution.cost sol)) (Q.mul Q.two lp.Active.Lp_model.cost) <= 0
+      | _ -> false)
+
 (* The incremental oracle must be observationally equivalent to the
    per-probe rebuild: both compute exact max flows, so the search visits
    the same tree and reports the same node/probe counters. *)
@@ -373,7 +402,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bnb_matches_bruteforce; prop_ilp_matches_bnb; prop_minimal_within_3opt; prop_lp_sandwich;
       prop_unit_minimal_optimal; prop_right_shift_feasible; prop_lp_below_opt;
-      prop_probe_modes_agree ]
+      prop_probe_modes_agree; prop_lp1_cut_loop ]
 
 let () =
   Alcotest.run "active"
@@ -394,6 +423,7 @@ let () =
         [ Alcotest.test_case "integral instance" `Quick test_lp_exact_on_integral;
           Alcotest.test_case "infeasible" `Quick test_lp_infeasible;
           Alcotest.test_case "assignment consistency" `Quick test_lp_assignment_consistency;
+          Alcotest.test_case "pricing rule reaches the loop" `Quick test_lp_rule_reaches_loop;
           Alcotest.test_case "integrality gap gadget" `Quick test_lp_integrality_gap;
           Alcotest.test_case "sparse-wide gadget" `Quick test_lp_closed_form_gadgets ] );
       ( "rounding",

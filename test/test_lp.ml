@@ -704,15 +704,16 @@ let test_start_taken () =
   let obj, counter = solve_from ~engine:Lp.Dense ~start (start_model ()) in
   Alcotest.(check string) "dense objective" "14/5" obj;
   Alcotest.(check bool) "dense runs phase 1" true (counter "lp.phase1_pivots" > 0);
-  (* LP1 from the Fig. 2 flow: the tall gadget's 65 cold pivots (pinned
-     in the golden counters above) drop to 23, all of them phase 2 *)
+  (* LP1 by the cut loop over y: the tall gadget's 65 cold x-form pivots
+     (pinned in the golden counters above) drop to 6, none of them in
+     phase 1 *)
   let obs = Obs.create () in
   let tall = Workload.Gadgets.lp1_tall ~g:3 ~jobs:9 ~length:2 in
   let lp = Option.get (Active.Lp_model.solve ~obs tall) in
   let counter name = Option.value (List.assoc_opt name (Obs.counters obs)) ~default:0 in
   Alcotest.(check string) "tall objective" "6" (Q.to_string lp.Active.Lp_model.cost);
   Alcotest.(check int) "tall: no phase 1" 0 (counter "lp.phase1_pivots");
-  Alcotest.(check int) "tall pivots" 23 (counter "lp.pivots")
+  Alcotest.(check int) "tall pivots" 6 (counter "lp.pivots")
 
 let test_start_unusable () =
   let open Lp.Basis in
@@ -883,12 +884,14 @@ let test_sparse_wide () =
   Alcotest.(check bool) (Printf.sprintf "dense work %d >= 3x revised work %d" dense revised) true
     (dense >= 3 * revised)
 
-(* LP1 of random slotted instances, infeasible ones included: the revised
-   and float engines start from the Fig. 2 flow and agree in status and
-   objective with the dense engine's phase 1; on a feasible instance the
-   revised engine runs no phase-1 pivot. *)
-let prop_lp1_flow_start =
-  QCheck.Test.make ~name:"LP1 flow start: engines agree, no phase 1" ~count:150
+(* LP1 of random slotted instances, infeasible ones included: the cut
+   loop gives the same status and objective under every engine (the
+   dense engine solves each round from phase 1; the revised and float
+   engines start from all y at 1 and resume each round from the last
+   basis); on a feasible instance the revised engine runs no phase-1
+   pivot. *)
+let prop_lp1_cut_loop =
+  QCheck.Test.make ~name:"LP1 cut loop: engines agree, no phase 1" ~count:150
     QCheck.(
       pair (int_range 0 100_000) (quad (int_range 1 10) (int_range 4 14) (int_range 0 3) (int_range 1 3)))
     (fun (seed, (n, horizon, slack, g)) ->
@@ -908,7 +911,7 @@ let prop_lp1_flow_start =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
-      prop_engines_agree; prop_warm_matches_cold; prop_lp1_flow_start ]
+      prop_engines_agree; prop_warm_matches_cold; prop_lp1_cut_loop ]
 
 let () =
   Alcotest.run "lp"

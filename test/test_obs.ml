@@ -220,7 +220,14 @@ let test_oracles_agree () =
    (pivots / phase-1 / degenerate / bound flips / warm starts all
    unchanged) but the work counters now reflect sparse algebra —
    exact_cells fell 13825 -> 3952 and the LU telemetry
-   (refactorizations / eta_updates / fill_nonzeros) appears. *)
+   (refactorizations / eta_updates / fill_nonzeros) appears.
+
+   Refreshed again when LP1 became the cut loop over y: every node
+   solves the y-only model from its parent's basis, with the rows found
+   anywhere in the tree, so phase 1 never runs (39 -> 0 phase-1 pivots,
+   47 -> 13 pivots, 3952 -> 804 exact cells); warm starts count the
+   nodes whose model gained no row since their parent. The loop's own
+   counters are pinned next to them. *)
 let test_golden_lp_counters () =
   let inst = Gad.integrality_gap 3 in
   let obs = Obs.create () in
@@ -232,21 +239,24 @@ let test_golden_lp_counters () =
   Alcotest.(check (list (pair string int)))
     "golden LP counters"
     [ ("lp.bound_flips", 3);
-      ("lp.degenerate_pivots", 30);
-      ("lp.eta_updates", 47);
-      ("lp.exact_cells", 3952);
-      ("lp.fill_nonzeros", 996);
-      ("lp.phase1_pivots", 39);
-      ("lp.pivots", 47);
+      ("lp.degenerate_pivots", 3);
+      ("lp.eta_updates", 13);
+      ("lp.exact_cells", 804);
+      ("lp.fill_nonzeros", 239);
+      ("lp.pivots", 13);
       (* after each pivot the reduced-cost row is updated row-wise:
          only the nonbasic columns that the nonzero rows of rho = B^-T
          e_r reach are counted, plus every nonbasic column once per
          phase when the row is priced in full *)
-      ("lp.priced_columns", 426);
+      ("lp.priced_columns", 42);
       ("lp.refactorizations", 10);
-      ("lp.solves", 9);
+      ("lp.solves", 10);
       ("lp.warm_starts", 4) ]
-    lp_only
+    lp_only;
+  let counter name = Option.value (List.assoc_opt name (Obs.counters obs)) ~default:0 in
+  Alcotest.(check (pair int int))
+    "golden cut-loop counters (rounds, cuts)" (10, 3)
+    (counter "active.lp1.rounds", counter "active.lp1.cuts")
 
 (* -------------------------------------------------------------- suite -- *)
 

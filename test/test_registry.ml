@@ -75,9 +75,9 @@ let test_lookup () =
    registry with one tick per tier, so that every metered tier
    exhausts, a cascade must attempt the registry's tiers in tier order,
    and its winning tier must answer what the registry entry carrying
-   that tier answers. The busy ladder stops at greedy-tracking, which
-   ignores its budget, so its first-fit tier is checked for position
-   only. *)
+   that tier answers. The busy ladder is exactly exact ->
+   greedy-tracking: greedy-tracking ignores its budget and always
+   answers, so no tier after it could ever run. *)
 let test_cascade_ladders () =
   let check kind inst ~attempted =
     let ladder =
@@ -87,6 +87,10 @@ let test_cascade_ladders () =
       |> List.sort (fun (i, _, _) (j, _, _) -> compare i j)
     in
     let kind_name = CI.kind_name kind in
+    if kind = CI.Busy_interval then
+      Alcotest.(check (list string))
+        "busy ladder" [ "exact"; "greedy-tracking" ]
+        (List.map (fun (_, label, _) -> label) ladder);
     Alcotest.(check (list int))
       (kind_name ^ " tier positions")
       (List.init (List.length ladder) Fun.id)
