@@ -1,15 +1,24 @@
 (* Graceful degradation for the active-time model: run the solver tiers
-   in capability order — exact branch and bound, then LP rounding, then
-   the minimal-feasible greedy — each under a fresh fuel budget, and
-   return the first answer together with a provenance record. The tier
-   labels are the historical cascade vocabulary, which the registry
-   repeats as its [cascade_tier] display data. The last tier is
-   polynomial and ignores its budget, so the cascade always terminates
-   with an answer on feasible instances. *)
+   in capability order — exact branch and bound pruned against ceil(LP1),
+   then LP rounding, then the minimal-feasible greedy — each under a
+   fresh fuel budget, and return the first answer together with a
+   provenance record. The tier labels are the historical cascade
+   vocabulary, which the registry repeats as its [cascade_tier] display
+   data. The last tier is polynomial and ignores its budget, so the
+   cascade always terminates with an answer on feasible instances. *)
 
 module S = Workload.Slotted
 
 type provenance = int Budget.Cascade.provenance
+
+(* ceil(LP1), the exact tier's floor: its pivots tick the tier's budget
+   [b], and an LP1 too large to separate (Scale_overflow) gives no floor.
+   LP1 is never infeasible here, since the search asks only once it holds
+   a feasible seed. *)
+let lp1_floor ~obs b (inst : S.t) () =
+  match Lp_model.solve ~budget:b ~obs inst with
+  | Some lp -> Rational.ceil_int lp.Lp_model.cost
+  | None | (exception Lp_model.Scale_overflow) -> 0
 
 (* A definitive answer (or settled infeasibility) ends the ladder;
    exhaustion passes the baton to the next tier. *)
@@ -17,7 +26,7 @@ let tiers ~obs (inst : S.t) =
   [
     ( "exact",
       fun b ->
-        match Exact.solve ~budget:b ~obs inst with
+        match Exact.solve ~budget:b ~floor:(lp1_floor ~obs b inst) ~obs inst with
         | Budget.Complete r -> r
         | Budget.Exhausted _ -> raise Budget.Out_of_fuel );
     ("lp-rounding", fun b -> Option.map fst (Rounding.solve ~budget:b ~obs inst));

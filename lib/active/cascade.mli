@@ -4,7 +4,17 @@
     budget of the same tick limit; the first tier to finish within its
     budget answers. The final greedy tier is polynomial and unmetered, so
     on a feasible instance the cascade always returns a solution — at
-    degraded quality rather than not at all. *)
+    degraded quality rather than not at all.
+
+    The exact tier prunes against [ceil(LP1)] ({!Exact.solve}'s
+    [?floor]), solved by {!Lp_model.solve} on the tier's own budget, so
+    its pivots count among the tier's ticks and a deadline still fires
+    inside it; an LP1 that raises {!Lp_model.Scale_overflow} gives no
+    floor. The search asks for the floor only when its minimal seed
+    costs more than [ceil(P/g)]. A valid floor leaves the tier's answer
+    as the floor-free search's (the registry's [exact], which stays
+    LP-free), and cuts its nodes: on the [sim_rolling] windows of
+    EXPERIMENTS E28, from hundreds per epoch to one or two. *)
 
 (** Provenance with [int] active-time cost, ["cost"] / ["mass-bound"]
     labels, and [bound] = the instance's mass lower bound ceil(P/g) on

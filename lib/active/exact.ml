@@ -1,13 +1,25 @@
 (* Exact optima for the active-time problem.
 
-   The paper conjectures the problem NP-hard and only compares against OPT
-   analytically; the benches need OPT numerically, so we compute it by
+   The paper conjectures the problem NP-hard (Saha & Purohit later proved
+   it, arXiv:2112.03255) and only compares against OPT analytically; the
+   benches need OPT numerically, so we compute it by
    branch-and-bound over open/closed decisions per relevant slot with
 
      - monotone feasibility pruning (close a slot only while the remaining
        open-or-undecided set stays feasible), and
      - cost pruning against the incumbent, seeded with a minimal feasible
-       solution, with the mass bound ceil(P/g) as a global floor.
+       solution, with the mass bound ceil(P/g) as a global floor, raised
+       to the caller's [?floor] when one is given.
+
+   The floor is a lower bound on the optimum that the caller has proven
+   (the cascade's exact tier passes ceil(LP1)). It is asked for at most
+   once, before the first node and only when the seed costs more than
+   ceil(P/g) (a seed at the mass bound is optimal already), inside the
+   [Out_of_fuel] handler: work it spends on the budget is counted, and
+   its exhaustion returns the seed. A valid floor prunes a node only once
+   it reaches the incumbent, which is then optimal; as the DFS takes only
+   strictly cheaper incumbents, the same solution comes back, in fewer
+   nodes, flow checks and ticks.
 
    The chosen-open set lives in an immutable Bitset over relevant-slot
    indices, so branching costs a few word operations instead of the list
@@ -51,7 +63,7 @@ let brute_force (inst : S.t) =
   done;
   Option.bind !best (fun open_slots -> Solution.of_open_slots inst ~open_slots)
 
-let solve ?budget ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : S.t) =
+let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (inst : S.t) =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.span obs "active.exact" @@ fun () ->
   let slots = Array.of_list (S.relevant_slots inst) in
@@ -95,10 +107,10 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : 
         | None -> ()
       in
       (* DFS: i = next slot index, opened = chosen-open slot indices,
-         n_open = |opened|. Undecided slots are i..k-1 and are open in the
-         oracle whenever the DFS sits at index i. Invariant: opened plus
-         all undecided is feasible. *)
-      let rec dfs i opened n_open =
+         n_open = |opened|, lb = the global floor. Undecided slots are
+         i..k-1 and are open in the oracle whenever the DFS sits at index
+         i. Invariant: opened plus all undecided is feasible. *)
+      let rec dfs lb i opened n_open =
         Budget.tick budget;
         incr nodes;
         if n_open < !best then begin
@@ -107,12 +119,12 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : 
             best := n_open;
             best_set := opened
           end
-          else if max n_open mass_lb < !best then begin
+          else if max n_open lb < !best then begin
             (* try closing slot i: keep going only if still feasible *)
-            if probe_close i opened then dfs (i + 1) opened n_open;
+            if probe_close i opened then dfs lb (i + 1) opened n_open;
             reopen i;
             (* then try opening slot i *)
-            dfs (i + 1) (Bitset.add opened i) (n_open + 1)
+            dfs lb (i + 1) (Bitset.add opened i) (n_open + 1)
           end
         end
       in
@@ -130,7 +142,12 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : 
         | None -> Feasibility.feasible ~obs inst ~open_slots:(Array.to_list slots)
       in
       (try
-         if root_feasible () then dfs 0 (Bitset.create ~width:k) 0;
+         if root_feasible () then begin
+           let lb =
+             match floor with Some f when !best > mass_lb -> max mass_lb (f ()) | _ -> mass_lb
+           in
+           dfs lb 0 (Bitset.create ~width:k) 0
+         end;
          Log.info (fun m ->
              m "branch and bound: %d slots, %d nodes, %d flow checks, optimum %d" k !nodes !flow_checks !best);
          Budget.Complete (finish ())

@@ -1,6 +1,7 @@
 (** Exact optima for the active-time problem, used by tests and benches to
-    measure true approximation ratios (the paper conjectures the problem
-    NP-hard; both solvers are exponential in the worst case).
+    measure true approximation ratios (the problem is NP-hard, Saha &
+    Purohit, arXiv:2112.03255; both solvers are exponential in the worst
+    case).
 
     [branch_and_bound] decides open/closed per relevant slot with monotone
     feasibility pruning and cost pruning against an incumbent seeded by a
@@ -12,7 +13,8 @@
     infeasible. *)
 val brute_force : Workload.Slotted.t -> Solution.t option
 
-(** [None] iff infeasible. Equivalent to [solve] with unlimited fuel. *)
+(** [None] iff infeasible. Equivalent to [solve] with unlimited fuel and
+    no floor. *)
 val branch_and_bound : Workload.Slotted.t -> Solution.t option
 
 (** Budgeted branch and bound: one tick per search node (default:
@@ -20,6 +22,18 @@ val branch_and_bound : Workload.Slotted.t -> Solution.t option
     best feasible solution found so far (at worst the minimal-solution
     seed) — [None] inside the outcome still means the instance is
     infeasible, which is always detected before any node is expanded.
+
+    [?floor] is a lower bound on the optimum that the caller has
+    proven; [ceil(P/g)] is always used, and a floor raises it. The
+    search calls [floor] at most once, and only when the
+    minimal-solution seed costs more than [ceil(P/g)], before the first
+    node; the call runs inside the search's {!Budget.Out_of_fuel}
+    handler, so a floor that ticks [budget] (the cascade's exact tier
+    solves LP1 on it) has its work counted, and its exhaustion returns
+    [Exhausted] with the seed as incumbent, never the exception. A
+    valid floor never changes the returned solution, only the nodes,
+    flow checks and ticks it takes; an invalid one (above the optimum)
+    may return a worse solution as [Complete].
 
     [?oracle] selects the feasibility probe (default
     {!Feasibility.Incremental}): the incremental mode drives one
@@ -37,6 +51,7 @@ val branch_and_bound : Workload.Slotted.t -> Solution.t option
 val solve :
   ?budget:Budget.t ->
   ?oracle:Feasibility.probe_mode ->
+  ?floor:(unit -> int) ->
   ?obs:Obs.t -> Workload.Slotted.t -> Solution.t option Budget.outcome
 
 (** Optimal active time ([None] iff infeasible). *)

@@ -37,7 +37,7 @@ let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
   | Some seed ->
       let best = ref (Solution.cost seed) in
       let best_slots = ref seed.Solution.open_slots in
-      let nodes = ref 0 and lp_solves = ref 0 in
+      let nodes = ref 0 in
       (* One LP1 for the whole tree: each node rewrites the y bounds and
          resumes from its parent's optimal basis (padded for the rows
          found since), so the simplex re-enters phase 2 or a short dual
@@ -48,7 +48,6 @@ let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
       let rec branch fixed from =
         Budget.tick budget;
         incr nodes;
-        incr lp_solves;
         Lp_model.fix lp1 (fun s -> List.assoc_opt s fixed);
         match Lp_model.resolve ~engine ?from ~budget ~obs lp1 with
         | None -> ()
@@ -83,16 +82,18 @@ let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
                   branch ((s, false) :: fixed) from'
             end
       in
+      (* a node's cut loop may solve several times: count every solve *)
       let finish () =
+        let lp_solves = Lp_model.solves lp1 in
         Obs.add obs "active.ilp.nodes" !nodes;
-        Obs.add obs "active.ilp.lp_solves" !lp_solves;
+        Obs.add obs "active.ilp.lp_solves" lp_solves;
         Option.map
-          (fun sol -> (sol, { nodes = !nodes; lp_solves = !lp_solves }))
+          (fun sol -> (sol, { nodes = !nodes; lp_solves }))
           (Solution.of_open_slots inst ~open_slots:!best_slots)
       in
       (try
          branch [] None;
-         Log.info (fun m -> m "ILP: %d nodes, %d LP solves, optimum %d" !nodes !lp_solves !best);
+         Log.info (fun m -> m "ILP: %d nodes, %d LP solves, optimum %d" !nodes (Lp_model.solves lp1) !best);
          Budget.Complete (finish ())
        with Budget.Out_of_fuel ->
          Log.info (fun m -> m "ILP: out of fuel after %d nodes, incumbent %d" !nodes !best);

@@ -5,7 +5,12 @@
     combinatorial flow-pruned search of {!Exact}; experiment E16 compares
     their search effort. *)
 
-type stats = { nodes : int; lp_solves : int }
+type stats = {
+  nodes : int;
+  lp_solves : int;
+      (** every {!Lp.solve} of the tree: a node's cut loop may run
+          several, so this is at least [nodes] *)
+}
 
 (** LP1 with per-slot fixings ([Some true/false] pins y to 1/0), by a
     fresh {!Lp_model.lp1}'s cut loop; returns the objective and y
@@ -33,10 +38,10 @@ val solve_lp :
     stay valid at every other, so they are kept for the whole tree.
 
     With [?obs], runs inside an [active.ilp] span and records
-    [active.ilp.nodes] / [active.ilp.lp_solves] plus the nested
-    [active.lp1.*], [lp.*] and [flow.*] counters of every re-solve
-    ([lp.warm_starts] counts the nodes that resumed their parent's
-    basis with no row added since). *)
+    [active.ilp.nodes] / [active.ilp.lp_solves] (equal to [lp.solves])
+    plus the nested [active.lp1.*], [lp.*] and [flow.*] counters of
+    every re-solve ([lp.warm_starts] counts the nodes that resumed their
+    parent's basis with no row added since). *)
 val solve :
   ?engine:Lp.engine ->
   ?budget:Budget.t ->

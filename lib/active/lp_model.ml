@@ -134,6 +134,7 @@ type lp1 = {
   y_vars : (int * Lp.var) list;
   var_of : (int, Lp.var) Hashtbl.t; (* slot -> y column *)
   mutable basis : Lp.Basis.t option;
+  mutable solves : int; (* Lp.solve calls, all rounds of all resolves *)
 }
 
 (* The row of job set [js] (array indices) as (coefficient, slot) terms
@@ -162,12 +163,13 @@ let create (inst : S.t) =
   let var_of = Hashtbl.create 64 in
   List.iter (fun (s, v) -> Hashtbl.replace var_of s v) y_vars;
   Lp.set_objective model Lp.Minimize (List.map (fun (_, v) -> (Q.one, v)) y_vars);
-  let lp = { inst; model; y_vars; var_of; basis = None } in
+  let lp = { inst; model; y_vars; var_of; basis = None; solves = 0 } in
   Array.iteri (fun idx _ -> add_row lp (row inst [ idx ])) inst.S.jobs;
   lp
 
 let slots lp = List.map fst lp.y_vars
 let basis lp = lp.basis
+let solves lp = lp.solves
 
 let fix lp fixing =
   List.iter
@@ -238,6 +240,7 @@ let pad (b : Lp.Basis.t) rows =
 let resolve ?rule ?engine ?from ?budget ?(obs = Obs.null) lp =
   let rec round from =
     Obs.incr obs "active.lp1.rounds";
+    lp.solves <- lp.solves + 1;
     let rows = Lp.num_constraints lp.model in
     let warm, start =
       match from with

@@ -81,6 +81,11 @@ val fix : lp1 -> (int -> bool option) -> unit
     first, and with the dense engine, which returns no basis). *)
 val basis : lp1 -> Lp.Basis.t option
 
+(** The LP solves run on this model so far: one per round of every
+    {!resolve}, the same events [active.lp1.rounds] counts, so
+    {!Ilp.solve} can report them with or without a recorder. *)
+val solves : lp1 -> int
+
 (** Runs the cut loop (see the header) from [from] (default: the last
     optimal basis, or the all-upper start before the first); [None] iff
     LP1 under the current bounds is infeasible. [rule], [engine],

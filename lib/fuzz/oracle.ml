@@ -4,8 +4,10 @@
    bug in some solver (or in the oracle): verifiers accept every produced
    solution, every approximation costs at least the exact optimum and at
    most its proven ratio times the optimum, the solvers agree on
-   feasibility, IO round-trips preserve instances, and the two exact
-   branch-and-bounds (flow-pruned and LP-based) agree. Exact tiers run
+   feasibility, IO round-trips preserve instances, the two exact
+   branch-and-bounds (flow-pruned and LP-based) agree, and the active
+   cascade's exact tier, which prunes against ceil(LP1), finds the
+   LP-free search's optimum whenever it answers. Exact tiers run
    under a fuel budget; on exhaustion the optimum-dependent checks are
    skipped (never reported as failures) so the oracle stays deterministic
    and bounded on adversarial instances.
@@ -339,6 +341,15 @@ let check_slotted ~fuel (inst : S.t) =
                                          (Q.to_string (ratio_of s)) o
                                      else None)))
                        None);
+                (fun () ->
+                  (* the cascade's exact tier prunes against ceil(LP1):
+                     when it answers, it must find the LP-free optimum *)
+                  match Active.Cascade.solve ~limit:fuel inst with
+                  | Some sol, { Budget.Cascade.winner = Some "exact"; _ }
+                    when Solution.cost sol <> o ->
+                      fail "cascade-exact" "cascade's exact tier found %d, LP-free optimum is %d"
+                        (Solution.cost sol) o
+                  | _ -> None);
                 (fun () ->
                   (* every other registered exact solver agrees with the
                      flow-pruned branch and bound; budget-hungry ones only

@@ -14,6 +14,9 @@
     - the flow-pruned and LP-based branch and bounds agree (small
       instances), and the unit-job greedy matches the optimum on unit
       instances;
+    - when the active cascade answers from its exact tier, which prunes
+      against [ceil(LP1)], its cost equals the LP-free
+      {!Active.Exact.solve} optimum ([cascade-exact]);
     - uncaught exceptions (failed invariant asserts included) are
       reported as failures, not crashes.
 

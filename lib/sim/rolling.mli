@@ -64,7 +64,10 @@ type epoch = {
           overload) admit no completion of the remaining full job set,
           so a miss is under way *)
   ticks : int;  (** fuel spent by the epoch's window solve *)
-  lp_work : int;  (** [lp.exact_cells] recorded this epoch *)
+  lp_work : int;
+      (** [lp.exact_cells] recorded this epoch: the pinned LP1's and,
+          under ["cascade"], the exact tier's [ceil(LP1)] floor's
+          ({!Active.Cascade}) *)
   warm_hits : int;
       (** warm reuses this epoch: the oracle, the LP1 model and its
           basis *)

@@ -116,6 +116,53 @@ let test_exact_infeasible () =
   let inst = small_inst [ job ~id:0 ~release:0 ~deadline:1 ~length:1; job ~id:1 ~release:0 ~deadline:1 ~length:1 ] 1 in
   Alcotest.(check (option int)) "bnb none" None (Active.Exact.optimum inst)
 
+(* ceil(LP1) as the cascade's exact tier computes it, on [budget]; no
+   floor when LP1 is infeasible *)
+let lp1_floor ?(budget = Budget.unlimited ()) inst () =
+  match Active.Lp_model.solve ~budget inst with
+  | Some lp -> Q.ceil_int lp.Active.Lp_model.cost
+  | None -> 0
+
+let seed_cost inst =
+  Option.map Active.Solution.cost (Active.Minimal.solve inst Active.Minimal.Right_to_left)
+
+(* The floor runs inside the search's fuel handler. At every limit from
+   none up to what a complete run spends, [solve ~floor] returns an
+   outcome and never raises; below the floor's own pivots it runs out
+   inside the floor's LP, before the first node, and returns the seed. *)
+let test_exact_floor_exhaustion () =
+  let inst = Gad.integrality_gap 3 in
+  let seed = Option.get (seed_cost inst) in
+  Alcotest.(check bool) "seed above ceil(P/g)" true (seed > S.mass_lower_bound inst);
+  let spent f =
+    let b = Budget.unlimited () in
+    ignore (f b);
+    Budget.spent b
+  in
+  let floor_ticks = spent (fun budget -> lp1_floor ~budget inst ()) in
+  Alcotest.(check bool) "the floor's LP pivots" true (floor_ticks > 0);
+  let run budget = Active.Exact.solve ~budget ~floor:(lp1_floor ~budget inst) inst in
+  let total = spent run in
+  let opt = Option.get (Active.Exact.optimum inst) in
+  for limit = 0 to total do
+    let budget = Budget.limited limit in
+    let obs = Obs.create () in
+    let nodes () = Option.value (List.assoc_opt "active.exact.nodes" (Obs.counters obs)) ~default:0 in
+    match Active.Exact.solve ~budget ~floor:(lp1_floor ~budget inst) ~obs inst with
+    | Budget.Complete (Some sol) ->
+        Alcotest.(check int) (Printf.sprintf "complete only at %d" total) total limit;
+        Alcotest.(check int) "optimum" opt (Active.Solution.cost sol)
+    | Budget.Exhausted { incumbent = Some sol; _ } ->
+        Alcotest.(check bool) (Printf.sprintf "exhausted below %d" total) true (limit < total);
+        if limit < floor_ticks then begin
+          Alcotest.(check int) "inside the floor: no node" 0 (nodes ());
+          Alcotest.(check int) "inside the floor: the seed" seed (Active.Solution.cost sol)
+        end
+    | Budget.Complete None | Budget.Exhausted { incumbent = None; _ } ->
+        Alcotest.failf "limit %d: the instance is feasible" limit
+    | exception Budget.Out_of_fuel -> Alcotest.failf "limit %d: Out_of_fuel escaped" limit
+  done
+
 (* -- LP ------------------------------------------------------------------- *)
 
 (* LP1's value by the x-form reference model, solved directly: no cut
@@ -398,11 +445,65 @@ let prop_probe_modes_agree =
       in
       run Active.Feasibility.Incremental = run Active.Feasibility.Rebuild)
 
+(* A window of a timed trace as Sim.Rolling re-solves it at [now]: the
+   jobs arrived by then that can still finish, releases clipped to
+   [now]. *)
+let timed_window ~now ~seed =
+  let params : Gen.slotted_params = { n = 12; horizon = 24; max_length = 4; slack = 8; g = 3 } in
+  let inst, arrivals = Gen.timed_slotted ~params ~lead:12 ~seed () in
+  S.make ~g:inst.S.g
+    (List.filter_map
+       (fun (j : S.job) ->
+         let release = max j.S.release now in
+         if List.assoc j.S.id arrivals <= now && j.S.deadline - release >= j.S.length then
+           Some (job ~id:j.S.id ~release ~deadline:j.S.deadline ~length:j.S.length)
+         else None)
+       (Array.to_list inst.S.jobs))
+
+(* The first instance from [seed] on whose minimal seed costs more than
+   ceil(P/g), where the search asks for the floor *)
+let above_mass mk seed =
+  let rec go s =
+    if s > seed + 1_000 then Alcotest.failf "no seed above ceil(P/g) after %d" seed;
+    let inst = mk s in
+    match seed_cost inst with Some c when c > S.mass_lower_bound inst -> inst | _ -> go (s + 1)
+  in
+  go seed
+
+(* ceil(LP1) is a valid floor: it never exceeds the optimum, and pruning
+   against it returns the floor-free search's solution, open slots and
+   schedule alike, in no more nodes. *)
+let same_with_floor inst =
+  let run floor =
+    let obs = Obs.create () in
+    match Active.Exact.solve ?floor ~obs inst with
+    | Budget.Complete r ->
+        (r, Option.value (List.assoc_opt "active.exact.nodes" (Obs.counters obs)) ~default:0)
+    | Budget.Exhausted _ -> Alcotest.fail "unlimited fuel never exhausts"
+  in
+  let plain, plain_nodes = run None in
+  let floored, floored_nodes = run (Some (lp1_floor inst)) in
+  plain = floored
+  && floored_nodes <= plain_nodes
+  && match plain with Some sol -> lp1_floor inst () <= Active.Solution.cost sol | None -> true
+
+(* Each case checks a random instance and the next one whose seed
+   exceeds ceil(P/g), so every case exercises the floor. *)
+let prop_floor_same_answer =
+  QCheck.Test.make ~name:"exact with a ceil(LP1) floor = without, in no more nodes" ~count:40
+    QCheck.(pair bool seed_arb)
+    (fun (window, seed) ->
+      let mk s =
+        if window then timed_window ~now:(4 * (s mod 5)) ~seed:s
+        else Gen.slotted ~params:{ n = 8; horizon = 12; max_length = 3; slack = 4; g = 2 } ~seed:s ()
+      in
+      same_with_floor (mk seed) && same_with_floor (above_mass mk seed))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bnb_matches_bruteforce; prop_ilp_matches_bnb; prop_minimal_within_3opt; prop_lp_sandwich;
       prop_unit_minimal_optimal; prop_right_shift_feasible; prop_lp_below_opt;
-      prop_probe_modes_agree; prop_lp1_cut_loop ]
+      prop_probe_modes_agree; prop_lp1_cut_loop; prop_floor_same_answer ]
 
 let () =
   Alcotest.run "active"
@@ -418,7 +519,8 @@ let () =
           Alcotest.test_case "fig3 gadget" `Quick test_minimal_fig3_gadget ] );
       ( "exact",
         [ Alcotest.test_case "simple" `Quick test_exact_simple;
-          Alcotest.test_case "infeasible" `Quick test_exact_infeasible ] );
+          Alcotest.test_case "infeasible" `Quick test_exact_infeasible;
+          Alcotest.test_case "exhaustion inside the floor" `Quick test_exact_floor_exhaustion ] );
       ( "lp",
         [ Alcotest.test_case "integral instance" `Quick test_lp_exact_on_integral;
           Alcotest.test_case "infeasible" `Quick test_lp_infeasible;

@@ -256,7 +256,10 @@ let test_golden_lp_counters () =
   let counter name = Option.value (List.assoc_opt name (Obs.counters obs)) ~default:0 in
   Alcotest.(check (pair int int))
     "golden cut-loop counters (rounds, cuts)" (10, 3)
-    (counter "active.lp1.rounds", counter "active.lp1.cuts")
+    (counter "active.lp1.rounds", counter "active.lp1.cuts");
+  (* the ILP counts every LP solve of its nodes' cut loops *)
+  Alcotest.(check int) "active.ilp.lp_solves = lp.solves" (counter "lp.solves")
+    (counter "active.ilp.lp_solves")
 
 (* -------------------------------------------------------------- suite -- *)
 
