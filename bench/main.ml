@@ -800,8 +800,7 @@ let abl () =
       for seed = 0 to 9 do
         let inst = Gen.slotted ~params:lp_params ~seed () in
         let obs = Obs.create () in
-        (match Active.Ilp.solve_lp inst ~fixing:(fun _ -> None) ~rule ~obs with
-        | Some _ | None -> ());
+        ignore (Active.Lp_model.resolve ~rule ~obs (Active.Lp_model.create inst));
         loop := !loop + (try List.assoc "lp.pivots" (Obs.counters obs) with Not_found -> 0);
         match Lp.solve ~rule (fst (Active.Lp_model.build_lp1 inst)) with
         | Lp.Optimal sol -> xform := !xform + Lp.pivots sol

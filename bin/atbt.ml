@@ -104,17 +104,6 @@ let resolve kind name =
               name (CI.kind_name kind)
               (String.concat "|" (Core.Registry.names kind))))
 
-(* --lp-engine resolves against Lp's engine names with the same
-   unknown-name UX as --algorithm: exit 2 listing the valid names. *)
-let resolve_lp_engine name =
-  match Lp.engine_of_name name with
-  | Some engine -> Ok engine
-  | None ->
-      Error
-        (Unknown_solver
-           (Printf.sprintf "unknown LP engine %s (valid: %s; see atbt --list-solvers)" name
-              (String.concat "|" (Lp.engine_names ()))))
-
 (* Run a registered solver, mapping its structured exceptions onto the
    CLI failure space. *)
 let run_solver (s : CS.t) ?budget ?obs ?params inst =
@@ -316,7 +305,7 @@ let active_solution_of = function
 
 (* Common active prelude: validate flags, load, resolve the solver, run.
    [--cascade] is sugar for the registered composite solver. *)
-let active_run ?obs path algorithm order lp_engine budget cascade =
+let active_run ?obs path algorithm order budget cascade =
   let* () = check_budget budget in
   let* instance = load path in
   let* inst =
@@ -325,21 +314,16 @@ let active_run ?obs path algorithm order lp_engine budget cascade =
     | Io.Slotted_instance inst -> Ok inst
   in
   let* () = check_order order in
-  let* _ = resolve_lp_engine lp_engine in
   let algorithm = if cascade then "cascade" else algorithm in
   let* solver = resolve CI.Active_slotted algorithm in
   let* result =
-    run_solver solver
-      ?budget:(limited_budget budget)
-      ?obs
-      ~params:[ ("order", order); ("engine", lp_engine) ]
-      (CI.Slotted inst)
+    run_solver solver ?budget:(limited_budget budget) ?obs ~params:[ ("order", order) ] (CI.Slotted inst)
   in
   Ok (inst, solver, result)
 
-let active_text path algorithm order lp_engine budget cascade render svg =
+let active_text path algorithm order budget cascade render svg =
   finish
-    (let* inst, solver, r = active_run path algorithm order lp_engine budget cascade in
+    (let* inst, solver, r = active_run path algorithm order budget cascade in
      print_provenance r.CR.provenance;
      (match r.CR.note with Some n -> print_endline n | None -> ());
      match r.CR.status with
@@ -365,7 +349,7 @@ let active_text path algorithm order lp_engine budget cascade render svg =
 (* JSON twin of [active_text]: same control flow, machine-readable
    output, solvers run with a live recorder. [--render] is a no-op here
    (ASCII art would corrupt the document); [--svg FILE] still writes. *)
-let active_json path algorithm order lp_engine budget cascade svg =
+let active_json path algorithm order budget cascade svg =
   let obs = Obs.create () in
   let instance_json = ref J.Null in
   let note = ref None in
@@ -389,16 +373,11 @@ let active_json path algorithm order lp_engine budget cascade svg =
     in
     instance_json := slotted_instance_json inst;
     let* () = check_order order in
-    let* _ = resolve_lp_engine lp_engine in
     let bounds = J.Obj [ ("mass", J.Int (S.mass_lower_bound inst)) ] in
     let algorithm = if cascade then "cascade" else algorithm in
     let* solver = resolve CI.Active_slotted algorithm in
     let* r =
-      run_solver solver
-        ?budget:(limited_budget budget)
-        ~obs
-        ~params:[ ("order", order); ("engine", lp_engine) ]
-        (CI.Slotted inst)
+      run_solver solver ?budget:(limited_budget budget) ~obs ~params:[ ("order", order) ] (CI.Slotted inst)
     in
     note := r.CR.note;
     let prov = provenance_json r.CR.provenance in
@@ -421,12 +400,12 @@ let active_json path algorithm order lp_engine budget cascade svg =
     ~message:(fun () -> !note)
     obs result
 
-let active_solve path algorithm order lp_engine budget cascade render svg format verbose =
+let active_solve path algorithm order budget cascade render svg format verbose =
   setup_logs verbose;
   match parse_format format with
   | Error e -> finish (Error e)
-  | Ok `Text -> active_text path algorithm order lp_engine budget cascade render svg
-  | Ok `Json -> active_json path algorithm order lp_engine budget cascade svg
+  | Ok `Text -> active_text path algorithm order budget cascade render svg
+  | Ok `Json -> active_json path algorithm order budget cascade svg
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc:"fuel budget in solver ticks (search nodes / simplex pivots)")
@@ -436,9 +415,6 @@ let cascade_arg =
 
 let format_arg =
   Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc:"output format: text (human-readable, default) or json (one telemetry document on stdout)")
-
-let lp_engine_arg =
-  Arg.(value & opt string "revised" & info [ "lp-engine" ] ~docv:"ENGINE" ~doc:"simplex engine for LP-backed solvers: revised (default), dense, or float (certified; see --list-solvers)")
 
 let active_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -451,7 +427,7 @@ let active_cmd =
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"trace algorithm decisions") in
   Cmd.v
     (Cmd.info "active" ~doc:"Minimize active time of a slotted instance")
-    Term.(const active_solve $ path $ algorithm $ order $ lp_engine_arg $ budget_arg $ cascade_arg $ render $ svg $ format_arg $ verbose)
+    Term.(const active_solve $ path $ algorithm $ order $ budget_arg $ cascade_arg $ render $ svg $ format_arg $ verbose)
 
 (* ---------------------------------------------------------------- busy -- *)
 
@@ -638,15 +614,14 @@ let busy_cmd =
 
 (* -------------------------------------------------------------- bounds -- *)
 
-let bounds path g lp_engine =
+let bounds path g =
   finish
-    (let* engine = resolve_lp_engine lp_engine in
-     let* instance = load path in
+    (let* instance = load path in
      match instance with
      | Io.Slotted_instance inst ->
          Printf.printf "slotted instance: n=%d T=%d g=%d\n" (S.num_jobs inst) (S.horizon inst) inst.S.g;
          Printf.printf "mass lower bound ceil(P/g): %d\n" (S.mass_lower_bound inst);
-         (match Active.Lp_model.solve ~engine inst with
+         (match Active.Lp_model.solve inst with
          | Some lp -> Printf.printf "LP lower bound: %s\n" (Q.to_string lp.Active.Lp_model.cost)
          | None -> print_endline "LP: infeasible");
          Ok ()
@@ -670,7 +645,7 @@ let bounds_cmd =
   let g = Arg.(value & opt int 2 & info [ "g" ] ~docv:"G" ~doc:"machine capacity") in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Print lower bounds for an instance")
-    Term.(const bounds $ path $ g $ lp_engine_arg)
+    Term.(const bounds $ path $ g)
 
 (* ----------------------------------------------------------------- sim -- *)
 
@@ -876,9 +851,7 @@ let serve_cmd =
 (* -------------------------------------------------------- list-solvers -- *)
 
 (* One line per registered solver, deterministically ordered by
-   (kind, name), then one per LP engine name (--lp-engine values;
-   every engine returns exact results, so QUALITY is exact throughout);
-   test/cli.t diffs this against test/list_solvers.golden. *)
+   (kind, name); test/cli.t diffs this against test/list_solvers.golden. *)
 let list_solvers () =
   Printf.printf "%-16s %-20s %-11s %-24s %s\n" "KIND" "NAME" "QUALITY" "FLAGS" "PAPER";
   List.iter
@@ -886,11 +859,7 @@ let list_solvers () =
       Printf.printf "%-16s %-20s %-11s %-24s %s\n" (CI.kind_name s.CS.kind) s.CS.name
         (CS.quality_to_string s.CS.quality)
         (CS.flags_to_string s) s.CS.paper)
-    Core.Registry.all;
-  List.iter
-    (fun (name, description) ->
-      Printf.printf "%-16s %-20s %-11s %-24s %s\n" "lp-engine" name "exact" "-" description)
-    (Lp.engine_inventory ())
+    Core.Registry.all
 
 (* ---------------------------------------------------------------- main -- *)
 

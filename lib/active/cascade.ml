@@ -15,21 +15,25 @@ type provenance = int Budget.Cascade.provenance
    [b], and an LP1 too large to separate (Scale_overflow) gives no floor.
    LP1 is never infeasible here, since the search asks only once it holds
    a feasible seed. *)
-let lp1_floor ~obs b (inst : S.t) () =
-  match Lp_model.solve ~budget:b ~obs inst with
+let lp1_floor ~obs b lp1 () =
+  match Lp_model.resolve ~budget:b ~obs (Lazy.force lp1) with
   | Some lp -> Rational.ceil_int lp.Lp_model.cost
   | None | (exception Lp_model.Scale_overflow) -> 0
 
 (* A definitive answer (or settled infeasibility) ends the ladder;
-   exhaustion passes the baton to the next tier. *)
+   exhaustion passes the baton to the next tier. One LP1 serves the run,
+   built on first use: when the exact tier has solved it for its floor
+   and then exhausts, the rounding tier resumes it on its own budget
+   instead of solving it again from cold. *)
 let tiers ~obs (inst : S.t) =
+  let lp1 = lazy (Lp_model.create inst) in
   [
     ( "exact",
       fun b ->
-        match Exact.solve ~budget:b ~floor:(lp1_floor ~obs b inst) ~obs inst with
+        match Exact.solve ~budget:b ~floor:(lp1_floor ~obs b lp1) ~obs inst with
         | Budget.Complete r -> r
         | Budget.Exhausted _ -> raise Budget.Out_of_fuel );
-    ("lp-rounding", fun b -> Option.map fst (Rounding.solve ~budget:b ~obs inst));
+    ("lp-rounding", fun b -> Option.map fst (Rounding.solve ~lp1:(Lazy.force lp1) ~budget:b ~obs inst));
     ("minimal", fun _ -> Minimal.solve ~obs inst Minimal.Right_to_left);
   ]
 

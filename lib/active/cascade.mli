@@ -7,14 +7,22 @@
     degraded quality rather than not at all.
 
     The exact tier prunes against [ceil(LP1)] ({!Exact.solve}'s
-    [?floor]), solved by {!Lp_model.solve} on the tier's own budget, so
-    its pivots count among the tier's ticks and a deadline still fires
-    inside it; an LP1 that raises {!Lp_model.Scale_overflow} gives no
-    floor. The search asks for the floor only when its minimal seed
+    [?floor]), solved by {!Lp_model.resolve} on the tier's own budget,
+    so its pivots count among the tier's ticks and a deadline still
+    fires inside it; an LP1 that raises {!Lp_model.Scale_overflow} gives
+    no floor. The search asks for the floor only when its minimal seed
     costs more than [ceil(P/g)]. A valid floor leaves the tier's answer
     as the floor-free search's (the registry's [exact], which stays
     LP-free), and cuts its nodes: on the [sim_rolling] windows of
-    EXPERIMENTS E28, from hundreds per epoch to one or two. *)
+    EXPERIMENTS E28, from hundreds per epoch to one or two.
+
+    One {!Lp_model.lp1} serves a run, built the first time a tier needs
+    it. When the exact tier solved it for the floor and then exhausts,
+    the rounding tier resumes it ({!Rounding.solve}'s [?lp1]) on its own
+    budget: a floor that completed costs the rounding no pivot, and one
+    cut short leaves its rows and last basis to resume from. The
+    rounding reaches the vertex a fresh LP1 does, so its answer is
+    unchanged. *)
 
 (** Provenance with [int] active-time cost, ["cost"] / ["mass-bound"]
     labels, and [bound] = the instance's mass lower bound ceil(P/g) on

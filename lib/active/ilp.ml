@@ -21,15 +21,7 @@ let src = Logs.Src.create "abt.ilp" ~doc:"LP-based branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Solve LP1 with per-slot fixings: [fixing slot = Some true/false] pins
-   y to 1/0. Returns the objective and the y values, or None when
-   infeasible. [rule] selects the simplex pricing rule (ablation). *)
-let solve_lp ?rule ?obs (inst : S.t) ~fixing =
-  let lp = Lp_model.create inst in
-  Lp_model.fix lp fixing;
-  Option.map (fun (r : Lp_model.t) -> (r.Lp_model.cost, r.Lp_model.y)) (Lp_model.resolve ?rule ?obs lp)
-
-let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
+let solve ?budget ?(obs = Obs.null) (inst : S.t) =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.span obs "active.ilp" @@ fun () ->
   match Minimal.solve ~obs inst Minimal.Right_to_left with
@@ -49,7 +41,7 @@ let solve ?(engine = Lp.default_engine) ?budget ?(obs = Obs.null) (inst : S.t) =
         Budget.tick budget;
         incr nodes;
         Lp_model.fix lp1 (fun s -> List.assoc_opt s fixed);
-        match Lp_model.resolve ~engine ?from ~budget ~obs lp1 with
+        match Lp_model.resolve ?from ~budget ~obs lp1 with
         | None -> ()
         | Some { Lp_model.cost = value; y = ys } ->
             let from' = Lp_model.basis lp1 in

@@ -12,17 +12,6 @@ type stats = {
           several, so this is at least [nodes] *)
 }
 
-(** LP1 with per-slot fixings ([Some true/false] pins y to 1/0), by a
-    fresh {!Lp_model.lp1}'s cut loop; returns the objective and y
-    values, or [None] when infeasible. [rule] reaches every LP solve of
-    the loop. Exposed for the pivot-rule ablation. *)
-val solve_lp :
-  ?rule:Lp.pivot_rule ->
-  ?obs:Obs.t ->
-  Workload.Slotted.t ->
-  fixing:(int -> bool option) ->
-  (Rational.t * (int * Rational.t) list) option
-
 (** Budgeted LP-based branch and bound (default: unlimited fuel). One
     tick per node plus one per simplex pivot inside each LP re-solve, so
     the budget bounds total work, not just tree size. The exhausted
@@ -32,10 +21,9 @@ val solve_lp :
 
     One {!Lp_model.lp1} serves the whole search tree: each node rewrites
     the branching bounds ({!Lp_model.fix}) and runs the cut loop from
-    its parent's optimal basis, padded for the rows found since
-    ([engine] defaults to {!Lp.default_engine}; with [Dense] there is no
-    basis to reuse and every LP solve is cold). Rows found at one node
-    stay valid at every other, so they are kept for the whole tree.
+    its parent's optimal basis, padded for the rows found since. Rows
+    found at one node stay valid at every other, so they are kept for
+    the whole tree.
 
     With [?obs], runs inside an [active.ilp] span and records
     [active.ilp.nodes] / [active.ilp.lp_solves] (equal to [lp.solves])
@@ -43,7 +31,6 @@ val solve_lp :
     every re-solve ([lp.warm_starts] counts the nodes that resumed their
     parent's basis with no row added since). *)
 val solve :
-  ?engine:Lp.engine ->
   ?budget:Budget.t ->
   ?obs:Obs.t ->
   Workload.Slotted.t ->

@@ -63,7 +63,9 @@ exception Scale_overflow
     one value serves every solve of one job set, owned by its caller.
     {!solve} takes a fresh one; [Sim.Rolling]'s pinned bound keeps one
     across epochs and {!Ilp.solve} one for its whole tree, since both
-    change only y bounds, which leave every row valid. *)
+    change only y bounds, which leave every row valid; {!Cascade.solve}
+    keeps one per run, which its rounding tier resumes from where the
+    exact tier's floor left it. *)
 type lp1
 
 (** The y-only model with the row of every single job, every y free in

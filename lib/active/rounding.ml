@@ -55,9 +55,10 @@ let rec force_feasible inst ~only_jobs ~opened ~closed_pool =
         let opened', _ = force_feasible inst ~only_jobs ~opened:(s :: opened) ~closed_pool:rest in
         (opened', true)
 
-let solve ?engine ?budget ?(obs = Obs.null) (inst : S.t) =
+let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
   Obs.span obs "active.rounding" @@ fun () ->
-  match Lp_model.solve ?engine ?budget ~obs inst with
+  let lp1 = match lp1 with Some lp1 -> lp1 | None -> Lp_model.create inst in
+  match Lp_model.resolve ?budget ~obs lp1 with
   | None -> None
   | Some lp ->
       let slots = S.relevant_slots inst in

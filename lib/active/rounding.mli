@@ -26,6 +26,14 @@ exception Infeasible_instance
     {!Budget.Out_of_fuel} (the deadline sweep after the LP is polynomial
     and not metered).
 
+    [lp1] (default: a fresh {!Lp_model.create} of [inst]) is LP1 of
+    [inst] as an earlier, cold-started {!Lp_model.resolve} left it, with
+    every y free: the rounding resumes its cut loop from the rows and
+    basis found so far. The loop is deterministic given its rows and
+    start basis, so the vertex, and with it the answer, is the one a
+    fresh LP1 reaches; only the pivots already spent are saved.
+    {!Cascade} passes the LP1 its exact tier solved for its floor.
+
     With [?obs], runs inside an [active.rounding] span and records
     [active.rounding.blocks] (deadline blocks swept),
     [active.rounding.opened] (slots opened),
@@ -33,7 +41,7 @@ exception Infeasible_instance
     [active.rounding.proxy_carries], plus the nested [lp.*] and [flow.*]
     counters. *)
 val solve :
-  ?engine:Lp.engine ->
+  ?lp1:Lp_model.lp1 ->
   ?budget:Budget.t ->
   ?obs:Obs.t ->
   Workload.Slotted.t ->

@@ -39,19 +39,6 @@ let order_of_params params =
   | Some "l2r" -> Minimal.Left_to_right
   | Some o -> raise (Sv.Unsupported ("unknown order " ^ o ^ " (l2r|r2l)"))
 
-(* LP-backed solvers take an [engine] param selecting the simplex engine
-   by its Lp name (the fuzz differential runs LP1 under every engine). *)
-let engine_of_params params =
-  match Option.bind params (List.assoc_opt "engine") with
-  | None -> Lp.default_engine
-  | Some e -> (
-      match Lp.engine_of_name e with
-      | Some engine -> engine
-      | None ->
-          raise
-            (Sv.Unsupported
-               ("unknown engine " ^ e ^ " (" ^ String.concat "|" (Lp.engine_names ()) ^ ")")))
-
 let spent_of = function Some b -> Budget.spent b | None -> 0
 
 (* --cascade historically took a raw tick limit, not a Budget.t; a
@@ -71,12 +58,9 @@ let solvers =
     Sv.make ~name:"rounding" ~kind:I.Active_slotted ~quality:(Sv.Approx Q.two)
       ~supports_budget:true ~cascade_tier:(1, "lp-rounding") ~rank:1
       ~exhausted_hint:"budget exhausted inside the LP" ~paper:"Thm 2" ~impl:"Active.Rounding"
-      ~solve:(fun ?budget ?obs ?params inst ->
+      ~solve:(fun ?budget ?obs ?params:_ inst ->
         let inst = slotted "rounding" inst in
-        try
-          of_solution
-            (Option.map fst
-               (Rounding.solve ~engine:(engine_of_params params) ?budget ?obs inst))
+        try of_solution (Option.map fst (Rounding.solve ?budget ?obs inst))
         with Budget.Out_of_fuel -> R.exhausted ~spent:(spent_of budget) ())
       ();
     Sv.make ~name:"exact" ~kind:I.Active_slotted ~quality:Sv.Exact ~supports_budget:true
@@ -88,10 +72,8 @@ let solvers =
     Sv.make ~name:"ilp" ~kind:I.Active_slotted ~quality:Sv.Exact ~supports_budget:true ~rank:1
       ~exhausted_hint:"LP-based search ran out of budget" ~paper:"methodology (E16)"
       ~impl:"Active.Ilp"
-      ~solve:(fun ?budget ?obs ?params inst ->
-        of_outcome
-          (Budget.map (Option.map fst)
-             (Ilp.solve ~engine:(engine_of_params params) ?budget ?obs (slotted "ilp" inst))))
+      ~solve:(fun ?budget ?obs ?params:_ inst ->
+        of_outcome (Budget.map (Option.map fst) (Ilp.solve ?budget ?obs (slotted "ilp" inst))))
       ();
     Sv.make ~name:"unit" ~kind:I.Active_slotted ~quality:Sv.Exact ~rank:2
       ~restriction:"unit-length jobs"
@@ -109,9 +91,9 @@ let solvers =
       ();
     Sv.make ~name:"lp-bound" ~kind:I.Active_slotted ~quality:Sv.Bound ~supports_budget:true
       ~exhausted_hint:"budget exhausted inside the LP" ~paper:"§3 LP1" ~impl:"Active.Lp_model"
-      ~solve:(fun ?budget ?obs ?params inst ->
+      ~solve:(fun ?budget ?obs ?params:_ inst ->
         let inst = slotted "lp-bound" inst in
-        match Lp_model.solve ~engine:(engine_of_params params) ?budget ?obs inst with
+        match Lp_model.solve ?budget ?obs inst with
         | Some lp -> R.solved (R.Value lp.Lp_model.cost)
         | None -> R.infeasible ()
         | exception Budget.Out_of_fuel -> R.exhausted ~spent:(spent_of budget) ())

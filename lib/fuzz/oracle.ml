@@ -174,10 +174,10 @@ let check_probe_modes ~fuel (inst : S.t) =
         else None);
     ]
 
-(* LP-engine differential: LP1's cut loop under every distinct engine —
-   the bounded-variable revised simplex, the dense reference tableau,
-   the certified float engine — and LP1's x-form model solved directly
-   by the default engine, which shares no code with the cut loop's
+(* LP-engine differential: LP1's cut loop under every engine — the
+   bounded-variable revised simplex, the dense reference tableau, the
+   certified float engine — and LP1's x-form model solved directly by
+   the revised engine, which shares no code with the cut loop's
    separation, must give the instance the same status and objective
    (for the float engine this exercises certification and its exact
    fallback). A fuel exhaustion under any of them skips that comparison
@@ -194,18 +194,11 @@ let check_lp_engines ~fuel (inst : S.t) =
     | Lp.Infeasible -> None
     | Lp.Unbounded -> failwith "x-form LP1 unbounded"
   in
-  let baseline_name = Lp.engine_name Lp.default_engine in
   let others =
-    List.filter_map
-      (fun name ->
-        match Lp.engine_of_name name with
-        | Some e when e <> Lp.default_engine -> Some (name, cut_loop e)
-        | _ -> None)
-      (Lp.engine_names ())
-    @ [ ("x-form " ^ baseline_name, x_form) ]
+    [ ("dense", cut_loop Lp.Dense); ("float", cut_loop Lp.Float_certified); ("x-form revised", x_form) ]
   in
   let show = function Some q -> Q.to_string q | None -> "infeasible" in
-  match fueled (cut_loop Lp.default_engine) with
+  match fueled (cut_loop Lp.Revised) with
   | `Fuel -> None
   | `Done baseline ->
       List.fold_left
@@ -217,8 +210,8 @@ let check_lp_engines ~fuel (inst : S.t) =
             | `Done other ->
                 if Option.equal Q.equal baseline other then None
                 else
-                  fail "lp-engine-differential" "LP1 differs: %s %s, %s %s" baseline_name
-                    (show baseline) name (show other))
+                  fail "lp-engine-differential" "LP1 differs: revised %s, %s %s" (show baseline)
+                    name (show other))
         None others
 
 let check_slotted ~fuel (inst : S.t) =

@@ -914,26 +914,7 @@ let solve_float_certified ~rule ~warm ~reuse ~budget ~obs m =
           Obs.incr obs "lp.certify_fail";
           fallback ())
 
-(* ====================================================================== *)
-(* Engine names: a fixed table, one name per engine.                      *)
-(* ====================================================================== *)
-
-let engines =
-  [ ("dense", Dense, "two-phase dense tableau, exact rational pivots (reference)");
-    ("float", Float_certified, "double-precision simplex + exact basis certification, falls back to revised");
-    ("revised", Revised, "bounded-variable revised simplex, exact rational pivots (default)") ]
-
-let engine_names () = List.map (fun (name, _, _) -> name) engines
-let engine_inventory () = List.map (fun (name, _, description) -> (name, description)) engines
-
-let engine_of_name name =
-  List.find_map (fun (n, e, _) -> if String.equal n name then Some e else None) engines
-
-let engine_name = function Revised -> "revised" | Dense -> "dense" | Float_certified -> "float"
-
-let default_engine = Revised
-
-let solve ?(rule = Dantzig_with_fallback) ?(engine = default_engine) ?warm ?start ?budget
+let solve ?(rule = Dantzig_with_fallback) ?(engine = Revised) ?warm ?start ?budget
     ?(obs = Obs.null) m =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.incr obs "lp.solves";

@@ -8,10 +8,10 @@
     floating point — so every engine returns exact rational objectives
     and vertices, whatever arithmetic it pivots in.
 
-    The engines ({!engine}; names in {!engine_names}):
-    - {!Revised} (["revised"], the default) — a bounded-variable
-      primal simplex with exact rational pivots over sparse basis
-      algebra. Variable upper bounds are handled implicitly
+    The engines ({!engine}):
+    - {!Revised} (the default, and the only one a solver uses) — a
+      bounded-variable primal simplex with exact rational pivots over
+      sparse basis algebra. Variable upper bounds are handled implicitly
       by nonbasic-at-lower/nonbasic-at-upper statuses and bound flips,
       so the basis has one row per constraint and artificial variables
       exist only for rows whose slack cannot start basic. The constraint
@@ -25,10 +25,10 @@
       nonzero rows of [B^-T e_r] reach. Beyond that, a pivot makes one
       pricing pass over the columns and one BTRAN sweep over the LU
       factors — instead of the dense O(rows x columns) elimination.
-    - {!Dense} (["dense"]) — the original two-phase tableau simplex with
+    - {!Dense} — the original two-phase tableau simplex with
       every upper bound expanded into an explicit row, kept as the
       reference implementation.
-    - {!Float_certified} (["float"]) — the same sparse driver running in
+    - {!Float_certified} — the same sparse driver running in
       double precision (reduced-cost tolerance [1e-9], giving up after
       [64 * (rows + columns) + 1024] pivots and bound flips) to find a
       candidate optimal basis fast; one exact rational LU of that basis
@@ -38,7 +38,12 @@
 
     All engines return the same status and objective value on every
     model (see [prop_engines_agree] and the fuzz differential); the
-    optimal vertex may differ when the optimum is not unique.
+    optimal vertex may differ when the optimum is not unique. Theorem
+    2's rounding reads the vertex, so a different engine can round to a
+    different schedule: no solver, CLI flag or protocol field chooses
+    the engine. {!Dense} and {!Float_certified} are references that
+    callers name directly ([?engine]): the LP tests, the fuzz LP
+    differential and the benchmark's independent LP1 check.
 
     Starting points: a cold solve runs phase 1 over artificial
     variables. A re-solve can restore an earlier optimum of the same
@@ -109,8 +114,7 @@ type result = Optimal of solution | Infeasible | Unbounded
     pivots — see the ablation experiment). Both terminate. *)
 type pivot_rule = Dantzig_with_fallback | Pure_bland
 
-(** Simplex engine; see the module header. Resolve a CLI or protocol
-    name with {!engine_of_name}. *)
+(** Simplex engine; see the module header. *)
 type engine = Revised | Dense | Float_certified
 
 (** How the returned objective was established. [Exact]: every pivot ran
@@ -144,34 +148,11 @@ module Basis : sig
   val make : vstat:status array -> sstat:status array -> t
 end
 
-(** {1 Engine names}
-
-    A fixed table, one name per engine: ["dense"], ["float"] and
-    ["revised"]. *)
-
-(** Engine names, sorted. *)
-val engine_names : unit -> string list
-
-(** [(name, description)] pairs, sorted by name — the
-    [--list-solvers]-style inventory. *)
-val engine_inventory : unit -> (string * string) list
-
-(** Engine for a name, [None] when unknown. This is how the CLI
-    [--lp-engine] flag, the registry [engine] param and the
-    serve-protocol [lp_engine] field resolve. *)
-val engine_of_name : string -> engine option
-
-(** Canonical name of an engine: ["revised"], ["dense"] or ["float"]. *)
-val engine_name : engine -> string
-
-(** {!Revised} — the engine {!solve} uses when [?engine] is omitted. *)
-val default_engine : engine
-
 (** Solves the model. The model may be re-solved after adding constraints
     or changing the objective or bounds.
 
-    [engine] selects the simplex implementation (default
-    {!default_engine}).
+    [engine] selects the simplex implementation (default {!Revised});
+    see the module header for who passes another.
 
     [warm] (every engine except {!Dense}, which ignores it) restores a
     basis snapshot from a previous solution of this model: the basis is

@@ -10,8 +10,10 @@
       "g": 2,                       -- busy-model capacity (default 2)
       "budget": 100000,             -- fuel ticks (default: daemon config)
       "deadline_ms": 50,            -- wall-clock deadline from arrival
-      "lp_engine": "float",         -- a registered Lp engine name
       "params": {"order": "l2r"}}   -- solver params, string values
+
+   Any other field (such as "lp_engine" or "lp_pricing") is ignored:
+   it changes neither the answer nor the memo key.
 
    Response statuses: "ok" (solved), "degraded" (answered after budget
    exhaustion — a lower cascade tier or an unproven incumbent),
@@ -147,7 +149,7 @@ let decode ~seq doc =
         | Some d when d < 0 -> Error "field \"deadline_ms\" must be nonnegative"
         | _ -> Ok ()
       in
-      let* raw_params =
+      let* params =
         match J.member "params" doc with
         | None | Some J.Null -> Ok []
         | Some (J.Obj kvs) ->
@@ -157,25 +159,8 @@ let decode ~seq doc =
                 let* v = field_string ("params." ^ k) v in
                 Ok ((k, v) :: acc))
               (Ok []) kvs
-            |> Result.map List.rev
+            |> Result.map (fun kvs -> canonical_params (List.rev kvs))
         | Some _ -> Error "field \"params\" must be an object of strings"
-      in
-      let* lp_engine = opt_field "lp_engine" field_string doc in
-      let* () =
-        match lp_engine with
-        | None -> Ok ()
-        | Some e when Lp.engine_of_name e <> None -> Ok ()
-        | Some e ->
-            Error
-              (Printf.sprintf "unknown lp_engine %S (%s)" e
-                 (String.concat "|" (Lp.engine_names ())))
-      in
-      (* lp_engine is sugar for params.engine; prepending it before the
-         first-wins dedupe makes it take precedence, and it lands in the
-         canonical params — hence in the memo-cache key. *)
-      let params =
-        canonical_params
-          (match lp_engine with Some e -> ("engine", e) :: raw_params | None -> raw_params)
       in
       Ok
         {

@@ -6,7 +6,8 @@
     and optional ["id"] (echoed; defaults to the line number),
     ["command"] (["active"]|["busy"], inferred from the instance),
     ["algorithm"] (default ["cascade"]), ["g"], ["budget"],
-    ["deadline_ms"], ["params"].
+    ["deadline_ms"], ["params"]. Any other field is ignored and stays
+    out of the memo key.
 
     Response statuses: ["ok"], ["degraded"], ["infeasible"],
     ["timeout"], ["error"], ["overloaded"]. *)

@@ -66,8 +66,9 @@ type epoch = {
   ticks : int;  (** fuel spent by the epoch's window solve *)
   lp_work : int;
       (** [lp.exact_cells] recorded this epoch: the pinned LP1's and,
-          under ["cascade"], the exact tier's [ceil(LP1)] floor's
-          ({!Active.Cascade}) *)
+          under ["cascade"], those of the LP1 that the exact tier
+          solves for its [ceil(LP1)] floor and the rounding tier
+          resumes ({!Active.Cascade}) *)
   warm_hits : int;
       (** warm reuses this epoch: the oracle, the LP1 model and its
           basis *)

@@ -199,7 +199,7 @@ let test_lp_assignment_consistency () =
         (Some (Q.to_string lp.Active.Lp_model.cost))
         (x_form_cost inst)
 
-(* [Ilp.solve_lp ?rule] reaches the cut loop's LP solves. With every
+(* [Lp_model.resolve ?rule] reaches the cut loop's LP solves. With every
    sixth slot closed this LP1 is infeasible, so the all-ones start is
    not primal feasible and phase 1 runs to prove it; there Dantzig's
    rule and Bland's pivot differently (on the free LP1 every pricing
@@ -209,8 +209,10 @@ let test_lp_rule_reaches_loop () =
   let inst = Gen.slotted ~params ~seed:0 () in
   let run rule =
     let obs = Obs.create () in
-    let r = Active.Ilp.solve_lp inst ~fixing:(fun s -> if s mod 6 = 0 then Some false else None) ~rule ~obs in
-    ( Option.map (fun (c, _) -> Q.to_string c) r,
+    let lp = Active.Lp_model.create inst in
+    Active.Lp_model.fix lp (fun s -> if s mod 6 = 0 then Some false else None);
+    let r = Active.Lp_model.resolve ~rule ~obs lp in
+    ( Option.map (fun r -> Q.to_string r.Active.Lp_model.cost) r,
       Option.value (List.assoc_opt "lp.pivots" (Obs.counters obs)) ~default:0 )
   in
   let dantzig, dp = run Lp.Dantzig_with_fallback and bland, bp = run Lp.Pure_bland in

@@ -243,6 +243,33 @@ let test_active_cascade_small_instance_exact () =
   | Some s -> Alcotest.(check (option string)) "verifies" None (Active.Solution.verify inst s)
   | None -> Alcotest.fail "feasible instance"
 
+(* One LP1 per cascade run: when the exact tier has solved LP1 for its
+   floor, or begun to, and then exhausts, the rounding tier resumes it.
+   The rounding must answer what it answers from a cold LP1; since it
+   no longer pays again for the pivots the floor spent, under a tight
+   limit it can answer where a cold rounding would exhaust. *)
+let test_active_cascade_resumes_lp1 () =
+  let params : Gen.slotted_params = { n = 8; horizon = 24; max_length = 4; slack = 4; g = 2 } in
+  let resumed = ref 0 in
+  for seed = 1 to 40 do
+    let inst = Gen.slotted ~params ~seed () in
+    match Active.Rounding.solve inst with
+    | None -> ()
+    | Some (cold, _) ->
+        List.iter
+          (fun limit ->
+            match Active.Cascade.solve ~limit inst with
+            | Some sol, { Budget.Cascade.winner = Some "lp-rounding"; _ } -> (
+                Alcotest.(check (list int))
+                  "cold rounding's slots" cold.Active.Solution.open_slots sol.Active.Solution.open_slots;
+                match Active.Rounding.solve ~budget:(Budget.limited limit) inst with
+                | exception Budget.Out_of_fuel -> incr resumed
+                | _ -> ())
+            | _ -> ())
+          [ 1; 2; 4; 7; 11; 16; 25; 40 ]
+  done;
+  Alcotest.(check bool) "some roundings answer only by resuming" true (!resumed > 0)
+
 let test_busy_cascade_degrades () =
   let jobs = Gen.interval_jobs ~n:16 ~horizon:20 ~max_length:5 ~seed:1 () in
   let packing, prov = Busy.Cascade.solve ~limit:20 ~g:2 jobs in
@@ -279,10 +306,13 @@ let test_acceptance_bb_hard () =
   Alcotest.(check (option string)) "lp-rounding answers" (Some "lp-rounding")
     prov.Budget.Cascade.winner;
   (match prov.Budget.Cascade.attempts with
-  | exact_attempt :: _ ->
+  | [ exact_attempt; rounding_attempt ] ->
       Alcotest.(check bool) "exact tier recorded as exhausted" true
-        (exact_attempt.Budget.Cascade.status = Budget.Cascade.Tier_exhausted)
-  | [] -> Alcotest.fail "no attempts recorded");
+        (exact_attempt.Budget.Cascade.status = Budget.Cascade.Tier_exhausted);
+      (* the exact tier's floor solved LP1 in full: the rounding resumes
+         it at its optimum and pivots no more *)
+      Alcotest.(check int) "rounding tier spends no tick" 0 rounding_attempt.Budget.Cascade.ticks
+  | _ -> Alcotest.fail "expected the exact and lp-rounding attempts");
   match sol with
   | Some s ->
       Alcotest.(check (option string)) "rounded solution verifies" None
@@ -322,6 +352,7 @@ let () =
           Alcotest.test_case "all tiers exhaust" `Quick test_cascade_all_exhaust ] );
       ( "end to end",
         [ Alcotest.test_case "active cascade small" `Quick test_active_cascade_small_instance_exact;
+          Alcotest.test_case "active cascade resumes LP1" `Quick test_active_cascade_resumes_lp1;
           Alcotest.test_case "busy cascade degrades" `Quick test_busy_cascade_degrades;
           Alcotest.test_case "flexible jobs rejected" `Quick test_busy_cascade_rejects_flexible;
           Alcotest.test_case "acceptance: bb_hard" `Slow test_acceptance_bb_hard ] ) ]

@@ -410,10 +410,9 @@ let prop_engines_agree =
   QCheck.Test.make ~name:"all registered engines agree (status + objective)" ~count:600 any_arb
     (fun l ->
       let m, vars = build_any l in
-      let baseline = Lp.solve ~engine:Lp.default_engine m in
+      let baseline = Lp.solve m in
       List.for_all
-        (fun name ->
-          let engine = Option.get (Lp.engine_of_name name) in
+        (fun engine ->
           match (baseline, Lp.solve ~engine m) with
           | Lp.Optimal a, Lp.Optimal b ->
               Q.equal (Lp.objective_value a) (Lp.objective_value b)
@@ -422,7 +421,7 @@ let prop_engines_agree =
           | Lp.Infeasible, Lp.Infeasible -> true
           | Lp.Unbounded, Lp.Unbounded -> true
           | _ -> false)
-        (Lp.engine_names ()))
+        [ Lp.Dense; Lp.Float_certified; Lp.Revised ])
 
 (* After arbitrary bound rewrites, a warm re-solve from the previous
    basis must return exactly what a cold solve of the same model does. *)
@@ -480,22 +479,6 @@ let test_engine_introspection () =
   Alcotest.(check bool) "revised carries a basis" true (Lp.basis r <> None);
   Alcotest.(check bool) "dense has no basis" true (Lp.basis d = None);
   Alcotest.(check bool) "pivot counts are non-negative" true (Lp.pivots r >= 0 && Lp.pivots d >= 0)
-
-let test_engine_registry () =
-  Alcotest.(check (list string))
-    "engine names" [ "dense"; "float"; "revised" ] (Lp.engine_names ());
-  Alcotest.(check bool) "no sparse alias" true (Lp.engine_of_name "sparse" = None);
-  Alcotest.(check bool) "unknown name" true (Lp.engine_of_name "bogus" = None);
-  Alcotest.(check string) "default is revised" "revised" (Lp.engine_name Lp.default_engine);
-  List.iter
-    (fun engine ->
-      Alcotest.(check bool)
-        "canonical name round-trips" true
-        (Lp.engine_of_name (Lp.engine_name engine) = Some engine))
-    [ Lp.Revised; Lp.Dense; Lp.Float_certified ];
-  Alcotest.(check (list string))
-    "inventory names match" (Lp.engine_names ())
-    (List.map fst (Lp.engine_inventory ()))
 
 let cert_to_string = function
   | Lp.Exact -> "Exact"
@@ -693,13 +676,12 @@ let test_start_taken () =
   (* x at its upper bound 5, y at 0, every slack basic: primal feasible *)
   let start = make ~vstat:[| Upper; Lower |] ~sstat:[| Basic; Basic; Basic |] in
   List.iter
-    (fun engine ->
-      let name = Lp.engine_name engine in
+    (fun (name, engine) ->
       let obj, counter = solve_from ~engine ~start (start_model ()) in
       Alcotest.(check string) (name ^ ": objective") "14/5" obj;
       Alcotest.(check int) (name ^ ": no phase 1") 0 (counter "lp.phase1_pivots");
       Alcotest.(check int) (name ^ ": not a warm start") 0 (counter "lp.warm_starts"))
-    [ Lp.Revised; Lp.Float_certified ];
+    [ ("revised", Lp.Revised); ("float", Lp.Float_certified) ];
   (* the dense reference ignores it and runs phase 1 *)
   let obj, counter = solve_from ~engine:Lp.Dense ~start (start_model ()) in
   Alcotest.(check string) "dense objective" "14/5" obj;
@@ -721,14 +703,14 @@ let test_start_unusable () =
   Alcotest.(check string) "cold objective" "14/5" cold;
   let falls_back name start =
     List.iter
-      (fun engine ->
-        let label = Printf.sprintf "%s (%s)" name (Lp.engine_name engine) in
+      (fun (tag, engine) ->
+        let label = Printf.sprintf "%s (%s)" name tag in
         let obj, counter = solve_from ~engine ~start (start_model ()) in
         Alcotest.(check string) (label ^ ": cold answer") cold obj;
         Alcotest.(check int) (label ^ ": not a warm start") 0 (counter "lp.warm_starts");
         if engine = Lp.Revised then
           Alcotest.(check bool) (label ^ ": phase 1 ran") true (counter "lp.phase1_pivots" > 0))
-      [ Lp.Revised; Lp.Float_certified ]
+      [ ("revised", Lp.Revised); ("float", Lp.Float_certified) ]
   in
   falls_back "wrong dimensions" (make ~vstat:[| Basic |] ~sstat:[| Basic; Basic |]);
   falls_back "too few basics" (make ~vstat:[| Lower; Lower |] ~sstat:[| Basic; Basic; Lower |]);
@@ -937,7 +919,6 @@ let () =
           Alcotest.test_case "values accessor" `Quick test_values_accessor;
           Alcotest.test_case "warm start counters" `Quick test_warm_start_counters;
           Alcotest.test_case "engine introspection" `Quick test_engine_introspection;
-          Alcotest.test_case "engine registry" `Quick test_engine_registry;
           Alcotest.test_case "certification provenance" `Quick test_certification_provenance;
           Alcotest.test_case "certify-fail fallback" `Quick test_certify_fail_fallback;
           Alcotest.test_case "float uses warm" `Quick test_float_uses_warm;
