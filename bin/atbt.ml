@@ -285,10 +285,10 @@ let print_active_solution inst sol render svg =
         Ok ()
     | None -> Ok ()
   in
-  let report = Sim.run_active inst sol in
+  let report = Sim.Replay.run_active inst sol in
   Printf.printf "energy %s, power-ons %d, utilization %s\n"
-    (Q.to_string report.Sim.total_energy) report.Sim.total_switch_ons
-    (Q.to_string report.Sim.utilization);
+    (Q.to_string report.Sim.Replay.total_energy) report.Sim.Replay.total_switch_ons
+    (Q.to_string report.Sim.Replay.utilization);
   Ok ()
 
 let check_budget = function
@@ -450,10 +450,11 @@ let print_packing ~g pinned packing render svg =
         Ok ()
     | None -> Ok ()
   in
-  let report = Sim.run_packing ~g packing in
+  let report = Sim.Replay.run_packing ~g packing in
   Printf.printf "energy %s, power-ons %d, peak %d, utilization %s\n"
-    (Q.to_string report.Sim.total_energy) report.Sim.total_switch_ons report.Sim.peak_parallelism
-    (Q.to_string report.Sim.utilization);
+    (Q.to_string report.Sim.Replay.total_energy)
+    report.Sim.Replay.total_switch_ons report.Sim.Replay.peak_parallelism
+    (Q.to_string report.Sim.Replay.utilization);
   Ok ()
 
 let parse_placement = function

@@ -6,7 +6,13 @@
     The instance is feasible iff the max flow saturates every job arc; an
     integral max flow is a schedule. This check backs the minimal-feasible
     closing loop, the LP rounding's "may this barely-open slot stay
-    closed" test and the exact branch-and-bound. *)
+    closed" test and the exact branch-and-bound; the same network, with
+    scaled capacities, is LP1's separation oracle ({!network}).
+
+    Every network has one vertex per relevant slot, and a job's window
+    is located in the sorted relevant slots by binary search, so nothing
+    is sized by the horizon: times near [10^15] cost what small ones
+    do. *)
 
 (** [feasible ?only_jobs t ~open_slots] decides whether all jobs (or just
     those with ids in [only_jobs]) fit into the open slots. [?obs] is
@@ -17,23 +23,37 @@ val feasible :
 (** An integral schedule on the open slots, or [None] when infeasible. *)
 val schedule : Workload.Slotted.t -> open_slots:int list -> Workload.Slotted.schedule option
 
-(** [min_cut_jobs t ~job_cap ~slot_cap] runs one max flow of [G_feas]
-    with caller-chosen capacities: [job_cap j] on the arc source -> j,
-    and for each relevant slot [t] with [slot_cap t = Some (arc, out)],
-    [arc] on every arc j -> t from a job whose window holds [t] and
-    [out] on t -> sink; slots mapped to [None] are left out. It returns
-    the array indices (increasing) of the jobs on the source side of a
-    minimum cut, which is empty iff the flow saturates every job arc.
-    {!feasible} is the case [job_cap j = p_j], [(1, g)] on the open
-    slots; LP1's separation ({!Lp_model}) scales a fractional y to
-    [p_j L], [(y_t L, g y_t L)]. [?obs] is forwarded to
+(** {1 LP1's separation network}
+
+    [G_feas] over every relevant slot and every job, built once per job
+    set and re-capacitated for each max flow: {!Lp_model}'s cut loop
+    owns one per LP1 and runs one max flow on it per round. *)
+
+type network
+
+(** [network t] wires every job and every relevant slot of [t], every
+    capacity 0. *)
+val network : Workload.Slotted.t -> network
+
+(** The relevant slots, increasing: [slot_cap]'s index [i] below is the
+    [i]-th of them. *)
+val network_slots : network -> int array
+
+(** [min_cut_jobs net ~job_cap ~slot_cap] zeroes the flow, sets the
+    capacities — [job_cap idx] on source -> job [idx] (an array index),
+    and for the slot of index [i], [slot_cap i] on every arc j -> slot
+    and [g] times that on slot -> sink — and runs one max flow. It
+    returns the array indices (increasing) of the jobs on the source
+    side of the minimal minimum cut, which is empty iff the flow
+    saturates every job arc. A slot of capacity 0 carries no flow and
+    leaves no residual arc, so the flow search, its [flow.*] counters
+    and the cut are those of the network without that slot; and since
+    the minimal min cut is the same for every max flow, reusing the
+    network changes no cut. LP1's separation ({!Lp_model}) scales a
+    fractional y to [p_j L] and [y_t L]. [?obs] is forwarded to
     {!Flow.max_flow}. *)
 val min_cut_jobs :
-  ?obs:Obs.t ->
-  Workload.Slotted.t ->
-  job_cap:(Workload.Slotted.job -> int) ->
-  slot_cap:(int -> (int * int) option) ->
-  int list
+  ?obs:Obs.t -> network -> job_cap:(int -> int) -> slot_cap:(int -> int) -> int list
 
 (** How a search kernel probes feasibility: [Incremental] retargets one
     persistent warm {!Oracle} per solve, [Rebuild] reconstructs the flow

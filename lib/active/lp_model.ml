@@ -127,55 +127,68 @@ let build_lp1 (inst : S.t) =
 exception Scale_overflow
 
 (* The y-only LP1: one column per relevant slot, one row per job set
-   found so far, and the basis of the last optimum. *)
+   found so far, the basis of the last optimum, and the separation
+   network, re-capacitated each round. *)
 type lp1 = {
   inst : S.t;
   model : Lp.model;
-  y_vars : (int * Lp.var) list;
-  var_of : (int, Lp.var) Hashtbl.t; (* slot -> y column *)
+  slots : int array; (* relevant slots, increasing; column i is y of slots.(i) *)
+  y_vars : Lp.var array;
+  first : int array; (* job array index -> column of its first window slot *)
+  net : Feasibility.network;
   mutable basis : Lp.Basis.t option;
   mutable solves : int; (* Lp.solve calls, all rounds of all resolves *)
 }
 
-(* The row of job set [js] (array indices) as (coefficient, slot) terms
-   and demand: sum_t min(g, n_t) y_t >= p(js), where n_t counts the
-   windows of [js] that hold t. *)
-let row (inst : S.t) js =
-  let count = Hashtbl.create 32 in
+(* The row of job set [js] (array indices) as (coefficient, column)
+   terms, columns increasing, and demand: sum_t min(g, n_t) y_t >= p(js),
+   where n_t counts the windows of [js] that hold t. *)
+let row lp js =
+  let count = Array.make (Array.length lp.slots) 0 in
   List.iter
     (fun idx ->
-      List.iter
-        (fun s -> Hashtbl.replace count s (1 + Option.value (Hashtbl.find_opt count s) ~default:0))
-        (S.window_slots inst.S.jobs.(idx)))
+      for i = lp.first.(idx) to lp.first.(idx) + S.window_size lp.inst.S.jobs.(idx) - 1 do
+        count.(i) <- count.(i) + 1
+      done)
     js;
-  let terms = Hashtbl.fold (fun s n acc -> (Q.of_int (min inst.S.g n), s) :: acc) count [] in
-  let demand = List.fold_left (fun acc idx -> acc + inst.S.jobs.(idx).S.length) 0 js in
-  (List.sort (fun (_, a) (_, b) -> compare a b) terms, Q.of_int demand)
+  let terms = ref [] in
+  for i = Array.length count - 1 downto 0 do
+    if count.(i) > 0 then terms := (Q.of_int (min lp.inst.S.g count.(i)), i) :: !terms
+  done;
+  let demand = List.fold_left (fun acc idx -> acc + lp.inst.S.jobs.(idx).S.length) 0 js in
+  (!terms, Q.of_int demand)
 
 let add_row lp (terms, demand) =
-  Lp.add_constraint lp.model (List.map (fun (c, s) -> (c, Hashtbl.find lp.var_of s)) terms) Lp.Ge demand
+  Lp.add_constraint lp.model (List.map (fun (c, i) -> (c, lp.y_vars.(i))) terms) Lp.Ge demand
 
 let create (inst : S.t) =
   let model = Lp.create () in
-  let y_vars =
-    List.map (fun s -> (s, Lp.add_var ~upper:Q.one model (Printf.sprintf "y_%d" s))) (S.relevant_slots inst)
-  in
-  let var_of = Hashtbl.create 64 in
-  List.iter (fun (s, v) -> Hashtbl.replace var_of s v) y_vars;
-  Lp.set_objective model Lp.Minimize (List.map (fun (_, v) -> (Q.one, v)) y_vars);
-  let lp = { inst; model; y_vars; var_of; basis = None; solves = 0 } in
-  Array.iteri (fun idx _ -> add_row lp (row inst [ idx ])) inst.S.jobs;
-  lp
+  let net = Feasibility.network inst in
+  let slots = Feasibility.network_slots net in
+  let y_vars = Array.map (fun s -> Lp.add_var ~upper:Q.one model (Printf.sprintf "y_%d" s)) slots in
+  Lp.set_objective model Lp.Minimize (Array.to_list (Array.map (fun v -> (Q.one, v)) y_vars));
+  let first = Array.map (S.window_start slots) inst.S.jobs in
+  (* each single job's row: its window slots, coefficient min(g, 1) = 1 *)
+  Array.iteri
+    (fun idx (j : S.job) ->
+      Lp.add_constraint model
+        (List.init (S.window_size j) (fun k -> (Q.one, y_vars.(first.(idx) + k))))
+        Lp.Ge (Q.of_int j.S.length))
+    inst.S.jobs;
+  { inst; model; slots; y_vars; first; net; basis = None; solves = 0 }
 
-let slots lp = List.map fst lp.y_vars
+let slots lp = Array.to_list lp.slots
 let basis lp = lp.basis
 let solves lp = lp.solves
 
 let fix lp fixing =
-  List.iter
-    (fun (s, v) ->
+  Array.iteri
+    (fun i v ->
       let lower, upper =
-        match fixing s with Some true -> (Q.one, Q.one) | Some false -> (Q.zero, Q.zero) | None -> (Q.zero, Q.one)
+        match fixing lp.slots.(i) with
+        | Some true -> (Q.one, Q.one)
+        | Some false -> (Q.zero, Q.zero)
+        | None -> (Q.zero, Q.one)
       in
       Lp.set_bounds lp.model v ~lower ~upper:(Some upper))
     lp.y_vars
@@ -199,15 +212,16 @@ let chains (inst : S.t) js =
 let checked_mul a b = match Bigint.checked_mul a b with Some c -> c | None -> raise Scale_overflow
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-(* The separation. Scale y by the least common denominator L of its
-   values and run one max flow of G_feas with capacities p_j L, y_t L
-   and g y_t L: y extends to a feasible x iff the flow saturates every
-   job arc. When it does not, the source side of a min cut is a job set
-   whose row y violates; the rows of its violated chains come back. *)
-let separate ?obs lp y =
+(* The separation. Scale y (by column) by the least common denominator
+   L of its values and run one max flow of G_feas with capacities
+   p_j L, y_t L and g y_t L: y extends to a feasible x iff the flow
+   saturates every job arc. When it does not, the source side of a min
+   cut is a job set whose row y violates; the rows of its violated
+   chains come back. *)
+let separate ?obs lp (y : Q.t array) =
   let scale =
-    List.fold_left
-      (fun l (_, v) ->
+    Array.fold_left
+      (fun l v ->
         match Bigint.to_int (Q.den v) with
         | Some d -> checked_mul (l / gcd l d) d
         | None -> raise Scale_overflow)
@@ -215,21 +229,16 @@ let separate ?obs lp y =
   in
   (* p(J) L bounds every job capacity and the flow value, g L every slot's *)
   ignore (checked_mul (max (S.total_length lp.inst) lp.inst.S.g) scale);
-  let scaled = Hashtbl.create 64 and value = Hashtbl.create 64 in
-  List.iter
-    (fun (s, v) ->
-      Hashtbl.replace value s v;
-      if not (Q.is_zero v) then
-        Hashtbl.replace scaled s (Option.get (Q.to_int (Q.mul v (Q.of_int scale)))))
-    y;
-  let g = lp.inst.S.g in
-  Feasibility.min_cut_jobs ?obs lp.inst
-    ~job_cap:(fun j -> j.S.length * scale)
-    ~slot_cap:(fun s -> Option.map (fun c -> (c, g * c)) (Hashtbl.find_opt scaled s))
+  let scaled =
+    Array.map (fun v -> if Q.is_zero v then 0 else Option.get (Q.to_int (Q.mul v (Q.of_int scale)))) y
+  in
+  Feasibility.min_cut_jobs ?obs lp.net
+    ~job_cap:(fun idx -> lp.inst.S.jobs.(idx).S.length * scale)
+    ~slot_cap:(fun i -> scaled.(i))
   |> chains lp.inst
   |> List.filter_map (fun chain ->
-         let ((terms, demand) as r) = row lp.inst chain in
-         let lhs = List.fold_left (fun acc (c, s) -> Q.add acc (Q.mul c (Hashtbl.find value s))) Q.zero terms in
+         let ((terms, demand) as r) = row lp chain in
+         let lhs = List.fold_left (fun acc (c, i) -> Q.add acc (Q.mul c y.(i))) Q.zero terms in
          if Q.compare lhs demand < 0 then Some r else None)
 
 (* [b] with a basic surplus for every row added since it was taken *)
@@ -250,7 +259,7 @@ let resolve ?rule ?engine ?from ?budget ?(obs = Obs.null) lp =
           ( None,
             Some
               (Lp.Basis.make
-                 ~vstat:(Array.make (List.length lp.y_vars) Lp.Basis.Upper)
+                 ~vstat:(Array.make (Array.length lp.y_vars) Lp.Basis.Upper)
                  ~sstat:(Array.make rows Lp.Basis.Basic)) )
     in
     match Lp.solve ?rule ?engine ?warm ?start ?budget ~obs lp.model with
@@ -259,9 +268,11 @@ let resolve ?rule ?engine ?from ?budget ?(obs = Obs.null) lp =
     | Lp.Optimal sol -> (
         let basis = Lp.basis sol in
         if basis <> None then lp.basis <- basis;
-        let y = List.map (fun (s, v) -> (s, Lp.value sol v)) lp.y_vars in
+        let y = Array.map (Lp.value sol) lp.y_vars in
         match separate ~obs lp y with
-        | [] -> Some { cost = Lp.objective_value sol; y }
+        | [] ->
+            let y = List.mapi (fun i v -> (lp.slots.(i), v)) (Array.to_list y) in
+            Some { cost = Lp.objective_value sol; y }
         | cuts ->
             List.iter (add_row lp) cuts;
             Obs.add obs "active.lp1.cuts" (List.length cuts);

@@ -33,6 +33,15 @@
     the row of every chain that y violates is appended. The rows of
     earlier rounds stay: each is implied by x, whatever the y bounds.
 
+    {b What a round reuses.} Each {!lp1} owns one separation network,
+    [G_feas] over every relevant slot ({!Feasibility.network}), built
+    with the model; a round re-capacitates it instead of building a
+    fresh one, and a slot with [y_t = 0] gets capacity 0, which leaves
+    the flow, its counters and the cut as if the slot were absent. The
+    minimal min cut is the same for every max flow, so reuse changes no
+    cut. Likewise each solve after the first appends only the new rows
+    to the compiled LP the model keeps ({!Lp.solve}).
+
     {b Start bases.} The first solve starts from every [y_t] at its
     upper bound and every surplus basic ([?start]). With every y free
     this is primal feasible, since every window holds its job's length;
@@ -59,8 +68,9 @@ val y_at : t -> int -> Rational.t
     native integers); never wraps. *)
 exception Scale_overflow
 
-(** LP1 over y and the rows found so far, with its last optimal basis:
-    one value serves every solve of one job set, owned by its caller.
+(** LP1 over y and the rows found so far, with its last optimal basis
+    and its separation network: one value serves every solve of one job
+    set, owned by its caller and used by one domain at a time.
     {!solve} takes a fresh one; [Sim.Rolling]'s pinned bound keeps one
     across epochs and {!Ilp.solve} one for its whole tree, since both
     change only y bounds, which leave every row valid; {!Cascade.solve}

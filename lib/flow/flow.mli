@@ -10,7 +10,21 @@
       of support-covering tracks (flow value 2, decomposed into paths).
 
     Graphs are mutable; [max_flow] saturates the graph in place and may be
-    called repeatedly (flow accumulates). Use [reset] to zero all flow. *)
+    called repeatedly (flow accumulates). Use [reset] to zero all flow.
+    Edges may be added at any time, also after a flow run: the next
+    {!max_flow}, {!augment}, {!min_cut}, {!drain_edge} or
+    {!decompose_paths} walks them too.
+
+    {b Arc order.} Every walk visits a vertex's outgoing arcs (its edges
+    and the residual reverses of the edges into it) newest first, in the
+    reverse of the order they were added, and takes the first usable
+    one. Which max flow comes back, hence the schedule
+    [Active.Feasibility.schedule] reads off it, and the [flow.*]
+    counters depend on this order, so it is part of the contract. The
+    adjacency is held as a compressed array per vertex, rebuilt on the
+    first walk after an {!add_edge}; Dinic's levels, current arcs and
+    queue are scratch arrays of the graph, so one graph serves one
+    domain at a time. *)
 
 type t
 

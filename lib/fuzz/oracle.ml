@@ -139,8 +139,7 @@ let check_probe_modes ~fuel (inst : S.t) =
   let run oracle =
     let obs = Obs.create () in
     let r = Active.Exact.solve ~budget:(Budget.limited fuel) ~oracle ~obs inst in
-    let counter name = Option.value (List.assoc_opt name (Obs.counters obs)) ~default:0 in
-    (r, counter "active.exact.nodes", counter "active.exact.flow_checks")
+    (r, Obs.counter obs "active.exact.nodes", Obs.counter obs "active.exact.flow_checks")
   in
   let r_inc, nodes_inc, checks_inc = run Active.Feasibility.Incremental in
   let r_reb, nodes_reb, checks_reb = run Active.Feasibility.Rebuild in

@@ -6,6 +6,21 @@ type var = int
 
 type row = { terms : (Q.t * var) list; sense : sense; rhs : Q.t }
 
+(* The sparse basis algebra at Rational (the exact revised engine) and
+   at float (the float engine's pivoting). *)
+module RS = Sparse_simplex.Make (Scalar.Rat)
+module FS = Sparse_simplex.Make (Scalar.Flt)
+
+(* The revised engine's warm problem for a model: its first [c_rows]
+   rows compiled into sparse columns, the row-wise copy and the rhs.
+   Only the rows, variables and objective shape it; the bounds are
+   re-read on every solve. *)
+type compiled = {
+  c_rows : int;
+  c_pb : RS.problem;
+  c_slack_of_row : int array; (* slack column of each row, -1 for Eq *)
+}
+
 (* Model columns live in growable arrays (doubling push) built once at
    add_var / add_constraint time, so solving never has to reverse or
    re-materialize them and var_name is O(1). *)
@@ -18,6 +33,9 @@ type model = {
   mutable nrows : int;
   mutable obj_dir : objective_direction;
   mutable obj : (Q.t * var) list;
+  (* built by the first warm or [?start] revised solve; dropped by
+     [add_var] and [set_objective], grown by the rows added since *)
+  mutable compiled : compiled option;
 }
 
 module Basis = struct
@@ -72,6 +90,7 @@ let create () =
     nrows = 0;
     obj_dir = Minimize;
     obj = [];
+    compiled = None;
   }
 
 let grow arr len dummy =
@@ -94,6 +113,7 @@ let add_var ?(lower = Q.zero) ?upper m name =
   m.lower.(v) <- lower;
   m.upper.(v) <- upper;
   m.nvars <- v + 1;
+  m.compiled <- None;
   v
 
 let var_name m v =
@@ -135,7 +155,8 @@ let set_objective m dir terms =
     (fun (_, v) -> if v < 0 || v >= m.nvars then invalid_arg "Lp.set_objective: unknown variable")
     terms;
   m.obj_dir <- dir;
-  m.obj <- combine_terms terms
+  m.obj <- combine_terms terms;
+  m.compiled <- None
 
 (* After the pivot count without strict objective improvement exceeds this
    threshold we switch from Dantzig to Bland's rule, which cannot cycle. *)
@@ -413,11 +434,9 @@ let row_residual values r =
 (* at float. The constraint matrix is held once as sparse columns; each  *)
 (* (re)factorization is a sparse LU with a fill-minimizing static        *)
 (* ordering, and each pivot appends a product-form eta, refactorizing    *)
-(* when the eta file outgrows the factors.                               *)
+(* when the eta file outgrows the factors. RS and FS are declared with  *)
+(* the model type above, which keeps the revised engine's compiled form. *)
 (* ====================================================================== *)
-
-module RS = Sparse_simplex.Make (Scalar.Rat)
-module FS = Sparse_simplex.Make (Scalar.Flt)
 
 (* Refactorize after this many eta updates (the factorization also
    refactorizes early when the eta file's nonzeros outgrow the LU). *)
@@ -433,14 +452,14 @@ let status_of_vstat = function
   | Sparse_simplex.Vhi -> Basis.Upper
   | Sparse_simplex.Vbas -> Basis.Basic
 
-(* Build the sparse instance description shared by both scalar
-   instantiations: structural columns, then one slack per Le/Ge row in
-   row order, then (cold starts only) one artificial per
-   infeasible-start row. Artificial columns are [sign(residual) * e_i],
-   so the initial basic value is |residual| and no row needs the sign
-   flip the dense revised build performs. Returns the spec and the slack
+(* lower = upper: the column never enters *)
+let is_fixed m v = match m.upper.(v) with Some u -> Q.equal u m.lower.(v) | None -> false
+
+(* The sparse instance description shared by both scalar
+   instantiations, without artificials: structural columns, then one
+   slack per Le/Ge row in row order. Returns the spec and the slack
    column of each row (-1 for Eq rows). *)
-let sparse_spec ~with_art m =
+let sparse_spec m =
   let nv = m.nvars in
   let slack_of_row = Array.make m.nrows (-1) in
   let nslack = ref 0 in
@@ -451,70 +470,24 @@ let sparse_spec ~with_art m =
         incr nslack
     | Eq -> ()
   done;
-  let nslack = !nslack in
-  let init_val = Array.init nv (fun v -> m.lower.(v)) in
-  let residual = Array.init m.nrows (fun i -> row_residual init_val m.rows.(i)) in
-  let needs_art = Array.make m.nrows false in
-  let art_of_row = Array.make m.nrows (-1) in
-  let nart = ref 0 in
-  if with_art then
-    for i = 0 to m.nrows - 1 do
-      let need =
-        match m.rows.(i).sense with
-        | Le -> Q.compare residual.(i) Q.zero < 0
-        | Ge -> Q.compare residual.(i) Q.zero > 0
-        | Eq -> true
-      in
-      if need then begin
-        needs_art.(i) <- true;
-        art_of_row.(i) <- nv + nslack + !nart;
-        incr nart
-      end
-    done;
-  let n = nv + nslack + !nart in
+  let n = nv + !nslack in
   let cols = Array.make n [] in
   let lo = Array.make n Q.zero in
   let hi = Array.make n None in
   let obj = Array.make n Q.zero in
   let fixed = Array.make n false in
-  let stat0 = Array.make n Sparse_simplex.Vlo in
-  let basis0 = Array.make m.nrows (-1) in
-  let xb0 = Array.make m.nrows Q.zero in
-  let rhs = Array.make m.nrows Q.zero in
   for v = 0 to nv - 1 do
     lo.(v) <- m.lower.(v);
     hi.(v) <- m.upper.(v);
-    match m.upper.(v) with
-    | Some u when Q.equal u m.lower.(v) -> fixed.(v) <- true
-    | _ -> ()
+    fixed.(v) <- is_fixed m v
   done;
   for i = 0 to m.nrows - 1 do
     let r = m.rows.(i) in
-    rhs.(i) <- r.rhs;
     List.iter (fun (c, v) -> cols.(v) <- (i, c) :: cols.(v)) r.terms;
-    (match r.sense with
+    match r.sense with
     | Le -> cols.(slack_of_row.(i)) <- [ (i, Q.one) ]
     | Ge -> cols.(slack_of_row.(i)) <- [ (i, Q.minus_one) ]
-    | Eq -> ());
-    if needs_art.(i) then begin
-      let aj = art_of_row.(i) in
-      let sgn = if Q.compare residual.(i) Q.zero < 0 then Q.minus_one else Q.one in
-      cols.(aj) <- [ (i, sgn) ];
-      basis0.(i) <- aj;
-      stat0.(aj) <- Sparse_simplex.Vbas;
-      xb0.(i) <- Q.abs residual.(i)
-    end
-    else
-      match r.sense with
-      | Le ->
-          basis0.(i) <- slack_of_row.(i);
-          stat0.(slack_of_row.(i)) <- Sparse_simplex.Vbas;
-          xb0.(i) <- residual.(i)
-      | Ge ->
-          basis0.(i) <- slack_of_row.(i);
-          stat0.(slack_of_row.(i)) <- Sparse_simplex.Vbas;
-          xb0.(i) <- Q.neg residual.(i)
-      | Eq -> () (* only reachable without artificials: warm specs ignore basis0 *)
+    | Eq -> ()
   done;
   List.iter (fun (c, v) -> obj.(v) <- Q.add obj.(v) c) (minimize_objective m);
   ( {
@@ -525,12 +498,64 @@ let sparse_spec ~with_art m =
       sp_hi = hi;
       sp_obj = obj;
       sp_fixed = fixed;
-      sp_art = nv + nslack;
-      sp_stat0 = stat0;
-      sp_basis0 = basis0;
-      sp_xb0 = xb0;
-      sp_rhs = rhs;
+      sp_rhs = Array.init m.nrows (fun i -> m.rows.(i).rhs);
     },
+    slack_of_row )
+
+(* [sparse_spec] plus the cold start: one artificial per row whose slack
+   cannot start basic at the lower bounds, appended in row order.
+   Artificial columns are [sign(residual) * e_i], so the initial basic
+   value is |residual| and no row needs a sign flip. *)
+let cold_spec m =
+  let spec, slack_of_row = sparse_spec m in
+  let n0 = spec.Sparse_simplex.sp_ncols in
+  let init_val = Array.init m.nvars (fun v -> m.lower.(v)) in
+  let art = ref [] in
+  let stat = ref [] in
+  let basis = Array.make m.nrows (-1) in
+  let xb = Array.make m.nrows Q.zero in
+  let nart = ref 0 in
+  for i = 0 to m.nrows - 1 do
+    let r = m.rows.(i) in
+    let residual = row_residual init_val r in
+    let need =
+      match r.sense with
+      | Le -> Q.compare residual Q.zero < 0
+      | Ge -> Q.compare residual Q.zero > 0
+      | Eq -> true
+    in
+    if need then begin
+      let sgn = if Q.compare residual Q.zero < 0 then Q.minus_one else Q.one in
+      art := [ (i, sgn) ] :: !art;
+      basis.(i) <- n0 + !nart;
+      xb.(i) <- Q.abs residual;
+      incr nart
+    end
+    else begin
+      (* a Le or Ge row: its slack starts basic *)
+      basis.(i) <- slack_of_row.(i);
+      stat := slack_of_row.(i) :: !stat;
+      xb.(i) <- (match r.sense with Ge -> Q.neg residual | _ -> residual)
+    end
+  done;
+  let nart = !nart in
+  let n = n0 + nart in
+  let st_stat = Array.make n Sparse_simplex.Vlo in
+  List.iter (fun j -> st_stat.(j) <- Sparse_simplex.Vbas) !stat;
+  for j = n0 to n - 1 do
+    st_stat.(j) <- Sparse_simplex.Vbas
+  done;
+  let extend a x = Array.append a (Array.make nart x) in
+  ( {
+      spec with
+      Sparse_simplex.sp_ncols = n;
+      sp_cols = Array.append spec.Sparse_simplex.sp_cols (Array.of_list (List.rev !art));
+      sp_lo = extend spec.Sparse_simplex.sp_lo Q.zero;
+      sp_hi = extend spec.Sparse_simplex.sp_hi None;
+      sp_obj = extend spec.Sparse_simplex.sp_obj Q.zero;
+      sp_fixed = extend spec.Sparse_simplex.sp_fixed false;
+    },
+    { Sparse_simplex.st_art = n0; st_stat; st_basis = basis; st_xb = xb },
     slack_of_row )
 
 let sparse_counters =
@@ -599,10 +624,10 @@ let extract_sparse ~m ~slack_of_row ~pivots ~ops outcome =
         }
 
 let solve_sparse_cold ~rule ~budget ~obs ~pivots m =
-  let spec, slack_of_row = sparse_spec ~with_art:true m in
+  let spec, start, slack_of_row = cold_spec m in
   let pb = RS.of_spec spec in
   let ops = ref 0 in
-  let outcome = RS.solve_cold (sparse_scfg ~rule ~reuse:false) pb ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_cold (sparse_scfg ~rule ~reuse:false) pb start ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
@@ -625,11 +650,50 @@ let sparse_warm_stat m ~slack_of_row ~ncols (w : Basis.t) =
   done;
   stat
 
+(* The model's compiled warm problem, brought up to date: compiled on
+   first use, grown by the rows added since, its structural bounds
+   refreshed in place. *)
+let compile m =
+  let c =
+    match m.compiled with
+    | Some c when c.c_rows = m.nrows -> c
+    | Some c ->
+        let nslack = ref (c.c_pb.RS.pn - m.nvars) in
+        let slack_of_row = Array.make (m.nrows - c.c_rows) (-1) in
+        let rows =
+          Array.init (m.nrows - c.c_rows) (fun k ->
+              let r = m.rows.(c.c_rows + k) in
+              let slack =
+                match r.sense with Le -> Some Q.one | Ge -> Some Q.minus_one | Eq -> None
+              in
+              if slack <> None then begin
+                slack_of_row.(k) <- m.nvars + !nslack;
+                incr nslack
+              end;
+              (List.map (fun (q, v) -> (v, q)) r.terms, slack, r.rhs))
+        in
+        {
+          c_rows = m.nrows;
+          c_pb = RS.add_rows c.c_pb rows;
+          c_slack_of_row = Array.append c.c_slack_of_row slack_of_row;
+        }
+    | None ->
+        let spec, slack_of_row = sparse_spec m in
+        { c_rows = m.nrows; c_pb = RS.of_spec spec; c_slack_of_row = slack_of_row }
+  in
+  m.compiled <- Some c;
+  let pb = c.c_pb in
+  for v = 0 to m.nvars - 1 do
+    pb.RS.plo.(v) <- m.lower.(v);
+    pb.RS.phi.(v) <- m.upper.(v);
+    pb.RS.pfixed.(v) <- is_fixed m v
+  done;
+  c
+
 let solve_sparse_warm ~rule ~reuse ~budget ~obs ~pivots m (w : Basis.t) =
   if w.Basis.b_nvars <> m.nvars || w.Basis.b_nrows <> m.nrows then raise RS.Warm_failed;
-  let spec, slack_of_row = sparse_spec ~with_art:false m in
-  let pb = RS.of_spec spec in
-  let stat = sparse_warm_stat m ~slack_of_row ~ncols:spec.Sparse_simplex.sp_ncols w in
+  let { c_pb = pb; c_slack_of_row = slack_of_row; _ } = compile m in
+  let stat = sparse_warm_stat m ~slack_of_row ~ncols:pb.RS.pn w in
   let ops = ref 0 in
   let outcome = RS.solve_warm (sparse_scfg ~rule ~reuse) pb ~stat ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
@@ -721,10 +785,10 @@ let solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m =
         F_opt (vstat, sstat)
   in
   let cold () =
-    let spec, slack_of_row = sparse_spec ~with_art:true m in
+    let spec, start, slack_of_row = cold_spec m in
     let pb = FS.of_spec spec in
     let scfg = float_scfg ~rule ~reuse:false ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
-    match FS.solve_cold scfg pb ~budget ~obs ~pivots:fpivots ~ops:fops with
+    match FS.solve_cold scfg pb start ~budget ~obs ~pivots:fpivots ~ops:fops with
     | outcome -> claim_of_outcome slack_of_row outcome
     | exception (FS.Gave_up | FS.F.Singular) -> raise Float_gave_up
   in
@@ -733,7 +797,7 @@ let solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m =
   | Some (w : Basis.t) ->
       if w.Basis.b_nvars <> m.nvars || w.Basis.b_nrows <> m.nrows then cold ()
       else begin
-        let spec, slack_of_row = sparse_spec ~with_art:false m in
+        let spec, slack_of_row = sparse_spec m in
         let pb = FS.of_spec spec in
         let n = spec.Sparse_simplex.sp_ncols in
         let stat = sparse_warm_stat m ~slack_of_row ~ncols:n w in

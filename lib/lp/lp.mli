@@ -52,10 +52,18 @@
     LP1's cut loop starts from every y at its upper bound this way, and
     resumes each round from its last optimum padded for the new rows.
     Both are passed
-    explicitly on each call, and nothing else carries over from one
-    [solve] to the next, so the same call returns the same vertex
-    whatever ran before it. Neither start changes the status or the
+    explicitly on each call. Neither start changes the status or the
     objective.
+
+    What carries over: a model keeps its compiled form for the revised
+    engine — the sparse columns, their row-wise copy and the rhs. The
+    first warm or [?start] solve builds it; each later one appends only
+    the rows added since and re-reads every bound in place; {!add_var}
+    and {!set_objective} drop it. The compiled form depends on the model
+    alone, never on an earlier solve's path, so the same call still
+    returns the same vertex whatever ran before it. Solving writes it,
+    so a model, like any mutable model, belongs to one domain at a
+    time.
 
     Pricing and anti-cycling: every engine prices by Dantzig's rule
     while the objective strictly improves and falls back to Bland's rule

@@ -29,11 +29,11 @@ type vstat = Vlo | Vhi | Vbas
 
 (* Instance description at the Q level, shared by both scalar
    instantiations (each converts via Scalar.S.of_q). Column layout:
-   structurals, then one slack per Le/Ge row in row order, then one
-   artificial per infeasible-start row in row order. Each column lists
-   its entries in descending row order: the order in which both the
-   per-column dot product and the row-wise reduced-cost update sum them,
-   so float sums agree between the two. *)
+   structurals, then one slack per Le/Ge row in row order, then, for a
+   cold start, one artificial per infeasible-start row in row order.
+   Each column lists its entries in descending row order: the order in
+   which both the per-column dot product and the row-wise reduced-cost
+   update sum them, so float sums agree between the two. *)
 type spec = {
   sp_nrows : int;
   sp_ncols : int;
@@ -42,11 +42,16 @@ type spec = {
   sp_hi : Rational.t option array;
   sp_obj : Rational.t array; (* minimization costs; zero beyond structurals *)
   sp_fixed : bool array; (* lower = upper: never enters *)
-  sp_art : int; (* first artificial column; sp_ncols when none *)
-  sp_stat0 : vstat array;
-  sp_basis0 : int array; (* initial basic column per row *)
-  sp_xb0 : Rational.t array; (* initial basic values per row *)
   sp_rhs : Rational.t array; (* raw row rhs, for warm restores *)
+}
+
+(* A cold start's phase-1 basis: the columns from [st_art] on are the
+   artificials (st_art = sp_ncols when there are none). *)
+type start = {
+  st_art : int;
+  st_stat : vstat array;
+  st_basis : int array; (* initial basic column per row *)
+  st_xb : Rational.t array; (* initial basic values per row *)
 }
 
 (* Which obs counters an instantiation reports. The exact engine uses
@@ -88,10 +93,6 @@ module Make (S : Scalar.S) = struct
     phi : S.t option array;
     pobj : S.t array;
     pfixed : bool array;
-    part : int;
-    pstat0 : vstat array;
-    pbasis0 : int array;
-    pxb0 : S.t array;
     prhs : S.t array;
   }
 
@@ -124,11 +125,72 @@ module Make (S : Scalar.S) = struct
       phi = Array.map (Option.map S.of_q) sp.sp_hi;
       pobj = Array.map S.of_q sp.sp_obj;
       pfixed = Array.copy sp.sp_fixed;
-      part = sp.sp_art;
-      pstat0 = Array.copy sp.sp_stat0;
-      pbasis0 = Array.copy sp.sp_basis0;
-      pxb0 = Array.map S.of_q sp.sp_xb0;
       prhs = Array.map S.of_q sp.sp_rhs;
+    }
+
+  (* [add_rows pb rows] is [pb] with [rows] appended: row [pb.pm + k] is
+     [rows.(k) = (terms, slack, rhs)], its structural [terms] as
+     (column, coefficient), and [slack] the coefficient of its new slack
+     column ([None] for an equality), added after every existing column
+     with bounds [0, inf) and cost 0. The result is what [of_spec] builds
+     from the grown spec, sharing every column and row the new rows leave
+     alone. Only a problem without artificials can grow this way. *)
+  let add_rows (pb : problem) rows =
+    let k = Array.length rows in
+    let m = pb.pm + k in
+    let nslack = Array.fold_left (fun acc (_, slack, _) -> if slack = None then acc else acc + 1) 0 rows in
+    let n = pb.pn + nslack in
+    let pcols = Array.append pb.pcols (Array.make nslack { F.rows = [||]; vals = [||] }) in
+    let prow_cols = Array.append pb.prow_cols (Array.make k [||]) in
+    let prow_vals = Array.append pb.prow_vals (Array.make k [||]) in
+    (* new entries of the existing columns, highest row first *)
+    let extra = Array.make pb.pn [] in
+    let next = ref pb.pn in
+    Array.iteri
+      (fun r (terms, slack, _) ->
+        let i = pb.pm + r in
+        let entries =
+          List.filter_map
+            (fun (j, q) ->
+              let v = S.of_q q in
+              if S.is_zero v then None else Some (j, v))
+            (List.sort (fun (a, _) (b, _) -> compare a b) terms)
+        in
+        List.iter (fun (j, v) -> extra.(j) <- (i, v) :: extra.(j)) entries;
+        let entries =
+          match slack with
+          | None -> entries
+          | Some q ->
+              let j = !next in
+              incr next;
+              pcols.(j) <- F.col_of_list [ (i, S.of_q q) ];
+              entries @ [ (j, S.of_q q) ]
+        in
+        prow_cols.(i) <- Array.of_list (List.map fst entries);
+        prow_vals.(i) <- Array.of_list (List.map snd entries))
+      rows;
+    Array.iteri
+      (fun j e ->
+        if e <> [] then begin
+          let c = pb.pcols.(j) in
+          pcols.(j) <-
+            {
+              F.rows = Array.append (Array.of_list (List.map fst e)) c.F.rows;
+              vals = Array.append (Array.of_list (List.map snd e)) c.F.vals;
+            }
+        end)
+      extra;
+    {
+      pm = m;
+      pn = n;
+      pcols;
+      prow_cols;
+      prow_vals;
+      plo = Array.append pb.plo (Array.make nslack S.zero);
+      phi = Array.append pb.phi (Array.make nslack None);
+      pobj = Array.append pb.pobj (Array.make nslack S.zero);
+      pfixed = Array.append pb.pfixed (Array.make nslack false);
+      prhs = Array.append pb.prhs (Array.map (fun (_, _, rhs) -> S.of_q rhs) rows);
     }
 
   type outcome =
@@ -505,9 +567,9 @@ module Make (S : Scalar.S) = struct
     done;
     !feasible
 
-  let solve_cold (cfg : S.t config) (pb : problem) ~budget ~obs ~pivots ~ops =
-    let m = pb.pm and n = pb.pn in
-    let basis = Array.copy pb.pbasis0 in
+  let solve_cold (cfg : S.t config) (pb : problem) (start : start) ~budget ~obs ~pivots ~ops =
+    let m = pb.pm and n = pb.pn and part = start.st_art in
+    let basis = Array.copy start.st_basis in
     let fact = factor_basis ~ops ~obs pb basis in
     let st =
       {
@@ -517,9 +579,9 @@ module Make (S : Scalar.S) = struct
         obs;
         pivots;
         ops;
-        stat = Array.copy pb.pstat0;
+        stat = Array.copy start.st_stat;
         basis;
-        xb = Array.copy pb.pxb0;
+        xb = Array.map S.of_q start.st_xb;
         hi = Array.copy pb.phi;
         enterable = Array.init n (fun j -> not pb.pfixed.(j));
         cost = Array.make n S.zero;
@@ -535,15 +597,15 @@ module Make (S : Scalar.S) = struct
     in
     Fun.protect ~finally:(fun () -> flush_pricing st) @@ fun () ->
     let infeasible = ref false in
-    if pb.part < n then begin
+    if part < n then begin
       (* phase 1: minimize the sum of the artificials *)
-      for j = pb.part to n - 1 do
+      for j = part to n - 1 do
         st.cost.(j) <- S.one
       done;
       compute_reduced st;
       let z1 = ref S.zero in
       for p = 0 to m - 1 do
-        if st.basis.(p) >= pb.part then z1 := S.add !z1 st.xb.(p)
+        if st.basis.(p) >= part then z1 := S.add !z1 st.xb.(p)
       done;
       st.z <- !z1;
       (match Obs.span obs "lp.phase1" (fun () -> run_primal st ~phase1:true) with
@@ -551,17 +613,17 @@ module Make (S : Scalar.S) = struct
       | O_opt -> if S.compare st.z cfg.ztol > 0 then infeasible := true);
       if not !infeasible then begin
         (* pin artificials to zero and forbid them from re-entering *)
-        for j = pb.part to n - 1 do
+        for j = part to n - 1 do
           st.enterable.(j) <- false;
           st.hi.(j) <- Some S.zero
         done;
         (* drive remaining (zero-valued) basic artificials out *)
         for p = 0 to m - 1 do
-          if st.basis.(p) >= pb.part then begin
+          if st.basis.(p) >= part then begin
             let rho = btran_unit st p in
             let found = ref (-1) in
             (try
-               for j = 0 to pb.part - 1 do
+               for j = 0 to part - 1 do
                  if st.stat.(j) <> Vbas then begin
                    let a = dot_col st rho j in
                    if S.compare (S.abs a) cfg.ptol > 0 then begin
@@ -597,8 +659,8 @@ module Make (S : Scalar.S) = struct
       | O_opt -> extract st
     end
 
-  (* Warm start from per-column statuses against an artificial-free
-     problem (part = pn): sparse refactorization of the snapshot basis,
+  (* Warm start from per-column statuses against a problem without
+     artificials: sparse refactorization of the snapshot basis,
      straight to phase 2 when still primal feasible, dual repair when
      only primal feasibility was lost. Raises Warm_failed whenever the
      snapshot cannot be reused. *)

@@ -328,6 +328,11 @@ let counters t =
       Hashtbl.fold (fun name c acc -> (name, !c) :: acc) r.counters []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let counter t name =
+  match t with
+  | Null -> 0
+  | Rec r -> ( match Hashtbl.find_opt r.counters name with Some c -> !c | None -> 0)
+
 let total_ticks = function Null -> 0 | Rec r -> r.total
 
 let enter t name =

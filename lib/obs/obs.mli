@@ -122,6 +122,10 @@ val incr : t -> string -> unit
     serialized or compared. *)
 val counters : t -> (string * int) list
 
+(** [counter t name] is one counter's total, read in O(1): 0 when the
+    counter was never incremented or [t] is {!null}. *)
+val counter : t -> string -> int
+
 (** Sum of all counter increments so far. *)
 val total_ticks : t -> int
 

@@ -130,8 +130,6 @@ let reuse ~obs stored ~validate ~build =
       Obs.incr obs "session.warm_misses";
       build ()
 
-let counter obs name = match List.assoc_opt name (Obs.counters obs) with Some v -> v | None -> 0
-
 (* Deterministic earliest-deadline-first commit for degraded epochs:
    fill the slots of the commit window in order, each up to [g] units,
    jobs by (deadline, id). Greedy — it never idles a slot that has
@@ -376,13 +374,13 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
         feasible;
         lower_bound;
         ticks;
-        lp_work = counter eobs "lp.exact_cells";
-        warm_hits = counter eobs "session.warm_hits" + counter eobs "lp.warm_starts";
+        lp_work = Obs.counter eobs "lp.exact_cells";
+        warm_hits = Obs.counter eobs "session.warm_hits" + Obs.counter eobs "lp.warm_starts";
         degraded;
         provenance;
       }
       :: !epochs;
-    List.iter (fun (name, v) -> if v > 0 then Obs.add obs name v) (Obs.counters eobs);
+    if not (Obs.is_null obs) then List.iter (fun (name, v) -> Obs.add obs name v) (Obs.counters eobs);
     incr index;
     now := now_ + cfg.epoch_len
   done;

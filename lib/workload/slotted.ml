@@ -34,11 +34,38 @@ let total_length t = Array.fold_left (fun acc j -> acc + j.length) 0 t.jobs
 (* Latest relevant slot: T = max deadline (0 when empty). *)
 let horizon t = Array.fold_left (fun acc j -> max acc j.deadline) 0 t.jobs
 
-(* All slots that belong to at least one window. *)
+(* All slots that belong to at least one window: the windows, sorted by
+   first slot, merge into maximal runs, whose slots are then listed. *)
 let relevant_slots t =
-  let tbl = Hashtbl.create 64 in
-  Array.iter (fun j -> List.iter (fun s -> Hashtbl.replace tbl s ()) (window_slots j)) t.jobs;
-  List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) tbl [])
+  let windows = Array.map (fun j -> (j.release + 1, j.deadline)) t.jobs in
+  Array.sort compare windows;
+  let runs =
+    Array.fold_left
+      (fun runs (lo, hi) ->
+        match runs with
+        | (rlo, rhi) :: rest when lo <= rhi + 1 -> (rlo, max rhi hi) :: rest
+        | _ -> (lo, hi) :: runs)
+      [] windows
+  in
+  (* [runs] is last run first, so the slots are prepended from the top *)
+  List.fold_left
+    (fun acc (lo, hi) ->
+      let acc = ref acc in
+      for s = hi downto lo do
+        acc := s :: !acc
+      done;
+      !acc)
+    [] runs
+
+(* Binary search for the first slot after the release. *)
+let window_start slots j =
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if slots.(mid) <= j.release then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length slots)
 
 (* Trivial lower bound: ceil(total length / g). *)
 let mass_lower_bound t = (total_length t + t.g - 1) / t.g

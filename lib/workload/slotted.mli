@@ -37,6 +37,12 @@ val horizon : t -> int
 (** Slots belonging to at least one window, sorted. *)
 val relevant_slots : t -> int list
 
+(** [window_start slots j] is the index in [slots] of [j]'s first window
+    slot, found by binary search. [slots] must be increasing and hold
+    every slot of the window (as [relevant_slots] does), so the window
+    fills the [window_size j] entries from there on. *)
+val window_start : int array -> job -> int
+
 (** [ceil(P / g)], a lower bound on any solution's active time. *)
 val mass_lower_bound : t -> int
 

@@ -501,11 +501,42 @@ let prop_floor_same_answer =
       in
       same_with_floor (mk seed) && same_with_floor (above_mass mk seed))
 
+(* LP1's separation network is built once and re-capacitated for every
+   max flow: on a random sequence of capacity vectors, it returns the cut
+   jobs of a network built fresh for each vector. With [p_j] on the jobs
+   and 0/1 on the slots (Fig. 2 on the slots at 1), the cut is empty iff
+   those slots are feasible. *)
+let prop_separation_network_reused =
+  QCheck.Test.make ~name:"reused separation network = fresh network" ~count:100
+    QCheck.(pair seed_arb (list_of_size Gen.(int_range 1 8) (pair (int_range 0 100_000) bool)))
+    (fun (seed, probes) ->
+      let inst = Gen.slotted ~params:tiny_params ~seed () in
+      let net = Active.Feasibility.network inst in
+      let slots = Active.Feasibility.network_slots net in
+      List.for_all
+        (fun (probe, fig2) ->
+          let rng = Random.State.make [| probe |] in
+          let job =
+            Array.map (fun (j : S.job) -> if fig2 then j.S.length else Random.State.int rng 6) inst.S.jobs
+          in
+          let slot = Array.map (fun _ -> Random.State.int rng (if fig2 then 2 else 5)) slots in
+          let cut net =
+            Active.Feasibility.min_cut_jobs net ~job_cap:(fun i -> job.(i)) ~slot_cap:(fun i -> slot.(i))
+          in
+          let reused = cut net in
+          reused = cut (Active.Feasibility.network inst)
+          && ((not fig2)
+             ||
+             let open_slots = List.filteri (fun i _ -> slot.(i) = 1) (Array.to_list slots) in
+             (reused = []) = Active.Feasibility.feasible inst ~open_slots))
+        probes)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bnb_matches_bruteforce; prop_ilp_matches_bnb; prop_minimal_within_3opt; prop_lp_sandwich;
       prop_unit_minimal_optimal; prop_right_shift_feasible; prop_lp_below_opt;
-      prop_probe_modes_agree; prop_lp1_cut_loop; prop_floor_same_answer ]
+      prop_probe_modes_agree; prop_lp1_cut_loop; prop_floor_same_answer;
+      prop_separation_network_reused ]
 
 let () =
   Alcotest.run "active"

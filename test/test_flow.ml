@@ -123,6 +123,44 @@ let test_decompose_paths () =
       Alcotest.(check int) "ends at sink" 3 (List.nth vs (List.length vs - 1)))
     paths
 
+(* Edges may be added after a flow run: the next augment, min cut, drain
+   and path decomposition all walk them. *)
+let test_edges_after_flow () =
+  let g = Flow.create 4 in
+  let _ = Flow.add_edge g ~src:0 ~dst:1 ~cap:2 in
+  let _ = Flow.add_edge g ~src:1 ~dst:3 ~cap:1 in
+  Alcotest.(check int) "first run" 1 (Flow.max_flow g ~source:0 ~sink:3);
+  let c = Flow.add_edge g ~src:1 ~dst:2 ~cap:1 in
+  let d = Flow.add_edge g ~src:2 ~dst:3 ~cap:1 in
+  Alcotest.(check int) "augment takes the new route" 1 (Flow.augment g ~source:0 ~sink:3);
+  Alcotest.(check (pair int int)) "new arcs carry it" (1, 1) (Flow.flow g c, Flow.flow g d);
+  (* 0->1 is saturated; only the new arc 0->2 leads on, and back over 2->1 *)
+  let e = Flow.add_edge g ~src:0 ~dst:2 ~cap:3 in
+  Alcotest.(check (list bool)) "min cut sees the new arc" [ true; true; true; false ]
+    (Array.to_list (Flow.min_cut g ~source:0));
+  let f = Flow.add_edge g ~src:2 ~dst:3 ~cap:2 in
+  Alcotest.(check int) "augment over both new arcs" 2 (Flow.augment g ~source:0 ~sink:3);
+  let _ = Flow.add_edge g ~src:0 ~dst:3 ~cap:1 in
+  let paths = Flow.decompose_paths g ~source:0 ~sink:3 in
+  Alcotest.(check int) "decomposition covers the flow" 4 (List.fold_left (fun acc (_, a) -> acc + a) 0 paths);
+  Alcotest.(check bool) "a path uses the added arcs" true (List.mem ([ 0; 2; 3 ], 2) paths);
+  Alcotest.(check int) "drain walks back over the new arc" 2 (Flow.drain_edge g f ~source:0 ~sink:3);
+  Alcotest.(check int) "its tail side cancelled" 0 (Flow.flow g e);
+  Alcotest.(check int) "the new edge is seen by the next run" 3 (Flow.augment g ~source:0 ~sink:3)
+
+(* Every walk takes a vertex's arcs newest first, so of two equal routes
+   the one added last carries the flow. Schedules read the flow off
+   G_feas arc by arc, so this order is pinned. *)
+let test_newest_first () =
+  let g = Flow.create 5 in
+  let _ = Flow.add_edge g ~src:0 ~dst:1 ~cap:1 in
+  let old_arc = Flow.add_edge g ~src:1 ~dst:2 ~cap:1 in
+  let new_arc = Flow.add_edge g ~src:1 ~dst:3 ~cap:1 in
+  let _ = Flow.add_edge g ~src:2 ~dst:4 ~cap:1 in
+  let _ = Flow.add_edge g ~src:3 ~dst:4 ~cap:1 in
+  Alcotest.(check int) "value" 1 (Flow.max_flow g ~source:0 ~sink:4);
+  Alcotest.(check (pair int int)) "newest arc routes" (0, 1) (Flow.flow g old_arc, Flow.flow g new_arc)
+
 let test_invalid_args () =
   let g = Flow.create 2 in
   Alcotest.check_raises "negative cap" (Invalid_argument "Flow.add_edge: negative capacity") (fun () ->
@@ -251,5 +289,7 @@ let () =
           Alcotest.test_case "drain edge" `Quick test_drain_edge;
           Alcotest.test_case "incremental max flow" `Quick test_incremental_max_flow;
           Alcotest.test_case "decompose paths" `Quick test_decompose_paths;
+          Alcotest.test_case "edges added after a flow run" `Quick test_edges_after_flow;
+          Alcotest.test_case "newest arc first" `Quick test_newest_first;
           Alcotest.test_case "invalid args" `Quick test_invalid_args ] );
       ("properties", props) ]

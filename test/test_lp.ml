@@ -890,10 +890,119 @@ let prop_lp1_cut_loop =
            (fun engine -> Option.equal Q.equal (cost engine) revised)
            [ Lp.Float_certified; Lp.Dense ])
 
+(* -- a model's compiled form, grown in place ------------------------------ *)
+
+(* Edits between solves. [Solve true] passes the last optimal basis as
+   [?warm] when the model has the same shape, and [Solve false] always
+   passes it as [?start], padded with a lower-bound status for each new
+   variable and a basic slack for each new row (the cut loop's start). *)
+type edit =
+  | Row of (int * int) list * Lp.sense * int
+  | Bounds of int * int * int
+  | Objective of Lp.objective_direction * (int * int) list
+  | Var
+  | Solve of bool
+
+let edit_to_string = function
+  | Row (t, s, r) ->
+      Printf.sprintf "row %s %s %d"
+        (String.concat "+" (List.map (fun (v, c) -> Printf.sprintf "%dx%d" c v) t))
+        (match s with Lp.Le -> "<=" | Lp.Ge -> ">=" | Lp.Eq -> "=")
+        r
+  | Bounds (v, lo, hi) -> Printf.sprintf "x%d in [%d,%d]" v lo hi
+  | Objective (d, t) ->
+      Printf.sprintf "%s %s"
+        (match d with Lp.Minimize -> "min" | Lp.Maximize -> "max")
+        (String.concat "+" (List.map (fun (v, c) -> Printf.sprintf "%dx%d" c v) t))
+  | Var -> "var"
+  | Solve w -> if w then "solve warm" else "solve start"
+
+let edits_arb =
+  let open QCheck.Gen in
+  let var = int_range 0 7 in
+  let terms = list_size (int_range 1 3) (pair var (int_range (-2) 3)) in
+  let edit =
+    frequency
+      [ (4, map3 (fun t s r -> Row (t, s, r)) terms (oneofl [ Lp.Le; Lp.Ge; Lp.Eq ]) (int_range (-2) 6));
+        (2, map3 (fun v lo w -> Bounds (v, lo, lo + w)) var (int_range 0 2) (int_range 0 3));
+        (1, map2 (fun d t -> Objective (d, t)) (oneofl [ Lp.Minimize; Lp.Maximize ]) terms);
+        (1, return Var);
+        (4, map (fun w -> Solve w) bool) ]
+  in
+  QCheck.make
+    ~print:(fun es -> String.concat "; " (List.map edit_to_string es))
+    (list_size (int_range 1 16) edit)
+
+(* Three variables in [0, 4] and [min sum x]; [Var] adds one more.
+   Variable indices wrap around the variables declared so far. *)
+let grown_model () =
+  let m = Lp.create () in
+  let vars = ref (Array.init 3 (fun i -> Lp.add_var ~upper:(qi 4) m (Printf.sprintf "x%d" i))) in
+  Lp.set_objective m Lp.Minimize (Array.to_list (Array.map (fun v -> (Q.one, v)) !vars));
+  let var i = !vars.(i mod Array.length !vars) in
+  let terms = List.map (fun (v, c) -> (qi c, var v)) in
+  let apply = function
+    | Row (t, s, r) -> Lp.add_constraint m (terms t) s (qi r)
+    | Bounds (v, lo, hi) -> Lp.set_bounds m (var v) ~lower:(qi lo) ~upper:(Some (qi hi))
+    | Objective (d, t) -> Lp.set_objective m d (terms t)
+    | Var ->
+        let n = Array.length !vars in
+        vars := Array.append !vars [| Lp.add_var ~upper:(qi 4) m (Printf.sprintf "x%d" n) |]
+    | Solve _ -> ()
+  in
+  (m, apply)
+
+let outcome = function
+  | Lp.Infeasible -> "infeasible"
+  | Lp.Unbounded -> "unbounded"
+  | Lp.Optimal s ->
+      Printf.sprintf "optimal %s at [%s], %d pivots, %d cells" (Q.to_string (Lp.objective_value s))
+        (String.concat "," (List.map (fun (_, v) -> Q.to_string v) (Lp.values s)))
+        (Lp.pivots s) (Lp.tableau_cells s)
+
+(* The revised engine keeps its compiled problem in the model and grows
+   it by the rows added since the last warm or [?start] solve: every such
+   solve must match, in status, objective, vertex, pivots and cells, the
+   same call on a copy of the model built afresh by the same edits. *)
+let prop_compiled_growth =
+  QCheck.Test.make ~name:"grown compiled model = fresh model" ~count:300 edits_arb (fun edits ->
+      let m, apply = grown_model () in
+      let last = ref None in
+      let rec go seen = function
+        | [] -> true
+        | Solve w :: rest ->
+            let nv = Lp.num_vars m and rows = Lp.num_constraints m in
+            let warm, start =
+              match !last with
+              | Some (b : Lp.Basis.t) when w && b.Lp.Basis.b_nvars = nv && b.Lp.Basis.b_nrows = rows ->
+                  (Some b, None)
+              | Some b ->
+                  let pad a k fill = Array.init k (fun i -> if i < Array.length a then a.(i) else fill) in
+                  ( None,
+                    Some
+                      (Lp.Basis.make ~vstat:(pad b.Lp.Basis.vstat nv Lp.Basis.Lower)
+                         ~sstat:(pad b.Lp.Basis.sstat rows Lp.Basis.Basic)) )
+              | None ->
+                  ( None,
+                    Some
+                      (Lp.Basis.make ~vstat:(Array.make nv Lp.Basis.Lower)
+                         ~sstat:(Array.make rows Lp.Basis.Basic)) )
+            in
+            let grown = Lp.solve ?warm ?start m in
+            let fresh, apply_fresh = grown_model () in
+            List.iter apply_fresh (List.rev seen);
+            (match grown with Lp.Optimal s -> last := Lp.basis s | _ -> ());
+            outcome grown = outcome (Lp.solve ?warm ?start fresh) && go seen rest
+        | e :: rest ->
+            apply e;
+            go (e :: seen) rest
+      in
+      go [] edits)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
-      prop_engines_agree; prop_warm_matches_cold; prop_lp1_cut_loop ]
+      prop_engines_agree; prop_warm_matches_cold; prop_lp1_cut_loop; prop_compiled_growth ]
 
 let () =
   Alcotest.run "lp"
