@@ -38,26 +38,33 @@ type network = {
 let build (t : S.t) ~job_cap ~slot_cap =
   let relevant = Array.of_list (S.relevant_slots t) in
   let caps = Array.map slot_cap relevant in
-  (* the relevant indices kept, and each one's slot index (-1 when left out) *)
   let kept = List.filter (fun k -> caps.(k) <> None) (List.init (Array.length relevant) Fun.id) in
-  let index = Array.make (Array.length relevant) (-1) in
-  List.iteri (fun si k -> index.(k) <- si) kept;
+  (* rank.(k): the kept slots among relevant.(0 .. k-1). A kept slot k
+     has slot index rank.(k), and relevant.(lo .. hi-1) holds
+     rank.(hi) - rank.(lo) kept slots. *)
+  let rank = Array.make (Array.length relevant + 1) 0 in
+  Array.iteri (fun k c -> rank.(k + 1) <- (rank.(k) + if c = None then 0 else 1)) caps;
   let m = List.length kept in
   let n = S.num_jobs t in
+  let window = Array.map (fun j -> S.window_start relevant j) t.S.jobs in
+  (* the graph's exact arc count: job and slot arcs, plus one arc per
+     kept slot of each window *)
+  let arcs = ref (n + m) in
+  Array.iteri (fun idx j -> arcs := !arcs + rank.(window.(idx) + S.window_size j) - rank.(window.(idx))) t.S.jobs;
   (* nodes: 0 = source, 1..n jobs, n+1..n+m slots, n+m+1 sink *)
   let source = 0 and sink = n + m + 1 in
-  let g = Flow.create (n + m + 2) in
+  let g = Flow.create ~edges:!arcs (n + m + 2) in
   let job_arc =
     Array.mapi (fun idx j -> Flow.add_edge g ~src:source ~dst:(idx + 1) ~cap:(job_cap j)) t.S.jobs
   in
   let assign = ref [] in
   Array.iteri
     (fun idx (j : S.job) ->
-      let lo = S.window_start relevant j in
+      let lo = window.(idx) in
       for k = lo to lo + S.window_size j - 1 do
         match caps.(k) with
         | Some (arc, _) ->
-            let si = index.(k) in
+            let si = rank.(k) in
             assign := (idx, si, Flow.add_edge g ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:arc) :: !assign
         | None -> ()
       done)
@@ -66,7 +73,7 @@ let build (t : S.t) ~job_cap ~slot_cap =
     List.map
       (fun k ->
         let _, out = Option.get caps.(k) in
-        Flow.add_edge g ~src:(n + 1 + index.(k)) ~dst:sink ~cap:out)
+        Flow.add_edge g ~src:(n + 1 + rank.(k)) ~dst:sink ~cap:out)
       kept
   in
   {

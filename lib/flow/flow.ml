@@ -24,17 +24,25 @@ type t = {
   level : int array; (* Dinic's BFS level, -1 when unreached *)
   cur : int array; (* Dinic's current arc, an index into [arcs] *)
   queue : int array; (* BFS queue: each vertex is pushed at most once *)
+  (* [cancel_flow]'s walk: [pos.(v)] is v's depth on the walk, -1 off
+     it (all -1 between walks); the walk's vertices and the edges into
+     them *)
+  pos : int array;
+  stack_v : int array;
+  stack_e : int array;
 }
 
 type edge = int
 
-let create n =
+let create ?(edges = 8) n =
   let n = Stdlib.max n 0 in
+  (* an edge takes two slots, itself and its residual reverse *)
+  let room = 2 * Stdlib.max edges 1 in
   {
     n;
-    dst = Array.make 16 0;
-    cap = Array.make 16 0;
-    orig = Array.make 16 0;
+    dst = Array.make room 0;
+    cap = Array.make room 0;
+    orig = Array.make room 0;
     edge_count = 0;
     first = Array.make (n + 1) 0;
     arcs = [||];
@@ -42,6 +50,9 @@ let create n =
     level = Array.make n (-1);
     cur = Array.make n 0;
     queue = Array.make n 0;
+    pos = Array.make n (-1);
+    stack_v = Array.make (n + 1) 0;
+    stack_e = Array.make (n + 1) 0;
   }
 
 let vertex_count t = t.n
@@ -123,10 +134,12 @@ let reset t = Array.blit t.orig 0 t.cap 0 t.edge_count
    INTO the current vertex); forward walks select forward arcs carrying
    flow OUT of it. Cycles of flow met along a walk are cancelled in place
    (flow strictly decreases, so this terminates), exactly as in
-   [decompose_paths]. *)
+   [decompose_paths]. The walk lives in the graph's scratch; however it
+   ends, it resets [pos] on the vertices it visited and nowhere else. *)
 let cancel_flow t ~start ~stop ~backward total =
   let want s = if backward then t.orig.(s) = 0 else t.orig.(s) > 0 in
   let avail s = if t.orig.(s) = 0 then t.cap.(s) else t.orig.(s) - t.cap.(s) in
+  let usable s = want s && avail s > 0 in
   let reduce s amt =
     if t.orig.(s) = 0 then begin
       t.cap.(s) <- t.cap.(s) - amt;
@@ -137,21 +150,26 @@ let cancel_flow t ~start ~stop ~backward total =
       t.cap.(s lxor 1) <- t.cap.(s lxor 1) - amt
     end
   in
+  let pos = t.pos and stack_v = t.stack_v and stack_e = t.stack_e in
   let remaining = ref total in
-  let pos = Array.make t.n (-1) in
-  let stack_v = Array.make (t.n + 1) 0 in
-  let stack_e = Array.make (t.n + 1) 0 in
+  let depth = ref 0 in
+  let leave () =
+    for i = 0 to !depth do
+      pos.(stack_v.(i)) <- -1
+    done
+  in
   let exception Restart in
   while !remaining > 0 && start <> stop do
     try
-      Array.fill pos 0 t.n (-1);
       stack_v.(0) <- start;
       pos.(start) <- 0;
-      let depth = ref 0 in
+      depth := 0;
       while stack_v.(!depth) <> stop do
         let v = stack_v.(!depth) in
-        match find_arc t v (fun s -> want s && avail s > 0) with
-        | -1 -> invalid_arg "Flow.drain_edge: flow not traceable to the endpoint"
+        match find_arc t v usable with
+        | -1 ->
+            leave ();
+            invalid_arg "Flow.drain_edge: flow not traceable to the endpoint"
         | s ->
             let w = t.dst.(s) in
             if w <> stop && pos.(w) >= 0 then begin
@@ -165,6 +183,7 @@ let cancel_flow t ~start ~stop ~backward total =
               for i = lo + 1 to !depth do
                 reduce stack_e.(i) !amt
               done;
+              leave ();
               raise Restart
             end
             else begin
@@ -174,6 +193,7 @@ let cancel_flow t ~start ~stop ~backward total =
               pos.(w) <- !depth
             end
       done;
+      leave ();
       let amt = ref !remaining in
       for i = 1 to !depth do
         amt := Stdlib.min !amt (avail stack_e.(i))
@@ -206,25 +226,32 @@ let drain_edge ?(obs = Obs.null) t e ~source ~sink =
     end
   end
 
-(* BFS levels on the residual graph; level.(v) = -1 when unreachable.
-   True iff the sink is reached. *)
+(* BFS levels on the residual graph, level.(v) = -1 when unlabelled; true
+   iff the sink is reached. It returns as soon as the sink is labelled:
+   by then every vertex nearer the source than the sink has its level.
+   The DFS below completes paths only through vertices one level apart,
+   ending at the sink, so a vertex left unlabelled is one it could only
+   enter to find a dead end, and it pushes the same paths in the same
+   order as after a full BFS. *)
 let bfs t ~source ~sink =
   let level = t.level and queue = t.queue in
   Array.fill level 0 t.n (-1);
   level.(source) <- 0;
   queue.(0) <- source;
   let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
+  while !head < !tail && level.(sink) < 0 do
     let v = queue.(!head) in
     incr head;
-    for k = t.first.(v) to t.first.(v + 1) - 1 do
-      let e = t.arcs.(k) in
+    let k = ref t.first.(v) and stop = t.first.(v + 1) in
+    while !k < stop && level.(sink) < 0 do
+      let e = t.arcs.(!k) in
       let w = t.dst.(e) in
       if t.cap.(e) > 0 && level.(w) < 0 then begin
         level.(w) <- level.(v) + 1;
         queue.(!tail) <- w;
         incr tail
-      end
+      end;
+      incr k
     done
   done;
   level.(sink) >= 0

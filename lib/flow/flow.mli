@@ -22,17 +22,28 @@
     [Active.Feasibility.schedule] reads off it, and the [flow.*]
     counters depend on this order, so it is part of the contract. The
     adjacency is held as a compressed array per vertex, rebuilt on the
-    first walk after an {!add_edge}; Dinic's levels, current arcs and
-    queue are scratch arrays of the graph, so one graph serves one
-    domain at a time. *)
+    first walk after an {!add_edge}.
+
+    {b What a walk costs.} Each Dinic phase's BFS stops as soon as it
+    labels the sink: every vertex nearer the source already has its
+    level, and the DFS only completes paths one level at a time into
+    the sink, so it pushes the same paths, in the same order, as after
+    a full BFS. Dinic's levels, current arcs and queue, and
+    {!drain_edge}'s walk (each vertex's depth on it and the stack of
+    its vertices and edges), are scratch arrays of the graph: a walk
+    allocates nothing and resets only the vertices it visited. So one
+    graph serves one domain at a time. *)
 
 type t
 
 (** Opaque handle for querying a specific edge after a flow computation. *)
 type edge
 
-(** [create n] is an empty graph on vertices [0 .. n-1]. *)
-val create : int -> t
+(** [create ?edges n] is an empty graph on vertices [0 .. n-1] with room
+    for [edges] edges (default 8) before its edge arrays grow. The count
+    is the caller's estimate, say the number of arcs of the network it
+    is about to build; adding more edges is always allowed. *)
+val create : ?edges:int -> int -> t
 
 val vertex_count : t -> int
 

@@ -212,8 +212,9 @@ end
     refactorization) and [lp.fill_nonzeros] (total LU nonzeros produced,
     fill included). The revised engine also records
     [lp.priced_columns]: every nonbasic column once per phase, when the
-    reduced costs are computed in full, plus after each pivot the
-    nonbasic columns that the row-wise reduced-cost update reaches. The
+    reduced costs are computed in full (a warm start does so once, before
+    its dual-feasibility check), plus after each pivot, primal or dual,
+    the nonbasic columns that the row-wise reduced-cost update reaches. The
     float engine additionally records [lp.float_pivots]
     (double-precision pivots), [lp.certify_ops] (rational
     multiplications/divisions spent in certification), [lp.certify_ok],

@@ -7,21 +7,28 @@
    Unlike a dense tableau simplex there is no maintained tableau, only
    a maintained reduced-cost row: it is priced once per phase by one
    BTRAN (y = B^-T c_B) plus one sparse dot product per column, then
-   updated after each pivot from the post-pivot tableau row
-   (rho = B^-T e_r, alpha_rj = rho . A_j, d_j -= d_q alpha_rj). That
-   update is row-wise: it walks a row-wise copy of the constraint matrix
-   over the rows where rho is nonzero and touches only the nonbasic
-   columns those rows reach. The pivot column is one hypersparse FTRAN
-   (w = B^-1 a_q); the ratio test, the basic-value update and the eta
-   append loop over w's nonzero positions. So a pivot costs the nonzeros
-   it touches plus one pass over the columns in pricing and one pull-form
-   BTRAN, not O(m·n). Basis changes are product-form eta updates with
-   periodic refactorization (Slu.should_refactor).
+   updated after each pivot from one tableau row (rho = B^-T e_r,
+   alpha_rj = rho . A_j, d_j -= theta alpha_rj). That update is
+   row-wise: it walks a row-wise copy of the constraint matrix over the
+   rows where rho is nonzero and touches only the nonbasic columns those
+   rows reach. A primal pivot reads the post-pivot row (theta = d_q); a
+   dual pivot reads the pre-pivot row of its leaving variable, runs its
+   ratio test over the columns that row reaches and updates d from the
+   same row (theta = d_q / alpha_rq). A warm start prices once, and the
+   dual-feasibility check, the dual repair and phase 2 all read that
+   row. The pivot column is one hypersparse FTRAN (w = B^-1 a_q); the
+   primal ratio test, the basic-value update and the eta append loop
+   over w's nonzero positions. So a pivot costs the nonzeros it touches
+   plus one pass over the columns in pricing and one pull-form BTRAN,
+   not O(m·n). Basis changes are product-form eta updates with periodic
+   refactorization (Slu.should_refactor).
 
    Pivot rules: Dantzig pricing switching to Bland's rule after
    [degen_threshold] consecutive degenerate pivots, ratio-test ties to
    the smallest basic column index, bound flips preferred on equal step
-   length. Dantzig is the only pricing rule: candidate-list partial
+   length; the dual simplex leaves by the most violated row (ties to
+   the smallest basic column index) and enters by the least ratio (ties
+   to the smallest column index). Dantzig is the only pricing rule: candidate-list partial
    pricing and devex reference weights never beat it in wall time
    (EXPERIMENTS E26). *)
 
@@ -216,7 +223,7 @@ module Make (S : Scalar.S) = struct
     cost : S.t array; (* current phase costs *)
     d : S.t array; (* maintained reduced costs (zero on basics) *)
     priced : int ref; (* columns whose reduced cost was (re)computed *)
-    (* [update_reduced] workspaces: [alpha] all zero and [seen] all false
+    (* [pivot_row] workspaces: [alpha] all zero and [seen] all false
        between calls *)
     alpha : S.t array;
     seen : bool array;
@@ -266,12 +273,13 @@ module Make (S : Scalar.S) = struct
   (* rho = B^-T e_r: row r of B^-1 *)
   let btran_unit st r = F.btran st.fact { F.rows = [| r |]; vals = [| S.one |] }
 
-  (* After a pivot with entering reduced cost [dq]: d_j -= dq alpha_rj
-     for every nonbasic j, where alpha_rj = rho . A_j. Accumulates alpha
-     only over the rows where rho is nonzero, in descending row order
-     (the order [dot_col] sums a column in), and updates only the
-     columns those rows reach: alpha is zero everywhere else. *)
-  let update_reduced st (rho : S.t array) dq =
+  (* The pivot row alpha_rj = rho . A_j of every nonbasic column,
+     accumulated into [st.alpha] over the rows where rho is nonzero, in
+     descending row order (the order [dot_col] sums a column in). Only
+     the columns those rows reach are touched, [st.touched.(0 .. k-1)]
+     for the returned k; alpha is zero on every other nonbasic column.
+     [reduce_row] or [clear_row] restores the workspaces. *)
+  let pivot_row st (rho : S.t array) =
     let alpha = st.alpha and seen = st.seen and touched = st.touched in
     let nt = ref 0 in
     for i = st.pb.pm - 1 downto 0 do
@@ -292,20 +300,33 @@ module Make (S : Scalar.S) = struct
         done
       end
     done;
-    for t = 0 to !nt - 1 do
-      let j = touched.(t) in
-      incr st.priced;
-      let a = alpha.(j) in
-      if not (S.is_zero a) then begin
-        incr st.ops;
-        st.d.(j) <- S.submul st.d.(j) dq a
-      end;
-      alpha.(j) <- S.zero;
-      seen.(j) <- false
+    !nt
+
+  (* restore [pivot_row]'s workspaces after it touched [nt] columns *)
+  let clear_row st nt =
+    for t = 0 to nt - 1 do
+      let j = st.touched.(t) in
+      st.alpha.(j) <- S.zero;
+      st.seen.(j) <- false
     done
 
+  (* d_j -= theta alpha_j over the [nt] columns [pivot_row] touched,
+     then clear its workspaces *)
+  let reduce_row st nt theta =
+    for t = 0 to nt - 1 do
+      let j = st.touched.(t) in
+      incr st.priced;
+      let a = st.alpha.(j) in
+      if not (S.is_zero a) then begin
+        incr st.ops;
+        st.d.(j) <- S.submul st.d.(j) theta a
+      end
+    done;
+    clear_row st nt
+
   (* price every column once per phase: d_j = c_j - y . A_j; kept
-     current across pivots by the post-pivot row update in run_primal *)
+     current across pivots by the row updates of run_primal and
+     dual_repair *)
   let compute_reduced st =
     let y = dual st in
     for j = 0 to st.pb.pn - 1 do
@@ -441,9 +462,9 @@ module Make (S : Scalar.S) = struct
               st.basis.(r) <- q;
               post_pivot st ~pos:r ~w;
               (* maintain the reduced-cost row from the post-pivot
-                 tableau row r (covers the leaving column: its old d was
-                 zero) *)
-              update_reduced st (btran_unit st r) d;
+                 tableau row r, d_j -= d alpha_rj (covers the leaving
+                 column: its old d was zero) *)
+              reduce_row st (pivot_row st (btran_unit st r)) d;
               st.d.(q) <- S.zero;
               incr st.pivots;
               Obs.incr st.obs st.cfg.counters.c_pivots;
@@ -474,10 +495,31 @@ module Make (S : Scalar.S) = struct
   let extract st =
     Opt { o_z = st.z; o_stat = st.stat; o_basis = st.basis; o_xb = st.xb }
 
+  (* How far [x], the value of column [k], lies outside its bounds
+     beyond the tolerance: [Some (v, true)] below, [Some (v, false)]
+     above. A value within its bounds is only compared, never
+     subtracted from them. *)
+  let violation st k x =
+    let lo = st.pb.plo.(k) in
+    let below = if S.compare x lo < 0 then S.sub lo x else S.zero in
+    if S.compare below st.cfg.dtol > 0 then Some (below, true)
+    else
+      match st.hi.(k) with
+      | Some u when S.compare x u > 0 ->
+          let above = S.sub x u in
+          if S.compare above st.cfg.dtol > 0 then Some (above, false) else None
+      | _ -> None
+
   (* Dual simplex repairing primal feasibility from a dual-feasible
-     basis after a bound change. Mirrors Lp.dual_repair; raises
-     Warm_failed at the pivot cap, returns false when the LP is primal
-     infeasible. *)
+     basis after a bound change, keeping [st.d] current. Each pivot is
+     one BTRAN rho = B^-T e_r for the leaving row r; the pivot row
+     alpha_rj = rho . A_j is accumulated row-wise ([pivot_row]) over the
+     nonbasic columns rho's rows reach, and the ratio test runs over
+     those: the least |d_j / alpha_rj| among the eligible ones, ties to
+     the smallest column index. Then d_j -= theta alpha_rj with theta =
+     d_q / alpha_rq, the leaving column's d becomes -theta (its alpha is
+     1) and d_q = 0. Raises Warm_failed at the pivot cap, returns false
+     when the LP is primal infeasible. *)
   let dual_repair st =
     let cfg = st.cfg and pb = st.pb in
     let m = pb.pm and n = pb.pn in
@@ -490,16 +532,7 @@ module Make (S : Scalar.S) = struct
       let worst = ref None in
       for p = 0 to m - 1 do
         let k = st.basis.(p) in
-        let viol =
-          let below = S.sub pb.plo.(k) st.xb.(p) in
-          if S.compare below cfg.dtol > 0 then Some (below, true)
-          else
-            match st.hi.(k) with
-            | Some u when S.compare (S.sub st.xb.(p) u) cfg.dtol > 0 ->
-                Some (S.sub st.xb.(p) u, false)
-            | _ -> None
-        in
-        match viol with
+        match violation st k st.xb.(p) with
         | None -> ()
         | Some (v, below) -> (
             match !worst with
@@ -510,60 +543,64 @@ module Make (S : Scalar.S) = struct
       done;
       match !worst with
       | None -> continue_ := false (* primal feasible again *)
-      | Some (r, below, _) -> (
+      | Some (r, below, _) ->
           if !steps >= cap then raise Warm_failed;
-          (* copied: [dual]'s btran reuses the result vector *)
-          let rho = Array.copy (btran_unit st r) in
-          let y = dual st in
-          let best = ref None in
-          for j = 0 to n - 1 do
-            if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-              let arj = dot_col st rho j in
-              if S.compare (S.abs arj) cfg.ptol > 0 then begin
-                let eligible =
-                  match (st.stat.(j), below) with
-                  | Vlo, true -> S.compare arj S.zero < 0
-                  | Vhi, true -> S.compare arj S.zero > 0
-                  | Vlo, false -> S.compare arj S.zero > 0
-                  | Vhi, false -> S.compare arj S.zero < 0
-                  | Vbas, _ -> false
-                in
-                if eligible then begin
-                  let d = S.sub st.cost.(j) (dot_col st y j) in
-                  let ratio = S.div (S.abs d) (S.abs arj) in
-                  match !best with
-                  | Some (_, _, br) when S.compare br ratio <= 0 -> ()
-                  | _ -> best := Some (j, d, ratio)
+          let nt = pivot_row st (btran_unit st r) in
+          let best = ref (-1) and best_ratio = ref S.zero in
+          for t = 0 to nt - 1 do
+            let j = st.touched.(t) in
+            let arj = st.alpha.(j) in
+            if st.enterable.(j) && S.compare (S.abs arj) cfg.ptol > 0 then begin
+              let eligible =
+                match (st.stat.(j), below) with
+                | Vlo, true | Vhi, false -> S.compare arj S.zero < 0
+                | Vhi, true | Vlo, false -> S.compare arj S.zero > 0
+                | Vbas, _ -> false
+              in
+              if eligible then begin
+                let ratio = S.div (S.abs st.d.(j)) (S.abs arj) in
+                let c = if !best < 0 then -1 else S.compare ratio !best_ratio in
+                if c < 0 || (c = 0 && j < !best) then begin
+                  best := j;
+                  best_ratio := ratio
                 end
               end
             end
           done;
-          match !best with
-          | None -> feasible := false (* dual unbounded: primal infeasible *)
-          | Some (q, dq, _) ->
-              Budget.tick st.budget;
-              incr steps;
-              let k = st.basis.(r) in
-              let beta = if below then pb.plo.(k) else Option.get st.hi.(k) in
-              let w = ftran_col st q in
-              let wx = w.F.x in
-              let delta = S.div (S.sub st.xb.(r) beta) wx.(r) in
-              let vq = S.add (nb_value st q) delta in
-              for t = 0 to w.F.nnz - 1 do
-                let p = w.F.nz.(t) in
-                if p <> r then begin
-                  incr st.ops;
-                  st.xb.(p) <- S.submul st.xb.(p) wx.(p) delta
-                end
-              done;
-              st.z <- S.add st.z (S.mul dq delta);
-              st.xb.(r) <- vq;
-              st.stat.(k) <- (if below then Vlo else Vhi);
-              st.stat.(q) <- Vbas;
-              st.basis.(r) <- q;
-              post_pivot st ~pos:r ~w;
-              incr st.pivots;
-              Obs.incr st.obs st.cfg.counters.c_pivots)
+          if !best < 0 then begin
+            clear_row st nt;
+            feasible := false (* dual unbounded: primal infeasible *)
+          end
+          else begin
+            let q = !best and k = st.basis.(r) in
+            let dq = st.d.(q) in
+            let theta = S.div dq st.alpha.(q) in
+            reduce_row st nt theta;
+            st.d.(q) <- S.zero;
+            st.d.(k) <- S.neg theta;
+            Budget.tick st.budget;
+            incr steps;
+            let beta = if below then pb.plo.(k) else Option.get st.hi.(k) in
+            let w = ftran_col st q in
+            let wx = w.F.x in
+            let delta = S.div (S.sub st.xb.(r) beta) wx.(r) in
+            let vq = S.add (nb_value st q) delta in
+            for t = 0 to w.F.nnz - 1 do
+              let p = w.F.nz.(t) in
+              if p <> r then begin
+                incr st.ops;
+                st.xb.(p) <- S.submul st.xb.(p) wx.(p) delta
+              end
+            done;
+            st.z <- S.add st.z (S.mul dq delta);
+            st.xb.(r) <- vq;
+            st.stat.(k) <- (if below then Vlo else Vhi);
+            st.stat.(q) <- Vbas;
+            st.basis.(r) <- q;
+            post_pivot st ~pos:r ~w;
+            incr st.pivots;
+            Obs.incr st.obs st.cfg.counters.c_pivots
+          end
     done;
     !feasible
 
@@ -724,15 +761,13 @@ module Make (S : Scalar.S) = struct
     let xb = F.ftran st.fact (F.col_of_array rhs) in
     Array.blit xb.F.x 0 st.xb 0 m;
     recompute_z st;
+    (* priced once: the dual-feasibility check reads d, the dual repair
+       keeps it current and phase 2 starts from it *)
+    compute_reduced st;
     let primal_feasible =
       let ok = ref true in
       for p = 0 to m - 1 do
-        let k = st.basis.(p) in
-        if S.compare (S.sub pb.plo.(k) st.xb.(p)) cfg.dtol > 0 then ok := false
-        else
-          match st.hi.(k) with
-          | Some u when S.compare (S.sub st.xb.(p) u) cfg.dtol > 0 -> ok := false
-          | _ -> ()
+        if Option.is_some (violation st st.basis.(p) st.xb.(p)) then ok := false
       done;
       !ok
     in
@@ -740,25 +775,20 @@ module Make (S : Scalar.S) = struct
       if primal_feasible then true
       else begin
         (* dual feasible? (the usual case: only bounds changed) *)
-        let y = dual st in
-        let dual_ok = ref true in
+        let neg_dtol = S.neg cfg.dtol in
         for j = 0 to n - 1 do
-          if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-            let d = S.sub st.cost.(j) (dot_col st y j) in
+          if st.enterable.(j) then
             match st.stat.(j) with
-            | Vlo -> if S.compare d (S.neg cfg.dtol) < 0 then dual_ok := false
-            | Vhi -> if S.compare d cfg.dtol > 0 then dual_ok := false
+            | Vlo -> if S.compare st.d.(j) neg_dtol < 0 then raise Warm_failed
+            | Vhi -> if S.compare st.d.(j) cfg.dtol > 0 then raise Warm_failed
             | Vbas -> ()
-          end
         done;
-        if not !dual_ok then raise Warm_failed;
         dual_repair st
       end
     in
     if not proceed then Infeas
     else begin
       if cfg.counters.c_warm then Obs.incr obs "lp.warm_starts";
-      compute_reduced st;
       match Obs.span obs "lp.phase2" (fun () -> run_primal st ~phase1:false) with
       | O_unbd -> Unbd
       | O_opt -> extract st

@@ -220,6 +220,40 @@ let test_lp_rule_reaches_loop () =
   Alcotest.(check (option string)) "bland agrees" dantzig bland;
   Alcotest.(check (pair int int)) "pivots (dantzig, bland)" (14, 23) (dp, bp)
 
+(* LP1's pivot path, pinned. Per instance of [Gen.slotted] (n/T 8/14,
+   12/20, 20/30 and 28/40, max length 5, slack 6, g 3, seeds 1-50): the
+   cut loop's cost and y, its lp.pivots, lp.bound_flips and
+   active.lp1.rounds, and on n <= 12 the LP branch and bound's
+   lp.pivots and active.ilp.nodes. Every pivot choice of the exact
+   simplex (primal, dual repair, the warm starts) and every cut of the
+   separation feeds this digest, so a change to either that is meant to
+   leave the answers alone must leave it alone. *)
+let test_lp1_pivot_path_pinned () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (n, horizon) ->
+      for seed = 1 to 50 do
+        let params : Gen.slotted_params = { n; horizon; max_length = 5; slack = 6; g = 3 } in
+        let inst = Gen.slotted ~params ~seed () in
+        let obs = Obs.create () in
+        (match Active.Lp_model.solve ~obs inst with
+        | None -> Buffer.add_string buf "infeasible"
+        | Some lp ->
+            Printf.bprintf buf "%s [%s]" (Q.to_string lp.Active.Lp_model.cost)
+              (String.concat " "
+                 (List.map (fun (t, y) -> Printf.sprintf "%d:%s" t (Q.to_string y)) lp.Active.Lp_model.y)));
+        Printf.bprintf buf " %d %d %d" (Obs.counter obs "lp.pivots") (Obs.counter obs "lp.bound_flips")
+          (Obs.counter obs "active.lp1.rounds");
+        if n <= 12 then begin
+          let obs = Obs.create () in
+          ignore (Active.Ilp.solve ~obs inst);
+          Printf.bprintf buf " ilp %d %d" (Obs.counter obs "lp.pivots") (Obs.counter obs "active.ilp.nodes")
+        end;
+        Buffer.add_char buf '\n'
+      done)
+    [ (8, 14); (12, 20); (20, 30); (28, 40) ];
+  Alcotest.(check string) "digest" "fnv1a64:903f23ccb652260f" (Obs.digest (Buffer.contents buf))
+
 let test_lp_integrality_gap () =
   (* Section 3.5: LP = g+1, IP = 2g *)
   let g = 3 in
@@ -559,6 +593,7 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_lp_infeasible;
           Alcotest.test_case "assignment consistency" `Quick test_lp_assignment_consistency;
           Alcotest.test_case "pricing rule reaches the loop" `Quick test_lp_rule_reaches_loop;
+          Alcotest.test_case "LP1 pivot path, pinned" `Quick test_lp1_pivot_path_pinned;
           Alcotest.test_case "integrality gap gadget" `Quick test_lp_integrality_gap;
           Alcotest.test_case "sparse-wide gadget" `Quick test_lp_closed_form_gadgets ] );
       ( "rounding",

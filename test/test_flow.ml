@@ -170,6 +170,154 @@ let test_invalid_args () =
   Alcotest.check_raises "source=sink" (Invalid_argument "Flow.max_flow: source = sink") (fun () ->
       ignore (Flow.max_flow g ~source:0 ~sink:0))
 
+(* -- warm sequences -------------------------------------------------------- *)
+
+(* One step of a warm sequence. Edge indices are taken modulo the number
+   of edges added so far; [Set_cap] drains first when the new capacity
+   sits below the routed flow, as [Feasibility.Oracle] does. *)
+type op = Max_flow | Augment | Set_cap of int * int | Drain of int | Min_cut | Add of int * int * int
+
+(* A graph under test and its edges, (tail, head, handle) in the order
+   they were added. *)
+type warm = { g : Flow.t; mutable edges : (int * int * Flow.edge) array }
+
+let add_edge w a b c = if a <> b then w.edges <- Array.append w.edges [| (a, b, Flow.add_edge w.g ~src:a ~dst:b ~cap:c) |]
+
+(* [n] vertices and [m] random edges, self-loops dropped *)
+let random_warm rng ~n ~m =
+  let w = { g = Flow.create n; edges = [||] } in
+  for _ = 1 to m do
+    let a = Random.State.int rng n and b = Random.State.int rng n in
+    add_edge w a b (Random.State.int rng 9)
+  done;
+  w
+
+(* The same edges and current capacities, no flow, no walk run yet. *)
+let fresh_copy w ~n =
+  let c = { g = Flow.create n; edges = [||] } in
+  Array.iter (fun (a, b, e) -> add_edge c a b (Flow.cap w.g e)) w.edges;
+  c
+
+(* Apply [op] with source 0 and sink n-1; the string is its answer. *)
+let apply ?obs w ~n op =
+  let source = 0 and sink = n - 1 in
+  let edge k =
+    let _, _, e = w.edges.(k mod Array.length w.edges) in
+    e
+  in
+  match op with
+  | Max_flow -> string_of_int (Flow.max_flow ?obs w.g ~source ~sink)
+  | Augment -> string_of_int (Flow.augment ?obs w.g ~source ~sink)
+  | Set_cap (k, c) when w.edges <> [||] ->
+      let e = edge k in
+      let drained = if c < Flow.flow w.g e then Flow.drain_edge ?obs w.g e ~source ~sink else 0 in
+      Flow.set_cap w.g e c;
+      string_of_int drained
+  | Drain k when w.edges <> [||] -> string_of_int (Flow.drain_edge ?obs w.g (edge k) ~source ~sink)
+  | Set_cap _ | Drain _ -> "-"
+  | Min_cut ->
+      String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list (Flow.min_cut w.g ~source)))
+  | Add (a, b, c) ->
+      add_edge w a b c;
+      "+"
+
+let flows w = List.map (fun (_, _, e) -> Flow.flow w.g e) (Array.to_list w.edges)
+
+let random_op rng ~n =
+  let int = Random.State.int rng in
+  match int 7 with
+  | 0 -> Max_flow
+  | 1 -> Augment
+  | 2 -> Set_cap (int 1000, int 9)
+  | 3 | 4 -> Drain (int 1000)
+  | 5 -> Min_cut
+  | _ -> Add (int n, int n, int 9)
+
+(* Flow's warm behaviour, pinned: 200 seeded sequences of 40 steps
+   (max_flow, augment, set_cap, drain_edge, min_cut, and edges added
+   between runs) on graphs of 4-12 vertices; per step, the answer and
+   every edge's flow, and per sequence the flow.* counters. Which max
+   flow comes back, and how many phases and paths it takes, is part of
+   the contract (arc order, see flow.mli), so a change to the walks
+   that moves any of them moves this digest. *)
+let test_warm_sequences_pinned () =
+  let buf = Buffer.create 65536 in
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed |] in
+    let n = 4 + Random.State.int rng 9 in
+    let w = random_warm rng ~n ~m:(3 * n) in
+    let obs = Obs.create () in
+    for _ = 1 to 40 do
+      let answer = apply ~obs w ~n (random_op rng ~n) in
+      Printf.bprintf buf "%s|%s\n" answer (String.concat " " (List.map string_of_int (flows w)))
+    done;
+    List.iter (fun (k, v) -> Printf.bprintf buf "%s=%d\n" k v) (Obs.counters obs)
+  done;
+  Alcotest.(check string) "digest" "fnv1a64:9a27f3322e15e47d" (Obs.digest (Buffer.contents buf))
+
+(* Many drains on one graph leave its walk scratch clean. Each trial
+   zeroes the flow, pushes a max flow and runs a random mix of drains,
+   capacity changes, augmentations and min cuts, in lockstep with a
+   fresh graph of the same edges and capacities; after every step the
+   two carry the same flow on every edge. The reused graph keeps
+   whatever scratch every earlier trial left; the fresh one has none. *)
+let test_drains_leave_scratch_clean () =
+  for seed = 1 to 100 do
+    let rng = Random.State.make [| seed |] in
+    let n = 4 + Random.State.int rng 9 in
+    let w = random_warm rng ~n ~m:(4 * n) in
+    for trial = 1 to 20 do
+      Flow.reset w.g;
+      let c = fresh_copy w ~n in
+      let step op =
+        let a = apply w ~n op and b = apply c ~n op in
+        if a <> b || flows w <> flows c then
+          Alcotest.failf "seed %d, trial %d: reused graph answered %s, fresh graph %s" seed trial a b
+      in
+      step Max_flow;
+      for _ = 1 to 15 do
+        let int = Random.State.int rng in
+        step
+          (match int 6 with
+          | 0 -> Augment
+          | 1 -> Set_cap (int 1000, int 9)
+          | 2 -> Min_cut
+          | _ -> Drain (int 1000))
+      done
+    done
+  done
+
+(* A drain whose walk meets a cycle of flow cancels the cycle and walks
+   again. Augmenting s->v->u->t over the edge v->u, added after u->v,
+   leaves one unit circling u->v->u (newest arc first); draining s->u
+   walks forward from u over u->v and v->u back to u. Each walk resets
+   its scratch, also the one cut short by the cycle: run from zero flow
+   again, the graph drains s->u->v->t as a fresh graph does. *)
+let test_drain_cancels_a_cycle () =
+  let s = 0 and u = 1 and v = 2 and t = 3 in
+  let edges = [| (s, u, 1); (u, t, 0); (u, v, 1); (v, t, 1); (s, v, 0); (v, u, 0) |] in
+  let build () =
+    let g = Flow.create 4 in
+    (g, Array.map (fun (a, b, c) -> Flow.add_edge g ~src:a ~dst:b ~cap:c) edges)
+  in
+  let g, e = build () in
+  let flows g e = Array.to_list (Array.map (Flow.flow g) e) in
+  Alcotest.(check int) "s->u->v->t" 1 (Flow.max_flow g ~source:s ~sink:t);
+  List.iter (fun k -> Flow.set_cap g e.(k) 1) [ 1; 4; 5 ];
+  Alcotest.(check int) "s->v->u->t" 1 (Flow.augment g ~source:s ~sink:t);
+  Alcotest.(check (list int)) "one unit circles u->v->u" [ 1; 1; 1; 1; 1; 1 ] (flows g e);
+  Alcotest.(check int) "drained" 1 (Flow.drain_edge g e.(0) ~source:s ~sink:t);
+  Alcotest.(check (list int)) "cycle cancelled, then u->t drained" [ 0; 0; 0; 1; 1; 0 ] (flows g e);
+  Flow.reset g;
+  List.iter (fun k -> Flow.set_cap g e.(k) 0) [ 1; 4; 5 ];
+  let fresh, fe = build () in
+  List.iter
+    (fun (g, e) ->
+      ignore (Flow.max_flow g ~source:s ~sink:t);
+      ignore (Flow.drain_edge g e.(0) ~source:s ~sink:t))
+    [ (g, e); (fresh, fe) ];
+  Alcotest.(check (list int)) "same as a fresh graph" (flows fresh fe) (flows g e)
+
 (* -- properties on random layered graphs --------------------------------- *)
 
 type rand_graph = { n : int; edges : (int * int * int) list }
@@ -291,5 +439,8 @@ let () =
           Alcotest.test_case "decompose paths" `Quick test_decompose_paths;
           Alcotest.test_case "edges added after a flow run" `Quick test_edges_after_flow;
           Alcotest.test_case "newest arc first" `Quick test_newest_first;
-          Alcotest.test_case "invalid args" `Quick test_invalid_args ] );
+          Alcotest.test_case "invalid args" `Quick test_invalid_args;
+          Alcotest.test_case "warm sequences, pinned" `Quick test_warm_sequences_pinned;
+          Alcotest.test_case "drains leave the scratch clean" `Quick test_drains_leave_scratch_clean;
+          Alcotest.test_case "drain cancels a cycle" `Quick test_drain_cancels_a_cycle ] );
       ("properties", props) ]

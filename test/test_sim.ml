@@ -304,9 +304,9 @@ let vm_day =
    generated timed traces, each replayed warm and cold (fresh warm
    state every epoch). Warmth changes the LP work, never the committed schedule;
    vm_day is pinned at (epochs, energy, misses) = (11, 22, 0), and warm
-   runs do less LP work in total (7,473 vs 10,921 cells, the cascade's
-   ceil(LP1) floors included; vm_day alone reads 3,846 warm against
-   3,291 cold). *)
+   runs do less LP work in total (6,878 vs 10,318 cells, the cascade's
+   ceil(LP1) floors included; vm_day alone reads 3,514 warm against
+   3,279 cold). *)
 let test_rolling_warm_equals_cold () =
   let vm_jobs =
     List.map
