@@ -69,8 +69,10 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
   let slots = Array.of_list (S.relevant_slots inst) in
   let k = Array.length slots in
   let mass_lb = S.mass_lower_bound inst in
+  (* one network for the seed, the oracle and the schedule *)
+  let net = Feasibility.network inst in
   (* incumbent from a minimal feasible solution *)
-  match Minimal.solve ~oracle ~obs inst Minimal.Right_to_left with
+  match Minimal.solve ~oracle ~obs ~net inst Minimal.Right_to_left with
   | None -> Budget.Complete None (* infeasible instance *)
   | Some seed ->
       let slot_idx = Hashtbl.create (2 * k) in
@@ -84,7 +86,7 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
       let nodes = ref 0 and flow_checks = ref 0 in
       let ora =
         match oracle with
-        | Feasibility.Incremental -> Some (Feasibility.Oracle.create ~obs inst)
+        | Feasibility.Incremental -> Some (Feasibility.Oracle.create ~obs net)
         | Feasibility.Rebuild -> None
       in
       (* Probe "slot i closed, the rest of the current state unchanged".
@@ -133,7 +135,7 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
       let finish () =
         Obs.add obs "active.exact.nodes" !nodes;
         Obs.add obs "active.exact.flow_checks" !flow_checks;
-        Solution.of_open_slots inst ~open_slots:(to_slots !best_set)
+        Solution.of_open_slots ~net inst ~open_slots:(to_slots !best_set)
       in
       let root_feasible () =
         incr flow_checks;

@@ -42,7 +42,9 @@ val branch_and_bound : Workload.Slotted.t -> Solution.t option
     reconstructs the flow network per probe. Both modes compute exact
     max flows, so they return byte-identical optima and record identical
     [active.exact.nodes] / [active.exact.flow_checks] counters; only the
-    flow-level telemetry (and the wall clock) differs.
+    flow-level telemetry (and the wall clock) differs. The seed, the
+    oracle and the returned schedule share one
+    {!Feasibility.network}.
 
     With [?obs], runs inside an [active.exact] span and records
     [active.exact.nodes] / [active.exact.flow_checks] (on the exhausted

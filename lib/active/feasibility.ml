@@ -9,13 +9,16 @@
    This check is the workhorse of the whole active-time side: minimal
    feasible solutions close slots guarded by it, the LP rounding uses it to
    decide whether a barely-open slot may stay closed, and the exact
-   branch-and-bound prunes with it. *)
+   branch-and-bound prunes with it. One network is wired per instance
+   and every use re-capacitates it: a closed slot or a left-out job gets
+   capacity 0, which no walk crosses, so each max flow is the one of the
+   network without them. *)
 
 module S = Workload.Slotted
 
 type network = {
+  inst : S.t;
   graph : Flow.t;
-  g : int;
   slots : int array; (* slot index -> slot, increasing *)
   job_arc : Flow.edge array; (* job array index -> source->job arc *)
   (* job->slot arcs in the order they were added: jobs in array order,
@@ -24,69 +27,59 @@ type network = {
   slot_arc : Flow.edge array; (* slot index -> slot->sink arc *)
   source : int;
   sink : int;
-  total : int; (* sum of the job arcs' capacities *)
 }
 
-(* G_feas with caller-chosen capacities: source -> job carries
-   [job_cap j]; each relevant slot t that [slot_cap] maps to
-   [Some (arc, out)] gets an arc of capacity [arc] from every job whose
-   window holds t and an arc of capacity [out] to the sink; slots mapped
-   to [None] are left out. The paper's Fig. 2 network is
-   [job_cap j = p_j] with [(1, g)] on the open slots. A job's window is
-   a run of the sorted relevant slots, found by binary search: nothing
-   here is sized by the horizon. *)
-let build (t : S.t) ~job_cap ~slot_cap =
-  let relevant = Array.of_list (S.relevant_slots t) in
-  let caps = Array.map slot_cap relevant in
-  let kept = List.filter (fun k -> caps.(k) <> None) (List.init (Array.length relevant) Fun.id) in
-  (* rank.(k): the kept slots among relevant.(0 .. k-1). A kept slot k
-     has slot index rank.(k), and relevant.(lo .. hi-1) holds
-     rank.(hi) - rank.(lo) kept slots. *)
-  let rank = Array.make (Array.length relevant + 1) 0 in
-  Array.iteri (fun k c -> rank.(k + 1) <- (rank.(k) + if c = None then 0 else 1)) caps;
-  let m = List.length kept in
-  let n = S.num_jobs t in
-  let window = Array.map (fun j -> S.window_start relevant j) t.S.jobs in
-  (* the graph's exact arc count: job and slot arcs, plus one arc per
-     kept slot of each window *)
-  let arcs = ref (n + m) in
-  Array.iteri (fun idx j -> arcs := !arcs + rank.(window.(idx) + S.window_size j) - rank.(window.(idx))) t.S.jobs;
+(* G_feas over every job and every relevant slot, every capacity 0. A
+   job's window is a run of the sorted relevant slots, found by binary
+   search: nothing here is sized by the horizon. The arcs are added job
+   arcs first, then each job's window slots in increasing order, then
+   the slot arcs; the walks take them newest first, so this order
+   decides which max flow, hence which schedule, comes back. *)
+let network (t : S.t) =
+  let slots = Array.of_list (S.relevant_slots t) in
+  let n = S.num_jobs t and m = Array.length slots in
+  let arcs = Array.fold_left (fun acc j -> acc + S.window_size j) (n + m) t.S.jobs in
   (* nodes: 0 = source, 1..n jobs, n+1..n+m slots, n+m+1 sink *)
   let source = 0 and sink = n + m + 1 in
-  let g = Flow.create ~edges:!arcs (n + m + 2) in
-  let job_arc =
-    Array.mapi (fun idx j -> Flow.add_edge g ~src:source ~dst:(idx + 1) ~cap:(job_cap j)) t.S.jobs
-  in
+  let graph = Flow.create ~edges:arcs (n + m + 2) in
+  let job_arc = Array.init n (fun idx -> Flow.add_edge graph ~src:source ~dst:(idx + 1) ~cap:0) in
   let assign = ref [] in
   Array.iteri
-    (fun idx (j : S.job) ->
-      let lo = window.(idx) in
-      for k = lo to lo + S.window_size j - 1 do
-        match caps.(k) with
-        | Some (arc, _) ->
-            let si = rank.(k) in
-            assign := (idx, si, Flow.add_edge g ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:arc) :: !assign
-        | None -> ()
+    (fun idx j ->
+      let lo = S.window_start slots j in
+      for si = lo to lo + S.window_size j - 1 do
+        assign := (idx, si, Flow.add_edge graph ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:0) :: !assign
       done)
     t.S.jobs;
-  let slot_arc =
-    List.map
-      (fun k ->
-        let _, out = Option.get caps.(k) in
-        Flow.add_edge g ~src:(n + 1 + rank.(k)) ~dst:sink ~cap:out)
-      kept
-  in
-  {
-    graph = g;
-    g = t.S.g;
-    slots = Array.of_list (List.map (fun k -> relevant.(k)) kept);
-    job_arc;
-    assign = Array.of_list (List.rev !assign);
-    slot_arc = Array.of_list slot_arc;
-    source;
-    sink;
-    total = Array.fold_left (fun acc (j : S.job) -> acc + job_cap j) 0 t.S.jobs;
-  }
+  let slot_arc = Array.init m (fun si -> Flow.add_edge graph ~src:(n + 1 + si) ~dst:sink ~cap:0) in
+  { inst = t; graph; slots; job_arc; assign = Array.of_list (List.rev !assign); slot_arc; source; sink }
+
+let network_for ?net (t : S.t) =
+  match net with
+  | None -> network t
+  | Some net ->
+      if net.inst != t then invalid_arg "Feasibility: the network of another instance";
+      net
+
+let network_slots net = Array.copy net.slots
+
+(* Zero the flow and set every capacity: [job_cap idx] on source -> job,
+   [arc_cap si] on every job -> slot arc of slot index [si] and
+   [out_cap si] on its slot -> sink arc. Returns the job capacities'
+   sum, the flow value that saturates them. *)
+let capacitate net ~job_cap ~arc_cap ~out_cap =
+  let g = net.graph in
+  Flow.reset g;
+  let total = ref 0 in
+  Array.iteri
+    (fun idx e ->
+      let c = job_cap idx in
+      Flow.set_cap g e c;
+      total := !total + c)
+    net.job_arc;
+  Array.iter (fun (_, si, e) -> Flow.set_cap g e (arc_cap si)) net.assign;
+  Array.iteri (fun si e -> Flow.set_cap g e (out_cap si)) net.slot_arc;
+  !total
 
 (* The index of [s] in the increasing array [a], or -1. *)
 let find_index (a : int array) s =
@@ -98,63 +91,72 @@ let find_index (a : int array) s =
   in
   search 0 (Array.length a)
 
-(* The Fig. 2 network on [open_slots]. *)
-let build_open (t : S.t) ~open_slots =
-  let opened = Array.of_list (List.sort_uniq compare open_slots) in
-  build t
-    ~job_cap:(fun j -> j.S.length)
-    ~slot_cap:(fun s -> if find_index opened s >= 0 then Some (1, t.S.g) else None)
+(* Fig. 2's capacities: [job_cap] on the jobs, 1 and g on the open
+   slots, 0 on the others; slots no job can use are ignored. *)
+let fig2 net ~job_cap ~open_slots =
+  let opened = Array.make (Array.length net.slots) false in
+  List.iter
+    (fun s ->
+      let si = find_index net.slots s in
+      if si >= 0 then opened.(si) <- true)
+    open_slots;
+  let g = net.inst.S.g in
+  capacitate net ~job_cap
+    ~arc_cap:(fun si -> if opened.(si) then 1 else 0)
+    ~out_cap:(fun si -> if opened.(si) then g else 0)
+
+let job_length net idx = net.inst.S.jobs.(idx).S.length
 
 (* [feasible t ~open_slots] decides whether all jobs fit in the open slots.
    [only_jobs] restricts the test to a subset of job ids (used by the LP
-   rounding, which processes jobs deadline by deadline). *)
+   rounding, which processes jobs deadline by deadline); the others get
+   capacity 0. Each call builds its own network. *)
 let feasible ?only_jobs ?(obs = Obs.null) (t : S.t) ~open_slots =
-  let t' =
+  let net = network t in
+  let job_cap =
     match only_jobs with
-    | None -> t
+    | None -> job_length net
     | Some ids ->
         let keep = Hashtbl.create 16 in
         List.iter (fun id -> Hashtbl.replace keep id ()) ids;
-        { t with S.jobs = Array.of_seq (Seq.filter (fun j -> Hashtbl.mem keep j.S.id) (Array.to_seq t.S.jobs)) }
+        fun idx -> if Hashtbl.mem keep t.S.jobs.(idx).S.id then job_length net idx else 0
   in
-  let net = build_open t' ~open_slots in
-  Flow.max_flow ~obs net.graph ~source:net.source ~sink:net.sink = net.total
+  let total = fig2 net ~job_cap ~open_slots in
+  Flow.max_flow ~obs net.graph ~source:net.source ~sink:net.sink = total
 
-(* LP1's separation network: every relevant slot wired in, every
-   capacity 0 until [min_cut_jobs] sets them. *)
-let network (t : S.t) = build t ~job_cap:(fun _ -> 0) ~slot_cap:(fun _ -> Some (0, 0))
-
-let network_slots net = Array.copy net.slots
-
-(* Re-capacitate the separation network and run one max flow; the jobs
-   (array indices, increasing) on the source side of the minimal min
-   cut. Empty iff the flow saturates every job arc: a saturated source
-   arc leaves the source nothing to reach. A slot of capacity 0 carries
-   no flow and no residual arc, so the flow search, its counters and the
-   cut are those of a network without it. *)
+(* Re-capacitate the network and run one max flow; the jobs (array
+   indices, increasing) on the source side of the minimal min cut. Empty
+   iff the flow saturates every job arc: a saturated source arc leaves
+   the source nothing to reach. *)
 let min_cut_jobs ?(obs = Obs.null) net ~job_cap ~slot_cap =
-  let g = net.graph in
-  Flow.reset g;
-  let total = ref 0 in
-  Array.iteri
-    (fun idx e ->
-      let c = job_cap idx in
-      Flow.set_cap g e c;
-      total := !total + c)
-    net.job_arc;
   let arc = Array.init (Array.length net.slots) slot_cap in
-  Array.iter (fun (_, si, e) -> Flow.set_cap g e arc.(si)) net.assign;
-  Array.iteri (fun si e -> Flow.set_cap g e (net.g * arc.(si))) net.slot_arc;
-  if Flow.max_flow ~obs g ~source:net.source ~sink:net.sink = !total then []
+  let g = net.inst.S.g in
+  let total = capacitate net ~job_cap ~arc_cap:(Array.get arc) ~out_cap:(fun si -> g * arc.(si)) in
+  if Flow.max_flow ~obs net.graph ~source:net.source ~sink:net.sink = total then []
   else begin
-    let side = Flow.min_cut g ~source:net.source in
+    let side = Flow.min_cut net.graph ~source:net.source in
     List.filter (fun idx -> side.(idx + 1)) (List.init (Array.length net.job_arc) Fun.id)
+  end
+
+(* [schedule net ~open_slots] is an integral schedule on the open slots,
+   or [None] when infeasible. *)
+let schedule net ~open_slots =
+  let total = fig2 net ~job_cap:(job_length net) ~open_slots in
+  if Flow.max_flow net.graph ~source:net.source ~sink:net.sink <> total then None
+  else begin
+    (* last arc first: a job's arcs run up its window, so each list
+       comes out increasing *)
+    let slots_of = Array.make (Array.length net.job_arc) [] in
+    for k = Array.length net.assign - 1 downto 0 do
+      let idx, si, e = net.assign.(k) in
+      if Flow.flow net.graph e = 1 then slots_of.(idx) <- net.slots.(si) :: slots_of.(idx)
+    done;
+    Some (Array.to_list (Array.mapi (fun idx (j : S.job) -> (j.S.id, slots_of.(idx))) net.inst.S.jobs))
   end
 
 type probe_mode = Incremental | Rebuild
 
-(* Persistent incremental oracle over the same Fig. 2 network: built ONCE
-   per instance with every relevant slot and every job wired in, then
+(* Persistent incremental oracle on a network: re-capacitated once, then
    retargeted between probes by toggling arc capacities on the warm
    residual graph. Closing a slot zeroes its slot->sink arc after draining
    the <= g displaced units back to the source; reopening restores the
@@ -163,25 +165,26 @@ type probe_mode = Incremental | Rebuild
    recomputing the max flow from scratch: consecutive B&B probes differ
    by one slot, so the amortized work per probe is one drain (<= g short
    walks) plus the augmentation of the recovered units, not a full Dinic
-   run on a freshly allocated graph. *)
+   run from zero flow. *)
 module Oracle = struct
   type t = {
     net : network;
     slot_open : bool array; (* slot index -> open *)
     job_active : bool array;
-    job_len : int array;
     jobs_of_id : (int, int list) Hashtbl.t; (* job id -> array indices *)
     mutable active_total : int; (* sum of active job lengths *)
     mutable flow_value : int; (* flow currently routed *)
   }
 
-  let create ?(obs = Obs.null) ?(open_all = true) ?(activate_all = true) (inst : S.t) =
-    (* every relevant slot and every job wired in; closed slots and
-       inactive jobs get capacity 0 *)
-    let net =
-      build inst
-        ~job_cap:(fun j -> if activate_all then j.S.length else 0)
-        ~slot_cap:(fun _ -> Some (1, if open_all then inst.S.g else 0))
+  let create ?(obs = Obs.null) ?(open_all = true) ?(activate_all = true) net =
+    (* a closed slot keeps its job arcs at 1: its zero slot->sink arc
+       alone keeps flow out, and opening it touches that one arc *)
+    let inst = net.inst in
+    let total =
+      capacitate net
+        ~job_cap:(fun idx -> if activate_all then job_length net idx else 0)
+        ~arc_cap:(fun _ -> 1)
+        ~out_cap:(fun _ -> if open_all then inst.S.g else 0)
     in
     let jobs_of_id = Hashtbl.create (2 * S.num_jobs inst) in
     Array.iteri
@@ -193,9 +196,8 @@ module Oracle = struct
       net;
       slot_open = Array.make (Array.length net.slots) open_all;
       job_active = Array.make (S.num_jobs inst) activate_all;
-      job_len = Array.map (fun (j : S.job) -> j.S.length) inst.S.jobs;
       jobs_of_id;
-      active_total = net.total;
+      active_total = total;
       flow_value = 0;
     }
 
@@ -213,13 +215,12 @@ module Oracle = struct
     Flow.set_cap net.graph e 0
 
   (* toggling an irrelevant slot is a no-op either way: no job can use it,
-     so it exists in no window and carries no flow (mirrors [build], which
-     drops such slots from the network entirely) *)
+     so it lies in no window and the network has no vertex for it *)
   let set_slot ?(obs = Obs.null) t ~slot ~open_ =
     let si = find_index t.net.slots slot in
     if si >= 0 && t.slot_open.(si) <> open_ then begin
       let e = t.net.slot_arc.(si) in
-      if open_ then Flow.set_cap t.net.graph e t.net.g else close t ~obs e;
+      if open_ then Flow.set_cap t.net.graph e t.net.inst.S.g else close t ~obs e;
       t.slot_open.(si) <- open_;
       Obs.incr obs "active.oracle.slot_toggles"
     end
@@ -227,13 +228,14 @@ module Oracle = struct
   let set_job_idx ?(obs = Obs.null) t idx ~active =
     if t.job_active.(idx) <> active then begin
       let e = t.net.job_arc.(idx) in
+      let len = job_length t.net idx in
       if active then begin
-        Flow.set_cap t.net.graph e t.job_len.(idx);
-        t.active_total <- t.active_total + t.job_len.(idx)
+        Flow.set_cap t.net.graph e len;
+        t.active_total <- t.active_total + len
       end
       else begin
         close t ~obs e;
-        t.active_total <- t.active_total - t.job_len.(idx)
+        t.active_total <- t.active_total - len
       end;
       t.job_active.(idx) <- active;
       Obs.incr obs "active.oracle.job_toggles"
@@ -252,19 +254,3 @@ module Oracle = struct
 
   let open_slots t = List.filteri (fun si _ -> t.slot_open.(si)) (Array.to_list t.net.slots)
 end
-
-(* [schedule t ~open_slots] is an integral schedule on the open slots, or
-   [None] when infeasible. *)
-let schedule (t : S.t) ~open_slots =
-  let net = build_open t ~open_slots in
-  if Flow.max_flow net.graph ~source:net.source ~sink:net.sink <> net.total then None
-  else begin
-    (* last arc first: a job's arcs run up its window, so each list
-       comes out increasing *)
-    let slots_of = Array.make (S.num_jobs t) [] in
-    for k = Array.length net.assign - 1 downto 0 do
-      let idx, si, e = net.assign.(k) in
-      if Flow.flow net.graph e = 1 then slots_of.(idx) <- net.slots.(si) :: slots_of.(idx)
-    done;
-    Some (Array.to_list (Array.mapi (fun idx (j : S.job) -> (j.S.id, slots_of.(idx))) t.S.jobs))
-  end

@@ -7,66 +7,80 @@
     integral max flow is a schedule. This check backs the minimal-feasible
     closing loop, the LP rounding's "may this barely-open slot stay
     closed" test and the exact branch-and-bound; the same network, with
-    scaled capacities, is LP1's separation oracle ({!network}).
+    scaled capacities, is LP1's separation oracle ({!min_cut_jobs}).
+
+    {b One network per solve.} {!network} is the only builder: it wires
+    every job and every relevant slot of an instance, every capacity 0.
+    Each use — {!schedule}, {!min_cut_jobs} and {!Oracle.create} —
+    zeroes the flow and sets every capacity, so a solve builds one
+    network and hands it from use to use: its LP1's cut loop, its
+    oracles and the schedule it returns. ({!feasible} builds its own,
+    then capacitates it the same way.) A closed slot, or a job left
+    out, gets capacity 0; no walk crosses such an arc, so the max flow,
+    its [flow.*] counters and the cut are those of the network without
+    it, and a reused network answers as a fresh one. A network has one
+    user at a time: an {!Oracle} keeps its warm flow only until the
+    next use re-capacitates the network.
 
     Every network has one vertex per relevant slot, and a job's window
     is located in the sorted relevant slots by binary search, so nothing
     is sized by the horizon: times near [10^15] cost what small ones
     do. *)
 
-(** [feasible ?only_jobs t ~open_slots] decides whether all jobs (or just
-    those with ids in [only_jobs]) fit into the open slots. [?obs] is
-    forwarded to {!Flow.max_flow}. *)
-val feasible :
-  ?only_jobs:int list -> ?obs:Obs.t -> Workload.Slotted.t -> open_slots:int list -> bool
-
-(** An integral schedule on the open slots, or [None] when infeasible. *)
-val schedule : Workload.Slotted.t -> open_slots:int list -> Workload.Slotted.schedule option
-
-(** {1 LP1's separation network}
-
-    [G_feas] over every relevant slot and every job, built once per job
-    set and re-capacitated for each max flow: {!Lp_model}'s cut loop
-    owns one per LP1 and runs one max flow on it per round. *)
-
+(** [G_feas] of one instance. *)
 type network
 
 (** [network t] wires every job and every relevant slot of [t], every
-    capacity 0. *)
+    capacity 0: job arcs first, then each job's window slots in
+    increasing order, then the slot arcs. {!Flow} walks arcs newest
+    first, so this order decides which max flow, hence which schedule,
+    comes back. *)
 val network : Workload.Slotted.t -> network
+
+(** [network_for ?net t] is [net], or a fresh [network t] without one.
+    Raises [Invalid_argument] when [net] was built for another instance
+    (compared physically). *)
+val network_for : ?net:network -> Workload.Slotted.t -> network
 
 (** The relevant slots, increasing: [slot_cap]'s index [i] below is the
     [i]-th of them. *)
 val network_slots : network -> int array
 
-(** [min_cut_jobs net ~job_cap ~slot_cap] zeroes the flow, sets the
-    capacities — [job_cap idx] on source -> job [idx] (an array index),
-    and for the slot of index [i], [slot_cap i] on every arc j -> slot
-    and [g] times that on slot -> sink — and runs one max flow. It
-    returns the array indices (increasing) of the jobs on the source
-    side of the minimal minimum cut, which is empty iff the flow
-    saturates every job arc. A slot of capacity 0 carries no flow and
-    leaves no residual arc, so the flow search, its [flow.*] counters
-    and the cut are those of the network without that slot; and since
-    the minimal min cut is the same for every max flow, reusing the
-    network changes no cut. LP1's separation ({!Lp_model}) scales a
-    fractional y to [p_j L] and [y_t L]. [?obs] is forwarded to
-    {!Flow.max_flow}. *)
+(** [feasible ?only_jobs t ~open_slots] decides whether all jobs (or just
+    those with ids in [only_jobs]) fit into the open slots, on a network
+    of its own. [?obs] is forwarded to {!Flow.max_flow}. *)
+val feasible :
+  ?only_jobs:int list -> ?obs:Obs.t -> Workload.Slotted.t -> open_slots:int list -> bool
+
+(** An integral schedule of the network's instance on the open slots, or
+    [None] when infeasible. *)
+val schedule : network -> open_slots:int list -> Workload.Slotted.schedule option
+
+(** [min_cut_jobs net ~job_cap ~slot_cap] sets the capacities —
+    [job_cap idx] on source -> job [idx] (an array index), and for the
+    slot of index [i], [slot_cap i] on every arc j -> slot and [g] times
+    that on slot -> sink — and runs one max flow. It returns the array
+    indices (increasing) of the jobs on the source side of the minimal
+    minimum cut, which is empty iff the flow saturates every job arc.
+    The minimal min cut is the same for every max flow. LP1's
+    separation ({!Lp_model}) scales a fractional y to [p_j L] and
+    [y_t L]. [?obs] is forwarded to {!Flow.max_flow}. *)
 val min_cut_jobs :
   ?obs:Obs.t -> network -> job_cap:(int -> int) -> slot_cap:(int -> int) -> int list
 
 (** How a search kernel probes feasibility: [Incremental] retargets one
-    persistent warm {!Oracle} per solve, [Rebuild] reconstructs the flow
-    network per probe (the pre-oracle baseline, kept selectable so
-    [test_obs]'s "bb_hard oracles agree (groups 2-4)" (EXPERIMENTS E20)
-    and the fuzz oracle can cross-check observational equivalence). *)
+    persistent warm {!Oracle} per solve, [Rebuild] builds a fresh
+    network per probe and runs a cold max flow on it (the pre-oracle
+    baseline, kept selectable so [test_obs]'s "bb_hard oracles agree
+    (groups 2-4)" (EXPERIMENTS E20) and the fuzz oracle can cross-check
+    observational equivalence). *)
 type probe_mode = Incremental | Rebuild
 
-(** Persistent incremental feasibility oracle.
+(** Persistent incremental feasibility oracle on a {!network}.
 
-    The Fig. 2 network is built once per instance with every relevant slot
-    and every job wired in; probes then toggle arc capacities on the warm
-    residual graph instead of rebuilding:
+    {!create} capacitates the network with every relevant slot and
+    every job wired in; probes then toggle arc capacities on the warm
+    residual graph:
 
     - closing a slot drains the [<= g] displaced flow units back through
       the residual graph ({!Flow.drain_edge}) and zeroes its slot->sink
@@ -78,18 +92,21 @@ type probe_mode = Incremental | Rebuild
       active job arc.
 
     Amortized work per consecutive-probe toggle is one drain plus the
-    re-augmentation of the recovered units — not a fresh network build
-    plus a from-scratch Dinic run. Answers are observationally equivalent
-    to {!feasible} on the same open set / active jobs (max flow is exact
-    either way); the fuzz oracle and qcheck suites pin this. *)
+    re-augmentation of the recovered units — not a from-scratch Dinic
+    run. Answers are observationally equivalent to {!feasible} on the
+    same open set / active jobs (max flow is exact either way); the
+    fuzz oracle and qcheck suites pin this. The oracle owns the network
+    until its next use: any other use re-capacitates it and ends the
+    oracle. *)
 module Oracle : sig
   type t
 
-  (** [create inst] wires the full network. [open_all] (default [true])
-      starts with every relevant slot open; [activate_all] (default
-      [true]) with every job active. With [?obs], records
-      [active.oracle.builds]. *)
-  val create : ?obs:Obs.t -> ?open_all:bool -> ?activate_all:bool -> Workload.Slotted.t -> t
+  (** [create net] capacitates [net] for the oracle. [open_all] (default
+      [true]) starts with every relevant slot open; [activate_all]
+      (default [true]) with every job active. With [?obs], records
+      [active.oracle.builds], which counts oracle set-ups, each on a
+      network built for it or reused. *)
+  val create : ?obs:Obs.t -> ?open_all:bool -> ?activate_all:bool -> network -> t
 
   (** Sum of active job lengths — the flow value [check] must reach. *)
   val target : t -> int
@@ -102,7 +119,7 @@ module Oracle : sig
   (** Toggle a slot. Closing drains its routed flow; opening an already
       open slot (or closing a closed one) is a no-op. Toggling a slot no
       job can use is a no-op either way (such slots exist in no window
-      and never carry flow, matching [feasible], which ignores them). *)
+      and have no vertex in the network). *)
   val set_slot : ?obs:Obs.t -> t -> slot:int -> open_:bool -> unit
 
   (** Toggle every job with the given id (ids are expected unique, but

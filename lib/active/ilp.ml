@@ -81,7 +81,7 @@ let solve ?budget ?(obs = Obs.null) (inst : S.t) =
         Obs.add obs "active.ilp.lp_solves" lp_solves;
         Option.map
           (fun sol -> (sol, { nodes = !nodes; lp_solves }))
-          (Solution.of_open_slots inst ~open_slots:!best_slots)
+          (Solution.of_open_slots ~net:(Lp_model.network lp1) inst ~open_slots:!best_slots)
       in
       (try
          branch [] None;

@@ -23,7 +23,8 @@ type stats = {
     the branching bounds ({!Lp_model.fix}) and runs the cut loop from
     its parent's optimal basis, padded for the rows found since. Rows
     found at one node stay valid at every other, so they are kept for
-    the whole tree.
+    the whole tree. Its separation network also serves the returned
+    schedule.
 
     With [?obs], runs inside an [active.ilp] span and records
     [active.ilp.nodes] / [active.ilp.lp_solves] (equal to [lp.solves])

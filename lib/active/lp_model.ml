@@ -165,7 +165,7 @@ let create (inst : S.t) =
   let model = Lp.create () in
   let net = Feasibility.network inst in
   let slots = Feasibility.network_slots net in
-  let y_vars = Array.map (fun s -> Lp.add_var ~upper:Q.one model (Printf.sprintf "y_%d" s)) slots in
+  let y_vars = Array.map (fun s -> Lp.add_var ~upper:Q.one model ("y_" ^ string_of_int s)) slots in
   Lp.set_objective model Lp.Minimize (Array.to_list (Array.map (fun v -> (Q.one, v)) y_vars));
   let first = Array.map (S.window_start slots) inst.S.jobs in
   (* each single job's row: its window slots, coefficient min(g, 1) = 1 *)
@@ -178,6 +178,7 @@ let create (inst : S.t) =
   { inst; model; slots; y_vars; first; net; basis = None; solves = 0 }
 
 let slots lp = Array.to_list lp.slots
+let network lp = lp.net
 let basis lp = lp.basis
 let solves lp = lp.solves
 

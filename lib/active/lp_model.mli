@@ -39,8 +39,13 @@
     fresh one, and a slot with [y_t = 0] gets capacity 0, which leaves
     the flow, its counters and the cut as if the slot were absent. The
     minimal min cut is the same for every max flow, so reuse changes no
-    cut. Likewise each solve after the first appends only the new rows
-    to the compiled LP the model keeps ({!Lp.solve}).
+    cut, and nothing a round needs survives from an earlier use of the
+    network: between two {!resolve}s its holder may run other flows on
+    it ({!network}), as the rounding and the ILP do. Likewise each
+    solve after the first appends only the new rows to the compiled LP
+    the model keeps ({!Lp.solve}); the model names its columns and
+    hands its rows over, columns increasing, without formatting or
+    hashing.
 
     {b Start bases.} The first solve starts from every [y_t] at its
     upper bound and every surplus basic ([?start]). With every y free
@@ -81,6 +86,12 @@ type lp1
 (** The y-only model with the row of every single job, every y free in
     [\[0,1\]] and no basis yet. *)
 val create : Workload.Slotted.t -> lp1
+
+(** The separation network. Between two {!resolve}s its holder may use
+    it for other flows, since each round re-capacitates it:
+    {!Rounding.solve} runs its sweep's oracle and reads its schedule off
+    it, and {!Ilp.solve} reads its schedule off it. *)
+val network : lp1 -> Feasibility.network
 
 (** The relevant slots, one y column each, increasing. *)
 val slots : lp1 -> int list

@@ -41,8 +41,9 @@ let order_slots order slots =
    close/keep decisions (feasibility is exact either way), so the
    [active.minimal.*] counters agree mode to mode; only the flow-level
    telemetry differs (warm re-augmentations vs cold max-flow runs). *)
-let minimalize ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : S.t) ~start order =
+let minimalize ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) ?net (inst : S.t) ~start order =
   Obs.span obs "active.minimal" @@ fun () ->
+  let net = Feasibility.network_for ?net inst in
   let start = List.sort_uniq compare start in
   match oracle with
   | Feasibility.Rebuild ->
@@ -59,10 +60,10 @@ let minimalize ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : S.t
               current := without
             end)
           (order_slots order !current);
-        Solution.of_open_slots inst ~open_slots:!current
+        Solution.of_open_slots ~net inst ~open_slots:!current
       end
   | Feasibility.Incremental ->
-      let o = Feasibility.Oracle.create ~obs inst in
+      let o = Feasibility.Oracle.create ~obs net in
       let in_start = Hashtbl.create 32 in
       List.iter (fun s -> Hashtbl.replace in_start s ()) start;
       List.iter
@@ -79,13 +80,13 @@ let minimalize ?(oracle = Feasibility.Incremental) ?(obs = Obs.null) (inst : S.t
             if Feasibility.Oracle.check ~obs o then Obs.incr obs "active.minimal.closures"
             else Feasibility.Oracle.set_slot ~obs o ~slot:s ~open_:true)
           (order_slots order start);
-        Solution.of_open_slots inst ~open_slots:(Feasibility.Oracle.open_slots o)
+        Solution.of_open_slots ~net inst ~open_slots:(Feasibility.Oracle.open_slots o)
       end
 
 (* [solve inst order] starts from all relevant slots open. [None] iff the
    instance is infeasible. *)
-let solve ?oracle ?obs (inst : S.t) order =
-  minimalize ?oracle ?obs inst ~start:(S.relevant_slots inst) order
+let solve ?oracle ?obs ?net (inst : S.t) order =
+  minimalize ?oracle ?obs ?net inst ~start:(S.relevant_slots inst) order
 
 (* [is_minimal inst ~open_slots] checks Definition 4: the set is feasible
    and closing any single slot breaks feasibility. *)

@@ -20,17 +20,28 @@ type order =
     feasibility probe (default {!Feasibility.Incremental}: one warm
     {!Feasibility.Oracle} drives the whole closing pass); both modes take
     identical close/keep decisions and record identical
-    [active.minimal.*] counters. With [?obs], runs inside an
-    [active.minimal] span and records
+    [active.minimal.*] counters. The oracle and the returned schedule
+    use [net] (default: a fresh {!Feasibility.network} of [inst]). With
+    [?obs], runs inside an [active.minimal] span and records
     [active.minimal.feasibility_checks] / [active.minimal.closures]. *)
 val minimalize :
   ?oracle:Feasibility.probe_mode ->
-  ?obs:Obs.t -> Workload.Slotted.t -> start:int list -> order -> Solution.t option
+  ?obs:Obs.t ->
+  ?net:Feasibility.network ->
+  Workload.Slotted.t ->
+  start:int list ->
+  order ->
+  Solution.t option
 
 (** [solve inst order] minimalizes from all relevant slots open. [None]
     iff the instance is infeasible. *)
 val solve :
-  ?oracle:Feasibility.probe_mode -> ?obs:Obs.t -> Workload.Slotted.t -> order -> Solution.t option
+  ?oracle:Feasibility.probe_mode ->
+  ?obs:Obs.t ->
+  ?net:Feasibility.network ->
+  Workload.Slotted.t ->
+  order ->
+  Solution.t option
 
 (** Definition 4: feasible, and closing any single slot breaks
     feasibility. *)

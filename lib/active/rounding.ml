@@ -58,6 +58,10 @@ let rec force_feasible inst ~only_jobs ~opened ~closed_pool =
 let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
   Obs.span obs "active.rounding" @@ fun () ->
   let lp1 = match lp1 with Some lp1 -> lp1 | None -> Lp_model.create inst in
+  (* the cut loop's separation network serves the sweep's oracle and
+     the final schedule once the loop has returned; checked here, before
+     any work, to be [inst]'s *)
+  let net = Feasibility.network_for ~net:(Lp_model.network lp1) inst in
   match Lp_model.resolve ?budget ~obs lp1 with
   | None -> None
   | Some lp ->
@@ -81,7 +85,7 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
         (* One warm oracle for the whole sweep. The sweep only ever opens
            slots and activates jobs (both monotone capacity increases), so
            every feasibility test is a pure re-augmentation — no drains. *)
-        let ora = Feasibility.Oracle.create ~obs ~open_all:false ~activate_all:false inst in
+        let ora = Feasibility.Oracle.create ~obs ~open_all:false ~activate_all:false net in
         let opened = ref [] in
         let open_slot s =
           assert (not (List.mem s !opened));
@@ -168,7 +172,7 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
             assert (Q.compare (Q.of_int (List.length !opened)) (Q.mul Q.two !cum_mass) <= 0 || !fallback))
           boundaries;
         let open_slots = List.sort compare !opened in
-        match Solution.of_open_slots inst ~open_slots with
+        match Solution.of_open_slots ~net inst ~open_slots with
         | None -> raise Infeasible_instance (* contradicts the invariant *)
         | Some sol ->
             Some (sol, { lp_cost = lp.Lp_model.cost; rounded_cost = Solution.cost sol; fallback_used = !fallback })

@@ -27,12 +27,16 @@ exception Infeasible_instance
     and not metered).
 
     [lp1] (default: a fresh {!Lp_model.create} of [inst]) is LP1 of
-    [inst] as an earlier, cold-started {!Lp_model.resolve} left it, with
-    every y free: the rounding resumes its cut loop from the rows and
-    basis found so far. The loop is deterministic given its rows and
-    start basis, so the vertex, and with it the answer, is the one a
-    fresh LP1 reaches; only the pivots already spent are saved.
-    {!Cascade} passes the LP1 its exact tier solved for its floor.
+    [inst], created from this very value (else [Invalid_argument],
+    before any work), as an earlier, cold-started {!Lp_model.resolve}
+    left it, with every y free: the rounding resumes its cut loop from
+    the rows and basis found so far. The loop is deterministic given
+    its rows and start basis, so the vertex, and with it the answer, is
+    the one a fresh LP1 reaches; only the pivots already spent are
+    saved.
+    {!Cascade} passes the LP1 its exact tier solved for its floor. Once
+    the cut loop returns, the sweep's oracle and the returned schedule
+    reuse the LP1's separation network ({!Lp_model.network}).
 
     With [?obs], runs inside an [active.rounding] span and records
     [active.rounding.blocks] (deadline blocks swept),

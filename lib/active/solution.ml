@@ -7,8 +7,8 @@ type t = { open_slots : int list; (* sorted, distinct *) schedule : S.schedule }
 
 let cost t = List.length t.open_slots
 
-let of_open_slots (inst : S.t) ~open_slots =
-  match Feasibility.schedule inst ~open_slots with
+let of_open_slots ?net (inst : S.t) ~open_slots =
+  match Feasibility.schedule (Feasibility.network_for ?net inst) ~open_slots with
   | None -> None
   | Some schedule ->
       (* drop open slots no schedule unit uses? No: cost counts every open

@@ -6,8 +6,10 @@ type t = { open_slots : int list;  (** sorted, distinct *) schedule : Workload.S
 val cost : t -> int
 
 (** Builds a solution by computing a schedule on the given open slots via
-    max flow; [None] when the jobs do not fit. *)
-val of_open_slots : Workload.Slotted.t -> open_slots:int list -> t option
+    max flow on [net] (default: a fresh {!Feasibility.network} of the
+    instance); [None] when the jobs do not fit. *)
+val of_open_slots :
+  ?net:Feasibility.network -> Workload.Slotted.t -> open_slots:int list -> t option
 
 (** Full validation: the schedule satisfies the instance and uses only
     declared open slots. Returns a violation description, or [None]. *)

@@ -77,7 +77,7 @@ let check_oracle_differential (inst : S.t) =
   let slots = Array.of_list (S.relevant_slots inst) in
   let k = Array.length slots in
   let idxs = List.init k (fun i -> i) in
-  let o = Active.Feasibility.Oracle.create inst in
+  let o = Active.Feasibility.Oracle.create (Active.Feasibility.network inst) in
   let open_ = Array.make (Stdlib.max k 1) true in
   let slot_steps =
     List.concat

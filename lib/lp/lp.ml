@@ -131,15 +131,26 @@ let set_bounds m v ~lower ~upper =
   m.lower.(v) <- lower;
   m.upper.(v) <- upper
 
-(* Sum duplicate variables so the tableau sees each column once per row. *)
+(* Sum duplicate variables so the tableau sees each column once per row:
+   the terms come out increasing by variable, with no zero coefficient.
+   A list already in that form, as LP1's rows are, passes through. *)
 let combine_terms terms =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (c, v) ->
-      let prev = try Hashtbl.find tbl v with Not_found -> Q.zero in
-      Hashtbl.replace tbl v (Q.add prev c))
-    terms;
-  Hashtbl.fold (fun v c acc -> if Q.is_zero c then acc else (c, v) :: acc) tbl []
+  let rec normal prev = function
+    | [] -> true
+    | (c, v) :: rest -> v > prev && (not (Q.is_zero c)) && normal v rest
+  in
+  if normal (-1) terms then terms
+  else
+    let rec merge acc = function
+      | [] -> List.rev acc
+      | (c, v) :: rest -> (
+          match acc with
+          | (c', v') :: done_ when v' = v -> merge ((Q.add c' c, v) :: done_) rest
+          | _ -> merge ((c, v) :: acc) rest)
+    in
+    List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) terms
+    |> merge []
+    |> List.filter (fun (c, _) -> not (Q.is_zero c))
 
 let add_constraint m terms sense rhs =
   List.iter

@@ -84,13 +84,18 @@ let fast_bound = 1 lsl 30
    (dens are positive, and [Small] never holds min_int) *)
 let fits4 an ad bn bd = Stdlib.abs an lor ad lor Stdlib.abs bn lor bd < fast_bound
 
-(* Canonical form of n/d for d > 0, both native, n <> min_int. *)
+(* Canonical form of n/d for d > 0, both native, n <> min_int. Two
+   cases need no gcd: |n| = 1 is in lowest terms, and |n| = d is +-1. *)
 let norm n d =
   if n = 0 then zero
   else if d = 1 then Small (n, 1)
   else
-    let g = gcd_int (Stdlib.abs n) d in
-    if g = 1 then Small (n, d) else Small (n / g, d / g)
+    let a = Stdlib.abs n in
+    if a = 1 then Small (n, d)
+    else if a = d then if n > 0 then one else minus_one
+    else
+      let g = gcd_int a d in
+      if g = 1 then Small (n, d) else Small (n / g, d / g)
 
 let num = function Small (n, _) -> Bigint.of_int n | Big (n, _) -> n
 let den = function Small (_, d) -> Bigint.of_int d | Big (_, d) -> d

@@ -299,7 +299,8 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
         ~validate:(fun _ -> true)
         ~build:(fun () ->
           {
-            oracle = Oracle.create ~obs:eobs ~open_all:true ~activate_all:false inst;
+            oracle =
+              Oracle.create ~obs:eobs ~open_all:true ~activate_all:false (Active.Feasibility.network inst);
             o_active = Hashtbl.create 16;
             closed_upto = 0;
           })

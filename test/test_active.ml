@@ -44,11 +44,91 @@ let test_schedule_extraction () =
     [ job ~id:0 ~release:0 ~deadline:3 ~length:2; job ~id:1 ~release:1 ~deadline:3 ~length:2 ]
   in
   let inst = small_inst jobs 2 in
-  (match Active.Feasibility.schedule inst ~open_slots:[ 1; 2; 3 ] with
+  let net = Active.Feasibility.network inst in
+  (match Active.Feasibility.schedule net ~open_slots:[ 1; 2; 3 ] with
   | None -> Alcotest.fail "expected schedule"
   | Some sched -> Alcotest.(check (option string)) "valid schedule" None (S.check_schedule inst sched));
   Alcotest.(check bool) "infeasible gives none" true
-    (Active.Feasibility.schedule inst ~open_slots:[ 1 ] = None)
+    (Active.Feasibility.schedule net ~open_slots:[ 1 ] = None)
+
+(* Every schedule read off G_feas, pinned. Per instance of [Gen.slotted]
+   (n/T 8/14, 12/20 and 20/30, max length 5, slack 6, g 2 and 3, seeds
+   1-30): the open slots, each job's slot list and the active.* and
+   flow.* counters of Rounding.solve, Minimal.solve in both probe
+   modes, on n <= 12 Exact.solve in both probe modes and Ilp.solve (the
+   exact searches take seconds on n = 20), and Cascade.solve without a
+   limit; the answers and provenance of Cascade.solve at limits 1-40,
+   which run out inside the floor, the search and the rounding; and
+   Feasibility.feasible ~only_jobs, with its flow.* counters, on random
+   job subsets and open sets. Which max flow Dinic returns decides each
+   schedule, so a change to how the networks are built or reused that
+   is meant to leave the answers alone must leave this digest alone. *)
+let test_schedules_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  let answer = function
+    | None -> Buffer.add_string buf "none"
+    | Some (sol : Active.Solution.t) ->
+        let ints l = String.concat "," (List.map string_of_int l) in
+        Printf.bprintf buf "[%s]" (ints sol.Active.Solution.open_slots);
+        List.iter (fun (id, ts) -> Printf.bprintf buf " %d:%s" id (ints ts)) sol.Active.Solution.schedule
+  in
+  let counters obs =
+    List.iter
+      (fun (name, v) ->
+        if String.starts_with ~prefix:"active." name || String.starts_with ~prefix:"flow." name then
+          Printf.bprintf buf " %s=%d" name v)
+      (Obs.counters obs)
+  in
+  let run label f =
+    let obs = Obs.create () in
+    Printf.bprintf buf "%s " label;
+    answer (f obs);
+    Buffer.add_string buf " |";
+    counters obs;
+    Buffer.add_char buf '\n'
+  in
+  let complete = function Budget.Complete r -> r | Budget.Exhausted _ -> Alcotest.fail "unlimited" in
+  List.iter
+    (fun ((n, horizon), g) ->
+      for seed = 1 to 30 do
+        let params : Gen.slotted_params = { n; horizon; max_length = 5; slack = 6; g } in
+        let inst = Gen.slotted ~params ~seed () in
+        Printf.bprintf buf "# %d %d %d\n" n g seed;
+        run "rounding" (fun obs -> Option.map fst (Active.Rounding.solve ~obs inst));
+        List.iter
+          (fun (mode, oracle) ->
+            List.iter
+              (fun (dir, order) ->
+                run ("minimal " ^ mode ^ dir) (fun obs -> Active.Minimal.solve ~oracle ~obs inst order))
+              [ ("ltr", Active.Minimal.Left_to_right); ("rtl", Active.Minimal.Right_to_left) ];
+            if n <= 12 then run ("exact " ^ mode) (fun obs -> complete (Active.Exact.solve ~oracle ~obs inst)))
+          [ ("incremental ", Active.Feasibility.Incremental); ("rebuild ", Active.Feasibility.Rebuild) ];
+        if n <= 12 then run "ilp" (fun obs -> Option.map fst (complete (Active.Ilp.solve ~obs inst)));
+        run "cascade" (fun obs -> fst (Active.Cascade.solve ~obs ~limit:max_int inst));
+        for limit = 1 to 40 do
+          let sol, prov = Active.Cascade.solve ~limit inst in
+          Printf.bprintf buf "cascade %d " limit;
+          answer sol;
+          Buffer.add_string buf (Format.asprintf " %a\n" Active.Cascade.pp_provenance prov)
+        done;
+        let rng = Random.State.make [| seed; n; g |] in
+        let slots = S.relevant_slots inst in
+        for _ = 1 to 8 do
+          let only_jobs =
+            List.filter_map
+              (fun (j : S.job) -> if Random.State.bool rng then Some j.S.id else None)
+              (Array.to_list inst.S.jobs)
+          in
+          let open_slots = List.filter (fun _ -> Random.State.int rng 4 > 0) slots in
+          let obs = Obs.create () in
+          Printf.bprintf buf "feasible %b |"
+            (Active.Feasibility.feasible ~only_jobs ~obs inst ~open_slots);
+          counters obs;
+          Buffer.add_char buf '\n'
+        done
+      done)
+    (List.concat_map (fun size -> [ (size, 2); (size, 3) ]) [ (8, 14); (12, 20); (20, 30) ]);
+  Alcotest.(check string) "digest" "fnv1a64:3ed3e4e0e5c554fc" (Obs.digest (Buffer.contents buf))
 
 (* -- minimal feasible ----------------------------------------------------- *)
 
@@ -324,6 +404,21 @@ let test_rounding_infeasible () =
   let inst = small_inst [ job ~id:0 ~release:0 ~deadline:1 ~length:1; job ~id:1 ~release:0 ~deadline:1 ~length:1 ] 1 in
   Alcotest.(check bool) "none" true (Active.Rounding.solve inst = None)
 
+(* An LP1 built for another instance, even an equal one, is refused
+   before any work: the sweep and the schedule would run on its
+   network. Also on an instance with no relevant slot, whose rounding
+   returns before the sweep. *)
+let test_rounding_foreign_lp1 () =
+  List.iter
+    (fun jobs ->
+      let lp1 = Active.Lp_model.create (small_inst jobs 2) in
+      let obs = Obs.create () in
+      Alcotest.check_raises "another instance's LP1"
+        (Invalid_argument "Feasibility: the network of another instance") (fun () ->
+          ignore (Active.Rounding.solve ~lp1 ~obs (small_inst jobs 2)));
+      Alcotest.(check (list (pair string int))) "no work" [] (Obs.counters obs))
+    [ [ job ~id:0 ~release:0 ~deadline:3 ~length:2; job ~id:1 ~release:1 ~deadline:3 ~length:2 ]; [] ]
+
 (* -- unit jobs ------------------------------------------------------------ *)
 
 let test_unit_jobs_guard () =
@@ -535,35 +630,84 @@ let prop_floor_same_answer =
       in
       same_with_floor (mk seed) && same_with_floor (above_mass mk seed))
 
-(* LP1's separation network is built once and re-capacitated for every
-   max flow: on a random sequence of capacity vectors, it returns the cut
-   jobs of a network built fresh for each vector. With [p_j] on the jobs
-   and 0/1 on the slots (Fig. 2 on the slots at 1), the cut is empty iff
-   those slots are feasible. *)
+(* One network serves a whole solve: LP1's separation min cuts, oracles
+   and schedule reads each re-capacitate it. Each case runs on one
+   network first its uses as min cuts alone, then the random
+   interleaving of min cuts, oracles (slot and job toggles with checks
+   between) and schedule reads; each result and its counters equal the
+   same use's on a network built fresh for it. With [p_j] on the jobs
+   and 0/1 on the slots (Fig. 2 on the slots at 1), a min cut is also
+   empty iff those slots are feasible. *)
 let prop_separation_network_reused =
   QCheck.Test.make ~name:"reused separation network = fresh network" ~count:100
-    QCheck.(pair seed_arb (list_of_size Gen.(int_range 1 8) (pair (int_range 0 100_000) bool)))
-    (fun (seed, probes) ->
+    QCheck.(pair seed_arb (list_of_size Gen.(int_range 1 8) (pair (int_range 0 100_000) (int_range 0 2))))
+    (fun (seed, uses) ->
       let inst = Gen.slotted ~params:tiny_params ~seed () in
       let net = Active.Feasibility.network inst in
       let slots = Active.Feasibility.network_slots net in
-      List.for_all
-        (fun (probe, fig2) ->
-          let rng = Random.State.make [| probe |] in
-          let job =
-            Array.map (fun (j : S.job) -> if fig2 then j.S.length else Random.State.int rng 6) inst.S.jobs
-          in
-          let slot = Array.map (fun _ -> Random.State.int rng (if fig2 then 2 else 5)) slots in
-          let cut net =
-            Active.Feasibility.min_cut_jobs net ~job_cap:(fun i -> job.(i)) ~slot_cap:(fun i -> slot.(i))
-          in
-          let reused = cut net in
-          reused = cut (Active.Feasibility.network inst)
-          && ((not fig2)
-             ||
-             let open_slots = List.filteri (fun i _ -> slot.(i) = 1) (Array.to_list slots) in
-             (reused = []) = Active.Feasibility.feasible inst ~open_slots))
-        probes)
+      let ids = Array.map (fun (j : S.job) -> j.S.id) inst.S.jobs in
+      (* the use's result on [net] if it and the counters equal a fresh
+         network's *)
+      let same use =
+        let run net =
+          let obs = Obs.create () in
+          let r = use obs net in
+          (r, Obs.counters obs)
+        in
+        let reused = run net in
+        if reused = run (Active.Feasibility.network inst) then Some (fst reused) else None
+      in
+      let check (probe, kind) =
+        let rng = Random.State.make [| probe |] in
+        let bool () = Random.State.bool rng in
+        match kind with
+        | 0 -> (
+            let fig2 = bool () in
+            let job =
+              Array.map (fun (j : S.job) -> if fig2 then j.S.length else Random.State.int rng 6) inst.S.jobs
+            in
+            let slot = Array.map (fun _ -> Random.State.int rng (if fig2 then 2 else 5)) slots in
+            match
+              same (fun obs net ->
+                  Active.Feasibility.min_cut_jobs ~obs net ~job_cap:(Array.get job) ~slot_cap:(Array.get slot))
+            with
+            | None -> false
+            | Some cut ->
+                (not fig2)
+                ||
+                let open_slots = List.filteri (fun i _ -> slot.(i) = 1) (Array.to_list slots) in
+                (cut = []) = Active.Feasibility.feasible inst ~open_slots)
+        | 1 ->
+            (* a slot of -1 is one no job can use *)
+            let open_all = bool () and activate_all = bool () in
+            let slot () =
+              if Random.State.int rng 8 = 0 then -1 else slots.(Random.State.int rng (Array.length slots))
+            in
+            let steps =
+              List.init (Random.State.int rng 10) (fun _ ->
+                  match Random.State.int rng 3 with
+                  | 0 -> `Slot (slot (), bool ())
+                  | 1 -> `Job (ids.(Random.State.int rng (Array.length ids)), bool ())
+                  | _ -> `Check)
+            in
+            Option.is_some
+              (same (fun obs net ->
+                   let module O = Active.Feasibility.Oracle in
+                   let o = O.create ~obs ~open_all ~activate_all net in
+                   let checks =
+                     List.filter_map
+                       (function
+                         | `Slot (slot, open_) -> O.set_slot ~obs o ~slot ~open_; None
+                         | `Job (id, active) -> O.set_job ~obs o ~id ~active; None
+                         | `Check -> Some (O.check ~obs o))
+                       steps
+                   in
+                   (checks, O.target o, O.flow_value o, O.open_slots o)))
+        | _ ->
+            let open_slots = List.filter (fun _ -> bool ()) (Array.to_list slots) in
+            Option.is_some (same (fun _ net -> Active.Feasibility.schedule net ~open_slots))
+      in
+      List.for_all check (List.map (fun (probe, _) -> (probe, 0)) uses) && List.for_all check uses)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -578,7 +722,8 @@ let () =
         [ Alcotest.test_case "basic" `Quick test_feasibility_basic;
           Alcotest.test_case "capacity" `Quick test_feasibility_capacity;
           Alcotest.test_case "only_jobs" `Quick test_feasibility_only_jobs;
-          Alcotest.test_case "schedule extraction" `Quick test_schedule_extraction ] );
+          Alcotest.test_case "schedule extraction" `Quick test_schedule_extraction;
+          Alcotest.test_case "schedules, pinned" `Quick test_schedules_pinned ] );
       ( "minimal",
         [ Alcotest.test_case "simple" `Quick test_minimal_simple;
           Alcotest.test_case "infeasible" `Quick test_minimal_infeasible;
@@ -600,7 +745,8 @@ let () =
         [ Alcotest.test_case "simple" `Quick test_rounding_simple;
           Alcotest.test_case "integrality gadget" `Quick test_rounding_integrality_gadget;
           Alcotest.test_case "fig3 gadget" `Quick test_rounding_fig3;
-          Alcotest.test_case "infeasible" `Quick test_rounding_infeasible ] );
+          Alcotest.test_case "infeasible" `Quick test_rounding_infeasible;
+          Alcotest.test_case "foreign LP1" `Quick test_rounding_foreign_lp1 ] );
       ( "unit jobs",
         [ Alcotest.test_case "guard" `Quick test_unit_jobs_guard;
           Alcotest.test_case "bad minimal exists" `Quick test_unit_jobs_bad_minimal_exists ] );

@@ -108,7 +108,24 @@ let test_duplicate_terms () =
   let x = Lp.add_var m "x" in
   Lp.add_constraint m [ (qi 1, x); (qi 1, x) ] Lp.Le (qi 4);
   Lp.set_objective m Lp.Maximize [ (qi 1, x) ];
-  check_opt "objective" "2" (Lp.solve m)
+  check_opt "objective" "2" (Lp.solve m);
+  (* duplicates that cancel leave no term: x - x + y <= 1 is y <= 1, and
+     x, bounded above by 3, appears in no row; a row given out of order,
+     with a duplicate, is x + 2y <= 4 *)
+  List.iter
+    (fun (label, engine) ->
+      let m = Lp.create () in
+      let x = Lp.add_var ~upper:(qi 3) m "x" and y = Lp.add_var m "y" in
+      Lp.add_constraint m [ (qi 1, x); (qi (-1), x); (qi 1, y) ] Lp.Le (qi 1);
+      Lp.set_objective m Lp.Maximize [ (qi 1, y); (qi 1, x) ];
+      check_opt (label ^ ": cancelled") "4" (Lp.solve ~engine m);
+      let m = Lp.create () in
+      let x = Lp.add_var m "x" and y = Lp.add_var m "y" in
+      Lp.add_constraint m [ (qi 1, y); (qi 1, x); (qi 1, y) ] Lp.Le (qi 4);
+      Lp.add_constraint m [ (qi 1, x) ] Lp.Le (qi 1);
+      Lp.set_objective m Lp.Maximize [ (qi 1, y); (qi 1, x) ];
+      check_opt (label ^ ": out of order") "5/2" (Lp.solve ~engine m))
+    [ ("dense", Lp.Dense); ("float", Lp.Float_certified); ("revised", Lp.Revised) ]
 
 let test_degenerate () =
   (* Beale's classic cycling example; must terminate and find opt -1/20.
