@@ -171,7 +171,8 @@ module Oracle = struct
     net : network;
     slot_open : bool array; (* slot index -> open *)
     job_active : bool array;
-    jobs_of_id : (int, int list) Hashtbl.t; (* job id -> array indices *)
+    mutable jobs_of_id : (int, int list) Hashtbl.t option;
+        (* job id -> array indices, built by the first [set_job] *)
     mutable active_total : int; (* sum of active job lengths *)
     mutable flow_value : int; (* flow currently routed *)
   }
@@ -186,17 +187,12 @@ module Oracle = struct
         ~arc_cap:(fun _ -> 1)
         ~out_cap:(fun _ -> if open_all then inst.S.g else 0)
     in
-    let jobs_of_id = Hashtbl.create (2 * S.num_jobs inst) in
-    Array.iteri
-      (fun idx (j : S.job) ->
-        Hashtbl.replace jobs_of_id j.S.id (idx :: Option.value (Hashtbl.find_opt jobs_of_id j.S.id) ~default:[]))
-      inst.S.jobs;
     Obs.incr obs "active.oracle.builds";
     {
       net;
       slot_open = Array.make (Array.length net.slots) open_all;
       job_active = Array.make (S.num_jobs inst) activate_all;
-      jobs_of_id;
+      jobs_of_id = None;
       active_total = total;
       flow_value = 0;
     }
@@ -241,8 +237,21 @@ module Oracle = struct
       Obs.incr obs "active.oracle.job_toggles"
     end
 
+  let jobs_of_id t =
+    match t.jobs_of_id with
+    | Some tbl -> tbl
+    | None ->
+        let jobs = t.net.inst.S.jobs in
+        let tbl = Hashtbl.create (2 * Array.length jobs) in
+        Array.iteri
+          (fun idx (j : S.job) ->
+            Hashtbl.replace tbl j.S.id (idx :: Option.value (Hashtbl.find_opt tbl j.S.id) ~default:[]))
+          jobs;
+        t.jobs_of_id <- Some tbl;
+        tbl
+
   let set_job ?obs t ~id ~active =
-    match Hashtbl.find_opt t.jobs_of_id id with
+    match Hashtbl.find_opt (jobs_of_id t) id with
     | None -> invalid_arg "Feasibility.Oracle.set_job: unknown job id"
     | Some idxs -> List.iter (fun idx -> set_job_idx ?obs t idx ~active) idxs
 

@@ -14,7 +14,7 @@ module FS = Sparse_simplex.Make (Scalar.Flt)
 (* The revised engine's warm problem for a model: its first [c_rows]
    rows compiled into sparse columns, the row-wise copy and the rhs.
    Only the rows, variables and objective shape it; the bounds are
-   re-read on every solve. *)
+   re-read on every solve, and [compile] reports whether one moved. *)
 type compiled = {
   c_rows : int;
   c_pb : RS.problem;
@@ -36,6 +36,10 @@ type model = {
   (* built by the first warm or [?start] revised solve; dropped by
      [add_var] and [set_objective], grown by the rows added since *)
   mutable compiled : compiled option;
+  (* what the last warm or [?start] revised solve left, when it ended
+     optimal: a later one resumes from it (Sparse_simplex.solve_warm);
+     cleared as each such solve starts, dropped with [compiled] *)
+  mutable live : RS.optimum option;
 }
 
 module Basis = struct
@@ -91,6 +95,7 @@ let create () =
     obj_dir = Minimize;
     obj = [];
     compiled = None;
+    live = None;
   }
 
 let grow arr len dummy =
@@ -114,6 +119,7 @@ let add_var ?(lower = Q.zero) ?upper m name =
   m.upper.(v) <- upper;
   m.nvars <- v + 1;
   m.compiled <- None;
+  m.live <- None;
   v
 
 let var_name m v =
@@ -167,7 +173,8 @@ let set_objective m dir terms =
     terms;
   m.obj_dir <- dir;
   m.obj <- combine_terms terms;
-  m.compiled <- None
+  m.compiled <- None;
+  m.live <- None
 
 (* After the pivot count without strict objective improvement exceeds this
    threshold we switch from Dantzig to Bland's rule, which cannot cycle. *)
@@ -466,6 +473,22 @@ let status_of_vstat = function
 (* lower = upper: the column never enters *)
 let is_fixed m v = match m.upper.(v) with Some u -> Q.equal u m.lower.(v) | None -> false
 
+(* Row [r] as the sparse engines take it: its columns, ascending, and
+   their coefficients. Its terms are already increasing and zero-free
+   ([combine_terms]); its slack column [slack] ([-1] for an Eq row)
+   comes last. *)
+let row_arrays r ~slack =
+  let nt = List.length r.terms in
+  let k = if slack < 0 then nt else nt + 1 in
+  let cols = Array.make k slack and vals = Array.make k Q.one in
+  List.iteri
+    (fun idx (c, v) ->
+      cols.(idx) <- v;
+      vals.(idx) <- c)
+    r.terms;
+  if r.sense = Ge then vals.(nt) <- Q.minus_one;
+  (cols, vals)
+
 (* The sparse instance description shared by both scalar
    instantiations, without artificials: structural columns, then one
    slack per Le/Ge row in row order. Returns the spec and the slack
@@ -473,16 +496,19 @@ let is_fixed m v = match m.upper.(v) with Some u -> Q.equal u m.lower.(v) | None
 let sparse_spec m =
   let nv = m.nvars in
   let slack_of_row = Array.make m.nrows (-1) in
-  let nslack = ref 0 in
+  let row_cols = Array.make m.nrows [||] and row_vals = Array.make m.nrows [||] in
+  let n = ref nv in
   for i = 0 to m.nrows - 1 do
-    match m.rows.(i).sense with
-    | Le | Ge ->
-        slack_of_row.(i) <- nv + !nslack;
-        incr nslack
-    | Eq -> ()
+    let r = m.rows.(i) in
+    if r.sense <> Eq then begin
+      slack_of_row.(i) <- !n;
+      incr n
+    end;
+    let cols, vals = row_arrays r ~slack:slack_of_row.(i) in
+    row_cols.(i) <- cols;
+    row_vals.(i) <- vals
   done;
-  let n = nv + !nslack in
-  let cols = Array.make n [] in
+  let n = !n in
   let lo = Array.make n Q.zero in
   let hi = Array.make n None in
   let obj = Array.make n Q.zero in
@@ -492,19 +518,12 @@ let sparse_spec m =
     hi.(v) <- m.upper.(v);
     fixed.(v) <- is_fixed m v
   done;
-  for i = 0 to m.nrows - 1 do
-    let r = m.rows.(i) in
-    List.iter (fun (c, v) -> cols.(v) <- (i, c) :: cols.(v)) r.terms;
-    match r.sense with
-    | Le -> cols.(slack_of_row.(i)) <- [ (i, Q.one) ]
-    | Ge -> cols.(slack_of_row.(i)) <- [ (i, Q.minus_one) ]
-    | Eq -> ()
-  done;
   List.iter (fun (c, v) -> obj.(v) <- Q.add obj.(v) c) (minimize_objective m);
   ( {
       Sparse_simplex.sp_nrows = m.nrows;
       sp_ncols = n;
-      sp_cols = cols;
+      sp_row_cols = row_cols;
+      sp_row_vals = row_vals;
       sp_lo = lo;
       sp_hi = hi;
       sp_obj = obj;
@@ -520,8 +539,8 @@ let sparse_spec m =
 let cold_spec m =
   let spec, slack_of_row = sparse_spec m in
   let n0 = spec.Sparse_simplex.sp_ncols in
+  let row_cols = spec.Sparse_simplex.sp_row_cols and row_vals = spec.Sparse_simplex.sp_row_vals in
   let init_val = Array.init m.nvars (fun v -> m.lower.(v)) in
-  let art = ref [] in
   let stat = ref [] in
   let basis = Array.make m.nrows (-1) in
   let xb = Array.make m.nrows Q.zero in
@@ -537,7 +556,8 @@ let cold_spec m =
     in
     if need then begin
       let sgn = if Q.compare residual Q.zero < 0 then Q.minus_one else Q.one in
-      art := [ (i, sgn) ] :: !art;
+      row_cols.(i) <- Array.append row_cols.(i) [| n0 + !nart |];
+      row_vals.(i) <- Array.append row_vals.(i) [| sgn |];
       basis.(i) <- n0 + !nart;
       xb.(i) <- Q.abs residual;
       incr nart
@@ -560,7 +580,6 @@ let cold_spec m =
   ( {
       spec with
       Sparse_simplex.sp_ncols = n;
-      sp_cols = Array.append spec.Sparse_simplex.sp_cols (Array.of_list (List.rev !art));
       sp_lo = extend spec.Sparse_simplex.sp_lo Q.zero;
       sp_hi = extend spec.Sparse_simplex.sp_hi None;
       sp_obj = extend spec.Sparse_simplex.sp_obj Q.zero;
@@ -598,7 +617,7 @@ let extract_sparse ~m ~slack_of_row ~pivots ~ops outcome =
   match outcome with
   | RS.Infeas -> Infeasible
   | RS.Unbd -> Unbounded
-  | RS.Opt { o_z; o_stat; o_basis; o_xb } ->
+  | RS.Opt { o_z; o_stat; o_basis; o_xb; _ } ->
       let nv = m.nvars in
       let x = Array.make nv Q.zero in
       for v = 0 to nv - 1 do
@@ -663,29 +682,28 @@ let sparse_warm_stat m ~slack_of_row ~ncols (w : Basis.t) =
 
 (* The model's compiled warm problem, brought up to date: compiled on
    first use, grown by the rows added since, its structural bounds
-   refreshed in place. *)
+   refreshed in place. Also returns whether a bound moved since the
+   last compile, which is the last warm solve's. *)
 let compile m =
   let c =
     match m.compiled with
     | Some c when c.c_rows = m.nrows -> c
     | Some c ->
-        let nslack = ref (c.c_pb.RS.pn - m.nvars) in
+        let n = ref c.c_pb.RS.pn in
         let slack_of_row = Array.make (m.nrows - c.c_rows) (-1) in
         let rows =
           Array.init (m.nrows - c.c_rows) (fun k ->
               let r = m.rows.(c.c_rows + k) in
-              let slack =
-                match r.sense with Le -> Some Q.one | Ge -> Some Q.minus_one | Eq -> None
-              in
-              if slack <> None then begin
-                slack_of_row.(k) <- m.nvars + !nslack;
-                incr nslack
+              if r.sense <> Eq then begin
+                slack_of_row.(k) <- !n;
+                incr n
               end;
-              (List.map (fun (q, v) -> (v, q)) r.terms, slack, r.rhs))
+              let cols, vals = row_arrays r ~slack:slack_of_row.(k) in
+              (cols, vals, r.rhs))
         in
         {
           c_rows = m.nrows;
-          c_pb = RS.add_rows c.c_pb rows;
+          c_pb = RS.add_rows c.c_pb ~ncols:!n rows;
           c_slack_of_row = Array.append c.c_slack_of_row slack_of_row;
         }
     | None ->
@@ -693,21 +711,33 @@ let compile m =
         { c_rows = m.nrows; c_pb = RS.of_spec spec; c_slack_of_row = slack_of_row }
   in
   m.compiled <- Some c;
-  let pb = c.c_pb in
+  let pb = c.c_pb and moved = ref false in
   for v = 0 to m.nvars - 1 do
-    pb.RS.plo.(v) <- m.lower.(v);
-    pb.RS.phi.(v) <- m.upper.(v);
-    pb.RS.pfixed.(v) <- is_fixed m v
+    if not (Q.equal pb.RS.plo.(v) m.lower.(v) && Option.equal Q.equal pb.RS.phi.(v) m.upper.(v))
+    then begin
+      moved := true;
+      pb.RS.plo.(v) <- m.lower.(v);
+      pb.RS.phi.(v) <- m.upper.(v);
+      pb.RS.pfixed.(v) <- is_fixed m v
+    end
   done;
-  c
+  (c, !moved)
 
+(* The model's live state is taken as the solve starts and stored
+   again only when it ends optimal: an abort, a fallback to phase 1 or
+   an infeasible or unbounded answer leaves none. *)
 let solve_sparse_warm ~rule ~reuse ~budget ~obs ~pivots m (w : Basis.t) =
+  let from = m.live in
+  m.live <- None;
   if w.Basis.b_nvars <> m.nvars || w.Basis.b_nrows <> m.nrows then raise RS.Warm_failed;
-  let { c_pb = pb; c_slack_of_row = slack_of_row; _ } = compile m in
+  let { c_pb = pb; c_slack_of_row = slack_of_row; _ }, moved = compile m in
   let stat = sparse_warm_stat m ~slack_of_row ~ncols:pb.RS.pn w in
   let ops = ref 0 in
-  let outcome = RS.solve_warm (sparse_scfg ~rule ~reuse) pb ~stat ~budget ~obs ~pivots ~ops in
+  let outcome =
+    RS.solve_warm ?from (sparse_scfg ~rule ~reuse) pb ~stat ~moved ~budget ~obs ~pivots ~ops
+  in
   Obs.add obs "lp.exact_cells" !ops;
+  (match outcome with RS.Opt o -> m.live <- Some o | RS.Infeas | RS.Unbd -> ());
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
 (* The revised engine: warm from [warm] when given, cold when there is
@@ -813,7 +843,7 @@ let solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m =
         let n = spec.Sparse_simplex.sp_ncols in
         let stat = sparse_warm_stat m ~slack_of_row ~ncols:n w in
         let scfg = float_scfg ~rule ~reuse ~m:m.nrows ~n in
-        match FS.solve_warm scfg pb ~stat ~budget ~obs ~pivots:fpivots ~ops:fops with
+        match FS.solve_warm scfg pb ~stat ~moved:false ~budget ~obs ~pivots:fpivots ~ops:fops with
         | FS.Opt _ as o -> claim_of_outcome slack_of_row o
         (* infeasible/unbounded claims out of a warm start are not worth
            certifying against: retry from scratch before deciding *)

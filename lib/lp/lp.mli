@@ -59,11 +59,21 @@
     engine — the sparse columns, their row-wise copy and the rhs. The
     first warm or [?start] solve builds it; each later one appends only
     the rows added since and re-reads every bound in place; {!add_var}
-    and {!set_objective} drop it. The compiled form depends on the model
-    alone, never on an earlier solve's path, so the same call still
-    returns the same vertex whatever ran before it. Solving writes it,
-    so a model, like any mutable model, belongs to one domain at a
-    time.
+    and {!set_objective} drop it. Beside it the model keeps the live
+    state of its last optimum: the LU factors with their eta file, the
+    statuses, the basic values and the reduced costs. Each warm or
+    [?start] revised solve clears it as it starts and stores it again
+    only when it ends optimal, so an abort, a fallback to phase 1 or an
+    infeasible or unbounded answer leaves none; {!add_var} and
+    {!set_objective} drop it with the compiled form. A solve that
+    resumes from it (see [?warm]) grows the factors by the rows appended
+    since instead of factoring its basis, and keeps the reduced costs
+    and basic values instead of computing them. Pivot choices read
+    values and column indices only, never basis positions or how old
+    the factors are, so the same call returns the same vertex, pivots
+    and basis whatever ran before it; the work counters depend on what
+    the model carries. Solving writes both, so a model, like any
+    mutable model, belongs to one domain at a time.
 
     Pricing and anti-cycling: every engine prices by Dantzig's rule
     while the objective strictly improves and falls back to Bland's rule
@@ -168,6 +178,13 @@ end
     still primal feasible, or repairs feasibility with a
     bounded-variable dual simplex when only the bounds changed (which
     leaves the reduced costs, hence dual feasibility, intact). The
+    revised engine resumes instead of refactorizing when the model holds
+    the live state of an optimum (module header) and the basis it is
+    given is that optimum's, with a basic slack for every row appended
+    since and every such row [Le] or [Ge]: it extends the optimum's
+    factors by the new rows, keeps its reduced costs, reads each new
+    slack's value off its row, and solves the basic values again only
+    when a bound moved. Either way the same pivots follow. The
     float engine restores the snapshot in double precision and
     certifies whatever basis the warm re-solve ends on, exactly as for a
     cold float solve. When the snapshot cannot be reused — dimensions
@@ -191,7 +208,9 @@ end
     [Active.Lp_model]'s cut loop passes two kinds: every y at its upper
     bound with every surplus basic (primal feasible), and an earlier
     optimal basis with a basic surplus for each row appended since
-    (dual feasible, since the new rows' duals are zero).
+    (dual feasible, since the new rows' duals are zero). The second
+    resumes from the model's live state when the earlier optimum was
+    the model's last, as for [?warm].
 
     When [budget] is given, every simplex pivot and bound flip consumes
     one tick of it; on exhaustion the solve aborts by raising
@@ -213,8 +232,11 @@ end
     fill included). The revised engine also records
     [lp.priced_columns]: every nonbasic column once per phase, when the
     reduced costs are computed in full (a warm start does so once, before
-    its dual-feasibility check), plus after each pivot, primal or dual,
-    the nonbasic columns that the row-wise reduced-cost update reaches. The
+    its dual-feasibility check; a resumed one does not re-price), plus
+    after each pivot, primal or dual, the nonbasic columns that the
+    row-wise reduced-cost update reaches. A resumed solve factors nothing
+    as it starts, so it adds to [lp.refactorizations] and
+    [lp.fill_nonzeros] only when the refactorization policy fires. The
     float engine additionally records [lp.float_pivots]
     (double-precision pivots), [lp.certify_ops] (rational
     multiplications/divisions spent in certification), [lp.certify_ok],

@@ -16,9 +16,12 @@
    ratio test over the columns that row reaches and updates d from the
    same row (theta = d_q / alpha_rq). A warm start prices once, and the
    dual-feasibility check, the dual repair and phase 2 all read that
-   row. The pivot column is one hypersparse FTRAN (w = B^-1 a_q); the
-   primal ratio test, the basic-value update and the eta append loop
-   over w's nonzero positions. So a pivot costs the nonzeros it touches
+   row; one that resumes from an earlier optimum of the same problem,
+   grown by rows, prices nothing and factors nothing: it keeps that
+   optimum's reduced costs and basic values and extends its factors
+   (Slu.extend). The pivot column is one hypersparse FTRAN
+   (w = B^-1 a_q); the primal ratio test, the basic-value update and
+   the eta append loop over w's nonzero positions. So a pivot costs the nonzeros it touches
    plus one pass over the columns in pricing and one pull-form BTRAN,
    not O(m·n). Basis changes are product-form eta updates with periodic
    refactorization (Slu.should_refactor).
@@ -38,13 +41,16 @@ type vstat = Vlo | Vhi | Vbas
    instantiations (each converts via Scalar.S.of_q). Column layout:
    structurals, then one slack per Le/Ge row in row order, then, for a
    cold start, one artificial per infeasible-start row in row order.
-   Each column lists its entries in descending row order: the order in
-   which both the per-column dot product and the row-wise reduced-cost
-   update sum them, so float sums agree between the two. *)
+   The matrix is given by rows: row i's columns, ascending, and their
+   nonzero coefficients. [Make.of_spec] lists each column's entries in
+   descending row order: the order in which both the per-column dot
+   product and the row-wise reduced-cost update sum them, so float
+   sums agree between the two. *)
 type spec = {
   sp_nrows : int;
   sp_ncols : int;
-  sp_cols : (int * Rational.t) list array;
+  sp_row_cols : int array array;
+  sp_row_vals : Rational.t array array;
   sp_lo : Rational.t array;
   sp_hi : Rational.t option array;
   sp_obj : Rational.t array; (* minimization costs; zero beyond structurals *)
@@ -103,28 +109,28 @@ module Make (S : Scalar.S) = struct
     prhs : S.t array;
   }
 
+  (* One pass over the rows counts each column's entries, a second
+     fills the columns from the last row up. *)
   let of_spec (sp : spec) : problem =
-    let m = sp.sp_nrows in
-    let pcols =
-      Array.map (fun l -> F.col_of_list (List.map (fun (r, q) -> (r, S.of_q q)) l)) sp.sp_cols
-    in
-    let len = Array.make m 0 in
-    Array.iter (fun c -> Array.iter (fun r -> len.(r) <- len.(r) + 1) c.F.rows) pcols;
-    let prow_cols = Array.map (fun k -> Array.make k 0) len in
-    let prow_vals = Array.map (fun k -> Array.make k S.zero) len in
-    Array.fill len 0 m 0;
-    Array.iteri
-      (fun j c ->
-        Array.iteri
-          (fun idx r ->
-            prow_cols.(r).(len.(r)) <- j;
-            prow_vals.(r).(len.(r)) <- c.F.vals.(idx);
-            len.(r) <- len.(r) + 1)
-          c.F.rows)
-      pcols;
+    let m = sp.sp_nrows and n = sp.sp_ncols in
+    let prow_cols = sp.sp_row_cols in
+    let prow_vals = Array.map (Array.map S.of_q) sp.sp_row_vals in
+    let len = Array.make n 0 in
+    Array.iter (Array.iter (fun j -> len.(j) <- len.(j) + 1)) prow_cols;
+    let pcols = Array.map (fun k -> { F.rows = Array.make k 0; vals = Array.make k S.zero }) len in
+    Array.fill len 0 n 0;
+    for i = m - 1 downto 0 do
+      let cols = prow_cols.(i) and vals = prow_vals.(i) in
+      for idx = 0 to Array.length cols - 1 do
+        let j = cols.(idx) in
+        pcols.(j).F.rows.(len.(j)) <- i;
+        pcols.(j).F.vals.(len.(j)) <- vals.(idx);
+        len.(j) <- len.(j) + 1
+      done
+    done;
     {
       pm = m;
-      pn = sp.sp_ncols;
+      pn = n;
       pcols;
       prow_cols;
       prow_vals;
@@ -135,64 +141,37 @@ module Make (S : Scalar.S) = struct
       prhs = Array.map S.of_q sp.sp_rhs;
     }
 
-  (* [add_rows pb rows] is [pb] with [rows] appended: row [pb.pm + k] is
-     [rows.(k) = (terms, slack, rhs)], its structural [terms] as
-     (column, coefficient), and [slack] the coefficient of its new slack
-     column ([None] for an equality), added after every existing column
-     with bounds [0, inf) and cost 0. The result is what [of_spec] builds
-     from the grown spec, sharing every column and row the new rows leave
-     alone. Only a problem without artificials can grow this way. *)
-  let add_rows (pb : problem) rows =
-    let k = Array.length rows in
-    let m = pb.pm + k in
-    let nslack = Array.fold_left (fun acc (_, slack, _) -> if slack = None then acc else acc + 1) 0 rows in
-    let n = pb.pn + nslack in
+  let prepend x a =
+    let b = Array.make (Array.length a + 1) x in
+    Array.blit a 0 b 1 (Array.length a);
+    b
+
+  (* [add_rows pb ~ncols rows] is [pb] with [rows] appended: row
+     [pb.pm + k] is [rows.(k) = (cols, coefs, rhs)], its columns
+     ascending with nonzero coefficients, as [spec] gives a row. The
+     columns from [pb.pn] to [ncols - 1] are new slacks, with bounds
+     [0, inf) and cost 0. The result is what [of_spec] builds from the
+     grown spec: only the columns the new rows reach are rebuilt, each
+     with the new entries in front; every other column and row is
+     shared. Only a problem without artificials can grow this way. *)
+  let add_rows (pb : problem) ~ncols rows =
+    let nslack = ncols - pb.pn in
     let pcols = Array.append pb.pcols (Array.make nslack { F.rows = [||]; vals = [||] }) in
-    let prow_cols = Array.append pb.prow_cols (Array.make k [||]) in
-    let prow_vals = Array.append pb.prow_vals (Array.make k [||]) in
-    (* new entries of the existing columns, highest row first *)
-    let extra = Array.make pb.pn [] in
-    let next = ref pb.pn in
+    let vals = Array.map (fun (_, coefs, _) -> Array.map S.of_q coefs) rows in
     Array.iteri
-      (fun r (terms, slack, _) ->
-        let i = pb.pm + r in
-        let entries =
-          List.filter_map
-            (fun (j, q) ->
-              let v = S.of_q q in
-              if S.is_zero v then None else Some (j, v))
-            (List.sort (fun (a, _) (b, _) -> compare a b) terms)
-        in
-        List.iter (fun (j, v) -> extra.(j) <- (i, v) :: extra.(j)) entries;
-        let entries =
-          match slack with
-          | None -> entries
-          | Some q ->
-              let j = !next in
-              incr next;
-              pcols.(j) <- F.col_of_list [ (i, S.of_q q) ];
-              entries @ [ (j, S.of_q q) ]
-        in
-        prow_cols.(i) <- Array.of_list (List.map fst entries);
-        prow_vals.(i) <- Array.of_list (List.map snd entries))
+      (fun k (cols, _, _) ->
+        for idx = 0 to Array.length cols - 1 do
+          let c = pcols.(cols.(idx)) in
+          pcols.(cols.(idx)) <-
+            { F.rows = prepend (pb.pm + k) c.F.rows; vals = prepend vals.(k).(idx) c.F.vals }
+        done)
       rows;
-    Array.iteri
-      (fun j e ->
-        if e <> [] then begin
-          let c = pb.pcols.(j) in
-          pcols.(j) <-
-            {
-              F.rows = Array.append (Array.of_list (List.map fst e)) c.F.rows;
-              vals = Array.append (Array.of_list (List.map snd e)) c.F.vals;
-            }
-        end)
-      extra;
     {
-      pm = m;
-      pn = n;
+      pm = pb.pm + Array.length rows;
+      pn = ncols;
       pcols;
-      prow_cols;
-      prow_vals;
+      prow_cols = Array.append pb.prow_cols (Array.map (fun (cols, _, _) -> cols) rows);
+      prow_vals = Array.append pb.prow_vals vals;
       plo = Array.append pb.plo (Array.make nslack S.zero);
       phi = Array.append pb.phi (Array.make nslack None);
       pobj = Array.append pb.pobj (Array.make nslack S.zero);
@@ -200,10 +179,20 @@ module Make (S : Scalar.S) = struct
       prhs = Array.append pb.prhs (Array.map (fun (_, _, rhs) -> S.of_q rhs) rows);
     }
 
-  type outcome =
-    | Opt of { o_z : S.t; o_stat : vstat array; o_basis : int array; o_xb : S.t array }
-    | Infeas
-    | Unbd
+  (* What an optimum leaves: the point, the statuses, the basic column
+     of each basis position, the reduced costs and the factors of that
+     basis, eta file included. A later warm solve of the same problem,
+     grown by rows, can resume from it ([solve_warm ?from]). *)
+  type optimum = {
+    o_z : S.t;
+    o_stat : vstat array;
+    o_basis : int array;
+    o_xb : S.t array;
+    o_d : S.t array;
+    o_fact : F.fact;
+  }
+
+  type outcome = Opt of optimum | Infeas | Unbd
 
   exception Gave_up
   exception Warm_failed
@@ -232,6 +221,31 @@ module Make (S : Scalar.S) = struct
     mutable z : S.t;
     mutable steps : int;
   }
+
+  let make_state cfg pb ~budget ~obs ~pivots ~ops ~stat ~basis ~xb ~cost ~d ~fact =
+    let n = pb.pn in
+    {
+      pb;
+      cfg;
+      budget;
+      obs;
+      pivots;
+      ops;
+      stat;
+      basis;
+      xb;
+      hi = Array.copy pb.phi;
+      enterable = Array.init n (fun j -> not pb.pfixed.(j));
+      cost;
+      d;
+      priced = ref 0;
+      alpha = Array.make n S.zero;
+      seen = Array.make n false;
+      touched = Array.make n 0;
+      fact;
+      z = S.zero;
+      steps = 0;
+    }
 
   let flush_pricing st =
     if st.cfg.counters.c_price && !(st.priced) > 0 then
@@ -493,7 +507,7 @@ module Make (S : Scalar.S) = struct
     st.z <- !z
 
   let extract st =
-    Opt { o_z = st.z; o_stat = st.stat; o_basis = st.basis; o_xb = st.xb }
+    Opt { o_z = st.z; o_stat = st.stat; o_basis = st.basis; o_xb = st.xb; o_d = st.d; o_fact = st.fact }
 
   (* How far [x], the value of column [k], lies outside its bounds
      beyond the tolerance: [Some (v, true)] below, [Some (v, false)]
@@ -607,30 +621,10 @@ module Make (S : Scalar.S) = struct
   let solve_cold (cfg : S.t config) (pb : problem) (start : start) ~budget ~obs ~pivots ~ops =
     let m = pb.pm and n = pb.pn and part = start.st_art in
     let basis = Array.copy start.st_basis in
-    let fact = factor_basis ~ops ~obs pb basis in
     let st =
-      {
-        pb;
-        cfg;
-        budget;
-        obs;
-        pivots;
-        ops;
-        stat = Array.copy start.st_stat;
-        basis;
-        xb = Array.map S.of_q start.st_xb;
-        hi = Array.copy pb.phi;
-        enterable = Array.init n (fun j -> not pb.pfixed.(j));
-        cost = Array.make n S.zero;
-        d = Array.make n S.zero;
-        priced = ref 0;
-        alpha = Array.make n S.zero;
-        seen = Array.make n false;
-        touched = Array.make n 0;
-        fact;
-        z = S.zero;
-        steps = 0;
-      }
+      make_state cfg pb ~budget ~obs ~pivots ~ops ~stat:(Array.copy start.st_stat) ~basis
+        ~xb:(Array.map S.of_q start.st_xb) ~cost:(Array.make n S.zero) ~d:(Array.make n S.zero)
+        ~fact:(factor_basis ~ops ~obs pb basis)
     in
     Fun.protect ~finally:(fun () -> flush_pricing st) @@ fun () ->
     let infeasible = ref false in
@@ -696,15 +690,30 @@ module Make (S : Scalar.S) = struct
       | O_opt -> extract st
     end
 
-  (* Warm start from per-column statuses against a problem without
-     artificials: sparse refactorization of the snapshot basis,
-     straight to phase 2 when still primal feasible, dual repair when
-     only primal feasibility was lost. Raises Warm_failed whenever the
-     snapshot cannot be reused. *)
-  let solve_warm (cfg : S.t config) (pb : problem) ~(stat : vstat array) ~budget
-      ~obs ~pivots ~ops =
+  (* x_B = B^-1 (b - sum over nonbasic of A_j x_j), then z *)
+  let solve_xb st =
+    let pb = st.pb in
+    let rhs = Array.copy pb.prhs in
+    for j = 0 to pb.pn - 1 do
+      if st.stat.(j) <> Vbas then begin
+        let v = nb_value st j in
+        if not (S.is_zero v) then begin
+          let c = pb.pcols.(j) in
+          for idx = 0 to Array.length c.F.rows - 1 do
+            incr st.ops;
+            rhs.(c.F.rows.(idx)) <- S.submul rhs.(c.F.rows.(idx)) c.F.vals.(idx) v
+          done
+        end
+      end
+    done;
+    let xb = F.ftran st.fact (F.col_of_array rhs) in
+    Array.blit xb.F.x 0 st.xb 0 pb.pm;
+    recompute_z st
+
+  (* A warm state built afresh: factor the basis of [stat], solve x_B
+     and price every column. *)
+  let refactored cfg pb ~stat ~budget ~obs ~pivots ~ops =
     let m = pb.pm and n = pb.pn in
-    if Array.length stat <> n then raise Warm_failed;
     let nb = ref 0 in
     Array.iter (fun s -> if s = Vbas then incr nb) stat;
     if !nb <> m then raise Warm_failed;
@@ -716,57 +725,115 @@ module Make (S : Scalar.S) = struct
         incr bi
       end
     done;
-    let fact =
-      try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed
+    let fact = try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed in
+    let st =
+      make_state cfg pb ~budget ~obs ~pivots ~ops ~stat:(Array.copy stat) ~basis
+        ~xb:(Array.make m S.zero) ~cost:(Array.copy pb.pobj) ~d:(Array.make n S.zero) ~fact
+    in
+    solve_xb st;
+    compute_reduced st;
+    st
+
+  (* [stat] is [o]'s basis with a basic slack for each row added since,
+     and each of those rows has a slack *)
+  let resumable pb (o : optimum) stat =
+    let m0 = Array.length o.o_basis and n0 = Array.length o.o_stat in
+    pb.pm >= m0
+    && pb.pn - n0 = pb.pm - m0
+    &&
+    let same = ref true in
+    for j = 0 to pb.pn - 1 do
+      if stat.(j) <> if j < n0 then o.o_stat.(j) else Vbas then same := false
+    done;
+    !same
+
+  (* The warm state [o] left, grown by the rows [pb] gained since: the
+     new rows' slacks join the basis at the new positions, the factors
+     grow by those rows ([F.extend]), and the reduced costs carry over
+     (the new rows' duals are zero: their slacks are basic at cost 0,
+     and bounds never enter d). The old rows' basic values carry over
+     too, and each new slack's is read off its own row; when a
+     structural bound moved since [o] ([moved]), x_B and z are solved
+     again on the grown factors instead. [o] is not to be used again:
+     its arrays are reused when no row was added. *)
+  let resumed cfg pb (o : optimum) ~stat ~moved ~budget ~obs ~pivots ~ops =
+    let m0 = Array.length o.o_basis and n0 = Array.length o.o_stat in
+    let k = pb.pm - m0 in
+    let grow a = if k = 0 then a else Array.append a (Array.make k S.zero) in
+    (* the basis position of each old column; the new rows on those
+       positions, and the coefficient of each new row's slack *)
+    let pos = Array.make n0 (-1) in
+    Array.iteri (fun p j -> pos.(j) <- p) o.o_basis;
+    let diag = Array.make k S.zero in
+    let rows =
+      Array.init k (fun i ->
+          let cols = pb.prow_cols.(m0 + i) and vals = pb.prow_vals.(m0 + i) in
+          let nb = ref 0 in
+          Array.iter (fun j -> if j < n0 && pos.(j) >= 0 then incr nb) cols;
+          let r = { F.rows = Array.make !nb 0; vals = Array.make !nb S.zero } and t = ref 0 in
+          Array.iteri
+            (fun idx j ->
+              if j >= n0 then diag.(i) <- vals.(idx)
+              else if pos.(j) >= 0 then begin
+                r.F.rows.(!t) <- pos.(j);
+                r.F.vals.(!t) <- vals.(idx);
+                incr t
+              end)
+            cols;
+          r)
+    in
+    let basis =
+      if k = 0 then o.o_basis else Array.init pb.pm (fun p -> if p < m0 then o.o_basis.(p) else n0 + p - m0)
     in
     let st =
-      {
-        pb;
-        cfg;
-        budget;
-        obs;
-        pivots;
-        ops;
-        stat = Array.copy stat;
-        basis;
-        xb = Array.make m S.zero;
-        hi = Array.copy pb.phi;
-        enterable = Array.init n (fun j -> not pb.pfixed.(j));
-        cost = Array.copy pb.pobj;
-        d = Array.make n S.zero;
-        priced = ref 0;
-        alpha = Array.make n S.zero;
-        seen = Array.make n false;
-        touched = Array.make n 0;
-        fact;
-        z = S.zero;
-        steps = 0;
-      }
+      make_state cfg pb ~budget ~obs ~pivots ~ops ~stat:(Array.copy stat) ~basis ~xb:(grow o.o_xb)
+        ~cost:(Array.copy pb.pobj) ~d:(grow o.o_d) ~fact:(F.extend o.o_fact ~ops ~rows ~diag)
+    in
+    if moved then solve_xb st
+    else begin
+      st.z <- o.o_z;
+      (* row m0+i: a.x + diag_i s_i = b_i *)
+      for i = 0 to k - 1 do
+        let cols = pb.prow_cols.(m0 + i) and vals = pb.prow_vals.(m0 + i) in
+        let acc = ref pb.prhs.(m0 + i) in
+        Array.iteri
+          (fun idx j ->
+            if j < n0 then begin
+              let x = if st.stat.(j) = Vbas then st.xb.(pos.(j)) else nb_value st j in
+              if not (S.is_zero x) then begin
+                incr ops;
+                acc := S.submul !acc vals.(idx) x
+              end
+            end)
+          cols;
+        incr ops;
+        st.xb.(m0 + i) <- S.div !acc diag.(i)
+      done
+    end;
+    st
+
+  (* Warm start from per-column statuses against a problem without
+     artificials. It resumes from [from], the optimum an earlier warm
+     solve of this problem left, when [stat] is that optimum's basis
+     with a basic slack for every row added since ([resumable]; [moved]:
+     a structural bound changed since); otherwise it factors the basis
+     of [stat] and prices every column. Then it goes straight to phase 2
+     when still primal feasible, or runs the dual repair when only
+     primal feasibility was lost. The pivots, the vertex and the
+     returned statuses do not depend on which way it started. Raises
+     Warm_failed whenever the statuses cannot be reused. *)
+  let solve_warm ?from (cfg : S.t config) (pb : problem) ~(stat : vstat array) ~moved ~budget ~obs
+      ~pivots ~ops =
+    if Array.length stat <> pb.pn then raise Warm_failed;
+    let st =
+      match from with
+      | Some o when resumable pb o stat -> resumed cfg pb o ~stat ~moved ~budget ~obs ~pivots ~ops
+      | _ -> refactored cfg pb ~stat ~budget ~obs ~pivots ~ops
     in
     Fun.protect ~finally:(fun () -> flush_pricing st) @@ fun () ->
-    (* x_B = B^-1 (b - sum over nonbasic of A_j x_j) *)
-    let rhs = Array.copy pb.prhs in
-    for j = 0 to n - 1 do
-      if st.stat.(j) <> Vbas then begin
-        let v = nb_value st j in
-        if not (S.is_zero v) then begin
-          let c = pb.pcols.(j) in
-          for idx = 0 to Array.length c.F.rows - 1 do
-            incr ops;
-            rhs.(c.F.rows.(idx)) <- S.submul rhs.(c.F.rows.(idx)) c.F.vals.(idx) v
-          done
-        end
-      end
-    done;
-    let xb = F.ftran st.fact (F.col_of_array rhs) in
-    Array.blit xb.F.x 0 st.xb 0 m;
-    recompute_z st;
-    (* priced once: the dual-feasibility check reads d, the dual repair
-       keeps it current and phase 2 starts from it *)
-    compute_reduced st;
     let primal_feasible =
       let ok = ref true in
-      for p = 0 to m - 1 do
+      for p = 0 to pb.pm - 1 do
         if Option.is_some (violation st st.basis.(p) st.xb.(p)) then ok := false
       done;
       !ok
@@ -774,9 +841,10 @@ module Make (S : Scalar.S) = struct
     let proceed =
       if primal_feasible then true
       else begin
-        (* dual feasible? (the usual case: only bounds changed) *)
+        (* dual feasible? (the usual case: only bounds changed or rows
+           were added) *)
         let neg_dtol = S.neg cfg.dtol in
-        for j = 0 to n - 1 do
+        for j = 0 to pb.pn - 1 do
           if st.enterable.(j) then
             match st.stat.(j) with
             | Vlo -> if S.compare st.d.(j) neg_dtol < 0 then raise Warm_failed

@@ -121,6 +121,17 @@ let test_feasibility_only_unknown_job () =
   Alcotest.(check bool) "vacuously feasible" true
     (Active.Feasibility.feasible ~only_jobs:[ 99 ] inst ~open_slots:[])
 
+let test_oracle_unknown_job () =
+  (* the oracle builds its job-id table on the first [set_job]: an
+     unknown id is rejected, and a known one still toggles after that *)
+  let inst = S.make ~g:1 [ S.job ~id:7 ~release:0 ~deadline:2 ~length:2 ] in
+  let o = Active.Feasibility.Oracle.create ~activate_all:false (Active.Feasibility.network inst) in
+  Alcotest.check_raises "unknown id" (Invalid_argument "Feasibility.Oracle.set_job: unknown job id")
+    (fun () -> Active.Feasibility.Oracle.set_job o ~id:99 ~active:true);
+  Active.Feasibility.Oracle.set_job o ~id:7 ~active:true;
+  Alcotest.(check int) "known id activated" 2 (Active.Feasibility.Oracle.target o);
+  Alcotest.(check bool) "and fits" true (Active.Feasibility.Oracle.check o)
+
 let test_solution_of_infeasible_slots () =
   let inst = S.make ~g:1 [ S.job ~id:0 ~release:0 ~deadline:2 ~length:2 ] in
   Alcotest.(check bool) "not enough slots" true (Active.Solution.of_open_slots inst ~open_slots:[ 1 ] = None)
@@ -198,6 +209,7 @@ let () =
           Alcotest.test_case "gadget parameters" `Quick test_gadget_guards ] );
       ( "corners",
         [ Alcotest.test_case "feasibility unknown job" `Quick test_feasibility_only_unknown_job;
+          Alcotest.test_case "oracle unknown job" `Quick test_oracle_unknown_job;
           Alcotest.test_case "solution infeasible slots" `Quick test_solution_of_infeasible_slots;
           Alcotest.test_case "minimalize infeasible start" `Quick test_minimalize_infeasible_start;
           Alcotest.test_case "machines lp infeasible" `Quick test_machines_lp_infeasible;

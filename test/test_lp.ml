@@ -907,18 +907,23 @@ let prop_lp1_cut_loop =
            (fun engine -> Option.equal Q.equal (cost engine) revised)
            [ Lp.Float_certified; Lp.Dense ])
 
-(* -- a model's compiled form, grown in place ------------------------------ *)
+(* -- a resumed solve = a fresh model ---------------------------------------- *)
 
-(* Edits between solves. [Solve true] passes the last optimal basis as
-   [?warm] when the model has the same shape, and [Solve false] always
-   passes it as [?start], padded with a lower-bound status for each new
-   variable and a basic slack for each new row (the cut loop's start). *)
+(* Edits between solves. [Cut t] is the [Ge] row over the terms [t]
+   that the last optimal vertex violates by the least integer rhs, as
+   the cut loop appends. [Solve (true, _)] passes the last optimal basis
+   as [?warm] when the model has the same shape, and [Solve (false, _)]
+   always passes it as [?start], padded with a lower-bound status for
+   each new variable and a basic slack for each new row (the cut loop's
+   start). [Solve (_, Some t)] runs under a budget of [t] ticks and
+   swallows the abort. *)
 type edit =
   | Row of (int * int) list * Lp.sense * int
+  | Cut of (int * int) list
   | Bounds of int * int * int
   | Objective of Lp.objective_direction * (int * int) list
   | Var
-  | Solve of bool
+  | Solve of bool * int option
 
 let edit_to_string = function
   | Row (t, s, r) ->
@@ -926,13 +931,16 @@ let edit_to_string = function
         (String.concat "+" (List.map (fun (v, c) -> Printf.sprintf "%dx%d" c v) t))
         (match s with Lp.Le -> "<=" | Lp.Ge -> ">=" | Lp.Eq -> "=")
         r
+  | Cut t -> Printf.sprintf "cut %s" (String.concat "+" (List.map (fun (v, c) -> Printf.sprintf "%dx%d" c v) t))
   | Bounds (v, lo, hi) -> Printf.sprintf "x%d in [%d,%d]" v lo hi
   | Objective (d, t) ->
       Printf.sprintf "%s %s"
         (match d with Lp.Minimize -> "min" | Lp.Maximize -> "max")
         (String.concat "+" (List.map (fun (v, c) -> Printf.sprintf "%dx%d" c v) t))
   | Var -> "var"
-  | Solve w -> if w then "solve warm" else "solve start"
+  | Solve (w, ticks) ->
+      (if w then "solve warm" else "solve start")
+      ^ match ticks with None -> "" | Some t -> Printf.sprintf " within %d ticks" t
 
 let edits_arb =
   let open QCheck.Gen in
@@ -940,18 +948,21 @@ let edits_arb =
   let terms = list_size (int_range 1 3) (pair var (int_range (-2) 3)) in
   let edit =
     frequency
-      [ (4, map3 (fun t s r -> Row (t, s, r)) terms (oneofl [ Lp.Le; Lp.Ge; Lp.Eq ]) (int_range (-2) 6));
-        (2, map3 (fun v lo w -> Bounds (v, lo, lo + w)) var (int_range 0 2) (int_range 0 3));
+      [ (3, map3 (fun t s r -> Row (t, s, r)) terms (oneofl [ Lp.Le; Lp.Ge; Lp.Eq ]) (int_range (-2) 6));
+        (3, map (fun t -> Cut t) (list_size (int_range 1 3) (pair var (int_range 1 3))));
+        (3, map3 (fun v lo w -> Bounds (v, lo, lo + w)) var (int_range 0 2) (int_range 0 3));
         (1, map2 (fun d t -> Objective (d, t)) (oneofl [ Lp.Minimize; Lp.Maximize ]) terms);
         (1, return Var);
-        (4, map (fun w -> Solve w) bool) ]
+        (4, map (fun w -> Solve (w, None)) bool);
+        (3, map2 (fun w t -> Solve (w, Some t)) bool (int_range 0 2)) ]
   in
   QCheck.make
     ~print:(fun es -> String.concat "; " (List.map edit_to_string es))
-    (list_size (int_range 1 16) edit)
+    (list_size (int_range 1 24) edit)
 
 (* Three variables in [0, 4] and [min sum x]; [Var] adds one more.
-   Variable indices wrap around the variables declared so far. *)
+   Variable indices wrap around the variables declared so far; the
+   third result maps an index to its variable's position. *)
 let grown_model () =
   let m = Lp.create () in
   let vars = ref (Array.init 3 (fun i -> Lp.add_var ~upper:(qi 4) m (Printf.sprintf "x%d" i))) in
@@ -965,35 +976,60 @@ let grown_model () =
     | Var ->
         let n = Array.length !vars in
         vars := Array.append !vars [| Lp.add_var ~upper:(qi 4) m (Printf.sprintf "x%d" n) |]
-    | Solve _ -> ()
+    | Cut _ | Solve _ -> ()
   in
-  (m, apply)
+  (m, apply, fun i -> i mod Array.length !vars)
 
-let outcome = function
-  | Lp.Infeasible -> "infeasible"
-  | Lp.Unbounded -> "unbounded"
+let basis_to_string (b : Lp.Basis.t) =
+  let s a = String.concat "" (Array.to_list (Array.map (function Lp.Basis.Lower -> "L" | Upper -> "U" | Basic -> "B") a)) in
+  s b.Lp.Basis.vstat ^ "/" ^ s b.Lp.Basis.sstat
+
+(* Everything a solve returns but its work: status, objective, vertex,
+   pivots, bound flips and basis; or the abort. Also the basis and the
+   vertex, for the next edits. *)
+let outcome ?ticks ?warm ?start m =
+  let obs = Obs.create () in
+  let budget = Option.map Budget.limited ticks in
+  match Lp.solve ?warm ?start ?budget ~obs m with
+  | exception Budget.Out_of_fuel -> ("out of fuel", None)
+  | Lp.Infeasible -> ("infeasible", None)
+  | Lp.Unbounded -> ("unbounded", None)
   | Lp.Optimal s ->
-      Printf.sprintf "optimal %s at [%s], %d pivots, %d cells" (Q.to_string (Lp.objective_value s))
-        (String.concat "," (List.map (fun (_, v) -> Q.to_string v) (Lp.values s)))
-        (Lp.pivots s) (Lp.tableau_cells s)
+      let basis = Lp.basis s in
+      ( Printf.sprintf "optimal %s at [%s], %d pivots, %d flips, basis %s"
+          (Q.to_string (Lp.objective_value s))
+          (String.concat "," (List.map (fun (_, v) -> Q.to_string v) (Lp.values s)))
+          (Lp.pivots s) (Obs.counter obs "lp.bound_flips")
+          (Option.fold ~none:"none" ~some:basis_to_string basis),
+        Option.map (fun b -> (b, Array.of_list (List.map snd (Lp.values s)))) basis )
 
-(* The revised engine keeps its compiled problem in the model and grows
-   it by the rows added since the last warm or [?start] solve: every such
-   solve must match, in status, objective, vertex, pivots and cells, the
-   same call on a copy of the model built afresh by the same edits. *)
-let prop_compiled_growth =
-  QCheck.Test.make ~name:"grown compiled model = fresh model" ~count:300 edits_arb (fun edits ->
-      let m, apply = grown_model () in
+(* The revised engine keeps its compiled problem and the state of its
+   last optimum in the model: a warm or [?start] solve grows the
+   compiled problem by the rows added since, and resumes the simplex
+   from that state when its basis is that optimum's with a basic slack
+   for each new row. Every solve must match, in status, objective,
+   vertex, pivots, bound flips and returned basis, the same call on a
+   copy of the model built afresh by the same edits. The work may
+   differ: it depends on what the model carries. *)
+let prop_resumed_solve =
+  QCheck.Test.make ~name:"resumed solve = fresh model" ~count:1000 edits_arb (fun edits ->
+      let m, apply, position = grown_model () in
       let last = ref None in
       let rec go seen = function
         | [] -> true
-        | Solve w :: rest ->
+        | Cut t :: rest ->
+            (* a variable the vertex predates is at 0 *)
+            let x = match !last with Some (_, x) -> x | None -> [||] in
+            let at v = if position v < Array.length x then x.(position v) else Q.zero in
+            let lhs = List.fold_left (fun acc (v, c) -> Q.add acc (Q.mul (qi c) (at v))) Q.zero t in
+            go seen (Row (t, Lp.Ge, Q.floor_int lhs + 1) :: rest)
+        | Solve (w, ticks) :: rest ->
             let nv = Lp.num_vars m and rows = Lp.num_constraints m in
             let warm, start =
               match !last with
-              | Some (b : Lp.Basis.t) when w && b.Lp.Basis.b_nvars = nv && b.Lp.Basis.b_nrows = rows ->
+              | Some ((b : Lp.Basis.t), _) when w && b.Lp.Basis.b_nvars = nv && b.Lp.Basis.b_nrows = rows ->
                   (Some b, None)
-              | Some b ->
+              | Some (b, _) ->
                   let pad a k fill = Array.init k (fun i -> if i < Array.length a then a.(i) else fill) in
                   ( None,
                     Some
@@ -1005,11 +1041,11 @@ let prop_compiled_growth =
                       (Lp.Basis.make ~vstat:(Array.make nv Lp.Basis.Lower)
                          ~sstat:(Array.make rows Lp.Basis.Basic)) )
             in
-            let grown = Lp.solve ?warm ?start m in
-            let fresh, apply_fresh = grown_model () in
+            let grown, optimum = outcome ?ticks ?warm ?start m in
+            let fresh, apply_fresh, _ = grown_model () in
             List.iter apply_fresh (List.rev seen);
-            (match grown with Lp.Optimal s -> last := Lp.basis s | _ -> ());
-            outcome grown = outcome (Lp.solve ?warm ?start fresh) && go seen rest
+            if optimum <> None then last := optimum;
+            grown = fst (outcome ?ticks ?warm ?start fresh) && go seen rest
         | e :: rest ->
             apply e;
             go (e :: seen) rest
@@ -1019,7 +1055,7 @@ let prop_compiled_growth =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
-      prop_engines_agree; prop_warm_matches_cold; prop_lp1_cut_loop; prop_compiled_growth ]
+      prop_engines_agree; prop_warm_matches_cold; prop_lp1_cut_loop; prop_resumed_solve ]
 
 let () =
   Alcotest.run "lp"

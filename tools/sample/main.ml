@@ -20,9 +20,14 @@
    of CPU on a 250 Hz kernel), so a run needs seconds for a few
    thousand samples.
 
+   With [--callees FN] it also splits the samples that hold FN (a name
+   as the table prints it) by the function FN called in them: the frame
+   just inside FN's innermost one, or FN's own code when FN is on top.
+
      dune build @all
      _build/default/tools/sample/main.exe active_lp --seconds 10
-     _build/default/tools/sample/main.exe sim_rolling --seconds 10 --top 30 *)
+     _build/default/tools/sample/main.exe sim_rolling --seconds 10 --top 30
+     _build/default/tools/sample/main.exe active_lp --callees Lp.solve_sparse_warm *)
 
 module S = Workload.Slotted
 module Gen = Workload.Generate
@@ -129,16 +134,44 @@ let report ~workload ~seed ~top ~ops_run ~seconds samples =
   |> List.iter (fun (name, c) ->
          Printf.printf "%7.1f %7.1f %8d  %s\n" (share c) (share (count self name)) c (pretty name))
 
+(* FN's direct-callee split: for each sample that holds FN, the frame
+   just inside FN's innermost one, "(self)" when FN is on top *)
+let report_callees ~fn samples =
+  let split = Hashtbl.create 64 and held = ref 0 in
+  let rec callee inner = function
+    | [] -> None
+    | name :: outer ->
+        if pretty name = fn then Some (Option.fold ~none:"(self)" ~some:pretty inner)
+        else callee (Some name) outer
+  in
+  List.iter
+    (fun stack ->
+      match callee None stack with
+      | None -> ()
+      | Some c ->
+          incr held;
+          Hashtbl.replace split c (1 + Option.value (Hashtbl.find_opt split c) ~default:0))
+    samples;
+  let share c n = 100. *. float_of_int c /. float_of_int (max n 1) in
+  Printf.printf "callees of %s: %d samples (%.1f%% of all)\n" fn !held (share !held (List.length samples));
+  Printf.printf "%7s %7s %8s  %s\n" "of fn%" "all%" "samples" "callee";
+  Hashtbl.fold (fun name c acc -> (name, c) :: acc) split []
+  |> List.sort (fun (a, x) (b, y) -> if x <> y then compare y x else compare a b)
+  |> List.iter (fun (name, c) ->
+         Printf.printf "%7.1f %7.1f %8d  %s\n" (share c !held) (share c (List.length samples)) c name)
+
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 10. and top = ref 40 in
+  let callees = ref "" in
   let spec =
     [
       ("--seed", Arg.Set_int seed, "S  draw the ops from seed S (default 1)");
       ("--seconds", Arg.Set_float seconds, "T  replay for about T seconds (default 10)");
       ("--top", Arg.Set_int top, "K  print the K functions of largest inclusive share (default 40)");
+      ("--callees", Arg.Set_string callees, "FN  also print the split of FN's samples by FN's direct callee");
     ]
   in
-  let usage = "main.exe active_lp|sim_rolling [--seed S] [--seconds T] [--top K]" in
+  let usage = "main.exe active_lp|sim_rolling [--seed S] [--seconds T] [--top K] [--callees FN]" in
   Arg.parse spec (fun w -> workload := w) usage;
   let kind, k =
     match !workload with
@@ -170,4 +203,5 @@ let () =
   ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.; it_value = 0. });
   Sys.set_signal Sys.sigprof Sys.Signal_default;
   report ~workload:!workload ~seed:!seed ~top:!top ~ops_run:!ops_run
-    ~seconds:(Unix.gettimeofday () -. start) !samples
+    ~seconds:(Unix.gettimeofday () -. start) !samples;
+  if !callees <> "" then report_callees ~fn:!callees !samples
