@@ -14,7 +14,7 @@ module FS = Sparse_simplex.Make (Scalar.Flt)
 (* The revised engine's warm problem for a model: its first [c_rows]
    rows compiled into sparse columns, the row-wise copy and the rhs.
    Only the rows, variables and objective shape it; the bounds are
-   re-read on every solve, and [compile] reports whether one moved. *)
+   re-read on every solve. *)
 type compiled = {
   c_rows : int;
   c_pb : RS.problem;
@@ -38,7 +38,8 @@ type model = {
   mutable compiled : compiled option;
   (* what the last warm or [?start] revised solve left, when it ended
      optimal: a later one resumes from it (Sparse_simplex.solve_warm);
-     cleared as each such solve starts, dropped with [compiled] *)
+     cleared as each such solve starts, dropped with [compiled] and
+     when a bound moves *)
   mutable live : RS.optimum option;
 }
 
@@ -134,6 +135,8 @@ let set_bounds m v ~lower ~upper =
   (match upper with
   | Some u when Q.compare u lower < 0 -> invalid_arg "Lp.set_bounds: upper < lower"
   | _ -> ());
+  (* the last optimum's basic values hold only under its bounds *)
+  if not (Q.equal m.lower.(v) lower && Option.equal Q.equal m.upper.(v) upper) then m.live <- None;
   m.lower.(v) <- lower;
   m.upper.(v) <- upper
 
@@ -682,8 +685,7 @@ let sparse_warm_stat m ~slack_of_row ~ncols (w : Basis.t) =
 
 (* The model's compiled warm problem, brought up to date: compiled on
    first use, grown by the rows added since, its structural bounds
-   refreshed in place. Also returns whether a bound moved since the
-   last compile, which is the last warm solve's. *)
+   refreshed in place. *)
 let compile m =
   let c =
     match m.compiled with
@@ -711,17 +713,13 @@ let compile m =
         { c_rows = m.nrows; c_pb = RS.of_spec spec; c_slack_of_row = slack_of_row }
   in
   m.compiled <- Some c;
-  let pb = c.c_pb and moved = ref false in
+  let pb = c.c_pb in
   for v = 0 to m.nvars - 1 do
-    if not (Q.equal pb.RS.plo.(v) m.lower.(v) && Option.equal Q.equal pb.RS.phi.(v) m.upper.(v))
-    then begin
-      moved := true;
-      pb.RS.plo.(v) <- m.lower.(v);
-      pb.RS.phi.(v) <- m.upper.(v);
-      pb.RS.pfixed.(v) <- is_fixed m v
-    end
+    pb.RS.plo.(v) <- m.lower.(v);
+    pb.RS.phi.(v) <- m.upper.(v);
+    pb.RS.pfixed.(v) <- is_fixed m v
   done;
-  (c, !moved)
+  c
 
 (* The model's live state is taken as the solve starts and stored
    again only when it ends optimal: an abort, a fallback to phase 1 or
@@ -730,11 +728,11 @@ let solve_sparse_warm ~rule ~reuse ~budget ~obs ~pivots m (w : Basis.t) =
   let from = m.live in
   m.live <- None;
   if w.Basis.b_nvars <> m.nvars || w.Basis.b_nrows <> m.nrows then raise RS.Warm_failed;
-  let { c_pb = pb; c_slack_of_row = slack_of_row; _ }, moved = compile m in
+  let { c_pb = pb; c_slack_of_row = slack_of_row; _ } = compile m in
   let stat = sparse_warm_stat m ~slack_of_row ~ncols:pb.RS.pn w in
   let ops = ref 0 in
   let outcome =
-    RS.solve_warm ?from (sparse_scfg ~rule ~reuse) pb ~stat ~moved ~budget ~obs ~pivots ~ops
+    RS.solve_warm ?from (sparse_scfg ~rule ~reuse) pb ~stat ~budget ~obs ~pivots ~ops
   in
   Obs.add obs "lp.exact_cells" !ops;
   (match outcome with RS.Opt o -> m.live <- Some o | RS.Infeas | RS.Unbd -> ());
@@ -843,7 +841,7 @@ let solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m =
         let n = spec.Sparse_simplex.sp_ncols in
         let stat = sparse_warm_stat m ~slack_of_row ~ncols:n w in
         let scfg = float_scfg ~rule ~reuse ~m:m.nrows ~n in
-        match FS.solve_warm scfg pb ~stat ~moved:false ~budget ~obs ~pivots:fpivots ~ops:fops with
+        match FS.solve_warm scfg pb ~stat ~budget ~obs ~pivots:fpivots ~ops:fops with
         | FS.Opt _ as o -> claim_of_outcome slack_of_row o
         (* infeasible/unbounded claims out of a warm start are not worth
            certifying against: retry from scratch before deciding *)

@@ -60,20 +60,18 @@
     first warm or [?start] solve builds it; each later one appends only
     the rows added since and re-reads every bound in place; {!add_var}
     and {!set_objective} drop it. Beside it the model keeps the live
-    state of its last optimum: the LU factors with their eta file, the
-    statuses, the basic values and the reduced costs. Each warm or
-    [?start] revised solve clears it as it starts and stores it again
-    only when it ends optimal, so an abort, a fallback to phase 1 or an
-    infeasible or unbounded answer leaves none; {!add_var} and
-    {!set_objective} drop it with the compiled form. A solve that
-    resumes from it (see [?warm]) grows the factors by the rows appended
-    since instead of factoring its basis, and keeps the reduced costs
-    and basic values instead of computing them. Pivot choices read
-    values and column indices only, never basis positions or how old
-    the factors are, so the same call returns the same vertex, pivots
-    and basis whatever ran before it; the work counters depend on what
-    the model carries. Solving writes both, so a model, like any
-    mutable model, belongs to one domain at a time.
+    state of its last optimum: the statuses, the basic values and the
+    reduced costs. Each warm or [?start] revised solve clears it as it
+    starts and stores it again only when it ends optimal, so an abort, a
+    fallback to phase 1 or an infeasible or unbounded answer leaves
+    none; {!add_var}, {!set_objective} and a {!set_bounds} that moves a
+    bound drop it. A solve that resumes from it (see [?warm]) still
+    factors its basis, but keeps those basic values and reduced costs
+    instead of solving for them and pricing every column. They are
+    exactly the values a fresh start computes, so the same call returns
+    the same vertex, pivots and basis whatever ran before it; the work
+    counters depend on what the model carries. Solving writes both, so
+    a model, like any mutable model, belongs to one domain at a time.
 
     Pricing and anti-cycling: every engine prices by Dantzig's rule
     while the objective strictly improves and falls back to Bland's rule
@@ -109,6 +107,8 @@ val num_constraints : model -> int
     variable ([upper = None] removes the upper bound). The intended use
     is repeated re-solves of one model under changing bounds (branch and
     bound fixings), typically warm-started from the previous basis.
+    Bounds that differ from the old ones drop the model's live state
+    (module header), so the next solve factors and prices in full.
     Raises [Invalid_argument] on an unknown variable or [upper < lower]. *)
 val set_bounds : model -> var -> lower:Rational.t -> upper:Rational.t option -> unit
 
@@ -178,13 +178,14 @@ end
     still primal feasible, or repairs feasibility with a
     bounded-variable dual simplex when only the bounds changed (which
     leaves the reduced costs, hence dual feasibility, intact). The
-    revised engine resumes instead of refactorizing when the model holds
-    the live state of an optimum (module header) and the basis it is
-    given is that optimum's, with a basic slack for every row appended
-    since and every such row [Le] or [Ge]: it extends the optimum's
-    factors by the new rows, keeps its reduced costs, reads each new
-    slack's value off its row, and solves the basic values again only
-    when a bound moved. Either way the same pivots follow. The
+    revised engine resumes when the model holds the live state of an
+    optimum (module header) and the basis it is given is that
+    optimum's, with a basic slack for every row appended since and
+    every such row [Le] or [Ge]: it keeps that optimum's reduced costs
+    (the new rows' duals are zero) and basic values (the new rows reach
+    no old row; each new slack's value is read off its row) instead of
+    pricing every column and solving for them. Either way the same
+    pivots follow. The
     float engine restores the snapshot in double precision and
     certifies whatever basis the warm re-solve ends on, exactly as for a
     cold float solve. When the snapshot cannot be reused — dimensions
@@ -234,14 +235,12 @@ end
     reduced costs are computed in full (a warm start does so once, before
     its dual-feasibility check; a resumed one does not re-price), plus
     after each pivot, primal or dual, the nonbasic columns that the
-    row-wise reduced-cost update reaches. A resumed solve factors nothing
-    as it starts, so it adds to [lp.refactorizations] and
-    [lp.fill_nonzeros] only when the refactorization policy fires. The
-    float engine additionally records [lp.float_pivots]
-    (double-precision pivots), [lp.certify_ops] (rational
-    multiplications/divisions spent in certification), [lp.certify_ok],
-    [lp.certify_fail] and [lp.fallbacks] (exact re-solves, whether after
-    a failed certification or a float give-up).
+    row-wise reduced-cost update reaches. The float engine additionally
+    records [lp.float_pivots] (double-precision pivots),
+    [lp.certify_ops] (rational multiplications/divisions spent in
+    certification), [lp.certify_ok], [lp.certify_fail] and
+    [lp.fallbacks] (exact re-solves, whether after a failed
+    certification or a float give-up).
     Counters recorded so far survive a {!Budget.Out_of_fuel} abort. *)
 val solve :
   ?rule:pivot_rule ->

@@ -8,8 +8,7 @@
    the basis (ties to the smallest row index). Each simplex basis change
    is appended to an eta file (product-form inverse): B' = B·E where E is
    the identity with column [pos] replaced by w = B^-1 a_q, so
-   B'^-1 = E^-1 B^-1. [extend] grows the factors by rows whose new
-   basic columns are their own slacks, keeping the eta file.
+   B'^-1 = E^-1 B^-1.
 
    Coordinate spaces: right-hand sides and dual vectors live in original
    ROW space; basic-variable coefficient vectors live in POSITION space
@@ -26,9 +25,9 @@
    vector of the factorization: neither allocates per call.
 
    Every scalar multiply/divide performed is tallied into the [ops] ref
-   supplied at factorization (or extension) time — this is the "touched
-   cells" measure behind the solution's [sol_cells] and the work ratios
-   [test_lp] checks. *)
+   supplied at factorization time — this is the "touched cells" measure
+   behind the solution's [sol_cells] and the work ratios [test_lp]
+   checks. *)
 
 module Make (S : Scalar.S) = struct
   (* a sparse matrix column: parallel (row index, value) arrays *)
@@ -89,33 +88,6 @@ module Make (S : Scalar.S) = struct
   }
 
   exception Singular
-
-  (* a factorization of [m] stages with fresh, all-zero workspaces *)
-  let with_workspaces ~m ~ops ~prow ~stage_of_row ~cpos ~lcols ~ucols ~udiag ~lu_nnz ~etas
-      ~eta_count ~eta_nnz =
-    {
-      m;
-      ops;
-      prow;
-      stage_of_row;
-      cpos;
-      lcols;
-      ucols;
-      udiag;
-      lu_nnz;
-      etas;
-      eta_count;
-      eta_nnz;
-      fw = Array.make m S.zero;
-      reached = Array.make m false;
-      heap = Array.make m 0;
-      order = Array.make m 0;
-      marked = Array.make m false;
-      bx = Array.make m S.zero;
-      bw = Array.make m S.zero;
-      fout = { x = Array.make m S.zero; nz = Array.make m 0; nnz = 0 };
-      by = Array.make m S.zero;
-    }
 
   (* [factor ~ops ~nrows ~cols ~basis] factorizes the matrix whose
      position-p column is [cols.(basis.(p))]. Raises Singular. *)
@@ -250,8 +222,29 @@ module Make (S : Scalar.S) = struct
       lu_nnz := !lu_nnz + !un + !ln + 1;
       clear ()
     done;
-    with_workspaces ~m ~ops ~prow ~stage_of_row ~cpos ~lcols ~ucols ~udiag ~lu_nnz:!lu_nnz
-      ~etas:[||] ~eta_count:0 ~eta_nnz:0
+    {
+      m;
+      ops;
+      prow;
+      stage_of_row;
+      cpos;
+      lcols;
+      ucols;
+      udiag;
+      lu_nnz = !lu_nnz;
+      etas = [||];
+      eta_count = 0;
+      eta_nnz = 0;
+      fw = Array.make m S.zero;
+      reached = Array.make m false;
+      heap = Array.make m 0;
+      order = Array.make m 0;
+      marked = Array.make m false;
+      bx = Array.make m S.zero;
+      bw = Array.make m S.zero;
+      fout = { x = Array.make m S.zero; nz = Array.make m 0; nnz = 0 };
+      by = Array.make m S.zero;
+    }
 
   (* binary min-heap of ints in [h.(0 .. !n - 1)] *)
   let heap_push (h : int array) (n : int ref) (v : int) =
@@ -429,20 +422,23 @@ module Make (S : Scalar.S) = struct
     end
     else y.(e.e_pos) <- S.zero
 
-  (* BTRAN's first two stages, w = U^-T E^-T c, for a position-space [c]
-     given by its entries (distinct positions): the eta file
-     newest-first (B^-T = B0^-T E1^-T ... Et^-T), then U^T w = x in
-     stage order. The result is stage-space, in [f]'s workspace [bw]. *)
-  let btran_eta_u (f : fact) (c : col) =
+  (* [btran f c]: solve B^T y = c for a position-space [c] given by its
+     entries (distinct positions). The result is row-space, in [f]'s
+     result vector, valid until the next [btran] on [f]. Pull form: each
+     stage gathers its dot product, in the same order as the transposed
+     factors' columns, so float sums never depend on the support. *)
+  let btran (f : fact) (c : col) =
     let ops = f.ops and m = f.m in
     let x = f.bx in
     for idx = 0 to Array.length c.rows - 1 do
       x.(c.rows.(idx)) <- c.vals.(idx)
     done;
+    (* eta file newest-first: B^-T = B0^-T E1^-T ... Et^-T *)
     for i = f.eta_count - 1 downto 0 do
       apply_eta_transposed ops f.etas.(i) x
     done;
-    (* w_k = (x_{cpos k} - sum_{(j,u) in ucol k} u w_j) / d_k *)
+    (* U^T w = x in stage order:
+       w_k = (x_{cpos k} - sum_{(j,u) in ucol k} u w_j) / d_k *)
     let w = f.bw in
     for k = 0 to m - 1 do
       let acc = ref x.(f.cpos.(k)) in
@@ -467,67 +463,21 @@ module Make (S : Scalar.S) = struct
     for i = 0 to f.eta_count - 1 do
       x.(f.etas.(i).e_pos) <- S.zero
     done;
-    w
-
-  (* [btran f c]: solve B^T y = c for a position-space [c] given by its
-     entries (distinct positions). The result is row-space, in [f]'s
-     result vector, valid until the next [btran] on [f]. Pull form: each
-     stage gathers its dot product, in the same order as the transposed
-     factors' columns, so float sums never depend on the support. *)
-  let btran (f : fact) (c : col) =
-    let w = btran_eta_u f c in
     (* L^T y = w, backward; y indexed by original row *)
     let y = f.by in
-    for k = f.m - 1 downto 0 do
+    for k = m - 1 downto 0 do
       let acc = ref w.(k) in
       let lr, lv = f.lcols.(k) in
       for idx = 0 to Array.length lr - 1 do
         let yi = y.(lr.(idx)) in
         if not (S.is_zero yi) then begin
-          incr f.ops;
+          incr ops;
           acc := S.submul !acc lv.(idx) yi
         end
       done;
       y.(f.prow.(k)) <- !acc
     done;
     y
-
-  (* [extend f ~ops ~rows ~diag]: the factors of the basis grown by k =
-     [Array.length rows] rows. [f] factors the m x m basis B = B0·E (E
-     its eta file). New row m+i has the coefficients [rows.(i)] on the
-     old basic positions, and its new basic column, at position m+i, is
-     [diag.(i)] times the unit vector of row m+i. The grown basis
-       [[B, 0], [R, D]] = [[B0, 0], [R·E^-1, D]] · diag(E, I),
-     so the eta file carries over unchanged, each new row's L
-     multipliers r·E^-1·U^-1 (BTRAN's eta pass and U^T stage loop over
-     the row) join the old stages' L columns, and new stage m+i pivots
-     on row m+i at position m+i with U diagonal [diag.(i)] and no other
-     U entry. The result counts its operations, and every later one, in
-     [ops]; [f] is not to be used again. *)
-  let extend (f : fact) ~ops ~(rows : col array) ~(diag : S.t array) =
-    let f = { f with ops } and m = f.m and k = Array.length rows in
-    if k = 0 then f
-    else begin
-      let lcols = Array.append f.lcols (Array.make k ([||], [||])) in
-      let added = ref k in
-      Array.iteri
-        (fun i r ->
-          let w = btran_eta_u f r in
-          for s = 0 to m - 1 do
-            if not (S.is_zero w.(s)) then begin
-              let lr, lv = lcols.(s) in
-              lcols.(s) <- (Array.append lr [| m + i |], Array.append lv [| w.(s) |]);
-              incr added
-            end
-          done)
-        rows;
-      let grow a = Array.append a (Array.init k (fun i -> m + i)) in
-      with_workspaces ~m:(m + k) ~ops ~prow:(grow f.prow) ~stage_of_row:(grow f.stage_of_row)
-        ~cpos:(grow f.cpos) ~lcols
-        ~ucols:(Array.append f.ucols (Array.make k ([||], [||])))
-        ~udiag:(Array.append f.udiag diag)
-        ~lu_nnz:(f.lu_nnz + !added) ~etas:f.etas ~eta_count:f.eta_count ~eta_nnz:f.eta_nnz
-    end
 
   (* [update f ~pos ~w]: append the eta for replacing the basic column at
      [pos] by the column whose ftran image is [w]. Returns false — caller

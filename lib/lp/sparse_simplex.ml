@@ -17,11 +17,10 @@
    same row (theta = d_q / alpha_rq). A warm start prices once, and the
    dual-feasibility check, the dual repair and phase 2 all read that
    row; one that resumes from an earlier optimum of the same problem,
-   grown by rows, prices nothing and factors nothing: it keeps that
-   optimum's reduced costs and basic values and extends its factors
-   (Slu.extend). The pivot column is one hypersparse FTRAN
-   (w = B^-1 a_q); the primal ratio test, the basic-value update and
-   the eta append loop over w's nonzero positions. So a pivot costs the nonzeros it touches
+   grown by rows, prices nothing: it keeps that optimum's reduced costs
+   and basic values. The pivot column is one hypersparse FTRAN (w = B^-1 a_q); the
+   primal ratio test, the basic-value update and the eta append loop
+   over w's nonzero positions. So a pivot costs the nonzeros it touches
    plus one pass over the columns in pricing and one pull-form BTRAN,
    not O(m·n). Basis changes are product-form eta updates with periodic
    refactorization (Slu.should_refactor).
@@ -180,16 +179,15 @@ module Make (S : Scalar.S) = struct
     }
 
   (* What an optimum leaves: the point, the statuses, the basic column
-     of each basis position, the reduced costs and the factors of that
-     basis, eta file included. A later warm solve of the same problem,
-     grown by rows, can resume from it ([solve_warm ?from]). *)
+     of each basis position and the reduced costs. A later warm solve of
+     the same problem, grown by rows under the same bounds, can resume
+     from it ([solve_warm ?from]). *)
   type optimum = {
     o_z : S.t;
     o_stat : vstat array;
     o_basis : int array;
     o_xb : S.t array;
     o_d : S.t array;
-    o_fact : F.fact;
   }
 
   type outcome = Opt of optimum | Infeas | Unbd
@@ -507,7 +505,7 @@ module Make (S : Scalar.S) = struct
     st.z <- !z
 
   let extract st =
-    Opt { o_z = st.z; o_stat = st.stat; o_basis = st.basis; o_xb = st.xb; o_d = st.d; o_fact = st.fact }
+    Opt { o_z = st.z; o_stat = st.stat; o_basis = st.basis; o_xb = st.xb; o_d = st.d }
 
   (* How far [x], the value of column [k], lies outside its bounds
      beyond the tolerance: [Some (v, true)] below, [Some (v, false)]
@@ -690,26 +688,6 @@ module Make (S : Scalar.S) = struct
       | O_opt -> extract st
     end
 
-  (* x_B = B^-1 (b - sum over nonbasic of A_j x_j), then z *)
-  let solve_xb st =
-    let pb = st.pb in
-    let rhs = Array.copy pb.prhs in
-    for j = 0 to pb.pn - 1 do
-      if st.stat.(j) <> Vbas then begin
-        let v = nb_value st j in
-        if not (S.is_zero v) then begin
-          let c = pb.pcols.(j) in
-          for idx = 0 to Array.length c.F.rows - 1 do
-            incr st.ops;
-            rhs.(c.F.rows.(idx)) <- S.submul rhs.(c.F.rows.(idx)) c.F.vals.(idx) v
-          done
-        end
-      end
-    done;
-    let xb = F.ftran st.fact (F.col_of_array rhs) in
-    Array.blit xb.F.x 0 st.xb 0 pb.pm;
-    recompute_z st
-
   (* A warm state built afresh: factor the basis of [stat], solve x_B
      and price every column. *)
   let refactored cfg pb ~stat ~budget ~obs ~pivots ~ops =
@@ -725,12 +703,32 @@ module Make (S : Scalar.S) = struct
         incr bi
       end
     done;
-    let fact = try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed in
+    let fact =
+      try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed
+    in
     let st =
       make_state cfg pb ~budget ~obs ~pivots ~ops ~stat:(Array.copy stat) ~basis
         ~xb:(Array.make m S.zero) ~cost:(Array.copy pb.pobj) ~d:(Array.make n S.zero) ~fact
     in
-    solve_xb st;
+    (* x_B = B^-1 (b - sum over nonbasic of A_j x_j) *)
+    let rhs = Array.copy pb.prhs in
+    for j = 0 to n - 1 do
+      if st.stat.(j) <> Vbas then begin
+        let v = nb_value st j in
+        if not (S.is_zero v) then begin
+          let c = pb.pcols.(j) in
+          for idx = 0 to Array.length c.F.rows - 1 do
+            incr ops;
+            rhs.(c.F.rows.(idx)) <- S.submul rhs.(c.F.rows.(idx)) c.F.vals.(idx) v
+          done
+        end
+      end
+    done;
+    let xb = F.ftran st.fact (F.col_of_array rhs) in
+    Array.blit xb.F.x 0 st.xb 0 m;
+    recompute_z st;
+    (* priced once: the dual-feasibility check reads d, the dual repair
+       keeps it current and phase 2 starts from it *)
     compute_reduced st;
     st
 
@@ -747,93 +745,69 @@ module Make (S : Scalar.S) = struct
     done;
     !same
 
-  (* The warm state [o] left, grown by the rows [pb] gained since: the
-     new rows' slacks join the basis at the new positions, the factors
-     grow by those rows ([F.extend]), and the reduced costs carry over
-     (the new rows' duals are zero: their slacks are basic at cost 0,
-     and bounds never enter d). The old rows' basic values carry over
-     too, and each new slack's is read off its own row; when a
-     structural bound moved since [o] ([moved]), x_B and z are solved
-     again on the grown factors instead. [o] is not to be used again:
-     its arrays are reused when no row was added. *)
-  let resumed cfg pb (o : optimum) ~stat ~moved ~budget ~obs ~pivots ~ops =
+  (* The warm state [o] left, grown by the rows [pb] gained since: their
+     slacks join the basis at the new positions, and the grown basis is
+     factored. The reduced costs carry over (the new rows' duals are
+     zero: their slacks are basic at cost 0), and so do z and the old
+     rows' basic values, which no new column reaches; the caller drops
+     [o] when a bound moves. Each new slack's value is read off its own
+     row. [o] is left as it was. *)
+  let resumed cfg pb (o : optimum) ~stat ~budget ~obs ~pivots ~ops =
     let m0 = Array.length o.o_basis and n0 = Array.length o.o_stat in
-    let k = pb.pm - m0 in
-    let grow a = if k = 0 then a else Array.append a (Array.make k S.zero) in
-    (* the basis position of each old column; the new rows on those
-       positions, and the coefficient of each new row's slack *)
-    let pos = Array.make n0 (-1) in
-    Array.iteri (fun p j -> pos.(j) <- p) o.o_basis;
-    let diag = Array.make k S.zero in
-    let rows =
-      Array.init k (fun i ->
-          let cols = pb.prow_cols.(m0 + i) and vals = pb.prow_vals.(m0 + i) in
-          let nb = ref 0 in
-          Array.iter (fun j -> if j < n0 && pos.(j) >= 0 then incr nb) cols;
-          let r = { F.rows = Array.make !nb 0; vals = Array.make !nb S.zero } and t = ref 0 in
-          Array.iteri
-            (fun idx j ->
-              if j >= n0 then diag.(i) <- vals.(idx)
-              else if pos.(j) >= 0 then begin
-                r.F.rows.(!t) <- pos.(j);
-                r.F.vals.(!t) <- vals.(idx);
-                incr t
-              end)
-            cols;
-          r)
-    in
-    let basis =
-      if k = 0 then o.o_basis else Array.init pb.pm (fun p -> if p < m0 then o.o_basis.(p) else n0 + p - m0)
+    let grow a = Array.append a (Array.make (pb.pm - m0) S.zero) in
+    let basis = Array.init pb.pm (fun p -> if p < m0 then o.o_basis.(p) else n0 + p - m0) in
+    let fact =
+      try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed
     in
     let st =
-      make_state cfg pb ~budget ~obs ~pivots ~ops ~stat:(Array.copy stat) ~basis ~xb:(grow o.o_xb)
-        ~cost:(Array.copy pb.pobj) ~d:(grow o.o_d) ~fact:(F.extend o.o_fact ~ops ~rows ~diag)
+      make_state cfg pb ~budget ~obs ~pivots ~ops ~stat:(Array.copy stat) ~basis
+        ~xb:(grow o.o_xb) ~cost:(Array.copy pb.pobj) ~d:(grow o.o_d) ~fact
     in
-    if moved then solve_xb st
-    else begin
-      st.z <- o.o_z;
-      (* row m0+i: a.x + diag_i s_i = b_i *)
-      for i = 0 to k - 1 do
-        let cols = pb.prow_cols.(m0 + i) and vals = pb.prow_vals.(m0 + i) in
-        let acc = ref pb.prhs.(m0 + i) in
-        Array.iteri
-          (fun idx j ->
-            if j < n0 then begin
-              let x = if st.stat.(j) = Vbas then st.xb.(pos.(j)) else nb_value st j in
-              if not (S.is_zero x) then begin
-                incr ops;
-                acc := S.submul !acc vals.(idx) x
-              end
+    st.z <- o.o_z;
+    let pos = Array.make n0 (-1) in
+    Array.iteri (fun p j -> pos.(j) <- p) o.o_basis;
+    (* row p: a.x + delta s = b, s its slack, basic at position p *)
+    for p = m0 to pb.pm - 1 do
+      let cols = pb.prow_cols.(p) and vals = pb.prow_vals.(p) in
+      let acc = ref pb.prhs.(p) and delta = ref S.one in
+      Array.iteri
+        (fun idx j ->
+          if j >= n0 then delta := vals.(idx)
+          else
+            let x = if pos.(j) >= 0 then st.xb.(pos.(j)) else nb_value st j in
+            if not (S.is_zero x) then begin
+              incr ops;
+              acc := S.submul !acc vals.(idx) x
             end)
-          cols;
-        incr ops;
-        st.xb.(m0 + i) <- S.div !acc diag.(i)
-      done
-    end;
+        cols;
+      incr ops;
+      st.xb.(p) <- S.div !acc !delta
+    done;
     st
 
   (* Warm start from per-column statuses against a problem without
      artificials. It resumes from [from], the optimum an earlier warm
      solve of this problem left, when [stat] is that optimum's basis
-     with a basic slack for every row added since ([resumable]; [moved]:
-     a structural bound changed since); otherwise it factors the basis
-     of [stat] and prices every column. Then it goes straight to phase 2
-     when still primal feasible, or runs the dual repair when only
-     primal feasibility was lost. The pivots, the vertex and the
-     returned statuses do not depend on which way it started. Raises
-     Warm_failed whenever the statuses cannot be reused. *)
-  let solve_warm ?from (cfg : S.t config) (pb : problem) ~(stat : vstat array) ~moved ~budget ~obs
+     with a basic slack for every row added since ([resumable]);
+     otherwise it factors the basis of [stat], solves x_B and prices
+     every column. Then it goes straight to phase 2 when still primal
+     feasible, or runs the dual repair when only primal feasibility was
+     lost. The pivots, the vertex and the returned statuses do not
+     depend on which way it started. Raises Warm_failed whenever the
+     statuses cannot be reused. *)
+  let solve_warm ?from (cfg : S.t config) (pb : problem) ~(stat : vstat array) ~budget ~obs
       ~pivots ~ops =
     if Array.length stat <> pb.pn then raise Warm_failed;
     let st =
       match from with
-      | Some o when resumable pb o stat -> resumed cfg pb o ~stat ~moved ~budget ~obs ~pivots ~ops
+      | Some o when resumable pb o stat -> resumed cfg pb o ~stat ~budget ~obs ~pivots ~ops
       | _ -> refactored cfg pb ~stat ~budget ~obs ~pivots ~ops
     in
+    let m = pb.pm and n = pb.pn in
     Fun.protect ~finally:(fun () -> flush_pricing st) @@ fun () ->
     let primal_feasible =
       let ok = ref true in
-      for p = 0 to pb.pm - 1 do
+      for p = 0 to m - 1 do
         if Option.is_some (violation st st.basis.(p) st.xb.(p)) then ok := false
       done;
       !ok
@@ -844,7 +818,7 @@ module Make (S : Scalar.S) = struct
         (* dual feasible? (the usual case: only bounds changed or rows
            were added) *)
         let neg_dtol = S.neg cfg.dtol in
-        for j = 0 to pb.pn - 1 do
+        for j = 0 to n - 1 do
           if st.enterable.(j) then
             match st.stat.(j) with
             | Vlo -> if S.compare st.d.(j) neg_dtol < 0 then raise Warm_failed

@@ -238,16 +238,14 @@ let test_oracles_agree () =
    solve (+24), and each dual pivot counts the columns its row update
    reaches, as a primal pivot does (+20).
 
-   Refreshed again when a warm or [?start] solve began to resume the
-   simplex from the state its model's last optimum left: the factors
-   grow by the rows appended since (eta file kept) and the reduced costs
-   carry over, so every pivot, flip, warm start and round is the same
-   and only the work moved. Refactorizations fell 10 -> 5 and fill 239
-   -> 112 (a resumed solve factors nothing as it starts), priced columns
-   86 -> 56 (it does not re-price), and exact cells rose 693 -> 707: a
-   resumed node keeps up to 12 etas, which every FTRAN and BTRAN it runs
-   passes through, where factoring these slack-heavy bases costs 0 cells
-   and pricing them 6 to 9. On the benchmark's LP1s the cells fall. *)
+   Refreshed again when a warm or [?start] solve began to resume from
+   its model's last optimum: it still factors its basis, but keeps that
+   optimum's reduced costs and basic values instead of pricing every
+   column and solving x_B (the rows appended since have zero duals and
+   reach no old row). A node's branching bounds drop that optimum, so
+   only the cut rounds after a node's first solve resume. Every pivot,
+   flip, warm start, round, refactorization and fill nonzero is the
+   same; priced columns 86 -> 80, exact cells 693 -> 672. *)
 let test_golden_lp_counters () =
   let inst = Gad.integrality_gap 3 in
   let obs = Obs.create () in
@@ -261,15 +259,15 @@ let test_golden_lp_counters () =
     [ ("lp.bound_flips", 3);
       ("lp.degenerate_pivots", 3);
       ("lp.eta_updates", 13);
-      ("lp.exact_cells", 707);
-      ("lp.fill_nonzeros", 112);
+      ("lp.exact_cells", 672);
+      ("lp.fill_nonzeros", 239);
       ("lp.pivots", 13);
       (* after each pivot, primal or dual, the reduced-cost row is
          updated row-wise: only the nonbasic columns that the nonzero
          rows of rho = B^-T e_r reach are counted, plus every nonbasic
          column once per phase when the row is priced in full *)
-      ("lp.priced_columns", 56);
-      ("lp.refactorizations", 5);
+      ("lp.priced_columns", 80);
+      ("lp.refactorizations", 10);
       ("lp.solves", 10);
       ("lp.warm_starts", 4) ]
     lp_only;
