@@ -610,20 +610,21 @@ let e16 () =
   pr "per instance:\n\n";
   table_row (List.map col [ "instance"; "OPT"; "flow nodes"; "ilp nodes"; "lp solves" ]);
   let run name inst =
+    (* one recorder: the two searches count under different names *)
     let obs = Obs.create () in
-    let flow_opt =
-      match Active.Exact.solve ~obs inst with
+    let complete = function
       | Budget.Complete r -> Option.map Active.Solution.cost r
       | Budget.Exhausted _ -> assert false (* unlimited fuel never exhausts *)
     in
-    let flow_nodes = Option.value (List.assoc_opt "active.exact.nodes" (Obs.counters obs)) ~default:0 in
-    match (flow_opt, Active.Ilp.exact inst) with
-    | Some o1, Some (sol, st) ->
-        assert (o1 = Active.Solution.cost sol);
+    let flow_opt = complete (Active.Exact.solve ~obs inst) in
+    match (flow_opt, complete (Active.Ilp.solve ~obs inst)) with
+    | Some o1, Some o2 ->
+        assert (o1 = o2);
         table_row
           (List.map col
-             [ name; string_of_int o1; string_of_int flow_nodes; string_of_int st.Active.Ilp.nodes;
-               string_of_int st.Active.Ilp.lp_solves ])
+             (name :: List.map string_of_int
+                  [ o1; Obs.counter obs "active.exact.nodes"; Obs.counter obs "active.ilp.nodes";
+                    Obs.counter obs "active.ilp.lp_solves" ]))
     | None, None -> table_row (List.map col [ name; "infeas"; "-"; "-"; "-" ])
     | _ -> failwith "exact solvers disagree on feasibility"
   in
@@ -690,16 +691,12 @@ let e18 () =
         (fun limit ->
           let inst = Gad.bb_hard ~g:2 ~groups ~width:6 in
           let sol, prov = Active.Cascade.solve ~limit inst in
-          let ticks =
-            List.fold_left (fun acc (a : Budget.Cascade.attempt) -> acc + a.ticks) 0
-              prov.Budget.Cascade.attempts
-          in
           table_row
             (List.map col
                [ string_of_int groups;
                  string_of_int limit;
                  Option.value prov.Budget.Cascade.winner ~default:"-";
-                 string_of_int ticks;
+                 string_of_int (Budget.Cascade.spent prov);
                  (match sol with Some s -> string_of_int (Active.Solution.cost s) | None -> "-");
                  string_of_int prov.Budget.Cascade.bound ]))
         [ 10_000; 100_000 ])

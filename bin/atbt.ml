@@ -114,30 +114,16 @@ let run_solver (s : CS.t) ?budget ?obs ?params inst =
 
 let limited_budget budget = Option.map Budget.limited budget
 
-(* the model-specific spellings of an objective / an exhausted incumbent *)
-let objective_string = function
-  | CR.Slots n -> string_of_int n
-  | CR.Busy q | CR.Value q -> Q.to_string q
-
+(* the model-specific spelling of an exhausted incumbent *)
 let incumbent_string = function
   | CR.Slots n -> Printf.sprintf "cost %d" n
   | CR.Busy q | CR.Value q -> Q.to_string q
 
-let objective_json = function
-  | CR.Slots n -> J.Int n
-  | CR.Busy q | CR.Value q -> J.String (Q.to_string q)
-
-let pp_objective fmt = function
-  | CR.Slots n -> Format.pp_print_int fmt n
-  | CR.Busy q | CR.Value q -> Format.pp_print_string fmt (Q.to_string q)
-
-let provenance_json = function
-  | None -> J.Null
-  | Some p -> Budget.Cascade.provenance_to_json ~cost_to_json:objective_json p
-
 let print_provenance = function
   | None -> ()
-  | Some p -> Format.printf "%a" (Budget.Cascade.pp_provenance ~pp_cost:pp_objective) p
+  | Some p ->
+      let pp_cost fmt o = Format.pp_print_string fmt (CR.objective_to_string o) in
+      Format.printf "%a" (Budget.Cascade.pp_provenance ~pp_cost) p
 
 (* The message when a budget ran out without a definitive answer; the
    solver provides the stem, the incumbent (when any) the detail. *)
@@ -343,7 +329,7 @@ let active_text path algorithm order budget cascade render svg =
          | None -> (
              (* bound-quality solvers witness no schedule *)
              match r.CR.objective with
-             | Some obj -> Ok (Printf.printf "objective %s\n" (objective_string obj))
+             | Some obj -> Ok (Printf.printf "objective %s\n" (CR.objective_to_string obj))
              | None -> Ok ())))
 
 (* JSON twin of [active_text]: same control flow, machine-readable
@@ -380,7 +366,7 @@ let active_json path algorithm order budget cascade svg =
       run_solver solver ?budget:(limited_budget budget) ~obs ~params:[ ("order", order) ] (CI.Slotted inst)
     in
     note := r.CR.note;
-    let prov = provenance_json r.CR.provenance in
+    let prov = CR.provenance_to_json r.CR.provenance in
     match r.CR.status with
     | CR.Exhausted { spent } ->
         Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))
@@ -390,7 +376,7 @@ let active_json path algorithm order budget cascade svg =
         | Some sol, _ ->
             let* () = verified inst sol in
             Ok ("ok", J.Int (Active.Solution.cost sol), bounds, prov)
-        | None, Some obj -> Ok ("ok", objective_json obj, bounds, prov)
+        | None, Some obj -> Ok ("ok", CR.objective_to_json obj, bounds, prov)
         | None, None -> Ok ("ok", J.Null, bounds, prov))
   in
   let algorithm = if cascade then "cascade" else algorithm in
@@ -512,7 +498,7 @@ let busy_text path g algorithm placement preemptive budget cascade render svg =
            | Some obj ->
                Printf.printf
                  "budget exhausted after %d ticks; best incumbent %s (not proven optimal)\n" spent
-                 (objective_string obj)
+                 (CR.objective_to_string obj)
            | None -> ());
            Error (Fuel_exhausted (solver.CS.exhausted_hint ^ "; try --cascade"))
        | CR.Infeasible -> Error (Internal "cascade returned no packing")
@@ -570,7 +556,7 @@ let busy_json path g algorithm placement preemptive budget cascade svg =
       let* placement_mode = parse_placement placement in
       let* pinned, solver, r = busy_run ~obs ~g algorithm placement_mode budget cascade jobs in
       note := r.CR.note;
-      let prov = provenance_json r.CR.provenance in
+      let prov = CR.provenance_to_json r.CR.provenance in
       match r.CR.status with
       | CR.Exhausted { spent } ->
           Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))

@@ -170,9 +170,7 @@ module Oracle = struct
   type t = {
     net : network;
     slot_open : bool array; (* slot index -> open *)
-    job_active : bool array;
-    mutable jobs_of_id : (int, int list) Hashtbl.t option;
-        (* job id -> array indices, built by the first [set_job] *)
+    job_active : bool array; (* job index -> active *)
     mutable active_total : int; (* sum of active job lengths *)
     mutable flow_value : int; (* flow currently routed *)
   }
@@ -192,17 +190,12 @@ module Oracle = struct
       net;
       slot_open = Array.make (Array.length net.slots) open_all;
       job_active = Array.make (S.num_jobs inst) activate_all;
-      jobs_of_id = None;
       active_total = total;
       flow_value = 0;
     }
 
   let target t = t.active_total
   let flow_value t = t.flow_value
-
-  let slot_is_open t ~slot =
-    let si = find_index t.net.slots slot in
-    si >= 0 && t.slot_open.(si)
 
   (* drain [e]'s routed flow and close it *)
   let close t ~obs e =
@@ -221,7 +214,9 @@ module Oracle = struct
       Obs.incr obs "active.oracle.slot_toggles"
     end
 
-  let set_job_idx ?(obs = Obs.null) t idx ~active =
+  let set_job ?(obs = Obs.null) t idx ~active =
+    if idx < 0 || idx >= Array.length t.job_active then
+      invalid_arg "Feasibility.Oracle.set_job: no job at this index";
     if t.job_active.(idx) <> active then begin
       let e = t.net.job_arc.(idx) in
       let len = job_length t.net idx in
@@ -236,24 +231,6 @@ module Oracle = struct
       t.job_active.(idx) <- active;
       Obs.incr obs "active.oracle.job_toggles"
     end
-
-  let jobs_of_id t =
-    match t.jobs_of_id with
-    | Some tbl -> tbl
-    | None ->
-        let jobs = t.net.inst.S.jobs in
-        let tbl = Hashtbl.create (2 * Array.length jobs) in
-        Array.iteri
-          (fun idx (j : S.job) ->
-            Hashtbl.replace tbl j.S.id (idx :: Option.value (Hashtbl.find_opt tbl j.S.id) ~default:[]))
-          jobs;
-        t.jobs_of_id <- Some tbl;
-        tbl
-
-  let set_job ?obs t ~id ~active =
-    match Hashtbl.find_opt (jobs_of_id t) id with
-    | None -> invalid_arg "Feasibility.Oracle.set_job: unknown job id"
-    | Some idxs -> List.iter (fun idx -> set_job_idx ?obs t idx ~active) idxs
 
   let check ?(obs = Obs.null) t =
     let net = t.net in

@@ -85,8 +85,9 @@ type probe_mode = Incremental | Rebuild
     - closing a slot drains the [<= g] displaced flow units back through
       the residual graph ({!Flow.drain_edge}) and zeroes its slot->sink
       arc; reopening restores capacity [g];
-    - activating a job raises its source->job arc from [0] to [p_j]
-      (deactivating drains it);
+    - activating a job, addressed by its index in the instance's job
+      array, raises its source->job arc from [0] to [p_j] (deactivating
+      drains it);
     - {!Oracle.check} re-augments from the current residual state
       ({!Flow.augment}) and reports whether the flow saturates every
       active job arc.
@@ -114,18 +115,17 @@ module Oracle : sig
   (** Flow currently routed (maintained across toggles and drains). *)
   val flow_value : t -> int
 
-  val slot_is_open : t -> slot:int -> bool
-
   (** Toggle a slot. Closing drains its routed flow; opening an already
       open slot (or closing a closed one) is a no-op. Toggling a slot no
       job can use is a no-op either way (such slots exist in no window
       and have no vertex in the network). *)
   val set_slot : ?obs:Obs.t -> t -> slot:int -> open_:bool -> unit
 
-  (** Toggle every job with the given id (ids are expected unique, but
-      duplicates are all toggled, matching [feasible ?only_jobs]). Raises
-      [Invalid_argument] on an unknown id. *)
-  val set_job : ?obs:Obs.t -> t -> id:int -> active:bool -> unit
+  (** [set_job t idx ~active] toggles the job at index [idx] of the
+      instance's job array (its callers walk that array). Setting a job
+      to the state it is in is a no-op. Raises [Invalid_argument] when
+      no job has that index. *)
+  val set_job : ?obs:Obs.t -> t -> int -> active:bool -> unit
 
   (** Re-augment on the warm residual graph and decide feasibility of the
       current open set for the currently active jobs. With [?obs],

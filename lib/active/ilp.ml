@@ -15,8 +15,6 @@
 module S = Workload.Slotted
 module Q = Rational
 
-type stats = { nodes : int; lp_solves : int }
-
 let src = Logs.Src.create "abt.ilp" ~doc:"LP-based branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -76,12 +74,9 @@ let solve ?budget ?(obs = Obs.null) (inst : S.t) =
       in
       (* a node's cut loop may solve several times: count every solve *)
       let finish () =
-        let lp_solves = Lp_model.solves lp1 in
         Obs.add obs "active.ilp.nodes" !nodes;
-        Obs.add obs "active.ilp.lp_solves" lp_solves;
-        Option.map
-          (fun sol -> (sol, { nodes = !nodes; lp_solves }))
-          (Solution.of_open_slots ~net:(Lp_model.network lp1) inst ~open_slots:!best_slots)
+        Obs.add obs "active.ilp.lp_solves" (Lp_model.solves lp1);
+        Solution.of_open_slots ~net:(Lp_model.network lp1) inst ~open_slots:!best_slots
       in
       (try
          branch [] None;
@@ -97,4 +92,4 @@ let exact (inst : S.t) =
   | Budget.Complete r -> r
   | Budget.Exhausted _ -> assert false (* unlimited fuel never exhausts *)
 
-let optimum inst = Option.map (fun (sol, _) -> Solution.cost sol) (exact inst)
+let optimum inst = Option.map Solution.cost (exact inst)

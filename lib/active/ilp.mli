@@ -5,13 +5,6 @@
     combinatorial flow-pruned search of {!Exact}; experiment E16 compares
     their search effort. *)
 
-type stats = {
-  nodes : int;
-  lp_solves : int;
-      (** every {!Lp.solve} of the tree: a node's cut loop may run
-          several, so this is at least [nodes] *)
-}
-
 (** Budgeted LP-based branch and bound (default: unlimited fuel). One
     tick per node plus one per simplex pivot inside each LP re-solve, so
     the budget bounds total work, not just tree size. The exhausted
@@ -27,18 +20,21 @@ type stats = {
     schedule.
 
     With [?obs], runs inside an [active.ilp] span and records
-    [active.ilp.nodes] / [active.ilp.lp_solves] (equal to [lp.solves])
-    plus the nested [active.lp1.*], [lp.*] and [flow.*] counters of
-    every re-solve ([lp.warm_starts] counts the nodes that resumed their
-    parent's basis with no row added since). *)
+    [active.ilp.nodes] and [active.ilp.lp_solves] (every {!Lp.solve} of
+    the tree, equal to [lp.solves]: a node's cut loop may run several,
+    so it is at least the node count) plus the nested [active.lp1.*],
+    [lp.*] and [flow.*] counters of every re-solve ([lp.warm_starts]
+    counts the nodes that resumed their parent's basis with no row added
+    since). These counters are the search statistics: experiment E16
+    reads its columns from them. *)
 val solve :
   ?budget:Budget.t ->
   ?obs:Obs.t ->
   Workload.Slotted.t ->
-  (Solution.t * stats) option Budget.outcome
+  Solution.t option Budget.outcome
 
 (** [None] iff the instance is infeasible; otherwise the exact optimum
-    with search statistics ([solve] with unlimited fuel). *)
-val exact : Workload.Slotted.t -> (Solution.t * stats) option
+    ([solve] with unlimited fuel). *)
+val exact : Workload.Slotted.t -> Solution.t option
 
 val optimum : Workload.Slotted.t -> int option

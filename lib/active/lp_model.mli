@@ -106,7 +106,8 @@ val basis : lp1 -> Lp.Basis.t option
 
 (** The LP solves run on this model so far: one per round of every
     {!resolve}, the same events [active.lp1.rounds] counts, so
-    {!Ilp.solve} can report them with or without a recorder. *)
+    {!Ilp.solve} can record its tree's share in [active.ilp.lp_solves]
+    on a recorder that already holds other rounds. *)
 val solves : lp1 -> int
 
 (** Runs the cut loop (see the header) from [from] (default: the last

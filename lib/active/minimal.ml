@@ -14,7 +14,6 @@ type order =
   | Left_to_right
   | Right_to_left
   | Shuffled of int (* seed *)
-  | Given of int list (* close in exactly this order; remaining slots appended l-to-r *)
 
 let order_slots order slots =
   match order with
@@ -30,9 +29,6 @@ let order_slots order slots =
         arr.(k) <- tmp
       done;
       Array.to_list arr
-  | Given explicit ->
-      let rest = List.filter (fun s -> not (List.mem s explicit)) slots in
-      List.filter (fun s -> List.mem s slots) explicit @ rest
 
 (* [minimalize inst ~start order] closes slots of [start] greedily in the
    given order. Returns [None] when [start] itself is infeasible.

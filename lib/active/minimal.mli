@@ -13,7 +13,6 @@ type order =
   | Left_to_right
   | Right_to_left
   | Shuffled of int  (** seed *)
-  | Given of int list  (** close in this order; remaining slots appended *)
 
 (** [minimalize inst ~start order] closes slots of [start] greedily.
     [None] when [start] itself is infeasible. [?oracle] selects the

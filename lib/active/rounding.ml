@@ -132,10 +132,10 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
                   end
             in
             proxy := None;
-            Array.iter
-              (fun (j : S.job) ->
+            Array.iteri
+              (fun idx (j : S.job) ->
                 if j.S.deadline = b then begin
-                  Feasibility.Oracle.set_job ~obs ora ~id:j.S.id ~active:true;
+                  Feasibility.Oracle.set_job ~obs ora idx ~active:true;
                   processed := j.S.id :: !processed
                 end)
               inst.S.jobs;

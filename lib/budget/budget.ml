@@ -56,10 +56,6 @@ let exhausted b = b.used >= b.limit
 
 type 'a outcome = Complete of 'a | Exhausted of { spent : int; incumbent : 'a }
 
-let map f = function
-  | Complete v -> Complete (f v)
-  | Exhausted { spent; incumbent } -> Exhausted { spent; incumbent = f incumbent }
-
 module Cascade = struct
   type status = Answered | No_answer | Tier_exhausted | Deadline
 
@@ -148,6 +144,8 @@ module Cascade = struct
       cost_label = p.cost_label;
       bound_label = p.bound_label;
     }
+
+  let spent p = List.fold_left (fun acc a -> acc + a.ticks) 0 p.attempts
 
   let pp_provenance ~pp_cost fmt p =
     List.iter (fun a -> Format.fprintf fmt "cascade: %a@." pp_attempt a) p.attempts;

@@ -77,9 +77,6 @@ val expired : t -> bool
     suboptimal) answer found within [spent] ticks. *)
 type 'a outcome = Complete of 'a | Exhausted of { spent : int; incumbent : 'a }
 
-(** [map f] applies [f] to the payload in either case. *)
-val map : ('a -> 'b) -> 'a outcome -> 'b outcome
-
 (** Graceful-degradation runner: exact -> approximation -> greedy. *)
 module Cascade : sig
   type status =
@@ -157,6 +154,10 @@ module Cascade : sig
       how the registry lifts a model-specific provenance ([int] slots or
       rational busy time) into the shared objective type. *)
   val map_provenance : ('a -> 'b) -> 'a provenance -> 'b provenance
+
+  (** The ticks of a provenance's attempts, added up: what a cascade
+      spent over its fresh per-tier budgets. *)
+  val spent : 'cost provenance -> int
 
   (** One [cascade: tier ...] line per attempt, then a final
       [provenance: tier=<w> <cost_label>=<c> <bound_label>=<b> gap=<g>]

@@ -73,7 +73,7 @@ let solvers =
       ~exhausted_hint:"LP-based search ran out of budget" ~paper:"methodology (E16)"
       ~impl:"Active.Ilp"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        of_outcome (Budget.map (Option.map fst) (Ilp.solve ?budget ?obs (slotted "ilp" inst))))
+        of_outcome (Ilp.solve ?budget ?obs (slotted "ilp" inst)))
       ();
     Sv.make ~name:"unit" ~kind:I.Active_slotted ~quality:Sv.Exact ~rank:2
       ~restriction:"unit-length jobs"

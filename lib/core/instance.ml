@@ -6,8 +6,6 @@ let kind_name = function
   | Busy_flexible -> "busy-flexible"
   | Busy_preemptive -> "busy-preemptive"
 
-let all_kinds = [ Active_slotted; Busy_interval; Busy_flexible; Busy_preemptive ]
-
 type t =
   | Slotted of Workload.Slotted.t
   | Interval of { g : int; jobs : Workload.Bjob.t list }

@@ -20,9 +20,6 @@ type kind = Active_slotted | Busy_interval | Busy_flexible | Busy_preemptive
     ["busy-flexible"], ["busy-preemptive"]. *)
 val kind_name : kind -> string
 
-(** In display order (the order of the constructors above). *)
-val all_kinds : kind list
-
 type t =
   | Slotted of Workload.Slotted.t  (** active-slotted *)
   | Interval of { g : int; jobs : Workload.Bjob.t list }

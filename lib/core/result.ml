@@ -4,6 +4,14 @@ let objective_to_string = function
   | Slots n -> string_of_int n
   | Busy q | Value q -> Rational.to_string q
 
+let objective_to_json = function
+  | Slots n -> Obs.Json.Int n
+  | Busy q | Value q -> Obs.Json.String (Rational.to_string q)
+
+let provenance_to_json = function
+  | None -> Obs.Json.Null
+  | Some p -> Budget.Cascade.provenance_to_json ~cost_to_json:objective_to_json p
+
 type witness =
   | Opened of { open_slots : int list; schedule : Workload.Slotted.schedule }
   | Packing of Workload.Bjob.t list list

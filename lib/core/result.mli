@@ -14,6 +14,16 @@ type objective = Slots of int | Busy of Rational.t | Value of Rational.t
 (** [Slots n] prints as the int, the rationals via {!Rational.to_string}. *)
 val objective_to_string : objective -> string
 
+(** [Slots n] as a JSON int, the rationals as JSON strings of
+    {!objective_to_string}: the one encoding the CLI's, serve's and
+    [atbt sim]'s JSON documents share. *)
+val objective_to_json : objective -> Obs.Json.t
+
+(** A cascade's provenance via {!Budget.Cascade.provenance_to_json} with
+    {!objective_to_json}; [None] (a solver that is no cascade) is
+    [null]. *)
+val provenance_to_json : objective Budget.Cascade.provenance option -> Obs.Json.t
+
 (** A schedule the model's verifier can check: the open-slot set plus
     job assignment of an active-time solution, or a busy-time packing
     (bundles of interval jobs). Bound-only solvers return no witness. *)

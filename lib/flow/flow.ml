@@ -55,8 +55,6 @@ let create ?(edges = 8) n =
     stack_e = Array.make (n + 1) 0;
   }
 
-let vertex_count t = t.n
-
 let ensure_room t =
   let len = Array.length t.dst in
   if t.edge_count + 2 > len then begin

@@ -45,8 +45,6 @@ type edge
     is about to build; adding more edges is always allowed. *)
 val create : ?edges:int -> int -> t
 
-val vertex_count : t -> int
-
 (** [add_edge t ~src ~dst ~cap] adds a directed edge. A residual reverse
     edge of capacity 0 is added internally. Raises [Invalid_argument] on a
     negative capacity or an out-of-range vertex. *)

@@ -107,20 +107,25 @@ let check_oracle_differential (inst : S.t) =
     slot_steps;
   (match !mismatch with
   | None ->
-      (* job phase: deactivate every third id, then reactivate *)
-      let ids = List.sort_uniq compare (Array.to_list (Array.map (fun j -> j.S.id) inst.S.jobs)) in
-      let dropped = List.filteri (fun i _ -> i mod 3 = 0) ids in
-      List.iter (fun id -> Active.Feasibility.Oracle.set_job o ~id ~active:false) dropped;
-      let kept = List.filter (fun id -> not (List.mem id dropped)) ids in
+      (* job phase: deactivate every third job in id order, then
+         reactivate *)
+      let jobs = inst.S.jobs in
+      let by_id =
+        List.sort (fun a b -> compare jobs.(a).S.id jobs.(b).S.id) (List.init (Array.length jobs) Fun.id)
+      in
+      let dropped = List.filteri (fun i _ -> i mod 3 = 0) by_id in
+      let kept = List.filteri (fun i _ -> i mod 3 <> 0) by_id in
+      List.iter (fun idx -> Active.Feasibility.Oracle.set_job o idx ~active:false) dropped;
       let open_slots = List.filteri (fun i _ -> open_.(i)) (Array.to_list slots) in
-      let want = Active.Feasibility.feasible ~only_jobs:kept inst ~open_slots in
+      let only_jobs = List.map (fun idx -> jobs.(idx).S.id) kept in
+      let want = Active.Feasibility.feasible ~only_jobs inst ~open_slots in
       let got = Active.Feasibility.Oracle.check o in
       if want <> got then
         mismatch :=
           fail "oracle-differential" "with %d/%d jobs: oracle says %b, rebuild says %b"
-            (List.length kept) (List.length ids) got want
+            (List.length kept) (Array.length jobs) got want
       else begin
-        List.iter (fun id -> Active.Feasibility.Oracle.set_job o ~id ~active:true) dropped;
+        List.iter (fun idx -> Active.Feasibility.Oracle.set_job o idx ~active:true) dropped;
         let want = Active.Feasibility.feasible inst ~open_slots in
         let got = Active.Feasibility.Oracle.check o in
         if want <> got then

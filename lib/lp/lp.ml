@@ -459,10 +459,6 @@ let row_residual values r =
 (* the model type above, which keeps the revised engine's compiled form. *)
 (* ====================================================================== *)
 
-(* Refactorize after this many eta updates (the factorization also
-   refactorizes early when the eta file's nonzeros outgrow the LU). *)
-let eta_cap = 64
-
 let vstat_of_status = function
   | Basis.Lower -> Sparse_simplex.Vlo
   | Basis.Upper -> Sparse_simplex.Vhi
@@ -591,16 +587,6 @@ let cold_spec m =
     { Sparse_simplex.st_art = n0; st_stat; st_basis = basis; st_xb = xb },
     slack_of_row )
 
-let sparse_counters =
-  {
-    Sparse_simplex.c_pivots = "lp.pivots";
-    c_phase1 = true;
-    c_flips = true;
-    c_degen = true;
-    c_warm = true;
-    c_price = true;
-  }
-
 (* [reuse]: the warm basis is an earlier optimum, so a successful
    restore counts in [lp.warm_starts]; a caller's [?start] does not. *)
 let sparse_scfg ~rule ~reuse =
@@ -608,10 +594,10 @@ let sparse_scfg ~rule ~reuse =
     Sparse_simplex.dtol = Q.zero;
     ptol = Q.zero;
     ztol = Q.zero;
-    eta_cap;
     step_cap = None;
     bland_always = (rule = Pure_bland);
-    counters = { sparse_counters with c_warm = reuse };
+    exact = true;
+    count_warm = reuse;
   }
 
 (* Map a sparse driver outcome back to the solver result; [x] comes from
@@ -782,25 +768,15 @@ type float_claim =
   | F_infeas
   | F_unbd
 
-let float_counters =
-  {
-    Sparse_simplex.c_pivots = "lp.float_pivots";
-    c_phase1 = false;
-    c_flips = false;
-    c_degen = false;
-    c_warm = true;
-    c_price = false;
-  }
-
 let float_scfg ~rule ~reuse ~m ~n =
   {
     Sparse_simplex.dtol = float_eps;
     ptol = fpivot_tol;
     ztol = fpivot_tol;
-    eta_cap;
     step_cap = Some (float_pivot_cap ~m ~n);
     bland_always = (rule = Pure_bland);
-    counters = { float_counters with c_warm = reuse };
+    exact = false;
+    count_warm = reuse;
   }
 
 (* Float phase on the sparse driver: runs at double precision over the
@@ -1035,7 +1011,3 @@ let pivots s = s.sol_pivots
 let tableau_cells s = s.sol_cells
 let basis s = s.sol_basis
 let certification s = s.sol_certification
-
-let pp_solution fmt s =
-  Format.fprintf fmt "objective = %a@." Q.pp s.objective;
-  Array.iteri (fun i n -> Format.fprintf fmt "  %s = %a@." n Q.pp s.var_values.(i)) s.sol_names

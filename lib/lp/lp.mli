@@ -284,7 +284,3 @@ val basis : solution -> Basis.t option
     its basis certified, [Fallback] when the exact re-solve produced the
     answer. All three carry exact rational results. *)
 val certification : solution -> certification
-
-(** {1 Debugging} *)
-
-val pp_solution : Format.formatter -> solution -> unit

@@ -514,8 +514,7 @@ module Make (S : Scalar.S) = struct
   let num_etas f = f.eta_count
   let lu_nnz f = f.lu_nnz
 
-  (* refactorize when the eta file is long or has accumulated more fill
-     than the factors themselves *)
-  let should_refactor f ~eta_cap =
-    f.eta_count >= eta_cap || f.eta_nnz > max (4 * f.m) (2 * f.lu_nnz)
+  (* refactorize when the eta file holds 64 etas or has accumulated
+     more fill than the factors themselves *)
+  let should_refactor f = f.eta_count >= 64 || f.eta_nnz > max (4 * f.m) (2 * f.lu_nnz)
 end

@@ -66,27 +66,18 @@ type start = {
   st_xb : Rational.t array; (* initial basic values per row *)
 }
 
-(* Which obs counters an instantiation reports. The exact engine uses
-   the lp.pivots family; the float engine counts lp.float_pivots only
-   (its pivots are disposable — certification decides what they are
-   worth). [c_price] gates lp.priced_columns the same way. *)
-type counters = {
-  c_pivots : string;
-  c_phase1 : bool;
-  c_flips : bool;
-  c_degen : bool;
-  c_warm : bool;
-  c_price : bool;
-}
-
 type 'a config = {
   dtol : 'a; (* reduced-cost / degeneracy tolerance (exact: 0) *)
   ptol : 'a; (* minimum acceptable |pivot| in ratio tests (exact: 0) *)
   ztol : 'a; (* phase-1 objective above this => infeasible (exact: 0) *)
-  eta_cap : int; (* refactorize after this many eta updates *)
   step_cap : int option; (* pivots+flips before giving up (float cap) *)
   bland_always : bool;
-  counters : counters;
+  exact : bool;
+      (* which obs counters to report: the exact engine counts the
+         lp.pivots family and lp.priced_columns; the float engine counts
+         lp.float_pivots only (its pivots are disposable — certification
+         decides what they are worth) *)
+  count_warm : bool; (* a successful warm start counts in lp.warm_starts *)
 }
 
 (* matches Lp.degenerate_pivot_threshold *)
@@ -246,7 +237,7 @@ module Make (S : Scalar.S) = struct
     }
 
   let flush_pricing st =
-    if st.cfg.counters.c_price && !(st.priced) > 0 then
+    if st.cfg.exact && !(st.priced) > 0 then
       Obs.add st.obs "lp.priced_columns" !(st.priced)
 
   let factor_basis ~ops ~obs pb basis =
@@ -256,6 +247,8 @@ module Make (S : Scalar.S) = struct
     fact
 
   let refactor st = st.fact <- factor_basis ~ops:st.ops ~obs:st.obs st.pb st.basis
+
+  let count_pivot st = Obs.incr st.obs (if st.cfg.exact then "lp.pivots" else "lp.float_pivots")
 
   let nb_value st j =
     match st.stat.(j) with
@@ -384,7 +377,7 @@ module Make (S : Scalar.S) = struct
   let post_pivot st ~pos ~w =
     if F.update st.fact ~pos ~w then begin
       Obs.incr st.obs "lp.eta_updates";
-      if F.should_refactor st.fact ~eta_cap:st.cfg.eta_cap then refactor st
+      if F.should_refactor st.fact then refactor st
     end
     else refactor st
 
@@ -445,7 +438,7 @@ module Make (S : Scalar.S) = struct
           (match (flip, !best) with
           | Some s, _ ->
               step_tick st;
-              if st.cfg.counters.c_flips then Obs.incr st.obs "lp.bound_flips";
+              if st.cfg.exact then Obs.incr st.obs "lp.bound_flips";
               let signed = if sigma > 0 then s else S.neg s in
               for t = 0 to w.F.nnz - 1 do
                 let p = w.F.nz.(t) in
@@ -479,12 +472,11 @@ module Make (S : Scalar.S) = struct
               reduce_row st (pivot_row st (btran_unit st r)) d;
               st.d.(q) <- S.zero;
               incr st.pivots;
-              Obs.incr st.obs st.cfg.counters.c_pivots;
-              if phase1 && st.cfg.counters.c_phase1 then
-                Obs.incr st.obs "lp.phase1_pivots";
+              count_pivot st;
+              if phase1 && st.cfg.exact then Obs.incr st.obs "lp.phase1_pivots";
               if S.compare tstep st.cfg.dtol <= 0 then begin
                 incr stalled;
-                if st.cfg.counters.c_degen then Obs.incr st.obs "lp.degenerate_pivots";
+                if st.cfg.exact then Obs.incr st.obs "lp.degenerate_pivots";
                 if !stalled > degen_threshold then bland := true
               end
               else stalled := 0)
@@ -611,7 +603,7 @@ module Make (S : Scalar.S) = struct
             st.basis.(r) <- q;
             post_pivot st ~pos:r ~w;
             incr st.pivots;
-            Obs.incr st.obs st.cfg.counters.c_pivots
+            count_pivot st
           end
     done;
     !feasible
@@ -830,7 +822,7 @@ module Make (S : Scalar.S) = struct
     in
     if not proceed then Infeas
     else begin
-      if cfg.counters.c_warm then Obs.incr obs "lp.warm_starts";
+      if cfg.count_warm then Obs.incr obs "lp.warm_starts";
       match Obs.span obs "lp.phase2" (fun () -> run_primal st ~phase1:false) with
       | O_unbd -> Unbd
       | O_opt -> extract st

@@ -22,11 +22,6 @@ module Json = struct
         | c -> Buffer.add_char buf c)
       s
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    escape_into buf s;
-    Buffer.contents buf
-
   let rec emit buf = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -245,51 +240,16 @@ let digest s =
     s;
   Printf.sprintf "fnv1a64:%016Lx" !h
 
-type event =
-  | Enter of string
-  | Exit of { name : string; ticks : int }
-  | Counter of { name : string; total : int }
-
-module Sink = struct
-  type t = event -> unit
-
-  let null = fun (_ : event) -> ()
-  let of_fn f = f
-
-  let memory () =
-    let events = ref [] in
-    ((fun e -> events := e :: !events), fun () -> List.rev !events)
-
-  let event_to_json = function
-    | Enter name -> Json.Obj [ ("event", Json.String "enter"); ("span", Json.String name) ]
-    | Exit { name; ticks } ->
-        Json.Obj
-          [ ("event", Json.String "exit");
-            ("span", Json.String name);
-            ("ticks", Json.Int ticks) ]
-    | Counter { name; total } ->
-        Json.Obj
-          [ ("event", Json.String "counter");
-            ("name", Json.String name);
-            ("total", Json.Int total) ]
-
-  let line_json write = fun e -> write (Json.to_string (event_to_json e))
-end
-
 type span = { name : string; ticks : int; children : span list }
 
-type frame = {
-  frame_name : string;
-  ticks_at_enter : int;
-  mutable children_rev : span list;
-}
+(* an open span's children so far, newest first *)
+type frame = { mutable children_rev : span list }
 
 type recorder = {
   counters : (string, int ref) Hashtbl.t;
   mutable total : int;
-  mutable stack : frame list;
+  mutable stack : frame list; (* open spans, innermost first *)
   mutable roots_rev : span list;
-  sink : Sink.t;
 }
 
 type t = Null | Rec of recorder
@@ -297,15 +257,7 @@ type t = Null | Rec of recorder
 let null = Null
 let is_null = function Null -> true | Rec _ -> false
 
-let create ?(sink = Sink.null) () =
-  Rec
-    {
-      counters = Hashtbl.create 32;
-      total = 0;
-      stack = [];
-      roots_rev = [];
-      sink;
-    }
+let create () = Rec { counters = Hashtbl.create 32; total = 0; stack = []; roots_rev = [] }
 
 let add t name n =
   match t with
@@ -335,49 +287,23 @@ let counter t name =
 
 let total_ticks = function Null -> 0 | Rec r -> r.total
 
-let enter t name =
-  match t with
-  | Null -> ()
-  | Rec r ->
-      r.stack <-
-        { frame_name = name; ticks_at_enter = r.total; children_rev = [] }
-        :: r.stack;
-      r.sink (Enter name)
-
-let exit t =
-  match t with
-  | Null -> ()
-  | Rec r -> (
-      match r.stack with
-      | [] -> invalid_arg "Obs.exit: no open span"
-      | f :: rest ->
-          let node =
-            {
-              name = f.frame_name;
-              ticks = r.total - f.ticks_at_enter;
-              children = List.rev f.children_rev;
-            }
-          in
-          (match rest with
-          | [] -> r.roots_rev <- node :: r.roots_rev
-          | parent :: _ -> parent.children_rev <- node :: parent.children_rev);
-          r.stack <- rest;
-          r.sink (Exit { name = node.name; ticks = node.ticks }))
-
+(* [span] is the only way to open a span, so the spans close in the
+   reverse order they opened, exceptions included *)
 let span t name f =
   match t with
   | Null -> f ()
-  | Rec _ ->
-      enter t name;
-      Fun.protect ~finally:(fun () -> exit t) f
+  | Rec r ->
+      let outer = r.stack and at = r.total in
+      let frame = { children_rev = [] } in
+      r.stack <- frame :: outer;
+      Fun.protect f ~finally:(fun () ->
+          let node = { name; ticks = r.total - at; children = List.rev frame.children_rev } in
+          (match outer with
+          | [] -> r.roots_rev <- node :: r.roots_rev
+          | parent :: _ -> parent.children_rev <- node :: parent.children_rev);
+          r.stack <- outer)
 
 let span_tree = function Null -> [] | Rec r -> List.rev r.roots_rev
-
-let flush t =
-  match t with
-  | Null -> ()
-  | Rec r ->
-      List.iter (fun (name, total) -> r.sink (Counter { name; total })) (counters t)
 
 let counters_to_json t =
   Json.Obj (List.map (fun (name, total) -> (name, Json.Int total)) (counters t))

@@ -1,5 +1,5 @@
-(** Deterministic solver telemetry: named monotonic counters, hierarchical
-    spans, pluggable sinks.
+(** Deterministic solver telemetry: named monotonic counters and
+    hierarchical spans.
 
     Every metric in this layer counts {e solver events} — search nodes,
     simplex pivots, flow augmentations — never wall-clock time, so a
@@ -12,7 +12,7 @@
     {!null}, which makes every recording call a no-op, so uninstrumented
     callers pay nothing. A caller that wants telemetry creates a recorder
     with {!create}, passes it down, and reads {!counters} / {!span_tree}
-    afterwards (or attaches a streaming sink).
+    afterwards.
 
     Recorders are not thread-safe: use one recorder per domain and merge
     results outside the parallel region. *)
@@ -20,9 +20,9 @@
 (** {1 JSON}
 
     A minimal JSON document model and printer, here so that the CLI
-    ([atbt --format json]), the serve protocol, the [atbt sim] report
-    and the line-JSON sink share one deterministic serializer without
-    any external dependency. *)
+    ([atbt --format json]), the serve protocol and the [atbt sim] report
+    share one deterministic serializer without any external
+    dependency. *)
 
 module Json : sig
   type t =
@@ -40,9 +40,6 @@ module Json : sig
   val to_string : t -> string
 
   val pp : Format.formatter -> t -> unit
-
-  (** JSON string-body escaping (no surrounding quotes). *)
-  val escape : string -> string
 
   (** [member k (Obj fields)] is the value under key [k] (first match);
       [None] on a missing key or any non-object. *)
@@ -62,37 +59,6 @@ end
     in telemetry documents. *)
 val digest : string -> string
 
-(** {1 Events and sinks} *)
-
-(** What a sink observes, in order: span boundaries as they happen, and
-    counter totals when the recorder is {!flush}ed. *)
-type event =
-  | Enter of string
-  | Exit of { name : string; ticks : int }
-      (** [ticks] = counter increments recorded while the span was open,
-          children included *)
-  | Counter of { name : string; total : int }
-
-module Sink : sig
-  type t
-
-  (** Discards every event. *)
-  val null : t
-
-  (** Calls the function on every event. *)
-  val of_fn : (event -> unit) -> t
-
-  (** In-memory sink for tests: [(sink, events)] where [events ()]
-      returns everything observed so far, in order. *)
-  val memory : unit -> t * (unit -> event list)
-
-  (** Streams one compact JSON object per event to [write] (no trailing
-      newline; the writer adds its own framing). *)
-  val line_json : (string -> unit) -> t
-
-  val event_to_json : event -> Json.t
-end
-
 (** {1 Recorders} *)
 
 type t
@@ -103,10 +69,8 @@ val null : t
 
 val is_null : t -> bool
 
-(** A fresh recorder. Events stream to [sink] (default {!Sink.null});
-    counters and the span tree are also accumulated in memory
-    regardless of the sink. *)
-val create : ?sink:Sink.t -> unit -> t
+(** A fresh recorder: counters and the span tree accumulate in memory. *)
+val create : unit -> t
 
 (** {2 Counters} *)
 
@@ -132,18 +96,13 @@ val total_ticks : t -> int
 (** {2 Spans} *)
 
 (** A completed span: [ticks] is the number of counter increments
-    recorded between enter and exit (children included); [children] are
-    in run order. *)
+    recorded while it was open (children included); [children] are in
+    run order. *)
 type span = { name : string; ticks : int; children : span list }
 
-val enter : t -> string -> unit
-
-(** Closes the innermost open span. Raises [Invalid_argument] when no
-    span is open. *)
-val exit : t -> unit
-
 (** [span t name f] runs [f ()] inside a span; the span is closed even
-    when [f] raises (the exception is re-raised). *)
+    when [f] raises (the exception is re-raised). This is the only way
+    to open a span, so spans always nest. *)
 val span : t -> string -> (unit -> 'a) -> 'a
 
 (** Completed top-level spans, in run order. Spans still open are not
@@ -151,9 +110,6 @@ val span : t -> string -> (unit -> 'a) -> 'a
 val span_tree : t -> span list
 
 (** {2 Serialization} *)
-
-(** Emits a [Counter] event per counter, in sorted name order. *)
-val flush : t -> unit
 
 (** Counters as a JSON object (sorted keys). *)
 val counters_to_json : t -> Json.t

@@ -108,14 +108,6 @@ end
 
 (* ------------------------------------------------------------ solving -- *)
 
-let objective_json = function
-  | CR.Slots n -> J.Int n
-  | CR.Busy q | CR.Value q -> J.String (Q.to_string q)
-
-let provenance_json = function
-  | None -> J.Null
-  | Some p -> Budget.Cascade.provenance_to_json ~cost_to_json:objective_json p
-
 let degraded_provenance = function
   | None -> false
   | Some (p : CR.objective Budget.Cascade.provenance) ->
@@ -176,13 +168,10 @@ let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t)
     (* composite solvers burn fresh per-tier budgets, not the request
        budget — their spend lives in the provenance attempts *)
     match r.CR.provenance with
-    | Some p when p.Budget.Cascade.attempts <> [] ->
-        List.fold_left
-          (fun acc (a : Budget.Cascade.attempt) -> acc + a.Budget.Cascade.ticks)
-          0 p.Budget.Cascade.attempts
+    | Some p when p.Budget.Cascade.attempts <> [] -> Budget.Cascade.spent p
     | _ -> Budget.spent budget
   in
-  let prov = provenance_json r.CR.provenance in
+  let prov = CR.provenance_to_json r.CR.provenance in
   let mk status cost message =
     { Protocol.status; algorithm_used; instance_json; cost; message; provenance = prov; ticks }
   in
@@ -195,14 +184,14 @@ let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t)
   else
     match r.CR.status with
     | CR.Solved ->
-        let cost = match r.CR.objective with Some o -> objective_json o | None -> J.Null in
+        let cost = match r.CR.objective with Some o -> CR.objective_to_json o | None -> J.Null in
         let status = if degraded_provenance r.CR.provenance then "degraded" else "ok" in
         mk status cost r.CR.note
     | CR.Infeasible -> mk "infeasible" J.Null r.CR.note
     | CR.Exhausted { spent } -> (
         match r.CR.objective with
         | Some obj ->
-            mk "degraded" (objective_json obj)
+            mk "degraded" (CR.objective_to_json obj)
               (Some
                  (Printf.sprintf "%s after %d ticks; best incumbent kept"
                     solver.CS.exhausted_hint spent))

@@ -90,15 +90,10 @@ type jstate = {
   mutable missed : bool;
 }
 
-(* The warm feasibility oracle over the full instance. [o_active]
-   tracks which job ids are wired in, [closed_upto] how far the
-   passed-unopened slot closures have been applied, so each epoch only
-   pushes the delta onto the warm residual graph. *)
-type oracle_state = {
-  oracle : Oracle.t;
-  o_active : (int, unit) Hashtbl.t;
-  mutable closed_upto : int;
-}
+(* The warm feasibility oracle over the full instance. [closed_upto]
+   tracks how far the passed-unopened slot closures have been applied,
+   so each epoch only pushes the delta onto the warm residual graph. *)
+type oracle_state = { oracle : Oracle.t; mutable closed_upto : int }
 
 (* The pinned LP1 lower bound. Rebuilt only when the missed set grows
    (the model excludes missed jobs); otherwise the decided y variables
@@ -301,23 +296,16 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
           {
             oracle =
               Oracle.create ~obs:eobs ~open_all:true ~activate_all:false (Active.Feasibility.network inst);
-            o_active = Hashtbl.create 16;
             closed_upto = 0;
           })
     in
     warm.w_oracle <- Some ost;
-    Array.iter
-      (fun js ->
-        let id = js.job.S.id in
-        let wired = Hashtbl.mem ost.o_active id in
-        if arrived js && (not js.missed) && not wired then begin
-          Oracle.set_job ~obs:eobs ost.oracle ~id ~active:true;
-          Hashtbl.replace ost.o_active id ()
-        end
-        else if js.missed && wired then begin
-          Oracle.set_job ~obs:eobs ost.oracle ~id ~active:false;
-          Hashtbl.remove ost.o_active id
-        end)
+    (* [jstates] follows the instance's job order; a job already in
+       the wanted state is not toggled *)
+    Array.iteri
+      (fun idx js ->
+        if js.missed then Oracle.set_job ~obs:eobs ost.oracle idx ~active:false
+        else if arrived js then Oracle.set_job ~obs:eobs ost.oracle idx ~active:true)
       jstates;
     for t = ost.closed_upto + 1 to decided_upto do
       if not (Hashtbl.mem committed_open t) then
@@ -358,7 +346,7 @@ let run ?(obs = Obs.null) ?(config = default_config) ?(arrivals = []) (inst : S.
     in
     let ticks =
       match provenance with
-      | Some p -> List.fold_left (fun acc (a : Cascade.attempt) -> acc + a.ticks) 0 p.attempts
+      | Some p -> Cascade.spent p
       | None -> Budget.spent budget
     in
     epochs :=
@@ -455,10 +443,6 @@ let pp fmt (r : run) =
         (if rep.Replay.violations = [] then "ok" else "VIOLATIONS")
   | None -> Format.fprintf fmt "replay: skipped (%d missed jobs)@." r.total_misses
 
-let objective_to_json : CR.objective -> Obs.Json.t = function
-  | CR.Slots n -> Obs.Json.Int n
-  | CR.Busy q | CR.Value q -> Obs.Json.String (Q.to_string q)
-
 let to_json (r : run) : Obs.Json.t =
   let open Obs.Json in
   let epoch_to_json e =
@@ -480,10 +464,7 @@ let to_json (r : run) : Obs.Json.t =
         ("lp_work", Int e.lp_work);
         ("warm_hits", Int e.warm_hits);
         ("degraded", Bool e.degraded);
-        ( "provenance",
-          match e.provenance with
-          | Some p -> Cascade.provenance_to_json ~cost_to_json:objective_to_json p
-          | None -> Null );
+        ("provenance", CR.provenance_to_json e.provenance);
       ]
   in
   Obj

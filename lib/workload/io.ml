@@ -191,7 +191,3 @@ let to_string ?(arrivals = []) instance =
                (Q.to_string j.Bjob.deadline) (Q.to_string j.Bjob.length) (suffix j.Bjob.id)))
         jobs;
       Buffer.contents buf
-
-let write_file ?arrivals path instance =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string ?arrivals instance))

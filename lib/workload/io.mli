@@ -61,5 +61,3 @@ val parse_file_lenient : string -> (instance * (int * string) list, int * string
 (** [arrivals] adds [arrival <t>] suffixes to the listed jobs' lines
     (pairs with [t = 0] are omitted — 0 is the default). *)
 val to_string : ?arrivals:(int * int) list -> instance -> string
-
-val write_file : ?arrivals:(int * int) list -> string -> instance -> unit

@@ -103,7 +103,7 @@ let test_schedules_pinned () =
               [ ("ltr", Active.Minimal.Left_to_right); ("rtl", Active.Minimal.Right_to_left) ];
             if n <= 12 then run ("exact " ^ mode) (fun obs -> complete (Active.Exact.solve ~oracle ~obs inst)))
           [ ("incremental ", Active.Feasibility.Incremental); ("rebuild ", Active.Feasibility.Rebuild) ];
-        if n <= 12 then run "ilp" (fun obs -> Option.map fst (complete (Active.Ilp.solve ~obs inst)));
+        if n <= 12 then run "ilp" (fun obs -> complete (Active.Ilp.solve ~obs inst));
         run "cascade" (fun obs -> fst (Active.Cascade.solve ~obs ~limit:max_int inst));
         for limit = 1 to 40 do
           let sol, prov = Active.Cascade.solve ~limit inst in
@@ -169,15 +169,6 @@ let test_minimal_fig3_gadget () =
         (Active.Minimal.is_minimal inst ~open_slots:sol.Active.Solution.open_slots));
   (* exact optimum is g *)
   Alcotest.(check (option int)) "OPT = g" (Some g) (Active.Exact.optimum inst)
-
-let test_minimal_given_order () =
-  (* the Given order closes the listed slots first *)
-  let inst = small_inst [ job ~id:0 ~release:0 ~deadline:4 ~length:2 ] 1 in
-  match Active.Minimal.solve inst (Active.Minimal.Given [ 3; 4 ]) with
-  | None -> Alcotest.fail "feasible"
-  | Some sol ->
-      (* closing 3 then 4 first leaves 1,2 open *)
-      Alcotest.(check (list int)) "slots 1,2 remain" [ 1; 2 ] sol.Active.Solution.open_slots
 
 (* -- exact solvers -------------------------------------------------------- *)
 
@@ -457,7 +448,7 @@ let prop_ilp_matches_bnb =
       &&
       match Active.Ilp.exact inst with
       | None -> Active.Exact.optimum inst = None
-      | Some (sol, _) -> Active.Solution.verify inst sol = None)
+      | Some sol -> Active.Solution.verify inst sol = None)
 
 let prop_bnb_matches_bruteforce =
   QCheck.Test.make ~name:"branch-and-bound = brute force" ~count:40 seed_arb (fun seed ->
@@ -645,7 +636,7 @@ let prop_separation_network_reused =
       let inst = Gen.slotted ~params:tiny_params ~seed () in
       let net = Active.Feasibility.network inst in
       let slots = Active.Feasibility.network_slots net in
-      let ids = Array.map (fun (j : S.job) -> j.S.id) inst.S.jobs in
+      let n = S.num_jobs inst in
       (* the use's result on [net] if it and the counters equal a fresh
          network's *)
       let same use =
@@ -687,7 +678,7 @@ let prop_separation_network_reused =
               List.init (Random.State.int rng 10) (fun _ ->
                   match Random.State.int rng 3 with
                   | 0 -> `Slot (slot (), bool ())
-                  | 1 -> `Job (ids.(Random.State.int rng (Array.length ids)), bool ())
+                  | 1 -> `Job (Random.State.int rng n, bool ())
                   | _ -> `Check)
             in
             Option.is_some
@@ -698,7 +689,7 @@ let prop_separation_network_reused =
                      List.filter_map
                        (function
                          | `Slot (slot, open_) -> O.set_slot ~obs o ~slot ~open_; None
-                         | `Job (id, active) -> O.set_job ~obs o ~id ~active; None
+                         | `Job (idx, active) -> O.set_job ~obs o idx ~active; None
                          | `Check -> Some (O.check ~obs o))
                        steps
                    in
@@ -727,7 +718,6 @@ let () =
       ( "minimal",
         [ Alcotest.test_case "simple" `Quick test_minimal_simple;
           Alcotest.test_case "infeasible" `Quick test_minimal_infeasible;
-          Alcotest.test_case "given order" `Quick test_minimal_given_order;
           Alcotest.test_case "fig3 gadget" `Quick test_minimal_fig3_gadget ] );
       ( "exact",
         [ Alcotest.test_case "simple" `Quick test_exact_simple;

@@ -39,12 +39,6 @@ let test_invalid_limit () =
   Alcotest.check_raises "negative limit" (Invalid_argument "Budget.limited: negative limit")
     (fun () -> ignore (Budget.limited (-1)))
 
-let test_outcome_map () =
-  Alcotest.(check bool) "map complete" true (Budget.map succ (Budget.Complete 1) = Budget.Complete 2);
-  Alcotest.(check bool) "map exhausted" true
-    (Budget.map succ (Budget.Exhausted { spent = 5; incumbent = 1 })
-    = Budget.Exhausted { spent = 5; incumbent = 2 })
-
 (* ----------------------------------------------------------- deadlines -- *)
 
 let test_deadline_probe_interval () =
@@ -327,8 +321,7 @@ let () =
     [ ( "counting",
         [ Alcotest.test_case "tick accounting" `Quick test_tick_accounting;
           Alcotest.test_case "unlimited" `Quick test_unlimited;
-          Alcotest.test_case "invalid limit" `Quick test_invalid_limit;
-          Alcotest.test_case "outcome map" `Quick test_outcome_map ] );
+          Alcotest.test_case "invalid limit" `Quick test_invalid_limit ] );
       ( "deadlines",
         [ Alcotest.test_case "probe interval" `Quick test_deadline_probe_interval;
           Alcotest.test_case "probe raises" `Quick test_deadline_raises;

@@ -122,14 +122,16 @@ let test_feasibility_only_unknown_job () =
     (Active.Feasibility.feasible ~only_jobs:[ 99 ] inst ~open_slots:[])
 
 let test_oracle_unknown_job () =
-  (* the oracle builds its job-id table on the first [set_job]: an
-     unknown id is rejected, and a known one still toggles after that *)
+  (* the oracle addresses jobs by their index in the job array: an
+     index past the jobs is rejected, and index 0 still toggles after
+     that *)
   let inst = S.make ~g:1 [ S.job ~id:7 ~release:0 ~deadline:2 ~length:2 ] in
   let o = Active.Feasibility.Oracle.create ~activate_all:false (Active.Feasibility.network inst) in
-  Alcotest.check_raises "unknown id" (Invalid_argument "Feasibility.Oracle.set_job: unknown job id")
-    (fun () -> Active.Feasibility.Oracle.set_job o ~id:99 ~active:true);
-  Active.Feasibility.Oracle.set_job o ~id:7 ~active:true;
-  Alcotest.(check int) "known id activated" 2 (Active.Feasibility.Oracle.target o);
+  Alcotest.check_raises "index past the jobs"
+    (Invalid_argument "Feasibility.Oracle.set_job: no job at this index") (fun () ->
+      Active.Feasibility.Oracle.set_job o 1 ~active:true);
+  Active.Feasibility.Oracle.set_job o 0 ~active:true;
+  Alcotest.(check int) "job 0 activated" 2 (Active.Feasibility.Oracle.target o);
   Alcotest.(check bool) "and fits" true (Active.Feasibility.Oracle.check o)
 
 let test_solution_of_infeasible_slots () =

@@ -183,11 +183,13 @@ let test_ilp_on_integrality_gadget () =
      the integer optimum 2g *)
   let g = 3 in
   let inst = Workload.Gadgets.integrality_gap g in
-  (match Active.Ilp.exact inst with
-  | None -> Alcotest.fail "feasible"
-  | Some (sol, stats) ->
+  let obs = Obs.create () in
+  (match Active.Ilp.solve ~obs inst with
+  | Budget.Complete None -> Alcotest.fail "feasible"
+  | Budget.Complete (Some sol) ->
       Alcotest.(check int) "optimum 2g" (2 * g) (Active.Solution.cost sol);
-      Alcotest.(check bool) "had to branch" true (stats.Active.Ilp.nodes > 1));
+      Alcotest.(check bool) "had to branch" true (Obs.counter obs "active.ilp.nodes" > 1)
+  | Budget.Exhausted _ -> Alcotest.fail "unlimited fuel never exhausts");
   (* ILP also detects infeasibility *)
   let bad =
     Workload.Slotted.make ~g:1
