@@ -63,19 +63,15 @@ let finish = function
       prerr_endline ("atbt: " ^ msg);
       3
 
-let load path =
-  try Ok (Io.parse_file path) with
-  | Io.Parse_error (line, msg) -> Error (Usage (Printf.sprintf "%s:%d: %s" path line msg))
-  | Sys_error msg -> Error (Usage msg)
-
-(* Lenient twin for the JSON paths: a malformed job line becomes a
-   structured per-line warning in the document instead of aborting the
-   whole run; only whole-file problems (bad header, missing file) stay
-   fatal. *)
-let load_lenient path =
-  match Io.parse_file_lenient path with
-  | Ok (instance, warnings) -> Ok (instance, warnings)
-  | Error (line, msg) -> Error (Usage (Printf.sprintf "%s:%d: %s" path line msg))
+(* The instance and the load's per-line warnings. [~lenient] (the JSON
+   paths) turns a malformed job line into a warning in the document
+   instead of aborting the whole run; only whole-file problems (bad
+   header, missing file) stay fatal. *)
+let load ~lenient path =
+  let at line msg = Error (Usage (Printf.sprintf "%s:%d: %s" path line msg)) in
+  match if lenient then Io.parse_file_lenient path else Ok (Io.parse_file path, []) with
+  | Ok loaded -> Ok loaded
+  | Error (line, msg) | (exception Io.Parse_error (line, msg)) -> at line msg
   | exception Sys_error msg -> Error (Usage msg)
 
 (* Every file the CLI creates goes through here so that an unwritable
@@ -87,6 +83,16 @@ let write_text_file path contents =
     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents);
     Ok ()
   with Sys_error msg -> Error (Usage msg)
+
+(* [--svg FILE] of every command. Text mode ([~say]) reports the write;
+   JSON mode keeps stdout to its one document. *)
+let write_svg ~say svg contents =
+  match svg with
+  | None -> Ok ()
+  | Some file ->
+      let* () = write_text_file file (contents ()) in
+      if say then Printf.printf "wrote %s\n" file;
+      Ok ()
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -104,10 +110,10 @@ let resolve kind name =
               name (CI.kind_name kind)
               (String.concat "|" (Core.Registry.names kind))))
 
-(* Run a registered solver, mapping its structured exceptions onto the
-   CLI failure space. *)
+(* Run a registered solver, its answer checked by [Registry.run], and
+   map its structured exceptions onto the CLI failure space. *)
 let run_solver (s : CS.t) ?budget ?obs ?params inst =
-  match s.CS.solve ?budget ?obs ?params inst with
+  match Core.Registry.run s ?budget ?obs ?params inst with
   | r -> Ok r
   | exception CS.Unsupported msg -> Error (Usage msg)
   | exception CS.Bad_result msg -> Error (Internal msg)
@@ -138,8 +144,8 @@ let exhausted_message (s : CS.t) ~spent objective =
 
 (* One JSON document per invocation; [status] and [exit] mirror the
    process exit code so a consumer never needs the exit code separately. *)
-let emit_json ?(warnings = []) ~command ~algorithm ~instance ~status ~code ~message ~cost
-    ~bounds ~provenance obs =
+let emit_json ~warnings ~command ~algorithm ~instance ~status ~code ~message ~cost ~bounds
+    ~provenance obs =
   let warnings_json =
     (* present only when non-empty, so warning-free documents are
        byte-identical to the previous schema *)
@@ -157,7 +163,7 @@ let emit_json ?(warnings = []) ~command ~algorithm ~instance ~status ~code ~mess
          ("tool", J.String "atbt");
          ("version", J.String version);
          ("command", J.String command);
-         ("algorithm", match algorithm with Some a -> J.String a | None -> J.Null);
+         ("algorithm", J.String algorithm);
          ("instance", instance);
          ("status", J.String status);
          ("exit", J.Int code);
@@ -172,13 +178,15 @@ let emit_json ?(warnings = []) ~command ~algorithm ~instance ~status ~code ~mess
   print_endline (J.to_string doc);
   code
 
-(* JSON-mode driver: the body computes (status, cost, bounds, provenance)
-   or a structured failure; either way exactly one document is printed. *)
-let finish_json ?(warnings = fun () -> []) ~command ~algorithm ~instance ~message obs result =
+(* JSON-mode driver: [result] is the answer (status, cost, bounds,
+   provenance, message) or a structured failure; [warnings] and
+   [instance] are what the steps knew when they stopped. Either way
+   exactly one document is printed. *)
+let finish_json ~command ~algorithm ?(warnings = []) ?(instance = J.Null) obs result =
+  let emit = emit_json ~warnings ~command ~algorithm ~instance in
   match result with
-  | Ok (status, cost, bounds, provenance) ->
-      emit_json ~warnings:(warnings ()) ~command ~algorithm ~instance:(instance ()) ~status
-        ~code:0 ~message:(message ()) ~cost ~bounds ~provenance obs
+  | Ok (status, cost, bounds, provenance, message) ->
+      emit ~status ~code:0 ~message ~cost ~bounds ~provenance obs
   | Error f ->
       let status, code, msg =
         match f with
@@ -187,8 +195,11 @@ let finish_json ?(warnings = fun () -> []) ~command ~algorithm ~instance ~messag
         | Unknown_solver m -> ("usage-error", 2, m)
         | Fuel_exhausted m -> ("budget-exhausted", 3, m)
       in
-      emit_json ~warnings:(warnings ()) ~command ~algorithm ~instance:(instance ()) ~status
-        ~code ~message:(Some msg) ~cost:J.Null ~bounds:J.Null ~provenance:J.Null obs
+      emit ~status ~code ~message:(Some msg) ~cost:J.Null ~bounds:J.Null ~provenance:J.Null obs
+
+(* A document field from a step's outcome: [f v] when the step got [v],
+   [default] when it failed before getting there. *)
+let known f default = function Ok v -> f v | Error _ -> default
 
 let slotted_instance_json inst =
   J.Obj
@@ -256,21 +267,9 @@ let generate_cmd =
 (* -------------------------------------------------------------- active -- *)
 
 let print_active_solution inst sol render svg =
-  let* () =
-    match Active.Solution.verify inst sol with
-    | None -> Ok ()
-    | Some problem -> Error (Internal ("invalid solution: " ^ problem))
-  in
   Format.printf "%a" Active.Solution.pp sol;
   if render then print_string (Render.slotted inst sol);
-  let* () =
-    match svg with
-    | Some file ->
-        let* () = write_text_file file (Render.slotted_svg inst sol) in
-        Printf.printf "wrote %s\n" file;
-        Ok ()
-    | None -> Ok ()
-  in
+  let* () = write_svg ~say:true svg (fun () -> Render.slotted_svg inst sol) in
   let report = Sim.Replay.run_active inst sol in
   Printf.printf "energy %s, power-ons %d, utilization %s\n"
     (Q.to_string report.Sim.Replay.total_energy) report.Sim.Replay.total_switch_ons
@@ -289,109 +288,88 @@ let active_solution_of = function
   | Some (CR.Opened { open_slots; schedule }) -> Some { Active.Solution.open_slots; schedule }
   | _ -> None
 
-(* Common active prelude: validate flags, load, resolve the solver, run.
-   [--cascade] is sugar for the registered composite solver. *)
-let active_run ?obs path algorithm order budget cascade =
-  let* () = check_budget budget in
-  let* instance = load path in
-  let* inst =
-    match instance with
-    | Io.Busy_instance _ -> Error (Usage "active expects a slotted instance")
-    | Io.Slotted_instance inst -> Ok inst
-  in
+(* Both formats, once the instance is loaded: the order check, then the
+   registered solver, run and checked. *)
+let active_answer ~obs inst algorithm order budget =
   let* () = check_order order in
-  let algorithm = if cascade then "cascade" else algorithm in
   let* solver = resolve CI.Active_slotted algorithm in
-  let* result =
-    run_solver solver ?budget:(limited_budget budget) ?obs ~params:[ ("order", order) ] (CI.Slotted inst)
+  let* r =
+    run_solver solver ?budget:(limited_budget budget) ~obs ~params:[ ("order", order) ] (CI.Slotted inst)
   in
-  Ok (inst, solver, result)
+  Ok (inst, solver, r)
 
-let active_text path algorithm order budget cascade render svg =
-  finish
-    (let* inst, solver, r = active_run path algorithm order budget cascade in
-     print_provenance r.CR.provenance;
-     (match r.CR.note with Some n -> print_endline n | None -> ());
-     match r.CR.status with
-     | CR.Exhausted { spent } ->
-         (match (r.CR.objective, active_solution_of r.CR.witness) with
-         | Some (CR.Slots c), Some sol ->
-             Printf.printf
-               "budget exhausted after %d ticks; best incumbent (cost %d, not proven optimal):\n"
-               spent c;
-             Format.printf "%a" Active.Solution.pp sol
-         | _ -> ());
-         Error (Fuel_exhausted (solver.CS.exhausted_hint ^ "; try --cascade"))
-     | CR.Infeasible -> Ok (print_endline "infeasible")
-     | CR.Solved -> (
-         match active_solution_of r.CR.witness with
-         | Some sol -> print_active_solution inst sol render svg
-         | None -> (
-             (* bound-quality solvers witness no schedule *)
-             match r.CR.objective with
-             | Some obj -> Ok (Printf.printf "objective %s\n" (CR.objective_to_string obj))
-             | None -> Ok ())))
+let active_text ~render ~svg (inst, (solver : CS.t), (r : CR.t)) =
+  print_provenance r.CR.provenance;
+  Option.iter print_endline r.CR.note;
+  match r.CR.status with
+  | CR.Exhausted { spent } ->
+      (match (r.CR.objective, active_solution_of r.CR.witness) with
+      | Some (CR.Slots c), Some sol ->
+          Printf.printf
+            "budget exhausted after %d ticks; best incumbent (cost %d, not proven optimal):\n"
+            spent c;
+          Format.printf "%a" Active.Solution.pp sol
+      | _ -> ());
+      Error (Fuel_exhausted (solver.CS.exhausted_hint ^ "; try --cascade"))
+  | CR.Infeasible -> Ok (print_endline "infeasible")
+  | CR.Solved -> (
+      match (active_solution_of r.CR.witness, r.CR.objective) with
+      | Some sol, _ -> print_active_solution inst sol render svg
+      | None, Some obj ->
+          (* bound-quality solvers witness no schedule *)
+          Ok (Printf.printf "objective %s\n" (CR.objective_to_string obj))
+      | None, None -> Ok ())
 
-(* JSON twin of [active_text]: same control flow, machine-readable
-   output, solvers run with a live recorder. [--render] is a no-op here
-   (ASCII art would corrupt the document); [--svg FILE] still writes. *)
-let active_json path algorithm order budget cascade svg =
-  let obs = Obs.create () in
-  let instance_json = ref J.Null in
-  let note = ref None in
-  let verified inst sol =
-    match Active.Solution.verify inst sol with
-    | None -> (
-        match svg with
-        | Some file -> write_text_file file (Render.slotted_svg inst sol)
-        | None -> Ok ())
-    | Some problem -> Error (Internal ("invalid solution: " ^ problem))
-  in
-  let warnings = ref [] in
-  let result =
-    let* () = check_budget budget in
-    let* instance, warns = load_lenient path in
-    warnings := warns;
-    let* inst =
-      match instance with
-      | Io.Busy_instance _ -> Error (Usage "active expects a slotted instance")
-      | Io.Slotted_instance inst -> Ok inst
-    in
-    instance_json := slotted_instance_json inst;
-    let* () = check_order order in
-    let bounds = J.Obj [ ("mass", J.Int (S.mass_lower_bound inst)) ] in
-    let algorithm = if cascade then "cascade" else algorithm in
-    let* solver = resolve CI.Active_slotted algorithm in
-    let* r =
-      run_solver solver ?budget:(limited_budget budget) ~obs ~params:[ ("order", order) ] (CI.Slotted inst)
-    in
-    note := r.CR.note;
-    let prov = CR.provenance_to_json r.CR.provenance in
-    match r.CR.status with
-    | CR.Exhausted { spent } ->
-        Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))
-    | CR.Infeasible -> Ok ("infeasible", J.Null, bounds, prov)
-    | CR.Solved -> (
-        match (active_solution_of r.CR.witness, r.CR.objective) with
-        | Some sol, _ ->
-            let* () = verified inst sol in
-            Ok ("ok", J.Int (Active.Solution.cost sol), bounds, prov)
-        | None, Some obj -> Ok ("ok", CR.objective_to_json obj, bounds, prov)
-        | None, None -> Ok ("ok", J.Null, bounds, prov))
-  in
-  let algorithm = if cascade then "cascade" else algorithm in
-  finish_json ~command:"active" ~algorithm:(Some algorithm)
-    ~warnings:(fun () -> !warnings)
-    ~instance:(fun () -> !instance_json)
-    ~message:(fun () -> !note)
-    obs result
+(* [--render] is a no-op in JSON (ASCII art would corrupt the document);
+   [--svg FILE] still writes. *)
+let active_json ~svg (inst, (solver : CS.t), (r : CR.t)) =
+  let bounds = J.Obj [ ("mass", J.Int (S.mass_lower_bound inst)) ] in
+  let prov = CR.provenance_to_json r.CR.provenance in
+  match r.CR.status with
+  | CR.Exhausted { spent } ->
+      Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))
+  | CR.Infeasible -> Ok ("infeasible", J.Null, bounds, prov, r.CR.note)
+  | CR.Solved ->
+      let* () =
+        match active_solution_of r.CR.witness with
+        | Some sol -> write_svg ~say:false svg (fun () -> Render.slotted_svg inst sol)
+        | None -> Ok ()
+      in
+      let cost = Option.fold ~none:J.Null ~some:CR.objective_to_json r.CR.objective in
+      Ok ("ok", cost, bounds, prov, r.CR.note)
 
+(* Text and JSON share every step up to the output; only JSON loads
+   leniently and records telemetry. [--cascade] is sugar for the
+   registered composite solver. *)
 let active_solve path algorithm order budget cascade render svg format verbose =
   setup_logs verbose;
+  let algorithm = if cascade then "cascade" else algorithm in
   match parse_format format with
   | Error e -> finish (Error e)
-  | Ok `Text -> active_text path algorithm order budget cascade render svg
-  | Ok `Json -> active_json path algorithm order budget cascade svg
+  | Ok format -> (
+      let json = format = `Json in
+      let obs = if json then Obs.create () else Obs.null in
+      let loaded =
+        let* () = check_budget budget in
+        load ~lenient:json path
+      in
+      let inst =
+        let* instance, _ = loaded in
+        match instance with
+        | Io.Slotted_instance inst -> Ok inst
+        | Io.Busy_instance _ -> Error (Usage "active expects a slotted instance")
+      in
+      let answer =
+        let* inst = inst in
+        active_answer ~obs inst algorithm order budget
+      in
+      match format with
+      | `Text -> finish (Result.bind answer (active_text ~render ~svg))
+      | `Json ->
+          finish_json ~command:"active" ~algorithm ~warnings:(known snd [] loaded)
+            ~instance:(known slotted_instance_json J.Null inst)
+            obs
+            (Result.bind answer (active_json ~svg)))
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc:"fuel budget in solver ticks (search nodes / simplex pivots)")
@@ -417,25 +395,13 @@ let active_cmd =
 
 (* ---------------------------------------------------------------- busy -- *)
 
-let print_packing ~g pinned packing render svg =
-  let* () =
-    match Busy.Bundle.check ~g pinned packing with
-    | None -> Ok ()
-    | Some problem -> Error (Internal ("invalid packing: " ^ problem))
-  in
+let print_packing ~g packing render svg =
   Printf.printf "total busy time: %s on %d machines\n"
     (Q.to_string (Busy.Bundle.total_busy packing))
     (List.length packing);
   Format.printf "%a" Busy.Bundle.pp packing;
   if render then print_string (Render.packing packing);
-  let* () =
-    match svg with
-    | Some file ->
-        let* () = write_text_file file (Render.packing_svg packing) in
-        Printf.printf "wrote %s\n" file;
-        Ok ()
-    | None -> Ok ()
-  in
+  let* () = write_svg ~say:true svg (fun () -> Render.packing_svg packing) in
   let report = Sim.Replay.run_packing ~g packing in
   Printf.printf "energy %s, power-ons %d, peak %d, utilization %s\n"
     (Q.to_string report.Sim.Replay.total_energy)
@@ -450,138 +416,120 @@ let parse_placement = function
 
 let busy_packing_of = function Some (CR.Packing p) -> Some p | _ -> None
 
-(* Objective of a preemptive-model solver run on [jobs]. *)
-let preemptive_objective ?obs name ~g jobs =
-  let* solver = resolve CI.Busy_preemptive name in
-  let* r = run_solver solver ?obs (CI.Preemptive { g; jobs }) in
-  match r.CR.objective with
-  | Some (CR.Busy q) -> Ok q
-  | _ -> Error (Internal (name ^ " returned no objective"))
-
-(* Common busy prelude for the non-preemptive, non-empty path: place the
-   (possibly flexible) jobs, then resolve and run the interval solver on
-   the pinned instance. [--cascade] is sugar for the composite solver. *)
-let busy_run ?obs ~g algorithm placement_mode budget cascade jobs =
-  let pinned = Busy.Pipeline.place placement_mode jobs in
-  let algorithm = if cascade then "cascade" else algorithm in
-  let* solver = resolve CI.Busy_interval algorithm in
-  let* result =
-    run_solver solver ?budget:(limited_budget budget) ?obs (CI.Interval { g; jobs = pinned })
+(* The preemptive model's objectives under unbounded capacity (Thm 6)
+   and under capacity g (Thm 7). *)
+let preemptive_costs ~obs ~g jobs =
+  let objective name =
+    let* solver = resolve CI.Busy_preemptive name in
+    let* r = run_solver solver ~obs (CI.Preemptive { g; jobs }) in
+    match r.CR.objective with
+    | Some (CR.Busy q) -> Ok q
+    | _ -> Error (Internal (name ^ " returned no objective"))
   in
-  Ok (pinned, solver, result)
+  let* unbounded = objective "preemptive-unbounded" in
+  let* bounded = objective "preemptive" in
+  Ok (unbounded, bounded)
 
-let busy_text path g algorithm placement preemptive budget cascade render svg =
-  finish
-    (let* () = check_budget budget in
-     let* () = check_g g in
-     let* instance = load path in
-     let* jobs =
-       match instance with
-       | Io.Slotted_instance _ -> Error (Usage "busy expects a busy-time instance")
-       | Io.Busy_instance jobs -> Ok jobs
-     in
-     if jobs = [] then Ok (print_endline "empty instance: busy time 0")
-     else if preemptive then
-       let* unbounded = preemptive_objective "preemptive-unbounded" ~g jobs in
-       let* bounded = preemptive_objective "preemptive" ~g jobs in
-       Ok
-         (Printf.printf "preemptive busy time: unbounded capacity %s, capacity %d: %s\n"
-            (Q.to_string unbounded) g (Q.to_string bounded))
-     else
-       let* placement_mode = parse_placement placement in
-       let* pinned, solver, r = busy_run ~g algorithm placement_mode budget cascade jobs in
-       print_provenance r.CR.provenance;
-       (match r.CR.note with Some n -> print_endline n | None -> ());
-       match r.CR.status with
-       | CR.Exhausted { spent } ->
-           (match r.CR.objective with
-           | Some obj ->
-               Printf.printf
-                 "budget exhausted after %d ticks; best incumbent %s (not proven optimal)\n" spent
-                 (CR.objective_to_string obj)
-           | None -> ());
-           Error (Fuel_exhausted (solver.CS.exhausted_hint ^ "; try --cascade"))
-       | CR.Infeasible -> Error (Internal "cascade returned no packing")
-       | CR.Solved -> (
-           match busy_packing_of r.CR.witness with
-           | Some packing -> print_packing ~g pinned packing render svg
-           | None -> Error (Internal (solver.CS.name ^ " returned no packing"))))
+(* Both formats, once the jobs are loaded: place the (possibly flexible)
+   jobs, then the registered interval solver on the pinned instance,
+   run and checked. *)
+let busy_answer ~obs ~g jobs algorithm placement budget =
+  let* mode = parse_placement placement in
+  let pinned = Busy.Pipeline.place mode jobs in
+  let* solver = resolve CI.Busy_interval algorithm in
+  let* r = run_solver solver ?budget:(limited_budget budget) ~obs (CI.Interval { g; jobs = pinned }) in
+  Ok (pinned, solver, r)
 
-(* JSON twin of [busy_text]. Bounds are the Section-4.1 lower bounds on
-   the pinned instance; [cost] is the packing's total busy time as an
-   exact rational string. *)
-let busy_json path g algorithm placement preemptive budget cascade svg =
-  let obs = Obs.create () in
-  let instance_json = ref J.Null in
-  let note = ref None in
-  let q = J.(fun v -> String (Q.to_string v)) in
-  let bounds_json pinned =
+let busy_text ~g ~render ~svg (_, (solver : CS.t), (r : CR.t)) =
+  print_provenance r.CR.provenance;
+  Option.iter print_endline r.CR.note;
+  match r.CR.status with
+  | CR.Exhausted { spent } ->
+      (match r.CR.objective with
+      | Some obj ->
+          Printf.printf "budget exhausted after %d ticks; best incumbent %s (not proven optimal)\n"
+            spent (CR.objective_to_string obj)
+      | None -> ());
+      Error (Fuel_exhausted (solver.CS.exhausted_hint ^ "; try --cascade"))
+  | CR.Infeasible -> Error (Internal "cascade returned no packing")
+  | CR.Solved -> (
+      match busy_packing_of r.CR.witness with
+      | Some packing -> print_packing ~g packing render svg
+      | None -> Error (Internal (solver.CS.name ^ " returned no packing")))
+
+let rational_json v = J.String (Q.to_string v)
+
+(* Bounds are the Section-4.1 lower bounds on the pinned instance;
+   [cost] is the packing's total busy time as an exact rational
+   string. *)
+let busy_json ~g ~svg (pinned, (solver : CS.t), (r : CR.t)) =
+  let bounds =
     J.Obj
-      (( "mass", q (Busy.Bounds.mass ~g pinned) )
+      (("mass", rational_json (Busy.Bounds.mass ~g pinned))
       ::
       (if pinned <> [] && List.for_all B.is_interval pinned then
-         [ ("span", q (Busy.Bounds.span pinned));
-           ("demand_profile", q (Busy.Bounds.demand_profile ~g pinned)) ]
+         [ ("span", rational_json (Busy.Bounds.span pinned));
+           ("demand_profile", rational_json (Busy.Bounds.demand_profile ~g pinned)) ]
        else []))
   in
-  let checked pinned packing =
-    match Busy.Bundle.check ~g pinned packing with
-    | None -> (
-        match svg with
-        | Some file -> write_text_file file (Render.packing_svg packing)
-        | None -> Ok ())
-    | Some problem -> Error (Internal ("invalid packing: " ^ problem))
-  in
-  let warnings = ref [] in
-  let result =
-    let* () = check_budget budget in
-    let* () = check_g g in
-    let* instance, warns = load_lenient path in
-    warnings := warns;
-    let* jobs =
-      match instance with
-      | Io.Slotted_instance _ -> Error (Usage "busy expects a busy-time instance")
-      | Io.Busy_instance jobs -> Ok jobs
-    in
-    instance_json := busy_instance_json ~g jobs;
-    if jobs = [] then Ok ("ok", q Q.zero, bounds_json [], J.Null)
-    else if preemptive then
-      let* unbounded = preemptive_objective ~obs "preemptive-unbounded" ~g jobs in
-      let* bounded = preemptive_objective ~obs "preemptive" ~g jobs in
-      let bounds =
-        J.Obj [ ("mass", q (Busy.Bounds.mass ~g jobs)); ("preemptive_unbounded", q unbounded) ]
-      in
-      Ok ("ok", q bounded, bounds, J.Null)
-    else
-      let* placement_mode = parse_placement placement in
-      let* pinned, solver, r = busy_run ~obs ~g algorithm placement_mode budget cascade jobs in
-      note := r.CR.note;
-      let prov = CR.provenance_to_json r.CR.provenance in
-      match r.CR.status with
-      | CR.Exhausted { spent } ->
-          Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))
-      | CR.Infeasible -> Error (Internal "cascade returned no packing")
-      | CR.Solved -> (
-          match busy_packing_of r.CR.witness with
-          | Some packing ->
-              let* () = checked pinned packing in
-              Ok ("ok", q (Busy.Bundle.total_busy packing), bounds_json pinned, prov)
-          | None -> Error (Internal (solver.CS.name ^ " returned no packing")))
-  in
-  let algorithm =
-    if preemptive then "preemptive" else if cascade then "cascade" else algorithm
-  in
-  finish_json ~command:"busy" ~algorithm:(Some algorithm)
-    ~warnings:(fun () -> !warnings)
-    ~instance:(fun () -> !instance_json)
-    ~message:(fun () -> !note)
-    obs result
+  match r.CR.status with
+  | CR.Exhausted { spent } ->
+      Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))
+  | CR.Infeasible -> Error (Internal "cascade returned no packing")
+  | CR.Solved -> (
+      match busy_packing_of r.CR.witness with
+      | Some packing ->
+          let* () = write_svg ~say:false svg (fun () -> Render.packing_svg packing) in
+          let cost = rational_json (Busy.Bundle.total_busy packing) in
+          Ok ("ok", cost, bounds, CR.provenance_to_json r.CR.provenance, r.CR.note)
+      | None -> Error (Internal (solver.CS.name ^ " returned no packing")))
 
+(* As [active_solve]: one load and one answer step for both formats. *)
 let busy_solve path g algorithm placement preemptive budget cascade render svg format =
+  let algorithm = if cascade then "cascade" else algorithm in
   match parse_format format with
   | Error e -> finish (Error e)
-  | Ok `Text -> busy_text path g algorithm placement preemptive budget cascade render svg
-  | Ok `Json -> busy_json path g algorithm placement preemptive budget cascade svg
+  | Ok format -> (
+      let json = format = `Json in
+      let obs = if json then Obs.create () else Obs.null in
+      let loaded =
+        let* () = check_budget budget in
+        let* () = check_g g in
+        load ~lenient:json path
+      in
+      let jobs =
+        let* instance, _ = loaded in
+        match instance with
+        | Io.Busy_instance jobs -> Ok jobs
+        | Io.Slotted_instance _ -> Error (Usage "busy expects a busy-time instance")
+      in
+      let answer jobs = busy_answer ~obs ~g jobs algorithm placement budget in
+      match format with
+      | `Text ->
+          finish
+            (let* jobs = jobs in
+             if preemptive then
+               let* unbounded, bounded = preemptive_costs ~obs ~g jobs in
+               Ok
+                 (Printf.printf "preemptive busy time: unbounded capacity %s, capacity %d: %s\n"
+                    (Q.to_string unbounded) g (Q.to_string bounded))
+             else Result.bind (answer jobs) (busy_text ~g ~render ~svg))
+      | `Json ->
+          finish_json ~command:"busy"
+            ~algorithm:(if preemptive then "preemptive" else algorithm)
+            ~warnings:(known snd [] loaded)
+            ~instance:(known (busy_instance_json ~g) J.Null jobs)
+            obs
+            (let* jobs = jobs in
+             if preemptive then
+               let* unbounded, bounded = preemptive_costs ~obs ~g jobs in
+               let bounds =
+                 J.Obj
+                   [ ("mass", rational_json (Busy.Bounds.mass ~g jobs));
+                     ("preemptive_unbounded", rational_json unbounded) ]
+               in
+               Ok ("ok", rational_json bounded, bounds, J.Null, None)
+             else Result.bind (answer jobs) (busy_json ~g ~svg)))
 
 let busy_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -603,7 +551,7 @@ let busy_cmd =
 
 let bounds path g =
   finish
-    (let* instance = load path in
+    (let* instance, _ = load ~lenient:false path in
      match instance with
      | Io.Slotted_instance inst ->
          Printf.printf "slotted instance: n=%d T=%d g=%d\n" (S.num_jobs inst) (S.horizon inst) inst.S.g;
@@ -698,26 +646,17 @@ let sim_run ?obs path g algorithm epoch_len lookahead epoch_budget deadline_ms c
       | None -> Error (Unknown_solver msg)
       | Some _ -> Error (Usage msg))
 
-let write_epochs_svg svg r =
-  match svg with
-  | Some file ->
-      let* () = write_text_file file (Render.epochs_svg r) in
-      Ok (Some file)
-  | None -> Ok None
-
 let sim_text path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg =
   finish
     (let* _, r = sim_run path g algorithm epoch_len lookahead epoch_budget deadline_ms cold in
      Format.printf "%a" Sim.Rolling.pp r;
-     let* written = write_epochs_svg svg r in
-     Option.iter (Printf.printf "wrote %s\n") written;
-     Ok ())
+     write_svg ~say:true svg (fun () -> Render.epochs_svg r))
 
 let sim_json path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg =
   let obs = Obs.create () in
   let result =
     let* inst, r = sim_run ~obs path g algorithm epoch_len lookahead epoch_budget deadline_ms cold in
-    let* _ = write_epochs_svg svg r in
+    let* () = write_svg ~say:false svg (fun () -> Render.epochs_svg r) in
     Ok (inst, r)
   in
   match result with
@@ -741,11 +680,7 @@ let sim_json path g algorithm epoch_len lookahead epoch_budget deadline_ms cold 
       in
       print_endline (J.to_string doc);
       0
-  | Error f ->
-      finish_json ~command:"sim" ~algorithm:(Some algorithm)
-        ~instance:(fun () -> J.Null)
-        ~message:(fun () -> None)
-        obs (Error f)
+  | Error f -> finish_json ~command:"sim" ~algorithm obs (Error f)
 
 let sim_solve path g algorithm epoch_len lookahead epoch_budget deadline_ms cold svg format =
   match parse_format format with

@@ -10,14 +10,11 @@ module I = Instance
 module R = Result
 module Sv = Solver
 
-let slotted name inst =
-  match inst with
+(* [Solver.make] checks the kind before a wrapper or a restriction
+   guard runs *)
+let slotted = function
   | I.Slotted s -> s
-  | i ->
-      raise
-        (Sv.Unsupported
-           (Printf.sprintf "%s expects an active-slotted instance, got %s" name
-              (I.kind_name (I.kind i))))
+  | _ -> invalid_arg "Active_solvers.slotted: a busy instance"
 
 let opened (sol : Solution.t) =
   R.Opened { open_slots = sol.Solution.open_slots; schedule = sol.Solution.schedule }
@@ -53,13 +50,13 @@ let solvers =
     Sv.make ~name:"minimal" ~kind:I.Active_slotted ~quality:(Sv.Approx (Q.of_int 3))
       ~cascade_tier:(2, "minimal") ~rank:2 ~paper:"Thm 1" ~impl:"Active.Minimal"
       ~solve:(fun ?budget:_ ?obs ?params inst ->
-        of_solution (Minimal.solve ?obs (slotted "minimal" inst) (order_of_params params)))
+        of_solution (Minimal.solve ?obs (slotted inst) (order_of_params params)))
       ();
     Sv.make ~name:"rounding" ~kind:I.Active_slotted ~quality:(Sv.Approx Q.two)
       ~supports_budget:true ~cascade_tier:(1, "lp-rounding") ~rank:1
       ~exhausted_hint:"budget exhausted inside the LP" ~paper:"Thm 2" ~impl:"Active.Rounding"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        let inst = slotted "rounding" inst in
+        let inst = slotted inst in
         try of_solution (Option.map fst (Rounding.solve ?budget ?obs inst))
         with Budget.Out_of_fuel -> R.exhausted ~spent:(spent_of budget) ())
       ();
@@ -67,32 +64,26 @@ let solvers =
       ~cascade_tier:(0, "exact") ~rank:0 ~exhausted_hint:"exact search ran out of budget"
       ~paper:"methodology (E16)" ~impl:"Active.Exact"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        of_outcome (Exact.solve ?budget ?obs (slotted "exact" inst)))
+        of_outcome (Exact.solve ?budget ?obs (slotted inst)))
       ();
     Sv.make ~name:"ilp" ~kind:I.Active_slotted ~quality:Sv.Exact ~supports_budget:true ~rank:1
       ~exhausted_hint:"LP-based search ran out of budget" ~paper:"methodology (E16)"
       ~impl:"Active.Ilp"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        of_outcome (Ilp.solve ?budget ?obs (slotted "ilp" inst)))
+        of_outcome (Ilp.solve ?budget ?obs (slotted inst)))
       ();
     Sv.make ~name:"unit" ~kind:I.Active_slotted ~quality:Sv.Exact ~rank:2
       ~restriction:"unit-length jobs"
       ~guard:(fun inst ->
-        match inst with
-        | I.Slotted s ->
-            if Unit_jobs.is_unit s then None else Some "unit algorithm requires unit-length jobs"
-        | _ -> Some "unit expects an active-slotted instance")
+        if Unit_jobs.is_unit (slotted inst) then None
+        else Some "unit algorithm requires unit-length jobs")
       ~paper:"§1.3 CGK unit jobs" ~impl:"Active.Unit_jobs"
-      ~solve:(fun ?budget:_ ?obs:_ ?params:_ inst ->
-        let s = slotted "unit" inst in
-        if not (Unit_jobs.is_unit s) then
-          raise (Sv.Unsupported "unit algorithm requires unit-length jobs");
-        of_solution (Unit_jobs.solve s))
+      ~solve:(fun ?budget:_ ?obs:_ ?params:_ inst -> of_solution (Unit_jobs.solve (slotted inst)))
       ();
     Sv.make ~name:"lp-bound" ~kind:I.Active_slotted ~quality:Sv.Bound ~supports_budget:true
       ~exhausted_hint:"budget exhausted inside the LP" ~paper:"§3 LP1" ~impl:"Active.Lp_model"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        let inst = slotted "lp-bound" inst in
+        let inst = slotted inst in
         match Lp_model.solve ?budget ?obs inst with
         | Some lp -> R.solved (R.Value lp.Lp_model.cost)
         | None -> R.infeasible ()
@@ -101,7 +92,7 @@ let solvers =
     Sv.make ~name:"cascade" ~kind:I.Active_slotted ~quality:(Sv.Approx (Q.of_int 3))
       ~supports_budget:true ~composite:true ~paper:"DESIGN §5a" ~impl:"Active.Cascade"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        let inst = slotted "cascade" inst in
+        let inst = slotted inst in
         let deadline = Option.bind budget Budget.probe in
         let sol, prov = Cascade.solve ?obs ?deadline ~limit:(cascade_limit budget) inst in
         let provenance = Budget.Cascade.map_provenance (fun c -> R.Slots c) prov in

@@ -9,49 +9,24 @@ module I = Instance
 module R = Result
 module Sv = Solver
 
-let interval name inst =
-  match inst with
-  | I.Interval { g; jobs } -> (g, jobs)
-  | i ->
-      raise
-        (Sv.Unsupported
-           (Printf.sprintf "%s expects a busy-interval instance, got %s" name
-              (I.kind_name (I.kind i))))
-
-let flexible name inst =
-  match inst with
-  | I.Flexible { g; jobs } -> (g, jobs)
-  | i ->
-      raise
-        (Sv.Unsupported
-           (Printf.sprintf "%s expects a busy-flexible instance, got %s" name
-              (I.kind_name (I.kind i))))
-
-let preemptive name inst =
-  match inst with
-  | I.Preemptive { g; jobs } -> (g, jobs)
-  | i ->
-      raise
-        (Sv.Unsupported
-           (Printf.sprintf "%s expects a busy-preemptive instance, got %s" name
-              (I.kind_name (I.kind i))))
+(* [Solver.make] checks the kind before a wrapper or a restriction
+   guard runs, so each sees an instance of its own busy kind *)
+let busy = function
+  | I.Interval { g; jobs } | I.Flexible { g; jobs } | I.Preemptive { g; jobs } -> (g, jobs)
+  | I.Slotted _ -> invalid_arg "Busy_solvers.busy: an active-slotted instance"
 
 let packing ?note p = R.solved ?note ~witness:(R.Packing p) (R.Busy (Bundle.total_busy p))
 
-(* structural guards double as registry filters: [None] iff the solver's
-   special case applies to the (interval) instance *)
-let structural name pred why inst =
-  match inst with
-  | I.Interval { jobs; _ } -> if pred jobs then None else Some why
-  | i ->
-      Some
-        (Printf.sprintf "%s expects a busy-interval instance, got %s" name
-           (I.kind_name (I.kind i)))
-
-let guarded name pred why f ?budget:_ ?obs:_ ?params:_ inst =
-  let g, jobs = interval name inst in
-  if not (pred jobs) then raise (Sv.Unsupported why);
+let plain f ?budget:_ ?obs:_ ?params:_ inst =
+  let g, jobs = busy inst in
   packing (f ~g jobs)
+
+let metered f ?budget:_ ?obs ?params:_ inst =
+  let g, jobs = busy inst in
+  packing (f ?obs ~g jobs)
+
+(* a restriction guard: [None] iff the solver's special case applies *)
+let requires pred why inst = if pred (snd (busy inst)) then None else Some why
 
 let placement_of_params params =
   match Option.bind params (List.assoc_opt "placement") with
@@ -59,8 +34,8 @@ let placement_of_params params =
   | Some "exact" -> Pipeline.Exact_placement
   | Some o -> raise (Sv.Unsupported ("unknown placement " ^ o ^ " (greedy|exact)"))
 
-let pipeline name algorithm ?budget:_ ?obs ?params inst =
-  let g, jobs = flexible name inst in
+let pipeline algorithm ?budget:_ ?obs ?params inst =
+  let g, jobs = busy inst in
   let _, p = Pipeline.run ?obs ~g ~placement:(placement_of_params params) ~algorithm jobs in
   packing p
 
@@ -69,34 +44,22 @@ let interval_solvers =
     Sv.make ~name:"first-fit" ~kind:I.Busy_interval ~quality:(Sv.Approx (Q.of_int 4))
       ~rank:3 ~paper:"§4.3 FirstFit baseline"
       ~impl:"Busy.First_fit"
-      ~solve:(fun ?budget:_ ?obs ?params:_ inst ->
-        let g, jobs = interval "first-fit" inst in
-        packing (First_fit.solve ?obs ~g jobs))
-      ();
+      ~solve:(metered First_fit.solve) ();
     Sv.make ~name:"greedy-tracking" ~kind:I.Busy_interval ~quality:(Sv.Approx (Q.of_int 3))
       ~cascade_tier:(1, "greedy-tracking") ~rank:2 ~paper:"Thm 5" ~impl:"Busy.Greedy_tracking"
-      ~solve:(fun ?budget:_ ?obs ?params:_ inst ->
-        let g, jobs = interval "greedy-tracking" inst in
-        packing (Greedy_tracking.solve ?obs ~g jobs))
-      ();
+      ~solve:(metered Greedy_tracking.solve) ();
     Sv.make ~name:"two-approx" ~kind:I.Busy_interval ~quality:(Sv.Approx Q.two) ~rank:0
       ~paper:"Thm 3/8 (AB flow)" ~impl:"Busy.Two_approx"
-      ~solve:(fun ?budget:_ ?obs ?params:_ inst ->
-        let g, jobs = interval "two-approx" inst in
-        packing (Two_approx.solve ?obs ~g jobs))
-      ();
+      ~solve:(metered Two_approx.solve) ();
     Sv.make ~name:"kumar-rudra" ~kind:I.Busy_interval ~quality:(Sv.Approx Q.two) ~rank:1
       ~paper:"Thm 3/8 (KR levels)" ~impl:"Busy.Kumar_rudra"
-      ~solve:(fun ?budget:_ ?obs:_ ?params:_ inst ->
-        let g, jobs = interval "kumar-rudra" inst in
-        packing (Kumar_rudra.solve ~g jobs))
-      ();
+      ~solve:(plain Kumar_rudra.solve) ();
     Sv.make ~name:"exact" ~kind:I.Busy_interval ~quality:Sv.Exact ~supports_budget:true
       ~cascade_tier:(0, "exact") ~rank:0
       ~exhausted_hint:"exact search ran out of budget" ~paper:"methodology (E16)"
       ~impl:"Busy.Exact"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        let g, jobs = interval "exact" inst in
+        let g, jobs = busy inst in
         if budget = None && List.length jobs > 14 then
           raise (Sv.Unsupported "exact without --budget is capped at 14 jobs");
         match Exact.solve ?budget ?obs ~g jobs with
@@ -109,63 +72,39 @@ let interval_solvers =
     Sv.make ~name:"auto" ~kind:I.Busy_interval ~quality:(Sv.Approx Q.two) ~composite:true
       ~rank:4 ~paper:"E11 structure dispatch" ~impl:"Busy.Auto"
       ~solve:(fun ?budget:_ ?obs ?params:_ inst ->
-        let g, jobs = interval "auto" inst in
+        let g, jobs = busy inst in
         let structure, p = Auto.solve ?obs ~g jobs in
         packing ~note:("detected structure: " ^ structure) p)
       ();
     Sv.make ~name:"laminar" ~kind:I.Busy_interval ~quality:Sv.Exact ~rank:2
       ~restriction:"laminar windows"
-      ~guard:(structural "laminar" Laminar.is_laminar "laminar algorithm requires a laminar instance")
-      ~paper:"§1 laminar (Khandekar)" ~impl:"Busy.Laminar"
-      ~solve:
-        (guarded "laminar" Laminar.is_laminar "laminar algorithm requires a laminar instance"
-           (fun ~g jobs -> Laminar.exact ~g jobs))
-      ();
+      ~guard:(requires Laminar.is_laminar "laminar algorithm requires a laminar instance")
+      ~paper:"§1 laminar (Khandekar)" ~impl:"Busy.Laminar" ~solve:(plain Laminar.exact) ();
     Sv.make ~name:"proper-clique" ~kind:I.Busy_interval ~quality:Sv.Exact ~rank:3
       ~restriction:"proper clique instances"
       ~guard:
-        (structural "proper-clique"
+        (requires
            (fun jobs -> Special.is_proper jobs && Special.is_clique jobs)
            "proper-clique algorithm requires a proper clique instance")
-      ~paper:"footnote 1" ~impl:"Busy.Special"
-      ~solve:
-        (guarded "proper-clique"
-           (fun jobs -> Special.is_proper jobs && Special.is_clique jobs)
-           "proper-clique algorithm requires a proper clique instance"
-           (fun ~g jobs -> Special.proper_clique_exact ~g jobs))
-      ();
+      ~paper:"footnote 1" ~impl:"Busy.Special" ~solve:(plain Special.proper_clique_exact) ();
     Sv.make ~name:"proper-greedy" ~kind:I.Busy_interval ~quality:(Sv.Approx Q.two) ~rank:5
       ~restriction:"proper instances (no nested windows)"
-      ~guard:(structural "proper-greedy" Special.is_proper "proper-greedy requires a proper instance")
-      ~paper:"footnote 1" ~impl:"Busy.Special"
-      ~solve:
-        (guarded "proper-greedy" Special.is_proper "proper-greedy requires a proper instance"
-           (fun ~g jobs -> Special.proper_greedy ~g jobs))
-      ();
+      ~guard:(requires Special.is_proper "proper-greedy requires a proper instance")
+      ~paper:"footnote 1" ~impl:"Busy.Special" ~solve:(plain Special.proper_greedy) ();
     Sv.make ~name:"clique-greedy" ~kind:I.Busy_interval ~quality:(Sv.Approx Q.two) ~rank:6
       ~restriction:"clique instances (pairwise overlapping)"
-      ~guard:(structural "clique-greedy" Special.is_clique "clique-greedy requires a clique instance")
-      ~paper:"footnote 1" ~impl:"Busy.Special"
-      ~solve:
-        (guarded "clique-greedy" Special.is_clique "clique-greedy requires a clique instance"
-           (fun ~g jobs -> Special.clique_greedy ~g jobs))
-      ();
+      ~guard:(requires Special.is_clique "clique-greedy requires a clique instance")
+      ~paper:"footnote 1" ~impl:"Busy.Special" ~solve:(plain Special.clique_greedy) ();
     Sv.make ~name:"online-first-fit" ~kind:I.Busy_interval ~quality:Sv.Heuristic ~online:true
       ~rank:0 ~paper:"§1.3 Shalom et al." ~impl:"Busy.Online"
-      ~solve:(fun ?budget:_ ?obs:_ ?params:_ inst ->
-        let g, jobs = interval "online-first-fit" inst in
-        packing (Online.first_fit ~g jobs))
-      ();
+      ~solve:(plain Online.first_fit) ();
     Sv.make ~name:"online-bucketed" ~kind:I.Busy_interval ~quality:Sv.Heuristic ~online:true
       ~rank:1 ~paper:"§1.3 Shalom et al." ~impl:"Busy.Online"
-      ~solve:(fun ?budget:_ ?obs:_ ?params:_ inst ->
-        let g, jobs = interval "online-bucketed" inst in
-        packing (Online.bucketed_first_fit ~g jobs))
-      ();
+      ~solve:(plain Online.bucketed_first_fit) ();
     Sv.make ~name:"cascade" ~kind:I.Busy_interval ~quality:(Sv.Approx (Q.of_int 3))
       ~supports_budget:true ~composite:true ~paper:"DESIGN §5a" ~impl:"Busy.Cascade"
       ~solve:(fun ?budget ?obs ?params:_ inst ->
-        let g, jobs = interval "cascade" inst in
+        let g, jobs = busy inst in
         let limit =
           match budget with Some b when Budget.is_limited b -> Budget.remaining b | _ -> 100_000
         in
@@ -183,13 +122,13 @@ let pipeline_solvers =
   [
     Sv.make ~name:"gt-pipeline" ~kind:I.Busy_flexible ~quality:(Sv.Approx (Q.of_int 3)) ~rank:0
       ~paper:"Thm 5 (§4.3)" ~impl:"Busy.Pipeline"
-      ~solve:(pipeline "gt-pipeline" Pipeline.Greedy_tracking) ();
+      ~solve:(pipeline Pipeline.Greedy_tracking) ();
     Sv.make ~name:"2a-pipeline" ~kind:I.Busy_flexible ~quality:(Sv.Approx (Q.of_int 4)) ~rank:1
       ~paper:"Thm 10" ~impl:"Busy.Pipeline"
-      ~solve:(pipeline "2a-pipeline" Pipeline.Two_approx) ();
+      ~solve:(pipeline Pipeline.Two_approx) ();
     Sv.make ~name:"ff-pipeline" ~kind:I.Busy_flexible ~quality:(Sv.Approx (Q.of_int 4)) ~rank:2
       ~paper:"§4.3 prior 4-approx" ~impl:"Busy.Pipeline"
-      ~solve:(pipeline "ff-pipeline" Pipeline.First_fit) ();
+      ~solve:(pipeline Pipeline.First_fit) ();
   ]
 
 let preemptive_solvers =
@@ -197,7 +136,7 @@ let preemptive_solvers =
     Sv.make ~name:"preemptive" ~kind:I.Busy_preemptive ~quality:(Sv.Approx Q.two)
       ~preemptive:true ~rank:0 ~paper:"Thm 7" ~impl:"Busy.Preemptive"
       ~solve:(fun ?budget:_ ?obs:_ ?params:_ inst ->
-        let g, jobs = preemptive "preemptive" inst in
+        let g, jobs = busy inst in
         let cost, sol, _ = Preemptive.bounded ~g jobs in
         (match Preemptive.check jobs sol with
         | Some problem -> raise (Sv.Bad_result problem)
@@ -207,7 +146,7 @@ let preemptive_solvers =
     Sv.make ~name:"preemptive-unbounded" ~kind:I.Busy_preemptive ~quality:Sv.Exact
       ~preemptive:true ~rank:1 ~paper:"Thm 6" ~impl:"Busy.Preemptive"
       ~solve:(fun ?budget:_ ?obs:_ ?params:_ inst ->
-        let _, jobs = preemptive "preemptive-unbounded" inst in
+        let _, jobs = busy inst in
         let sol = Preemptive.unbounded jobs in
         (match Preemptive.check jobs sol with
         | Some problem -> raise (Sv.Bad_result problem)

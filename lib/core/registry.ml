@@ -51,3 +51,14 @@ let approx kind =
          match Rational.compare (ratio b) (ratio a) with
          | 0 -> by_rank_name a b
          | c -> c)
+
+let run (s : Solver.t) ?budget ?obs ?params inst =
+  let r = s.Solver.solve ?budget ?obs ?params inst in
+  let fail what = Option.iter (fun problem -> raise (Solver.Bad_result (what ^ problem))) in
+  (match (r.Result.status, r.Result.witness, inst) with
+  | Result.Solved, Some (Result.Opened { open_slots; schedule }), Instance.Slotted i ->
+      fail "invalid solution: " (Active.Solution.verify i { Active.Solution.open_slots; schedule })
+  | Result.Solved, Some (Result.Packing p), Instance.Interval { g; jobs } ->
+      fail "invalid packing: " (Busy.Bundle.check ~g jobs p)
+  | _ -> ());
+  r

@@ -17,6 +17,24 @@ val find : Instance.kind -> string -> Solver.t option
 (** Raises {!Solver.Unsupported} with the valid-name list when absent. *)
 val find_exn : Instance.kind -> string -> Solver.t
 
+(** [run s inst] is [s.solve inst] with the answer checked: a [Solved]
+    result's [Opened] witness on a [Slotted] instance must pass
+    {!Active.Solution.verify}, and its [Packing] on an [Interval]
+    instance {!Busy.Bundle.check}. A witness that fails raises
+    {!Solver.Bad_result} ["invalid solution: ..."] or
+    ["invalid packing: ..."]; a valid answer is returned unchanged.
+    The CLI and serve answer through [run]. The fuzz oracle,
+    [Sim.Rolling] and the bench call [s.solve] directly: the oracle
+    checks witnesses itself under its own failure names, and Rolling's
+    replay re-checks every slot it commits. *)
+val run :
+  Solver.t ->
+  ?budget:Budget.t ->
+  ?obs:Obs.t ->
+  ?params:(string * string) list ->
+  Instance.t ->
+  Result.t
+
 (** Solver names for a kind, sorted. *)
 val names : Instance.kind -> string list
 

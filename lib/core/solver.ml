@@ -34,17 +34,21 @@ type t = {
 
 let make ~name ~kind ~quality ?(online = false) ?(preemptive = false)
     ?(supports_budget = false) ?(composite = false) ?restriction
-    ?guard ?cascade_tier ?(rank = max_int) ?(exhausted_hint = "search ran out of budget")
-    ~paper ~impl ~solve () =
-  let guard =
-    match guard with
-    | Some g -> g
-    | None ->
-        fun inst ->
-          if Instance.kind inst = kind then None
-          else
-            Some
-              (Printf.sprintf "%s expects a %s instance" name (Instance.kind_name kind))
+    ?(guard = fun _ -> None) ?cascade_tier ?(rank = max_int)
+    ?(exhausted_hint = "search ran out of budget") ~paper ~impl ~solve () =
+  let guard inst =
+    let got = Instance.kind inst in
+    if got <> kind then
+      Some
+        (Printf.sprintf "%s expects %s %s instance, got %s" name
+           (if kind = Instance.Active_slotted then "an" else "a")
+           (Instance.kind_name kind) (Instance.kind_name got))
+    else guard inst
+  in
+  let solve ?budget ?obs ?params inst =
+    match guard inst with
+    | None -> solve ?budget ?obs ?params inst
+    | Some why -> raise (Unsupported why)
   in
   {
     name;

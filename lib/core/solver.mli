@@ -1,18 +1,21 @@
 (** A first-class solver: the capability-typed record {!Registry} lists
     for every algorithm in [lib/active] and [lib/busy]. The [solve]
-    closure wraps the module's existing [solve ?budget ?obs] entry point
-    unchanged — the record adds the metadata (problem kind, quality,
-    capability flags, cascade tier, paper reference) that the CLI, bench
-    and fuzz oracle previously duplicated by hand. *)
+    closure calls the module's existing [solve ?budget ?obs] entry point
+    once the instance passes the [guard] — the record adds the metadata
+    (problem kind, quality, capability flags, cascade tier, paper
+    reference) that the CLI, bench and fuzz oracle previously duplicated
+    by hand. *)
 
 (** Raised by [solve] when a precondition fails: wrong instance kind, a
     structural restriction ([unit], [laminar], ...) not met, or a missing
-    budget where one is mandatory. The CLI maps it to a usage error. *)
+    budget where one is mandatory. The first two are the [guard]'s
+    verdict, raised before the wrapped solver runs. The CLI maps it to a
+    usage error. *)
 exception Unsupported of string
 
-(** Raised when a solver's answer fails its own verifier (solvers that
-    self-check, e.g. the preemptive greedy). The CLI maps it to an
-    internal error. *)
+(** Raised when an answer fails its verifier: by {!Registry.run} for a
+    witness the model's verifier rejects, and by solvers that self-check
+    (the preemptive ones). The CLI maps it to an internal error. *)
 exception Bad_result of string
 
 (** Solution quality: provably optimal, within a proven factor of
@@ -35,8 +38,10 @@ type t = {
       (** human description of a structural precondition, when any *)
   guard : Instance.t -> string option;
       (** [None] when the solver applies to the instance; [Some why]
-          otherwise. [solve] raises {!Unsupported} in the latter case;
-          callers that iterate the registry use [guard] to skip. *)
+          otherwise: first the kind, then the solver's restriction, if
+          any. [solve] raises {!Unsupported} [why] in the latter case
+          before the solver runs; callers that iterate the registry use
+          [guard] to skip. *)
   cascade_tier : (int * string) option;
       (** position and tier label in the kind's degradation ladder, as
           display data: [Active.Cascade] and [Busy.Cascade] call their
@@ -59,8 +64,14 @@ type t = {
 }
 
 (** All flags default to [false] / [None] / rank [max_int];
-    [exhausted_hint] defaults to ["search ran out of budget"]. The
-    default [guard] only checks the instance kind. *)
+    [exhausted_hint] defaults to ["search ran out of budget"].
+
+    The record's [guard] checks the instance kind
+    (["NAME expects a KIND instance, got OTHER"]) and then, on an instance
+    of [kind], the given [?guard], which states only the restriction. The
+    record's [solve] raises {!Unsupported} with the guard's message
+    before it calls the given [solve], so that one may assume an
+    instance of [kind] that meets its restriction. *)
 val make :
   name:string ->
   kind:Instance.kind ->

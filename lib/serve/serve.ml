@@ -17,8 +17,6 @@ module CI = Core.Instance
 module CR = Core.Result
 module CS = Core.Solver
 module Io = Workload.Io
-module Q = Rational
-module B = Workload.Bjob
 
 type config = {
   domains : int;
@@ -115,47 +113,27 @@ let degraded_provenance = function
         (fun (a : Budget.Cascade.attempt) -> a.Budget.Cascade.status = Budget.Cascade.Tier_exhausted)
         p.Budget.Cascade.attempts
 
-(* Run the registered solver for [req], verifying any witness it
-   returns. Raises (Unsupported, Bad_result, Deadline_exceeded,
+(* Run the registered solver for [req] through [Registry.run], which
+   checks any witness it returns; busy jobs are pinned by greedy
+   placement first. Raises (Unsupported, Bad_result, Deadline_exceeded,
    Injected_fault, or a genuine solver bug) — the caller isolates. *)
 let solve_request cfg (req : Protocol.request) budget =
   if Inject.should_crash cfg.inject then
     raise (Inject.Injected_fault "injected worker crash");
-  match req.Protocol.command with
-  | Protocol.Active ->
-      let inst =
-        match req.Protocol.instance with
-        | Io.Slotted_instance inst -> inst
-        | Io.Busy_instance _ -> assert false (* decode inferred the command *)
-      in
-      let solver = Core.Registry.find_exn CI.Active_slotted req.Protocol.algorithm in
-      let r = solver.CS.solve ~budget ~params:req.Protocol.params (CI.Slotted inst) in
-      (match (r.CR.status, r.CR.witness) with
-      | CR.Solved, Some (CR.Opened { open_slots; schedule }) -> (
-          match Active.Solution.verify inst { Active.Solution.open_slots; schedule } with
-          | None -> ()
-          | Some problem -> raise (CS.Bad_result ("invalid solution: " ^ problem)))
-      | _ -> ());
-      (solver, r)
-  | Protocol.Busy ->
-      let jobs =
-        match req.Protocol.instance with
-        | Io.Busy_instance jobs -> jobs
-        | Io.Slotted_instance _ -> assert false
-      in
-      let pinned = Busy.Pipeline.place Busy.Pipeline.Greedy_placement jobs in
-      let solver = Core.Registry.find_exn CI.Busy_interval req.Protocol.algorithm in
-      let r =
-        solver.CS.solve ~budget ~params:req.Protocol.params
-          (CI.Interval { g = req.Protocol.g; jobs = pinned })
-      in
-      (match (r.CR.status, r.CR.witness) with
-      | CR.Solved, Some (CR.Packing packing) -> (
-          match Busy.Bundle.check ~g:req.Protocol.g pinned packing with
-          | None -> ()
-          | Some problem -> raise (CS.Bad_result ("invalid packing: " ^ problem)))
-      | _ -> ());
-      (solver, r)
+  let kind, inst =
+    match req.Protocol.instance with
+    | Io.Slotted_instance inst -> (CI.Active_slotted, CI.Slotted inst)
+    | Io.Busy_instance jobs ->
+        let pinned = Busy.Pipeline.place Busy.Pipeline.Greedy_placement jobs in
+        (CI.Busy_interval, CI.Interval { g = req.Protocol.g; jobs = pinned })
+  in
+  let solver = Core.Registry.find_exn kind req.Protocol.algorithm in
+  (solver, Core.Registry.run solver ~budget ~params:req.Protocol.params inst)
+
+let deadline_message (req : Protocol.request) ticks =
+  match req.Protocol.deadline_ms with
+  | Some ms -> Printf.sprintf "deadline of %dms expired after %d ticks" ms ticks
+  | None -> Printf.sprintf "deadline expired after %d ticks" ticks
 
 (* Map a finished solve onto a response core. [deadline_hit] is the
    probe's flag: when it fired, the answer (whatever shape the unwinding
@@ -175,12 +153,7 @@ let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t)
   let mk status cost message =
     { Protocol.status; algorithm_used; instance_json; cost; message; provenance = prov; ticks }
   in
-  if deadline_hit then
-    mk "timeout" J.Null
-      (Some
-         (match req.Protocol.deadline_ms with
-         | Some ms -> Printf.sprintf "deadline of %dms expired after %d ticks" ms ticks
-         | None -> Printf.sprintf "deadline expired after %d ticks" ticks))
+  if deadline_hit then mk "timeout" J.Null (Some (deadline_message req ticks))
   else
     match r.CR.status with
     | CR.Solved ->
@@ -206,11 +179,7 @@ let timeout_core (req : Protocol.request) budget =
     algorithm_used = Some req.Protocol.algorithm;
     instance_json = Protocol.instance_json req;
     cost = J.Null;
-    message =
-      Some
-        (match req.Protocol.deadline_ms with
-        | Some ms -> Printf.sprintf "deadline of %dms expired after %d ticks" ms ticks
-        | None -> Printf.sprintf "deadline expired after %d ticks" ticks);
+    message = Some (deadline_message req ticks);
     provenance = J.Null;
     ticks;
   }
@@ -231,20 +200,6 @@ let fault_core (req : Protocol.request) budget exn =
     message = Some message;
     provenance = J.Null;
     ticks = Budget.spent budget;
-  }
-
-(* The empty busy instance has busy time 0 and needs no solver (several
-   interval solvers reject empty job lists) — same special case the CLI
-   makes. *)
-let empty_busy_core (req : Protocol.request) =
-  {
-    Protocol.status = "ok";
-    algorithm_used = Some req.Protocol.algorithm;
-    instance_json = Protocol.instance_json req;
-    cost = J.String (Q.to_string Q.zero);
-    message = None;
-    provenance = J.Null;
-    ticks = 0;
   }
 
 let cacheable (core : Protocol.core) =
@@ -281,22 +236,15 @@ let handle cfg stats cache ~arrival (req : Protocol.request) =
               if expired then deadline_hit := true;
               expired)
       | None -> ());
-      let is_empty_busy =
-        match (req.Protocol.command, req.Protocol.instance) with
-        | Protocol.Busy, Io.Busy_instance [] -> true
-        | _ -> false
-      in
       let core =
-        if is_empty_busy then empty_busy_core req
-        else
-          match Parallel.Pool.run_isolated (fun () -> solve_request cfg req budget) with
-          | Ok (solver, r) -> core_of_result req budget ~deadline_hit:!deadline_hit solver r
-          | Error Budget.Deadline_exceeded -> timeout_core req budget
-          | Error exn ->
-              (match exn with
-              | Inject.Injected_fault _ -> Stats.incr stats "injected_crashes"
-              | _ -> ());
-              fault_core req budget exn
+        match Parallel.Pool.run_isolated (fun () -> solve_request cfg req budget) with
+        | Ok (solver, r) -> core_of_result req budget ~deadline_hit:!deadline_hit solver r
+        | Error Budget.Deadline_exceeded -> timeout_core req budget
+        | Error exn ->
+            (match exn with
+            | Inject.Injected_fault _ -> Stats.incr stats "injected_crashes"
+            | _ -> ());
+            fault_core req budget exn
       in
       if cacheable core then Cache.store cache key core;
       (core, Some "miss")

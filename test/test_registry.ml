@@ -10,6 +10,8 @@
 
 module Q = Rational
 module Gen = Workload.Generate
+module S = Workload.Slotted
+module B = Workload.Bjob
 module CI = Core.Instance
 module CS = Core.Solver
 module CR = Core.Result
@@ -120,6 +122,100 @@ let test_cascade_ladders () =
   check CI.Busy_interval ~attempted:2
     (CI.Interval { g = 2; jobs = Gen.interval_jobs ~n:6 ~horizon:12 ~max_length:4 ~seed:1 () })
 
+(* ------------------------------------------------ guards and checks -- *)
+
+let kinds = CI.[ Active_slotted; Busy_interval; Busy_flexible; Busy_preemptive ]
+
+let empty = function
+  | CI.Active_slotted -> CI.Slotted (S.make ~g:2 [])
+  | CI.Busy_interval -> CI.Interval { g = 2; jobs = [] }
+  | CI.Busy_flexible -> CI.Flexible { g = 2; jobs = [] }
+  | CI.Busy_preemptive -> CI.Preemptive { g = 2; jobs = [] }
+
+(* interval jobs, each exactly filling its window *)
+let intervals ~g spans =
+  CI.Interval
+    { g; jobs = List.mapi (fun id (r, d) -> B.of_ints ~id ~release:r ~deadline:d ~length:(d - r)) spans }
+
+(* The CLI and serve pass an empty busy instance to the solver like any
+   other, so every solver must answer its kind's empty instance, and
+   answer 0. *)
+let test_empty_instances () =
+  List.iter
+    (fun (s : CS.t) ->
+      match Core.Registry.run s (empty s.CS.kind) with
+      | { CR.status = CR.Solved; objective = Some o; _ } ->
+          Alcotest.(check string) (s.CS.name ^ " objective") "0" (CR.objective_to_string o)
+      | _ -> Alcotest.failf "%s %s: no objective on the empty instance"
+               (CI.kind_name s.CS.kind) s.CS.name)
+    all
+
+(* [solve] raises [Unsupported (guard inst)] before the solver runs: on
+   every instance of another kind, and for each restricted solver on an
+   instance its restriction rejects. *)
+let test_guards_enforced () =
+  let rejects (s : CS.t) inst =
+    match s.CS.guard inst with
+    | None -> Alcotest.failf "%s: guard accepts a rejected instance" s.CS.name
+    | Some why ->
+        Alcotest.check_raises (s.CS.name ^ ": " ^ why) (CS.Unsupported why) (fun () ->
+            ignore (s.CS.solve inst))
+  in
+  List.iter
+    (fun (s : CS.t) ->
+      List.iter (fun k -> if k <> s.CS.kind then rejects s (empty k)) kinds)
+    all;
+  let rejected = function
+    | "unit" -> CI.Slotted (S.make ~g:2 [ S.job ~id:0 ~release:0 ~deadline:4 ~length:2 ])
+    | "laminar" -> intervals ~g:2 [ (0, 4); (2, 6) ] (* crossing windows *)
+    | "proper-clique" | "proper-greedy" -> intervals ~g:2 [ (0, 10); (2, 4) ] (* nested *)
+    | "clique-greedy" -> intervals ~g:2 [ (0, 2); (5, 7) ] (* disjoint *)
+    | name -> Alcotest.failf "restricted solver %s has no rejected instance here" name
+  in
+  let restricted = List.filter (fun (s : CS.t) -> s.CS.restriction <> None) all in
+  Alcotest.(check (list string))
+    "restricted solvers"
+    [ "unit"; "clique-greedy"; "laminar"; "proper-clique"; "proper-greedy" ]
+    (List.map (fun (s : CS.t) -> s.CS.name) restricted);
+  List.iter (fun (s : CS.t) -> rejects s (rejected s.CS.name)) restricted
+
+(* [Registry.run] checks a solved witness with the model's verifier and
+   raises [Bad_result] with its message; a valid answer passes through
+   unchanged. *)
+let test_run_checks_witness () =
+  let answering kind (r : CR.t) =
+    CS.make ~name:"fixed" ~kind ~quality:CS.Exact ~paper:"-" ~impl:"-"
+      ~solve:(fun ?budget:_ ?obs:_ ?params:_ _ -> r)
+      ()
+  in
+  let inst = S.make ~g:1 [ S.job ~id:0 ~release:0 ~deadline:2 ~length:1 ] in
+  let opened slot =
+    CR.solved ~witness:(CR.Opened { open_slots = [ slot ]; schedule = [ (0, [ slot ]) ] }) (CR.Slots 1)
+  in
+  let problem =
+    match Active.Solution.verify inst { open_slots = [ 5 ]; schedule = [ (0, [ 5 ]) ] } with
+    | Some p -> p
+    | None -> Alcotest.fail "the verifier accepts a job outside its window"
+  in
+  Alcotest.check_raises "job outside its window" (CS.Bad_result ("invalid solution: " ^ problem))
+    (fun () -> ignore (Core.Registry.run (answering CI.Active_slotted (opened 5)) (CI.Slotted inst)));
+  let valid = opened 1 in
+  Alcotest.(check bool) "valid schedule unchanged" true
+    (Core.Registry.run (answering CI.Active_slotted valid) (CI.Slotted inst) == valid);
+  let busy = intervals ~g:1 [ (0, 4); (2, 6) ] in
+  let jobs = match busy with CI.Interval { jobs; _ } -> jobs | _ -> assert false in
+  let packing bundles = CR.solved ~witness:(CR.Packing bundles) (CR.Busy Q.zero) in
+  let problem =
+    match Busy.Bundle.check ~g:1 jobs [ jobs ] with
+    | Some p -> p
+    | None -> Alcotest.fail "the checker accepts a bundle over capacity"
+  in
+  Alcotest.check_raises "bundle over capacity" (CS.Bad_result ("invalid packing: " ^ problem))
+    (fun () -> ignore (Core.Registry.run (answering CI.Busy_interval (packing [ jobs ])) busy));
+  let valid = packing (List.map (fun j -> [ j ]) jobs) in
+  Alcotest.(check bool) "valid packing unchanged" true
+    (Core.Registry.run (answering CI.Busy_interval valid) busy == valid)
+
 (* -------------------------------------------------------------- session -- *)
 
 module Session = Core.Session
@@ -209,6 +305,10 @@ let () =
           Alcotest.test_case "no duplicates" `Quick test_no_duplicate_names;
           Alcotest.test_case "lookup" `Quick test_lookup;
           Alcotest.test_case "cascade ladders" `Quick test_cascade_ladders ] );
+      ( "enforcement",
+        [ Alcotest.test_case "empty instances answer 0" `Quick test_empty_instances;
+          Alcotest.test_case "guards raise before solving" `Quick test_guards_enforced;
+          Alcotest.test_case "run checks witnesses" `Quick test_run_checks_witness ] );
       ("session", [ Alcotest.test_case "memo" `Quick test_session_memo ]);
       ("properties", props);
     ]
