@@ -305,7 +305,7 @@ let () =
           Alcotest.test_case "no duplicates" `Quick test_no_duplicate_names;
           Alcotest.test_case "lookup" `Quick test_lookup;
           Alcotest.test_case "cascade ladders" `Quick test_cascade_ladders ] );
-      ( "enforcement",
+      ( "guards",
         [ Alcotest.test_case "empty instances answer 0" `Quick test_empty_instances;
           Alcotest.test_case "guards raise before solving" `Quick test_guards_enforced;
           Alcotest.test_case "run checks witnesses" `Quick test_run_checks_witness ] );
