@@ -127,8 +127,8 @@ let build_lp1 (inst : S.t) =
 exception Scale_overflow
 
 (* The y-only LP1: one column per relevant slot, one row per job set
-   found so far, the basis of the last optimum, and the separation
-   network, re-capacitated each round. *)
+   found so far, the basis of the last optimum, the separation network,
+   re-capacitated each round, and the last y a separation accepted. *)
 type lp1 = {
   inst : S.t;
   model : Lp.model;
@@ -138,6 +138,7 @@ type lp1 = {
   net : Feasibility.network;
   mutable basis : Lp.Basis.t option;
   mutable solves : int; (* Lp.solve calls, all rounds of all resolves *)
+  mutable accepted : Q.t array option; (* extends to a feasible x *)
 }
 
 (* The row of job set [js] (array indices) as (coefficient, column)
@@ -175,7 +176,7 @@ let create (inst : S.t) =
         (List.init (S.window_size j) (fun k -> (Q.one, y_vars.(first.(idx) + k))))
         Lp.Ge (Q.of_int j.S.length))
     inst.S.jobs;
-  { inst; model; slots; y_vars; first; net; basis = None; solves = 0 }
+  { inst; model; slots; y_vars; first; net; basis = None; solves = 0; accepted = None }
 
 let slots lp = Array.to_list lp.slots
 let network lp = lp.net
@@ -270,7 +271,17 @@ let resolve ?rule ?engine ?from ?budget ?(obs = Obs.null) lp =
         let basis = Lp.basis sol in
         if basis <> None then lp.basis <- basis;
         let y = Array.map (Lp.value sol) lp.y_vars in
-        match separate ~obs lp y with
+        (* the separation reads only the instance and y: a y it accepted
+           once it accepts again *)
+        let cuts =
+          match lp.accepted with
+          | Some a when Array.for_all2 Q.equal a y -> []
+          | _ ->
+              let cuts = separate ~obs lp y in
+              if cuts = [] then lp.accepted <- Some y;
+              cuts
+        in
+        match cuts with
         | [] ->
             let y = List.mapi (fun i v -> (lp.slots.(i), v)) (Array.to_list y) in
             Some { cost = Lp.objective_value sol; y }

@@ -45,7 +45,11 @@
     solve after the first appends only the new rows to the compiled LP
     the model keeps ({!Lp.solve}); the model names its columns and
     hands its rows over, columns increasing, without formatting or
-    hashing.
+    hashing. The separation reads only the instance and y, so the
+    {!lp1} keeps the last y a separation accepted, and a round whose
+    optimum has that same y returns it without a max flow: when {!fix}
+    pins slots to values y already had, the resumed solve pivots
+    nowhere and the round separates nothing.
 
     {b Start bases.} The first solve starts from every [y_t] at its
     upper bound and every surplus basic ([?start]). With every y free
@@ -117,8 +121,9 @@ val solves : lp1 -> int
     simplex pivot costs one tick of [budget], whose exhaustion raises
     {!Budget.Out_of_fuel} (rows already appended stay valid). With
     [obs], also records [active.lp1.rounds] (one per LP solve) and
-    [active.lp1.cuts] (rows appended), plus the separation's [flow.*]
-    counters. Raises {!Scale_overflow} as documented there. *)
+    [active.lp1.cuts] (rows appended), plus the [flow.*] counters of
+    the separations it runs. Raises {!Scale_overflow} as documented
+    there. *)
 val resolve :
   ?rule:Lp.pivot_rule ->
   ?engine:Lp.engine ->

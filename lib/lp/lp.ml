@@ -37,9 +37,9 @@ type model = {
      [add_var] and [set_objective], grown by the rows added since *)
   mutable compiled : compiled option;
   (* what the last warm or [?start] revised solve left, when it ended
-     optimal: a later one resumes from it (Sparse_simplex.solve_warm);
-     cleared as each such solve starts, dropped with [compiled] and
-     when a bound moves *)
+     optimal: a later one resumes from it (Sparse_simplex.solve_warm),
+     whatever bounds moved since; cleared as each such solve starts and
+     dropped with [compiled] *)
   mutable live : RS.optimum option;
 }
 
@@ -135,8 +135,7 @@ let set_bounds m v ~lower ~upper =
   (match upper with
   | Some u when Q.compare u lower < 0 -> invalid_arg "Lp.set_bounds: upper < lower"
   | _ -> ());
-  (* the last optimum's basic values hold only under its bounds *)
-  if not (Q.equal m.lower.(v) lower && Option.equal Q.equal m.upper.(v) upper) then m.live <- None;
+  (* the live state stays: a resumed solve moves it to the new bounds *)
   m.lower.(v) <- lower;
   m.upper.(v) <- upper
 

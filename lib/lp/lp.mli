@@ -60,18 +60,23 @@
     first warm or [?start] solve builds it; each later one appends only
     the rows added since and re-reads every bound in place; {!add_var}
     and {!set_objective} drop it. Beside it the model keeps the live
-    state of its last optimum: the statuses, the basic values and the
-    reduced costs. Each warm or [?start] revised solve clears it as it
-    starts and stores it again only when it ends optimal, so an abort, a
-    fallback to phase 1 or an infeasible or unbounded answer leaves
-    none; {!add_var}, {!set_objective} and a {!set_bounds} that moves a
-    bound drop it. A solve that resumes from it (see [?warm]) still
-    factors its basis, but keeps those basic values and reduced costs
-    instead of solving for them and pricing every column. They are
-    exactly the values a fresh start computes, so the same call returns
-    the same vertex, pivots and basis whatever ran before it; the work
-    counters depend on what the model carries. Solving writes both, so
-    a model, like any mutable model, belongs to one domain at a time.
+    state of its last optimum: the statuses, the basic values, the
+    reduced costs, each nonbasic column's value and the final basis's
+    LU factors with their eta file. Each warm or [?start] revised solve
+    clears it as it starts and stores it again only when it ends
+    optimal, so an abort, a fallback to phase 1 or an infeasible or
+    unbounded answer leaves none; {!add_var} and {!set_objective} drop
+    it, and {!set_bounds} keeps it. A solve that resumes from it (see
+    [?warm]) keeps its reduced costs, which no bound enters, and moves
+    its basic values by one FTRAN of the change in the nonbasic
+    columns' values that the bound moves made. When no row was added
+    since, it also takes the LU factors over instead of factoring the
+    basis, and charges their work to itself; otherwise it factors the
+    grown basis. The values it starts from are exactly the ones a fresh
+    start computes, so the same call returns the same vertex, pivots and
+    basis whatever ran before it; the work counters depend on what the
+    model carries. Solving writes both, so a model, like any mutable
+    model, belongs to one domain at a time.
 
     Pricing and anti-cycling: every engine prices by Dantzig's rule
     while the objective strictly improves and falls back to Bland's rule
@@ -107,8 +112,8 @@ val num_constraints : model -> int
     variable ([upper = None] removes the upper bound). The intended use
     is repeated re-solves of one model under changing bounds (branch and
     bound fixings), typically warm-started from the previous basis.
-    Bounds that differ from the old ones drop the model's live state
-    (module header), so the next solve factors and prices in full.
+    The model's live state stays (module header): the next solve from
+    its basis moves the basic values to the new bounds by one FTRAN.
     Raises [Invalid_argument] on an unknown variable or [upper < lower]. *)
 val set_bounds : model -> var -> lower:Rational.t -> upper:Rational.t option -> unit
 
@@ -181,11 +186,13 @@ end
     revised engine resumes when the model holds the live state of an
     optimum (module header) and the basis it is given is that
     optimum's, with a basic slack for every row appended since and
-    every such row [Le] or [Ge]: it keeps that optimum's reduced costs
-    (the new rows' duals are zero) and basic values (the new rows reach
-    no old row; each new slack's value is read off its row) instead of
-    pricing every column and solving for them. Either way the same
-    pivots follow. The
+    every such row [Le] or [Ge], whatever bounds moved since: it keeps
+    that optimum's reduced costs (the new rows' duals are zero, and no
+    bound enters them) and basic values, moved by one FTRAN of the
+    moved bounds' change (the new rows reach no old row; each new
+    slack's value is read off its row), instead of pricing every column
+    and solving for them, and with no row appended it keeps the
+    optimum's LU factors too. Either way the same pivots follow. The
     float engine restores the snapshot in double precision and
     certifies whatever basis the warm re-solve ends on, exactly as for a
     cold float solve. When the snapshot cannot be reused — dimensions

@@ -27,7 +27,8 @@
    Every scalar multiply/divide performed is tallied into the [ops] ref
    supplied at factorization time — this is the "touched cells" measure
    behind the solution's [sol_cells] and the work ratios [test_lp]
-   checks. *)
+   checks. A later solve that takes the factors over points [ops] at
+   its own ref, so each solve counts the work it does. *)
 
 module Make (S : Scalar.S) = struct
   (* a sparse matrix column: parallel (row index, value) arrays *)
@@ -59,7 +60,7 @@ module Make (S : Scalar.S) = struct
 
   type fact = {
     m : int;
-    ops : int ref;
+    mutable ops : int ref;        (* the solve using the factors *)
     prow : int array;             (* stage -> original row *)
     stage_of_row : int array;
     cpos : int array;             (* stage -> basis position *)

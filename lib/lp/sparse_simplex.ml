@@ -17,8 +17,10 @@
    same row (theta = d_q / alpha_rq). A warm start prices once, and the
    dual-feasibility check, the dual repair and phase 2 all read that
    row; one that resumes from an earlier optimum of the same problem,
-   grown by rows, prices nothing: it keeps that optimum's reduced costs
-   and basic values. The pivot column is one hypersparse FTRAN (w = B^-1 a_q); the
+   grown by rows and under moved bounds, prices nothing: it keeps that
+   optimum's reduced costs, moves its basic values by one FTRAN of the
+   moved columns' change and, when no row was added, keeps its LU
+   factors. The pivot column is one hypersparse FTRAN (w = B^-1 a_q); the
    primal ratio test, the basic-value update and the eta append loop
    over w's nonzero positions. So a pivot costs the nonzeros it touches
    plus one pass over the columns in pricing and one pull-form BTRAN,
@@ -170,15 +172,18 @@ module Make (S : Scalar.S) = struct
     }
 
   (* What an optimum leaves: the point, the statuses, the basic column
-     of each basis position and the reduced costs. A later warm solve of
-     the same problem, grown by rows under the same bounds, can resume
-     from it ([solve_warm ?from]). *)
+     of each basis position, the reduced costs, each nonbasic column's
+     value and the final basis's factors, eta file included. A later
+     warm solve of the same problem, grown by rows and under moved
+     bounds, can resume from it ([solve_warm ?from]). *)
   type optimum = {
     o_z : S.t;
     o_stat : vstat array;
     o_basis : int array;
     o_xb : S.t array;
     o_d : S.t array;
+    o_xn : S.t array; (* nonbasic columns' values; zero on basics *)
+    o_fact : F.fact;
   }
 
   type outcome = Opt of optimum | Infeas | Unbd
@@ -497,7 +502,17 @@ module Make (S : Scalar.S) = struct
     st.z <- !z
 
   let extract st =
-    Opt { o_z = st.z; o_stat = st.stat; o_basis = st.basis; o_xb = st.xb; o_d = st.d }
+    let xn = Array.init st.pb.pn (fun j -> if st.stat.(j) = Vbas then S.zero else nb_value st j) in
+    Opt
+      {
+        o_z = st.z;
+        o_stat = st.stat;
+        o_basis = st.basis;
+        o_xb = st.xb;
+        o_d = st.d;
+        o_xn = xn;
+        o_fact = st.fact;
+      }
 
   (* How far [x], the value of column [k], lies outside its bounds
      beyond the tolerance: [Some (v, true)] below, [Some (v, false)]
@@ -737,25 +752,61 @@ module Make (S : Scalar.S) = struct
     done;
     !same
 
-  (* The warm state [o] left, grown by the rows [pb] gained since: their
-     slacks join the basis at the new positions, and the grown basis is
-     factored. The reduced costs carry over (the new rows' duals are
-     zero: their slacks are basic at cost 0), and so do z and the old
-     rows' basic values, which no new column reaches; the caller drops
-     [o] when a bound moves. Each new slack's value is read off its own
-     row. [o] is left as it was. *)
+  (* The warm state [o] left, grown by the rows [pb] gained since and
+     moved to the current bounds. The new rows' slacks join the basis at
+     the new positions. With no new row the basis is [o]'s, and so are
+     its factors, which this solve takes over and charges; otherwise the
+     grown basis is factored. The reduced costs carry over: a bound does
+     not enter them, and the new rows' duals are zero (their slacks are
+     basic at cost 0). A nonbasic column whose bound value moved by
+     delta_j moves x_B by B^-1 A_j delta_j: one FTRAN of their sum over
+     the old rows updates the old basic values (no new column reaches an
+     old row) and z moves by d_j delta_j. Each new slack's value is then
+     read off its own row. [o] is used up: its factors change with this
+     solve's pivots. *)
   let resumed cfg pb (o : optimum) ~stat ~budget ~obs ~pivots ~ops =
     let m0 = Array.length o.o_basis and n0 = Array.length o.o_stat in
     let grow a = Array.append a (Array.make (pb.pm - m0) S.zero) in
     let basis = Array.init pb.pm (fun p -> if p < m0 then o.o_basis.(p) else n0 + p - m0) in
     let fact =
-      try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed
+      if pb.pm = m0 then begin
+        o.o_fact.F.ops <- ops;
+        o.o_fact
+      end
+      else try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed
     in
     let st =
       make_state cfg pb ~budget ~obs ~pivots ~ops ~stat:(Array.copy stat) ~basis
         ~xb:(grow o.o_xb) ~cost:(Array.copy pb.pobj) ~d:(grow o.o_d) ~fact
     in
     st.z <- o.o_z;
+    (* rhs = -(sum of A_j delta_j) over the old rows *)
+    let rhs = Array.make pb.pm S.zero and moved = ref false in
+    for j = 0 to n0 - 1 do
+      if st.stat.(j) <> Vbas then begin
+        let v = nb_value st j in
+        if S.compare v o.o_xn.(j) <> 0 then begin
+          let delta = S.sub v o.o_xn.(j) in
+          moved := true;
+          st.z <- S.add st.z (S.mul st.d.(j) delta);
+          let c = pb.pcols.(j) in
+          for idx = 0 to Array.length c.F.rows - 1 do
+            let r = c.F.rows.(idx) in
+            if r < m0 then begin
+              incr ops;
+              rhs.(r) <- S.submul rhs.(r) c.F.vals.(idx) delta
+            end
+          done
+        end
+      end
+    done;
+    if !moved then begin
+      let w = F.ftran st.fact (F.col_of_array rhs) in
+      for t = 0 to w.F.nnz - 1 do
+        let p = w.F.nz.(t) in
+        if p < m0 then st.xb.(p) <- S.add st.xb.(p) w.F.x.(p)
+      done
+    end;
     let pos = Array.make n0 (-1) in
     Array.iteri (fun p j -> pos.(j) <- p) o.o_basis;
     (* row p: a.x + delta s = b, s its slack, basic at position p *)
@@ -780,11 +831,11 @@ module Make (S : Scalar.S) = struct
   (* Warm start from per-column statuses against a problem without
      artificials. It resumes from [from], the optimum an earlier warm
      solve of this problem left, when [stat] is that optimum's basis
-     with a basic slack for every row added since ([resumable]);
-     otherwise it factors the basis of [stat], solves x_B and prices
-     every column. Then it goes straight to phase 2 when still primal
-     feasible, or runs the dual repair when only primal feasibility was
-     lost. The pivots, the vertex and the returned statuses do not
+     with a basic slack for every row added since ([resumable]),
+     whatever bounds moved since; otherwise it factors the basis of
+     [stat], solves x_B and prices every column. Then it goes straight
+     to phase 2 when still primal feasible, or runs the dual repair when
+     only primal feasibility was lost. The pivots, the vertex and the returned statuses do not
      depend on which way it started. Raises Warm_failed whenever the
      statuses cannot be reused. *)
   let solve_warm ?from (cfg : S.t config) (pb : problem) ~(stat : vstat array) ~budget ~obs

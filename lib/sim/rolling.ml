@@ -441,6 +441,7 @@ let pp fmt (r : run) =
         (Q.to_string rep.Replay.total_energy)
         (Q.to_string rep.Replay.utilization)
         (if rep.Replay.violations = [] then "ok" else "VIOLATIONS")
+  | None when S.num_jobs r.instance = 0 -> Format.fprintf fmt "replay: skipped (no jobs)@."
   | None -> Format.fprintf fmt "replay: skipped (%d missed jobs)@." r.total_misses
 
 let to_json (r : run) : Obs.Json.t =

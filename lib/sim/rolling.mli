@@ -92,8 +92,9 @@ type run = {
   completed_jobs : int;
   replay : Replay.report option;
       (** {!Replay.run_active} replay of the committed schedule as the
-          energy oracle — only when every job completed (a schedule with
-          missed jobs fails the offline checker by construction) *)
+          energy oracle — only when the trace has jobs and every job
+          completed (a schedule with missed jobs fails the offline
+          checker by construction); {!pp} prints which reason skipped it *)
 }
 
 type config = {

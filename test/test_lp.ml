@@ -486,6 +486,52 @@ let test_warm_start_counters () =
   let s2 = get_solution (Lp.solve m) in
   Alcotest.(check string) "cold re-solve agrees" "17" (Q.to_string (Lp.objective_value s2))
 
+(* A bound move resumes from the model's last optimum. With no row
+   appended the solve takes that optimum's LU factors over: it factors
+   nothing, moves x_B by one FTRAN of the moved column's change, and
+   the dual repair pivots on the kept factors. Their FTRAN and BTRAN
+   work counts in this solve's cells. *)
+let test_bound_move_resume () =
+  let build () =
+    let m = Lp.create () in
+    let x = Lp.add_var ~upper:(qi 4) m "x" and y = Lp.add_var ~upper:(qi 6) m "y" in
+    Lp.add_constraint m [ (qi 1, x); (qi 1, y) ] Lp.Le (qi 8);
+    Lp.add_constraint m [ (qi 1, x); (qi (-1), y) ] Lp.Ge (qi (-4));
+    Lp.set_objective m Lp.Maximize [ (qi 2, x); (qi 3, y) ];
+    (m, y)
+  in
+  let start =
+    Lp.Basis.make ~vstat:[| Lp.Basis.Lower; Lp.Basis.Lower |] ~sstat:[| Lp.Basis.Basic; Lp.Basis.Basic |]
+  in
+  let m, y = build () in
+  (* a [?start] solve leaves its optimum (x = 2, y = 6 at its upper bound) in the model *)
+  let s0 = get_solution (Lp.solve ~start m) in
+  Alcotest.(check string) "first objective" "22" (Q.to_string (Lp.objective_value s0));
+  let warm = Option.get (Lp.basis s0) in
+  Lp.set_bounds m y ~lower:Q.zero ~upper:(Some (qi 3));
+  let obs = Obs.create () in
+  let s1 = get_solution (Lp.solve ~warm ~obs m) in
+  let counter = Obs.counter obs in
+  Alcotest.(check string) "objective" "17" (Q.to_string (Lp.objective_value s1));
+  Alcotest.(check bool) "a dual pivot" true (Lp.pivots s1 >= 1);
+  Alcotest.(check int) "warm start taken" 1 (counter "lp.warm_starts");
+  Alcotest.(check int) "no refactorization" 0 (counter "lp.refactorizations");
+  (* the x_B update's column entries and FTRAN, then the dual pivot's
+     BTRAN, pivot row and FTRAN: 7 cells without the kept factors'
+     share *)
+  Alcotest.(check int) "cells, pinned" 24 (counter "lp.exact_cells");
+  (* the same call on a model built afresh under the moved bound
+     factors once, and returns the same vertex after the same pivots *)
+  let fresh, fy = build () in
+  Lp.set_bounds fresh fy ~lower:Q.zero ~upper:(Some (qi 3));
+  let fobs = Obs.create () in
+  let f1 = get_solution (Lp.solve ~warm ~obs:fobs fresh) in
+  Alcotest.(check int) "a fresh model factors" 1 (Obs.counter fobs "lp.refactorizations");
+  Alcotest.(check (list string)) "same vertex"
+    (List.map (fun (_, v) -> Q.to_string v) (Lp.values f1))
+    (List.map (fun (_, v) -> Q.to_string v) (Lp.values s1));
+  Alcotest.(check int) "same pivots" (Lp.pivots f1) (Lp.pivots s1)
+
 let test_engine_introspection () =
   let m = Lp.create () in
   let x = Lp.add_var ~upper:(qi 5) m "x" in
@@ -911,7 +957,12 @@ let prop_lp1_cut_loop =
 
 (* Edits between solves. [Cut t] is the [Ge] row over the terms [t]
    that the last optimal vertex violates by the least integer rhs, as
-   the cut loop appends. [Solve (true, _)] passes the last optimal basis
+   the cut loop appends. [Move (s, k, lo, hi)] sets the bounds of the
+   [k]-th variable (wrapping) whose status in the last optimal basis is
+   [s], or of variable [k] when none has it: a bound move reaches
+   nonbasic columns at either bound and basic ones. Bounds fix a
+   variable ([lo = hi]) or give it a range, so a later move loosens
+   them. [Solve (true, _)] passes the last optimal basis
    as [?warm] when the model has the same shape, and [Solve (false, _)]
    always passes it as [?start], padded with a lower-bound status for
    each new variable and a basic slack for each new row (the cut loop's
@@ -921,6 +972,7 @@ type edit =
   | Row of (int * int) list * Lp.sense * int
   | Cut of (int * int) list
   | Bounds of int * int * int
+  | Move of Lp.Basis.status * int * int * int
   | Objective of Lp.objective_direction * (int * int) list
   | Var
   | Solve of bool * int option
@@ -933,6 +985,10 @@ let edit_to_string = function
         r
   | Cut t -> Printf.sprintf "cut %s" (String.concat "+" (List.map (fun (v, c) -> Printf.sprintf "%dx%d" c v) t))
   | Bounds (v, lo, hi) -> Printf.sprintf "x%d in [%d,%d]" v lo hi
+  | Move (st, k, lo, hi) ->
+      Printf.sprintf "%s #%d in [%d,%d]"
+        (match st with Lp.Basis.Lower -> "lower" | Upper -> "upper" | Basic -> "basic")
+        k lo hi
   | Objective (d, t) ->
       Printf.sprintf "%s %s"
         (match d with Lp.Minimize -> "min" | Lp.Maximize -> "max")
@@ -946,11 +1002,21 @@ let edits_arb =
   let open QCheck.Gen in
   let var = int_range 0 7 in
   let terms = list_size (int_range 1 3) (pair var (int_range (-2) 3)) in
+  let bounds =
+    oneof
+      [ map (fun c -> (c, c)) (int_range 0 4);
+        map2 (fun lo w -> (lo, lo + w)) (int_range (-1) 2) (int_range 1 4) ]
+  in
   let edit =
     frequency
       [ (3, map3 (fun t s r -> Row (t, s, r)) terms (oneofl [ Lp.Le; Lp.Ge; Lp.Eq ]) (int_range (-2) 6));
         (3, map (fun t -> Cut t) (list_size (int_range 1 3) (pair var (int_range 1 3))));
-        (3, map3 (fun v lo w -> Bounds (v, lo, lo + w)) var (int_range 0 2) (int_range 0 3));
+        (1, map2 (fun v (lo, hi) -> Bounds (v, lo, hi)) var bounds);
+        ( 3,
+          map3
+            (fun s k (lo, hi) -> Move (s, k, lo, hi))
+            (oneofl [ Lp.Basis.Lower; Lp.Basis.Upper; Lp.Basis.Basic ])
+            var bounds );
         (1, map2 (fun d t -> Objective (d, t)) (oneofl [ Lp.Minimize; Lp.Maximize ]) terms);
         (1, return Var);
         (4, map (fun w -> Solve (w, None)) bool);
@@ -976,7 +1042,7 @@ let grown_model () =
     | Var ->
         let n = Array.length !vars in
         vars := Array.append !vars [| Lp.add_var ~upper:(qi 4) m (Printf.sprintf "x%d" n) |]
-    | Cut _ | Solve _ -> ()
+    | Cut _ | Move _ | Solve _ -> ()
   in
   (m, apply, fun i -> i mod Array.length !vars)
 
@@ -1023,6 +1089,11 @@ let prop_resumed_solve =
             let at v = if position v < Array.length x then x.(position v) else Q.zero in
             let lhs = List.fold_left (fun acc (v, c) -> Q.add acc (Q.mul (qi c) (at v))) Q.zero t in
             go seen (Row (t, Lp.Ge, Q.floor_int lhs + 1) :: rest)
+        | Move (s, k, lo, hi) :: rest ->
+            let vstat = match !last with Some (b, _) -> b.Lp.Basis.vstat | None -> [||] in
+            let have = List.filter (fun v -> vstat.(v) = s) (List.init (Array.length vstat) Fun.id) in
+            let v = match have with [] -> k | _ -> List.nth have (k mod List.length have) in
+            go seen (Bounds (v, lo, hi) :: rest)
         | Solve (w, ticks) :: rest ->
             let nv = Lp.num_vars m and rows = Lp.num_constraints m in
             let warm, start =
@@ -1080,6 +1151,7 @@ let () =
           Alcotest.test_case "unknown variable rejected" `Quick test_unknown_variable_rejected;
           Alcotest.test_case "values accessor" `Quick test_values_accessor;
           Alcotest.test_case "warm start counters" `Quick test_warm_start_counters;
+          Alcotest.test_case "bound move resumes" `Quick test_bound_move_resume;
           Alcotest.test_case "engine introspection" `Quick test_engine_introspection;
           Alcotest.test_case "certification provenance" `Quick test_certification_provenance;
           Alcotest.test_case "certify-fail fallback" `Quick test_certify_fail_fallback;

@@ -303,10 +303,10 @@ let vm_day =
    just after a boundary and is missed before it is seen) and three
    generated timed traces, each replayed warm and cold (fresh warm
    state every epoch). Warmth changes the LP work, never the committed schedule;
-   vm_day is pinned at (epochs, energy, misses) = (11, 22, 0), and warm
-   runs do less LP work in total (6,878 vs 10,318 cells, the cascade's
-   ceil(LP1) floors included; vm_day alone reads 3,514 warm against
-   3,279 cold). *)
+   vm_day is pinned at (epochs, energy, misses) = (11, 22, 0), and a
+   warm run does no more LP work than a cold one on each trace and less
+   in total (5,431 vs 9,138 cells, the cascade's ceil(LP1) floors
+   included; vm_day reads 3,020 warm against 3,258 cold). *)
 let test_rolling_warm_equals_cold () =
   let vm_jobs =
     List.map
@@ -336,6 +336,10 @@ let test_rolling_warm_equals_cold () =
         Alcotest.(check int) (name ^ ": misses") c.Rolling.total_misses w.Rolling.total_misses;
         Alcotest.(check (list int)) (name ^ ": open slots") c.Rolling.open_slots w.Rolling.open_slots;
         Alcotest.(check bool) (name ^ ": schedule") true (w.Rolling.schedule = c.Rolling.schedule);
+        (* LP1's value is unique: the pinned bound resumed across epochs
+           equals the one solved afresh in each *)
+        let bounds r = List.map (fun e -> Option.map Q.to_string e.Rolling.lower_bound) r.Rolling.epochs in
+        Alcotest.(check (list (option string))) (name ^ ": epoch bounds") (bounds c) (bounds w);
         Option.iter
           (fun want ->
             Alcotest.(check (triple int int int)) (name ^ ": (epochs, energy, misses)") want
@@ -351,6 +355,9 @@ let test_rolling_warm_equals_cold () =
            | None -> Alcotest.fail (name ^ ": no misses but no replay"));
         Alcotest.(check bool) (name ^ ": warm hits recorded") true
           (List.exists (fun (e : Rolling.epoch) -> e.Rolling.warm_hits > 0) w.Rolling.epochs);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: warm LP work %d <= cold %d" name w_cells c_cells)
+          true (w_cells <= c_cells);
         (warm_total + w_cells, cold_total + c_cells))
       (0, 0) traces
   in
