@@ -15,14 +15,14 @@ let () =
     (Q.to_string (Busy.Bounds.demand_profile ~g jobs));
   let run name alg =
     let packing = alg ~g jobs in
-    let report = Sim.run_packing ~g packing in
-    assert (report.Sim.violations = []);
-    assert (Q.equal report.Sim.total_energy (Busy.Bundle.total_busy packing));
+    let report = Sim.Replay.run_packing ~g packing in
+    assert (report.Sim.Replay.violations = []);
+    assert (Q.equal report.Sim.Replay.total_energy (Busy.Bundle.total_busy packing));
     Printf.printf "%-26s machines=%2d energy=%6.1f power-ons=%2d peak=%d utilization=%.2f\n" name
       (List.length packing)
-      (Q.to_float report.Sim.total_energy)
-      report.Sim.total_switch_ons report.Sim.peak_parallelism
-      (Q.to_float report.Sim.utilization);
+      (Q.to_float report.Sim.Replay.total_energy)
+      report.Sim.Replay.total_switch_ons report.Sim.Replay.peak_parallelism
+      (Q.to_float report.Sim.Replay.utilization);
     packing
   in
   let _ = run "FirstFit (4-approx)" (fun ~g jobs -> Busy.First_fit.solve ~g jobs) in
@@ -33,8 +33,9 @@ let () =
   (* preemptive comparison *)
   let flexible = Workload.Generate.flexible_jobs ~n:12 ~horizon:30 ~max_length:5 ~seed:99 () in
   let cost, sol, detail = Busy.Preemptive.bounded ~g flexible in
-  let report = Sim.run_preemptive ~g detail in
+  let report = Sim.Replay.run_preemptive ~g detail in
   Printf.printf "\npreemptive fleet (flexible jobs): energy %s (analytic %s), machines peak %d\n"
-    (Q.to_string report.Sim.total_energy) (Q.to_string cost) report.Sim.peak_parallelism;
+    (Q.to_string report.Sim.Replay.total_energy)
+    (Q.to_string cost) report.Sim.Replay.peak_parallelism;
   print_endline "\npreemptive per-job timeline:";
   print_string (Render.preemptive sol ~width:64)

@@ -21,15 +21,15 @@
    strictly cheaper incumbents, the same solution comes back, in fewer
    nodes, flow checks and ticks.
 
-   The chosen-open set lives in an immutable Bitset over relevant-slot
-   indices, so branching costs a few word operations instead of the list
-   rebuilds of the original kernel. Feasibility probes go through a
-   selectable [Feasibility.probe_mode]: the default drives ONE persistent
-   incremental oracle for the whole search (close slot / re-augment /
-   reopen on backtrack), the Rebuild mode reconstructs the flow network
-   per probe. Both modes compute exact max flows, hence take identical
-   branching decisions and report identical node / flow-check counters —
-   the bench harness exploits that to measure the pure oracle speedup.
+   The chosen-open set is a list of relevant-slot indices, newest first:
+   opening slot i conses i onto it, and backtracking returns to the
+   caller's list, so a branch copies nothing. Feasibility probes go
+   through a selectable [Feasibility.probe_mode]: the default drives ONE
+   persistent incremental oracle for the whole search (close slot /
+   re-augment / reopen on backtrack), the Rebuild mode reconstructs the
+   flow network per probe. Both modes compute exact max flows, hence take
+   identical branching decisions and report identical node / flow-check
+   counters.
 
    [brute_force] cross-checks the B&B on tiny instances in the tests. *)
 
@@ -39,14 +39,13 @@ let src = Logs.Src.create "abt.exact" ~doc:"active-time branch and bound"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let popcount = Bitset.popcount_word
-
 (* Exhaustive search over all subsets of relevant slots. Only sensible for
    a dozen slots or so; raises [Invalid_argument] beyond 20. *)
 let brute_force (inst : S.t) =
   let slots = Array.of_list (S.relevant_slots inst) in
   let k = Array.length slots in
   if k > 20 then invalid_arg "Exact.brute_force: too many slots";
+  let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1) in
   let best = ref None in
   let best_cost = ref max_int in
   for mask = 0 to (1 lsl k) - 1 do
@@ -75,14 +74,10 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
   match Minimal.solve ~oracle ~obs ~net inst Minimal.Right_to_left with
   | None -> Budget.Complete None (* infeasible instance *)
   | Some seed ->
-      let slot_idx = Hashtbl.create (2 * k) in
-      Array.iteri (fun i s -> Hashtbl.replace slot_idx s i) slots;
-      let to_bits l =
-        List.fold_left (fun b s -> Bitset.add b (Hashtbl.find slot_idx s)) (Bitset.create ~width:k) l
-      in
-      let to_slots b = List.map (fun i -> slots.(i)) (Bitset.to_list b) in
+      (* chosen-open slots in increasing order, [opened] newest first *)
+      let to_slots opened = List.rev_map (fun i -> slots.(i)) opened in
       let best = ref (Solution.cost seed) in
-      let best_set = ref (to_bits seed.Solution.open_slots) in
+      let best_slots = ref seed.Solution.open_slots in
       let nodes = ref 0 and flow_checks = ref 0 in
       let ora =
         match oracle with
@@ -92,7 +87,7 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
       (* Probe "slot i closed, the rest of the current state unchanged".
          Incremental mode leaves the slot closed in the oracle (the caller
          reopens on backtrack); Rebuild mode reconstructs the open set as
-         chosen-open + undecided suffix. *)
+         chosen-open + undecided suffix, in increasing slot order. *)
       let probe_close i opened =
         incr flow_checks;
         match ora with
@@ -100,18 +95,19 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
             Feasibility.Oracle.set_slot ~obs o ~slot:slots.(i) ~open_:false;
             Feasibility.Oracle.check ~obs o
         | None ->
-            let candidate = Bitset.union opened (Bitset.suffix ~width:k (i + 1)) in
-            Feasibility.feasible ~obs inst ~open_slots:(to_slots candidate)
+            let undecided = Array.to_list (Array.sub slots (i + 1) (k - i - 1)) in
+            Feasibility.feasible ~obs inst ~open_slots:(to_slots opened @ undecided)
       in
       let reopen i =
         match ora with
         | Some o -> Feasibility.Oracle.set_slot ~obs o ~slot:slots.(i) ~open_:true
         | None -> ()
       in
-      (* DFS: i = next slot index, opened = chosen-open slot indices,
-         n_open = |opened|, lb = the global floor. Undecided slots are
-         i..k-1 and are open in the oracle whenever the DFS sits at index
-         i. Invariant: opened plus all undecided is feasible. *)
+      (* DFS: i = next slot index, opened = chosen-open slot indices
+         (newest first), n_open = |opened|, lb = the global floor.
+         Undecided slots are i..k-1 and are open in the oracle whenever
+         the DFS sits at index i. Invariant: opened plus all undecided is
+         feasible. *)
       let rec dfs lb i opened n_open =
         Budget.tick budget;
         incr nodes;
@@ -119,14 +115,14 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
           if i = k then begin
             (* all decided; invariant says [opened] is feasible *)
             best := n_open;
-            best_set := opened
+            best_slots := to_slots opened
           end
           else if max n_open lb < !best then begin
             (* try closing slot i: keep going only if still feasible *)
             if probe_close i opened then dfs lb (i + 1) opened n_open;
             reopen i;
             (* then try opening slot i *)
-            dfs lb (i + 1) (Bitset.add opened i) (n_open + 1)
+            dfs lb (i + 1) (i :: opened) (n_open + 1)
           end
         end
       in
@@ -135,7 +131,7 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
       let finish () =
         Obs.add obs "active.exact.nodes" !nodes;
         Obs.add obs "active.exact.flow_checks" !flow_checks;
-        Solution.of_open_slots ~net inst ~open_slots:(to_slots !best_set)
+        Solution.of_open_slots ~net inst ~open_slots:!best_slots
       in
       let root_feasible () =
         incr flow_checks;
@@ -148,7 +144,7 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
            let lb =
              match floor with Some f when !best > mass_lb -> max mass_lb (f ()) | _ -> mass_lb
            in
-           dfs lb 0 (Bitset.create ~width:k) 0
+           dfs lb 0 [] 0
          end;
          Log.info (fun m ->
              m "branch and bound: %d slots, %d nodes, %d flow checks, optimum %d" k !nodes !flow_checks !best);

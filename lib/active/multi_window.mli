@@ -26,9 +26,6 @@ val total_length : t -> int
 val relevant_slots : t -> int list
 val mass_lower_bound : t -> int
 
-(** Schedule on the open slots via max flow, or [None] when infeasible. *)
-val feasible_and_schedule : t -> open_slots:int list -> (int * int list) list option
-
 val feasible : t -> open_slots:int list -> bool
 
 (** Inclusion-minimal feasible open set contained in [start] (default all

@@ -15,9 +15,6 @@ type counterexample = {
 
 type report = { seeds : int; cases : int; failures : counterexample list }
 
-(** The six families checked for one seed. *)
-val cases_for_seed : int -> case list
-
 (** Run the oracle matching the case's shape (slotted / interval /
     flexible). *)
 val check : ?planted_bug:bool -> fuel:int -> case -> Oracle.failure option

@@ -7,13 +7,6 @@
 
 type failure = { case : string; line : string; detail : string }
 
-(** The (family, line) pairs generated for one seed. *)
-val lines_for_seed : int -> (string * string) list
-
-(** [Some detail] when a parser layer raised on [line]; [None] when both
-    returned Ok/Error as promised. *)
-val check_line : string -> string option
-
 (** Sweep seeds [0..seeds-1] on {!Parallel.Pool}. *)
 val run : ?domains:int -> seeds:int -> unit -> failure list
 

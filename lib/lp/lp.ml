@@ -178,12 +178,10 @@ let set_objective m dir terms =
   m.compiled <- None;
   m.live <- None
 
-(* After the pivot count without strict objective improvement exceeds this
-   threshold we switch from Dantzig to Bland's rule, which cannot cycle. *)
-let degenerate_pivot_threshold = 64
-
-(* Pricing rule: Dantzig (most negative reduced cost) with the Bland
-   fallback above, or pure Bland. Exposed for the pivot-rule ablation. *)
+(* Pricing rule: Dantzig (most negative reduced cost) with a fallback
+   to Bland's rule after [Sparse_simplex.degen_threshold] consecutive
+   degenerate pivots, or pure Bland. Exposed for the pivot-rule
+   ablation. *)
 type pivot_rule = Dantzig_with_fallback | Pure_bland
 
 (* Minimization form shared by both engines. *)
@@ -308,7 +306,7 @@ let run_simplex ~rule ~phase1 ~budget ~obs ~pivots tab =
             if Q.equal before tab.obj_val then begin
               incr stalled;
               Obs.incr obs "lp.degenerate_pivots";
-              if !stalled > degenerate_pivot_threshold then bland := true
+              if !stalled > Sparse_simplex.degen_threshold then bland := true
             end
             else stalled := 0)
   done;
@@ -588,16 +586,7 @@ let cold_spec m =
 
 (* [reuse]: the warm basis is an earlier optimum, so a successful
    restore counts in [lp.warm_starts]; a caller's [?start] does not. *)
-let sparse_scfg ~rule ~reuse =
-  {
-    Sparse_simplex.dtol = Q.zero;
-    ptol = Q.zero;
-    ztol = Q.zero;
-    step_cap = None;
-    bland_always = (rule = Pure_bland);
-    exact = true;
-    count_warm = reuse;
-  }
+let scfg ~rule ~reuse = { Sparse_simplex.bland_always = rule = Pure_bland; count_warm = reuse }
 
 (* Map a sparse driver outcome back to the solver result; [x] comes from
    the statuses (nonbasic at a bound) and the final basic values. *)
@@ -645,7 +634,7 @@ let solve_sparse_cold ~rule ~budget ~obs ~pivots m =
   let spec, start, slack_of_row = cold_spec m in
   let pb = RS.of_spec spec in
   let ops = ref 0 in
-  let outcome = RS.solve_cold (sparse_scfg ~rule ~reuse:false) pb start ~budget ~obs ~pivots ~ops in
+  let outcome = RS.solve_cold (scfg ~rule ~reuse:false) pb start ~budget ~obs ~pivots ~ops in
   Obs.add obs "lp.exact_cells" !ops;
   extract_sparse ~m ~slack_of_row ~pivots ~ops outcome
 
@@ -717,7 +706,7 @@ let solve_sparse_warm ~rule ~reuse ~budget ~obs ~pivots m (w : Basis.t) =
   let stat = sparse_warm_stat m ~slack_of_row ~ncols:pb.RS.pn w in
   let ops = ref 0 in
   let outcome =
-    RS.solve_warm ?from (sparse_scfg ~rule ~reuse) pb ~stat ~budget ~obs ~pivots ~ops
+    RS.solve_warm ?from (scfg ~rule ~reuse) pb ~stat ~budget ~obs ~pivots ~ops
   in
   Obs.add obs "lp.exact_cells" !ops;
   (match outcome with RS.Opt o -> m.live <- Some o | RS.Infeas | RS.Unbd -> ());
@@ -745,16 +734,6 @@ let solve_revised ~rule ~warm ~reuse ~budget ~obs m =
 (* on floating point. *)
 (* ====================================================================== *)
 
-(* reduced-cost / degeneracy tolerance of the float phase *)
-let float_eps = 1e-9
-
-(* pivot elements smaller than this are numerically untrustworthy *)
-let fpivot_tol = 1e-7
-
-(* the float phase gives up after this many pivots and bound flips on an
-   m-row, n-column model *)
-let float_pivot_cap ~m ~n = (64 * (m + n)) + 1024
-
 (* the float phase aborts (pivot cap, unusable tableau) and requests the
    exact fallback without attempting certification *)
 exception Float_gave_up
@@ -766,17 +745,6 @@ type float_claim =
   | F_opt of Basis.status array * Basis.status array (* vstat, sstat *)
   | F_infeas
   | F_unbd
-
-let float_scfg ~rule ~reuse ~m ~n =
-  {
-    Sparse_simplex.dtol = float_eps;
-    ptol = fpivot_tol;
-    ztol = fpivot_tol;
-    step_cap = Some (float_pivot_cap ~m ~n);
-    bland_always = (rule = Pure_bland);
-    exact = false;
-    count_warm = reuse;
-  }
 
 (* Float phase on the sparse driver: runs at double precision over the
    same column layout the exact engines use. [warm] restores a basis
@@ -801,8 +769,7 @@ let solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m =
   let cold () =
     let spec, start, slack_of_row = cold_spec m in
     let pb = FS.of_spec spec in
-    let scfg = float_scfg ~rule ~reuse:false ~m:m.nrows ~n:spec.Sparse_simplex.sp_ncols in
-    match FS.solve_cold scfg pb start ~budget ~obs ~pivots:fpivots ~ops:fops with
+    match FS.solve_cold (scfg ~rule ~reuse:false) pb start ~budget ~obs ~pivots:fpivots ~ops:fops with
     | outcome -> claim_of_outcome slack_of_row outcome
     | exception (FS.Gave_up | FS.F.Singular) -> raise Float_gave_up
   in
@@ -813,10 +780,8 @@ let solve_float ~rule ~warm ~reuse ~budget ~obs ~fpivots ~fops m =
       else begin
         let spec, slack_of_row = sparse_spec m in
         let pb = FS.of_spec spec in
-        let n = spec.Sparse_simplex.sp_ncols in
-        let stat = sparse_warm_stat m ~slack_of_row ~ncols:n w in
-        let scfg = float_scfg ~rule ~reuse ~m:m.nrows ~n in
-        match FS.solve_warm scfg pb ~stat ~budget ~obs ~pivots:fpivots ~ops:fops with
+        let stat = sparse_warm_stat m ~slack_of_row ~ncols:spec.Sparse_simplex.sp_ncols w in
+        match FS.solve_warm (scfg ~rule ~reuse) pb ~stat ~budget ~obs ~pivots:fpivots ~ops:fops with
         | FS.Opt _ as o -> claim_of_outcome slack_of_row o
         (* infeasible/unbounded claims out of a warm start are not worth
            certifying against: retry from scratch before deciding *)

@@ -2,9 +2,10 @@
    LU / eta-file / simplex-driver code (Slu, Sparse_simplex) runs over
    exact rationals (the revised engine and the float engine's
    certifier) and over doubles (the float engine's pivoting hot path);
-   everything numeric-policy-specific — what counts as zero, which
-   pivots are trustworthy — lives behind this signature so the drivers
-   stay policy-free. *)
+   everything numeric-policy-specific lives behind this signature, so
+   the LU and simplex code holds no policy of its own: what counts as
+   zero, which pivots are trustworthy, the simplex's tolerances and
+   step cap, and which counter family a solve records. *)
 
 module type S = sig
   type t
@@ -41,6 +42,25 @@ module type S = sig
 
   (** May [v] serve as the pivot of a product-form eta column? *)
   val eta_pivot_ok : t -> bool
+
+  (** Which counters the simplex records: an exact solve counts the
+      [lp.pivots] family and [lp.priced_columns]; a float one counts
+      [lp.float_pivots] only (its pivots are disposable — certification
+      decides what they are worth). *)
+  val exact : bool
+
+  (** Reduced-cost / degeneracy tolerance. *)
+  val dtol : t
+
+  (** Minimum acceptable |pivot| in the simplex's ratio tests. *)
+  val ptol : t
+
+  (** Phase 1 ending above this objective means infeasible. *)
+  val ztol : t
+
+  (** Pivots plus bound flips before a solve of an [m]-row, [n]-column
+      problem gives up. *)
+  val max_steps : m:int -> n:int -> int
 end
 
 module Rat : S with type t = Rational.t = struct
@@ -60,6 +80,11 @@ module Rat : S with type t = Rational.t = struct
   let is_zero = Rational.is_zero
   let stable_pivot v ~colmax:_ = not (Rational.is_zero v)
   let eta_pivot_ok v = not (Rational.is_zero v)
+  let exact = true
+  let dtol = zero
+  let ptol = zero
+  let ztol = zero
+  let max_steps ~m:_ ~n:_ = max_int
 end
 
 module Flt : S with type t = float = struct
@@ -82,4 +107,9 @@ module Flt : S with type t = float = struct
   let tiny = 1e-11
   let stable_pivot v ~colmax = Float.abs v >= 0.1 *. colmax && Float.abs v > tiny
   let eta_pivot_ok v = Float.abs v > tiny
+  let exact = false
+  let dtol = 1e-9
+  let ptol = 1e-7
+  let ztol = ptol
+  let max_steps ~m ~n = (64 * (m + n)) + 1024
 end

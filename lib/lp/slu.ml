@@ -512,7 +512,6 @@ module Make (S : Scalar.S) = struct
       true
     end
 
-  let num_etas f = f.eta_count
   let lu_nnz f = f.lu_nnz
 
   (* refactorize when the eta file holds 64 etas or has accumulated

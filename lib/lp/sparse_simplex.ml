@@ -1,8 +1,9 @@
 (* Bounded-variable primal/dual simplex over the sparse LU basis algebra
-   (Slu), generic in the scalar (Scalar.S). Instantiated twice by Lp: at
-   Rational with zero tolerances it is the exact revised engine; at
-   float with epsilon tolerances it is the float engine's pivoting hot
-   path (whose proposed basis Lp certifies exactly afterwards).
+   (Slu), generic in the scalar (Scalar.S), which also supplies the
+   tolerances, the step cap and the counter family. Instantiated twice
+   by Lp: at Rational (zero tolerances, no cap) it is the exact revised
+   engine; at float it is the float engine's pivoting hot path (whose
+   proposed basis Lp certifies exactly afterwards).
 
    Unlike a dense tableau simplex there is no maintained tableau, only
    a maintained reduced-cost row: it is priced once per phase by one
@@ -68,21 +69,14 @@ type start = {
   st_xb : Rational.t array; (* initial basic values per row *)
 }
 
-type 'a config = {
-  dtol : 'a; (* reduced-cost / degeneracy tolerance (exact: 0) *)
-  ptol : 'a; (* minimum acceptable |pivot| in ratio tests (exact: 0) *)
-  ztol : 'a; (* phase-1 objective above this => infeasible (exact: 0) *)
-  step_cap : int option; (* pivots+flips before giving up (float cap) *)
+type config = {
   bland_always : bool;
-  exact : bool;
-      (* which obs counters to report: the exact engine counts the
-         lp.pivots family and lp.priced_columns; the float engine counts
-         lp.float_pivots only (its pivots are disposable — certification
-         decides what they are worth) *)
   count_warm : bool; (* a successful warm start counts in lp.warm_starts *)
 }
 
-(* matches Lp.degenerate_pivot_threshold *)
+(* After this many consecutive pivots without strict objective
+   improvement, Dantzig pricing switches to Bland's rule, which cannot
+   cycle (Lp's dense reference engine uses the same threshold). *)
 let degen_threshold = 64
 
 module Make (S : Scalar.S) = struct
@@ -193,7 +187,7 @@ module Make (S : Scalar.S) = struct
 
   type state = {
     pb : problem;
-    cfg : S.t config;
+    cfg : config;
     budget : Budget.t;
     obs : Obs.t;
     pivots : int ref;
@@ -242,7 +236,7 @@ module Make (S : Scalar.S) = struct
     }
 
   let flush_pricing st =
-    if st.cfg.exact && !(st.priced) > 0 then
+    if S.exact && !(st.priced) > 0 then
       Obs.add st.obs "lp.priced_columns" !(st.priced)
 
   let factor_basis ~ops ~obs pb basis =
@@ -253,7 +247,7 @@ module Make (S : Scalar.S) = struct
 
   let refactor st = st.fact <- factor_basis ~ops:st.ops ~obs:st.obs st.pb st.basis
 
-  let count_pivot st = Obs.incr st.obs (if st.cfg.exact then "lp.pivots" else "lp.float_pivots")
+  let count_pivot st = Obs.incr st.obs (if S.exact then "lp.pivots" else "lp.float_pivots")
 
   let nb_value st j =
     match st.stat.(j) with
@@ -350,7 +344,7 @@ module Make (S : Scalar.S) = struct
   (* entering column: nonbasic, enterable, profitable in its feasible
      direction; Dantzig largest |d| (first on ties) or Bland first *)
   let price st ~bland =
-    let neg_dtol = S.neg st.cfg.dtol in
+    let neg_dtol = S.neg S.dtol in
     let best = ref None in
     (try
        for j = 0 to st.pb.pn - 1 do
@@ -359,7 +353,7 @@ module Make (S : Scalar.S) = struct
            let eligible =
              match st.stat.(j) with
              | Vlo -> S.compare d neg_dtol < 0
-             | Vhi -> S.compare d st.cfg.dtol > 0
+             | Vhi -> S.compare d S.dtol > 0
              | Vbas -> false
            in
            if eligible then
@@ -388,9 +382,7 @@ module Make (S : Scalar.S) = struct
 
   let step_tick st =
     st.steps <- st.steps + 1;
-    (match st.cfg.step_cap with
-    | Some cap when st.steps > cap -> raise Gave_up
-    | _ -> ());
+    if st.steps > S.max_steps ~m:st.pb.pm ~n:st.pb.pn then raise Gave_up;
     Budget.tick st.budget
 
   type r_outcome = O_opt | O_unbd
@@ -411,7 +403,7 @@ module Make (S : Scalar.S) = struct
           for t = 0 to w.F.nnz - 1 do
             let p = w.F.nz.(t) in
             let coef = wx.(p) in
-            if S.compare (S.abs coef) st.cfg.ptol > 0 then begin
+            if S.compare (S.abs coef) S.ptol > 0 then begin
               let e = if sigma > 0 then coef else S.neg coef in
               let k = st.basis.(p) in
               let limit =
@@ -443,7 +435,7 @@ module Make (S : Scalar.S) = struct
           (match (flip, !best) with
           | Some s, _ ->
               step_tick st;
-              if st.cfg.exact then Obs.incr st.obs "lp.bound_flips";
+              if S.exact then Obs.incr st.obs "lp.bound_flips";
               let signed = if sigma > 0 then s else S.neg s in
               for t = 0 to w.F.nnz - 1 do
                 let p = w.F.nz.(t) in
@@ -478,10 +470,10 @@ module Make (S : Scalar.S) = struct
               st.d.(q) <- S.zero;
               incr st.pivots;
               count_pivot st;
-              if phase1 && st.cfg.exact then Obs.incr st.obs "lp.phase1_pivots";
-              if S.compare tstep st.cfg.dtol <= 0 then begin
+              if phase1 && S.exact then Obs.incr st.obs "lp.phase1_pivots";
+              if S.compare tstep S.dtol <= 0 then begin
                 incr stalled;
-                if st.cfg.exact then Obs.incr st.obs "lp.degenerate_pivots";
+                if S.exact then Obs.incr st.obs "lp.degenerate_pivots";
                 if !stalled > degen_threshold then bland := true
               end
               else stalled := 0)
@@ -521,12 +513,12 @@ module Make (S : Scalar.S) = struct
   let violation st k x =
     let lo = st.pb.plo.(k) in
     let below = if S.compare x lo < 0 then S.sub lo x else S.zero in
-    if S.compare below st.cfg.dtol > 0 then Some (below, true)
+    if S.compare below S.dtol > 0 then Some (below, true)
     else
       match st.hi.(k) with
       | Some u when S.compare x u > 0 ->
           let above = S.sub x u in
-          if S.compare above st.cfg.dtol > 0 then Some (above, false) else None
+          if S.compare above S.dtol > 0 then Some (above, false) else None
       | _ -> None
 
   (* Dual simplex repairing primal feasibility from a dual-feasible
@@ -540,7 +532,7 @@ module Make (S : Scalar.S) = struct
      1) and d_q = 0. Raises Warm_failed at the pivot cap, returns false
      when the LP is primal infeasible. *)
   let dual_repair st =
-    let cfg = st.cfg and pb = st.pb in
+    let pb = st.pb in
     let m = pb.pm and n = pb.pn in
     let cap = (4 * (m + n)) + degen_threshold in
     let steps = ref 0 in
@@ -569,7 +561,7 @@ module Make (S : Scalar.S) = struct
           for t = 0 to nt - 1 do
             let j = st.touched.(t) in
             let arj = st.alpha.(j) in
-            if st.enterable.(j) && S.compare (S.abs arj) cfg.ptol > 0 then begin
+            if st.enterable.(j) && S.compare (S.abs arj) S.ptol > 0 then begin
               let eligible =
                 match (st.stat.(j), below) with
                 | Vlo, true | Vhi, false -> S.compare arj S.zero < 0
@@ -623,7 +615,7 @@ module Make (S : Scalar.S) = struct
     done;
     !feasible
 
-  let solve_cold (cfg : S.t config) (pb : problem) (start : start) ~budget ~obs ~pivots ~ops =
+  let solve_cold (cfg : config) (pb : problem) (start : start) ~budget ~obs ~pivots ~ops =
     let m = pb.pm and n = pb.pn and part = start.st_art in
     let basis = Array.copy start.st_basis in
     let st =
@@ -646,7 +638,7 @@ module Make (S : Scalar.S) = struct
       st.z <- !z1;
       (match Obs.span obs "lp.phase1" (fun () -> run_primal st ~phase1:true) with
       | O_unbd -> raise Gave_up (* impossible exactly; float noise only *)
-      | O_opt -> if S.compare st.z cfg.ztol > 0 then infeasible := true);
+      | O_opt -> if S.compare st.z S.ztol > 0 then infeasible := true);
       if not !infeasible then begin
         (* pin artificials to zero and forbid them from re-entering *)
         for j = part to n - 1 do
@@ -662,7 +654,7 @@ module Make (S : Scalar.S) = struct
                for j = 0 to part - 1 do
                  if st.stat.(j) <> Vbas then begin
                    let a = dot_col st rho j in
-                   if S.compare (S.abs a) cfg.ptol > 0 then begin
+                   if S.compare (S.abs a) S.ptol > 0 then begin
                      found := j;
                      raise Exit
                    end
@@ -838,7 +830,7 @@ module Make (S : Scalar.S) = struct
      only primal feasibility was lost. The pivots, the vertex and the returned statuses do not
      depend on which way it started. Raises Warm_failed whenever the
      statuses cannot be reused. *)
-  let solve_warm ?from (cfg : S.t config) (pb : problem) ~(stat : vstat array) ~budget ~obs
+  let solve_warm ?from (cfg : config) (pb : problem) ~(stat : vstat array) ~budget ~obs
       ~pivots ~ops =
     if Array.length stat <> pb.pn then raise Warm_failed;
     let st =
@@ -860,12 +852,12 @@ module Make (S : Scalar.S) = struct
       else begin
         (* dual feasible? (the usual case: only bounds changed or rows
            were added) *)
-        let neg_dtol = S.neg cfg.dtol in
+        let neg_dtol = S.neg S.dtol in
         for j = 0 to n - 1 do
           if st.enterable.(j) then
             match st.stat.(j) with
             | Vlo -> if S.compare st.d.(j) neg_dtol < 0 then raise Warm_failed
-            | Vhi -> if S.compare st.d.(j) cfg.dtol > 0 then raise Warm_failed
+            | Vhi -> if S.compare st.d.(j) S.dtol > 0 then raise Warm_failed
             | Vbas -> ()
         done;
         dual_repair st

@@ -49,7 +49,6 @@ val mass_lower_bound : t -> int
 (** [is_live j ~slot] iff [slot] is in [j]'s window (Definition 1). *)
 val is_live : job -> slot:int -> bool
 
-val pp_job : Format.formatter -> job -> unit
 val pp : Format.formatter -> t -> unit
 
 (** A schedule assigns each job the sorted list of slots it occupies. *)

@@ -234,6 +234,29 @@ let test_exact_floor_exhaustion () =
     | exception Budget.Out_of_fuel -> Alcotest.failf "limit %d: Out_of_fuel escaped" limit
   done
 
+(* An exact search over more slots than a machine word has bits: bb_hard
+   with 11 groups has 66 relevant slots, so the chosen-open set and the
+   Rebuild probe's open set hold indices a one-word set could not. Under
+   a 5,000-node budget both probe modes exhaust with the same incumbent
+   after the same search. *)
+let test_exact_wide () =
+  let inst = Gad.bb_hard ~g:2 ~groups:11 ~width:6 in
+  Alcotest.(check int) "relevant slots" 66 (List.length (S.relevant_slots inst));
+  let run oracle =
+    let obs = Obs.create () in
+    let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.counters obs)) in
+    match Active.Exact.solve ~budget:(Budget.limited 5000) ~oracle ~obs inst with
+    | Budget.Exhausted { incumbent = Some sol; _ } ->
+        (sol.Active.Solution.open_slots, counter "active.exact.nodes", counter "active.exact.flow_checks")
+    | _ -> Alcotest.fail "5,000 nodes must exhaust with an incumbent"
+  in
+  let slots, nodes, checks = run Active.Feasibility.Incremental in
+  Alcotest.(check int) "incumbent cost" 22 (List.length slots);
+  Alcotest.(check int) "nodes" 5000 nodes;
+  Alcotest.(check int) "flow checks" 2886 checks;
+  Alcotest.(check (triple (list int) int int)) "rebuild = incremental" (slots, nodes, checks)
+    (run Active.Feasibility.Rebuild)
+
 (* -- LP ------------------------------------------------------------------- *)
 
 (* LP1's value by the x-form reference model, solved directly: no cut
@@ -722,7 +745,8 @@ let () =
       ( "exact",
         [ Alcotest.test_case "simple" `Quick test_exact_simple;
           Alcotest.test_case "infeasible" `Quick test_exact_infeasible;
-          Alcotest.test_case "exhaustion inside the floor" `Quick test_exact_floor_exhaustion ] );
+          Alcotest.test_case "exhaustion inside the floor" `Quick test_exact_floor_exhaustion;
+          Alcotest.test_case "wider than a machine word" `Quick test_exact_wide ] );
       ( "lp",
         [ Alcotest.test_case "integral instance" `Quick test_lp_exact_on_integral;
           Alcotest.test_case "infeasible" `Quick test_lp_infeasible;

@@ -70,10 +70,10 @@ let test_empty_active_instance () =
   | None -> Alcotest.fail "empty instance is feasible"
 
 let test_empty_sim () =
-  let report = Sim.run_packing ~g:2 [] in
-  Alcotest.(check string) "energy 0" "0" (Q.to_string report.Sim.total_energy);
-  Alcotest.(check string) "utilization 0" "0" (Q.to_string report.Sim.utilization);
-  Alcotest.(check int) "no switches" 0 report.Sim.total_switch_ons
+  let report = Sim.Replay.run_packing ~g:2 [] in
+  Alcotest.(check string) "energy 0" "0" (Q.to_string report.Sim.Replay.total_energy);
+  Alcotest.(check string) "utilization 0" "0" (Q.to_string report.Sim.Replay.utilization);
+  Alcotest.(check int) "no switches" 0 report.Sim.Replay.total_switch_ons
 
 (* -- guards not hit elsewhere -------------------------------------------------- *)
 

@@ -8,39 +8,40 @@
 module Q = Rational
 module B = Workload.Bjob
 module Gen = Workload.Generate
+module Replay = Sim.Replay
 
 let ij id start len = B.interval ~id ~start:(Q.of_int start) ~length:(Q.of_int len)
 
 let test_packing_energy () =
   let jobs = [ ij 0 0 3; ij 1 1 3; ij 2 6 2 ] in
   let packing = Busy.First_fit.solve ~g:2 jobs in
-  let report = Sim.run_packing ~g:2 packing in
-  Alcotest.(check (list string)) "no violations" [] report.Sim.violations;
+  let report = Replay.run_packing ~g:2 packing in
+  Alcotest.(check (list string)) "no violations" [] report.Replay.violations;
   Alcotest.(check string) "energy = busy time" (Q.to_string (Busy.Bundle.total_busy packing))
-    (Q.to_string report.Sim.total_energy);
-  Alcotest.(check bool) "peak within g" true (report.Sim.peak_parallelism <= 2);
+    (Q.to_string report.Replay.total_energy);
+  Alcotest.(check bool) "peak within g" true (report.Replay.peak_parallelism <= 2);
   Alcotest.(check bool) "utilization in (0,1]" true
-    (Q.compare report.Sim.utilization Q.zero > 0 && Q.compare report.Sim.utilization Q.one <= 0)
+    (Q.compare report.Replay.utilization Q.zero > 0 && Q.compare report.Replay.utilization Q.one <= 0)
 
 let test_packing_violation_detected () =
   (* 3 overlapping jobs forced onto one machine with g = 2 *)
   let jobs = [ ij 0 0 3; ij 1 1 3; ij 2 2 3 ] in
-  let report = Sim.run_packing ~g:2 [ jobs ] in
-  Alcotest.(check bool) "violation flagged" true (report.Sim.violations <> []);
-  Alcotest.(check int) "peak recorded" 3 report.Sim.peak_parallelism
+  let report = Replay.run_packing ~g:2 [ jobs ] in
+  Alcotest.(check bool) "violation flagged" true (report.Replay.violations <> []);
+  Alcotest.(check int) "peak recorded" 3 report.Replay.peak_parallelism
 
 let test_packing_flexible_rejected () =
   let flex = B.make ~id:0 ~release:Q.zero ~deadline:(Q.of_int 5) ~length:Q.one in
-  let report = Sim.run_packing ~g:2 [ [ flex ] ] in
-  Alcotest.(check bool) "flexible flagged" true (report.Sim.violations <> [])
+  let report = Replay.run_packing ~g:2 [ [ flex ] ] in
+  Alcotest.(check bool) "flexible flagged" true (report.Replay.violations <> [])
 
 let test_switch_counting () =
   (* two disjoint jobs on one machine: two power-ons *)
-  let report = Sim.run_packing ~g:2 [ [ ij 0 0 1; ij 1 5 1 ] ] in
-  Alcotest.(check int) "switch ons" 2 report.Sim.total_switch_ons;
+  let report = Replay.run_packing ~g:2 [ [ ij 0 0 1; ij 1 5 1 ] ] in
+  Alcotest.(check int) "switch ons" 2 report.Replay.total_switch_ons;
   (* merged when adjacent *)
-  let report2 = Sim.run_packing ~g:2 [ [ ij 0 0 1; ij 1 1 1 ] ] in
-  Alcotest.(check int) "adjacent merge" 1 report2.Sim.total_switch_ons
+  let report2 = Replay.run_packing ~g:2 [ [ ij 0 0 1; ij 1 1 1 ] ] in
+  Alcotest.(check int) "adjacent merge" 1 report2.Replay.total_switch_ons
 
 let test_active_energy () =
   let inst =
@@ -51,10 +52,10 @@ let test_active_energy () =
   match Active.Exact.branch_and_bound inst with
   | None -> Alcotest.fail "feasible"
   | Some sol ->
-      let report = Sim.run_active inst sol in
-      Alcotest.(check (list string)) "no violations" [] report.Sim.violations;
+      let report = Replay.run_active inst sol in
+      Alcotest.(check (list string)) "no violations" [] report.Replay.violations;
       Alcotest.(check string) "energy = active time" (string_of_int (Active.Solution.cost sol))
-        (Q.to_string report.Sim.total_energy)
+        (Q.to_string report.Replay.total_energy)
 
 let test_active_violation () =
   let inst =
@@ -62,15 +63,15 @@ let test_active_violation () =
   in
   (* schedule outside the declared open slots *)
   let bogus = { Active.Solution.open_slots = [ 1 ]; schedule = [ (0, [ 2 ]) ] } in
-  let report = Sim.run_active inst bogus in
-  Alcotest.(check bool) "violation flagged" true (report.Sim.violations <> [])
+  let report = Replay.run_active inst bogus in
+  Alcotest.(check bool) "violation flagged" true (report.Replay.violations <> [])
 
 let test_preemptive_energy () =
   let jobs = List.init 4 (fun id -> B.make ~id ~release:Q.zero ~deadline:Q.two ~length:Q.two) in
   let cost, _, detail = Busy.Preemptive.bounded ~g:2 jobs in
-  let report = Sim.run_preemptive ~g:2 detail in
-  Alcotest.(check (list string)) "no violations" [] report.Sim.violations;
-  Alcotest.(check string) "energy = bounded cost" (Q.to_string cost) (Q.to_string report.Sim.total_energy)
+  let report = Replay.run_preemptive ~g:2 detail in
+  Alcotest.(check (list string)) "no violations" [] report.Replay.violations;
+  Alcotest.(check string) "energy = bounded cost" (Q.to_string cost) (Q.to_string report.Replay.total_energy)
 
 (* -- renderer ---------------------------------------------------------------- *)
 
@@ -148,10 +149,10 @@ let test_rolling_basic () =
   (match r.Rolling.replay with
   | None -> Alcotest.fail "complete run must replay"
   | Some rep ->
-      Alcotest.(check (list string)) "replay clean" [] rep.Sim.violations;
+      Alcotest.(check (list string)) "replay clean" [] rep.Replay.violations;
       Alcotest.(check string) "replayed energy = committed energy"
         (string_of_int r.Rolling.total_energy)
-        (Q.to_string rep.Sim.total_energy));
+        (Q.to_string rep.Replay.total_energy));
   (* per-epoch bookkeeping sums to the totals *)
   Alcotest.(check int) "epoch work sums" r.Rolling.total_work
     (List.fold_left (fun acc e -> acc + e.Rolling.work) 0 r.Rolling.epochs);
@@ -348,10 +349,10 @@ let test_rolling_warm_equals_cold () =
         (if w.Rolling.total_misses = 0 then
            match w.Rolling.replay with
            | Some rep ->
-               Alcotest.(check (list string)) (name ^ ": replay clean") [] rep.Sim.violations;
+               Alcotest.(check (list string)) (name ^ ": replay clean") [] rep.Replay.violations;
                Alcotest.(check string) (name ^ ": replayed energy")
                  (string_of_int w.Rolling.total_energy)
-                 (Q.to_string rep.Sim.total_energy)
+                 (Q.to_string rep.Replay.total_energy)
            | None -> Alcotest.fail (name ^ ": no misses but no replay"));
         Alcotest.(check bool) (name ^ ": warm hits recorded") true
           (List.exists (fun (e : Rolling.epoch) -> e.Rolling.warm_hits > 0) w.Rolling.epochs);
@@ -413,11 +414,11 @@ let prop_sim_matches_analytic =
           List.for_all
             (fun solve ->
               let packing = solve ~g jobs in
-              let report = Sim.run_packing ~g packing in
-              report.Sim.violations = []
-              && Q.equal report.Sim.total_energy (Busy.Bundle.total_busy packing)
-              && report.Sim.peak_parallelism <= g
-              && Q.compare report.Sim.utilization Q.one <= 0)
+              let report = Replay.run_packing ~g packing in
+              report.Replay.violations = []
+              && Q.equal report.Replay.total_energy (Busy.Bundle.total_busy packing)
+              && report.Replay.peak_parallelism <= g
+              && Q.compare report.Replay.utilization Q.one <= 0)
             [ (fun ~g jobs -> Busy.First_fit.solve ~g jobs); (fun ~g jobs -> Busy.Greedy_tracking.solve ~g jobs); (fun ~g jobs -> Busy.Two_approx.solve ~g jobs) ])
         [ 1; 2; 3 ])
 
@@ -428,11 +429,11 @@ let prop_sim_active =
       match Active.Minimal.solve inst Active.Minimal.Right_to_left with
       | None -> true
       | Some sol ->
-          let report = Sim.run_active inst sol in
-          report.Sim.violations = []
-          && Q.equal report.Sim.total_energy (Q.of_int (Active.Solution.cost sol))
-          && Q.compare report.Sim.utilization Q.zero >= 0
-          && Q.compare report.Sim.utilization Q.one <= 0)
+          let report = Replay.run_active inst sol in
+          report.Replay.violations = []
+          && Q.equal report.Replay.total_energy (Q.of_int (Active.Solution.cost sol))
+          && Q.compare report.Replay.utilization Q.zero >= 0
+          && Q.compare report.Replay.utilization Q.one <= 0)
 
 let prop_slotted_svg_shape =
   QCheck.Test.make ~name:"slotted SVG is well-formed with one rect per unit" ~count:30 seed_arb
@@ -462,27 +463,27 @@ let prop_render_total =
 
 (* report invariants: utilization is zero exactly when no energy was
    spent, and the report totals are the fold of its per-machine traces *)
-let report_invariants (r : Sim.report) =
-  Q.is_zero r.Sim.utilization = Q.is_zero r.Sim.total_energy
-  && r.Sim.total_switch_ons
-     = List.fold_left (fun acc (t : Sim.machine_trace) -> acc + t.Sim.switch_ons) 0 r.Sim.traces
-  && Q.equal r.Sim.total_energy
-       (List.fold_left (fun acc (t : Sim.machine_trace) -> Q.add acc t.Sim.energy) Q.zero r.Sim.traces)
+let report_invariants (r : Replay.report) =
+  Q.is_zero r.Replay.utilization = Q.is_zero r.Replay.total_energy
+  && r.Replay.total_switch_ons
+     = List.fold_left (fun acc (t : Replay.machine_trace) -> acc + t.Replay.switch_ons) 0 r.Replay.traces
+  && Q.equal r.Replay.total_energy
+       (List.fold_left (fun acc (t : Replay.machine_trace) -> Q.add acc t.Replay.energy) Q.zero r.Replay.traces)
 
 let prop_report_invariants =
   QCheck.Test.make ~name:"report invariants (utilization, switch-on and energy folds)" ~count:40
     seed_arb (fun seed ->
       let jobs = Gen.interval_jobs ~n:8 ~horizon:16 ~max_length:4 ~seed () in
       List.for_all
-        (fun g -> report_invariants (Sim.run_packing ~g (Busy.First_fit.solve ~g jobs)))
+        (fun g -> report_invariants (Replay.run_packing ~g (Busy.First_fit.solve ~g jobs)))
         [ 1; 2; 3 ]
-      && report_invariants (Sim.run_packing ~g:2 [])
+      && report_invariants (Replay.run_packing ~g:2 [])
       &&
       let params : Gen.slotted_params = { n = 6; horizon = 10; max_length = 3; slack = 3; g = 2 } in
       let inst = Gen.slotted ~params ~seed () in
       match Active.Minimal.solve inst Active.Minimal.Right_to_left with
       | None -> true
-      | Some sol -> report_invariants (Sim.run_active inst sol))
+      | Some sol -> report_invariants (Replay.run_active inst sol))
 
 (* satellite oracle: for EVERY registered active-slotted solver that
    returns a schedule witness, replaying the witness spends exactly the
@@ -504,9 +505,9 @@ let prop_registry_replay_energy =
                  witness = Some (Core.Result.Opened { open_slots; schedule });
                  _;
                } ->
-                 let report = Sim.run_active inst { Active.Solution.open_slots; schedule } in
-                 report.Sim.violations = []
-                 && Q.equal report.Sim.total_energy (Q.of_int cost)
+                 let report = Replay.run_active inst { Active.Solution.open_slots; schedule } in
+                 report.Replay.violations = []
+                 && Q.equal report.Replay.total_energy (Q.of_int cost)
                  && report_invariants report
              | _ -> true (* bound-only, infeasible or exhausted: nothing to replay *)))
 
@@ -539,8 +540,8 @@ let prop_rolling_replay =
       match r.Rolling.replay with
       | Some rep ->
           r.Rolling.total_misses = 0
-          && rep.Sim.violations = []
-          && Q.equal rep.Sim.total_energy (Q.of_int r.Rolling.total_energy)
+          && rep.Replay.violations = []
+          && Q.equal rep.Replay.total_energy (Q.of_int r.Rolling.total_energy)
           && S.check_schedule inst r.Rolling.schedule = None
           && report_invariants rep
       | None -> r.Rolling.total_misses > 0)

@@ -36,10 +36,11 @@ let test_every_family_every_algorithm () =
                 let label = Printf.sprintf "%s/%s g=%d seed=%d" family name g seed in
                 let packing = solve ~g jobs in
                 Alcotest.(check (option string)) (label ^ " valid") None (Busy.Bundle.check ~g jobs packing);
-                let report = Sim.run_packing ~g packing in
-                Alcotest.(check (list string)) (label ^ " sim clean") [] report.Sim.violations;
+                let report = Sim.Replay.run_packing ~g packing in
+                Alcotest.(check (list string))
+                  (label ^ " sim clean") [] report.Sim.Replay.violations;
                 Alcotest.(check bool) (label ^ " energy matches") true
-                  (Q.equal report.Sim.total_energy (Busy.Bundle.total_busy packing));
+                  (Q.equal report.Sim.Replay.total_energy (Busy.Bundle.total_busy packing));
                 Alcotest.(check bool) (label ^ " above profile bound") true
                   (Q.compare (Busy.Bundle.total_busy packing) profile >= 0))
               algorithms)
@@ -106,10 +107,10 @@ let test_active_pipeline_consistency () =
           (Active.Solution.cost e <= Active.Solution.cost m);
         List.iter
           (fun sol ->
-            let report = Sim.run_active inst sol in
-            Alcotest.(check (list string)) (label "sim clean") [] report.Sim.violations;
+            let report = Sim.Replay.run_active inst sol in
+            Alcotest.(check (list string)) (label "sim clean") [] report.Sim.Replay.violations;
             Alcotest.(check bool) (label "sim energy") true
-              (Q.equal report.Sim.total_energy (Q.of_int (Active.Solution.cost sol))))
+              (Q.equal report.Sim.Replay.total_energy (Q.of_int (Active.Solution.cost sol))))
           [ m; r; e ]
     | _ -> Alcotest.fail (Printf.sprintf "seed %d: feasibility disagreement" seed)
   done
