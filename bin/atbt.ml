@@ -730,11 +730,9 @@ let serve domains queue budget cache inject timing =
     let* () = if queue >= 1 then Ok () else Error (Usage "--queue must be at least 1") in
     let* () = if cache >= 0 then Ok () else Error (Usage "--cache must be nonnegative") in
     let* inject =
-      match
-        match inject with Some spec -> Serve.Inject.parse spec | None -> Serve.Inject.of_env ()
-      with
-      | Ok t -> Ok t
-      | Error msg -> Error (Usage msg)
+      match inject with
+      | None -> Ok (Serve.Inject.none ())
+      | Some spec -> Result.map_error (fun msg -> Usage msg) (Serve.Inject.parse spec)
     in
     let defaults = Serve.default_config () in
     Ok
@@ -763,7 +761,7 @@ let serve_cmd =
     Arg.(value & opt int 1024 & info [ "cache" ] ~docv:"N" ~doc:"memoized answers kept (FIFO); 0 disables the cache")
   in
   let inject =
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc:"fault injection spec crash=P,delay=MS@P,corrupt=P,seed=N (default: $(b,ATBT_INJECT))")
+    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc:"fault injection spec crash=P,delay=MS@P,corrupt=P,seed=N")
   in
   let timing = Arg.(value & flag & info [ "timing" ] ~doc:"add elapsed_us to every response") in
   Cmd.v

@@ -124,6 +124,18 @@ let feasible ?only_jobs ?(obs = Obs.null) (t : S.t) ~open_slots =
   let total = fig2 net ~job_cap ~open_slots in
   Flow.max_flow ~obs net.graph ~source:net.source ~sink:net.sink = total
 
+(* Koehler-Khuller's machine pool: a job still runs one unit per slot,
+   so a slot with machines on takes 1 from each job and g per machine. *)
+let fits ?(obs = Obs.null) net ~machines_on =
+  let on = Array.map machines_on net.slots in
+  let g = net.inst.S.g in
+  let total =
+    capacitate net ~job_cap:(job_length net)
+      ~arc_cap:(fun si -> if on.(si) > 0 then 1 else 0)
+      ~out_cap:(fun si -> g * on.(si))
+  in
+  Flow.max_flow ~obs net.graph ~source:net.source ~sink:net.sink = total
+
 (* Re-capacitate the network and run one max flow; the jobs (array
    indices, increasing) on the source side of the minimal min cut. Empty
    iff the flow saturates every job arc: a saturated source arc leaves

@@ -11,16 +11,19 @@
 
     {b One network per solve.} {!network} is the only builder: it wires
     every job and every relevant slot of an instance, every capacity 0.
-    Each use — {!schedule}, {!min_cut_jobs} and {!Oracle.create} —
-    zeroes the flow and sets every capacity, so a solve builds one
-    network and hands it from use to use: its LP1's cut loop, its
-    oracles and the schedule it returns. ({!feasible} builds its own,
-    then capacitates it the same way.) A closed slot, or a job left
-    out, gets capacity 0; no walk crosses such an arc, so the max flow,
-    its [flow.*] counters and the cut are those of the network without
-    it, and a reused network answers as a fresh one. A network has one
-    user at a time: an {!Oracle} keeps its warm flow only until the
-    next use re-capacitates the network.
+    Each use — {!schedule}, {!min_cut_jobs}, {!fits} and
+    {!Oracle.create} — zeroes the flow and sets every capacity, so a
+    solve builds one network and hands it from use to use: its LP1's
+    cut loop, its oracles and the schedule it returns. ({!feasible}
+    builds its own, then capacitates it the same way, and so does
+    [Machines.feasible] for {!fits}. [Multi_window] wires a network of
+    its own, since a job there has several windows, which {!network}
+    does not model.) A closed slot, or a job left out, gets capacity 0;
+    no walk crosses such an arc, so the max flow, its [flow.*] counters
+    and the cut are those of the network without it, and a reused
+    network answers as a fresh one. A network has one user at a time:
+    an {!Oracle} keeps its warm flow only until the next use
+    re-capacitates the network.
 
     Every network has one vertex per relevant slot, and a job's window
     is located in the sorted relevant slots by binary search, so nothing
@@ -51,6 +54,14 @@ val network_slots : network -> int array
     of its own. [?obs] is forwarded to {!Flow.max_flow}. *)
 val feasible :
   ?only_jobs:int list -> ?obs:Obs.t -> Workload.Slotted.t -> open_slots:int list -> bool
+
+(** [fits net ~machines_on] decides whether every job fits when
+    [machines_on s >= 0] machines of capacity [g] are on in slot [s]
+    (Koehler–Khuller's machine pool, {!Machines}): capacity [p_j] on
+    each job arc, 1 on a job -> slot arc where a machine is on and [g]
+    per machine on the slot -> sink arc. [?obs] is forwarded to
+    {!Flow.max_flow}. *)
+val fits : ?obs:Obs.t -> network -> machines_on:(int -> int) -> bool
 
 (** An integral schedule of the network's instance on the open slots, or
     [None] when infeasible. *)

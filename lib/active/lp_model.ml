@@ -51,11 +51,11 @@ let feasible_with_y (inst : S.t) y =
     inst.S.jobs;
   match Lp.solve m with Lp.Optimal _ -> true | Lp.Infeasible -> false | Lp.Unbounded -> assert false
 
-(* The right-shifted y vector of Section 3.1: within each block between
-   consecutive distinct deadlines (plus the pre-first-deadline block), the
-   block mass Y_i is packed against the right end - floor(Y_i) fully open
-   slots ending at the deadline plus one fractional slot. *)
-let right_shift (inst : S.t) t =
+(* Lemma 3's blocks (Section 3.1): the boundaries are the distinct
+   deadlines, preceded by the first slot of positive y when it comes
+   before the first deadline, and Y_i sums y over (previous boundary,
+   boundary]. *)
+let blocks (inst : S.t) t =
   let slots = S.relevant_slots inst in
   let deadlines = List.sort_uniq compare (Array.to_list (Array.map (fun j -> j.S.deadline) inst.S.jobs)) in
   let first_positive = List.find_opt (fun s -> Q.compare (y_at t s) Q.zero > 0) slots in
@@ -64,25 +64,27 @@ let right_shift (inst : S.t) t =
     | Some t0, d1 :: _ when t0 < d1 -> t0 :: deadlines
     | _ -> deadlines
   in
+  let mass lo hi =
+    List.fold_left (fun acc s -> if s > lo && s <= hi then Q.add acc (y_at t s) else acc) Q.zero slots
+  in
+  let rec from prev = function [] -> [] | b :: rest -> (prev, b, mass prev b) :: from b rest in
+  from 0 boundaries
+
+(* The right-shifted y vector: each block's mass Y_i packed against its
+   right end - floor(Y_i) fully open slots ending at the deadline plus
+   one fractional slot. *)
+let right_shift (inst : S.t) t =
   let shifted = Hashtbl.create 32 in
-  let prev = ref 0 in
   List.iter
-    (fun b ->
-      let b_prev = !prev in
-      prev := b;
-      let yi =
-        List.fold_left
-          (fun acc s -> if s > b_prev && s <= b then Q.add acc (y_at t s) else acc)
-          Q.zero slots
-      in
+    (fun (_, b, yi) ->
       let base = Q.floor_int yi in
       let frac = Q.sub yi (Q.of_int base) in
       for s = b - base + 1 to b do
         Hashtbl.replace shifted s Q.one
       done;
       if Q.compare frac Q.zero > 0 then Hashtbl.replace shifted (b - base) frac)
-    boundaries;
-  List.map (fun s -> (s, try Hashtbl.find shifted s with Not_found -> Q.zero)) slots
+    (blocks inst t);
+  List.map (fun s -> (s, try Hashtbl.find shifted s with Not_found -> Q.zero)) (S.relevant_slots inst)
 
 (* LP1 in x-form, with every y free in [0,1]: the reference that the
    tests and the fuzz oracle compare the cut loop against. Variable and

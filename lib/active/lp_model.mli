@@ -152,8 +152,16 @@ val build_lp1 : Workload.Slotted.t -> Lp.model * (int * Lp.var) list
     vector, does a feasible fractional assignment exist? *)
 val feasible_with_y : Workload.Slotted.t -> (int * Rational.t) list -> bool
 
-(** The right-shifted y vector (Section 3.1): block masses between
-    consecutive distinct deadlines packed against their right ends.
-    Lemma 3 asserts [feasible_with_y inst (right_shift inst t)] whenever
-    [t] is a feasible LP solution; the property tests verify this. *)
+(** [blocks inst t] is Lemma 3's blocks in order, as (previous
+    boundary, boundary, Y_i): the blocks (previous boundary, boundary]
+    between consecutive distinct deadlines, starting from 0, plus the
+    block that ends at the first slot with positive y when that slot
+    comes before the first deadline; Y_i sums [t]'s y over the block's
+    relevant slots. Theorem 2's rounding sweeps them. *)
+val blocks : Workload.Slotted.t -> t -> (int * int * Rational.t) list
+
+(** The right-shifted y vector (Section 3.1): each of the {!blocks}'
+    mass packed against its right end. Lemma 3 asserts
+    [feasible_with_y inst (right_shift inst t)] whenever [t] is a
+    feasible LP solution; the property tests verify this. *)
 val right_shift : Workload.Slotted.t -> t -> (int * Rational.t) list

@@ -8,7 +8,8 @@
    a job still runs at most one unit per slot. Since the assignment of
    jobs to machines within a slot is free, only the per-slot opening
    count y_t in {0..m} matters, and feasibility is the G_feas flow with
-   slot capacity g * y_t.
+   slot capacity g * y_t: {!Feasibility.fits} on the instance's one
+   {!Feasibility.network}.
 
    Provided: feasibility, greedy minimalization (decrement counts while
    feasible - the multi-machine analogue of Theorem 1's minimal feasible
@@ -27,28 +28,7 @@ let feasible (inst : S.t) ~machines ~openings =
   List.iter
     (fun (_, c) -> if c < 0 || c > machines then invalid_arg "Machines.feasible: count out of range")
     openings;
-  let count s = try List.assoc s openings with Not_found -> 0 in
-  let slots = List.filter (fun s -> count s > 0) (S.relevant_slots inst) in
-  let slot_index = Hashtbl.create 32 in
-  List.iteri (fun i s -> Hashtbl.replace slot_index s i) slots;
-  let n = S.num_jobs inst in
-  let mm = List.length slots in
-  let source = 0 and sink = n + mm + 1 in
-  let g = Flow.create (n + mm + 2) in
-  Array.iteri (fun idx (j : S.job) -> ignore (Flow.add_edge g ~src:source ~dst:(idx + 1) ~cap:j.S.length)) inst.S.jobs;
-  Array.iteri
-    (fun idx (j : S.job) ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt slot_index s with
-          | Some si -> ignore (Flow.add_edge g ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:1)
-          | None -> ())
-        (S.window_slots j))
-    inst.S.jobs;
-  List.iteri
-    (fun si s -> ignore (Flow.add_edge g ~src:(n + 1 + si) ~dst:sink ~cap:(inst.S.g * count s)))
-    slots;
-  Flow.max_flow g ~source ~sink = S.total_length inst
+  Feasibility.fits (Feasibility.network inst) ~machines_on:(fun s -> try List.assoc s openings with Not_found -> 0)
 
 (* Start from every machine on in every relevant slot and decrement counts
    greedily; monotonicity makes a single pass minimal. *)

@@ -49,7 +49,8 @@ let relevant_slots t =
 let mass_lower_bound t = (total_length t + t.g - 1) / t.g
 
 (* Feasibility on an open-slot set, via the same G_feas construction as the
-   single-window case. *)
+   single-window case, wired here: a job's arcs run to the slots of all
+   its windows, which [Feasibility.network] does not model. *)
 let feasible_and_schedule t ~open_slots =
   let open_set = Hashtbl.create 32 in
   List.iter (fun s -> Hashtbl.replace open_set s ()) open_slots;
@@ -124,10 +125,10 @@ let optimum t =
       Some (List.length !best_set, !best_set)
 
 (* A schedulable-sets instance in the style of the 3-EXACT-COVER hardness
-   reduction: [universe] elements each needing one unit, and set-jobs whose
-   windows are the member slots of the sets they represent. With g >= 3
-   such instances are where the NP-hardness lives. *)
-let exact_cover_instance ~g sets ~universe =
+   reduction: set-jobs whose windows are the unit slots of the elements
+   they hold. With g >= 3 such instances are where the NP-hardness
+   lives. *)
+let exact_cover_instance ~g sets =
   let jobs =
     List.mapi
       (fun i members ->
@@ -135,5 +136,4 @@ let exact_cover_instance ~g sets ~universe =
         job ~id:i ~windows ~length:(List.length (List.sort_uniq compare members)))
       sets
   in
-  ignore universe;
   make ~g jobs

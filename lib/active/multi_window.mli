@@ -38,4 +38,4 @@ val optimum : t -> (int * int list) option
 
 (** Builds the 3-EXACT-COVER-style instance: one job per set, whose
     windows are its members' unit slots and whose length is its size. *)
-val exact_cover_instance : g:int -> int list list -> universe:int -> t
+val exact_cover_instance : g:int -> int list list -> t

@@ -7,7 +7,9 @@
       between consecutive distinct deadlines, the block mass
       Y_i = sum of y_t is packed against the right end: floor(Y_i) fully
       open slots ending at t_{d_i}, plus one fractional slot. Only the
-      block sums matter from here on, so the shift is implicit.
+      block sums matter from here on, so the shift is implicit: the
+      sweep reads the blocks and their masses off
+      {!Lp_model.blocks}, as {!Lp_model.right_shift} does.
    3. Sweep deadlines left to right. Per block: open the floor(Y_i)
       right-shifted fully-open slots; merge any proxy carried from the
       previous iteration into the fractional mass (moving its pointer
@@ -68,20 +70,10 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
       let slots = S.relevant_slots inst in
       if slots = [] then Some ({ Solution.open_slots = []; schedule = [] }, { lp_cost = Q.zero; rounded_cost = 0; fallback_used = false })
       else begin
-        let deadlines = List.sort_uniq compare (Array.to_list (Array.map (fun j -> j.S.deadline) inst.S.jobs)) in
-        let first_deadline = List.hd deadlines in
-        let first_positive =
-          List.find_opt (fun s -> Q.compare (Lp_model.y_at lp s) Q.zero > 0) slots
-        in
-        let boundaries =
-          match first_positive with
-          | Some t0 when t0 < first_deadline -> t0 :: deadlines
-          | _ -> deadlines
-        in
+        let blocks = Lp_model.blocks inst lp in
         (* mass strictly after the last deadline would have no x-support *)
-        let last = List.nth boundaries (List.length boundaries - 1) in
-        assert (
-          List.for_all (fun s -> s <= last || Q.is_zero (Lp_model.y_at lp s)) slots);
+        let _, last, _ = List.nth blocks (List.length blocks - 1) in
+        assert (List.for_all (fun s -> s <= last || Q.is_zero (Lp_model.y_at lp s)) slots);
         (* One warm oracle for the whole sweep. The sweep only ever opens
            slots and activates jobs (both monotone capacity increases), so
            every feasibility test is a pure re-augmentation — no drains. *)
@@ -97,18 +89,9 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
         let processed = ref [] in
         let cum_mass = ref Q.zero in
         let fallback = ref false in
-        let prev = ref 0 in
         List.iter
-          (fun b ->
+          (fun (b_prev, b, yi) ->
             Obs.incr obs "active.rounding.blocks";
-            let b_prev = !prev in
-            prev := b;
-            (* block mass over (b_prev, b] *)
-            let yi =
-              List.fold_left
-                (fun acc s -> if s > b_prev && s <= b then Q.add acc (Lp_model.y_at lp s) else acc)
-                Q.zero slots
-            in
             cum_mass := Q.add !cum_mass yi;
             let base = Q.floor_int yi in
             let frac = Q.sub yi (Q.of_int base) in
@@ -170,7 +153,7 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
                fallback := true
              end);
             assert (Q.compare (Q.of_int (List.length !opened)) (Q.mul Q.two !cum_mass) <= 0 || !fallback))
-          boundaries;
+          blocks;
         let open_slots = List.sort compare !opened in
         match Solution.of_open_slots ~net inst ~open_slots with
         | None -> raise Infeasible_instance (* contradicts the invariant *)

@@ -28,6 +28,19 @@ let fits ~g bundle job =
   in
   Intervals.Demand.max_raw clipped + 1 <= g
 
+(* Each item, in order, into the first bundle [fits] accepts, or else
+   into a new bundle after the others. *)
+let first_fit ?(obs = Obs.null) ~fits items =
+  let rec place item = function
+    | [] ->
+        Obs.incr obs "busy.first_fit.bundles_opened";
+        [ [ item ] ]
+    | bundle :: rest ->
+        Obs.incr obs "busy.first_fit.fit_probes";
+        if fits bundle item then (item :: bundle) :: rest else bundle :: place item rest
+  in
+  List.fold_left (fun bundles item -> place item bundles) [] items
+
 (* Validates a packing of [jobs]: interval jobs only, exact partition by
    id, capacity respected. Returns the first violation, or [None]. *)
 let check ~g jobs (packing : packing) =

@@ -20,6 +20,15 @@ val max_parallel : t -> int
 (** [fits ~g bundle job] iff adding [job] keeps the peak within [g]. *)
 val fits : g:int -> t -> Workload.Bjob.t -> bool
 
+(** [first_fit ~fits items] puts each item, in order, into the first
+    bundle [fits] accepts, or else into a new bundle after the others:
+    the loop of FirstFit, the online rules, the proper greedy and the
+    width-aware FirstFit, each with its own order and [fits]. A bundle
+    lists its items newest first. With [?obs], records
+    [busy.first_fit.fit_probes] (one per [fits] call) and
+    [busy.first_fit.bundles_opened]. *)
+val first_fit : ?obs:Obs.t -> fits:('a list -> 'a -> bool) -> 'a list -> 'a list list
+
 (** Validates a packing of [jobs]: interval jobs only, exact partition by
     id, no empty bundle, capacity respected. First violation or [None]. *)
 val check : g:int -> Workload.Bjob.t list -> packing -> string option

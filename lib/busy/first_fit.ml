@@ -13,18 +13,5 @@ let solve ?(obs = Obs.null) ~g jobs =
       if not (B.is_interval j) then invalid_arg "First_fit.solve: flexible job (convert first)")
     jobs;
   Obs.span obs "busy.first_fit" @@ fun () ->
-  let sorted = List.stable_sort (fun (a : B.t) (b : B.t) -> Q.compare b.B.length a.B.length) jobs in
-  let bundles = ref [] in
-  List.iter
-    (fun job ->
-      let rec place = function
-        | [] ->
-            Obs.incr obs "busy.first_fit.bundles_opened";
-            [ [ job ] ]
-        | bundle :: rest ->
-            Obs.incr obs "busy.first_fit.fit_probes";
-            if Bundle.fits ~g bundle job then (job :: bundle) :: rest else bundle :: place rest
-      in
-      bundles := place !bundles)
-    sorted;
-  !bundles
+  Bundle.first_fit ~obs ~fits:(Bundle.fits ~g)
+    (List.stable_sort (fun (a : B.t) (b : B.t) -> Q.compare b.B.length a.B.length) jobs)

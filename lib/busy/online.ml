@@ -29,16 +29,7 @@ let check_interval name jobs =
 let first_fit ~g jobs =
   if g < 1 then invalid_arg "Online.first_fit: g < 1";
   check_interval "Online.first_fit" jobs;
-  let bundles = ref [] in
-  List.iter
-    (fun job ->
-      let rec place = function
-        | [] -> [ [ job ] ]
-        | bundle :: rest -> if Bundle.fits ~g bundle job then (job :: bundle) :: rest else bundle :: place rest
-      in
-      bundles := place !bundles)
-    (release_order jobs);
-  !bundles
+  Bundle.first_fit ~fits:(Bundle.fits ~g) (release_order jobs)
 
 (* length class: floor(log2 (length / unit)) where unit = the shortest
    length seen offline would be cheating; online we class against 1, so
@@ -63,22 +54,13 @@ let length_class (len : Q.t) =
 let bucketed_first_fit ~g jobs =
   if g < 1 then invalid_arg "Online.bucketed_first_fit: g < 1";
   check_interval "Online.bucketed_first_fit" jobs;
-  let classes : (int, B.t list list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* each class's jobs in release order, newest first *)
+  let classes : (int, B.t list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (job : B.t) ->
       let c = length_class job.B.length in
-      let bundles =
-        match Hashtbl.find_opt classes c with
-        | Some r -> r
-        | None ->
-            let r = ref [] in
-            Hashtbl.replace classes c r;
-            r
-      in
-      let rec place = function
-        | [] -> [ [ job ] ]
-        | bundle :: rest -> if Bundle.fits ~g bundle job then (job :: bundle) :: rest else bundle :: place rest
-      in
-      bundles := place !bundles)
+      match Hashtbl.find_opt classes c with
+      | Some r -> r := job :: !r
+      | None -> Hashtbl.replace classes c (ref [ job ]))
     (release_order jobs);
-  Hashtbl.fold (fun _ r acc -> !r @ acc) classes []
+  Hashtbl.fold (fun _ r acc -> Bundle.first_fit ~fits:(Bundle.fits ~g) (List.rev !r) @ acc) classes []

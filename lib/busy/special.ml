@@ -57,16 +57,7 @@ let proper_greedy ~g jobs =
   if g < 1 then invalid_arg "Special.proper_greedy: g < 1";
   check_interval "Special.proper_greedy" jobs;
   if not (is_proper jobs) then invalid_arg "Special.proper_greedy: instance is not proper";
-  let bundles = ref [] in
-  List.iter
-    (fun job ->
-      let rec place = function
-        | [] -> [ [ job ] ]
-        | bundle :: rest -> if Bundle.fits ~g bundle job then (job :: bundle) :: rest else bundle :: place rest
-      in
-      bundles := place !bundles)
-    (sorted_by_release jobs);
-  !bundles
+  Bundle.first_fit ~fits:(Bundle.fits ~g) (sorted_by_release jobs)
 
 (* Clique instances: g consecutive jobs per machine, in release order
    (2-approximate). *)

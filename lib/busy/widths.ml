@@ -92,17 +92,7 @@ let best_bound ~g jobs = Q.max (mass ~g jobs) (Q.max (span jobs) (demand_profile
 let first_fit ~g jobs =
   if g < 1 then invalid_arg "Widths.first_fit: g < 1";
   List.iter (fun w -> if w.width > g then invalid_arg "Widths.first_fit: job wider than g") jobs;
-  let sorted = List.stable_sort (fun a b -> Q.compare b.job.B.length a.job.B.length) jobs in
-  let bundles = ref [] in
-  List.iter
-    (fun w ->
-      let rec place = function
-        | [] -> [ [ w ] ]
-        | bundle :: rest -> if fits ~g bundle w then (w :: bundle) :: rest else bundle :: place rest
-      in
-      bundles := place !bundles)
-    sorted;
-  !bundles
+  Bundle.first_fit ~fits:(fits ~g) (List.stable_sort (fun a b -> Q.compare b.job.B.length a.job.B.length) jobs)
 
 (* Khandekar et al.'s narrow/wide split: wide jobs (width > g/2) never
    share a time point on a machine, so they are packed among themselves;

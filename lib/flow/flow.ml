@@ -9,7 +9,12 @@
    first. [add_edge] only appends to the edge arrays; the first walk
    after it rebuilds the CSR. The walks take the first usable arc in
    this order, so it decides which max flow comes back (a schedule reads
-   it off) and how many augmenting paths it takes. *)
+   it off) and how many augmenting paths it takes.
+
+   Drains and path decomposition run one flow-cancelling walk ([walk]),
+   on the graph's scratch; they differ only in the amounts it reads and
+   takes: a drain the residual graph's, a decomposition a copy of each
+   forward edge's flow. *)
 
 type t = {
   n : int;
@@ -24,9 +29,8 @@ type t = {
   level : int array; (* Dinic's BFS level, -1 when unreached *)
   cur : int array; (* Dinic's current arc, an index into [arcs] *)
   queue : int array; (* BFS queue: each vertex is pushed at most once *)
-  (* [cancel_flow]'s walk: [pos.(v)] is v's depth on the walk, -1 off
-     it (all -1 between walks); the walk's vertices and the edges into
-     them *)
+  (* [walk]'s: [pos.(v)] is v's depth on the walk, -1 off it (all -1
+     between walks); the walk's vertices and the edges into them *)
   pos : int array;
   stack_v : int array;
   stack_e : int array;
@@ -103,10 +107,11 @@ let ensure_csr t =
     t.csr_edges <- t.edge_count
   end
 
-(* The first arc of [v], in CSR order, satisfying [p]; -1 when none. *)
-let find_arc t v p =
+(* The first arc of [v], in CSR order, whose [amount] is positive; -1
+   when none. *)
+let find_arc t v amount =
   let stop = t.first.(v + 1) in
-  let rec go k = if k >= stop then -1 else if p t.arcs.(k) then t.arcs.(k) else go (k + 1) in
+  let rec go k = if k >= stop then -1 else if amount t.arcs.(k) > 0 then t.arcs.(k) else go (k + 1) in
   go t.first.(v)
 
 let flow t e = t.orig.(e) - t.cap.(e)
@@ -126,102 +131,100 @@ let set_cap t e cap =
 
 let reset t = Array.blit t.orig 0 t.cap 0 t.edge_count
 
-(* Cancel up to [total] units of flow along flow-carrying walks from
-   [start] to [stop]. [backward] walks against the flow (selecting
-   residual reverse arcs, i.e. arcs whose paired forward edge carries flow
-   INTO the current vertex); forward walks select forward arcs carrying
-   flow OUT of it. Cycles of flow met along a walk are cancelled in place
-   (flow strictly decreases, so this terminates), exactly as in
-   [decompose_paths]. The walk lives in the graph's scratch; however it
-   ends, it resets [pos] on the vertices it visited and nowhere else. *)
-let cancel_flow t ~start ~stop ~backward total =
-  let want s = if backward then t.orig.(s) = 0 else t.orig.(s) > 0 in
-  let avail s = if t.orig.(s) = 0 then t.cap.(s) else t.orig.(s) - t.cap.(s) in
-  let usable s = want s && avail s > 0 in
-  let reduce s amt =
-    if t.orig.(s) = 0 then begin
-      t.cap.(s) <- t.cap.(s) - amt;
-      t.cap.(s lxor 1) <- t.cap.(s lxor 1) + amt
-    end
-    else begin
-      t.cap.(s) <- t.cap.(s) + amt;
-      t.cap.(s lxor 1) <- t.cap.(s lxor 1) - amt
-    end
-  in
-  let pos = t.pos and stack_v = t.stack_v and stack_e = t.stack_e in
-  let remaining = ref total in
-  let depth = ref 0 in
-  let leave () =
-    for i = 0 to !depth do
-      pos.(stack_v.(i)) <- -1
-    done
-  in
-  let exception Restart in
-  while !remaining > 0 && start <> stop do
-    try
-      stack_v.(0) <- start;
-      pos.(start) <- 0;
-      depth := 0;
-      while stack_v.(!depth) <> stop do
-        let v = stack_v.(!depth) in
-        match find_arc t v usable with
-        | -1 ->
-            leave ();
-            invalid_arg "Flow.drain_edge: flow not traceable to the endpoint"
-        | s ->
-            let w = t.dst.(s) in
-            if w <> stop && pos.(w) >= 0 then begin
-              (* cycle w .. v -> w: cancel its flow, restart the walk *)
-              let lo = pos.(w) in
-              let amt = ref (avail s) in
-              for i = lo + 1 to !depth do
-                amt := Stdlib.min !amt (avail stack_e.(i))
-              done;
-              reduce s !amt;
-              for i = lo + 1 to !depth do
-                reduce stack_e.(i) !amt
-              done;
-              leave ();
-              raise Restart
-            end
-            else begin
-              incr depth;
-              stack_v.(!depth) <- w;
-              stack_e.(!depth) <- s;
-              pos.(w) <- !depth
-            end
-      done;
-      leave ();
-      let amt = ref !remaining in
-      for i = 1 to !depth do
-        amt := Stdlib.min !amt (avail stack_e.(i))
-      done;
-      for i = 1 to !depth do
-        reduce stack_e.(i) !amt
-      done;
-      remaining := !remaining - !amt
-    with Restart -> ()
+(* The walk's vertices from depth 0 to [depth] leave it. *)
+let leave t depth =
+  for i = 0 to depth do
+    t.pos.(t.stack_v.(i)) <- -1
   done
 
+(* The least of [amt] and the amounts of the walk's arcs into depths
+   [lo + 1 .. hi], taken off each of those arcs. *)
+let take_least t ~avail ~take lo hi amt =
+  let amt = ref amt in
+  for i = lo + 1 to hi do
+    amt := Stdlib.min !amt (avail t.stack_e.(i))
+  done;
+  for i = lo + 1 to hi do
+    take t.stack_e.(i) !amt
+  done;
+  !amt
+
+(* The flow-cancelling walk that drains and path decomposition share.
+   [avail s] is the amount arc [s] can carry (0 or less: unusable) and
+   [take s amt] takes [amt] off it. From [start], the walk follows each
+   vertex's first usable arc in CSR order. An arc to a vertex already on
+   the walk, other than [stop], closes a cycle: its least amount is taken
+   off each of its arcs, so the amounts strictly fall and this
+   terminates, and the walk starts over. A walk that reaches [stop] is a
+   path: its bottleneck, capped at [limit], is taken off each of its arcs
+   and returned, and the path stays in [stack_v] from index 0 up to
+   [stop]. A walk that gets stuck returns 0. However it ends, it resets
+   [pos] on the vertices it visited and nowhere else. *)
+let rec walk t ~avail ~take ~start ~stop limit =
+  t.stack_v.(0) <- start;
+  t.pos.(start) <- 0;
+  walk_from t ~avail ~take ~start ~stop limit 0
+
+and walk_from t ~avail ~take ~start ~stop limit depth =
+  let v = t.stack_v.(depth) in
+  if v = stop then begin
+    leave t depth;
+    take_least t ~avail ~take 0 depth limit
+  end
+  else
+    match find_arc t v avail with
+    | -1 ->
+        leave t depth;
+        0
+    | s ->
+        let w = t.dst.(s) in
+        t.stack_e.(depth + 1) <- s;
+        if w <> stop && t.pos.(w) >= 0 then begin
+          (* cycle w .. v -> w *)
+          ignore (take_least t ~avail ~take t.pos.(w) (depth + 1) max_int);
+          leave t depth;
+          walk t ~avail ~take ~start ~stop limit
+        end
+        else begin
+          t.stack_v.(depth + 1) <- w;
+          t.pos.(w) <- depth + 1;
+          walk_from t ~avail ~take ~start ~stop limit (depth + 1)
+        end
+
+(* Cancel [amt] units of flow on the forward edge [e]. *)
+let unroute t e amt =
+  t.cap.(e) <- t.cap.(e) + amt;
+  t.cap.(e lxor 1) <- t.cap.(e lxor 1) - amt
+
+(* Walk paths from [start] to [stop] until [total] units are cancelled. *)
+let rec cancel_flow t ~avail ~take ~start ~stop total =
+  if total > 0 && start <> stop then
+    match walk t ~avail ~take ~start ~stop total with
+    | 0 -> invalid_arg "Flow.drain_edge: flow not traceable to the endpoint"
+    | amt -> cancel_flow t ~avail ~take ~start ~stop (total - amt)
+
 let drain_edge ?(obs = Obs.null) t e ~source ~sink =
-  if t.orig.(e) = 0 && t.cap.(e) = 0 then 0
+  let total = flow t e in
+  if total <= 0 then 0
   else begin
-    let total = flow t e in
-    if total <= 0 then 0
-    else begin
-      let a = t.dst.(e lxor 1) and b = t.dst.(e) in
-      (* zero the edge's own flow, then cancel the displaced units on the
-         source side (backward from the tail) and sink side (forward from
-         the head); total flow value drops by [total] *)
-      t.cap.(e) <- t.cap.(e) + total;
-      t.cap.(e lxor 1) <- t.cap.(e lxor 1) - total;
-      ensure_csr t;
-      cancel_flow t ~start:a ~stop:source ~backward:true total;
-      cancel_flow t ~start:b ~stop:sink ~backward:false total;
-      Obs.incr obs "flow.drains";
-      Obs.add obs "flow.drained_units" total;
-      total
-    end
+    (* zero the edge's own flow, then cancel the displaced units on the
+       source side, backward from the tail over reverse arcs (each
+       carries back its forward edge's flow), and on the sink side,
+       forward from the head over forward arcs; the total flow value
+       drops by [total] *)
+    unroute t e total;
+    ensure_csr t;
+    cancel_flow t
+      ~avail:(fun s -> flow t (s lxor 1))
+      ~take:(fun s amt -> unroute t (s lxor 1) amt)
+      ~start:t.dst.(e lxor 1) ~stop:source total;
+    cancel_flow t
+      ~avail:(fun s -> flow t s)
+      ~take:(fun s amt -> unroute t s amt)
+      ~start:t.dst.(e) ~stop:sink total;
+    Obs.incr obs "flow.drains";
+    Obs.add obs "flow.drained_units" total;
+    total
   end
 
 (* BFS levels on the residual graph, level.(v) = -1 when unlabelled; true
@@ -330,70 +333,16 @@ let min_cut t ~source =
   done;
   side
 
+(* Walks paths on a copy of each forward edge's flow until a walk gets
+   stuck; cycles of flow are cancelled on the copy. *)
 let decompose_paths t ~source ~sink =
-  (* Work on a copy of per-edge flow; repeatedly trace a positive-flow walk
-     from source. Cycles encountered along the walk are cancelled in place
-     (flow strictly decreases, so this terminates); walks reaching the sink
-     become simple paths. *)
   ensure_csr t;
   let fl = Array.init t.edge_count (fun e -> if t.orig.(e) > 0 then flow t e else 0) in
-  let paths = ref [] in
-  let pos = Array.make t.n (-1) in
-  (* stack_v.(i) = i-th vertex of the walk; stack_e.(i) = edge into it. *)
-  let stack_v = Array.make (t.n + 1) 0 in
-  let stack_e = Array.make (t.n + 1) 0 in
-  let exception Restart in
-  let finished = ref false in
-  while not !finished do
-    match
-      Array.fill pos 0 t.n (-1);
-      stack_v.(0) <- source;
-      pos.(source) <- 0;
-      let depth = ref 0 in
-      let outcome = ref None in
-      (try
-         while !outcome = None do
-           let v = stack_v.(!depth) in
-           if v = sink then outcome := Some true
-           else
-             match find_arc t v (fun e -> t.orig.(e) > 0 && fl.(e) > 0) with
-             | -1 -> outcome := Some false
-             | e ->
-                 let w = t.dst.(e) in
-                 if w <> sink && pos.(w) >= 0 then begin
-                   (* cycle: w .. v -> w; cancel its flow and restart *)
-                   let lo = pos.(w) in
-                   let amount = ref fl.(e) in
-                   for i = lo + 1 to !depth do
-                     amount := Stdlib.min !amount fl.(stack_e.(i))
-                   done;
-                   fl.(e) <- fl.(e) - !amount;
-                   for i = lo + 1 to !depth do
-                     fl.(stack_e.(i)) <- fl.(stack_e.(i)) - !amount
-                   done;
-                   raise Restart
-                 end
-                 else begin
-                   incr depth;
-                   stack_v.(!depth) <- w;
-                   stack_e.(!depth) <- e;
-                   pos.(w) <- !depth
-                 end
-         done
-       with Restart -> outcome := None);
-      (!outcome, !depth)
-    with
-    | None, _ -> () (* cycle cancelled; retry *)
-    | Some false, _ -> finished := true
-    | Some true, depth ->
-        let amount = ref max_int in
-        for i = 1 to depth do
-          amount := Stdlib.min !amount fl.(stack_e.(i))
-        done;
-        for i = 1 to depth do
-          fl.(stack_e.(i)) <- fl.(stack_e.(i)) - !amount
-        done;
-        let vertices = List.init (depth + 1) (fun i -> stack_v.(i)) in
-        paths := (vertices, !amount) :: !paths
-  done;
-  List.rev !paths
+  let rec path i = if t.stack_v.(i) = sink then [ sink ] else t.stack_v.(i) :: path (i + 1) in
+  let avail e = fl.(e) and take e amt = fl.(e) <- fl.(e) - amt in
+  let rec go paths =
+    match walk t ~avail ~take ~start:source ~stop:sink max_int with
+    | 0 -> List.rev paths
+    | amount -> go ((path 0, amount) :: paths)
+  in
+  go []

@@ -28,11 +28,12 @@
     labels the sink: every vertex nearer the source already has its
     level, and the DFS only completes paths one level at a time into
     the sink, so it pushes the same paths, in the same order, as after
-    a full BFS. Dinic's levels, current arcs and queue, and
-    {!drain_edge}'s walk (each vertex's depth on it and the stack of
-    its vertices and edges), are scratch arrays of the graph: a walk
-    allocates nothing and resets only the vertices it visited. So one
-    graph serves one domain at a time. *)
+    a full BFS. Dinic's levels, current arcs and queue, and the
+    flow-cancelling walk that {!drain_edge} and {!decompose_paths}
+    share (each vertex's depth on it and the stack of its vertices and
+    edges), are scratch arrays of the graph: a walk allocates no array
+    and resets only the vertices it visited. So one graph serves one
+    domain at a time. *)
 
 type t
 
@@ -58,13 +59,13 @@ val add_edge : t -> src:int -> dst:int -> cap:int -> edge
 val set_cap : t -> edge -> int -> unit
 
 (** [drain_edge t e ~source ~sink] cancels all flow currently routed
-    through [e], walking the displaced units back to [source] on the tail
-    side and forward to [sink] on the head side along flow-carrying arcs
-    (cycles of flow met on the way are cancelled in place). Returns the
-    number of units drained — the total flow value drops by exactly that
-    much, leaving a consistent smaller flow ready for [set_cap] +
-    {!augment}. With [?obs], records [flow.drains] /
-    [flow.drained_units]. *)
+    through [e], walking the displaced units back to [source] on the
+    tail side and forward to [sink] on the head side along
+    flow-carrying arcs (cycles of flow met on the way are cancelled in
+    place), by the walk {!decompose_paths} also runs. Returns the number
+    of units drained — the total flow value drops by exactly that much,
+    leaving a consistent smaller flow ready for [set_cap] + {!augment}.
+    With [?obs], records [flow.drains] / [flow.drained_units]. *)
 val drain_edge : ?obs:Obs.t -> t -> edge -> source:int -> sink:int -> int
 
 (** [max_flow t ~source ~sink] pushes a maximum flow and returns its value
@@ -95,7 +96,10 @@ val min_cut : t -> source:int -> bool array
 
 (** [decompose_paths t ~source ~sink] splits the current flow into simple
     source-sink paths [(vertices, amount)]; the sum of amounts equals the
-    flow value. The graph's flow is consumed conceptually but left intact
-    (decomposition works on a copy of per-edge flow). Cycles of flow, if
-    any, are ignored. *)
+    flow value. It runs {!drain_edge}'s walk on a copy of each forward
+    edge's flow, so the graph's flow is left intact: from [source], take
+    the first arc, in arc order, whose copy carries flow; cancel a cycle
+    of flow met on the way on the copy and start over; a walk that
+    reaches [sink] is a path and takes its bottleneck. The list ends
+    when a walk is stuck. Cycles of flow are thus left out. *)
 val decompose_paths : t -> source:int -> sink:int -> (int list * int) list

@@ -1,5 +1,5 @@
-(* Fault injection for the serve daemon. Armed by `--inject SPEC` or the
-   ATBT_INJECT environment variable; off by default and free when off.
+(* Fault injection for the serve daemon. Armed only by `--inject SPEC`;
+   off by default and free when off.
 
    Three fault classes, mirroring the failure modes the daemon must
    survive: worker crashes (a raised exception mid-solve), deadline
@@ -144,8 +144,3 @@ let parse spec =
     | f :: rest -> ( match parse_field f with Ok () -> go rest | Error m -> Error m)
   in
   go (String.split_on_char ',' spec |> List.filter (fun s -> s <> ""))
-
-let of_env () =
-  match Sys.getenv_opt "ATBT_INJECT" with
-  | None | Some "" -> Ok (none ())
-  | Some spec -> parse spec

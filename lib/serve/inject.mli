@@ -1,8 +1,8 @@
 (** Fault injection for the serve daemon: probabilistic worker crashes,
     solve delays (deadline blowouts) and request-line corruption, driven
     by a seeded deterministic PRNG so injected runs replay byte for
-    byte. Armed by [atbt serve --inject SPEC] or [ATBT_INJECT]; {!none}
-    (the default) injects nothing and costs nothing.
+    byte. Armed only by [atbt serve --inject SPEC]; {!none} (the
+    default) injects nothing and costs nothing.
 
     Spec grammar (comma-separated, all fields optional):
     [crash=P,delay=MS@P,corrupt=P,seed=N] — probabilities in [0,1],
@@ -28,9 +28,6 @@ val make :
 
 (** Parse a spec string ([crash=0.1,delay=50@0.3,corrupt=0.05,seed=42]). *)
 val parse : string -> (t, string) result
-
-(** Config from [ATBT_INJECT] (unset or empty means {!none}). *)
-val of_env : unit -> (t, string) result
 
 (** Draw from the PRNG: should this request's worker crash? *)
 val should_crash : t -> bool

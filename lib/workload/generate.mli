@@ -13,8 +13,6 @@ type slotted_params = {
   g : int;
 }
 
-val default_slotted : slotted_params
-
 (** Random slotted (active-time) instance. *)
 val slotted : ?params:slotted_params -> seed:int -> unit -> Slotted.t
 
@@ -27,8 +25,6 @@ type busy_params = {
   bmax_length : int;
   bslack : int;  (** 0 makes every job an interval job *)
 }
-
-val default_busy : busy_params
 
 (** Random busy-time jobs with windows. *)
 val busy_jobs : ?params:busy_params -> seed:int -> unit -> Bjob.t list

@@ -53,6 +53,16 @@ let test_first_fit_rejects_flexible () =
   Alcotest.check_raises "flexible" (Invalid_argument "First_fit.solve: flexible job (convert first)")
     (fun () -> ignore (Busy.First_fit.solve ~g:2 [ flex ]))
 
+(* FirstFit's counters, pinned on a generated instance: each job probes
+   the bundles it passes over and the one it joins, or opens one. *)
+let test_first_fit_counters () =
+  let obs = Obs.create () in
+  let packing = Busy.First_fit.solve ~obs ~g:2 (Gen.interval_jobs ~n:40 ~horizon:20 ~seed:1 ()) in
+  Alcotest.(check int) "bundles" 6 (List.length packing);
+  check_q "busy time" "80" (Busy.Bundle.total_busy packing);
+  Alcotest.(check int) "bundles opened" 6 (Obs.counter obs "busy.first_fit.bundles_opened");
+  Alcotest.(check int) "fit probes" 114 (Obs.counter obs "busy.first_fit.fit_probes")
+
 (* -- GreedyTracking --------------------------------------------------------- *)
 
 let test_greedy_tracking_basic () =
@@ -531,7 +541,8 @@ let () =
       ( "first fit",
         [ Alcotest.test_case "basic" `Quick test_first_fit_basic;
           Alcotest.test_case "prefers early bundles" `Quick test_first_fit_prefers_early_bundles;
-          Alcotest.test_case "rejects flexible" `Quick test_first_fit_rejects_flexible ] );
+          Alcotest.test_case "rejects flexible" `Quick test_first_fit_rejects_flexible;
+          Alcotest.test_case "counters" `Quick test_first_fit_counters ] );
       ( "greedy tracking",
         [ Alcotest.test_case "basic" `Quick test_greedy_tracking_basic;
           Alcotest.test_case "max track" `Quick test_max_track_exposed;

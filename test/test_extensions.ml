@@ -128,14 +128,14 @@ let test_mw_feasibility () =
 
 let test_mw_exact_cover () =
   (* sets over elements 1..6: {1,2,3}, {4,5,6} feasible at g = 1 *)
-  let inst = MW.exact_cover_instance ~g:1 [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ] ~universe:6 in
+  let inst = MW.exact_cover_instance ~g:1 [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ] in
   (match MW.optimum inst with
   | Some (cost, _) -> Alcotest.(check int) "two disjoint sets" 6 cost
   | None -> Alcotest.fail "feasible");
   (* adding {2,3,4} makes g=1 infeasible but g=2 feasible *)
-  let clash = MW.exact_cover_instance ~g:1 [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 2; 3; 4 ] ] ~universe:6 in
+  let clash = MW.exact_cover_instance ~g:1 [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 2; 3; 4 ] ] in
   Alcotest.(check bool) "g=1 infeasible" true (MW.optimum clash = None);
-  let ok = MW.exact_cover_instance ~g:2 [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 2; 3; 4 ] ] ~universe:6 in
+  let ok = MW.exact_cover_instance ~g:2 [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 2; 3; 4 ] ] in
   match MW.optimum ok with
   | Some (cost, _) -> Alcotest.(check int) "g=2 cost" 6 cost
   | None -> Alcotest.fail "feasible at g=2"

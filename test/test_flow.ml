@@ -175,7 +175,7 @@ let test_invalid_args () =
 (* One step of a warm sequence. Edge indices are taken modulo the number
    of edges added so far; [Set_cap] drains first when the new capacity
    sits below the routed flow, as [Feasibility.Oracle] does. *)
-type op = Max_flow | Augment | Set_cap of int * int | Drain of int | Min_cut | Add of int * int * int
+type op = Max_flow | Augment | Set_cap of int * int | Drain of int | Min_cut | Add of int * int * int | Decompose
 
 (* A graph under test and its edges, (tail, head, handle) in the order
    they were added. *)
@@ -220,6 +220,11 @@ let apply ?obs w ~n op =
   | Add (a, b, c) ->
       add_edge w a b c;
       "+"
+  | Decompose ->
+      String.concat ";"
+        (List.map
+           (fun (vs, amount) -> Printf.sprintf "%s:%d" (String.concat "," (List.map string_of_int vs)) amount)
+           (Flow.decompose_paths w.g ~source ~sink))
 
 let flows w = List.map (fun (_, _, e) -> Flow.flow w.g e) (Array.to_list w.edges)
 
@@ -257,9 +262,10 @@ let test_warm_sequences_pinned () =
 
 (* Many drains on one graph leave its walk scratch clean. Each trial
    zeroes the flow, pushes a max flow and runs a random mix of drains,
-   capacity changes, augmentations and min cuts, in lockstep with a
-   fresh graph of the same edges and capacities; after every step the
-   two carry the same flow on every edge. The reused graph keeps
+   capacity changes, augmentations, min cuts and path decompositions
+   (which walk the same scratch), in lockstep with a fresh graph of the
+   same edges and capacities; after every step the two give the same
+   answer and carry the same flow on every edge. The reused graph keeps
    whatever scratch every earlier trial left; the fresh one has none. *)
 let test_drains_leave_scratch_clean () =
   for seed = 1 to 100 do
@@ -278,10 +284,11 @@ let test_drains_leave_scratch_clean () =
       for _ = 1 to 15 do
         let int = Random.State.int rng in
         step
-          (match int 6 with
+          (match int 7 with
           | 0 -> Augment
           | 1 -> Set_cap (int 1000, int 9)
           | 2 -> Min_cut
+          | 3 -> Decompose
           | _ -> Drain (int 1000))
       done
     done
