@@ -9,16 +9,18 @@
     closed" test and the exact branch-and-bound; the same network, with
     scaled capacities, is LP1's separation oracle ({!min_cut_jobs}).
 
-    {b One network per solve.} {!network} is the only builder: it wires
-    every job and every relevant slot of an instance, every capacity 0.
-    Each use — {!schedule}, {!min_cut_jobs}, {!fits} and
-    {!Oracle.create} — zeroes the flow and sets every capacity, so a
-    solve builds one network and hands it from use to use: its LP1's
-    cut loop, its oracles and the schedule it returns. ({!feasible}
-    builds its own, then capacitates it the same way, and so does
-    [Machines.feasible] for {!fits}. [Multi_window] wires a network of
-    its own, since a job there has several windows, which {!network}
-    does not model.) A closed slot, or a job left out, gets capacity 0;
+    {b One network per solve.} This module wires every [G_feas]:
+    {!network} over every job and every relevant slot of an instance,
+    {!windows_network} over jobs with several windows ([Multi_window]),
+    both with every capacity 0. Each use — {!schedule},
+    {!min_cut_jobs}, {!fits} and {!Oracle.create} — zeroes the flow and
+    sets every capacity, so a solve builds one network and hands it
+    from use to use: its LP1's cut loop, its oracles and the schedule
+    it returns. The machine pool ([Machines]), the multi-window model
+    and the ILP build one per solve too. ({!feasible} builds its own
+    per call: it is the cold reference that the tests and the fuzz
+    differential compare against.) A closed slot, or a job left out,
+    gets capacity 0;
     no walk crosses such an arc, so the max flow, its [flow.*] counters
     and the cut are those of the network without it, and a reused
     network answers as a fresh one. A network has one user at a time:
@@ -40,9 +42,17 @@ type network
     comes back. *)
 val network : Workload.Slotted.t -> network
 
+(** [windows_network ~g jobs] wires the same network for jobs that may
+    run in any of several windows, each given as (id, length, allowed
+    slots, increasing), in the order of [jobs]: job arcs first, then
+    each job's allowed slots in increasing order, then the slot arcs,
+    one per slot some job allows. Job indices below are indices into
+    [jobs]. *)
+val windows_network : g:int -> (int * int * int list) array -> network
+
 (** [network_for ?net t] is [net], or a fresh [network t] without one.
     Raises [Invalid_argument] when [net] was built for another instance
-    (compared physically). *)
+    (compared physically), or by {!windows_network}. *)
 val network_for : ?net:network -> Workload.Slotted.t -> network
 
 (** The relevant slots, increasing: [slot_cap]'s index [i] below is the
@@ -51,20 +61,23 @@ val network_slots : network -> int array
 
 (** [feasible ?only_jobs t ~open_slots] decides whether all jobs (or just
     those with ids in [only_jobs]) fit into the open slots, on a network
-    of its own. [?obs] is forwarded to {!Flow.max_flow}. *)
+    of its own: the reference that the fuzz differential and the tests
+    probe job subsets with. [?obs] is forwarded to {!Flow.max_flow}. *)
 val feasible :
   ?only_jobs:int list -> ?obs:Obs.t -> Workload.Slotted.t -> open_slots:int list -> bool
 
-(** [fits net ~machines_on] decides whether every job fits when
-    [machines_on s >= 0] machines of capacity [g] are on in slot [s]
-    (Koehler–Khuller's machine pool, {!Machines}): capacity [p_j] on
-    each job arc, 1 on a job -> slot arc where a machine is on and [g]
-    per machine on the slot -> sink arc. [?obs] is forwarded to
-    {!Flow.max_flow}. *)
-val fits : ?obs:Obs.t -> network -> machines_on:(int -> int) -> bool
+(** [fits net ~on] decides whether every job fits when [on.(i) >= 0]
+    machines of capacity [g] are on in the slot of index [i], one count
+    per slot of {!network_slots} (Koehler–Khuller's machine pool,
+    [Machines]): capacity [p_j] on each job arc, 1 on a job -> slot arc
+    where a machine is on and [g] per machine on the slot -> sink arc.
+    [on] is read, not kept, so a caller may change it between probes.
+    [?obs] is forwarded to {!Flow.max_flow}. *)
+val fits : ?obs:Obs.t -> network -> on:int array -> bool
 
-(** An integral schedule of the network's instance on the open slots, or
-    [None] when infeasible. *)
+(** An integral schedule of the network's jobs on the open slots, as
+    (job id, slots increasing) in job order, or [None] when
+    infeasible. *)
 val schedule : network -> open_slots:int list -> Workload.Slotted.schedule option
 
 (** [min_cut_jobs net ~job_cap ~slot_cap] sets the capacities —

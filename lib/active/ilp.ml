@@ -9,8 +9,9 @@
                                  integral schedule by flow integrality);
    - otherwise branch on a most-fractional slot, 'open' branch first.
 
-   The incumbent is seeded with a minimal feasible solution. E16 compares
-   nodes and work against {!Exact.branch_and_bound}. *)
+   The incumbent is seeded with a minimal feasible solution. The seed,
+   the tree's separations and the returned schedule share the LP1's one
+   G_feas. E16 compares nodes and work against {!Exact.branch_and_bound}. *)
 
 module S = Workload.Slotted
 module Q = Rational
@@ -22,18 +23,20 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let solve ?budget ?(obs = Obs.null) (inst : S.t) =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.span obs "active.ilp" @@ fun () ->
-  match Minimal.solve ~obs inst Minimal.Right_to_left with
+  (* One LP1 for the whole tree: each node rewrites the y bounds and
+     resumes from its parent's optimal basis (padded for the rows found
+     since), so the simplex re-enters phase 2 or a short dual repair
+     instead of re-running phase 1, and every cut row found anywhere in
+     the tree stays for the rest of it. Its network also serves the
+     seed, which reads its schedule before the first separation
+     re-capacitates it, and the returned schedule. *)
+  let lp1 = Lp_model.create inst in
+  match Minimal.solve ~obs ~net:(Lp_model.network lp1) inst Minimal.Right_to_left with
   | None -> Budget.Complete None
   | Some seed ->
       let best = ref (Solution.cost seed) in
       let best_slots = ref seed.Solution.open_slots in
       let nodes = ref 0 in
-      (* One LP1 for the whole tree: each node rewrites the y bounds and
-         resumes from its parent's optimal basis (padded for the rows
-         found since), so the simplex re-enters phase 2 or a short dual
-         repair instead of re-running phase 1, and every cut row found
-         anywhere in the tree stays for the rest of it. *)
-      let lp1 = Lp_model.create inst in
       (* fixings as an assoc list slot -> bool *)
       let rec branch fixed from =
         Budget.tick budget;

@@ -16,8 +16,9 @@
     the branching bounds ({!Lp_model.fix}) and runs the cut loop from
     its parent's optimal basis, padded for the rows found since. Rows
     found at one node stay valid at every other, so they are kept for
-    the whole tree. Its separation network also serves the returned
-    schedule.
+    the whole tree. Its separation network also serves the minimal
+    seed, which runs first, and the returned schedule, so a solve builds
+    one network.
 
     With [?obs], runs inside an [active.ilp] span and records
     [active.ilp.nodes] and [active.ilp.lp_solves] (every {!Lp.solve} of

@@ -20,35 +20,50 @@ type t = {
 
 let y_at t slot = try List.assoc slot t.y with Not_found -> Q.zero
 
+(* LP1's assignment part. Each variable joins the lists of its slot
+   and its job as it is declared, so no row scans the others. *)
+let assignment ?(keep = fun _ -> true) ?upper ?(link = fun _ _ -> ()) m (inst : S.t) ~capacity =
+  let slots = Array.of_list (S.relevant_slots inst) in
+  let at_slot = Array.make (Array.length slots) [] in
+  let of_job =
+    Array.map
+      (fun (j : S.job) ->
+        let lo = S.window_start slots j and xs = ref [] in
+        for si = lo to lo + S.window_size j - 1 do
+          let s = slots.(si) in
+          if keep s then begin
+            let upper = Option.map (fun f -> f s) upper in
+            let x = Lp.add_var ?upper m (Printf.sprintf "x_%d_%d" s j.S.id) in
+            at_slot.(si) <- x :: at_slot.(si);
+            xs := (s, x) :: !xs
+          end
+        done;
+        List.rev !xs)
+      inst.S.jobs
+  in
+  Array.iter (List.iter (fun (s, x) -> link s x)) of_job;
+  Array.iteri
+    (fun si xs ->
+      if xs <> [] then begin
+        let extra, rhs = capacity slots.(si) in
+        Lp.add_constraint m (extra @ List.rev_map (fun x -> (Q.one, x)) xs) Lp.Le rhs
+      end)
+    at_slot;
+  Array.iteri
+    (fun idx xs ->
+      Lp.add_constraint m (List.map (fun (_, x) -> (Q.one, x)) xs) Lp.Ge (Q.of_int inst.S.jobs.(idx).S.length))
+    of_job
+
 (* LP2 of Section 3.1: with the slot openings y fixed, does a feasible
    fractional assignment of all jobs exist? Used to verify Lemma 3
    (right-shifting preserves feasibility) computationally. *)
 let feasible_with_y (inst : S.t) y =
   let y_of s = try List.assoc s y with Not_found -> Q.zero in
   let m = Lp.create () in
-  let x_vars =
-    Array.to_list inst.S.jobs
-    |> List.concat_map (fun (j : S.job) ->
-           List.filter_map
-             (fun s ->
-               if Q.is_zero (y_of s) then None
-               else Some ((s, j.S.id), Lp.add_var ~upper:(y_of s) m (Printf.sprintf "x_%d_%d" s j.S.id)))
-             (S.window_slots j))
-  in
-  (* capacity per slot: sum_j x_{t,j} <= g * y_t *)
-  List.iter
-    (fun s ->
-      let terms = List.filter_map (fun ((s', _), xv) -> if s' = s then Some (Q.one, xv) else None) x_vars in
-      if terms <> [] then Lp.add_constraint m terms Lp.Le (Q.mul (Q.of_int inst.S.g) (y_of s)))
-    (S.relevant_slots inst);
-  (* demand per job *)
-  Array.iter
-    (fun (j : S.job) ->
-      let terms =
-        List.filter_map (fun ((_, id), xv) -> if id = j.S.id then Some (Q.one, xv) else None) x_vars
-      in
-      Lp.add_constraint m terms Lp.Ge (Q.of_int j.S.length))
-    inst.S.jobs;
+  assignment m inst
+    ~keep:(fun s -> not (Q.is_zero (y_of s)))
+    ~upper:y_of
+    ~capacity:(fun s -> ([], Q.mul (Q.of_int inst.S.g) (y_of s)));
   match Lp.solve m with Lp.Optimal _ -> true | Lp.Infeasible -> false | Lp.Unbounded -> assert false
 
 (* Lemma 3's blocks (Section 3.1): the boundaries are the distinct
@@ -95,32 +110,10 @@ let build_lp1 (inst : S.t) =
   let m = Lp.create () in
   let y_vars = List.map (fun s -> (s, Lp.add_var ~upper:Q.one m (Printf.sprintf "y_%d" s))) slots in
   let y_var s = List.assoc s y_vars in
-  let x_vars =
-    Array.to_list inst.S.jobs
-    |> List.concat_map (fun (j : S.job) ->
-           List.map
-             (fun s -> ((s, j.S.id), Lp.add_var m (Printf.sprintf "x_%d_%d" s j.S.id)))
-             (S.window_slots j))
-  in
-  (* x_{t,j} <= y_t *)
-  List.iter
-    (fun ((s, _), xv) -> Lp.add_constraint m [ (Q.one, xv); (Q.minus_one, y_var s) ] Lp.Le Q.zero)
-    x_vars;
-  (* capacity per slot *)
-  List.iter
-    (fun s ->
-      let terms = List.filter_map (fun ((s', _), xv) -> if s' = s then Some (Q.one, xv) else None) x_vars in
-      if terms <> [] then
-        Lp.add_constraint m ((Q.of_int (-inst.S.g), y_var s) :: terms) Lp.Le Q.zero)
-    slots;
-  (* demand per job *)
-  Array.iter
-    (fun (j : S.job) ->
-      let terms =
-        List.filter_map (fun ((_, id), xv) -> if id = j.S.id then Some (Q.one, xv) else None) x_vars
-      in
-      Lp.add_constraint m terms Lp.Ge (Q.of_int j.S.length))
-    inst.S.jobs;
+  (* x_{t,j} <= y_t, between the variables and the assignment rows *)
+  assignment m inst
+    ~link:(fun s x -> Lp.add_constraint m [ (Q.one, x); (Q.minus_one, y_var s) ] Lp.Le Q.zero)
+    ~capacity:(fun s -> ([ (Q.of_int (-inst.S.g), y_var s) ], Q.zero));
   Lp.set_objective m Lp.Minimize (List.map (fun (_, yv) -> (Q.one, yv)) y_vars);
   (m, y_vars)
 

@@ -94,7 +94,8 @@ val create : Workload.Slotted.t -> lp1
 (** The separation network. Between two {!resolve}s its holder may use
     it for other flows, since each round re-capacitates it:
     {!Rounding.solve} runs its sweep's oracle and reads its schedule off
-    it, and {!Ilp.solve} reads its schedule off it. *)
+    it, and {!Ilp.solve} hands it to its minimal seed, before the first
+    {!resolve}, and reads its schedule off it. *)
 val network : lp1 -> Feasibility.network
 
 (** The relevant slots, one y column each, increasing. *)
@@ -147,6 +148,27 @@ val solve :
     solve with {!Lp.solve} directly, to check the cut loop against code
     that shares none of its separation. No solver path uses it. *)
 val build_lp1 : Workload.Slotted.t -> Lp.model * (int * Lp.var) list
+
+(** [assignment m inst ~capacity] adds LP1's assignment part to [m]:
+    a variable x_{t,j} for every job j, in array order, and every slot
+    t of its window, increasing, then the row
+    [extra + sum_j x_{t,j} <= rhs] of each relevant slot with a
+    variable, slots increasing, where [capacity t] is
+    [(extra, rhs)], then the row [sum_t x_{t,j} >= p_j] of each job.
+    A slot where [keep] (default: every slot) is false gets no
+    variable; [upper t] (default: none) bounds its variables; [link t
+    x] runs on each variable in declaration order once all are
+    declared, before the first assignment row. {!build_lp1},
+    {!feasible_with_y} and [Machines.lp_lower_bound] build their
+    assignment with it. *)
+val assignment :
+  ?keep:(int -> bool) ->
+  ?upper:(int -> Rational.t) ->
+  ?link:(int -> Lp.var -> unit) ->
+  Lp.model ->
+  Workload.Slotted.t ->
+  capacity:(int -> (Rational.t * Lp.var) list * Rational.t) ->
+  unit
 
 (** LP2 of Section 3.1: with the slot openings fixed to the given y
     vector, does a feasible fractional assignment exist? *)

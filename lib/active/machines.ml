@@ -8,13 +8,15 @@
    a job still runs at most one unit per slot. Since the assignment of
    jobs to machines within a slot is free, only the per-slot opening
    count y_t in {0..m} matters, and feasibility is the G_feas flow with
-   slot capacity g * y_t: {!Feasibility.fits} on the instance's one
+   slot capacity g * y_t: {!Feasibility.fits} on the instance's
    {!Feasibility.network}.
 
    Provided: feasibility, greedy minimalization (decrement counts while
    feasible - the multi-machine analogue of Theorem 1's minimal feasible
-   solutions), an LP lower bound (y relaxed to [0, m]) and an exact
-   branch-and-bound. *)
+   solutions), an LP lower bound (y relaxed to [0, m], over LP1's
+   assignment part, {!Lp_model.assignment}) and an exact
+   branch-and-bound. A minimalization or a search builds one network
+   and probes it with the counts in one array, changed in place. *)
 
 module Q = Rational
 module S = Workload.Slotted
@@ -23,36 +25,44 @@ type openings = (int * int) list (* slot -> number of machines on, sorted *)
 
 let cost (openings : openings) = List.fold_left (fun acc (_, c) -> acc + c) 0 openings
 
+let check_machines machines = if machines < 1 then invalid_arg "Machines.feasible: machines < 1"
+
 let feasible (inst : S.t) ~machines ~openings =
-  if machines < 1 then invalid_arg "Machines.feasible: machines < 1";
+  check_machines machines;
   List.iter
     (fun (_, c) -> if c < 0 || c > machines then invalid_arg "Machines.feasible: count out of range")
     openings;
-  Feasibility.fits (Feasibility.network inst) ~machines_on:(fun s -> try List.assoc s openings with Not_found -> 0)
+  let net = Feasibility.network inst in
+  let count s = Option.value (List.assoc_opt s openings) ~default:0 in
+  Feasibility.fits net ~on:(Array.map count (Feasibility.network_slots net))
 
-(* Start from every machine on in every relevant slot and decrement counts
-   greedily; monotonicity makes a single pass minimal. *)
-let minimal (inst : S.t) ~machines =
-  let slots = S.relevant_slots inst in
-  let full = List.map (fun s -> (s, machines)) slots in
-  if not (feasible inst ~machines ~openings:full) then None
+(* The positive counts of [on] over [slots], as openings. *)
+let openings slots on =
+  List.filter (fun (_, c) -> c > 0) (Array.to_list (Array.map2 (fun s c -> (s, c)) slots on))
+
+(* One network and the counts of a minimal pool: every machine on in
+   every relevant slot, then each slot's count, slots increasing,
+   decremented while the pool still fits (monotonicity makes one pass
+   minimal). [None] when not even every machine on fits. *)
+let minimal_pool (inst : S.t) ~machines =
+  check_machines machines;
+  let net = Feasibility.network inst in
+  let slots = Feasibility.network_slots net in
+  let on = Array.make (Array.length slots) machines in
+  if not (Feasibility.fits net ~on) then None
   else begin
-    let current = Hashtbl.create 32 in
-    List.iter (fun (s, c) -> Hashtbl.replace current s c) full;
-    let snapshot () = List.map (fun s -> (s, Hashtbl.find current s)) slots in
-    List.iter
-      (fun s ->
-        let keep_decrementing = ref true in
-        while !keep_decrementing && Hashtbl.find current s > 0 do
-          Hashtbl.replace current s (Hashtbl.find current s - 1);
-          if not (feasible inst ~machines ~openings:(snapshot ())) then begin
-            Hashtbl.replace current s (Hashtbl.find current s + 1);
-            keep_decrementing := false
-          end
-        done)
-      slots;
-    Some (List.filter (fun (_, c) -> c > 0) (snapshot ()))
+    let rec lower si =
+      if on.(si) > 0 then begin
+        on.(si) <- on.(si) - 1;
+        if Feasibility.fits net ~on then lower si else on.(si) <- on.(si) + 1
+      end
+    in
+    Array.iteri (fun si _ -> lower si) on;
+    Some (net, slots, on)
   end
+
+let minimal (inst : S.t) ~machines =
+  Option.map (fun (_, slots, on) -> openings slots on) (minimal_pool inst ~machines)
 
 (* LP lower bound: the natural relaxation with y_t in [0, m]. *)
 let lp_lower_bound (inst : S.t) ~machines =
@@ -61,64 +71,43 @@ let lp_lower_bound (inst : S.t) ~machines =
   let y_vars =
     List.map (fun s -> (s, Lp.add_var ~upper:(Q.of_int machines) m (Printf.sprintf "y_%d" s))) slots
   in
-  let y_var s = List.assoc s y_vars in
-  let x_vars =
-    Array.to_list inst.S.jobs
-    |> List.concat_map (fun (j : S.job) ->
-           List.map
-             (fun s -> ((s, j.S.id), Lp.add_var ~upper:Q.one m (Printf.sprintf "x_%d_%d" s j.S.id)))
-             (S.window_slots j))
-  in
-  List.iter
-    (fun s ->
-      let terms = List.filter_map (fun ((s', _), xv) -> if s' = s then Some (Q.one, xv) else None) x_vars in
-      if terms <> [] then
-        Lp.add_constraint m ((Q.of_int (-inst.S.g), y_var s) :: terms) Lp.Le Q.zero)
-    slots;
-  Array.iter
-    (fun (j : S.job) ->
-      let terms =
-        List.filter_map (fun ((_, id), xv) -> if id = j.S.id then Some (Q.one, xv) else None) x_vars
-      in
-      Lp.add_constraint m terms Lp.Ge (Q.of_int j.S.length))
-    inst.S.jobs;
+  Lp_model.assignment m inst
+    ~upper:(fun _ -> Q.one)
+    ~capacity:(fun s -> ([ (Q.of_int (-inst.S.g), List.assoc s y_vars) ], Q.zero));
   Lp.set_objective m Lp.Minimize (List.map (fun (_, yv) -> (Q.one, yv)) y_vars);
   match Lp.solve m with
   | Lp.Optimal sol -> Some (Lp.objective_value sol)
   | Lp.Infeasible -> None
   | Lp.Unbounded -> assert false
 
-(* Exact optimum by branch-and-bound over per-slot counts. *)
+(* Exact optimum by branch-and-bound over per-slot counts, seeded with
+   the minimal pool. Level [i] sets slot [i]'s count in [on], from low
+   to high, with every later slot at [machines]; a count whose pool
+   does not fit is pruned. *)
 let optimum (inst : S.t) ~machines =
-  let slots = Array.of_list (S.relevant_slots inst) in
-  let k = Array.length slots in
-  match minimal inst ~machines with
+  match minimal_pool inst ~machines with
   | None -> None
-  | Some seed ->
+  | Some (net, slots, on) ->
+      let seed = openings slots on in
+      let k = Array.length slots in
+      Array.fill on 0 k machines;
       let best = ref (cost seed) in
       let best_set = ref seed in
       let mass_lb = S.mass_lower_bound inst in
-      let rec dfs i chosen acc_cost =
+      let rec dfs i acc_cost =
         if acc_cost < !best && max acc_cost mass_lb < !best then begin
           if i = k then begin
-            (* chosen covers all slots; feasibility was maintained *)
             best := acc_cost;
-            best_set := List.rev chosen
+            best_set := openings slots on
           end
           else begin
-            (* try counts from low to high; prune infeasible-with-rest *)
-            let rest =
-              List.map (fun s -> (s, machines)) (Array.to_list (Array.sub slots (i + 1) (k - i - 1)))
-            in
-            let counts = List.init (machines + 1) (fun c -> c) in
-            List.iter
-              (fun c ->
-                let openings = List.rev_append chosen ((slots.(i), c) :: rest) in
-                if acc_cost + c < !best && feasible inst ~machines ~openings then
-                  dfs (i + 1) ((slots.(i), c) :: chosen) (acc_cost + c))
-              counts
+            for c = 0 to machines do
+              on.(i) <- c;
+              if acc_cost + c < !best && Feasibility.fits net ~on then dfs (i + 1) (acc_cost + c)
+            done;
+            on.(i) <- machines
           end
         end
       in
-      dfs 0 [] 0;
-      Some (cost !best_set, List.filter (fun (_, c) -> c > 0) !best_set)
+      dfs 0 0;
+      Some (cost !best_set, !best_set)

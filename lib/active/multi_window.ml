@@ -4,7 +4,10 @@
    exceeds two the problem is NP-hard (reduction from 3-EXACT-COVER), so
    this module provides the flow feasibility test, minimal feasible
    solutions, and an exact branch-and-bound - the same toolkit as the
-   single-window case, over the richer window structure. *)
+   single-window case, over the richer window structure. Feasibility is
+   Fig. 2's G_feas with a job's arcs to every slot of its windows,
+   wired by {!Feasibility.windows_network} once per call of [feasible],
+   [minimal] or [optimum]. *)
 
 module Q = Rational
 
@@ -48,61 +51,36 @@ let relevant_slots t =
 
 let mass_lower_bound t = (total_length t + t.g - 1) / t.g
 
-(* Feasibility on an open-slot set, via the same G_feas construction as the
-   single-window case, wired here: a job's arcs run to the slots of all
-   its windows, which [Feasibility.network] does not model. *)
-let feasible_and_schedule t ~open_slots =
-  let open_set = Hashtbl.create 32 in
-  List.iter (fun s -> Hashtbl.replace open_set s ()) open_slots;
-  let slots = List.filter (Hashtbl.mem open_set) (relevant_slots t) in
-  let slot_index = Hashtbl.create 32 in
-  List.iteri (fun i s -> Hashtbl.replace slot_index s i) slots;
-  let n = Array.length t.jobs in
-  let m = List.length slots in
-  let source = 0 and sink = n + m + 1 in
-  let g = Flow.create (n + m + 2) in
-  Array.iteri (fun idx j -> ignore (Flow.add_edge g ~src:source ~dst:(idx + 1) ~cap:j.length)) t.jobs;
-  let assign = ref [] in
-  Array.iteri
-    (fun idx j ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt slot_index s with
-          | Some si ->
-              let e = Flow.add_edge g ~src:(idx + 1) ~dst:(n + 1 + si) ~cap:1 in
-              assign := ((idx, s), e) :: !assign
-          | None -> ())
-        (window_slots j))
-    t.jobs;
-  List.iteri (fun si _ -> ignore (Flow.add_edge g ~src:(n + 1 + si) ~dst:sink ~cap:t.g)) slots;
-  if Flow.max_flow g ~source ~sink <> total_length t then None
-  else begin
-    let per_job = Array.make n [] in
-    List.iter (fun ((idx, s), e) -> if Flow.flow g e = 1 then per_job.(idx) <- s :: per_job.(idx)) !assign;
-    Some (Array.to_list (Array.mapi (fun idx j -> (j.id, List.sort compare per_job.(idx))) t.jobs))
-  end
+(* Each probe re-capacitates the network, a closed slot at capacity 0. *)
+let network t =
+  Feasibility.windows_network ~g:t.g (Array.map (fun j -> (j.id, j.length, window_slots j)) t.jobs)
 
-let feasible t ~open_slots = feasible_and_schedule t ~open_slots <> None
+let fits net open_slots = Feasibility.schedule net ~open_slots <> None
+let feasible t ~open_slots = fits (network t) open_slots
 
 (* Close slots greedily; single pass is minimal by monotonicity. *)
-let minimal ?start t =
-  let start = match start with Some s -> s | None -> relevant_slots t in
-  if not (feasible t ~open_slots:start) then None
+let minimize net start =
+  if not (fits net start) then None
   else begin
     let current = ref (List.sort_uniq compare start) in
     List.iter
       (fun s ->
         let without = List.filter (fun s' -> s' <> s) !current in
-        if feasible t ~open_slots:without then current := without)
+        if fits net without then current := without)
       !current;
     Some !current
   end
 
+let minimal ?start t =
+  let net = network t in
+  minimize net (match start with Some s -> s | None -> Array.to_list (Feasibility.network_slots net))
+
 (* Exact optimum by the same branch-and-bound as {!Exact}. *)
 let optimum t =
-  let slots = Array.of_list (relevant_slots t) in
+  let net = network t in
+  let slots = Feasibility.network_slots net in
   let k = Array.length slots in
-  match minimal t with
+  match minimize net (Array.to_list slots) with
   | None -> None
   | Some seed ->
       let best = ref (List.length seed) in
@@ -116,7 +94,7 @@ let optimum t =
           end
           else if max n_open mass_lb < !best then begin
             let rest = Array.to_list (Array.sub slots (i + 1) (k - i - 1)) in
-            if feasible t ~open_slots:(List.rev_append opened rest) then dfs (i + 1) opened n_open;
+            if fits net (List.rev_append opened rest) then dfs (i + 1) opened n_open;
             dfs (i + 1) (slots.(i) :: opened) (n_open + 1)
           end
         end

@@ -2,7 +2,9 @@
     Khuller, discussed in Section 1.3): a job may be scheduled in a union
     of disjoint windows. NP-hard for capacity [g >= 3] via 3-EXACT-COVER;
     this module ports the flow feasibility test, minimal feasible
-    solutions and the exact branch-and-bound to the richer windows. *)
+    solutions and the exact branch-and-bound to the richer windows. Each
+    of {!feasible}, {!minimal} and {!optimum} builds one
+    {!Feasibility.windows_network} and probes it. *)
 
 type job = private {
   id : int;

@@ -46,17 +46,6 @@ type stats = {
 
 exception Infeasible_instance
 
-(* Open rightmost closed relevant slots until the job subset fits; returns
-   the new open set. Defensive only. *)
-let rec force_feasible inst ~only_jobs ~opened ~closed_pool =
-  if Feasibility.feasible inst ~only_jobs ~open_slots:opened then (opened, false)
-  else
-    match closed_pool with
-    | [] -> raise Infeasible_instance
-    | s :: rest ->
-        let opened', _ = force_feasible inst ~only_jobs ~opened:(s :: opened) ~closed_pool:rest in
-        (opened', true)
-
 let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
   Obs.span obs "active.rounding" @@ fun () ->
   let lp1 = match lp1 with Some lp1 -> lp1 | None -> Lp_model.create inst in
@@ -86,7 +75,6 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
           opened := s :: !opened
         in
         let proxy = ref None in
-        let processed = ref [] in
         let cum_mass = ref Q.zero in
         let fallback = ref false in
         List.iter
@@ -117,10 +105,7 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
             proxy := None;
             Array.iteri
               (fun idx (j : S.job) ->
-                if j.S.deadline = b then begin
-                  Feasibility.Oracle.set_job ~obs ora idx ~active:true;
-                  processed := j.S.id :: !processed
-                end)
+                if j.S.deadline = b then Feasibility.Oracle.set_job ~obs ora idx ~active:true)
               inst.S.jobs;
             Log.debug (fun m ->
                 m "deadline %d: Y=%s base=%d frac_mass=%s pointer=%d" b (Q.to_string yi) base
@@ -143,15 +128,19 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
                 open_slot pointer
               end
             end;
-            (* Lemma 5/6 invariants *)
-            (if not (Feasibility.Oracle.check ~obs ora) then begin
-               let pool = List.rev (List.filter (fun s -> not (List.mem s !opened)) slots) in
-               let opened', _ = force_feasible inst ~only_jobs:!processed ~opened:!opened ~closed_pool:pool in
-               opened := opened';
-               (* resync the oracle with the defensively opened slots *)
-               List.iter (fun s -> Feasibility.Oracle.set_slot ~obs ora ~slot:s ~open_:true) opened';
-               fallback := true
-             end);
+            (* Lemma 5/6 invariants: the processed jobs, the active ones,
+               fit. Should they not (never expected), the rightmost
+               closed slots open on the oracle until they do. *)
+            if not (Feasibility.Oracle.check ~obs ora) then begin
+              fallback := true;
+              let rec reopen = function
+                | [] -> raise Infeasible_instance
+                | s :: rest ->
+                    open_slot s;
+                    if not (Feasibility.Oracle.check ~obs ora) then reopen rest
+              in
+              reopen (List.rev (List.filter (fun s -> not (List.mem s !opened)) slots))
+            end;
             assert (Q.compare (Q.of_int (List.length !opened)) (Q.mul Q.two !cum_mass) <= 0 || !fallback))
           blocks;
         let open_slots = List.sort compare !opened in

@@ -180,8 +180,11 @@ and walk_from t ~avail ~take ~start ~stop limit depth =
         let w = t.dst.(s) in
         t.stack_e.(depth + 1) <- s;
         if w <> stop && t.pos.(w) >= 0 then begin
-          (* cycle w .. v -> w *)
-          ignore (take_least t ~avail ~take t.pos.(w) (depth + 1) max_int);
+          (* cycle w .. v -> w; a [pos] that does not point back at w
+             is scratch a walk left dirty, which would restart forever *)
+          let p = t.pos.(w) in
+          if p > depth || t.stack_v.(p) <> w then invalid_arg "Flow: walk scratch left dirty";
+          ignore (take_least t ~avail ~take p (depth + 1) max_int);
           leave t depth;
           walk t ~avail ~take ~start ~stop limit
         end

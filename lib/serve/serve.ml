@@ -135,13 +135,24 @@ let deadline_message (req : Protocol.request) ticks =
   | Some ms -> Printf.sprintf "deadline of %dms expired after %d ticks" ms ticks
   | None -> Printf.sprintf "deadline expired after %d ticks" ticks
 
+(* The response core of [req]: its algorithm and instance, and the
+   rest as given. *)
+let core (req : Protocol.request) ?(cost = J.Null) ?(provenance = J.Null) ~ticks status message =
+  {
+    Protocol.status;
+    algorithm_used = Some req.Protocol.algorithm;
+    instance_json = Protocol.instance_json req;
+    cost;
+    message;
+    provenance;
+    ticks;
+  }
+
 (* Map a finished solve onto a response core. [deadline_hit] is the
    probe's flag: when it fired, the answer (whatever shape the unwinding
    left — an infeasible cascade result carrying the partial attempt
    list, usually) is reported as a timeout, with that provenance. *)
 let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t) (r : CR.t) =
-  let instance_json = Protocol.instance_json req in
-  let algorithm_used = Some req.Protocol.algorithm in
   let ticks =
     (* composite solvers burn fresh per-tier budgets, not the request
        budget — their spend lives in the provenance attempts *)
@@ -150,9 +161,7 @@ let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t)
     | _ -> Budget.spent budget
   in
   let prov = CR.provenance_to_json r.CR.provenance in
-  let mk status cost message =
-    { Protocol.status; algorithm_used; instance_json; cost; message; provenance = prov; ticks }
-  in
+  let mk status cost message = core req ~cost ~provenance:prov ~ticks status message in
   if deadline_hit then mk "timeout" J.Null (Some (deadline_message req ticks))
   else
     match r.CR.status with
@@ -174,15 +183,7 @@ let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t)
 
 let timeout_core (req : Protocol.request) budget =
   let ticks = Budget.spent budget in
-  {
-    Protocol.status = "timeout";
-    algorithm_used = Some req.Protocol.algorithm;
-    instance_json = Protocol.instance_json req;
-    cost = J.Null;
-    message = Some (deadline_message req ticks);
-    provenance = J.Null;
-    ticks;
-  }
+  core req ~ticks "timeout" (Some (deadline_message req ticks))
 
 let fault_core (req : Protocol.request) budget exn =
   let message =
@@ -192,15 +193,7 @@ let fault_core (req : Protocol.request) budget exn =
     | CS.Bad_result m -> "internal: " ^ m
     | e -> "worker fault: " ^ Printexc.to_string e
   in
-  {
-    Protocol.status = "error";
-    algorithm_used = Some req.Protocol.algorithm;
-    instance_json = Protocol.instance_json req;
-    cost = J.Null;
-    message = Some message;
-    provenance = J.Null;
-    ticks = Budget.spent budget;
-  }
+  core req ~ticks:(Budget.spent budget) "error" (Some message)
 
 let cacheable (core : Protocol.core) =
   match core.Protocol.status with "ok" | "degraded" | "infeasible" -> true | _ -> false

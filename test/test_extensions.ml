@@ -157,6 +157,18 @@ let prop_mw_matches_single_window =
       in
       Active.Exact.optimum inst = Option.map fst (MW.optimum translated))
 
+(* The smaller of two optional costs. *)
+let min_some a b = match (a, b) with Some x, Some y -> Some (min x y) | x, None | None, x -> x
+
+(* The size of the smallest feasible open set, by trying every subset of
+   the relevant slots. *)
+let mw_smallest_open_set inst =
+  let rec go chosen = function
+    | [] -> if MW.feasible inst ~open_slots:chosen then Some (List.length chosen) else None
+    | s :: rest -> min_some (go chosen rest) (go (s :: chosen) rest)
+  in
+  go [] (MW.relevant_slots inst)
+
 let prop_mw_minimal =
   QCheck.Test.make ~name:"multi-window minimal solutions are feasible and minimal" ~count:25 seed_arb
     (fun seed ->
@@ -168,6 +180,9 @@ let prop_mw_minimal =
             MW.job ~id ~windows:[ (w1, w1 + 2); (w2, w2 + 2) ] ~length:(1 + Random.State.int st 2))
       in
       let inst = MW.make ~g:2 jobs in
+      (* at most 10 relevant slots: 1..5 and 7..11 *)
+      Option.map fst (MW.optimum inst) = mw_smallest_open_set inst
+      &&
       match MW.minimal inst with
       | None -> false
       | Some open_slots ->
@@ -336,11 +351,27 @@ let prop_machines_single_matches =
       let inst = Gen.slotted ~params ~seed () in
       Active.Exact.optimum inst = Option.map fst (Active.Machines.optimum inst ~machines:1))
 
+(* The cost of the cheapest feasible pool, by trying every vector of
+   counts in [0..machines] over the relevant slots. *)
+let cheapest_pool inst ~machines =
+  let rec go chosen = function
+    | [] ->
+        if Active.Machines.feasible inst ~machines ~openings:chosen then Some (Active.Machines.cost chosen)
+        else None
+    | s :: rest ->
+        List.fold_left (fun best c -> min_some best (go ((s, c) :: chosen) rest)) None
+          (List.init (machines + 1) Fun.id)
+  in
+  go [] (Workload.Slotted.relevant_slots inst)
+
 let prop_machines_monotone =
   QCheck.Test.make ~name:"more machines never hurt; minimal >= optimum >= LP" ~count:15 seed_arb
     (fun seed ->
       let params : Gen.slotted_params = { n = 6; horizon = 7; max_length = 3; slack = 2; g = 2 } in
       let inst = Gen.slotted ~params ~seed () in
+      (* at most 7 relevant slots, so 3^7 count vectors *)
+      Option.map fst (Active.Machines.optimum inst ~machines:2) = cheapest_pool inst ~machines:2
+      &&
       match (Active.Machines.optimum inst ~machines:1, Active.Machines.optimum inst ~machines:2) with
       | None, None -> true
       | None, Some _ -> true (* extra machines can create feasibility *)
