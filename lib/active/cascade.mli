@@ -11,7 +11,10 @@
     so its pivots count among the tier's ticks and a deadline still
     fires inside it; an LP1 that raises {!Lp_model.Scale_overflow} gives
     no floor. The search asks for the floor only when its minimal seed
-    costs more than [ceil(P/g)]. A valid floor leaves the tier's answer
+    costs more than its built-in floor [max(ceil(P/g), OPT_inf)]
+    ({!Workload.Slotted.unbounded_optimum}); a run whose seed meets
+    that floor builds no LP1 and no network for it. A valid floor
+    leaves the tier's answer
     as the floor-free search's (the registry's [exact], which stays
     LP-free), and cuts its nodes: on the [sim_rolling] windows of
     EXPERIMENTS E28, from hundreds per epoch to one or two.

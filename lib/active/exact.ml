@@ -8,18 +8,20 @@
      - monotone feasibility pruning (close a slot only while the remaining
        open-or-undecided set stays feasible), and
      - cost pruning against the incumbent, seeded with a minimal feasible
-       solution, with the mass bound ceil(P/g) as a global floor, raised
-       to the caller's [?floor] when one is given.
+       solution, with a global floor: the built-in max(ceil(P/g), OPT_inf),
+       where OPT_inf is the optimum at g = infinity
+       ([Workload.Slotted.unbounded_optimum], a deadline-ordered greedy),
+       raised to the caller's [?floor] when one is given.
 
-   The floor is a lower bound on the optimum that the caller has proven
-   (the cascade's exact tier passes ceil(LP1)). It is asked for at most
-   once, before the first node and only when the seed costs more than
-   ceil(P/g) (a seed at the mass bound is optimal already), inside the
-   [Out_of_fuel] handler: work it spends on the budget is counted, and
-   its exhaustion returns the seed. A valid floor prunes a node only once
-   it reaches the incumbent, which is then optimal; as the DFS takes only
-   strictly cheaper incumbents, the same solution comes back, in fewer
-   nodes, flow checks and ticks.
+   The caller's floor is a lower bound on the optimum that the caller
+   has proven (the cascade's exact tier passes ceil(LP1)). It is asked
+   for at most once, before the first node and only when the seed costs
+   more than the built-in floor (a seed at that floor is optimal
+   already), inside the [Out_of_fuel] handler: work it spends on the
+   budget is counted, and its exhaustion returns the seed. A valid floor
+   prunes a node only once it reaches the incumbent, which is then
+   optimal; as the DFS takes only strictly cheaper incumbents, the same
+   solution comes back, in fewer nodes, flow checks and ticks.
 
    The chosen-open set is a list of relevant-slot indices, newest first:
    opening slot i conses i onto it, and backtracking returns to the
@@ -29,7 +31,10 @@
    re-augment / reopen on backtrack), the Rebuild mode reconstructs the
    flow network per probe. Both modes compute exact max flows, hence take
    identical branching decisions and report identical node / flow-check
-   counters.
+   counters. The oracle is readied on the first close probe, by a root
+   check that counts as one flow check in either mode, so a search whose
+   floor meets the seed at the root probes nothing, builds no oracle and
+   returns the seed's own solution.
 
    [brute_force] cross-checks the B&B on tiny instances in the tests. *)
 
@@ -65,11 +70,10 @@ let brute_force (inst : S.t) =
 let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (inst : S.t) =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Obs.span obs "active.exact" @@ fun () ->
-  let slots = Array.of_list (S.relevant_slots inst) in
-  let k = Array.length slots in
-  let mass_lb = S.mass_lower_bound inst in
   (* one network for the seed, the oracle and the schedule *)
   let net = Feasibility.network inst in
+  let slots = Feasibility.network_slots net in
+  let k = Array.length slots in
   (* incumbent from a minimal feasible solution *)
   match Minimal.solve ~oracle ~obs ~net inst Minimal.Right_to_left with
   | None -> Budget.Complete None (* infeasible instance *)
@@ -77,20 +81,36 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
       (* chosen-open slots in increasing order, [opened] newest first *)
       let to_slots opened = List.rev_map (fun i -> slots.(i)) opened in
       let best = ref (Solution.cost seed) in
-      let best_slots = ref seed.Solution.open_slots in
+      (* the open slots of an incumbent cheaper than the seed *)
+      let best_slots = ref None in
       let nodes = ref 0 and flow_checks = ref 0 in
-      let ora =
-        match oracle with
-        | Feasibility.Incremental -> Some (Feasibility.Oracle.create ~obs net)
-        | Feasibility.Rebuild -> None
+      (* The probe oracle, readied on the first close probe by the root
+         check (every relevant slot open; it holds, since the seed is
+         feasible), which is the search's first flow check in both
+         modes. *)
+      let ora = ref None in
+      let ready () =
+        if !flow_checks = 0 then begin
+          incr flow_checks;
+          let root =
+            match oracle with
+            | Feasibility.Incremental ->
+                let o = Feasibility.Oracle.create ~obs net in
+                ora := Some o;
+                Feasibility.Oracle.check ~obs o
+            | Feasibility.Rebuild -> Feasibility.feasible ~obs inst ~open_slots:(Array.to_list slots)
+          in
+          assert root
+        end
       in
       (* Probe "slot i closed, the rest of the current state unchanged".
          Incremental mode leaves the slot closed in the oracle (the caller
          reopens on backtrack); Rebuild mode reconstructs the open set as
          chosen-open + undecided suffix, in increasing slot order. *)
       let probe_close i opened =
+        ready ();
         incr flow_checks;
-        match ora with
+        match !ora with
         | Some o ->
             Feasibility.Oracle.set_slot ~obs o ~slot:slots.(i) ~open_:false;
             Feasibility.Oracle.check ~obs o
@@ -99,7 +119,7 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
             Feasibility.feasible ~obs inst ~open_slots:(to_slots opened @ undecided)
       in
       let reopen i =
-        match ora with
+        match !ora with
         | Some o -> Feasibility.Oracle.set_slot ~obs o ~slot:slots.(i) ~open_:true
         | None -> ()
       in
@@ -115,7 +135,7 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
           if i = k then begin
             (* all decided; invariant says [opened] is feasible *)
             best := n_open;
-            best_slots := to_slots opened
+            best_slots := Some (to_slots opened)
           end
           else if max n_open lb < !best then begin
             (* try closing slot i: keep going only if still feasible *)
@@ -131,21 +151,16 @@ let solve ?budget ?(oracle = Feasibility.Incremental) ?floor ?(obs = Obs.null) (
       let finish () =
         Obs.add obs "active.exact.nodes" !nodes;
         Obs.add obs "active.exact.flow_checks" !flow_checks;
-        Solution.of_open_slots ~net inst ~open_slots:!best_slots
-      in
-      let root_feasible () =
-        incr flow_checks;
-        match ora with
-        | Some o -> Feasibility.Oracle.check ~obs o
-        | None -> Feasibility.feasible ~obs inst ~open_slots:(Array.to_list slots)
+        match !best_slots with
+        | None -> Some seed
+        | Some open_slots -> Solution.of_open_slots ~net inst ~open_slots
       in
       (try
-         if root_feasible () then begin
-           let lb =
-             match floor with Some f when !best > mass_lb -> max mass_lb (f ()) | _ -> mass_lb
-           in
-           dfs lb 0 [] 0
-         end;
+         (* the built-in floor, then the caller's while the seed costs more *)
+         let mass_lb = S.mass_lower_bound inst in
+         let lb = if !best > mass_lb then max mass_lb (S.unbounded_optimum inst) else mass_lb in
+         let lb = match floor with Some f when !best > lb -> max lb (f ()) | _ -> lb in
+         dfs lb 0 [] 0;
          Log.info (fun m ->
              m "branch and bound: %d slots, %d nodes, %d flow checks, optimum %d" k !nodes !flow_checks !best);
          Budget.Complete (finish ())

@@ -23,17 +23,24 @@ val branch_and_bound : Workload.Slotted.t -> Solution.t option
     seed) — [None] inside the outcome still means the instance is
     infeasible, which is always detected before any node is expanded.
 
-    [?floor] is a lower bound on the optimum that the caller has
-    proven; [ceil(P/g)] is always used, and a floor raises it. The
+    The built-in floor is [max(ceil(P/g), OPT_inf)], where [OPT_inf]
+    is the optimum with [g] unbounded
+    ({!Workload.Slotted.unbounded_optimum}). [?floor] is a lower bound
+    on the optimum that the caller has proven, and raises it. The
     search calls [floor] at most once, and only when the
-    minimal-solution seed costs more than [ceil(P/g)], before the first
-    node; the call runs inside the search's {!Budget.Out_of_fuel}
-    handler, so a floor that ticks [budget] (the cascade's exact tier
-    solves LP1 on it) has its work counted, and its exhaustion returns
-    [Exhausted] with the seed as incumbent, never the exception. A
-    valid floor never changes the returned solution, only the nodes,
-    flow checks and ticks it takes; an invalid one (above the optimum)
-    may return a worse solution as [Complete].
+    minimal-solution seed costs more than the built-in floor, before
+    the first node; the call runs inside the search's
+    {!Budget.Out_of_fuel} handler, so a floor that ticks [budget] (the
+    cascade's exact tier solves LP1 on it) has its work counted, and
+    its exhaustion returns [Exhausted] with the seed as incumbent,
+    never the exception. A valid floor never changes the returned
+    solution, only the nodes, flow checks and ticks it takes; an
+    invalid one (above the optimum) may return a worse solution as
+    [Complete].
+
+    A search whose floor reaches the seed's cost at the root node
+    probes nothing: it builds no oracle beyond the seed's, runs no flow
+    check and returns the seed's own {!Solution.t}.
 
     [?oracle] selects the feasibility probe (default
     {!Feasibility.Incremental}): the incremental mode drives one
@@ -42,8 +49,10 @@ val branch_and_bound : Workload.Slotted.t -> Solution.t option
     reconstructs the flow network per probe. Both modes compute exact
     max flows, so they return byte-identical optima and record identical
     [active.exact.nodes] / [active.exact.flow_checks] counters; only the
-    flow-level telemetry (and the wall clock) differs. The seed, the
-    oracle and the returned schedule share one
+    flow-level telemetry (and the wall clock) differs. The oracle is
+    readied on the first close probe, by a root check (every relevant
+    slot open) that counts as one flow check in both modes. The seed,
+    the oracle and the returned schedule share one
     {!Feasibility.network}.
 
     With [?obs], runs inside an [active.exact] span and records

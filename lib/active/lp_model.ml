@@ -18,8 +18,6 @@ type t = {
   y : (int * Q.t) list; (* slot -> y_t, all relevant slots (may be 0) *)
 }
 
-let y_at t slot = try List.assoc slot t.y with Not_found -> Q.zero
-
 (* LP1's assignment part. Each variable joins the lists of its slot
    and its job as it is declared, so no row scans the others. *)
 let assignment ?(keep = fun _ -> true) ?upper ?(link = fun _ _ -> ()) m (inst : S.t) ~capacity =
@@ -69,21 +67,27 @@ let feasible_with_y (inst : S.t) y =
 (* Lemma 3's blocks (Section 3.1): the boundaries are the distinct
    deadlines, preceded by the first slot of positive y when it comes
    before the first deadline, and Y_i sums y over (previous boundary,
-   boundary]. *)
+   boundary]. One walk of the increasing y list takes each block's
+   slots off its front. *)
 let blocks (inst : S.t) t =
-  let slots = S.relevant_slots inst in
   let deadlines = List.sort_uniq compare (Array.to_list (Array.map (fun j -> j.S.deadline) inst.S.jobs)) in
-  let first_positive = List.find_opt (fun s -> Q.compare (y_at t s) Q.zero > 0) slots in
+  let first_positive = List.find_opt (fun (_, v) -> Q.compare v Q.zero > 0) t.y in
   let boundaries =
     match (first_positive, deadlines) with
-    | Some t0, d1 :: _ when t0 < d1 -> t0 :: deadlines
+    | Some (t0, _), d1 :: _ when t0 < d1 -> t0 :: deadlines
     | _ -> deadlines
   in
-  let mass lo hi =
-    List.fold_left (fun acc s -> if s > lo && s <= hi then Q.add acc (y_at t s) else acc) Q.zero slots
+  let rec mass acc hi = function
+    | (s, v) :: rest when s <= hi -> mass (Q.add acc v) hi rest
+    | y -> (acc, y)
   in
-  let rec from prev = function [] -> [] | b :: rest -> (prev, b, mass prev b) :: from b rest in
-  from 0 boundaries
+  let rec from prev y = function
+    | [] -> []
+    | b :: rest ->
+        let yi, y = mass Q.zero b y in
+        (prev, b, yi) :: from b y rest
+  in
+  from 0 t.y boundaries
 
 (* The right-shifted y vector: each block's mass Y_i packed against its
    right end - floor(Y_i) fully open slots ending at the deadline plus

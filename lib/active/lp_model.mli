@@ -69,9 +69,6 @@ type t = {
   y : (int * Rational.t) list;  (** slot -> y_t, all relevant slots *)
 }
 
-(** [y_at t slot] is the slot's y value (0 when absent). *)
-val y_at : t -> int -> Rational.t
-
 (** Raised by {!resolve} when the common denominator of y, times
     [max(sum_j p_j, g)], overflows a native [int] (flow capacities are
     native integers); never wraps. *)
@@ -179,7 +176,9 @@ val feasible_with_y : Workload.Slotted.t -> (int * Rational.t) list -> bool
     between consecutive distinct deadlines, starting from 0, plus the
     block that ends at the first slot with positive y when that slot
     comes before the first deadline; Y_i sums [t]'s y over the block's
-    relevant slots. Theorem 2's rounding sweeps them. *)
+    relevant slots. Theorem 2's rounding sweeps them. One walk of [t.y]
+    (increasing over the relevant slots, as {!resolve} returns it)
+    computes them. *)
 val blocks : Workload.Slotted.t -> t -> (int * int * Rational.t) list
 
 (** The right-shifted y vector (Section 3.1): each of the {!blocks}'

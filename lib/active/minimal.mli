@@ -20,9 +20,15 @@ type order =
     {!Feasibility.Oracle} drives the whole closing pass); both modes take
     identical close/keep decisions and record identical
     [active.minimal.*] counters. The oracle and the returned schedule
-    use [net] (default: a fresh {!Feasibility.network} of [inst]). With
+    use [net] (default: a fresh {!Feasibility.network} of [inst]).
+    Before a close probe runs a flow, two counting tests that every
+    feasible set passes may settle it: [g (|open| - 1) >= P], and every
+    job live at the slot keeps [p_j] open slots in its window. A slot
+    that fails one stays open without a flow; the tests refuse only
+    closures the flow would refuse, so the answer is the flow's. With
     [?obs], runs inside an [active.minimal] span and records
-    [active.minimal.feasibility_checks] / [active.minimal.closures]. *)
+    [active.minimal.feasibility_checks] (every decision, those the
+    tests settle included) / [active.minimal.closures]. *)
 val minimalize :
   ?oracle:Feasibility.probe_mode ->
   ?obs:Obs.t ->

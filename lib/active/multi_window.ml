@@ -7,7 +7,7 @@
    single-window case, over the richer window structure. Feasibility is
    Fig. 2's G_feas with a job's arcs to every slot of its windows,
    wired by {!Feasibility.windows_network} once per call of [feasible],
-   [minimal] or [optimum]. *)
+   [minimal] or [optimum] and probed by {!Feasibility.fits}. *)
 
 module Q = Rational
 
@@ -51,38 +51,64 @@ let relevant_slots t =
 
 let mass_lower_bound t = (total_length t + t.g - 1) / t.g
 
-(* Each probe re-capacitates the network, a closed slot at capacity 0. *)
+(* Each probe re-capacitates the network and compares the max flow
+   with P: [on] holds 1 per open slot of {!Feasibility.network_slots}
+   and 0 per closed one, Fig. 2's capacities. *)
 let network t =
   Feasibility.windows_network ~g:t.g (Array.map (fun j -> (j.id, j.length, window_slots j)) t.jobs)
 
-let fits net open_slots = Feasibility.schedule net ~open_slots <> None
-let feasible t ~open_slots = fits (network t) open_slots
+(* [net]'s slots and the 0/1 array of [open_slots] over them *)
+let open_array net open_slots =
+  let slots = Feasibility.network_slots net in
+  let open_ = Hashtbl.create 16 in
+  List.iter (fun s -> Hashtbl.replace open_ s ()) open_slots;
+  (slots, Array.map (fun s -> if Hashtbl.mem open_ s then 1 else 0) slots)
 
-(* Close slots greedily; single pass is minimal by monotonicity. *)
-let minimize net start =
-  if not (fits net start) then None
+let feasible t ~open_slots =
+  let net = network t in
+  Feasibility.fits net ~on:(snd (open_array net open_slots))
+
+(* The open slots of [on] over [slots], increasing. *)
+let open_of slots on = List.filteri (fun si _ -> on.(si) > 0) (Array.to_list slots)
+
+(* Close slots greedily, increasing; single pass is minimal by
+   monotonicity. *)
+let minimize net on =
+  if not (Feasibility.fits net ~on) then None
   else begin
-    let current = ref (List.sort_uniq compare start) in
-    List.iter
-      (fun s ->
-        let without = List.filter (fun s' -> s' <> s) !current in
-        if fits net without then current := without)
-      !current;
-    Some !current
+    Array.iteri
+      (fun si c ->
+        if c > 0 then begin
+          on.(si) <- 0;
+          if not (Feasibility.fits net ~on) then on.(si) <- 1
+        end)
+      on;
+    Some on
   end
 
 let minimal ?start t =
   let net = network t in
-  minimize net (match start with Some s -> s | None -> Array.to_list (Feasibility.network_slots net))
+  let slots, on =
+    match start with
+    | Some s -> open_array net s
+    | None ->
+        let slots = Feasibility.network_slots net in
+        (slots, Array.make (Array.length slots) 1)
+  in
+  Option.map (open_of slots) (minimize net on)
 
-(* Exact optimum by the same branch-and-bound as {!Exact}. *)
+(* Exact optimum by the same branch-and-bound as {!Exact}. Level [i]
+   closes slot [i] in [on] and probes, with every later slot open, then
+   opens it. *)
 let optimum t =
   let net = network t in
   let slots = Feasibility.network_slots net in
   let k = Array.length slots in
-  match minimize net (Array.to_list slots) with
+  match minimize net (Array.make k 1) with
   | None -> None
   | Some seed ->
+      let seed = open_of slots seed in
+      let on = Array.make k 1 in
       let best = ref (List.length seed) in
       let best_set = ref seed in
       let mass_lb = mass_lower_bound t in
@@ -93,8 +119,9 @@ let optimum t =
             best_set := List.rev opened
           end
           else if max n_open mass_lb < !best then begin
-            let rest = Array.to_list (Array.sub slots (i + 1) (k - i - 1)) in
-            if fits net (List.rev_append opened rest) then dfs (i + 1) opened n_open;
+            on.(i) <- 0;
+            if Feasibility.fits net ~on then dfs (i + 1) opened n_open;
+            on.(i) <- 1;
             dfs (i + 1) (slots.(i) :: opened) (n_open + 1)
           end
         end

@@ -4,7 +4,9 @@
     this module ports the flow feasibility test, minimal feasible
     solutions and the exact branch-and-bound to the richer windows. Each
     of {!feasible}, {!minimal} and {!optimum} builds one
-    {!Feasibility.windows_network} and probes it. *)
+    {!Feasibility.windows_network} and probes it with
+    {!Feasibility.fits}, one 0/1 count per slot: each probe compares a
+    max flow with [P] and reads no schedule. *)
 
 type job = private {
   id : int;

@@ -62,7 +62,7 @@ let solve ?lp1 ?budget ?(obs = Obs.null) (inst : S.t) =
         let blocks = Lp_model.blocks inst lp in
         (* mass strictly after the last deadline would have no x-support *)
         let _, last, _ = List.nth blocks (List.length blocks - 1) in
-        assert (List.for_all (fun s -> s <= last || Q.is_zero (Lp_model.y_at lp s)) slots);
+        assert (List.for_all (fun (s, v) -> s <= last || Q.is_zero v) lp.Lp_model.y);
         (* One warm oracle for the whole sweep. The sweep only ever opens
            slots and activates jobs (both monotone capacity increases), so
            every feasibility test is a pure re-augmentation — no drains. *)

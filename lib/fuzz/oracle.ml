@@ -304,8 +304,15 @@ let check_slotted ~fuel (inst : S.t) =
             first
               [
                 (fun () ->
-                  if S.mass_lower_bound inst > o then
-                    fail "mass-bound" "mass bound %d exceeds optimum %d" (S.mass_lower_bound inst) o
+                  (* Exact's built-in floor, max(ceil(P/g), OPT_inf). Exact
+                     prunes with it, so a floor above the optimum would
+                     also bend the optimum [o] it is compared with here:
+                     what catches that is the exact-agreement check below,
+                     where the LP-based search (the ILP), which never
+                     reads this floor, must find the same optimum. *)
+                  let floor = max (S.mass_lower_bound inst) (S.unbounded_optimum inst) in
+                  if floor > o then
+                    fail "mass-bound" "floor max(ceil(P/g), OPT_inf) = %d exceeds optimum %d" floor o
                   else None);
                 (fun () ->
                   (* every registered approximation whose guard accepts the

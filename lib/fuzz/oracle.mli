@@ -10,7 +10,9 @@
       (minimal 3x, LP rounding 2x; FirstFit 4x, GreedyTracking 3x,
       Two_approx and Kumar–Rudra 2x);
     - lower bounds (mass, span, demand profile) never exceed any feasible
-      cost;
+      cost, and [max(ceil(P/g), OPT_inf)]
+      ({!Workload.Slotted.unbounded_optimum}), the exact search's
+      built-in floor, never exceeds the optimum ([mass-bound]);
     - the flow-pruned and LP-based branch and bounds agree (small
       instances), and the unit-job greedy matches the optimum on unit
       instances;

@@ -70,6 +70,37 @@ let window_start slots j =
 (* Trivial lower bound: ceil(total length / g). *)
 let mass_lower_bound t = (total_length t + t.g - 1) / t.g
 
+(* The optimum at g = infinity, an interval multicover: by deadline,
+   each job opens the latest still-closed slots of its window until p_j
+   of them are open. Exchanging any other solution's slot in the window
+   for a later one the greedy picked keeps every later-deadline job
+   covered, so the greedy is optimal. Slots are indexed among the
+   relevant ones, where each window is a run. *)
+let unbounded_optimum t =
+  let slots = Array.of_list (relevant_slots t) in
+  let opened = Array.make (Array.length slots) false in
+  let by_deadline = Array.copy t.jobs in
+  Array.stable_sort (fun a b -> compare a.deadline b.deadline) by_deadline;
+  Array.fold_left
+    (fun cost j ->
+      let lo = window_start slots j in
+      let hi = lo + window_size j - 1 in
+      let need = ref j.length in
+      for si = lo to hi do
+        if opened.(si) then decr need
+      done;
+      let si = ref hi and cost = ref cost in
+      while !need > 0 do
+        if not opened.(!si) then begin
+          opened.(!si) <- true;
+          decr need;
+          incr cost
+        end;
+        decr si
+      done;
+      !cost)
+    0 by_deadline
+
 let is_live j ~slot = slot >= j.release + 1 && slot <= j.deadline
 
 let pp_job fmt j =

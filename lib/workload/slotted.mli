@@ -46,6 +46,20 @@ val window_start : int array -> job -> int
 (** [ceil(P / g)], a lower bound on any solution's active time. *)
 val mass_lower_bound : t -> int
 
+(** [OPT_inf], the optimum with [g] unbounded, a lower bound on any
+    solution's active time at every [g]: the fewest open slots that
+    give each job [p_j] open slots in its window, an interval
+    multicover. A greedy finds it: taking the jobs by deadline, each
+    opens the latest still-closed slots of its window until [p_j] of
+    them are open. It is exact because a solution that opens an earlier
+    slot of that window can trade it for the later one: the jobs taken
+    so far are covered already, and a later job whose window holds the
+    earlier slot ends no sooner, so it holds the later one too. This is
+    the slotted twin of the paper's exact greedy for preemptive busy
+    time at [g = inf]. Slots are indexed among the relevant ones, never
+    the horizon, so times near [10^15] cost what small ones do. *)
+val unbounded_optimum : t -> int
+
 (** [is_live j ~slot] iff [slot] is in [j]'s window (Definition 1). *)
 val is_live : job -> slot:int -> bool
 

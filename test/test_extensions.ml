@@ -384,6 +384,25 @@ let prop_machines_monotone =
               Active.Machines.cost m >= o2 && Q.compare lb (Q.of_int o2) <= 0
           | _ -> false))
 
+(* The optimum against the cheapest pool on fixed seeds of
+   [prop_machines_monotone]'s generator, so a wrong optimum cannot hide
+   behind fresh draws where the minimal pool is already optimal: on
+   some of these seeds it is not. *)
+let test_machines_optimum_fixed_seeds () =
+  let gaps = ref 0 in
+  for seed = 1 to 40 do
+    let params : Gen.slotted_params = { n = 6; horizon = 7; max_length = 3; slack = 2; g = 2 } in
+    let inst = Gen.slotted ~params ~seed () in
+    let opt = Option.map fst (Active.Machines.optimum inst ~machines:2) in
+    Alcotest.(check (option int))
+      (Printf.sprintf "seed %d: optimum = cheapest pool" seed)
+      (cheapest_pool inst ~machines:2) opt;
+    match (Active.Machines.minimal inst ~machines:2, opt) with
+    | Some m, Some o when Active.Machines.cost m > o -> incr gaps
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "a minimal pool above the optimum" true (!gaps > 0)
+
 (* -- maximization ------------------------------------------------------------------ *)
 
 let test_maximize_basic () =
@@ -482,7 +501,9 @@ let () =
       ( "laminar",
         [ Alcotest.test_case "basic" `Quick test_laminar_basic;
           Alcotest.test_case "guard" `Quick test_laminar_guard ] );
-      ("machines", [ Alcotest.test_case "basic" `Quick test_machines_basic ]);
+      ( "machines",
+        [ Alcotest.test_case "basic" `Quick test_machines_basic;
+          Alcotest.test_case "optimum on fixed seeds" `Quick test_machines_optimum_fixed_seeds ] );
       ("maximize", [ Alcotest.test_case "basic" `Quick test_maximize_basic ]);
       ( "widths",
         [ Alcotest.test_case "basic" `Quick test_widths_basic;
